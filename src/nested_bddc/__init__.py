@@ -25,14 +25,10 @@ from .saddle_core import (
     KktSystem,
     factor_indefinite,
     pressure_gauge,
-    solve_constrained,
 )
 from .bddc import (
     MultilevelPreconditioner,
-    apply_multilevel,
-    apply_two_level,
     assemble_coarse_problem,
-    build_coarse_basis,
     delta_correction,
     interior_correction,
 )

@@ -1,12 +1,20 @@
 """BDDC components per level and the multilevel preconditioner application.
 
-Per subdomain two factorizations are kept: the interior KKT (interior flux
-dofs, local pressures, mean-zero gauge) drives the pre/post corrections, and
-the constrained KKT (all local flux dofs, local pressures, gauge, one
+Per subdomain two local saddle problems are kept: the interior KKT (interior
+flux dofs, local pressures, mean-zero gauge) drives the pre/post corrections,
+and the constrained KKT (all local flux dofs, local pressures, gauge, one
 face-average row per face) drives both the dual substructure correction and
 the energy-minimal coarse basis, whose columns realize exactly one coarse
-dof each.  Subdomains whose KKT matrices are bit-identical share one
-factorization and are solved in batches.
+dof each.  Subdomains whose KKT matrices are bit-identical form one group
+with one factorization and are solved in batches.
+
+A group whose KKT has at most ``DENSE_LIMIT`` rows turns its dense LU into
+a precomputed solution operator once, at build time: the block of the KKT
+inverse that maps the used inputs to the used outputs.  Every solve of such
+a group in an apply is then one matrix product over all its subdomains; the
+constrained group keeps that block beside the coarse basis, so one product
+gives the dual correction and the restriction coefficients together.
+Larger groups solve against their SuperLU factorization.
 
 The coarse problem assembled from the basis has the same quad-grid mixed
 structure as the level below (one flux dof per face, one pressure per
@@ -39,12 +47,9 @@ __all__ = [
     "LevelBddc",
     "MultilevelPreconditioner",
     "build_level_bddc",
-    "build_coarse_basis",
     "assemble_coarse_problem",
     "interior_correction",
     "delta_correction",
-    "apply_two_level",
-    "apply_multilevel",
 ]
 
 
@@ -53,7 +58,13 @@ class BddcError(Exception):
 
 
 class _InteriorGroup:
-    """Subdomains sharing one interior-KKT factorization."""
+    """Subdomains sharing one interior-KKT factorization.
+
+    A group whose KKT has at most ``DENSE_LIMIT`` rows keeps ``op_t``, the
+    transposed flux/pressure block of the KKT inverse: a row of flux and
+    divergence data times ``op_t`` is the row of interior fluxes and
+    pressures.  Larger groups keep ``op_t = None`` and solve with SuperLU.
+    """
 
     def __init__(self, kkt: KktSystem, n_int: int, n_cells: int):
         self.kkt = kkt
@@ -73,6 +84,27 @@ class _InteriorGroup:
         self.idx_int = np.vstack(self._int)
         self.idx_cells = np.vstack(self._cells)
         del self._int, self._cells
+        self.op_t = None
+        if self.kkt.size <= DENSE_LIMIT:
+            m = self.n_int + self.n_cells
+            inverse = self.kkt.solve_many(np.eye(self.kkt.size, m))
+            self.op_t = np.ascontiguousarray(inverse[:m].T)
+
+    def solve(self, flux_rows, div_rows=None):
+        """Interior flux and pressure rows for one row of data per subdomain."""
+        n_int, m = self.n_int, self.n_int + self.n_cells
+        if self.op_t is not None:
+            if div_rows is None:
+                out = flux_rows @ self.op_t[:n_int]
+            else:
+                out = np.hstack([flux_rows, div_rows]) @ self.op_t
+        else:
+            rhs = np.zeros((self.kkt.size, len(self.subs)))
+            rhs[:n_int] = flux_rows.T
+            if div_rows is not None:
+                rhs[n_int:m] = div_rows.T
+            out = self.kkt.solve_many(rhs)[:m].T
+        return out[:, :n_int], out[:, n_int:]
 
 
 class _DeltaGroup:
@@ -107,15 +139,28 @@ class _DeltaGroup:
         )
         del self._loc, self._w, self._faces
         # Energy-minimal basis: one column per face, unit coarse dof each.
-        rhs = np.zeros((self.kkt.size, self.n_faces))
+        # A dense group takes its flux block of the KKT inverse from the same
+        # solve and keeps it beside the basis as one [op | psi] matrix.
+        n_op = self.n_loc if self.kkt.size <= DENSE_LIMIT else 0
         off = self.n_loc + self.n_cells + 1
-        for j in range(self.n_faces):
-            rhs[off + j, j] = 1.0
+        cols = np.r_[:n_op, off : off + self.n_faces]
+        rhs = np.zeros((self.kkt.size, len(cols)))
+        rhs[cols, np.arange(len(cols))] = 1.0
         sol = self.kkt.solve_many(rhs)
-        self.psi = sol[: self.n_loc]
-        self.basis_pressure = sol[self.n_loc : self.n_loc + self.n_cells]
+        self.psi = sol[: self.n_loc, n_op:]
+        self.basis_pressure = sol[self.n_loc : self.n_loc + self.n_cells, n_op:]
+        self.op_psi = np.hstack([sol[:n_op, :n_op].T, self.psi]) if n_op else None
         a_psi = self.a_local @ self.psi
         self.coarse_elem = np.asarray(self.psi.T @ a_psi)
+
+    def solve(self, weighted):
+        """Dual corrections and restriction coefficients, one row per subdomain."""
+        if self.op_psi is not None:
+            out = weighted @ self.op_psi
+            return out[:, : self.n_loc], out[:, self.n_loc :]
+        rhs = np.zeros((self.kkt.size, len(self.subs)))
+        rhs[: self.n_loc] = weighted.T
+        return self.kkt.solve_many(rhs)[: self.n_loc].T, weighted @ self.psi
 
 
 @dataclass
@@ -308,11 +353,6 @@ def build_level_bddc(
     )
 
 
-def build_coarse_basis(block: SubdomainBlock) -> np.ndarray:
-    """Energy-minimal basis of the subdomain, one column per face."""
-    return block.coarse_basis
-
-
 def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     """Galerkin coarse system on the subdomain grid.
 
@@ -343,26 +383,17 @@ def interior_correction(level: LevelBddc, r: np.ndarray, rhs_div=None):
     u = np.zeros(level.n_flux)
     p = np.zeros(level.n_pressure)
     for grp in level.interior_groups:
-        rhs = np.zeros((grp.kkt.size, len(grp.subs)))
-        rhs[: grp.n_int] = r[grp.idx_int].T
-        if rhs_div is not None:
-            rhs[grp.n_int : grp.n_int + grp.n_cells] = rhs_div[grp.idx_cells].T
-        sol = grp.kkt.solve_many(rhs)
-        u[grp.idx_int.ravel()] = sol[: grp.n_int].T.ravel()
-        p[grp.idx_cells.ravel()] = sol[grp.n_int : grp.n_int + grp.n_cells].T.ravel()
+        div_rows = None if rhs_div is None else rhs_div[grp.idx_cells]
+        u[grp.idx_int], p[grp.idx_cells] = grp.solve(r[grp.idx_int], div_rows)
     return u, p
 
 
 def _delta_solve(level: LevelBddc, r_B: np.ndarray):
-    """Constrained subdomain solves against the weighted residual."""
-    out = []
-    for grp in level.delta_groups:
-        weighted = grp.w * r_B[grp.idx_loc]
-        rhs = np.zeros((grp.kkt.size, len(grp.subs)))
-        rhs[: grp.n_loc] = weighted.T
-        sol = grp.kkt.solve_many(rhs)
-        out.append((grp, sol[: grp.n_loc].T, weighted))
-    return out
+    """Constrained subdomain solves against the weighted residual.
+
+    One ``(group, dual corrections, restriction coefficients)`` per group.
+    """
+    return [(grp, *grp.solve(grp.w * r_B[grp.idx_loc])) for grp in level.delta_groups]
 
 
 def delta_correction(level: LevelBddc, r_B: np.ndarray) -> list[np.ndarray]:
@@ -374,32 +405,38 @@ def delta_correction(level: LevelBddc, r_B: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _scatter_add(n: int, pairs) -> np.ndarray:
+    """Length-n vector summing each (indices, values) pair, in the order given."""
+    idx = np.concatenate([i.ravel() for i, _ in pairs])
+    vals = np.concatenate([v.ravel() for _, v in pairs])
+    return np.bincount(idx, vals, minlength=n)
+
+
 def _restrict(level: LevelBddc, delta_out) -> np.ndarray:
-    r_next = np.zeros(level.decomp.n_faces)
-    for grp, _, weighted in delta_out:
-        if grp.n_faces:
-            np.add.at(r_next, grp.face_ids, weighted @ grp.psi)
-    return r_next
+    return _scatter_add(
+        level.decomp.n_faces, [(grp.face_ids, coeffs) for grp, _, coeffs in delta_out]
+    )
 
 
 def _average(level: LevelBddc, delta_out, u_next: np.ndarray) -> np.ndarray:
-    u_b = np.zeros(level.n_flux)
+    pairs = []
     for grp, w_delta, _ in delta_out:
         t = w_delta
         if grp.n_faces:
             t = t + u_next[grp.face_ids] @ grp.psi.T
-        np.add.at(u_b, grp.idx_loc, grp.w * t)
-    return u_b
+        pairs.append((grp.idx_loc, grp.w * t))
+    return _scatter_add(level.n_flux, pairs)
 
 
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
     """Continuous level vector from coarse dof values: basis columns, then averaging."""
-    u = np.zeros(level.n_flux)
-    for grp in level.delta_groups:
-        if grp.n_faces:
-            t = u_coarse[grp.face_ids] @ grp.psi.T
-            np.add.at(u, grp.idx_loc, grp.w * t)
-    return u
+    return _scatter_add(
+        level.n_flux,
+        [
+            (grp.idx_loc, grp.w * (u_coarse[grp.face_ids] @ grp.psi.T))
+            for grp in level.delta_groups
+        ],
+    )
 
 
 def inject_pressure(level: LevelBddc, p_coarse: np.ndarray) -> np.ndarray:
@@ -475,12 +512,3 @@ class MultilevelPreconditioner:
         v_int, q_int = interior_correction(level, a_mat @ u_b, b_mat @ u_b)
         return u_int + u_b - v_int, p_int + p_0 - q_int
 
-
-def apply_multilevel(precond: MultilevelPreconditioner, r: np.ndarray, start_level: int = 1):
-    """Preconditioner action on a flux residual of the given level."""
-    return precond.apply(r, start_level)
-
-
-def apply_two_level(precond: MultilevelPreconditioner, r: np.ndarray):
-    """Single decomposition level plus exact coarse solve (the deepest level)."""
-    return precond.apply(r, start_level=len(precond.levels))

@@ -12,7 +12,12 @@ constraint multipliers lambda):
 The gauge column ``a`` (area weights) pins the pressure mean and absorbs the
 constant in the divergence rows, so the same assembly serves global solves,
 subdomain interior solves and the constrained coarse-basis problems.
-Constraints are always enforced exactly by direct factorization.
+Constraints are always enforced exactly by direct factorization: dense LU
+up to ``DENSE_LIMIT`` rows, SuperLU above.  Callers that solve one small
+system many times (the BDDC subdomain groups) form a dense solution
+operator from one ``Factorization.solve`` on identity columns; the pivot
+check in ``Factorization`` has run by then, so no operator is formed from a
+rejected factorization.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ __all__ = [
     "KktSystem",
     "KktSolution",
     "factor_indefinite",
-    "solve",
-    "solve_constrained",
     "pressure_gauge",
 ]
 
@@ -130,10 +133,6 @@ def factor_indefinite(matrix) -> Factorization:
     return Factorization(matrix)
 
 
-def solve(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
-    return fact.solve(rhs)
-
-
 class KktSolution(NamedTuple):
     flux: np.ndarray
     pressure: np.ndarray
@@ -198,12 +197,6 @@ class KktSystem:
             self._fact = Factorization(self.matrix())
         return self._fact
 
-    def use_factorization(self, fact: Factorization) -> None:
-        """Adopt a factorization shared with an identical system."""
-        if fact.n != self.size:
-            raise SaddleError("factorization size mismatch")
-        self._fact = fact
-
     def _pack(self, rhs_flux, rhs_div, rhs_gauge, rhs_constraints, width=None):
         shape = (self.size,) if width is None else (self.size, width)
         rhs = np.zeros(shape)
@@ -238,17 +231,6 @@ class KktSystem:
     def solve_many(self, rhs_matrix: np.ndarray) -> np.ndarray:
         """Solve for several packed right-hand sides at once (columns)."""
         return self.factorization.solve(rhs_matrix)
-
-
-def solve_constrained(
-    kkt: KktSystem,
-    rhs_flux=None,
-    rhs_div=None,
-    rhs_gauge=None,
-    rhs_constraints=None,
-) -> KktSolution:
-    """Energy-minimal flux satisfying all divergence and constraint rows."""
-    return kkt.solve(rhs_flux, rhs_div, rhs_gauge, rhs_constraints)
 
 
 def pressure_gauge(areas, region=None) -> np.ndarray:

@@ -1,19 +1,21 @@
 """BDDC components: basis properties, corrections, preconditioner invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import nested_bddc as nb
 from nested_bddc.bddc import (
     MultilevelPreconditioner,
-    apply_multilevel,
-    apply_two_level,
-    build_coarse_basis,
+    build_level_bddc,
     delta_correction,
     interior_correction,
 )
-from nested_bddc.hierarchy import HierarchyConfig, build_hierarchy
+from nested_bddc.hierarchy import HierarchyConfig, build_hierarchy, compute_weights
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh, divergence_defect
+from nested_bddc.nested_driver import ExperimentSpec, NestedSolver, preset_specs
+from nested_bddc.saddle_core import DENSE_LIMIT, Factorization, SingularMatrixError
 
 
 def make_setup(nx, levels, ratio, k=None, gamma=1.0):
@@ -46,7 +48,7 @@ def test_coarse_basis_realizes_unit_coarse_dofs(two_level_9x9):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
     for block in level.blocks:
-        psi = build_coarse_basis(block)
+        psi = block.coarse_basis
         for j, cols in enumerate(block.face_cols):
             averages = psi[cols].mean(axis=0)
             expected = np.zeros(len(block.face_ids))
@@ -240,7 +242,7 @@ def test_two_level_output_divergence_free(two_level_9x9, rng):
     level = precond.levels[0]
     for _ in range(10):
         r = balanced_residual(level, rng)
-        u, p = apply_two_level(precond, r)
+        u, p = precond.apply(r, start_level=len(precond.levels))
         assert divergence_defect(system, u) <= 1e-10
 
 
@@ -282,8 +284,8 @@ def test_two_level_pcg_matches_reported_counts(runs):
 def test_multilevel_reduces_to_two_level_exactly(two_level_9x9, rng):
     system, _, precond = two_level_9x9
     r = rng.standard_normal(system.n_flux)
-    u1, p1 = apply_two_level(precond, r)
-    u2, p2 = apply_multilevel(precond, r, start_level=1)
+    u1, p1 = precond.apply(r, start_level=len(precond.levels))
+    u2, p2 = precond.apply(r, start_level=1)
     assert np.array_equal(u1, u2)
     assert np.array_equal(p1, p2)
 
@@ -330,3 +332,59 @@ def test_build_determinism():
     u2, q2 = p2.apply(r)
     assert np.array_equal(u1, u2)
     assert np.array_equal(q1, q2)
+
+
+def rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "spec, dense",
+    [
+        # fig3-right at contrast 1e8: every group is small enough for the dense operators
+        (preset_specs("fig3-right", k1=1e4, k3=1e-4)[0], True),
+        # 16 x 16 subdomains: every KKT is above DENSE_LIMIT and SuperLU solves
+        (ExperimentSpec(levels=2, ratio=16, base=2), False),
+    ],
+    ids=["fig3-right-1e8", "ratio16-sparse"],
+)
+def test_group_solves_match_explicit_factorization(spec, dense, rng):
+    precond = NestedSolver(spec).precond
+    for level in precond.levels:
+        groups = level.interior_groups + level.delta_groups
+        assert all((grp.kkt.size <= DENSE_LIMIT) == dense for grp in groups)
+        r = rng.standard_normal(level.n_flux)
+        div = rng.standard_normal(level.n_pressure)
+        for rhs_div in (None, div):
+            u, p = interior_correction(level, r, rhs_div)
+            for grp in level.interior_groups:
+                assert (grp.op_t is not None) == dense
+                m = grp.n_int + grp.n_cells
+                rhs = np.zeros((grp.kkt.size, len(grp.subs)))
+                rhs[: grp.n_int] = r[grp.idx_int].T
+                if rhs_div is not None:
+                    rhs[grp.n_int : m] = rhs_div[grp.idx_cells].T
+                ref = Factorization(grp.kkt.matrix()).solve(rhs)[:m]
+                got = np.vstack([u[grp.idx_int].T, p[grp.idx_cells].T])
+                assert rel_err(got, ref) <= 1e-12
+        r_b = rng.standard_normal(level.n_flux)
+        w = delta_correction(level, r_b)
+        for grp in level.delta_groups:
+            assert (grp.op_psi is not None) == dense
+            rhs = np.zeros((grp.kkt.size, len(grp.subs)))
+            rhs[: grp.n_loc] = (grp.w * r_b[grp.idx_loc]).T
+            ref = Factorization(grp.kkt.matrix()).solve(rhs)[: grp.n_loc].T
+            got = np.array([w[s] for s in grp.subs])
+            assert rel_err(got, ref) <= 1e-12
+
+
+def test_singular_local_kkt_rejected_at_build():
+    # zero mass on one subdomain leaves its interior KKT singular; the level
+    # build must reject it before any solution operator is formed from it
+    system, decomps, _ = make_setup(9, 2, 3)
+    decomp = decomps[0]
+    mass = system.elem_mass.copy()
+    mass[decomp.cells_by_sub[4]] = 0.0
+    weights = compute_weights(decomp, system.elem_k, 1.0)
+    with pytest.raises(SingularMatrixError):
+        build_level_bddc(dataclasses.replace(system, elem_mass=mass), decomp, weights)

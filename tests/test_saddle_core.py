@@ -10,8 +10,6 @@ from nested_bddc.saddle_core import (
     SingularMatrixError,
     factor_indefinite,
     pressure_gauge,
-    solve,
-    solve_constrained,
 )
 
 
@@ -25,13 +23,13 @@ def gauged_darcy_kkt(nx, source="corner"):
 def test_identity_solve():
     fact = factor_indefinite(np.eye(2))
     rhs = np.array([3.0, -1.0])
-    assert np.array_equal(solve(fact, rhs), rhs)
+    assert np.array_equal(fact.solve(rhs), rhs)
 
 
 def test_permutation_indefinite_solve():
     fact = factor_indefinite(np.array([[0.0, 1.0], [1.0, 0.0]]))
     rhs = np.array([5.0, 7.0])
-    assert np.allclose(solve(fact, rhs), [7.0, 5.0])
+    assert np.allclose(fact.solve(rhs), [7.0, 5.0])
 
 
 def test_darcy_gauged_solve_matches_dense_oracle():
@@ -65,7 +63,7 @@ def test_asymmetric_rejected():
 def test_minimal_norm_under_sum_constraint():
     # minimize 0.5*|u|^2 subject to u1 + u2 = 2  ->  (1, 1)
     kkt = KktSystem(np.eye(2), c_block=np.array([[1.0, 1.0]]))
-    sol = solve_constrained(kkt, rhs_constraints=np.array([2.0]))
+    sol = kkt.solve(rhs_constraints=np.array([2.0]))
     assert np.allclose(sol.flux, [1.0, 1.0])
 
 
@@ -84,7 +82,7 @@ def test_energy_minimality_random_feasible_perturbations(rng):
     c = rng.standard_normal((3, n))
     kkt = KktSystem(a, c_block=c)
     target = rng.standard_normal(3)
-    sol = solve_constrained(kkt, rhs_constraints=target)
+    sol = kkt.solve(rhs_constraints=target)
     base = sol.flux @ a @ sol.flux
     ns = np.linalg.svd(c)[2][3:]  # nullspace basis of the constraints
     for _ in range(10):
@@ -134,7 +132,7 @@ def test_solve_of_multiply_roundtrip(rng):
     fact = factor_indefinite(mat)
     for _ in range(3):
         x = rng.standard_normal(kkt.size)
-        assert np.linalg.norm(solve(fact, mat @ x) - x) <= 1e-10 * np.linalg.norm(x)
+        assert np.linalg.norm(fact.solve(mat @ x) - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_sparse_path_roundtrip(rng):
