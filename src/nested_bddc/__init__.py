@@ -15,9 +15,7 @@ from .hierarchy import (
     HierarchyConfig,
     LevelDecomposition,
     build_hierarchy,
-    classify_dofs,
     compute_weights,
-    face_average_functional,
     hierarchy_summary,
 )
 from .saddle_core import (

@@ -5,8 +5,14 @@ flux dofs, local pressures, mean-zero gauge) drives the pre/post corrections,
 and the constrained KKT (all local flux dofs, local pressures, gauge, one
 face-average row per face) drives both the dual substructure correction and
 the energy-minimal coarse basis, whose columns realize exactly one coarse
-dof each.  Subdomains whose KKT matrices are bit-identical form one group
-with one factorization and are solved in batches.
+dof each.
+
+On the uniform grid a subdomain's local problems are fixed by the element
+matrices of its cells and, for the constrained KKT, by which of its four
+faces exist.  Subdomains are grouped by that key (cells compared by the bit
+pattern of their element matrices): each group assembles its blocks once,
+from its first member, holds one factorization, and keeps one row of index
+arrays and weights per member, so its solves run in batches.
 
 A group whose KKT has at most ``DENSE_LIMIT`` rows turns its dense LU into
 a precomputed solution operator once, at build time: the block of the KKT
@@ -38,18 +44,18 @@ from .hierarchy import (
     LevelDecomposition,
     coarsen_element_values,
 )
-from .mesh_fem import SLOT_SIGNS, Rt0System, assemble_system
+from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_SIGNS, Rt0System, assemble_system
 from .saddle_core import DENSE_LIMIT, KktSystem, pressure_gauge
 
 __all__ = [
     "BddcError",
-    "SubdomainBlock",
     "LevelBddc",
     "MultilevelPreconditioner",
     "build_level_bddc",
     "assemble_coarse_problem",
     "interior_correction",
     "delta_correction",
+    "average",
 ]
 
 
@@ -66,28 +72,17 @@ class _InteriorGroup:
     pressures.  Larger groups keep ``op_t = None`` and solve with SuperLU.
     """
 
-    def __init__(self, kkt: KktSystem, n_int: int, n_cells: int):
+    def __init__(self, kkt: KktSystem, subs, idx_int, idx_cells):
         self.kkt = kkt
-        self.n_int = n_int
-        self.n_cells = n_cells
-        self.subs: list[int] = []
-        self._int = []
-        self._cells = []
-
-    def add(self, sub, interior, cells):
-        self.subs.append(sub)
-        self._int.append(interior)
-        self._cells.append(cells)
-
-    def finalize(self):
-        self.subs = np.asarray(self.subs)
-        self.idx_int = np.vstack(self._int)
-        self.idx_cells = np.vstack(self._cells)
-        del self._int, self._cells
+        self.subs = subs
+        self.idx_int = idx_int
+        self.idx_cells = idx_cells
+        self.n_int = idx_int.shape[1]
+        self.n_cells = idx_cells.shape[1]
         self.op_t = None
-        if self.kkt.size <= DENSE_LIMIT:
+        if kkt.size <= DENSE_LIMIT:
             m = self.n_int + self.n_cells
-            inverse = self.kkt.solve_many(np.eye(self.kkt.size, m))
+            inverse = kkt.solve_many(np.eye(kkt.size, m))
             self.op_t = np.ascontiguousarray(inverse[:m].T)
 
     def solve(self, flux_rows, div_rows=None):
@@ -108,36 +103,37 @@ class _InteriorGroup:
 
 
 class _DeltaGroup:
-    """Subdomains sharing one constrained-KKT factorization and basis."""
+    """Subdomains sharing one constrained-KKT factorization and basis.
 
-    def __init__(self, kkt, n_loc, n_cells, face_slots, a_local, b_local, c_block):
-        self.kkt = kkt
-        self.n_loc = n_loc
-        self.n_cells = n_cells
-        self.face_slots = face_slots  # slot indices of the present faces
-        self.n_faces = len(face_slots)
-        self.a_local = a_local
-        self.b_local = b_local
-        self.c_block = c_block
-        self.subs: list[int] = []
-        self._loc = []
-        self._w = []
-        self._faces = []
+    Members share the Neumann blocks ``a_local``/``b_local``/``c_block`` in
+    the sorted local dof order; ``face_cols[k]`` are the local positions of
+    the dofs of the ``k``-th present face (slot ``face_slots[k]``).
+    """
 
-    def add(self, sub, local, w, face_ids):
-        self.subs.append(sub)
-        self._loc.append(local)
-        self._w.append(w)
-        self._faces.append(face_ids)
-
-    def finalize(self):
-        self.subs = np.asarray(self.subs)
-        self.idx_loc = np.vstack(self._loc)
-        self.w = np.vstack(self._w)
-        self.face_ids = (
-            np.vstack(self._faces) if self.n_faces else np.empty((len(self.subs), 0), dtype=int)
+    def __init__(self, system, decomp, weights, subs):
+        self.subs = subs
+        first = subs[0]
+        self.face_slots = np.flatnonzero(decomp.faces_by_sub[first] >= 0)
+        self.n_faces = len(self.face_slots)
+        self.face_ids = decomp.faces_by_sub[subs][:, self.face_slots]
+        faces = decomp.face_dofs[self.face_ids].reshape(len(subs), -1)
+        self.idx_loc = np.sort(np.hstack([decomp.interior_by_sub[subs], faces]), axis=1)
+        local = self.idx_loc[0]
+        cells = decomp.cells_by_sub[first]
+        self.n_loc = len(local)
+        self.n_cells = len(cells)
+        self.face_cols = np.searchsorted(local, decomp.face_dofs[self.face_ids[0]])
+        # A face's normal points into the members on their left and bottom
+        # faces: there they are the higher subdomain and take its weights.
+        high = np.zeros(self.n_loc, dtype=bool)
+        high[self.face_cols[np.isin(self.face_slots, (SLOT_LEFT, SLOT_BOTTOM))]] = True
+        self.w = np.where(high, weights.side_hi[self.idx_loc], weights.side_lo[self.idx_loc])
+        self.a_local, self.b_local, self.c_block = _neumann_blocks(
+            system, local, cells, self.face_cols
         )
-        del self._loc, self._w, self._faces
+        self.kkt = KktSystem(
+            self.a_local, self.b_local, gauge=system.areas[cells], c_block=self.c_block
+        )
         # Energy-minimal basis: one column per face, unit coarse dof each.
         # A dense group takes its flux block of the KKT inverse from the same
         # solve and keeps it beside the basis as one [op | psi] matrix.
@@ -163,43 +159,36 @@ class _DeltaGroup:
         return self.kkt.solve_many(rhs)[: self.n_loc].T, weighted @ self.psi
 
 
-@dataclass
-class SubdomainBlock:
-    """Per-subdomain views into the shared level data."""
+def _neumann_blocks(system: Rt0System, local, cells, face_cols):
+    """Local mass, divergence and face-average blocks of one subdomain.
 
-    sub: int
-    local_dofs: np.ndarray
-    interior_dofs: np.ndarray
-    cells: np.ndarray
-    face_ids: np.ndarray
-    face_cols: list[np.ndarray]
-    weights: np.ndarray
-    interior_group: _InteriorGroup
-    delta_group: _DeltaGroup
+    Rows and columns follow the sorted dof list ``local``.  The blocks are
+    dense arrays when the constrained KKT has at most ``DENSE_LIMIT`` rows,
+    CSR matrices above.
+    """
+    grid = system.grid
+    n_loc, n_cells = len(local), len(cells)
+    n_faces, ratio = face_cols.shape
+    cell_slots = grid.cell_dof_slots[cells]
+    present = cell_slots >= 0
+    loc_pos = np.zeros_like(cell_slots)
+    loc_pos[present] = np.searchsorted(local, cell_slots[present])
 
-    @property
-    def interior_kkt(self) -> KktSystem:
-        return self.interior_group.kkt
-
-    @property
-    def delta_kkt(self) -> KktSystem:
-        return self.delta_group.kkt
-
-    @property
-    def a_local(self):
-        return self.delta_group.a_local
-
-    @property
-    def b_local(self):
-        return self.delta_group.b_local
-
-    @property
-    def c_block(self):
-        return self.delta_group.c_block
-
-    @property
-    def coarse_basis(self) -> np.ndarray:
-        return self.delta_group.psi
+    pair = present[:, :, None] & present[:, None, :]
+    rows = np.broadcast_to(loc_pos[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(loc_pos[:, None, :], pair.shape)[pair]
+    a_local = sp.coo_matrix((system.elem_mass[cells][pair], (rows, cols)), shape=(n_loc, n_loc))
+    brow = np.broadcast_to(np.arange(n_cells)[:, None], cell_slots.shape)[present]
+    bval = np.broadcast_to(SLOT_SIGNS * grid.h, cell_slots.shape)[present]
+    b_local = sp.coo_matrix((bval, (brow, loc_pos[present])), shape=(n_cells, n_loc))
+    blocks = [a_local, b_local]
+    if n_faces:
+        crow = np.repeat(np.arange(n_faces), ratio)
+        cval = np.full(face_cols.size, 1.0 / ratio)
+        blocks.append(sp.coo_matrix((cval, (crow, face_cols.ravel())), shape=(n_faces, n_loc)))
+    dense = n_loc + n_cells + 1 + n_faces <= DENSE_LIMIT
+    blocks = [m.toarray() if dense else m.tocsr() for m in blocks]
+    return blocks[0], blocks[1], blocks[2] if n_faces else None
 
 
 @dataclass
@@ -209,7 +198,6 @@ class LevelBddc:
     system: Rt0System
     decomp: LevelDecomposition
     weights: AveragingWeights
-    blocks: list[SubdomainBlock]
     interior_groups: list[_InteriorGroup]
     delta_groups: list[_DeltaGroup]
 
@@ -222,134 +210,58 @@ class LevelBddc:
         return self.system.n_pressure
 
 
-def _bytes_key(*blocks) -> tuple:
-    key = []
-    for b in blocks:
-        if b is None:
-            key.append(b"none")
-        elif sp.issparse(b):
-            c = b.tocsr()
-            key.extend((c.data.tobytes(), c.indices.tobytes(), c.indptr.tobytes()))
-        else:
-            arr = np.ascontiguousarray(b)
-            key.extend((arr.shape, arr.tobytes()))
-    return tuple(key)
+def _unique_rows(a: np.ndarray):
+    """``np.unique`` over the rows of a 2-D array, rows compared bit for bit."""
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+    return np.unique(rows, return_index=True, return_inverse=True)
+
+
+def _groups(keys: np.ndarray) -> list[np.ndarray]:
+    """Rows of ``keys`` grouped by equality: ascending members, groups by first row."""
+    _, first, label = _unique_rows(keys)
+    label = np.argsort(np.argsort(first))[label]
+    members = np.argsort(label, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(label))[:-1])
 
 
 def build_level_bddc(
     system: Rt0System, decomp: LevelDecomposition, weights: AveragingWeights
 ) -> LevelBddc:
-    grid = system.grid
-    slots_all = grid.cell_dof_slots
-    blocks: list[SubdomainBlock] = []
-    int_groups: dict = {}
-    delta_groups: dict = {}
+    """Group the subdomains of a level and build each group's solvers once.
 
-    for s in range(decomp.n_sub):
-        local = decomp.local_dofs_by_sub[s]
-        interior = decomp.interior_by_sub[s]
-        cells = decomp.cells_by_sub[s]
-        n_loc = len(local)
-        n_cells = len(cells)
+    A subdomain's local problems are fixed by its cells' element matrices
+    and, for the constrained KKT, by which of its four faces exist.  Cells
+    are classed by the bit pattern of their element matrix, so members of a
+    group have bit-identical local matrices.
+    """
+    cell_class = _unique_rows(system.elem_mass.reshape(system.grid.n_cells, -1))[2]
+    classes = cell_class[decomp.cells_by_sub]
+    present = decomp.faces_by_sub >= 0
 
-        cell_slots = slots_all[cells]
-        present = cell_slots >= 0
-        loc_pos = np.zeros_like(cell_slots)
-        loc_pos[present] = np.searchsorted(local, cell_slots[present])
-
-        own = decomp.faces_by_sub[s]
-        face_slots = tuple(int(k) for k in np.flatnonzero(own >= 0))
-        face_ids = own[own >= 0]
-        face_cols = [np.searchsorted(local, decomp.face_dofs[f]) for f in face_ids]
-
-        kkt_size = n_loc + n_cells + 1 + len(face_ids)
-        dense = kkt_size <= DENSE_LIMIT
-
-        pair = present[:, :, None] & present[:, None, :]
-        rows = np.broadcast_to(loc_pos[:, :, None], pair.shape)[pair]
-        cols = np.broadcast_to(loc_pos[:, None, :], pair.shape)[pair]
-        vals = system.elem_mass[cells][pair]
-        brow = np.broadcast_to(np.arange(n_cells)[:, None], cell_slots.shape)[present]
-        bcol = loc_pos[present]
-        bval = np.broadcast_to(SLOT_SIGNS * grid.h, cell_slots.shape)[present]
-        if dense:
-            a_local = np.zeros((n_loc, n_loc))
-            np.add.at(a_local, (rows, cols), vals)
-            b_local = np.zeros((n_cells, n_loc))
-            b_local[brow, bcol] = bval
-            c_block = None
-            if len(face_ids):
-                c_block = np.zeros((len(face_ids), n_loc))
-                for r, pos in enumerate(face_cols):
-                    c_block[r, pos] = 1.0 / len(pos)
-        else:
-            a_local = sp.coo_matrix((vals, (rows, cols)), shape=(n_loc, n_loc)).tocsr()
-            b_local = sp.coo_matrix((bval, (brow, bcol)), shape=(n_cells, n_loc)).tocsr()
-            c_block = None
-            if len(face_ids):
-                cr = np.concatenate([np.full(len(p), r) for r, p in enumerate(face_cols)])
-                cc = np.concatenate(face_cols)
-                cv = np.concatenate([np.full(len(p), 1.0 / len(p)) for p in face_cols])
-                c_block = sp.coo_matrix((cv, (cr, cc)), shape=(len(face_ids), n_loc)).tocsr()
-
-        gauge = system.areas[cells]
-        int_pos = np.searchsorted(local, interior)
-        if dense:
-            a_int = a_local[np.ix_(int_pos, int_pos)]
-            b_int = b_local[:, int_pos]
-        else:
-            a_int = a_local[int_pos][:, int_pos]
-            b_int = b_local[:, int_pos].tocsr()
-
-        ikey = _bytes_key(a_int, b_int, gauge)
-        igrp = int_groups.get(ikey)
-        if igrp is None:
-            igrp = _InteriorGroup(
-                KktSystem(a_int, b_int, gauge=gauge), len(interior), n_cells
-            )
-            int_groups[ikey] = igrp
-        igrp.add(s, interior, cells)
-
-        dkey = (face_slots,) + _bytes_key(a_local, b_local, gauge, c_block)
-        dgrp = delta_groups.get(dkey)
-        if dgrp is None:
-            dgrp = _DeltaGroup(
-                KktSystem(a_local, b_local, gauge=gauge, c_block=c_block),
-                n_loc,
-                n_cells,
-                face_slots,
-                a_local,
-                b_local,
-                c_block,
-            )
-            delta_groups[dkey] = dgrp
-        dgrp.add(s, local, weights.per_sub[s], face_ids)
-
-        blocks.append(
-            SubdomainBlock(
-                sub=s,
-                local_dofs=local,
-                interior_dofs=interior,
-                cells=cells,
-                face_ids=face_ids,
-                face_cols=face_cols,
-                weights=weights.per_sub[s],
-                interior_group=igrp,
-                delta_group=dgrp,
-            )
+    delta_groups = [
+        _DeltaGroup(system, decomp, weights, subs)
+        for subs in _groups(np.hstack([present, classes]))
+    ]
+    # An interior group's first member is the first member of its delta
+    # group (the delta key refines the interior key); take its blocks there.
+    delta_of = {grp.subs[0]: grp for grp in delta_groups}
+    interior_groups = []
+    for subs in _groups(classes):
+        dgrp = delta_of[subs[0]]
+        pos = np.searchsorted(dgrp.idx_loc[0], decomp.interior_by_sub[subs[0]])
+        kkt = KktSystem(
+            dgrp.a_local[np.ix_(pos, pos)], dgrp.b_local[:, pos], gauge=dgrp.kkt.gauge
         )
-
-    for grp in int_groups.values():
-        grp.finalize()
-    for grp in delta_groups.values():
-        grp.finalize()
+        interior_groups.append(
+            _InteriorGroup(kkt, subs, decomp.interior_by_sub[subs], decomp.cells_by_sub[subs])
+        )
     return LevelBddc(
         system=system,
         decomp=decomp,
         weights=weights,
-        blocks=blocks,
-        interior_groups=list(int_groups.values()),
-        delta_groups=list(delta_groups.values()),
+        interior_groups=interior_groups,
+        delta_groups=delta_groups,
     )
 
 
@@ -361,13 +273,10 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     the subdomain-integrated divergence of any basis combination.
     """
     decomp = level.decomp
-    n_sub = decomp.n_sub
-    elem_mass = np.zeros((n_sub, 4, 4))
+    elem_mass = np.zeros((decomp.n_sub, 4, 4))
     for grp in level.delta_groups:
-        if grp.n_faces:
-            ix = np.ix_(grp.face_slots, grp.face_slots)
-            for s in grp.subs:
-                elem_mass[s][ix] = grp.coarse_elem
+        slots = grp.face_slots
+        elem_mass[grp.subs[:, None, None], slots[:, None], slots] = grp.coarse_elem
     elem_k = coarsen_element_values(decomp, level.system.elem_k)
     return assemble_system(decomp.sub_grid, elem_mass, elem_k)
 
@@ -397,12 +306,11 @@ def _delta_solve(level: LevelBddc, r_B: np.ndarray):
 
 
 def delta_correction(level: LevelBddc, r_B: np.ndarray) -> list[np.ndarray]:
-    """Substructure correction with vanishing face averages, one local vector per subdomain."""
-    out: list[np.ndarray] = [None] * level.decomp.n_sub
-    for grp, w_delta, _ in _delta_solve(level, r_B):
-        for row, s in enumerate(grp.subs):
-            out[s] = w_delta[row]
-    return out
+    """Substructure corrections with vanishing face averages.
+
+    One array per delta group with one row of local values per member.
+    """
+    return [w_delta for _, w_delta, _ in _delta_solve(level, r_B)]
 
 
 def _scatter_add(n: int, pairs) -> np.ndarray:
@@ -418,32 +326,34 @@ def _restrict(level: LevelBddc, delta_out) -> np.ndarray:
     )
 
 
+def average(level: LevelBddc, rows_per_group) -> np.ndarray:
+    """Weighted average of subdomain copies into one continuous level vector.
+
+    ``rows_per_group`` holds, per delta group, one row of local values per
+    member in the group's local dof order.
+    """
+    return _scatter_add(
+        level.n_flux,
+        [(grp.idx_loc, grp.w * rows) for grp, rows in zip(level.delta_groups, rows_per_group)],
+    )
+
+
 def _average(level: LevelBddc, delta_out, u_next: np.ndarray) -> np.ndarray:
-    pairs = []
-    for grp, w_delta, _ in delta_out:
-        t = w_delta
-        if grp.n_faces:
-            t = t + u_next[grp.face_ids] @ grp.psi.T
-        pairs.append((grp.idx_loc, grp.w * t))
-    return _scatter_add(level.n_flux, pairs)
+    return average(
+        level,
+        [w_delta + u_next[grp.face_ids] @ grp.psi.T for grp, w_delta, _ in delta_out],
+    )
 
 
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
     """Continuous level vector from coarse dof values: basis columns, then averaging."""
-    return _scatter_add(
-        level.n_flux,
-        [
-            (grp.idx_loc, grp.w * (u_coarse[grp.face_ids] @ grp.psi.T))
-            for grp in level.delta_groups
-        ],
-    )
+    return average(level, [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.delta_groups])
 
 
 def inject_pressure(level: LevelBddc, p_coarse: np.ndarray) -> np.ndarray:
     """Subdomain-constant pressure from one value per subdomain."""
-    p = np.zeros(level.n_pressure)
-    for grp in level.interior_groups:
-        p[grp.idx_cells.ravel()] = np.repeat(p_coarse[grp.subs], grp.n_cells)
+    p = np.empty(level.n_pressure)
+    p[level.decomp.cells_by_sub] = p_coarse[:, None]
     return p
 
 

@@ -130,6 +130,12 @@ def _solve_command(args) -> int:
     except (DriverError, ValueError) as exc:
         print(f"bddc: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if args.dump_matrices and len(specs) > 1:
+        print(
+            f"bddc: --dump-matrices needs a single experiment, the selection has {len(specs)}",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID
 
     out_path = Path(args.out or "results.csv")
     history_path = out_path.with_name(out_path.stem + "_history.csv")

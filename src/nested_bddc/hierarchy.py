@@ -1,12 +1,18 @@
-"""Nested substructure hierarchy: faces, dof classification, averaging weights.
+"""Nested substructure hierarchy: index arrays per level and averaging weights.
 
 Each decomposition level groups the current grid's cells into square
-subdomains.  The only interface entities are faces (no corners): every
-interface flux dof lies on exactly one face shared by exactly two
-subdomains.  Coarse dofs are the arithmetic mean of the signed fine dofs of
-a face plus one pressure average per subdomain, so the faces of one level
-become the flux dofs of the next, enumerated exactly like the edges of the
-coarsened grid.
+ratio x ratio subdomains.  The only interface entities are faces (no
+corners): every interface flux dof lies on exactly one face shared by
+exactly two subdomains.  Coarse dofs are the arithmetic mean of the fine
+dofs of a face plus one pressure average per subdomain, so the faces of one
+level become the flux dofs of the next, enumerated exactly like the edges
+of the coarsened grid.  A face's normal points from the lower to the higher
+subdomain, which is the global +x/+y edge orientation, so all dof signs are
++1.
+
+On the uniform grid every per-subdomain index set is one template shifted
+by the subdomain's corner, so a level is a handful of integer arrays with
+one row per subdomain or face, built by broadcasting and reshapes.
 """
 
 from __future__ import annotations
@@ -21,19 +27,13 @@ __all__ = [
     "HierarchyError",
     "WeightsError",
     "HierarchyConfig",
-    "Face",
-    "FaceFunctional",
     "DofPartition",
     "LevelDecomposition",
     "AveragingWeights",
     "build_level_decomposition",
     "build_hierarchy",
-    "classify_dofs",
     "compute_weights",
-    "face_average_functional",
     "coarsen_element_values",
-    "apply_average",
-    "expand_to_previous_level",
     "hierarchy_summary",
 ]
 
@@ -69,55 +69,30 @@ class HierarchyConfig:
 
 
 @dataclass(frozen=True)
-class Face:
-    """Interface between two subdomains with its constituent flux dofs.
-
-    The canonical face normal points from the lower-indexed subdomain to the
-    higher one, which on this grid coincides with the global +x/+y edge
-    orientation, so all dof signs are +1.
-    """
-
-    index: int
-    axis: str  # "v" or "h"
-    sub_lo: int
-    sub_hi: int
-    dofs: np.ndarray
-
-
-class FaceFunctional:
-    """Arithmetic mean of the (consistently oriented) dofs of one face."""
-
-    def __init__(self, dofs: np.ndarray):
-        self.dofs = np.asarray(dofs)
-        self.coeffs = np.full(len(self.dofs), 1.0 / len(self.dofs))
-
-    def __call__(self, flux: np.ndarray) -> float:
-        return float(self.coeffs @ np.asarray(flux)[self.dofs])
-
-
-@dataclass(frozen=True)
 class DofPartition:
     interior: np.ndarray
     interface: np.ndarray
-    dof_face: np.ndarray  # face id per flux dof, -1 for interior
     n_primal_flux: int  # one per face
     n_primal_pressure: int  # one per subdomain
 
 
 @dataclass
 class LevelDecomposition:
-    """One level of the nested decomposition of a (possibly coarse) grid."""
+    """One level of the nested decomposition of a (possibly coarse) grid.
+
+    Faces are the flux dofs of ``sub_grid``: face ``f`` separates the
+    subdomains ``sub_grid.edge_sides[f]`` (lower, higher) and holds the level
+    dofs ``face_dofs[f]``.
+    """
 
     level: int
     grid: QuadMesh
     sub_grid: QuadMesh
     ratio: int
-    faces: list[Face]
     face_dofs: np.ndarray  # (n_faces, ratio)
-    cells_by_sub: list[np.ndarray]
-    interior_by_sub: list[np.ndarray]
+    cells_by_sub: np.ndarray  # (n_sub, ratio**2), ascending per row
+    interior_by_sub: np.ndarray  # (n_sub, 2 ratio (ratio - 1)), ascending per row
     faces_by_sub: np.ndarray  # (n_sub, 4) face ids by slot, -1 absent
-    local_dofs_by_sub: list[np.ndarray]
     partition: DofPartition
 
     @property
@@ -126,7 +101,7 @@ class LevelDecomposition:
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_dofs)
 
 
 def build_level_decomposition(grid: QuadMesh, ratio: int, level: int) -> LevelDecomposition:
@@ -138,64 +113,32 @@ def build_level_decomposition(grid: QuadMesh, ratio: int, level: int) -> LevelDe
     sx, sy = grid.nx // ratio, grid.ny // ratio
     sub_grid = QuadMesh(sx, sy, grid.h * ratio)
 
-    cells = np.arange(grid.n_cells)
-    ci = cells % grid.nx
-    cj = cells // grid.nx
-    sub_of_cell = (cj // ratio) * sx + (ci // ratio)
-
-    sides = grid.edge_sides
-    sub_lo_side = sub_of_cell[sides[:, 0]]
-    sub_hi_side = sub_of_cell[sides[:, 1]]
-    interface_mask = sub_lo_side != sub_hi_side
+    # Subdomain j sx + i has its lower-left cell at (x0, y0) = (i r, j r);
+    # its cells and interior edges are one template shifted by that corner.
+    t = np.arange(ratio)
+    t_in = np.arange(1, ratio)[:, None]
+    x0 = np.arange(sx)[None, :, None, None] * ratio
+    y0 = np.arange(sy)[:, None, None, None] * ratio
+    cells_by_sub = grid.cell_id(x0 + t, y0 + t[:, None]).reshape(sub_grid.n_cells, -1)
+    interior_by_sub = np.concatenate(
+        [
+            grid.vertical_edge(x0 + t_in, y0 + t).reshape(sub_grid.n_cells, -1),
+            grid.horizontal_edge(x0 + t, y0 + t_in).reshape(sub_grid.n_cells, -1),
+        ],
+        axis=1,
+    )
 
     # Faces enumerate exactly like the edges of the coarsened grid.
-    n_vfaces = sub_grid.n_vertical
-    n_faces = sub_grid.n_flux
-    face_dofs = np.empty((n_faces, ratio), dtype=np.int64)
-    faces: list[Face] = []
-    t = np.arange(ratio)
-    for f in range(n_vfaces):
-        line, row = f // sy + 1, f % sy
-        dofs = grid.vertical_edge(line * ratio, row * ratio + t)
-        face_dofs[f] = dofs
-        faces.append(
-            Face(f, "v", sub_grid.cell_id(line - 1, row), sub_grid.cell_id(line, row), dofs)
-        )
-    for f in range(n_vfaces, n_faces):
-        line, col = (f - n_vfaces) // sx + 1, (f - n_vfaces) % sx
-        dofs = grid.horizontal_edge(col * ratio + t, line * ratio)
-        face_dofs[f] = dofs
-        faces.append(
-            Face(f, "h", sub_grid.cell_id(col, line - 1), sub_grid.cell_id(col, line), dofs)
-        )
-
-    dof_face = np.full(grid.n_flux, -1, dtype=np.int64)
-    dof_face[face_dofs.ravel()] = np.repeat(np.arange(n_faces), ratio)
-
-    interior = np.flatnonzero(~interface_mask)
-    interface = np.flatnonzero(interface_mask)
-
-    def _group(ids: np.ndarray, owner: np.ndarray, n: int) -> list[np.ndarray]:
-        order = np.argsort(owner, kind="stable")
-        counts = np.bincount(owner, minlength=n)
-        return np.split(ids[order], np.cumsum(counts)[:-1])
-
-    cells_by_sub = _group(cells, sub_of_cell, sub_grid.n_cells)
-    interior_by_sub = _group(interior, sub_lo_side[interior], sub_grid.n_cells)
-
-    faces_by_sub = sub_grid.cell_dof_slots
-    local_dofs_by_sub = []
-    for s in range(sub_grid.n_cells):
-        own_faces = faces_by_sub[s]
-        own_faces = own_faces[own_faces >= 0]
-        local = np.concatenate([interior_by_sub[s], face_dofs[own_faces].ravel()])
-        local_dofs_by_sub.append(np.sort(local))
+    line, row = np.divmod(np.arange(sub_grid.n_vertical), sy)
+    v_faces = grid.vertical_edge((line[:, None] + 1) * ratio, row[:, None] * ratio + t)
+    line, col = np.divmod(np.arange(sub_grid.n_horizontal), sx)
+    h_faces = grid.horizontal_edge(col[:, None] * ratio + t, (line[:, None] + 1) * ratio)
+    face_dofs = np.concatenate([v_faces, h_faces])
 
     partition = DofPartition(
-        interior=interior,
-        interface=interface,
-        dof_face=dof_face,
-        n_primal_flux=n_faces,
+        interior=np.sort(interior_by_sub.ravel()),
+        interface=np.sort(face_dofs.ravel()),
+        n_primal_flux=sub_grid.n_flux,
         n_primal_pressure=sub_grid.n_cells,
     )
     return LevelDecomposition(
@@ -203,12 +146,10 @@ def build_level_decomposition(grid: QuadMesh, ratio: int, level: int) -> LevelDe
         grid=grid,
         sub_grid=sub_grid,
         ratio=ratio,
-        faces=faces,
         face_dofs=face_dofs,
         cells_by_sub=cells_by_sub,
         interior_by_sub=interior_by_sub,
-        faces_by_sub=faces_by_sub,
-        local_dofs_by_sub=local_dofs_by_sub,
+        faces_by_sub=sub_grid.cell_dof_slots,
         partition=partition,
     )
 
@@ -229,19 +170,9 @@ def build_hierarchy(mesh: QuadMesh, config: HierarchyConfig) -> list[LevelDecomp
     return decomps
 
 
-def classify_dofs(decomp: LevelDecomposition) -> DofPartition:
-    return decomp.partition
-
-
-def face_average_functional(face: Face) -> FaceFunctional:
-    if len(face.dofs) == 0:
-        raise HierarchyError("face has no dofs")
-    return FaceFunctional(face.dofs)
-
-
 @dataclass
 class AveragingWeights:
-    """Interface weights per subdomain; interior dofs weigh 1.
+    """Interface weights of the two subdomain copies; interior dofs weigh 1.
 
     ``side_lo``/``side_hi`` hold, for every flux dof of the level, the weight
     of the lower/higher subdomain copy (1 and 0 on interior dofs so the sum
@@ -251,7 +182,6 @@ class AveragingWeights:
     gamma: float
     side_lo: np.ndarray
     side_hi: np.ndarray
-    per_sub: list[np.ndarray]
 
 
 def compute_weights(
@@ -275,77 +205,34 @@ def compute_weights(
     n_flux = decomp.grid.n_flux
     side_lo = np.ones(n_flux)
     side_hi = np.zeros(n_flux)
-    interface = decomp.partition.interface
-    if len(interface):
+    face_dofs = decomp.face_dofs
+    if face_dofs.size:
         if gamma == 0:
-            side_lo[interface] = 0.5
-            side_hi[interface] = 0.5
+            side_lo[face_dofs] = 0.5
+            side_hi[face_dofs] = 0.5
         else:
-            sides = decomp.grid.edge_sides[interface]
-            k_lo = values[sides[:, 0]]
-            k_hi = values[sides[:, 1]]
-            if not (np.all(np.isfinite(k_lo)) and np.all(np.isfinite(k_hi))):
+            k = values[decomp.grid.edge_sides[face_dofs]]  # (n_faces, ratio, 2)
+            if not np.all(np.isfinite(k)):
                 raise WeightsError(
                     "coefficient varies inside an element adjacent to an interface; "
                     "rho-scaling weights are ambiguous"
                 )
-            lo = np.empty(n_flux)
-            hi = np.empty(n_flux)
-            lo[interface] = k_lo
-            hi[interface] = k_hi
-            for face in decomp.faces:
-                for vals in (lo[face.dofs], hi[face.dofs]):
-                    if np.ptp(vals) > 1e-12 * max(1.0, np.abs(vals).max()):
-                        raise WeightsError(
-                            "coefficient varies along a face; rho-scaling weights "
-                            "are ambiguous"
-                        )
-            a = k_lo ** (-gamma)
-            b = k_hi ** (-gamma)
+            if np.any(np.ptp(k, axis=1) > 1e-12 * np.maximum(1.0, np.abs(k).max(axis=1))):
+                raise WeightsError(
+                    "coefficient varies along a face; rho-scaling weights are ambiguous"
+                )
+            a = k[..., 0] ** (-gamma)
+            b = k[..., 1] ** (-gamma)
             e_lo = a / (a + b)
-            side_lo[interface] = e_lo
-            side_hi[interface] = 1.0 - e_lo  # exact partition of unity
-
-    per_sub = []
-    for s, local in enumerate(decomp.local_dofs_by_sub):
-        w = np.ones(len(local))
-        for f in decomp.faces_by_sub[s]:
-            if f < 0:
-                continue
-            face = decomp.faces[f]
-            pos = np.searchsorted(local, face.dofs)
-            w[pos] = side_lo[face.dofs] if s == face.sub_lo else side_hi[face.dofs]
-        per_sub.append(w)
-    return AveragingWeights(gamma=float(gamma), side_lo=side_lo, side_hi=side_hi, per_sub=per_sub)
+            side_lo[face_dofs] = e_lo
+            side_hi[face_dofs] = 1.0 - e_lo  # exact partition of unity
+    return AveragingWeights(gamma=float(gamma), side_lo=side_lo, side_hi=side_hi)
 
 
 def coarsen_element_values(decomp: LevelDecomposition, values: np.ndarray) -> np.ndarray:
     """Per-subdomain representative values; NaN where children disagree."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty(decomp.n_sub)
-    for s, cells in enumerate(decomp.cells_by_sub):
-        v = values[cells]
-        first = v.flat[0]
-        if np.all(v == first):
-            out[s] = first
-        else:
-            out[s] = np.nan
-    return out
-
-
-def apply_average(
-    decomp: LevelDecomposition, weights: AveragingWeights, per_sub_vectors
-) -> np.ndarray:
-    """Weighted average of per-subdomain copies into one continuous vector."""
-    out = np.zeros(decomp.grid.n_flux)
-    for s, local in enumerate(decomp.local_dofs_by_sub):
-        np.add.at(out, local, weights.per_sub[s] * per_sub_vectors[s])
-    return out
-
-
-def expand_to_previous_level(decomp: LevelDecomposition, dofs) -> np.ndarray:
-    """Constituent previous-level dofs of the given coarse flux dofs."""
-    return np.unique(decomp.face_dofs[np.asarray(dofs)])
+    v = np.asarray(values, dtype=float)[decomp.cells_by_sub]
+    return np.where(np.all(v == v[:, :1], axis=1), v[:, 0], np.nan)
 
 
 def hierarchy_summary(decomps: list[LevelDecomposition]) -> str:

@@ -136,11 +136,7 @@ class NestedResult:
 
 def step1_coarse_rhs(decomp: LevelDecomposition, f: np.ndarray) -> np.ndarray:
     """Restrict the pressure rhs onto subdomain constants (plain sums)."""
-    f = np.asarray(f, dtype=float)
-    out = np.empty(decomp.n_sub)
-    for s, cells in enumerate(decomp.cells_by_sub):
-        out[s] = f[cells].sum()
-    return out
+    return np.asarray(f, dtype=float)[decomp.cells_by_sub].sum(axis=1)
 
 
 def step2_subdomain_solve(level: LevelBddc, u0: np.ndarray, f: np.ndarray):

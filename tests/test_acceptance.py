@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nested_bddc as nb
-from nested_bddc.hierarchy import apply_average
+from nested_bddc.bddc import average
 from nested_bddc.mesh_fem import divergence_defect
 from nested_bddc.nested_driver import ExperimentSpec, step1_coarse_rhs
 
@@ -152,33 +152,45 @@ def test_criterion_7_averaging_identities(runs, rng):
     for spec in SMALL_PRESET_SPECS + [ExperimentSpec(levels=5, ratio=3)]:
         solver = runs.solver(spec)
         for level in solver.precond.levels:
-            decomp, weights = level.decomp, level.weights
+            decomp = level.decomp
             b_mat = level.system.B
             scale = np.abs(b_mat).sum(axis=1).max()
 
-            # dual member: subtract face averages per side copy
+            # dual member: subtract face averages per side copy; one draw
+            # per subdomain, in subdomain order
+            n_loc = np.empty(decomp.n_sub, dtype=int)
+            for grp in level.delta_groups:
+                n_loc[grp.subs] = grp.n_loc
+            offsets = np.cumsum(n_loc) - n_loc
+            draws = rng.standard_normal(n_loc.sum())
             copies = []
-            for block in level.blocks:
-                v = rng.standard_normal(len(block.local_dofs))
-                for cols in block.face_cols:
-                    v[cols] -= v[cols].mean()
-                copies.append(v / max(np.linalg.norm(v), 1e-30))
-            averaged = apply_average(decomp, weights, copies)
-            for block in level.blocks:
-                val = (b_mat[block.cells] @ averaged).sum()
+            for grp in level.delta_groups:
+                rows = draws[offsets[grp.subs, None] + np.arange(grp.n_loc)]
+                for v in rows:
+                    for cols in grp.face_cols:
+                        v[cols] -= v[cols].mean()
+                    v /= max(np.linalg.norm(v), 1e-30)
+                copies.append(rows)
+            averaged = average(level, copies)
+            for cells in decomp.cells_by_sub:
+                val = (b_mat[cells] @ averaged).sum()
                 worst = max(worst, abs(val) / scale)
 
             # primal member: random coarse dof values through the basis
             if decomp.n_faces:
                 alpha = rng.standard_normal(decomp.n_faces)
                 alpha /= np.linalg.norm(alpha)
-                copies = [block.coarse_basis @ alpha[block.face_ids] for block in level.blocks]
-                averaged = apply_average(decomp, weights, copies)
-                for block in level.blocks:
-                    total = (b_mat[block.cells] @ averaged).sum()
-                    b_loc = np.asarray(block.b_local)
-                    broken = (b_loc @ copies[block.sub]).sum()
-                    worst = max(worst, abs(total - broken) / scale)
+                copies = [
+                    np.array([grp.psi @ a for a in alpha[grp.face_ids]])
+                    for grp in level.delta_groups
+                ]
+                averaged = average(level, copies)
+                for grp, rows in zip(level.delta_groups, copies):
+                    b_loc = np.asarray(grp.b_local)
+                    for sub, row in zip(grp.subs, rows):
+                        total = (b_mat[decomp.cells_by_sub[sub]] @ averaged).sum()
+                        broken = (b_loc @ row).sum()
+                        worst = max(worst, abs(total - broken) / scale)
             assert worst <= 1e-10, f"{spec.name()} level {decomp.level}: {worst:.2e}"
     print(f"ACCEPTANCE 7 (averaging identities): PASS worst residual {worst:.2e}")
 
@@ -194,12 +206,12 @@ def test_criterion_8_property_suite(runs, rng):
         assert np.all(w.side_lo + w.side_hi == 1.0)
         # averaging reproduces continuous vectors
         v = rng.standard_normal(level.system.n_flux)
-        copies = [v[local] for local in level.decomp.local_dofs_by_sub]
-        assert np.allclose(apply_average(level.decomp, w, copies), v, rtol=0, atol=1e-13 * np.abs(v).max())
+        copies = [v[grp.idx_loc] for grp in level.delta_groups]
+        assert np.allclose(average(level, copies), v, rtol=0, atol=1e-13 * np.abs(v).max())
         # every basis column realizes exactly one unit coarse dof
-        for block in level.blocks:
-            avgs = np.stack([block.coarse_basis[cols].mean(axis=0) for cols in block.face_cols])
-            assert np.allclose(avgs, np.eye(len(block.face_ids)), atol=1e-11)
+        for grp in level.delta_groups:
+            avgs = np.stack([grp.psi[cols].mean(axis=0) for cols in grp.face_cols])
+            assert np.allclose(avgs, np.eye(grp.n_faces), atol=1e-11)
 
     # source restriction preserves compatibility level by level
     f = solver.fine.g

@@ -4,22 +4,30 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import nested_bddc as nb
 from nested_bddc.bddc import (
     MultilevelPreconditioner,
+    average,
     build_level_bddc,
     delta_correction,
     interior_correction,
 )
 from nested_bddc.hierarchy import HierarchyConfig, build_hierarchy, compute_weights
-from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh, divergence_defect
+from nested_bddc.mesh_fem import (
+    SLOT_SIGNS,
+    CoefficientField,
+    assemble_rt0,
+    build_mesh,
+    divergence_defect,
+)
 from nested_bddc.nested_driver import ExperimentSpec, NestedSolver, preset_specs
 from nested_bddc.saddle_core import DENSE_LIMIT, Factorization, SingularMatrixError
 
 
-def make_setup(nx, levels, ratio, k=None, gamma=1.0):
-    mesh = build_mesh(nx, nx)
+def make_setup(nx, levels, ratio, k=None, gamma=1.0, ny=None):
+    mesh = build_mesh(nx, nx if ny is None else ny)
     coeff = (
         CoefficientField.constant(mesh, 1.0)
         if k is None
@@ -36,6 +44,15 @@ def two_level_9x9():
     return make_setup(9, 2, 3)
 
 
+def delta_member(level, sub):
+    """Delta group holding subdomain ``sub`` and the member row of it there."""
+    for grp in level.delta_groups:
+        rows = np.flatnonzero(grp.subs == sub)
+        if len(rows):
+            return grp, rows[0]
+    raise KeyError(sub)
+
+
 def balanced_residual(level, rng):
     """Random flux residual supported on the interface only."""
     r = np.zeros(level.system.n_flux)
@@ -47,11 +64,11 @@ def balanced_residual(level, rng):
 def test_coarse_basis_realizes_unit_coarse_dofs(two_level_9x9):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
-    for block in level.blocks:
-        psi = block.coarse_basis
-        for j, cols in enumerate(block.face_cols):
+    for grp in level.delta_groups:
+        psi = grp.psi
+        for j, cols in enumerate(grp.face_cols):
             averages = psi[cols].mean(axis=0)
-            expected = np.zeros(len(block.face_ids))
+            expected = np.zeros(grp.n_faces)
             expected[j] = 1.0
             assert np.allclose(averages, expected, atol=1e-12)
 
@@ -64,31 +81,32 @@ def test_coarse_basis_beats_constant_flux_competitor(two_level_9x9):
     # the flux spread out away from the constrained faces.
     _, _, precond = two_level_9x9
     level = precond.levels[0]
-    block = level.blocks[4]  # interior subdomain, all four faces present
-    assert len(block.face_ids) == 4
-    a_loc = np.asarray(block.a_local)
-    combo = block.coarse_basis[:, 0] + block.coarse_basis[:, 1]
-    for j, cols in enumerate(block.face_cols):
+    grp, row = delta_member(level, 4)  # interior subdomain, all four faces present
+    local_dofs = grp.idx_loc[row]
+    assert len(grp.face_ids[row]) == 4
+    a_loc = np.asarray(grp.a_local)
+    combo = grp.psi[:, 0] + grp.psi[:, 1]
+    for j, cols in enumerate(grp.face_cols):
         assert combo[cols].mean() == pytest.approx(1.0 if j < 2 else 0.0, abs=1e-12)
-    assert np.allclose(np.asarray(block.b_local) @ combo, 0.0, atol=1e-11)
-    constant = np.zeros(len(block.local_dofs))
-    constant[block.local_dofs < level.system.grid.n_vertical] = 1.0
+    assert np.allclose(np.asarray(grp.b_local) @ combo, 0.0, atol=1e-11)
+    constant = np.zeros(len(local_dofs))
+    constant[local_dofs < level.system.grid.n_vertical] = 1.0
     assert combo @ a_loc @ combo < constant @ a_loc @ constant
 
 
 def test_coarse_basis_energy_minimal(two_level_9x9, rng):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
-    block = level.blocks[4]
-    a_loc = np.asarray(block.a_local)
-    b_loc = np.asarray(block.b_local)
-    c_blk = np.asarray(block.c_block)
-    psi = block.coarse_basis[:, 0]
+    grp, _ = delta_member(level, 4)
+    a_loc = np.asarray(grp.a_local)
+    b_loc = np.asarray(grp.b_local)
+    c_blk = np.asarray(grp.c_block)
+    psi = grp.psi[:, 0]
     base = psi @ a_loc @ psi
     # feasible competitors: same face averages, divergence still cellwise constant
-    constraints = np.vstack([b_loc - block.a_local.sum() * 0.0, c_blk])
+    constraints = np.vstack([b_loc - grp.a_local.sum() * 0.0, c_blk])
     # divergence rows modulo constants: project rhs of b_loc onto mean-zero
-    areas = level.system.areas[block.cells]
+    areas = level.system.areas[level.decomp.cells_by_sub[4]]
     proj = np.eye(len(areas)) - np.outer(areas, areas) / (areas @ areas)
     constraints = np.vstack([proj @ b_loc, c_blk])
     ns = np.linalg.svd(constraints)[2][np.linalg.matrix_rank(constraints) :]
@@ -120,18 +138,17 @@ def test_coarse_system_is_galerkin_product(two_level_9x9):
     n_sub = level.decomp.n_sub
     a_c = np.zeros((n_faces, n_faces))
     b_c = np.zeros((n_sub, n_faces))
-    for block in level.blocks:
-        grp = block.delta_group
+    for grp in level.delta_groups:
         psi = grp.psi
         a_loc = np.asarray(grp.a_local)
         b_loc = np.asarray(grp.b_local)
         p_psi = grp.basis_pressure
-        f = block.face_ids
-        # flux block: basis energies plus divergence cross terms (which vanish)
-        contrib = psi.T @ a_loc @ psi + psi.T @ b_loc.T @ p_psi + p_psi.T @ b_loc @ psi
-        a_c[np.ix_(f, f)] += contrib
-        # divergence block: subdomain-integrated divergence of each column
-        b_c[block.sub, f] = b_loc.sum(axis=0) @ psi
+        for sub, f in zip(grp.subs, grp.face_ids):
+            # flux block: basis energies plus divergence cross terms (which vanish)
+            contrib = psi.T @ a_loc @ psi + psi.T @ b_loc.T @ p_psi + p_psi.T @ b_loc @ psi
+            a_c[np.ix_(f, f)] += contrib
+            # divergence block: subdomain-integrated divergence of each column
+            b_c[sub, f] = b_loc.sum(axis=0) @ psi
     assert np.allclose(a_c, coarse.A.toarray(), atol=1e-11)
     assert np.allclose(b_c, coarse.B.toarray(), atol=1e-11)
     # the coarse divergence block carries the +-(face length) pattern
@@ -156,9 +173,7 @@ def test_interior_correction_matches_dense_oracle(two_level_9x9, rng):
     u, p = interior_correction(level, r)
     a_dense = system.A.toarray()
     b_dense = system.B.toarray()
-    for block in level.blocks:
-        ii = block.interior_dofs
-        cc = block.cells
+    for ii, cc in zip(level.decomp.interior_by_sub, level.decomp.cells_by_sub):
         ni, nc = len(ii), len(cc)
         areas = system.areas[cc]
         kkt = np.zeros((ni + nc + 1, ni + nc + 1))
@@ -192,9 +207,10 @@ def test_delta_correction_face_averages_vanish(two_level_9x9, rng):
     level = precond.levels[0]
     r_b = balanced_residual(level, rng)
     w = delta_correction(level, r_b)
-    for block in level.blocks:
-        for cols in block.face_cols:
-            assert abs(w[block.sub][cols].mean()) < 1e-12
+    for grp, rows in zip(level.delta_groups, w):
+        for row in rows:
+            for cols in grp.face_cols:
+                assert abs(row[cols].mean()) < 1e-12
 
 
 def test_delta_correction_zero_residual(two_level_9x9):
@@ -208,32 +224,31 @@ def test_delta_correction_zero_residual(two_level_9x9):
 def test_averaged_delta_is_balanced(two_level_9x9, rng):
     # dual corrections averaged back stay divergence-orthogonal to
     # subdomain constants; basis combinations keep their coarse divergence
-    from nested_bddc.hierarchy import apply_average
-
     system, _, precond = two_level_9x9
     level = precond.levels[0]
+    cells_by_sub = level.decomp.cells_by_sub
     b_dense = system.B.toarray()
 
     # random dual-space member: zero face averages on every side copy
     copies = []
-    for block in level.blocks:
-        v = rng.standard_normal(len(block.local_dofs))
-        for cols in block.face_cols:
-            v[cols] -= v[cols].mean()
+    for grp in level.delta_groups:
+        v = rng.standard_normal((len(grp.subs), grp.n_loc))
+        for cols in grp.face_cols:
+            v[:, cols] -= v[:, cols].mean(axis=1, keepdims=True)
         copies.append(v)
-    averaged = apply_average(level.decomp, level.weights, copies)
-    for block in level.blocks:
-        q0 = b_dense[block.cells] @ averaged
+    averaged = average(level, copies)
+    for cells in cells_by_sub:
+        q0 = b_dense[cells] @ averaged
         assert abs(q0.sum()) < 1e-10 * (np.linalg.norm(averaged) + 1)
 
     # random primal member: averaging preserves subdomain divergence totals
     alpha = rng.standard_normal(level.decomp.n_faces)
-    copies = [block.coarse_basis @ alpha[block.face_ids] for block in level.blocks]
-    averaged = apply_average(level.decomp, level.weights, copies)
+    copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.delta_groups]
+    averaged = average(level, copies)
     coarse_b = precond.top_system.B.toarray()
-    for block in level.blocks:
-        broken = coarse_b[block.sub] @ alpha
-        total = (b_dense[block.cells] @ averaged).sum()
+    for sub, cells in enumerate(cells_by_sub):
+        broken = coarse_b[sub] @ alpha
+        total = (b_dense[cells] @ averaged).sum()
         assert abs(total - broken) < 1e-10 * (np.linalg.norm(alpha) + 1)
 
 
@@ -290,8 +305,15 @@ def test_multilevel_reduces_to_two_level_exactly(two_level_9x9, rng):
     assert np.array_equal(p1, p2)
 
 
-def test_multilevel_divergence_free_all_levels(rng):
-    system, _, precond = make_setup(27, 3, 3)
+# Meshes with nx != ny tell vertical from horizontal edge templates apart.
+MESHES = pytest.mark.parametrize(
+    "nx, ny", [(27, 27), (27, 9), (9, 27)], ids=["27x27", "27x9", "9x27"]
+)
+
+
+@MESHES
+def test_multilevel_divergence_free_all_levels(nx, ny, rng):
+    system, _, precond = make_setup(nx, 3, 3, ny=ny)
     for start in (1, 2):
         level = precond.levels[start - 1]
         for _ in range(5):
@@ -323,9 +345,10 @@ def test_jump_coefficients_shrink_weights():
     assert set(values) <= {np.round(1 / (1 + k), 12), 0.5, np.round(k / (1 + k), 12)}
 
 
-def test_build_determinism():
-    s1, _, p1 = make_setup(9, 2, 3)
-    s2, _, p2 = make_setup(9, 2, 3)
+@MESHES
+def test_build_determinism(nx, ny):
+    s1, _, p1 = make_setup(nx, 3, 3, ny=ny)
+    s2, _, p2 = make_setup(nx, 3, 3, ny=ny)
     assert p1.top_system.A.data.tobytes() == p2.top_system.A.data.tobytes()
     r = np.arange(s1.n_flux, dtype=float)
     u1, q1 = p1.apply(r)
@@ -369,12 +392,11 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
                 assert rel_err(got, ref) <= 1e-12
         r_b = rng.standard_normal(level.n_flux)
         w = delta_correction(level, r_b)
-        for grp in level.delta_groups:
+        for grp, got in zip(level.delta_groups, w):
             assert (grp.op_psi is not None) == dense
             rhs = np.zeros((grp.kkt.size, len(grp.subs)))
             rhs[: grp.n_loc] = (grp.w * r_b[grp.idx_loc]).T
             ref = Factorization(grp.kkt.matrix()).solve(rhs)[: grp.n_loc].T
-            got = np.array([w[s] for s in grp.subs])
             assert rel_err(got, ref) <= 1e-12
 
 
@@ -388,3 +410,143 @@ def test_singular_local_kkt_rejected_at_build():
     weights = compute_weights(decomp, system.elem_k, 1.0)
     with pytest.raises(SingularMatrixError):
         build_level_bddc(dataclasses.replace(system, elem_mass=mass), decomp, weights)
+
+
+def _bytes_key(*blocks) -> tuple:
+    key = []
+    for b in blocks:
+        if b is None:
+            key.append(b"none")
+        elif sp.issparse(b):
+            c = b.tocsr()
+            key.extend((c.data.tobytes(), c.indices.tobytes(), c.indptr.tobytes()))
+        else:
+            arr = np.ascontiguousarray(b)
+            key.extend((arr.shape, arr.tobytes()))
+    return tuple(key)
+
+
+def reference_subdomain(system, decomp, weights, s):
+    """One subdomain's local problem assembled from its own cells.
+
+    This is the per-subdomain assembly the level build replaced: dense
+    arrays up to DENSE_LIMIT rows of the constrained KKT, CSR above.
+    """
+    grid = system.grid
+    interior = decomp.interior_by_sub[s]
+    cells = decomp.cells_by_sub[s]
+    own = decomp.faces_by_sub[s]
+    face_slots = tuple(int(k) for k in np.flatnonzero(own >= 0))
+    face_ids = own[own >= 0]
+    local = np.sort(np.concatenate([interior, decomp.face_dofs[face_ids].ravel()]))
+    n_loc = len(local)
+    n_cells = len(cells)
+
+    cell_slots = grid.cell_dof_slots[cells]
+    present = cell_slots >= 0
+    loc_pos = np.zeros_like(cell_slots)
+    loc_pos[present] = np.searchsorted(local, cell_slots[present])
+    face_cols = [np.searchsorted(local, decomp.face_dofs[f]) for f in face_ids]
+    dense = n_loc + n_cells + 1 + len(face_ids) <= DENSE_LIMIT
+
+    pair = present[:, :, None] & present[:, None, :]
+    rows = np.broadcast_to(loc_pos[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(loc_pos[:, None, :], pair.shape)[pair]
+    vals = system.elem_mass[cells][pair]
+    brow = np.broadcast_to(np.arange(n_cells)[:, None], cell_slots.shape)[present]
+    bcol = loc_pos[present]
+    bval = np.broadcast_to(SLOT_SIGNS * grid.h, cell_slots.shape)[present]
+    c_block = None
+    if dense:
+        a_local = np.zeros((n_loc, n_loc))
+        np.add.at(a_local, (rows, cols), vals)
+        b_local = np.zeros((n_cells, n_loc))
+        b_local[brow, bcol] = bval
+        if len(face_ids):
+            c_block = np.zeros((len(face_ids), n_loc))
+            for r, pos in enumerate(face_cols):
+                c_block[r, pos] = 1.0 / len(pos)
+    else:
+        a_local = sp.coo_matrix((vals, (rows, cols)), shape=(n_loc, n_loc)).tocsr()
+        b_local = sp.coo_matrix((bval, (brow, bcol)), shape=(n_cells, n_loc)).tocsr()
+        if len(face_ids):
+            cr = np.concatenate([np.full(len(p), r) for r, p in enumerate(face_cols)])
+            cc = np.concatenate(face_cols)
+            cv = np.concatenate([np.full(len(p), 1.0 / len(p)) for p in face_cols])
+            c_block = sp.coo_matrix((cv, (cr, cc)), shape=(len(face_ids), n_loc)).tocsr()
+
+    int_pos = np.searchsorted(local, interior)
+    if dense:
+        a_int = a_local[np.ix_(int_pos, int_pos)]
+        b_int = b_local[:, int_pos]
+    else:
+        a_int = a_local[int_pos][:, int_pos]
+        b_int = b_local[:, int_pos].tocsr()
+
+    w = np.ones(n_loc)
+    for f, pos in zip(face_ids, face_cols):
+        sub_lo = decomp.sub_grid.edge_sides[f, 0]
+        side = weights.side_lo if s == sub_lo else weights.side_hi
+        w[pos] = side[decomp.face_dofs[f]]
+
+    gauge = system.areas[cells]
+    return {
+        "local": local,
+        "face_ids": face_ids,
+        "w": w,
+        "interior_key": _bytes_key(a_int, b_int, gauge),
+        "delta_key": (face_slots,) + _bytes_key(a_local, b_local, gauge, c_block),
+        "interior_blocks": (a_int, b_int),
+        "delta_blocks": (a_local, b_local, c_block),
+    }
+
+
+def _group_by(keys) -> list[list[int]]:
+    groups: dict = {}
+    for s, key in enumerate(keys):
+        groups.setdefault(key, []).append(s)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fig3-left", "fig3-right", "ratio3-L4", "mesh-27x9", "ratio16-sparse"],
+)
+def test_groups_match_per_subdomain_reference(case, runs):
+    if case == "mesh-27x9":
+        precond = make_setup(27, 3, 3, ny=9)[2]
+    else:
+        spec = {
+            "fig3-left": preset_specs("fig3-left")[0],
+            "fig3-right": preset_specs("fig3-right")[0],
+            "ratio3-L4": ExperimentSpec(levels=4, ratio=3),
+            "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
+        }[case]
+        precond = runs.solver(spec).precond
+    for level in precond.levels:
+        refs = [
+            reference_subdomain(level.system, level.decomp, level.weights, s)
+            for s in range(level.decomp.n_sub)
+        ]
+        # grouping by each member's own assembled blocks: same members, same order
+        assert [list(g.subs) for g in level.delta_groups] == _group_by(
+            ref["delta_key"] for ref in refs
+        )
+        assert [list(g.subs) for g in level.interior_groups] == _group_by(
+            ref["interior_key"] for ref in refs
+        )
+        # every member's own blocks equal its group's, bit for bit
+        for grp in level.delta_groups:
+            blocks = _bytes_key(grp.a_local, grp.b_local, grp.c_block)
+            for row, s in enumerate(grp.subs):
+                ref = refs[s]
+                assert _bytes_key(*ref["delta_blocks"]) == blocks
+                assert np.array_equal(grp.idx_loc[row], ref["local"])
+                assert np.array_equal(grp.face_ids[row], ref["face_ids"])
+                assert np.array_equal(grp.w[row], ref["w"])
+        for grp in level.interior_groups:
+            blocks = _bytes_key(grp.kkt.a_block, grp.kkt.b_block)
+            for row, s in enumerate(grp.subs):
+                assert _bytes_key(*refs[s]["interior_blocks"]) == blocks
+                assert np.array_equal(grp.idx_int[row], level.decomp.interior_by_sub[s])
+                assert np.array_equal(grp.idx_cells[row], level.decomp.cells_by_sub[s])

@@ -80,6 +80,16 @@ def test_dump_matrices(tmp_path):
     assert b.shape == (81, 144)
 
 
+def test_dump_matrices_rejects_multiple_experiments(tmp_path, capsys):
+    # one PREFIXA.mtx / PREFIXB.mtx pair cannot hold several experiments
+    prefix = str(tmp_path / "dbg_")
+    code = run_cli(["solve", "--preset", "table1-ratio3", "--dump-matrices", prefix,
+                    "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "--dump-matrices" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("levels = 3\nratio = 3\ntol = 1e-6  # comment\n")

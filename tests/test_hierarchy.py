@@ -1,22 +1,19 @@
-"""Decomposition geometry, dof classification and averaging weights."""
+"""Decomposition geometry, dof partition and averaging weights."""
 
 import numpy as np
 import pytest
 
+from nested_bddc.bddc import average, build_level_bddc
 from nested_bddc.hierarchy import (
     HierarchyConfig,
     HierarchyError,
     WeightsError,
-    apply_average,
     build_hierarchy,
-    classify_dofs,
     coarsen_element_values,
     compute_weights,
-    expand_to_previous_level,
-    face_average_functional,
     hierarchy_summary,
 )
-from nested_bddc.mesh_fem import CoefficientField, build_mesh
+from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
 
 
 def test_config_validation():
@@ -71,11 +68,11 @@ def test_indivisible_mesh_rejected():
 def test_every_interface_dof_on_one_face_two_subs():
     mesh = build_mesh(12, 12)
     d = build_hierarchy(mesh, HierarchyConfig(2, 4))[0]
-    part = classify_dofs(d)
+    part = d.partition
     seen = np.zeros(mesh.n_flux, dtype=int)
-    for face in d.faces:
-        assert face.sub_lo < face.sub_hi
-        seen[face.dofs] += 1
+    for (sub_lo, sub_hi), dofs in zip(d.sub_grid.edge_sides, d.face_dofs):
+        assert sub_lo < sub_hi
+        seen[dofs] += 1
     assert np.all(seen[part.interface] == 1)
     assert np.all(seen[part.interior] == 0)
     assert part.n_primal_flux == d.n_faces
@@ -90,23 +87,22 @@ def test_interface_nesting_across_levels():
     upper = decomps[1]
     lower = decomps[0]
     # level-2 interface dofs, expanded one level down, lie inside the level-1 interface
-    expanded = expand_to_previous_level(lower, upper.partition.interface)
+    expanded = np.unique(lower.face_dofs[upper.partition.interface])
     assert np.all(np.isin(expanded, lower.partition.interface))
 
 
 def test_face_average_functional_examples():
     mesh = build_mesh(6, 6)
     d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
-    face = d.faces[0]
-    assert len(face.dofs) == 3  # one fine dof per cell along the face
-    fn = face_average_functional(face)
+    dofs = d.face_dofs[0]
+    assert len(dofs) == 3  # one fine dof per cell along the face
     vec = np.zeros(mesh.n_flux)
-    vec[face.dofs] = [2.0, 4.0, 6.0]
-    assert fn(vec) == pytest.approx(4.0)
+    vec[dofs] = [2.0, 4.0, 6.0]
+    assert vec[dofs].mean() == pytest.approx(4.0)
     # constant field reproduces the constant
     vec[:] = 3.25
-    for f in d.faces:
-        assert face_average_functional(f)(vec) == pytest.approx(3.25)
+    for dofs in d.face_dofs:
+        assert vec[dofs].mean() == pytest.approx(3.25)
 
 
 def test_weights_unit_coefficient_all_half():
@@ -159,10 +155,11 @@ def test_weights_reject_ambiguous_coefficients(rng):
 def test_averaging_is_projection(rng):
     mesh = build_mesh(9, 9)
     d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
-    w = compute_weights(d, CoefficientField.constant(mesh, 1.0), 1.0)
+    coeff = CoefficientField.constant(mesh, 1.0)
+    level = build_level_bddc(assemble_rt0(mesh, coeff), d, compute_weights(d, coeff, 1.0))
     v = rng.standard_normal(mesh.n_flux)
-    copies = [v[local] for local in d.local_dofs_by_sub]
-    assert np.allclose(apply_average(d, w, copies), v, atol=1e-14)
+    copies = [v[grp.idx_loc] for grp in level.delta_groups]
+    assert np.allclose(average(level, copies), v, atol=1e-14)
 
 
 def test_coarsen_element_values():
@@ -173,6 +170,11 @@ def test_coarsen_element_values():
     out = coarsen_element_values(d, values)
     assert np.isnan(out[0])
     assert np.all(out[1:] == 1.0)
+    # reference: the first child's value where all children agree, else NaN
+    values[d.cells_by_sub[2, 4]] = np.nan
+    children = [values[cells] for cells in d.cells_by_sub]
+    ref = [v[0] if np.all(v == v[0]) else np.nan for v in children]
+    assert np.array_equal(coarsen_element_values(d, values), ref, equal_nan=True)
 
 
 def test_hierarchy_summary_text():

@@ -49,6 +49,8 @@ def test_step1_preserves_compatibility(runs, rng):
         coarse = step1_coarse_rhs(d, f)
         assert abs(coarse.sum()) < 1e-12 * np.linalg.norm(f)
         assert coarse.sum() == pytest.approx(f.sum(), abs=1e-12)
+        # reference: one plain sum per subdomain
+        assert np.array_equal(coarse, [f[cells].sum() for cells in d.cells_by_sub])
         f = coarse
 
 
@@ -65,9 +67,9 @@ def test_step2_matches_divergence_data(runs, rng):
     # b(u*, q) = <f, q> for all mean-zero pressures (constants cancel when
     # u0 already matches the subdomain totals, which a random u0 does not;
     # test against the interior pressures instead)
-    for block in level.blocks:
-        d = (system.B @ u_star - f)[block.cells]
-        assert np.ptp(d / system.areas[block.cells]) < 1e-10
+    for cells in level.decomp.cells_by_sub:
+        d = (system.B @ u_star - f)[cells]
+        assert np.ptp(d / system.areas[cells]) < 1e-10
 
 
 def test_step2_after_step1_is_fully_balanced(runs):
