@@ -18,12 +18,7 @@ from .hierarchy import (
     compute_weights,
     hierarchy_summary,
 )
-from .saddle_core import (
-    Factorization,
-    KktSystem,
-    factor_indefinite,
-    pressure_gauge,
-)
+from .saddle_core import Factorization, KktSystem
 from .bddc import (
     MultilevelPreconditioner,
     assemble_coarse_problem,
@@ -35,10 +30,8 @@ from .nested_driver import (
     ExperimentSpec,
     NestedSolver,
     ResultRow,
-    nested_solve,
     oracle_direct_solve,
     preset_specs,
-    run_table,
 )
 
 __version__ = "0.1.0"

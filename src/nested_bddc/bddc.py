@@ -20,7 +20,10 @@ inverse that maps the used inputs to the used outputs.  Every solve of such
 a group in an apply is then one matrix product over all its subdomains; the
 constrained group keeps that block beside the coarse basis, so one product
 gives the dual correction and the restriction coefficients together.
-Larger groups solve against their SuperLU factorization.
+Larger groups solve against their SuperLU factorization.  Either way a
+group's data sits in the leading KKT rows (flux, then divergence) and only
+leading unknowns are read back, so one leading-rows solve forms the
+operators from identity rows and does the SuperLU solves.
 
 The coarse problem assembled from the basis has the same quad-grid mixed
 structure as the level below (one flux dof per face, one pressure per
@@ -45,7 +48,7 @@ from .hierarchy import (
     coarsen_element_values,
 )
 from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_SIGNS, Rt0System, assemble_system
-from .saddle_core import DENSE_LIMIT, KktSystem, pressure_gauge
+from .saddle_core import DENSE_LIMIT, KktSystem
 
 __all__ = [
     "BddcError",
@@ -61,6 +64,16 @@ __all__ = [
 
 class BddcError(Exception):
     pass
+
+
+def _leading_solve(kkt: KktSystem, rows: np.ndarray, m: int) -> np.ndarray:
+    """Leading ``m`` unknowns of the KKT solve, data in the leading KKT rows.
+
+    One row of ``rows`` (and of the result) per right-hand side.
+    """
+    rhs = np.zeros((kkt.size, len(rows)))
+    rhs[: rows.shape[1]] = rows.T
+    return kkt.factorization.solve(rhs)[:m].T
 
 
 class _InteriorGroup:
@@ -79,27 +92,19 @@ class _InteriorGroup:
         self.idx_cells = idx_cells
         self.n_int = idx_int.shape[1]
         self.n_cells = idx_cells.shape[1]
+        m = self.n_int + self.n_cells
         self.op_t = None
         if kkt.size <= DENSE_LIMIT:
-            m = self.n_int + self.n_cells
-            inverse = kkt.solve_many(np.eye(kkt.size, m))
-            self.op_t = np.ascontiguousarray(inverse[:m].T)
+            self.op_t = np.ascontiguousarray(_leading_solve(kkt, np.eye(m), m))
 
     def solve(self, flux_rows, div_rows=None):
         """Interior flux and pressure rows for one row of data per subdomain."""
-        n_int, m = self.n_int, self.n_int + self.n_cells
+        rows = flux_rows if div_rows is None else np.hstack([flux_rows, div_rows])
         if self.op_t is not None:
-            if div_rows is None:
-                out = flux_rows @ self.op_t[:n_int]
-            else:
-                out = np.hstack([flux_rows, div_rows]) @ self.op_t
+            out = rows @ self.op_t[: rows.shape[1]]
         else:
-            rhs = np.zeros((self.kkt.size, len(self.subs)))
-            rhs[:n_int] = flux_rows.T
-            if div_rows is not None:
-                rhs[n_int:m] = div_rows.T
-            out = self.kkt.solve_many(rhs)[:m].T
-        return out[:, :n_int], out[:, n_int:]
+            out = _leading_solve(self.kkt, rows, self.n_int + self.n_cells)
+        return out[:, : self.n_int], out[:, self.n_int :]
 
 
 class _DeltaGroup:
@@ -138,14 +143,12 @@ class _DeltaGroup:
         # A dense group takes its flux block of the KKT inverse from the same
         # solve and keeps it beside the basis as one [op | psi] matrix.
         n_op = self.n_loc if self.kkt.size <= DENSE_LIMIT else 0
-        off = self.n_loc + self.n_cells + 1
-        cols = np.r_[:n_op, off : off + self.n_faces]
-        rhs = np.zeros((self.kkt.size, len(cols)))
-        rhs[cols, np.arange(len(cols))] = 1.0
-        sol = self.kkt.solve_many(rhs)
-        self.psi = sol[: self.n_loc, n_op:]
-        self.basis_pressure = sol[self.n_loc : self.n_loc + self.n_cells, n_op:]
-        self.op_psi = np.hstack([sol[:n_op, :n_op].T, self.psi]) if n_op else None
+        m = self.n_loc + self.n_cells  # the constraint rows follow the gauge row
+        unit = sp.eye(self.kkt.size, format="csr")[np.r_[:n_op, m + 1 : self.kkt.size]]
+        sol = _leading_solve(self.kkt, unit.toarray(), m)
+        self.psi = sol[n_op:, : self.n_loc].T
+        self.basis_pressure = sol[n_op:, self.n_loc :].T
+        self.op_psi = np.hstack([sol[:n_op, :n_op], self.psi]) if n_op else None
         a_psi = self.a_local @ self.psi
         self.coarse_elem = np.asarray(self.psi.T @ a_psi)
 
@@ -154,9 +157,7 @@ class _DeltaGroup:
         if self.op_psi is not None:
             out = weighted @ self.op_psi
             return out[:, : self.n_loc], out[:, self.n_loc :]
-        rhs = np.zeros((self.kkt.size, len(self.subs)))
-        rhs[: self.n_loc] = weighted.T
-        return self.kkt.solve_many(rhs)[: self.n_loc].T, weighted @ self.psi
+        return _leading_solve(self.kkt, weighted, self.n_loc), weighted @ self.psi
 
 
 def _neumann_blocks(system: Rt0System, local, cells, face_cols):
@@ -200,14 +201,6 @@ class LevelBddc:
     weights: AveragingWeights
     interior_groups: list[_InteriorGroup]
     delta_groups: list[_DeltaGroup]
-
-    @property
-    def n_flux(self) -> int:
-        return self.system.n_flux
-
-    @property
-    def n_pressure(self) -> int:
-        return self.system.n_pressure
 
 
 def _unique_rows(a: np.ndarray):
@@ -289,8 +282,8 @@ def interior_correction(level: LevelBddc, r: np.ndarray, rhs_div=None):
     divergence of the correction is balanced against all local mean-zero
     pressures.
     """
-    u = np.zeros(level.n_flux)
-    p = np.zeros(level.n_pressure)
+    u = np.zeros(level.system.n_flux)
+    p = np.zeros(level.system.n_pressure)
     for grp in level.interior_groups:
         div_rows = None if rhs_div is None else rhs_div[grp.idx_cells]
         u[grp.idx_int], p[grp.idx_cells] = grp.solve(r[grp.idx_int], div_rows)
@@ -333,7 +326,7 @@ def average(level: LevelBddc, rows_per_group) -> np.ndarray:
     member in the group's local dof order.
     """
     return _scatter_add(
-        level.n_flux,
+        level.system.n_flux,
         [(grp.idx_loc, grp.w * rows) for grp, rows in zip(level.delta_groups, rows_per_group)],
     )
 
@@ -352,7 +345,7 @@ def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
 
 def inject_pressure(level: LevelBddc, p_coarse: np.ndarray) -> np.ndarray:
     """Subdomain-constant pressure from one value per subdomain."""
-    p = np.empty(level.n_pressure)
+    p = np.empty(level.system.n_pressure)
     p[level.decomp.cells_by_sub] = p_coarse[:, None]
     return p
 
@@ -387,12 +380,8 @@ class MultilevelPreconditioner:
             levels.append(level)
             current = assemble_coarse_problem(level)
             values = current.elem_k
-        top_kkt = KktSystem(current.A, current.B, gauge=pressure_gauge(current.areas))
+        top_kkt = KktSystem(current.A, current.B, gauge=current.areas)
         return cls(levels=levels, top_system=current, top_kkt=top_kkt)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels) + 1
 
     def system_at(self, level_number: int) -> Rt0System:
         """Assembled system of the given level (1-based; top included)."""
@@ -413,8 +402,7 @@ class MultilevelPreconditioner:
         delta_out = _delta_solve(level, r_b)
         r_next = _restrict(level, delta_out)
         if idx == len(self.levels) - 1:
-            sol = self.top_kkt.solve(rhs_flux=r_next)
-            u_next, p_next = sol.flux, sol.pressure
+            u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
         else:
             u_next, p_next = self._apply(idx + 1, r_next)
         u_b = _average(level, delta_out, u_next)

@@ -110,18 +110,12 @@ def _specs_from_args(args) -> list[ExperimentSpec]:
         return preset_specs(
             args.preset, k1=args.k1, k2=args.k2, k3=args.k3, gamma=args.gamma, tol=args.tol
         )
-    return [
-        ExperimentSpec(
-            levels=args.levels if args.levels is not None else 2,
-            ratio=args.ratio if args.ratio is not None else 3,
-            coeff=args.coeff or "constant",
-            k1=args.k1 if args.k1 is not None else 1.0,
-            k2=args.k2 if args.k2 is not None else 1.0,
-            k3=args.k3 if args.k3 is not None else 1.0,
-            gamma=args.gamma if args.gamma is not None else 1.0,
-            tol=args.tol if args.tol is not None else 1e-6,
-        )
-    ]
+    given = {
+        key: getattr(args, key)
+        for key in ("levels", "ratio", "coeff", "k1", "k2", "k3", "gamma", "tol")
+        if getattr(args, key) is not None
+    }
+    return [ExperimentSpec(**{"levels": 2, "ratio": 3, **given})]
 
 
 def _solve_command(args) -> int:

@@ -10,7 +10,6 @@ all coarser levels.  Only the finest pressure is kept, gauged to zero mean.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .mesh_fem import (
     check_compatibility,
     divergence_defect,
 )
-from .saddle_core import IncompatibleRhsError, KktSystem, pressure_gauge
+from .saddle_core import IncompatibleRhsError, KktSystem
 
 __all__ = [
     "DriverError",
@@ -40,12 +39,10 @@ __all__ = [
     "ResultRow",
     "NestedResult",
     "NestedSolver",
-    "nested_solve",
     "step1_coarse_rhs",
     "step2_subdomain_solve",
     "step3_correction",
     "oracle_direct_solve",
-    "run_table",
     "preset_specs",
     "PRESET_NAMES",
 ]
@@ -79,7 +76,6 @@ class ExperimentSpec:
     maxit: int = 500
     base: int = 0  # top-grid cells per side; defaults to ratio
     label: str = ""
-    out: str | None = None
 
     @property
     def nx(self) -> int:
@@ -170,10 +166,7 @@ def step3_correction(
         return np.concatenate([u, p])
 
     def defect(x):
-        u = x[:n_u]
-        if not np.any(u):
-            return 0.0
-        return divergence_defect(system, u)
+        return divergence_defect(system, x[:n_u])
 
     rhs = np.concatenate([-(a_mat @ u_star), np.zeros(system.n_pressure)])
     x, report = pcg(operator, preconditioner, rhs, tol=tol, maxit=maxit, defect_fn=defect)
@@ -209,8 +202,8 @@ class NestedSolver:
             f_chain.append(step1_coarse_rhs(level.decomp, f_chain[-1]))
 
         # Exact top solve; hand the flux down as coarse dof values.
-        top_sol = precond.top_kkt.solve(rhs_div=f_chain[-1])
-        u0 = prolong_average(levels[-1], top_sol.flux)
+        u_top, _, _ = precond.top_kkt.solve(rhs_div=f_chain[-1])
+        u0 = prolong_average(levels[-1], u_top)
 
         rows: list[ResultRow] = []
         reports: list[PcgReport] = []
@@ -247,50 +240,18 @@ class NestedSolver:
         return NestedResult(flux=u_level, pressure=p_level, rows=rows, reports=reports)
 
 
-def nested_solve(spec: ExperimentSpec):
-    """Solve the experiment; returns (flux, pressure, result rows)."""
-    result = NestedSolver(spec).solve()
-    return result.flux, result.pressure, result.rows
-
-
 def oracle_direct_solve(system: Rt0System, rtol: float = 1e-10):
     """Reference solution by one sparse direct solve of the gauged system."""
     if not check_compatibility(system.g):
         raise IncompatibleRhsError("source does not integrate to zero")
-    kkt = KktSystem(system.A, system.B, gauge=pressure_gauge(system.areas))
-    sol = kkt.solve(rhs_div=system.g)
+    kkt = KktSystem(system.A, system.B, gauge=system.areas)
+    flux, pressure, gauge = kkt.solve(rhs_div=system.g)
     scale = np.linalg.norm(system.g)
-    if scale > 0 and abs(sol.gauge) > rtol * scale:
+    if scale > 0 and abs(gauge) > rtol * scale:
         raise IncompatibleRhsError(
-            f"gauge multiplier {sol.gauge:.3e} signals an inconsistent right-hand side"
+            f"gauge multiplier {gauge:.3e} signals an inconsistent right-hand side"
         )
-    return sol.flux, sol.pressure
-
-
-def run_table(specs, history_sink=None):
-    """Run a list of experiments into CSV rows (one per downsweep level).
-
-    Individual failures are recorded and the run continues.  Returns
-    ``(csv_text, failures)`` with failures as (spec, exception) pairs.
-    """
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    failures = []
-    for spec in specs:
-        try:
-            result = NestedSolver(spec).solve()
-        except Exception as exc:  # record and continue
-            failures.append((spec, exc))
-            continue
-        for row in result.rows:
-            out.write(row.csv() + "\n")
-        if history_sink is not None:
-            for row, report in zip(result.rows, result.reports):
-                for it, rel, pre, dfct in report.history_rows():
-                    history_sink.write(
-                        f"{spec.name()},{row.L},{row.level},{it},{rel:.6e},{pre:.6e},{dfct:.6e}\n"
-                    )
-    return out.getvalue(), failures
+    return flux, pressure
 
 
 def _table_block(ratio, levels, **kw):

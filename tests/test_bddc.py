@@ -376,8 +376,8 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
     for level in precond.levels:
         groups = level.interior_groups + level.delta_groups
         assert all((grp.kkt.size <= DENSE_LIMIT) == dense for grp in groups)
-        r = rng.standard_normal(level.n_flux)
-        div = rng.standard_normal(level.n_pressure)
+        r = rng.standard_normal(level.system.n_flux)
+        div = rng.standard_normal(level.system.n_pressure)
         for rhs_div in (None, div):
             u, p = interior_correction(level, r, rhs_div)
             for grp in level.interior_groups:
@@ -390,7 +390,7 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
                 ref = Factorization(grp.kkt.matrix()).solve(rhs)[:m]
                 got = np.vstack([u[grp.idx_int].T, p[grp.idx_cells].T])
                 assert rel_err(got, ref) <= 1e-12
-        r_b = rng.standard_normal(level.n_flux)
+        r_b = rng.standard_normal(level.system.n_flux)
         w = delta_correction(level, r_b)
         for grp, got in zip(level.delta_groups, w):
             assert (grp.op_psi is not None) == dense

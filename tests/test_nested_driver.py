@@ -11,12 +11,41 @@ from nested_bddc.nested_driver import (
     NestedSolver,
     PcgNonConvergence,
     preset_specs,
-    run_table,
     step1_coarse_rhs,
     step2_subdomain_solve,
     step3_correction,
 )
 from nested_bddc.saddle_core import IncompatibleRhsError
+
+
+# Exact CSV text (header plus one row per downsweep level) of three presets.
+GOLDEN_CSV = {
+    "table1-ratio3": """\
+L,level,M,nsub,n,n_gamma,iter,cond
+2,1,2,9,225,36,4,1.22
+3,1,3,81,2133,432,8,2.07
+3,2,2,9,225,36,3,1.14
+4,1,4,729,19521,4212,11,3.48
+4,2,3,81,2133,432,7,1.85
+4,3,2,9,225,36,3,1.14
+5,1,5,6561,176661,38880,14,6.00
+5,2,4,729,19521,4212,10,3.10
+5,3,3,81,2133,432,7,1.83
+5,4,2,9,225,36,3,1.14
+""",
+    "fig3-left": """\
+L,level,M,nsub,n,n_gamma,iter,cond
+4,1,4,729,19521,4212,11,3.15
+4,2,3,81,2133,432,8,1.70
+4,3,2,9,225,36,4,1.12
+""",
+    "fig3-right": """\
+L,level,M,nsub,n,n_gamma,iter,cond
+4,1,4,729,19521,4212,13,3.25
+4,2,3,81,2133,432,8,1.74
+4,3,2,9,225,36,3,1.13
+""",
+}
 
 
 def a_norm_rel_error(system, u, u_ref):
@@ -122,10 +151,10 @@ def test_nested_matches_oracle(runs, spec):
 
 
 def test_single_subdomain_degenerate_solve():
-    u, p, rows = nb.nested_solve(ExperimentSpec(levels=2, ratio=3, base=1))
     spec = ExperimentSpec(levels=2, ratio=3, base=1)
     assert spec.nx == 3
     solver = NestedSolver(spec)
+    u = solver.solve().flux
     u_ref, _ = nb.oracle_direct_solve(solver.fine)
     assert a_norm_rel_error(solver.fine, u, u_ref) <= 1e-8
 
@@ -209,27 +238,8 @@ def test_result_rows_shape(runs):
     assert rows[1].n == 225
 
 
-def test_run_table_empty():
-    text, failures = run_table([])
-    assert text == CSV_HEADER + "\n"
-    assert failures == []
-
-
-def test_run_table_records_failures_and_continues():
-    bad = ExperimentSpec(levels=2, ratio=3, coeff="no-such-pattern")
-    good = ExperimentSpec(levels=2, ratio=3)
-    text, failures = run_table([bad, good])
-    lines = text.strip().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 2  # one row from the good spec
-    assert len(failures) == 1
-    assert failures[0][0] is bad
-
-
-def test_run_table_formats_cond_two_decimals(runs):
-    text, failures = run_table([ExperimentSpec(levels=2, ratio=3)])
-    assert not failures
-    line = text.strip().splitlines()[1]
+def test_result_row_csv_formats_cond_two_decimals(runs):
+    line = runs.result(ExperimentSpec(levels=2, ratio=3)).rows[0].csv()
     assert line.startswith("2,1,2,9,225,36,")
     cond_field = line.split(",")[-1]
     assert len(cond_field.split(".")[1]) == 2
@@ -237,7 +247,7 @@ def test_run_table_formats_cond_two_decimals(runs):
 
 def test_pcg_nonconvergence_raises():
     with pytest.raises(PcgNonConvergence):
-        nb.nested_solve(ExperimentSpec(levels=2, ratio=3, tol=1e-30, maxit=3))
+        NestedSolver(ExperimentSpec(levels=2, ratio=3, tol=1e-30, maxit=3)).solve()
 
 
 def test_preset_lists():
@@ -257,3 +267,9 @@ def test_spec_nx():
     assert ExperimentSpec(levels=2, ratio=3).nx == 9
     assert ExperimentSpec(levels=5, ratio=3).nx == 243
     assert ExperimentSpec(levels=2, ratio=4, base=2).nx == 8
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_CSV))
+def test_preset_csv_golden(runs, preset):
+    rows = [row.csv() for spec in preset_specs(preset) for row in runs.result(spec).rows]
+    assert "\n".join([CSV_HEADER, *rows]) + "\n" == GOLDEN_CSV[preset]

@@ -2,32 +2,39 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
 from nested_bddc.saddle_core import (
+    Factorization,
     KktSystem,
     SaddleError,
     SingularMatrixError,
-    factor_indefinite,
-    pressure_gauge,
 )
 
 
 def gauged_darcy_kkt(nx, source="corner"):
     mesh = build_mesh(nx, nx)
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0), source=source)
-    kkt = KktSystem(system.A, system.B, gauge=pressure_gauge(system.areas))
+    kkt = KktSystem(system.A, system.B, gauge=system.areas)
     return system, kkt
 
 
+def constraint_rhs(kkt, target):
+    """Packed right-hand side with ``target`` in the constraint rows."""
+    rhs = np.zeros(kkt.size)
+    rhs[kkt.n_flux + kkt.n_div + kkt.n_gauge :] = target
+    return rhs
+
+
 def test_identity_solve():
-    fact = factor_indefinite(np.eye(2))
+    fact = Factorization(np.eye(2))
     rhs = np.array([3.0, -1.0])
     assert np.array_equal(fact.solve(rhs), rhs)
 
 
 def test_permutation_indefinite_solve():
-    fact = factor_indefinite(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    fact = Factorization(np.array([[0.0, 1.0], [1.0, 0.0]]))
     rhs = np.array([5.0, 7.0])
     assert np.allclose(fact.solve(rhs), [7.0, 5.0])
 
@@ -38,15 +45,15 @@ def test_darcy_gauged_solve_matches_dense_oracle():
     rhs = np.zeros(kkt.size)
     rhs[system.n_flux : system.n_flux + system.n_pressure] = system.g
     expected = np.linalg.solve(dense, rhs)
-    sol = kkt.solve(rhs_div=system.g)
-    got = np.concatenate([sol.flux, sol.pressure, [sol.gauge]])
+    flux, pressure, gauge = kkt.solve(rhs_div=system.g)
+    got = np.concatenate([flux, pressure, [gauge]])
     assert np.linalg.norm(dense @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
     assert np.allclose(got, expected, atol=1e-11)
 
 
 def test_singular_matrix_detected():
     with pytest.raises(SingularMatrixError):
-        factor_indefinite(np.zeros((2, 2)))
+        Factorization(np.zeros((2, 2)))
     # pure saddle system without a gauge row is singular
     mesh = build_mesh(2, 2)
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
@@ -55,23 +62,18 @@ def test_singular_matrix_detected():
         kkt.factorization
 
 
-def test_asymmetric_rejected():
-    with pytest.raises(SaddleError):
-        factor_indefinite(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 def test_minimal_norm_under_sum_constraint():
     # minimize 0.5*|u|^2 subject to u1 + u2 = 2  ->  (1, 1)
     kkt = KktSystem(np.eye(2), c_block=np.array([[1.0, 1.0]]))
-    sol = kkt.solve(rhs_constraints=np.array([2.0]))
-    assert np.allclose(sol.flux, [1.0, 1.0])
+    flux = kkt.factorization.solve(constraint_rhs(kkt, np.array([2.0])))[: kkt.n_flux]
+    assert np.allclose(flux, [1.0, 1.0])
 
 
 def test_zero_rhs_gives_zero():
     _, kkt = gauged_darcy_kkt(3)
-    sol = kkt.solve()
-    assert np.allclose(sol.flux, 0.0)
-    assert np.allclose(sol.pressure, 0.0)
+    flux, pressure, _ = kkt.solve()
+    assert np.allclose(flux, 0.0)
+    assert np.allclose(pressure, 0.0)
 
 
 def test_energy_minimality_random_feasible_perturbations(rng):
@@ -82,19 +84,19 @@ def test_energy_minimality_random_feasible_perturbations(rng):
     c = rng.standard_normal((3, n))
     kkt = KktSystem(a, c_block=c)
     target = rng.standard_normal(3)
-    sol = kkt.solve(rhs_constraints=target)
-    base = sol.flux @ a @ sol.flux
+    flux = kkt.factorization.solve(constraint_rhs(kkt, target))[: kkt.n_flux]
+    base = flux @ a @ flux
     ns = np.linalg.svd(c)[2][3:]  # nullspace basis of the constraints
     for _ in range(10):
         pert = ns.T @ rng.standard_normal(ns.shape[0])
-        competitor = sol.flux + pert
+        competitor = flux + pert
         assert np.allclose(c @ competitor, target)
         assert competitor @ a @ competitor > base - 1e-12
 
 
 def test_gauge_fixes_pressure_constant():
     system, kkt = gauged_darcy_kkt(3)
-    sol = kkt.solve(rhs_div=system.g)
+    flux, pressure, _ = kkt.solve(rhs_div=system.g)
     # ungauged minimum-norm solution differs by a pressure constant only
     n_u, n_p = system.n_flux, system.n_pressure
     dense = np.zeros((n_u + n_p, n_u + n_p))
@@ -103,11 +105,11 @@ def test_gauge_fixes_pressure_constant():
     dense[:n_u, n_u:] = system.B.toarray().T
     rhs = np.concatenate([np.zeros(n_u), system.g])
     x, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
-    assert np.allclose(x[:n_u], sol.flux, atol=1e-9)
-    shift = x[n_u:] - sol.pressure
+    assert np.allclose(x[:n_u], flux, atol=1e-9)
+    shift = x[n_u:] - pressure
     assert np.ptp(shift) < 1e-9
     # the gauged pressure has zero area-weighted mean
-    assert abs(system.areas @ sol.pressure) < 1e-12
+    assert abs(system.areas @ pressure) < 1e-12
 
 
 def test_incompatible_rhs_flagged_by_gauge_multiplier():
@@ -115,10 +117,10 @@ def test_incompatible_rhs_flagged_by_gauge_multiplier():
     system = assemble_rt0(
         mesh, CoefficientField.constant(mesh, 1.0), source=np.ones(mesh.n_cells)
     )
-    kkt = KktSystem(system.A, system.B, gauge=pressure_gauge(system.areas))
-    sol = kkt.solve(rhs_div=system.g)
+    kkt = KktSystem(system.A, system.B, gauge=system.areas)
+    _, _, gauge = kkt.solve(rhs_div=system.g)
     # the multiplier absorbs exactly the mean of the inconsistent data
-    assert abs(sol.gauge) > 1e-3
+    assert abs(gauge) > 1e-3
     from nested_bddc.nested_driver import oracle_direct_solve
     from nested_bddc.saddle_core import IncompatibleRhsError
 
@@ -129,7 +131,7 @@ def test_incompatible_rhs_flagged_by_gauge_multiplier():
 def test_solve_of_multiply_roundtrip(rng):
     system, kkt = gauged_darcy_kkt(10)
     mat = kkt.matrix()
-    fact = factor_indefinite(mat)
+    fact = Factorization(mat)
     for _ in range(3):
         x = rng.standard_normal(kkt.size)
         assert np.linalg.norm(fact.solve(mat @ x) - x) <= 1e-10 * np.linalg.norm(x)
@@ -155,22 +157,40 @@ def test_factorization_deterministic(rng):
 def test_solve_many_matches_individual(rng):
     _, kkt = gauged_darcy_kkt(3)
     rhs = rng.standard_normal((kkt.size, 5))
-    batch = kkt.solve_many(rhs)
+    batch = kkt.factorization.solve(rhs)
     for j in range(5):
         assert np.allclose(batch[:, j], kkt.factorization.solve(rhs[:, j]), atol=1e-13)
 
 
-def test_pressure_gauge_rows():
-    areas = np.full(6, 0.25)
-    row = pressure_gauge(areas)
-    assert np.array_equal(row, areas)
-    sub = pressure_gauge(areas, region=np.array([0, 2]))
-    assert np.array_equal(np.flatnonzero(sub), [0, 2])
-    with pytest.raises(SaddleError):
-        pressure_gauge(areas, region=np.array([], dtype=int))
-
-
 def test_dimension_mismatch_rejected():
-    fact = factor_indefinite(np.eye(3))
+    fact = Factorization(np.eye(3))
     with pytest.raises(SaddleError):
         fact.solve(np.ones(2))
+
+
+def random_blocks(rng, gauge, constraints):
+    n, m = 7, 3
+    g = rng.standard_normal((n, n))
+    a = g @ g.T
+    blocks = dict(a_block=(a + a.T) / 2 + n * np.eye(n))
+    if gauge:
+        blocks.update(b_block=rng.standard_normal((m, n)), gauge=rng.uniform(0.5, 1.0, m))
+    if constraints:
+        blocks["c_block"] = rng.standard_normal((2, n))
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "gauge, constraints",
+    [(True, False), (True, True), (False, True)],
+    ids=["gauge", "gauge+constraints", "constraints"],
+)
+def test_dense_assembly_matches_sparse(rng, gauge, constraints):
+    blocks = random_blocks(rng, gauge, constraints)
+    dense = KktSystem(**blocks).matrix()
+    as_csr = {k: v if k == "gauge" else sp.csr_matrix(v) for k, v in blocks.items()}
+    sparse = KktSystem(**as_csr).matrix()
+    assert isinstance(dense, np.ndarray)
+    assert sp.issparse(sparse)
+    assert np.array_equal(dense, sparse.toarray())
+    assert np.array_equal(dense, dense.T)
