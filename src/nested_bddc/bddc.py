@@ -14,16 +14,13 @@ pattern of their element matrices): each group assembles its blocks once,
 from its first member, holds one factorization, and keeps one row of index
 arrays and weights per member, so its solves run in batches.
 
-A group whose KKT has at most ``DENSE_LIMIT`` rows turns its dense LU into
-a precomputed solution operator once, at build time: the block of the KKT
-inverse that maps the used inputs to the used outputs.  Every solve of such
-a group in an apply is then one matrix product over all its subdomains; the
-constrained group keeps that block beside the coarse basis, so one product
-gives the dual correction and the restriction coefficients together.
-Larger groups solve against their SuperLU factorization.  Either way a
-group's data sits in the leading KKT rows (flux, then divergence) and only
-leading unknowns are read back, so one leading-rows solve forms the
-operators from identity rows and does the SuperLU solves.
+Every group factors its KKT at build, whatever its size, and solves
+through ``Factorization.solve_leading``: a group's data sits in the leading
+KKT rows (flux, then divergence) and only leading unknowns are read back.
+How that solve runs (a product with the explicit inverse up to
+``DENSE_LIMIT`` rows, SuperLU above) is decided in ``saddle_core`` alone.
+The Neumann mass and divergence blocks come from the same element scatter
+as the global matrices (``mesh_fem.element_blocks``), on local positions.
 
 The coarse problem assembled from the basis has the same quad-grid mixed
 structure as the level below (one flux dof per face, one pressure per
@@ -47,7 +44,7 @@ from .hierarchy import (
     LevelDecomposition,
     coarsen_element_values,
 )
-from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_SIGNS, Rt0System, assemble_system
+from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, Rt0System, assemble_system, element_blocks
 from .saddle_core import DENSE_LIMIT, KktSystem
 
 __all__ = [
@@ -66,44 +63,26 @@ class BddcError(Exception):
     pass
 
 
-def _leading_solve(kkt: KktSystem, rows: np.ndarray, m: int) -> np.ndarray:
-    """Leading ``m`` unknowns of the KKT solve, data in the leading KKT rows.
-
-    One row of ``rows`` (and of the result) per right-hand side.
-    """
-    rhs = np.zeros((kkt.size, len(rows)))
-    rhs[: rows.shape[1]] = rows.T
-    return kkt.factorization.solve(rhs)[:m].T
-
-
 class _InteriorGroup:
     """Subdomains sharing one interior-KKT factorization.
 
-    A group whose KKT has at most ``DENSE_LIMIT`` rows keeps ``op_t``, the
-    transposed flux/pressure block of the KKT inverse: a row of flux and
-    divergence data times ``op_t`` is the row of interior fluxes and
-    pressures.  Larger groups keep ``op_t = None`` and solve with SuperLU.
+    The KKT is factored at build, so a singular local problem is rejected
+    before any apply.
     """
 
     def __init__(self, kkt: KktSystem, subs, idx_int, idx_cells):
         self.kkt = kkt
+        self.fact = kkt.factorization
         self.subs = subs
         self.idx_int = idx_int
         self.idx_cells = idx_cells
         self.n_int = idx_int.shape[1]
         self.n_cells = idx_cells.shape[1]
-        m = self.n_int + self.n_cells
-        self.op_t = None
-        if kkt.size <= DENSE_LIMIT:
-            self.op_t = np.ascontiguousarray(_leading_solve(kkt, np.eye(m), m))
 
     def solve(self, flux_rows, div_rows=None):
         """Interior flux and pressure rows for one row of data per subdomain."""
         rows = flux_rows if div_rows is None else np.hstack([flux_rows, div_rows])
-        if self.op_t is not None:
-            out = rows @ self.op_t[: rows.shape[1]]
-        else:
-            out = _leading_solve(self.kkt, rows, self.n_int + self.n_cells)
+        out = self.fact.solve_leading(rows, self.n_int + self.n_cells)
         return out[:, : self.n_int], out[:, self.n_int :]
 
 
@@ -126,7 +105,6 @@ class _DeltaGroup:
         local = self.idx_loc[0]
         cells = decomp.cells_by_sub[first]
         self.n_loc = len(local)
-        self.n_cells = len(cells)
         self.face_cols = np.searchsorted(local, decomp.face_dofs[self.face_ids[0]])
         # A face's normal points into the members on their left and bottom
         # faces: there they are the higher subdomain and take its weights.
@@ -139,25 +117,18 @@ class _DeltaGroup:
         self.kkt = KktSystem(
             self.a_local, self.b_local, gauge=system.areas[cells], c_block=self.c_block
         )
-        # Energy-minimal basis: one column per face, unit coarse dof each.
-        # A dense group takes its flux block of the KKT inverse from the same
-        # solve and keeps it beside the basis as one [op | psi] matrix.
-        n_op = self.n_loc if self.kkt.size <= DENSE_LIMIT else 0
-        m = self.n_loc + self.n_cells  # the constraint rows follow the gauge row
-        unit = sp.eye(self.kkt.size, format="csr")[np.r_[:n_op, m + 1 : self.kkt.size]]
-        sol = _leading_solve(self.kkt, unit.toarray(), m)
-        self.psi = sol[n_op:, : self.n_loc].T
-        self.basis_pressure = sol[n_op:, self.n_loc :].T
-        self.op_psi = np.hstack([sol[:n_op, :n_op], self.psi]) if n_op else None
+        self.fact = self.kkt.factorization
+        # Energy-minimal basis: one column per face, unit coarse dof each;
+        # the constraint rows follow the flux, divergence and gauge rows.
+        first_con = self.n_loc + len(cells) + 1
+        unit = np.eye(self.kkt.size, self.n_faces, -first_con)
+        self.psi = self.fact.solve(unit)[: self.n_loc]
         a_psi = self.a_local @ self.psi
         self.coarse_elem = np.asarray(self.psi.T @ a_psi)
 
     def solve(self, weighted):
         """Dual corrections and restriction coefficients, one row per subdomain."""
-        if self.op_psi is not None:
-            out = weighted @ self.op_psi
-            return out[:, : self.n_loc], out[:, self.n_loc :]
-        return _leading_solve(self.kkt, weighted, self.n_loc), weighted @ self.psi
+        return self.fact.solve_leading(weighted, self.n_loc), weighted @ self.psi
 
 
 def _neumann_blocks(system: Rt0System, local, cells, face_cols):
@@ -167,22 +138,11 @@ def _neumann_blocks(system: Rt0System, local, cells, face_cols):
     dense arrays when the constrained KKT has at most ``DENSE_LIMIT`` rows,
     CSR matrices above.
     """
-    grid = system.grid
     n_loc, n_cells = len(local), len(cells)
     n_faces, ratio = face_cols.shape
-    cell_slots = grid.cell_dof_slots[cells]
-    present = cell_slots >= 0
-    loc_pos = np.zeros_like(cell_slots)
-    loc_pos[present] = np.searchsorted(local, cell_slots[present])
-
-    pair = present[:, :, None] & present[:, None, :]
-    rows = np.broadcast_to(loc_pos[:, :, None], pair.shape)[pair]
-    cols = np.broadcast_to(loc_pos[:, None, :], pair.shape)[pair]
-    a_local = sp.coo_matrix((system.elem_mass[cells][pair], (rows, cols)), shape=(n_loc, n_loc))
-    brow = np.broadcast_to(np.arange(n_cells)[:, None], cell_slots.shape)[present]
-    bval = np.broadcast_to(SLOT_SIGNS * grid.h, cell_slots.shape)[present]
-    b_local = sp.coo_matrix((bval, (brow, loc_pos[present])), shape=(n_cells, n_loc))
-    blocks = [a_local, b_local]
+    cell_slots = system.grid.cell_dof_slots[cells]
+    local_slots = np.where(cell_slots >= 0, np.searchsorted(local, cell_slots), -1)
+    blocks = list(element_blocks(local_slots, system.elem_mass[cells], system.grid.h, n_loc))
     if n_faces:
         crow = np.repeat(np.arange(n_faces), ratio)
         cval = np.full(face_cols.size, 1.0 / ratio)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import CoefficientField, QuadMesh
+from .mesh_fem import QuadMesh
 
 __all__ = [
     "HierarchyError",
@@ -179,26 +179,21 @@ class AveragingWeights:
     is a partition of unity everywhere by construction).
     """
 
-    gamma: float
     side_lo: np.ndarray
     side_hi: np.ndarray
 
 
 def compute_weights(
-    decomp: LevelDecomposition, coeff, gamma: float
+    decomp: LevelDecomposition, values: np.ndarray, gamma: float
 ) -> AveragingWeights:
     """Averaging weights k_i^-gamma / (k_i^-gamma + k_j^-gamma) per interface dof.
 
-    ``coeff`` is either a :class:`CoefficientField` (finest level) or a
-    per-element value array for the decomposed grid.  With ``gamma != 0``
-    the element values adjacent to each face must be well defined and
-    constant along it; mixed or varying materials are rejected because the
-    subdomain weight would be ambiguous.
+    ``values`` holds one coefficient per element of the decomposed grid.
+    With ``gamma != 0`` the element values adjacent to each face must be
+    well defined and constant along it; mixed or varying materials are
+    rejected because the subdomain weight would be ambiguous.
     """
-    if isinstance(coeff, CoefficientField):
-        values = coeff.values
-    else:
-        values = np.asarray(coeff, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.shape != (decomp.grid.n_cells,):
         raise WeightsError("element values do not match the level grid")
 
@@ -226,7 +221,7 @@ def compute_weights(
             e_lo = a / (a + b)
             side_lo[face_dofs] = e_lo
             side_hi[face_dofs] = 1.0 - e_lo  # exact partition of unity
-    return AveragingWeights(gamma=float(gamma), side_lo=side_lo, side_hi=side_hi)
+    return AveragingWeights(side_lo=side_lo, side_hi=side_hi)
 
 
 def coarsen_element_values(decomp: LevelDecomposition, values: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ __all__ = [
     "CoefficientField",
     "Rt0System",
     "build_mesh",
-    "element_mass_matrix",
+    "element_blocks",
     "assemble_system",
     "assemble_rt0",
     "assemble_rhs",
@@ -182,10 +182,6 @@ class CoefficientField:
         return cls(np.full(mesh.n_cells, float(k)))
 
     @classmethod
-    def from_values(cls, values) -> "CoefficientField":
-        return cls(np.asarray(values, dtype=float))
-
-    @classmethod
     def aligned_jump(
         cls,
         mesh: QuadMesh,
@@ -265,9 +261,24 @@ class Rt0System:
         return self.n_flux + self.n_pressure
 
 
-def element_mass_matrix(h: float, k: float) -> np.ndarray:
-    """Flux mass matrix of one square cell of size h with coefficient k."""
-    return (h * h / k) * REFERENCE_MASS
+def element_blocks(slot_map: np.ndarray, elem_mass: np.ndarray, h: float, n_flux: int):
+    """Mass and divergence blocks (COO) scattered from per-cell contributions.
+
+    ``slot_map`` holds, per cell and slot, the row/column of the slot's flux
+    dof in the blocks, -1 where the cell has no dof there: global dof ids
+    for a whole grid, local positions for a subdomain.  Row ``c`` of the
+    divergence block belongs to cell ``c`` of ``slot_map``.
+    """
+    present = slot_map >= 0
+    pair = present[:, :, None] & present[:, None, :]
+    rows = np.broadcast_to(slot_map[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(slot_map[:, None, :], pair.shape)[pair]
+    mass = sp.coo_matrix((elem_mass[pair], (rows, cols)), shape=(n_flux, n_flux))
+    n_cells = len(slot_map)
+    cell_rows = np.broadcast_to(np.arange(n_cells)[:, None], slot_map.shape)[present]
+    signs = np.broadcast_to(SLOT_SIGNS * h, slot_map.shape)[present]
+    div = sp.coo_matrix((signs, (cell_rows, slot_map[present])), shape=(n_cells, n_flux))
+    return mass, div
 
 
 def assemble_system(
@@ -277,25 +288,14 @@ def assemble_system(
     g: np.ndarray | None = None,
 ) -> Rt0System:
     """Assemble A and B from per-cell contributions on ``grid``."""
-    slots = grid.cell_dof_slots
-    present = slots >= 0
-
-    pair = present[:, :, None] & present[:, None, :]
-    rows = np.broadcast_to(slots[:, :, None], pair.shape)[pair]
-    cols = np.broadcast_to(slots[:, None, :], pair.shape)[pair]
-    vals = elem_mass[pair]
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_flux, grid.n_flux)).tocsr()
-
-    cell_rows = np.broadcast_to(np.arange(grid.n_cells)[:, None], slots.shape)[present]
-    sign_data = np.broadcast_to(SLOT_SIGNS * grid.h, slots.shape)[present]
-    B = sp.coo_matrix(
-        (sign_data, (cell_rows, slots[present])), shape=(grid.n_cells, grid.n_flux)
-    ).tocsr()
-
+    mass, div = element_blocks(grid.cell_dof_slots, elem_mass, grid.h, grid.n_flux)
     if g is None:
         g = np.zeros(grid.n_cells)
     areas = np.full(grid.n_cells, grid.cell_area)
-    return Rt0System(grid, elem_mass, np.asarray(elem_k, dtype=float), A, B, np.asarray(g, dtype=float), areas)
+    return Rt0System(
+        grid, elem_mass, np.asarray(elem_k, dtype=float), mass.tocsr(), div.tocsr(),
+        np.asarray(g, dtype=float), areas,
+    )
 
 
 def assemble_rt0(
@@ -340,7 +340,7 @@ def check_compatibility(g: np.ndarray, rtol: float = COMPATIBILITY_RTOL) -> bool
     return abs(g.sum()) <= rtol * np.linalg.norm(g)
 
 
-def divergence_defect(system: Rt0System, u: np.ndarray, q_weights=None) -> float:
+def divergence_defect(system: Rt0System, u: np.ndarray) -> float:
     """Defect of u against divergence-freedom on the zero-mean pressure space.
 
     Returns ||B u|| with the component along the pressure-gauge direction
@@ -349,9 +349,7 @@ def divergence_defect(system: Rt0System, u: np.ndarray, q_weights=None) -> float
     u = np.asarray(u, dtype=float)
     if u.shape != (system.n_flux,):
         raise ValueError(f"flux vector has length {u.size}, expected {system.n_flux}")
-    w = system.areas if q_weights is None else np.asarray(q_weights, dtype=float)
-    if w.shape != (system.n_pressure,):
-        raise ValueError("pressure weight vector has the wrong length")
+    w = system.areas
     if not np.any(u):
         return 0.0
     d = system.B @ u

@@ -13,11 +13,13 @@ The gauge column ``a`` (area weights) pins the pressure mean and absorbs the
 constant in the divergence rows, so the same assembly serves global solves,
 subdomain interior solves and the constrained coarse-basis problems.  It is
 assembled in the blocks' own format (dense array or CSR) and factored
-exactly: dense LU up to ``DENSE_LIMIT`` rows, SuperLU above.  Callers that
-solve one small system many times (the BDDC subdomain groups) form a dense
-solution operator from one ``Factorization.solve`` on identity columns; the
-pivot check in ``Factorization`` has run by then, so no operator is formed
-from a rejected factorization.
+exactly.  ``Factorization`` is the one place that decides how a system is
+solved, by its size class: up to ``DENSE_LIMIT`` rows it forms the explicit
+inverse once, from a partial-pivoting LU and after the pivot check, and every
+solve is a matrix product; above, SuperLU solves.  ``solve_leading`` serves
+callers whose data sits in the leading rows and who read back only leading
+unknowns (the BDDC subdomain groups): one product with a corner of the
+inverse, or one zero-padded SuperLU solve.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ class IncompatibleRhsError(SaddleError):
 
 
 class Factorization:
-    """LU factorization of a (usually symmetric indefinite) matrix.
+    """Direct solver of a (usually symmetric indefinite) matrix.
 
-    Dense partial-pivoting LU for small systems, SuperLU beyond
-    ``DENSE_LIMIT`` rows.  Immutable after construction; concurrent solves
-    against one factorization are safe.
+    Dense explicit inverse for small systems, SuperLU beyond ``DENSE_LIMIT``
+    rows (``dense`` tells which).  Immutable after construction; concurrent
+    solves against one factorization are safe.
     """
 
     def __init__(self, matrix):
@@ -70,14 +72,13 @@ class Factorization:
         if matrix.shape != (n, n):
             raise SaddleError("matrix must be square")
         self.n = n
-        if n <= DENSE_LIMIT:
+        self.dense = n <= DENSE_LIMIT
+        if self.dense:
             dense = matrix.toarray() if sp.issparse(matrix) else matrix
             with warnings.catch_warnings():
                 # singularity is detected below from the pivot ratio
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
                 lu, piv = sla.lu_factor(dense, check_finite=False)
-            self._lu = (lu, piv)
-            self._splu = None
             udiag = np.abs(np.diag(lu))
         else:
             try:
@@ -90,14 +91,31 @@ class Factorization:
             raise SingularMatrixError(
                 f"matrix is numerically singular (pivot ratio below {PIVOT_RTOL:g})"
             )
+        if self.dense:
+            self._inv = sla.lu_solve((lu, piv), np.eye(n), check_finite=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n:
             raise SaddleError(f"rhs has {rhs.shape[0]} rows, expected {self.n}")
-        if self._splu is None:
-            return sla.lu_solve(self._lu, rhs, check_finite=False)
+        if self.dense:
+            return self._inv @ rhs
         return self._splu.solve(rhs)
+
+    def solve_leading(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """Leading ``m`` unknowns for data in the leading rows of the system.
+
+        One row of ``rows`` (and of the result) per right-hand side; the
+        rows past ``rows.shape[1]`` of each right-hand side are zero.
+        """
+        k = rows.shape[1]
+        if k > self.n:
+            raise SaddleError(f"data has {k} rows, the system {self.n}")
+        if self.dense:
+            return rows @ self._inv[:m, :k].T
+        rhs = np.zeros((self.n, len(rows)))
+        rhs[:k] = rows.T
+        return self.solve(rhs)[:m].T
 
 
 @dataclass

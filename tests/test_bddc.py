@@ -31,7 +31,7 @@ def make_setup(nx, levels, ratio, k=None, gamma=1.0, ny=None):
     coeff = (
         CoefficientField.constant(mesh, 1.0)
         if k is None
-        else CoefficientField.from_values(k)
+        else CoefficientField(k)
     )
     decomps = build_hierarchy(mesh, HierarchyConfig(levels, ratio, gamma))
     system = assemble_rt0(mesh, coeff, source="corner")
@@ -142,7 +142,11 @@ def test_coarse_system_is_galerkin_product(two_level_9x9):
         psi = grp.psi
         a_loc = np.asarray(grp.a_local)
         b_loc = np.asarray(grp.b_local)
-        p_psi = grp.basis_pressure
+        # basis pressures: a fresh solve on the constraint unit columns
+        m = grp.n_loc + grp.b_local.shape[0]
+        unit = np.zeros((grp.kkt.size, grp.n_faces))
+        unit[m + 1 :] = np.eye(grp.n_faces)
+        p_psi = Factorization(grp.kkt.matrix()).solve(unit)[grp.n_loc : m]
         for sub, f in zip(grp.subs, grp.face_ids):
             # flux block: basis energies plus divergence cross terms (which vanish)
             contrib = psi.T @ a_loc @ psi + psi.T @ b_loc.T @ p_psi + p_psi.T @ b_loc @ psi
@@ -381,7 +385,7 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
         for rhs_div in (None, div):
             u, p = interior_correction(level, r, rhs_div)
             for grp in level.interior_groups:
-                assert (grp.op_t is not None) == dense
+                assert grp.fact.dense == dense
                 m = grp.n_int + grp.n_cells
                 rhs = np.zeros((grp.kkt.size, len(grp.subs)))
                 rhs[: grp.n_int] = r[grp.idx_int].T
@@ -393,20 +397,25 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
         r_b = rng.standard_normal(level.system.n_flux)
         w = delta_correction(level, r_b)
         for grp, got in zip(level.delta_groups, w):
-            assert (grp.op_psi is not None) == dense
+            assert grp.fact.dense == dense
             rhs = np.zeros((grp.kkt.size, len(grp.subs)))
             rhs[: grp.n_loc] = (grp.w * r_b[grp.idx_loc]).T
             ref = Factorization(grp.kkt.matrix()).solve(rhs)[: grp.n_loc].T
             assert rel_err(got, ref) <= 1e-12
 
 
-def test_singular_local_kkt_rejected_at_build():
-    # zero mass on one subdomain leaves its interior KKT singular; the level
-    # build must reject it before any solution operator is formed from it
-    system, decomps, _ = make_setup(9, 2, 3)
+@pytest.mark.parametrize(
+    "nx, ratio, sub",
+    [(9, 3, 4), (32, 16, 3)],  # dense groups; 2 x 2 subdomains above DENSE_LIMIT
+    ids=["ratio3-dense", "ratio16-sparse"],
+)
+def test_singular_local_kkt_rejected_at_build(nx, ratio, sub):
+    # zero mass on one subdomain leaves its local KKTs singular; the level
+    # build must reject them before any solve
+    system, decomps, _ = make_setup(nx, 2, ratio)
     decomp = decomps[0]
     mass = system.elem_mass.copy()
-    mass[decomp.cells_by_sub[4]] = 0.0
+    mass[decomp.cells_by_sub[sub]] = 0.0
     weights = compute_weights(decomp, system.elem_k, 1.0)
     with pytest.raises(SingularMatrixError):
         build_level_bddc(dataclasses.replace(system, elem_mass=mass), decomp, weights)

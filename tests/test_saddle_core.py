@@ -168,6 +168,28 @@ def test_dimension_mismatch_rejected():
         fact.solve(np.ones(2))
 
 
+@pytest.mark.parametrize("nx, dense", [(3, True), (16, False)], ids=["dense", "sparse"])
+def test_solve_leading_matches_padded_solve(rng, nx, dense):
+    _, kkt = gauged_darcy_kkt(nx)
+    fact = kkt.factorization
+    assert fact.dense == dense
+    n, n_lead = kkt.size, kkt.n_flux + kkt.n_div
+    # (right-hand sides, data rows k, unknowns read back m)
+    for n_rhs, k, m in [(1, kkt.n_flux, kkt.n_flux), (4, n_lead, 7), (3, n, n), (2, 5, n_lead)]:
+        rows = rng.standard_normal((n_rhs, k))
+        rhs = np.zeros((n, n_rhs))
+        rhs[:k] = rows.T
+        ref = fact.solve(rhs)[:m].T
+        got = fact.solve_leading(rows, m)
+        assert got.shape == (n_rhs, m)
+        if dense:
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        else:
+            assert np.array_equal(got, ref)
+    with pytest.raises(SaddleError):
+        fact.solve_leading(np.ones((1, n + 1)), 1)
+
+
 def random_blocks(rng, gauge, constraints):
     n, m = 7, 3
     g = rng.standard_normal((n, n))
