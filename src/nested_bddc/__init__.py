@@ -16,7 +16,6 @@ from .hierarchy import (
     LevelDecomposition,
     build_hierarchy,
     compute_weights,
-    hierarchy_summary,
 )
 from .saddle_core import Factorization, KktSystem
 from .bddc import (

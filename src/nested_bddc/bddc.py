@@ -27,6 +27,17 @@ structure as the level below (one flux dof per face, one pressure per
 subdomain, divergence entries +-H), which is what makes the recursion in
 ``MultilevelPreconditioner.apply`` possible.
 
+Step 3 of the nested solve runs PCG on residuals whose interior flux rows
+lie in ``range(B_I^T)`` per subdomain: the step-2 interior solves leave
+``-A u*`` there, and the interior post-correction keeps every
+preconditioner output there.  For such a residual the interior
+pre-correction is ``u_int = 0`` and the gauged pressure with
+``B_I^T p = r_I``.  ``B`` carries no coefficient, so every subdomain of a
+level shares one ``B_I``, and one dense gradient inverse per level
+(``LevelBddc.grad_inv``) gives that pressure without a KKT solve; the
+step-3 entry ``MultilevelPreconditioner.apply_step3`` uses it on its start
+level.
+
 Subdomain solves within one level are independent (levels are inherently
 sequential); all scatter reductions run in a fixed order, so results are
 reproducible run to run.  Built components are immutable during apply.
@@ -37,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .hierarchy import (
@@ -54,6 +66,7 @@ __all__ = [
     "build_level_bddc",
     "assemble_coarse_problem",
     "interior_correction",
+    "gradient_pressure",
     "delta_correction",
     "average",
 ]
@@ -161,6 +174,24 @@ class LevelBddc:
     weights: AveragingWeights
     interior_groups: list[_InteriorGroup]
     delta_groups: list[_DeltaGroup]
+    grad_inv: np.ndarray  # (n_cells, n_int), shared by all subdomains (template order)
+
+
+def _gradient_inverse(b_int, gauge: np.ndarray) -> np.ndarray:
+    """``G`` with ``G @ B_I^T p = p`` for every ``p`` with ``gauge @ p = 0``.
+
+    ``G = (B_I B_I^T + c g g^T)^-1 B_I`` from one Cholesky factorization of
+    the cell Laplacian, whose null space (the constants) the rank-one gauge
+    term fills; ``c`` puts that term on the scale of the Laplacian's
+    diagonal.  The small inverse comes from the factor (``potri``), and
+    ``B_I``, with two entries per column, multiplies it as given.
+    """
+    lap = b_int @ b_int.T
+    lap = lap.toarray() if sp.issparse(lap) else lap
+    lap += np.trace(lap) / (len(gauge) * (gauge @ gauge)) * np.outer(gauge, gauge)
+    factor, lower = sla.cho_factor(lap, lower=True)
+    inv = sla.lapack.dpotri(factor, lower=lower)[0]  # lower triangle only
+    return (np.tril(inv) + np.tril(inv, -1).T) @ b_int
 
 
 def _unique_rows(a: np.ndarray):
@@ -209,12 +240,15 @@ def build_level_bddc(
         interior_groups.append(
             _InteriorGroup(kkt, subs, decomp.interior_by_sub[subs], decomp.cells_by_sub[subs])
         )
+    # B carries no coefficient: every interior group has the first one's B_I.
+    first = interior_groups[0].kkt
     return LevelBddc(
         system=system,
         decomp=decomp,
         weights=weights,
         interior_groups=interior_groups,
         delta_groups=delta_groups,
+        grad_inv=_gradient_inverse(first.b_block, first.gauge),
     )
 
 
@@ -248,6 +282,19 @@ def interior_correction(level: LevelBddc, r: np.ndarray, rhs_div=None):
         div_rows = None if rhs_div is None else rhs_div[grp.idx_cells]
         u[grp.idx_int], p[grp.idx_cells] = grp.solve(r[grp.idx_int], div_rows)
     return u, p
+
+
+def gradient_pressure(level: LevelBddc, r: np.ndarray) -> np.ndarray:
+    """Local gauged pressures whose gradients match the interior rows of ``r``.
+
+    Exact when each subdomain's interior rows of ``r`` lie in
+    ``range(B_I^T)``; then ``interior_correction(level, r)`` is
+    ``(0, gradient_pressure(level, r))`` up to round-off.
+    """
+    decomp = level.decomp
+    p = np.empty(level.system.n_pressure)
+    p[decomp.cells_by_sub] = r[decomp.interior_by_sub] @ level.grad_inv.T
+    return p
 
 
 def _delta_solve(level: LevelBddc, r_B: np.ndarray):
@@ -310,6 +357,18 @@ def inject_pressure(level: LevelBddc, p_coarse: np.ndarray) -> np.ndarray:
     return p
 
 
+def _interior_pre(level: LevelBddc, r: np.ndarray):
+    """Interior pre-correction of any residual, and the residual left over."""
+    u_int, p_int = interior_correction(level, r)
+    return u_int, p_int, r - level.system.A @ u_int - level.system.B.T @ p_int
+
+
+def _gradient_pre(level: LevelBddc, r: np.ndarray):
+    """The same for interior rows in ``range(B_I^T)``, where ``u_int = 0``."""
+    p_int = gradient_pressure(level, r)
+    return 0.0, p_int, r - level.system.B.T @ p_int
+
+
 @dataclass
 class MultilevelPreconditioner:
     """Stack of level components plus the exact top-level factorization.
@@ -319,6 +378,12 @@ class MultilevelPreconditioner:
     level to the top, solves the top coarse saddle problem exactly, and
     walks back up (averaging, interior post-correction, combination).  The
     output flux is divergence-free on the starting level.
+
+    ``apply_step3`` is the same map for the step-3 PCG residuals, whose
+    interior rows lie in ``range(B_I^T)``: there the start-level
+    pre-correction has ``u_int = 0``, and its pressure comes from the
+    level's gradient inverse instead of a KKT solve.  Coarser levels get
+    general residuals and keep the interior KKT solves.
     """
 
     levels: list[LevelBddc]
@@ -350,21 +415,36 @@ class MultilevelPreconditioner:
         return self.levels[level_number - 1].system
 
     def apply(self, r: np.ndarray, start_level: int = 1):
+        """Preconditioned (flux, pressure) for any flux residual ``r``."""
+        return self._apply(self._index(start_level), np.asarray(r, dtype=float), _interior_pre)
+
+    def apply_step3(self, r: np.ndarray, start_level: int):
+        """``apply`` for a flux residual of the step-3 PCG.
+
+        Premise: on the start level, each subdomain's interior rows of ``r``
+        lie in ``range(B_I^T)``.  The step-3 right-hand side ``-A u*`` has
+        that property after the step-2 interior solves, every output of
+        this map has it after the interior post-correction, and so, by
+        linearity, has every PCG residual.  On other inputs the result
+        differs from ``apply``.
+        """
+        return self._apply(self._index(start_level), np.asarray(r, dtype=float), _gradient_pre)
+
+    def _index(self, start_level: int) -> int:
         if not 1 <= start_level <= len(self.levels):
             raise BddcError(f"start level {start_level} out of range")
-        return self._apply(start_level - 1, np.asarray(r, dtype=float))
+        return start_level - 1
 
-    def _apply(self, idx: int, r: np.ndarray):
+    def _apply(self, idx: int, r: np.ndarray, pre):
         level = self.levels[idx]
         a_mat, b_mat = level.system.A, level.system.B
-        u_int, p_int = interior_correction(level, r)
-        r_b = r - a_mat @ u_int - b_mat.T @ p_int
+        u_int, p_int, r_b = pre(level, r)
         delta_out = _delta_solve(level, r_b)
         r_next = _restrict(level, delta_out)
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
         else:
-            u_next, p_next = self._apply(idx + 1, r_next)
+            u_next, p_next = self._apply(idx + 1, r_next, _interior_pre)
         u_b = _average(level, delta_out, u_next)
         p_0 = inject_pressure(level, p_next)
         v_int, q_int = interior_correction(level, a_mat @ u_b, b_mat @ u_b)

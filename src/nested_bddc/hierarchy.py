@@ -34,7 +34,6 @@ __all__ = [
     "build_hierarchy",
     "compute_weights",
     "coarsen_element_values",
-    "hierarchy_summary",
 ]
 
 
@@ -228,24 +227,3 @@ def coarsen_element_values(decomp: LevelDecomposition, values: np.ndarray) -> np
     """Per-subdomain representative values; NaN where children disagree."""
     v = np.asarray(values, dtype=float)[decomp.cells_by_sub]
     return np.where(np.all(v == v[:, :1], axis=1), v[:, 0], np.nan)
-
-
-def hierarchy_summary(decomps: list[LevelDecomposition]) -> str:
-    lines = []
-    for d in decomps:
-        lines.append(
-            "level {lvl}: grid {gx}x{gy}, subdomains {sx}x{sy} ({ns}), faces {nf}, "
-            "flux dofs {nu} (interface {ng}), pressure dofs {np_}".format(
-                lvl=d.level,
-                gx=d.grid.nx,
-                gy=d.grid.ny,
-                sx=d.sub_grid.nx,
-                sy=d.sub_grid.ny,
-                ns=d.n_sub,
-                nf=d.n_faces,
-                nu=d.grid.n_flux,
-                ng=len(d.partition.interface),
-                np_=d.grid.n_pressure,
-            )
-        )
-    return "\n".join(lines)

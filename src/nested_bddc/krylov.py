@@ -87,7 +87,6 @@ def pcg(
     maxit: int = 500,
     defect_fn=None,
     defect_tol: float = DEFECT_TOL,
-    callback=None,
 ):
     """PCG for a symmetric operator with an SPD preconditioner.
 
@@ -176,8 +175,6 @@ def pcg(
                 raise InvariantViolation(
                     f"divergence defect {defect:.3e} exceeded {defect_tol:.1e} at iteration {it}"
                 )
-        if callback is not None:
-            callback(it, x, r)
 
         z = np.asarray(preconditioner(r), dtype=float)
         rz_next = float(r @ z)

@@ -151,7 +151,12 @@ def step3_correction(
     """Divergence-free flux correction and pressure by PCG.
 
     Iterates on the full assembled level system; the preconditioner keeps
-    every flux iterate divergence-free, monitored each iteration.
+    every flux iterate divergence-free, monitored each iteration.  Since
+    ``u_star`` already holds the step-2 interior solves, the interior rows
+    of ``-A u_star`` lie in ``range(B_I^T)`` per subdomain, and so do those
+    of every PCG residual.  The preconditioner is therefore applied through
+    ``apply_step3``, whose start-level interior pre-correction is
+    ``u_int = 0`` plus a pressure from the level's gradient inverse.
     """
     system = precond.system_at(level_number)
     n_u = system.n_flux
@@ -162,7 +167,7 @@ def step3_correction(
         return np.concatenate([a_mat @ u + b_mat.T @ p, b_mat @ u])
 
     def preconditioner(x):
-        u, p = precond.apply(x[:n_u], start_level=level_number)
+        u, p = precond.apply_step3(x[:n_u], level_number)
         return np.concatenate([u, p])
 
     def defect(x):

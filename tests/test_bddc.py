@@ -12,6 +12,7 @@ from nested_bddc.bddc import (
     average,
     build_level_bddc,
     delta_correction,
+    gradient_pressure,
     interior_correction,
 )
 from nested_bddc.hierarchy import HierarchyConfig, build_hierarchy, compute_weights
@@ -402,6 +403,75 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
             rhs[: grp.n_loc] = (grp.w * r_b[grp.idx_loc]).T
             ref = Factorization(grp.kkt.matrix()).solve(rhs)[: grp.n_loc].T
             assert rel_err(got, ref) <= 1e-12
+
+
+def dense_block(b):
+    return b.toarray() if sp.issparse(b) else b
+
+
+# Step 3 runs on every start level of each spec; ratio 16 takes the sparse path.
+PREMISE_SPECS = {
+    **{
+        f"ratio{spec.ratio}-L{spec.levels}": spec
+        for preset, count in (("table1-ratio3", 3), ("table1-ratio4", 2), ("table1-ratio6", 1))
+        for spec in preset_specs(preset)[:count]
+    },
+    "fig3-left": preset_specs("fig3-left")[0],
+    "fig3-right": preset_specs("fig3-right")[0],
+    "ratio16-L2": preset_specs("table1-ratio16")[0],
+}
+
+
+@pytest.mark.parametrize("case", list(PREMISE_SPECS))
+def test_step3_residuals_match_general_apply(case, runs, monkeypatch):
+    # Every residual step 3 hands to the preconditioner has interior rows in
+    # range(B_I^T), so the gradient pre-correction of apply_step3 leaves no
+    # interior residual and its output equals the general apply.
+    solver = runs.solver(PREMISE_SPECS[case])
+    precond = solver.precond
+    step3 = MultilevelPreconditioner.apply_step3
+    recorded = []
+
+    def record(self, r, start_level):
+        out = step3(self, r, start_level)
+        recorded.append((np.array(r, copy=True), start_level, *out))
+        return out
+
+    monkeypatch.setattr(MultilevelPreconditioner, "apply_step3", record)
+    solver.solve()
+    monkeypatch.undo()
+    assert {rec[1] for rec in recorded} == set(range(1, len(precond.levels) + 1))
+    first = {}
+    for r, start, u, p in recorded:
+        u_ref, p_ref = precond.apply(r, start)
+        norms = first.setdefault(
+            start, (np.linalg.norm(r), np.linalg.norm(u_ref), np.linalg.norm(p_ref))
+        )
+        assert np.linalg.norm(u - u_ref) <= 1e-9 * norms[1]
+        assert np.linalg.norm(p - p_ref) <= 1e-9 * norms[2]
+        level = precond.levels[start - 1]
+        r_b = r - level.system.B.T @ gradient_pressure(level, r)
+        assert np.linalg.norm(r_b[level.decomp.interior_by_sub]) <= 1e-9 * norms[0]
+
+
+@pytest.mark.parametrize("case", ["fig3-right", "ratio16-sparse"])
+def test_interior_groups_share_divergence_block(case, runs, rng):
+    if case == "fig3-right":
+        precond = runs.solver(preset_specs("fig3-right")[0]).precond
+    else:
+        # 2 x 2 subdomains with one coefficient each: four sparse interior groups
+        k = np.kron([[1.0, 10.0], [100.0, 1000.0]], np.ones((16, 16))).ravel()
+        precond = make_setup(32, 2, 16, k=k)[2]
+    assert max(len(level.interior_groups) for level in precond.levels) > 1
+    for level in precond.levels:
+        b_int = dense_block(level.interior_groups[0].kkt.b_block)
+        for grp in level.interior_groups[1:]:
+            assert np.array_equal(dense_block(grp.kkt.b_block), b_int)
+        # the level's one gradient inverse recovers every gauged pressure
+        gauge = level.interior_groups[0].kkt.gauge
+        p = rng.standard_normal((len(gauge), 3))
+        p -= np.outer(gauge, gauge @ p) / (gauge @ gauge)
+        assert np.abs(level.grad_inv @ (b_int.T @ p) - p).max() <= 1e-12 * np.abs(p).max()
 
 
 @pytest.mark.parametrize(

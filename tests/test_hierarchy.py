@@ -11,7 +11,6 @@ from nested_bddc.hierarchy import (
     build_hierarchy,
     coarsen_element_values,
     compute_weights,
-    hierarchy_summary,
 )
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
 
@@ -175,15 +174,3 @@ def test_coarsen_element_values():
     children = [values[cells] for cells in d.cells_by_sub]
     ref = [v[0] if np.all(v == v[0]) else np.nan for v in children]
     assert np.array_equal(coarsen_element_values(d, values), ref, equal_nan=True)
-
-
-def test_hierarchy_summary_text():
-    mesh = build_mesh(27, 27)
-    decomps = build_hierarchy(mesh, HierarchyConfig(3, 3))
-    text = hierarchy_summary(decomps)
-    lines = text.splitlines()
-    assert len(lines) == 2
-    assert "subdomains 9x9 (81)" in lines[0]
-    assert "faces 144" in lines[0]
-    assert "interface 432" in lines[0]
-    assert "subdomains 3x3 (9)" in lines[1]

@@ -72,12 +72,10 @@ def test_monotone_energy_error(rng):
     b = rng.standard_normal(12)
     exact = np.linalg.solve(a, b)
     errors = []
-
-    def watch(it, x, r):
+    for k in range(1, len(b) + 1):
+        x, _ = pcg(matvec(a), lambda v: v.copy(), b, tol=1e-12, maxit=k)
         e = x - exact
         errors.append(e @ a @ e)
-
-    pcg(matvec(a), lambda v: v.copy(), b, tol=1e-12, callback=watch)
     assert all(e2 <= e1 * (1 + 1e-12) for e1, e2 in zip(errors, errors[1:]))
 
 
