@@ -51,11 +51,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .hierarchy import (
-    AveragingWeights,
-    LevelDecomposition,
-    coarsen_element_values,
-)
+from .hierarchy import AveragingWeights, LevelDecomposition, compute_weights
 from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, Rt0System, assemble_system, element_blocks
 from .saddle_core import DENSE_LIMIT, KktSystem
 
@@ -264,8 +260,7 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     for grp in level.delta_groups:
         slots = grp.face_slots
         elem_mass[grp.subs[:, None, None], slots[:, None], slots] = grp.coarse_elem
-    elem_k = coarsen_element_values(decomp, level.system.elem_k)
-    return assemble_system(decomp.sub_grid, elem_mass, elem_k)
+    return assemble_system(decomp.sub_grid, elem_mass)
 
 
 def interior_correction(level: LevelBddc, r: np.ndarray, rhs_div=None):
@@ -392,19 +387,15 @@ class MultilevelPreconditioner:
 
     @classmethod
     def build(cls, system: Rt0System, decomps, gamma: float) -> "MultilevelPreconditioner":
-        from .hierarchy import compute_weights
-
         levels = []
-        values = system.elem_k
         current = system
         for decomp in decomps:
             if decomp.grid.n_flux != current.n_flux:
                 raise BddcError("decomposition does not match the level system")
-            weights = compute_weights(decomp, values, gamma)
+            weights = compute_weights(decomp, current.elem_mass, gamma)
             level = build_level_bddc(current, decomp, weights)
             levels.append(level)
             current = assemble_coarse_problem(level)
-            values = current.elem_k
         top_kkt = KktSystem(current.A, current.B, gauge=current.areas)
         return cls(levels=levels, top_system=current, top_kkt=top_kkt)
 

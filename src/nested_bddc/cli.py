@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k2", type=float, default=None)
     solve.add_argument("--k3", type=float, default=None)
     solve.add_argument("--gamma", type=float, choices=(0.0, 1.0), default=None,
-                       help="averaging weight exponent (default 1)")
+                       help="interface weights: 0 equal halves, 1 face mass "
+                            "diagonals (default 1)")
     solve.add_argument("--tol", type=float, default=None, help="PCG relative tolerance (default 1e-6)")
     solve.add_argument("--out", default=None, help="output CSV path (default results.csv)")
     solve.add_argument("--preset", choices=PRESET_NAMES, default=None)

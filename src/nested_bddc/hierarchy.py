@@ -21,19 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import QuadMesh
+from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP, QuadMesh
 
 __all__ = [
     "HierarchyError",
     "WeightsError",
     "HierarchyConfig",
-    "DofPartition",
     "LevelDecomposition",
     "AveragingWeights",
     "build_level_decomposition",
     "build_hierarchy",
     "compute_weights",
-    "coarsen_element_values",
 ]
 
 
@@ -47,32 +45,16 @@ class WeightsError(ValueError):
 
 @dataclass(frozen=True)
 class HierarchyConfig:
-    """Number of levels, coarsening ratio per level, and scaling exponent.
-
-    ``gamma=0`` is multiplicity scaling (plain halves on interfaces),
-    ``gamma=1`` weighs by inverse coefficient (stiffness scaling for this
-    mass-matrix energy).
-    """
+    """Number of levels and the coarsening ratio shared by every level."""
 
     levels: int
     ratio: int
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.levels < 2:
             raise HierarchyError("at least two levels are required")
         if int(self.ratio) != self.ratio or self.ratio < 2:
             raise HierarchyError("coarsening ratio must be an integer >= 2")
-        if self.gamma not in (0, 1, 0.0, 1.0):
-            raise HierarchyError("scaling exponent must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class DofPartition:
-    interior: np.ndarray
-    interface: np.ndarray
-    n_primal_flux: int  # one per face
-    n_primal_pressure: int  # one per subdomain
 
 
 @dataclass
@@ -92,7 +74,6 @@ class LevelDecomposition:
     cells_by_sub: np.ndarray  # (n_sub, ratio**2), ascending per row
     interior_by_sub: np.ndarray  # (n_sub, 2 ratio (ratio - 1)), ascending per row
     faces_by_sub: np.ndarray  # (n_sub, 4) face ids by slot, -1 absent
-    partition: DofPartition
 
     @property
     def n_sub(self) -> int:
@@ -134,12 +115,6 @@ def build_level_decomposition(grid: QuadMesh, ratio: int, level: int) -> LevelDe
     h_faces = grid.horizontal_edge(col[:, None] * ratio + t, (line[:, None] + 1) * ratio)
     face_dofs = np.concatenate([v_faces, h_faces])
 
-    partition = DofPartition(
-        interior=np.sort(interior_by_sub.ravel()),
-        interface=np.sort(face_dofs.ravel()),
-        n_primal_flux=sub_grid.n_flux,
-        n_primal_pressure=sub_grid.n_cells,
-    )
     return LevelDecomposition(
         level=level,
         grid=grid,
@@ -149,7 +124,6 @@ def build_level_decomposition(grid: QuadMesh, ratio: int, level: int) -> LevelDe
         cells_by_sub=cells_by_sub,
         interior_by_sub=interior_by_sub,
         faces_by_sub=sub_grid.cell_dof_slots,
-        partition=partition,
     )
 
 
@@ -183,47 +157,37 @@ class AveragingWeights:
 
 
 def compute_weights(
-    decomp: LevelDecomposition, values: np.ndarray, gamma: float
+    decomp: LevelDecomposition, elem_mass: np.ndarray, gamma: float
 ) -> AveragingWeights:
-    """Averaging weights k_i^-gamma / (k_i^-gamma + k_j^-gamma) per interface dof.
+    """Averaging weights, one value per face and side.
 
-    ``values`` holds one coefficient per element of the decomposed grid.
-    With ``gamma != 0`` the element values adjacent to each face must be
-    well defined and constant along it; mixed or varying materials are
-    rejected because the subdomain weight would be ambiguous.
+    ``gamma=0`` gives both subdomain copies of a face the weight 1/2.
+    ``gamma=1`` gives the lower side ``D_lo / (D_lo + D_hi)``, where ``D_i``
+    sums side ``i``'s element mass diagonals at the face's dofs (the lower
+    cells' right/top slots, the higher cells' left/bottom slots).  The
+    level's ``elem_mass`` exists on every level and for every positive
+    coefficient, and a weight constant along a face keeps the face average
+    that the nested method passes between levels.  For a coefficient
+    constant on each side of a face this is ``k_lo^-1 / (k_lo^-1 + k_hi^-1)``.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (decomp.grid.n_cells,):
-        raise WeightsError("element values do not match the level grid")
+    if gamma not in (0, 1):
+        raise WeightsError(f"gamma must be 0 or 1, got {gamma!r}")
+    elem_mass = np.asarray(elem_mass, dtype=float)
+    grid = decomp.grid
+    if elem_mass.shape != (grid.n_cells, 4, 4):
+        raise WeightsError("element masses do not match the level grid")
 
-    n_flux = decomp.grid.n_flux
-    side_lo = np.ones(n_flux)
-    side_hi = np.zeros(n_flux)
+    side_lo = np.ones(grid.n_flux)
+    side_hi = np.zeros(grid.n_flux)
     face_dofs = decomp.face_dofs
-    if face_dofs.size:
-        if gamma == 0:
-            side_lo[face_dofs] = 0.5
-            side_hi[face_dofs] = 0.5
-        else:
-            k = values[decomp.grid.edge_sides[face_dofs]]  # (n_faces, ratio, 2)
-            if not np.all(np.isfinite(k)):
-                raise WeightsError(
-                    "coefficient varies inside an element adjacent to an interface; "
-                    "rho-scaling weights are ambiguous"
-                )
-            if np.any(np.ptp(k, axis=1) > 1e-12 * np.maximum(1.0, np.abs(k).max(axis=1))):
-                raise WeightsError(
-                    "coefficient varies along a face; rho-scaling weights are ambiguous"
-                )
-            a = k[..., 0] ** (-gamma)
-            b = k[..., 1] ** (-gamma)
-            e_lo = a / (a + b)
-            side_lo[face_dofs] = e_lo
-            side_hi[face_dofs] = 1.0 - e_lo  # exact partition of unity
+    if gamma == 0:
+        w_lo = np.full((len(face_dofs), 1), 0.5)
+    else:
+        vertical = face_dofs < grid.n_vertical
+        slots = np.where(vertical[..., None], (SLOT_RIGHT, SLOT_LEFT), (SLOT_TOP, SLOT_BOTTOM))
+        diag = np.diagonal(elem_mass, axis1=1, axis2=2)
+        d = diag[grid.edge_sides[face_dofs], slots].sum(axis=1)  # (n_faces, 2)
+        w_lo = (d[:, 0] / (d[:, 0] + d[:, 1]))[:, None]
+    side_lo[face_dofs] = w_lo
+    side_hi[face_dofs] = 1.0 - w_lo  # exact partition of unity
     return AveragingWeights(side_lo=side_lo, side_hi=side_hi)
-
-
-def coarsen_element_values(decomp: LevelDecomposition, values: np.ndarray) -> np.ndarray:
-    """Per-subdomain representative values; NaN where children disagree."""
-    v = np.asarray(values, dtype=float)[decomp.cells_by_sub]
-    return np.where(np.all(v == v[:, :1], axis=1), v[:, 0], np.nan)

@@ -235,14 +235,13 @@ class Rt0System:
     """Assembled mixed system: flux mass matrix A, divergence matrix B, rhs g.
 
     ``elem_mass`` keeps the per-cell contributions (slot-ordered 4x4 blocks)
-    so that subdomain Neumann matrices can be re-assembled locally, and
-    ``elem_k`` the per-cell coefficient (NaN where a coarse block mixes
-    materials).
+    so that subdomain Neumann matrices can be re-assembled locally; on a
+    coarse level they are the coarse basis energies.  Its diagonals also
+    give the interface averaging weights (``hierarchy.compute_weights``).
     """
 
     grid: QuadMesh
     elem_mass: np.ndarray
-    elem_k: np.ndarray
     A: sp.csr_matrix
     B: sp.csr_matrix
     g: np.ndarray
@@ -284,7 +283,6 @@ def element_blocks(slot_map: np.ndarray, elem_mass: np.ndarray, h: float, n_flux
 def assemble_system(
     grid: QuadMesh,
     elem_mass: np.ndarray,
-    elem_k: np.ndarray,
     g: np.ndarray | None = None,
 ) -> Rt0System:
     """Assemble A and B from per-cell contributions on ``grid``."""
@@ -293,8 +291,7 @@ def assemble_system(
         g = np.zeros(grid.n_cells)
     areas = np.full(grid.n_cells, grid.cell_area)
     return Rt0System(
-        grid, elem_mass, np.asarray(elem_k, dtype=float), mass.tocsr(), div.tocsr(),
-        np.asarray(g, dtype=float), areas,
+        grid, elem_mass, mass.tocsr(), div.tocsr(), np.asarray(g, dtype=float), areas
     )
 
 
@@ -312,7 +309,7 @@ def assemble_rt0(
         )
     elem_mass = REFERENCE_MASS[None, :, :] * (mesh.cell_area / k)[:, None, None]
     g = assemble_rhs(mesh, source) if source is not None else None
-    return assemble_system(mesh, elem_mass, k, g)
+    return assemble_system(mesh, elem_mass, g)
 
 
 def assemble_rhs(mesh: QuadMesh, source) -> np.ndarray:

@@ -188,8 +188,7 @@ class NestedSolver:
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         mesh, coeff = spec.build_problem()
-        config = HierarchyConfig(spec.levels, spec.ratio, spec.gamma)
-        self.decomps = build_hierarchy(mesh, config)
+        self.decomps = build_hierarchy(mesh, HierarchyConfig(spec.levels, spec.ratio))
         self.fine = assemble_rt0(mesh, coeff, source="corner")
         self.precond = MultilevelPreconditioner.build(self.fine, self.decomps, spec.gamma)
 
@@ -229,7 +228,7 @@ class NestedSolver:
                     M=n_levels - ell + 1,
                     nsub=level.decomp.n_sub,
                     n=level.system.n_dofs,
-                    n_gamma=len(level.decomp.partition.interface),
+                    n_gamma=level.decomp.face_dofs.size,
                     iter=report.iterations,
                     cond=report.cond_estimate,
                 )

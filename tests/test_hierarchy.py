@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nested_bddc.bddc import average, build_level_bddc
+from nested_bddc.bddc import MultilevelPreconditioner, average, build_level_bddc
 from nested_bddc.hierarchy import (
     HierarchyConfig,
     HierarchyError,
     WeightsError,
     build_hierarchy,
-    coarsen_element_values,
     compute_weights,
 )
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
+from nested_bddc.nested_driver import ExperimentSpec, preset_specs
+
+
+def elem_mass_of(mesh, values):
+    return assemble_rt0(mesh, CoefficientField(values)).elem_mass
 
 
 def test_config_validation():
@@ -20,8 +26,14 @@ def test_config_validation():
         HierarchyConfig(1, 3)
     with pytest.raises(HierarchyError):
         HierarchyConfig(2, 1)
-    with pytest.raises(HierarchyError):
-        HierarchyConfig(2, 3, 0.5)
+    # gamma is validated where the weights are computed
+    mesh = build_mesh(9, 9)
+    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
+    with pytest.raises(WeightsError):
+        compute_weights(d, elem_mass_of(mesh, np.ones(mesh.n_cells)), 0.5)
+    # weights come from the element masses, not from a per-cell coefficient
+    with pytest.raises(WeightsError):
+        compute_weights(d, np.ones(mesh.n_cells), 1.0)
 
 
 def test_two_level_counts_9x9():
@@ -31,11 +43,11 @@ def test_two_level_counts_9x9():
     d = decomps[0]
     assert d.n_sub == 9
     assert d.n_faces == 12
-    assert len(d.partition.interface) == 36
+    assert d.face_dofs.size == 36
     # closed forms on a uniform s x s arrangement of r x r subdomains
     s, r = 3, 3
     assert d.n_faces == 2 * (s - 1) * s
-    assert len(d.partition.interface) == 2 * (s - 1) * s * r
+    assert d.face_dofs.size == 2 * (s - 1) * s * r
     for sub in range(d.n_sub):
         assert len(d.interior_by_sub[sub]) == 2 * r * (r - 1)
         assert len(d.cells_by_sub[sub]) == r * r
@@ -55,8 +67,8 @@ def test_degenerate_single_subdomain():
     d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
     assert d.n_sub == 1
     assert d.n_faces == 0
-    assert len(d.partition.interface) == 0
-    assert len(d.partition.interior) == mesh.n_flux
+    assert d.face_dofs.size == 0
+    assert d.interior_by_sub.size == mesh.n_flux
 
 
 def test_indivisible_mesh_rejected():
@@ -67,17 +79,18 @@ def test_indivisible_mesh_rejected():
 def test_every_interface_dof_on_one_face_two_subs():
     mesh = build_mesh(12, 12)
     d = build_hierarchy(mesh, HierarchyConfig(2, 4))[0]
-    part = d.partition
+    interface = np.sort(d.face_dofs.ravel())
+    interior = np.sort(d.interior_by_sub.ravel())
     seen = np.zeros(mesh.n_flux, dtype=int)
     for (sub_lo, sub_hi), dofs in zip(d.sub_grid.edge_sides, d.face_dofs):
         assert sub_lo < sub_hi
         seen[dofs] += 1
-    assert np.all(seen[part.interface] == 1)
-    assert np.all(seen[part.interior] == 0)
-    assert part.n_primal_flux == d.n_faces
-    assert part.n_primal_pressure == d.n_sub
+    assert np.all(seen[interface] == 1)
+    assert np.all(seen[interior] == 0)
+    assert d.sub_grid.n_flux == d.n_faces
+    assert d.sub_grid.n_cells == d.n_sub
     # interior/interface partition is disjoint and complete
-    assert len(part.interior) + len(part.interface) == mesh.n_flux
+    assert len(interior) + len(interface) == mesh.n_flux
 
 
 def test_interface_nesting_across_levels():
@@ -86,8 +99,8 @@ def test_interface_nesting_across_levels():
     upper = decomps[1]
     lower = decomps[0]
     # level-2 interface dofs, expanded one level down, lie inside the level-1 interface
-    expanded = np.unique(lower.face_dofs[upper.partition.interface])
-    assert np.all(np.isin(expanded, lower.partition.interface))
+    expanded = np.unique(lower.face_dofs[np.sort(upper.face_dofs.ravel())])
+    assert np.all(np.isin(expanded, np.sort(lower.face_dofs.ravel())))
 
 
 def test_face_average_functional_examples():
@@ -108,11 +121,14 @@ def test_weights_unit_coefficient_all_half():
     mesh = build_mesh(9, 9)
     d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
     coeff = CoefficientField.constant(mesh, 1.0)
+    elem_mass = elem_mass_of(mesh, coeff.values)
+    iface = np.sort(d.face_dofs.ravel())
+    interior = np.sort(d.interior_by_sub.ravel())
     for gamma in (0.0, 1.0):
-        w = compute_weights(d, coeff.values, gamma)
-        assert np.all(w.side_lo[d.partition.interface] == 0.5)
-        assert np.all(w.side_hi[d.partition.interface] == 0.5)
-        assert np.all(w.side_lo[d.partition.interior] == 1.0)
+        w = compute_weights(d, elem_mass, gamma)
+        assert np.all(w.side_lo[iface] == 0.5)
+        assert np.all(w.side_hi[iface] == 0.5)
+        assert np.all(w.side_lo[interior] == 1.0)
 
 
 def test_weights_jump_formula():
@@ -120,12 +136,13 @@ def test_weights_jump_formula():
     mesh = build_mesh(6, 3)
     d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
     values = np.where(np.arange(mesh.n_cells) % 6 < 3, 100.0, 1.0)
-    w = compute_weights(d, values, 1.0)
-    iface = d.partition.interface
+    elem_mass = elem_mass_of(mesh, values)
+    w = compute_weights(d, elem_mass, 1.0)
+    iface = np.sort(d.face_dofs.ravel())
     assert np.allclose(w.side_lo[iface], (1 / 100) / (1 / 100 + 1.0))
     assert np.allclose(w.side_lo[iface], 1.0 / 101.0)
     # gamma = 0 ignores the jump
-    w0 = compute_weights(d, values, 0.0)
+    w0 = compute_weights(d, elem_mass, 0.0)
     assert np.all(w0.side_lo[iface] == 0.5)
 
 
@@ -137,40 +154,95 @@ def test_weights_partition_of_unity_exact(rng):
     values = np.empty(mesh.n_cells)
     for s, cells in enumerate(d.cells_by_sub):
         values[cells] = sub_vals[s]
-    w = compute_weights(d, values, 1.0)
+    w = compute_weights(d, elem_mass_of(mesh, values), 1.0)
     assert np.all(w.side_lo + w.side_hi == 1.0)
-
-
-def test_weights_reject_ambiguous_coefficients(rng):
-    mesh = build_mesh(9, 9)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
-    values = rng.uniform(0.5, 2.0, mesh.n_cells)
-    with pytest.raises(WeightsError):
-        compute_weights(d, values, 1.0)
-    # multiplicity scaling accepts anything
-    compute_weights(d, values, 0.0)
 
 
 def test_averaging_is_projection(rng):
     mesh = build_mesh(9, 9)
     d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
     coeff = CoefficientField.constant(mesh, 1.0)
-    level = build_level_bddc(assemble_rt0(mesh, coeff), d, compute_weights(d, coeff.values, 1.0))
+    system = assemble_rt0(mesh, coeff)
+    level = build_level_bddc(system, d, compute_weights(d, system.elem_mass, 1.0))
     v = rng.standard_normal(mesh.n_flux)
     copies = [v[grp.idx_loc] for grp in level.delta_groups]
     assert np.allclose(average(level, copies), v, atol=1e-14)
 
 
-def test_coarsen_element_values():
-    mesh = build_mesh(6, 6)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
-    values = np.ones(mesh.n_cells)
-    values[0] = 2.0  # mix inside subdomain 0
-    out = coarsen_element_values(d, values)
-    assert np.isnan(out[0])
-    assert np.all(out[1:] == 1.0)
-    # reference: the first child's value where all children agree, else NaN
-    values[d.cells_by_sub[2, 4]] = np.nan
-    children = [values[cells] for cells in d.cells_by_sub]
-    ref = [v[0] if np.all(v == v[0]) else np.nan for v in children]
-    assert np.array_equal(coarsen_element_values(d, values), ref, equal_nan=True)
+
+def rho_scaling_reference(decomps, k):
+    """Per-level ``k_lo^-1 / (k_lo^-1 + k_hi^-1)`` at every face dof.
+
+    ``k`` is coarsened to one value per subdomain, NaN where its cells
+    differ; an aligned field has finite values next to every face.
+    """
+    refs = []
+    for d in decomps:
+        kk = k[d.grid.edge_sides[d.face_dofs]]  # (n_faces, ratio, 2)
+        assert np.all(np.isfinite(kk))
+        a, b = 1.0 / kk[..., 0], 1.0 / kk[..., 1]
+        refs.append(a / (a + b))
+        children = k[d.cells_by_sub]
+        k = np.where(np.all(children == children[:, :1], axis=1), children[:, 0], np.nan)
+    return refs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *preset_specs("fig3-left"),
+        *preset_specs("fig3-right"),
+        ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=100.0, k3=0.01),
+    ],
+    ids=["fig3-left", "fig3-right", "jump-right-L5"],
+)
+def test_weights_match_rho_scaling_on_aligned_fields(runs, spec):
+    solver = runs.solver(spec)
+    _, coeff = spec.build_problem()
+    refs = rho_scaling_reference(solver.decomps, coeff.values)
+    for level, ref in zip(solver.precond.levels, refs):
+        w, faces = level.weights, level.decomp.face_dofs
+        assert np.abs(w.side_lo[faces] - ref).max() <= 1e-15
+        assert np.abs(w.side_hi[faces] - (1.0 - ref)).max() <= 1e-15
+
+
+def test_weights_face_diagonal_loop_reference():
+    # coarse level of a non-aligned field: full 4x4 basis-energy blocks
+    mesh = build_mesh(27, 27)
+    values = np.random.default_rng(7).lognormal(0.0, 1.0, mesh.n_cells)
+    system = assemble_rt0(mesh, CoefficientField(values))
+    decomps = build_hierarchy(mesh, HierarchyConfig(3, 3))
+    level = MultilevelPreconditioner.build(system, decomps, 1.0).levels[1]
+    grid, elem_mass = level.decomp.grid, level.system.elem_mass
+    for dofs in level.decomp.face_dofs:
+        diag = [0.0, 0.0]
+        for dof in dofs:
+            for side, cell in enumerate(grid.edge_sides[dof]):
+                slot = list(grid.cell_dof_slots[cell]).index(dof)
+                diag[side] += elem_mass[cell, slot, slot]
+        w_lo = diag[0] / (diag[0] + diag[1])
+        assert np.all(level.weights.side_lo[dofs] == w_lo)
+        assert np.all(level.weights.side_hi[dofs] == 1.0 - w_lo)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    ratio=st.integers(2, 3),
+    sx=st.integers(1, 3),
+    sy=st.integers(1, 3),
+    sigma=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weights_properties_on_random_fields(ratio, sx, sy, sigma, seed):
+    mesh = build_mesh(ratio * ratio * sx, ratio * ratio * sy)
+    values = np.random.default_rng(seed).lognormal(0.0, sigma, mesh.n_cells)
+    system = assemble_rt0(mesh, CoefficientField(values))
+    decomps = build_hierarchy(mesh, HierarchyConfig(3, ratio))
+    for level in MultilevelPreconditioner.build(system, decomps, 1.0).levels:
+        w, faces = level.weights, level.decomp.face_dofs
+        assert np.all(w.side_lo + w.side_hi == 1.0)
+        lo = w.side_lo[faces]
+        assert np.all((lo > 0.0) & (lo < 1.0))
+        assert np.all(lo == lo[:, :1])  # one value per face
+    with pytest.raises(WeightsError):
+        compute_weights(decomps[0], system.elem_mass, 0.5)

@@ -1,10 +1,13 @@
 """Outer nested algorithm: restriction, subdomain solves, PCG correction,
 oracle equivalence, table output."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import nested_bddc as nb
+from nested_bddc.mesh_fem import CoefficientField, build_mesh, divergence_defect
 from nested_bddc.nested_driver import (
     CSV_HEADER,
     ExperimentSpec,
@@ -18,7 +21,7 @@ from nested_bddc.nested_driver import (
 from nested_bddc.saddle_core import IncompatibleRhsError
 
 
-# Exact CSV text (header plus one row per downsweep level) of three presets.
+# Exact CSV text (header plus one row per downsweep level) of the presets.
 GOLDEN_CSV = {
     "table1-ratio3": """\
 L,level,M,nsub,n,n_gamma,iter,cond
@@ -32,6 +35,21 @@ L,level,M,nsub,n,n_gamma,iter,cond
 5,2,4,729,19521,4212,10,3.10
 5,3,3,81,2133,432,7,1.83
 5,4,2,9,225,36,3,1.14
+""",
+    "table1-ratio4": """\
+L,level,M,nsub,n,n_gamma,iter,cond
+2,1,2,16,736,96,6,1.94
+3,1,3,256,12160,1920,10,3.45
+3,2,2,16,736,96,5,1.73
+4,1,4,4096,196096,32256,14,6.63
+4,2,3,256,12160,1920,9,3.11
+4,3,2,16,736,96,5,1.72
+""",
+    "table1-ratio6": """\
+L,level,M,nsub,n,n_gamma,iter,cond
+2,1,2,36,3816,360,9,2.56
+3,1,3,1296,139536,15120,14,5.60
+3,2,2,36,3816,360,9,2.30
 """,
     "fig3-left": """\
 L,level,M,nsub,n,n_gamma,iter,cond
@@ -91,7 +109,7 @@ def test_step2_matches_divergence_data(runs, rng):
     f = solver.fine.g
     u_int, p_int = step2_subdomain_solve(level, u0, f)
     # interface values of the interior correction vanish by construction
-    assert np.allclose(u_int[level.decomp.partition.interface], 0.0)
+    assert np.allclose(u_int[np.sort(level.decomp.face_dofs.ravel())], 0.0)
     u_star = u0 + u_int
     # b(u*, q) = <f, q> for all mean-zero pressures (constants cancel when
     # u0 already matches the subdomain totals, which a random u0 does not;
@@ -197,7 +215,7 @@ def test_coefficient_scaling_invariants(runs):
 
 
 def test_unit_coefficient_scalings_agree(runs):
-    # with k = 1 multiplicity and stiffness scaling coincide exactly
+    # with k = 1 multiplicity and face-diagonal weights coincide exactly
     a = runs.result(ExperimentSpec(levels=2, ratio=3, gamma=0.0))
     b = runs.result(ExperimentSpec(levels=2, ratio=3, gamma=1.0))
     assert np.array_equal(a.flux, b.flux)
@@ -273,3 +291,43 @@ def test_spec_nx():
 def test_preset_csv_golden(runs, preset):
     rows = [row.csv() for spec in preset_specs(preset) for row in runs.result(spec).rows]
     assert "\n".join([CSV_HEADER, *rows]) + "\n" == GOLDEN_CSV[preset]
+
+
+@dataclass(frozen=True)
+class SeededFieldSpec(ExperimentSpec):
+    """Experiment on a seeded field that is not aligned with the hierarchy."""
+
+    field: str = "lognormal"
+
+    def build_problem(self):
+        mesh = build_mesh(self.nx, self.nx)
+        if self.field == "lognormal":
+            values = np.random.default_rng(5).lognormal(0.0, 1.0, mesh.n_cells)
+        else:  # period-2 checkerboard, contrast 100
+            c = np.arange(mesh.n_cells)
+            values = np.where((c % mesh.nx + c // mesh.nx) % 2, 100.0, 1.0)
+        return mesh, CoefficientField(values)
+
+
+@pytest.mark.parametrize("field", ["lognormal", "checkerboard"])
+def test_face_diagonal_weights_on_non_aligned_fields(runs, rng, field):
+    # gamma = 1 takes any positive field and needs no more finest-level
+    # iterations than multiplicity weights
+    spec = SeededFieldSpec(levels=4, ratio=3, gamma=1.0, field=field)
+    solver = runs.solver(spec)
+    result = runs.result(spec)
+    assert all(report.converged for report in result.reports)
+    assert max(max(report.div_defects) for report in result.reports) <= 1e-9
+    level = solver.precond.levels[0]
+    iface = np.sort(level.decomp.face_dofs.ravel())
+    worst = 0.0
+    for _ in range(20):
+        r = np.zeros(level.system.n_flux)
+        r[iface] = rng.standard_normal(len(iface))
+        worst = max(worst, divergence_defect(level.system, solver.precond.apply(r)[0]))
+    assert worst <= 1e-9
+    assert solver.fine.n_dofs == 19521
+    u_ref, _ = nb.oracle_direct_solve(solver.fine)
+    assert a_norm_rel_error(solver.fine, result.flux, u_ref) <= 1e-5
+    multiplicity = runs.result(SeededFieldSpec(levels=4, ratio=3, gamma=0.0, field=field))
+    assert result.rows[0].iter <= multiplicity.rows[0].iter
