@@ -14,11 +14,11 @@ pattern of their element matrices): each group assembles its blocks once,
 from its first member, holds one factorization, and keeps one row of index
 arrays and weights per member, so its solves run in batches.
 
-Every group factors its KKT at build, whatever its size, and solves
-through ``Factorization.solve_leading``: a group's data sits in the leading
-KKT rows (flux, then divergence) and only leading unknowns are read back.
-How that solve runs (a product with the explicit inverse up to
-``DENSE_LIMIT`` rows, SuperLU above) is decided in ``saddle_core`` alone.
+Every group holds one ``KktSystem``, factored when it is built, and
+solves through ``Factorization.solve_leading``: a group's data sits in the
+leading KKT rows (flux, then divergence) and only leading unknowns are read
+back.  The blocks are handed over in any format; how they are stored,
+assembled and solved, by size class, is decided in ``saddle_core`` alone.
 The Neumann mass and divergence blocks come from the same element scatter
 as the global matrices (``mesh_fem.element_blocks``), on local positions.
 
@@ -53,7 +53,7 @@ import scipy.sparse as sp
 
 from .hierarchy import AveragingWeights, LevelDecomposition, compute_weights
 from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, Rt0System, assemble_system, element_blocks
-from .saddle_core import DENSE_LIMIT, KktSystem
+from .saddle_core import KktSystem
 
 __all__ = [
     "BddcError",
@@ -81,7 +81,6 @@ class _InteriorGroup:
 
     def __init__(self, kkt: KktSystem, subs, idx_int, idx_cells):
         self.kkt = kkt
-        self.fact = kkt.factorization
         self.subs = subs
         self.idx_int = idx_int
         self.idx_cells = idx_cells
@@ -91,16 +90,17 @@ class _InteriorGroup:
     def solve(self, flux_rows, div_rows=None):
         """Interior flux and pressure rows for one row of data per subdomain."""
         rows = flux_rows if div_rows is None else np.hstack([flux_rows, div_rows])
-        out = self.fact.solve_leading(rows, self.n_int + self.n_cells)
+        out = self.kkt.factorization.solve_leading(rows, self.n_int + self.n_cells)
         return out[:, : self.n_int], out[:, self.n_int :]
 
 
 class _DeltaGroup:
     """Subdomains sharing one constrained-KKT factorization and basis.
 
-    Members share the Neumann blocks ``a_local``/``b_local``/``c_block`` in
-    the sorted local dof order; ``face_cols[k]`` are the local positions of
-    the dofs of the ``k``-th present face (slot ``face_slots[k]``).
+    Members share one constrained KKT, whose flux rows are the sorted local
+    dofs and whose last ``n_faces`` rows hold the face averages;
+    ``face_cols[k]`` are the local positions of the dofs of the ``k``-th
+    present face (slot ``face_slots[k]``).
     """
 
     def __init__(self, system, decomp, weights, subs):
@@ -120,45 +120,34 @@ class _DeltaGroup:
         high = np.zeros(self.n_loc, dtype=bool)
         high[self.face_cols[np.isin(self.face_slots, (SLOT_LEFT, SLOT_BOTTOM))]] = True
         self.w = np.where(high, weights.side_hi[self.idx_loc], weights.side_lo[self.idx_loc])
-        self.a_local, self.b_local, self.c_block = _neumann_blocks(
-            system, local, cells, self.face_cols
-        )
-        self.kkt = KktSystem(
-            self.a_local, self.b_local, gauge=system.areas[cells], c_block=self.c_block
-        )
-        self.fact = self.kkt.factorization
-        # Energy-minimal basis: one column per face, unit coarse dof each;
-        # the constraint rows follow the flux, divergence and gauge rows.
-        first_con = self.n_loc + len(cells) + 1
-        unit = np.eye(self.kkt.size, self.n_faces, -first_con)
-        self.psi = self.fact.solve(unit)[: self.n_loc]
-        a_psi = self.a_local @ self.psi
-        self.coarse_elem = np.asarray(self.psi.T @ a_psi)
+        mass, div, con = _neumann_blocks(system, local, cells, self.face_cols)
+        self.kkt = KktSystem(mass, div, gauge=system.areas[cells], c_block=con)
+        # Energy-minimal basis: one column per face, unit coarse dof each,
+        # from unit data in the constraint rows (the last n_faces rows).
+        size = self.kkt.size
+        unit = np.eye(size, self.n_faces, self.n_faces - size)
+        self.psi = self.kkt.factorization.solve(unit)[: self.n_loc]
+        self.coarse_elem = np.asarray(self.psi.T @ (self.kkt.a_block @ self.psi))
 
     def solve(self, weighted):
         """Dual corrections and restriction coefficients, one row per subdomain."""
-        return self.fact.solve_leading(weighted, self.n_loc), weighted @ self.psi
+        return self.kkt.factorization.solve_leading(weighted, self.n_loc), weighted @ self.psi
 
 
 def _neumann_blocks(system: Rt0System, local, cells, face_cols):
-    """Local mass, divergence and face-average blocks of one subdomain.
+    """Local mass, divergence and face-average blocks (COO) of one subdomain.
 
-    Rows and columns follow the sorted dof list ``local``.  The blocks are
-    dense arrays when the constrained KKT has at most ``DENSE_LIMIT`` rows,
-    CSR matrices above.
+    Rows and columns follow the sorted dof list ``local``.
     """
-    n_loc, n_cells = len(local), len(cells)
+    n_loc = len(local)
     n_faces, ratio = face_cols.shape
     cell_slots = system.grid.cell_dof_slots[cells]
     local_slots = np.where(cell_slots >= 0, np.searchsorted(local, cell_slots), -1)
-    blocks = list(element_blocks(local_slots, system.elem_mass[cells], system.grid.h, n_loc))
-    if n_faces:
-        crow = np.repeat(np.arange(n_faces), ratio)
-        cval = np.full(face_cols.size, 1.0 / ratio)
-        blocks.append(sp.coo_matrix((cval, (crow, face_cols.ravel())), shape=(n_faces, n_loc)))
-    dense = n_loc + n_cells + 1 + n_faces <= DENSE_LIMIT
-    blocks = [m.toarray() if dense else m.tocsr() for m in blocks]
-    return blocks[0], blocks[1], blocks[2] if n_faces else None
+    mass, div = element_blocks(local_slots, system.elem_mass[cells], system.grid.h, n_loc)
+    crow = np.repeat(np.arange(n_faces), ratio)
+    cval = np.full(face_cols.size, 1.0 / ratio)
+    con = sp.coo_matrix((cval, (crow, face_cols.ravel())), shape=(n_faces, n_loc))
+    return mass, div, con
 
 
 @dataclass
@@ -230,9 +219,8 @@ def build_level_bddc(
     for subs in _groups(classes):
         dgrp = delta_of[subs[0]]
         pos = np.searchsorted(dgrp.idx_loc[0], decomp.interior_by_sub[subs[0]])
-        kkt = KktSystem(
-            dgrp.a_local[np.ix_(pos, pos)], dgrp.b_local[:, pos], gauge=dgrp.kkt.gauge
-        )
+        a, b = dgrp.kkt.a_block, dgrp.kkt.b_block
+        kkt = KktSystem(a[np.ix_(pos, pos)], b[:, pos], gauge=dgrp.kkt.gauge)
         interior_groups.append(
             _InteriorGroup(kkt, subs, decomp.interior_by_sub[subs], decomp.cells_by_sub[subs])
         )
@@ -398,12 +386,6 @@ class MultilevelPreconditioner:
             current = assemble_coarse_problem(level)
         top_kkt = KktSystem(current.A, current.B, gauge=current.areas)
         return cls(levels=levels, top_system=current, top_kkt=top_kkt)
-
-    def system_at(self, level_number: int) -> Rt0System:
-        """Assembled system of the given level (1-based; top included)."""
-        if level_number == len(self.levels) + 1:
-            return self.top_system
-        return self.levels[level_number - 1].system
 
     def apply(self, r: np.ndarray, start_level: int = 1):
         """Preconditioned (flux, pressure) for any flux residual ``r``."""

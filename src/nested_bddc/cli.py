@@ -141,7 +141,9 @@ def _solve_command(args) -> int:
     for spec in specs:
         try:
             solver = NestedSolver(spec)
-        except (MeshError, CoefficientError, HierarchyError, WeightsError, DriverError) as exc:
+        except (
+            MeshError, CoefficientError, HierarchyError, WeightsError, DriverError, SaddleError
+        ) as exc:
             print(f"bddc: {spec.name()}: invalid setup: {exc}", file=sys.stderr)
             return EXIT_INVALID
         if args.dump_matrices:

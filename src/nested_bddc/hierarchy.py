@@ -66,10 +66,8 @@ class LevelDecomposition:
     dofs ``face_dofs[f]``.
     """
 
-    level: int
     grid: QuadMesh
     sub_grid: QuadMesh
-    ratio: int
     face_dofs: np.ndarray  # (n_faces, ratio)
     cells_by_sub: np.ndarray  # (n_sub, ratio**2), ascending per row
     interior_by_sub: np.ndarray  # (n_sub, 2 ratio (ratio - 1)), ascending per row
@@ -84,7 +82,7 @@ class LevelDecomposition:
         return len(self.face_dofs)
 
 
-def build_level_decomposition(grid: QuadMesh, ratio: int, level: int) -> LevelDecomposition:
+def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
     """Group the cells of ``grid`` into ratio x ratio subdomains."""
     if grid.nx % ratio or grid.ny % ratio:
         raise HierarchyError(
@@ -116,10 +114,8 @@ def build_level_decomposition(grid: QuadMesh, ratio: int, level: int) -> LevelDe
     face_dofs = np.concatenate([v_faces, h_faces])
 
     return LevelDecomposition(
-        level=level,
         grid=grid,
         sub_grid=sub_grid,
-        ratio=ratio,
         face_dofs=face_dofs,
         cells_by_sub=cells_by_sub,
         interior_by_sub=interior_by_sub,
@@ -136,8 +132,8 @@ def build_hierarchy(mesh: QuadMesh, config: HierarchyConfig) -> list[LevelDecomp
         )
     decomps = []
     grid = mesh
-    for level in range(1, config.levels):
-        decomp = build_level_decomposition(grid, config.ratio, level)
+    for _ in range(config.levels - 1):
+        decomp = build_level_decomposition(grid, config.ratio)
         decomps.append(decomp)
         grid = decomp.sub_grid
     return decomps

@@ -158,7 +158,7 @@ def step3_correction(
     ``apply_step3``, whose start-level interior pre-correction is
     ``u_int = 0`` plus a pressure from the level's gradient inverse.
     """
-    system = precond.system_at(level_number)
+    system = precond.levels[level_number - 1].system
     n_u = system.n_flux
     a_mat, b_mat = system.A, system.B
 

@@ -11,15 +11,17 @@ constraint multipliers lambda):
 
 The gauge column ``a`` (area weights) pins the pressure mean and absorbs the
 constant in the divergence rows, so the same assembly serves global solves,
-subdomain interior solves and the constrained coarse-basis problems.  It is
-assembled in the blocks' own format (dense array or CSR) and factored
-exactly.  ``Factorization`` is the one place that decides how a system is
-solved, by its size class: up to ``DENSE_LIMIT`` rows it forms the explicit
-inverse once, from a partial-pivoting LU and after the pivot check, and every
-solve is a matrix product; above, SuperLU solves.  ``solve_leading`` serves
-callers whose data sits in the leading rows and who read back only leading
-unknowns (the BDDC subdomain groups): one product with a corner of the
-inverse, or one zero-padded SuperLU solve.
+subdomain interior solves and the constrained coarse-basis problems.  This
+module alone decides by size class how such a system is stored, assembled
+and solved.  ``KktSystem`` takes its blocks in any format and keeps them as
+dense arrays up to ``DENSE_LIMIT`` rows of the whole system, as CSR above,
+and factors the system once, at construction.  ``Factorization`` applies the
+same rule: up to ``DENSE_LIMIT`` rows it forms the explicit inverse once,
+from a partial-pivoting LU and after the pivot check, and every solve is a
+matrix product; above, SuperLU solves.  ``solve_leading`` serves callers
+whose data sits in the leading rows and who read back only leading unknowns
+(the BDDC subdomain groups): one product with a corner of the inverse, or
+one zero-padded SuperLU solve.
 """
 
 from __future__ import annotations
@@ -120,64 +122,59 @@ class Factorization:
 
 @dataclass
 class KktSystem:
-    """Bordered saddle system with optional divergence/gauge/constraint blocks.
+    """Gauged saddle system, optionally bordered by constraint rows.
 
     ``a_block`` is n x n (SPD on the constraint nullspace), ``b_block`` holds
     the divergence rows (m x n), ``gauge`` the pressure area weights (length
-    m) and ``c_block`` extra constraint rows on the flux variables (c x n).
-    The blocks are all dense arrays or all sparse matrices.
+    m) and ``c_block`` extra constraint rows on the flux variables (c x n,
+    none by default).  The blocks may come as arrays or sparse matrices;
+    they are kept as dense arrays when the whole system has at most
+    ``DENSE_LIMIT`` rows (``dense``) and as CSR above, and the system is
+    factored at construction, so a singular one is rejected there.
     """
 
     a_block: object
-    b_block: object = None
-    gauge: np.ndarray = None
+    b_block: object
+    gauge: np.ndarray
     c_block: object = None
 
     def __post_init__(self):
         self.n_flux = self.a_block.shape[0]
-        self.n_div = self.b_block.shape[0] if self.b_block is not None else 0
-        if self.gauge is not None and self.n_div == 0:
-            raise SaddleError("a pressure gauge requires divergence rows")
-        self.n_gauge = 1 if self.gauge is not None else 0
-        self.n_con = self.c_block.shape[0] if self.c_block is not None else 0
-        self.size = self.n_flux + self.n_div + self.n_gauge + self.n_con
-        self._fact: Factorization | None = None
+        if self.c_block is None:
+            self.c_block = np.zeros((0, self.n_flux))
+        self.n_div, self.n_con = self.b_block.shape[0], self.c_block.shape[0]
+        self.size = self.n_flux + self.n_div + 1 + self.n_con
+        self.dense = self.size <= DENSE_LIMIT
+        blocks = (self.a_block, self.b_block, self.c_block)
+        if self.dense:
+            blocks = [m.toarray() if sp.issparse(m) else m for m in blocks]
+        else:
+            blocks = [sp.csr_matrix(m) for m in blocks]
+        self.a_block, self.b_block, self.c_block = blocks
+        self.factorization = Factorization(self.matrix())
 
     def matrix(self):
-        """The bordered matrix: a dense array from dense blocks, CSR from sparse ones."""
-        a, b, c = self.a_block, self.b_block, self.c_block
-        n, off_g = self.n_flux, self.n_flux + self.n_div
-        off_c = off_g + self.n_gauge
-        if sp.issparse(a):
-            g = None if self.gauge is None else self.gauge[None, :]
-            bt, gt, ct = (None if blk is None else blk.T for blk in (b, g, c))
+        """The bordered matrix, a dense array or CSR like the stored blocks."""
+        a, b, c, g = self.a_block, self.b_block, self.c_block, self.gauge
+        if not self.dense:
+            g = g[None, :]
             grid = [
-                [a, bt, None, ct],
-                [b, None, gt, None],
+                [a, b.T, None, c.T],
+                [b, None, g.T, None],
                 [None, g, None, None],
                 [c, None, None, None],
             ]
-            keep = [True, self.n_div > 0, self.n_gauge > 0, self.n_con > 0]
-            rows = [[blk for blk, k in zip(row, keep) if k] for row, k in zip(grid, keep) if k]
-            return sp.bmat(rows, format="csr")
+            return sp.bmat(grid, format="csr")
+        n, off_g = self.n_flux, self.n_flux + self.n_div
         out = np.zeros((self.size, self.size))
         out[:n, :n] = a
-        if self.n_div:
-            out[n:off_g, :n] = b
-            out[:n, n:off_g] = b.T
-        if self.n_gauge:
-            out[n:off_g, off_g] = self.gauge
-            out[off_g, n:off_g] = self.gauge
-        if self.n_con:
-            out[off_c:, :n] = c
-            out[:n, off_c:] = c.T
+        out[n:off_g, :n] = b
+        out[:n, n:off_g] = b.T
+        out[n:off_g, off_g] = g
+        out[off_g, n:off_g] = g
+        out[off_g + 1 :, :n] = c
+        out[:n, off_g + 1 :] = c.T
         return out
-
-    @property
-    def factorization(self) -> Factorization:
-        if self._fact is None:
-            self._fact = Factorization(self.matrix())
-        return self._fact
 
     def solve(self, rhs_flux=None, rhs_div=None):
         """``(flux, pressure, gauge multiplier)`` for flux and divergence data."""
@@ -188,4 +185,4 @@ class KktSystem:
         if rhs_div is not None:
             rhs[n:off_g] = rhs_div
         x = self.factorization.solve(rhs)
-        return x[:n], x[n:off_g], float(x[off_g]) if self.n_gauge else 0.0
+        return x[:n], x[n:off_g], float(x[off_g])

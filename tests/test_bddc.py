@@ -85,11 +85,11 @@ def test_coarse_basis_beats_constant_flux_competitor(two_level_9x9):
     grp, row = delta_member(level, 4)  # interior subdomain, all four faces present
     local_dofs = grp.idx_loc[row]
     assert len(grp.face_ids[row]) == 4
-    a_loc = np.asarray(grp.a_local)
+    a_loc = np.asarray(grp.kkt.a_block)
     combo = grp.psi[:, 0] + grp.psi[:, 1]
     for j, cols in enumerate(grp.face_cols):
         assert combo[cols].mean() == pytest.approx(1.0 if j < 2 else 0.0, abs=1e-12)
-    assert np.allclose(np.asarray(grp.b_local) @ combo, 0.0, atol=1e-11)
+    assert np.allclose(np.asarray(grp.kkt.b_block) @ combo, 0.0, atol=1e-11)
     constant = np.zeros(len(local_dofs))
     constant[local_dofs < level.system.grid.n_vertical] = 1.0
     assert combo @ a_loc @ combo < constant @ a_loc @ constant
@@ -99,13 +99,13 @@ def test_coarse_basis_energy_minimal(two_level_9x9, rng):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
     grp, _ = delta_member(level, 4)
-    a_loc = np.asarray(grp.a_local)
-    b_loc = np.asarray(grp.b_local)
-    c_blk = np.asarray(grp.c_block)
+    a_loc = np.asarray(grp.kkt.a_block)
+    b_loc = np.asarray(grp.kkt.b_block)
+    c_blk = np.asarray(grp.kkt.c_block)
     psi = grp.psi[:, 0]
     base = psi @ a_loc @ psi
     # feasible competitors: same face averages, divergence still cellwise constant
-    constraints = np.vstack([b_loc - grp.a_local.sum() * 0.0, c_blk])
+    constraints = np.vstack([b_loc - grp.kkt.a_block.sum() * 0.0, c_blk])
     # divergence rows modulo constants: project rhs of b_loc onto mean-zero
     areas = level.system.areas[level.decomp.cells_by_sub[4]]
     proj = np.eye(len(areas)) - np.outer(areas, areas) / (areas @ areas)
@@ -141,10 +141,10 @@ def test_coarse_system_is_galerkin_product(two_level_9x9):
     b_c = np.zeros((n_sub, n_faces))
     for grp in level.delta_groups:
         psi = grp.psi
-        a_loc = np.asarray(grp.a_local)
-        b_loc = np.asarray(grp.b_local)
+        a_loc = np.asarray(grp.kkt.a_block)
+        b_loc = np.asarray(grp.kkt.b_block)
         # basis pressures: a fresh solve on the constraint unit columns
-        m = grp.n_loc + grp.b_local.shape[0]
+        m = grp.n_loc + grp.kkt.b_block.shape[0]
         unit = np.zeros((grp.kkt.size, grp.n_faces))
         unit[m + 1 :] = np.eye(grp.n_faces)
         p_psi = Factorization(grp.kkt.matrix()).solve(unit)[grp.n_loc : m]
@@ -386,7 +386,7 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
         for rhs_div in (None, div):
             u, p = interior_correction(level, r, rhs_div)
             for grp in level.interior_groups:
-                assert grp.fact.dense == dense
+                assert grp.kkt.dense == dense
                 m = grp.n_int + grp.n_cells
                 rhs = np.zeros((grp.kkt.size, len(grp.subs)))
                 rhs[: grp.n_int] = r[grp.idx_int].T
@@ -398,7 +398,7 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
         r_b = rng.standard_normal(level.system.n_flux)
         w = delta_correction(level, r_b)
         for grp, got in zip(level.delta_groups, w):
-            assert grp.fact.dense == dense
+            assert grp.kkt.dense == dense
             rhs = np.zeros((grp.kkt.size, len(grp.subs)))
             rhs[: grp.n_loc] = (grp.w * r_b[grp.idx_loc]).T
             ref = Factorization(grp.kkt.matrix()).solve(rhs)[: grp.n_loc].T
@@ -508,8 +508,9 @@ def _bytes_key(*blocks) -> tuple:
 def reference_subdomain(system, decomp, weights, s):
     """One subdomain's local problem assembled from its own cells.
 
-    This is the per-subdomain assembly the level build replaced: dense
-    arrays up to DENSE_LIMIT rows of the constrained KKT, CSR above.
+    This is the per-subdomain assembly the level build replaced.  Each
+    KKT keeps its blocks as dense arrays up to DENSE_LIMIT rows of its own
+    system, CSR above.
     """
     grid = system.grid
     interior = decomp.interior_by_sub[s]
@@ -537,17 +538,17 @@ def reference_subdomain(system, decomp, weights, s):
     bval = np.broadcast_to(SLOT_SIGNS * grid.h, cell_slots.shape)[present]
     c_block = None
     if dense:
-        a_local = np.zeros((n_loc, n_loc))
-        np.add.at(a_local, (rows, cols), vals)
-        b_local = np.zeros((n_cells, n_loc))
-        b_local[brow, bcol] = bval
+        a_neu = np.zeros((n_loc, n_loc))
+        np.add.at(a_neu, (rows, cols), vals)
+        b_neu = np.zeros((n_cells, n_loc))
+        b_neu[brow, bcol] = bval
         if len(face_ids):
             c_block = np.zeros((len(face_ids), n_loc))
             for r, pos in enumerate(face_cols):
                 c_block[r, pos] = 1.0 / len(pos)
     else:
-        a_local = sp.coo_matrix((vals, (rows, cols)), shape=(n_loc, n_loc)).tocsr()
-        b_local = sp.coo_matrix((bval, (brow, bcol)), shape=(n_cells, n_loc)).tocsr()
+        a_neu = sp.coo_matrix((vals, (rows, cols)), shape=(n_loc, n_loc)).tocsr()
+        b_neu = sp.coo_matrix((bval, (brow, bcol)), shape=(n_cells, n_loc)).tocsr()
         if len(face_ids):
             cr = np.concatenate([np.full(len(p), r) for r, p in enumerate(face_cols)])
             cc = np.concatenate(face_cols)
@@ -555,12 +556,12 @@ def reference_subdomain(system, decomp, weights, s):
             c_block = sp.coo_matrix((cv, (cr, cc)), shape=(len(face_ids), n_loc)).tocsr()
 
     int_pos = np.searchsorted(local, interior)
-    if dense:
-        a_int = a_local[np.ix_(int_pos, int_pos)]
-        b_int = b_local[:, int_pos]
+    if len(int_pos) + n_cells + 1 <= DENSE_LIMIT:
+        a_int = dense_block(a_neu)[np.ix_(int_pos, int_pos)]
+        b_int = dense_block(b_neu)[:, int_pos]
     else:
-        a_int = a_local[int_pos][:, int_pos]
-        b_int = b_local[:, int_pos].tocsr()
+        a_int = a_neu[int_pos][:, int_pos]
+        b_int = b_neu[:, int_pos].tocsr()
 
     w = np.ones(n_loc)
     for f, pos in zip(face_ids, face_cols):
@@ -574,9 +575,9 @@ def reference_subdomain(system, decomp, weights, s):
         "face_ids": face_ids,
         "w": w,
         "interior_key": _bytes_key(a_int, b_int, gauge),
-        "delta_key": (face_slots,) + _bytes_key(a_local, b_local, gauge, c_block),
+        "delta_key": (face_slots,) + _bytes_key(a_neu, b_neu, gauge, c_block),
         "interior_blocks": (a_int, b_int),
-        "delta_blocks": (a_local, b_local, c_block),
+        "delta_blocks": (a_neu, b_neu, c_block),
     }
 
 
@@ -616,7 +617,7 @@ def test_groups_match_per_subdomain_reference(case, runs):
         )
         # every member's own blocks equal its group's, bit for bit
         for grp in level.delta_groups:
-            blocks = _bytes_key(grp.a_local, grp.b_local, grp.c_block)
+            blocks = _bytes_key(grp.kkt.a_block, grp.kkt.b_block, grp.kkt.c_block)
             for row, s in enumerate(grp.subs):
                 ref = refs[s]
                 assert _bytes_key(*ref["delta_blocks"]) == blocks

@@ -41,6 +41,18 @@ def test_invalid_arguments_exit_2(tmp_path):
     assert code == 2
 
 
+def test_singular_setup_exit_2(tmp_path, capsys):
+    # contrast 1e16 leaves a local KKT numerically singular at build
+    out = tmp_path / "r.csv"
+    code = run_cli(
+        ["solve", "--preset", "fig3-right", "--k1", "1e8", "--k3", "1e-8", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid setup" in err and "singular" in err
+    assert not out.exists()
+
+
 def test_nonconvergence_exit_3(tmp_path):
     # an unreachable tolerance stagnates at the round-off floor
     code = run_cli(["solve", "--levels", "2", "--ratio", "3", "--tol", "1e-30",

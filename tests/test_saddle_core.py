@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nested_bddc import saddle_core
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
 from nested_bddc.saddle_core import (
     Factorization,
@@ -23,7 +24,7 @@ def gauged_darcy_kkt(nx, source="corner"):
 def constraint_rhs(kkt, target):
     """Packed right-hand side with ``target`` in the constraint rows."""
     rhs = np.zeros(kkt.size)
-    rhs[kkt.n_flux + kkt.n_div + kkt.n_gauge :] = target
+    rhs[kkt.n_flux + kkt.n_div + 1 :] = target
     return rhs
 
 
@@ -41,7 +42,7 @@ def test_permutation_indefinite_solve():
 
 def test_darcy_gauged_solve_matches_dense_oracle():
     system, kkt = gauged_darcy_kkt(3)
-    dense = kkt.matrix().toarray()
+    dense = kkt.matrix()
     rhs = np.zeros(kkt.size)
     rhs[system.n_flux : system.n_flux + system.n_pressure] = system.g
     expected = np.linalg.solve(dense, rhs)
@@ -57,14 +58,14 @@ def test_singular_matrix_detected():
     # pure saddle system without a gauge row is singular
     mesh = build_mesh(2, 2)
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
-    kkt = KktSystem(system.A, system.B)
     with pytest.raises(SingularMatrixError):
-        kkt.factorization
+        Factorization(sp.bmat([[system.A, system.B.T], [system.B, None]]))
 
 
 def test_minimal_norm_under_sum_constraint():
-    # minimize 0.5*|u|^2 subject to u1 + u2 = 2  ->  (1, 1)
-    kkt = KktSystem(np.eye(2), c_block=np.array([[1.0, 1.0]]))
+    # minimize 0.5*|u|^2 subject to u1 + u2 = 2  ->  (1, 1); the gauge
+    # multiplier absorbs the divergence row, which leaves the flux free
+    kkt = KktSystem(np.eye(2), np.ones((1, 2)), gauge=np.ones(1), c_block=np.array([[1.0, 1.0]]))
     flux = kkt.factorization.solve(constraint_rhs(kkt, np.array([2.0])))[: kkt.n_flux]
     assert np.allclose(flux, [1.0, 1.0])
 
@@ -82,7 +83,8 @@ def test_energy_minimality_random_feasible_perturbations(rng):
     m = rng.standard_normal((n, n))
     a = m @ m.T + n * np.eye(n)
     c = rng.standard_normal((3, n))
-    kkt = KktSystem(a, c_block=c)
+    # the gauge multiplier absorbs the divergence row, which leaves the flux free
+    kkt = KktSystem(a, np.ones((1, n)), gauge=np.ones(1), c_block=c)
     target = rng.standard_normal(3)
     flux = kkt.factorization.solve(constraint_rhs(kkt, target))[: kkt.n_flux]
     base = flux @ a @ flux
@@ -190,29 +192,36 @@ def test_solve_leading_matches_padded_solve(rng, nx, dense):
         fact.solve_leading(np.ones((1, n + 1)), 1)
 
 
-def random_blocks(rng, gauge, constraints):
+def random_blocks(rng, constraints):
     n, m = 7, 3
     g = rng.standard_normal((n, n))
     a = g @ g.T
-    blocks = dict(a_block=(a + a.T) / 2 + n * np.eye(n))
-    if gauge:
-        blocks.update(b_block=rng.standard_normal((m, n)), gauge=rng.uniform(0.5, 1.0, m))
+    blocks = dict(
+        a_block=(a + a.T) / 2 + n * np.eye(n),
+        b_block=rng.standard_normal((m, n)),
+        gauge=rng.uniform(0.5, 1.0, m),
+    )
     if constraints:
         blocks["c_block"] = rng.standard_normal((2, n))
     return blocks
 
 
-@pytest.mark.parametrize(
-    "gauge, constraints",
-    [(True, False), (True, True), (False, True)],
-    ids=["gauge", "gauge+constraints", "constraints"],
-)
-def test_dense_assembly_matches_sparse(rng, gauge, constraints):
-    blocks = random_blocks(rng, gauge, constraints)
-    dense = KktSystem(**blocks).matrix()
+@pytest.mark.parametrize("constraints", [False, True], ids=["gauge", "gauge+constraints"])
+def test_dense_assembly_matches_sparse(rng, monkeypatch, constraints):
+    blocks = random_blocks(rng, constraints)
     as_csr = {k: v if k == "gauge" else sp.csr_matrix(v) for k, v in blocks.items()}
-    sparse = KktSystem(**as_csr).matrix()
+    # blocks in either format give the same dense system below DENSE_LIMIT
+    kkt = KktSystem(**blocks)
+    dense = kkt.matrix()
     assert isinstance(dense, np.ndarray)
-    assert sp.issparse(sparse)
-    assert np.array_equal(dense, sparse.toarray())
+    assert np.array_equal(dense, KktSystem(**as_csr).matrix())
     assert np.array_equal(dense, dense.T)
+    assert kkt.dense == kkt.factorization.dense
+    # and the same CSR system above it
+    monkeypatch.setattr(saddle_core, "DENSE_LIMIT", 0)
+    for given in (blocks, as_csr):
+        kkt = KktSystem(**given)
+        sparse = kkt.matrix()
+        assert sp.issparse(sparse) and sparse.format == "csr"
+        assert np.array_equal(dense, sparse.toarray())
+        assert kkt.dense == kkt.factorization.dense
