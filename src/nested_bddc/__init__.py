@@ -11,8 +11,6 @@ from .mesh_fem import (
     divergence_defect,
 )
 from .hierarchy import (
-    AveragingWeights,
-    HierarchyConfig,
     LevelDecomposition,
     build_hierarchy,
     compute_weights,
@@ -21,7 +19,6 @@ from .saddle_core import Factorization, KktSystem
 from .bddc import (
     MultilevelPreconditioner,
     assemble_coarse_problem,
-    delta_correction,
     interior_correction,
 )
 from .krylov import PcgReport, lanczos_condition, pcg

@@ -12,7 +12,14 @@ matrices of its cells and, for the constrained KKT, by which of its four
 faces exist.  Subdomains are grouped by that key (cells compared by the bit
 pattern of their element matrices): each group assembles its blocks once,
 from its first member, holds one factorization, and keeps one row of index
-arrays and weights per member, so its solves run in batches.
+arrays and weights per member, so its solves run in batches.  A level's
+face weights (``hierarchy.compute_weights``) live only in those weight
+rows.
+
+``MultilevelPreconditioner.build`` owns the level list: it makes the
+decompositions from the fine grid, and each level's system is the coarse
+problem of the level below, so decompositions and systems match by
+construction.
 
 Every group holds one ``KktSystem``, factored when it is built, and
 solves through ``Factorization.solve_leading``: a group's data sits in the
@@ -51,7 +58,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .hierarchy import AveragingWeights, LevelDecomposition, compute_weights
+from .hierarchy import LevelDecomposition, build_hierarchy, compute_weights
 from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, Rt0System, assemble_system, element_blocks
 from .saddle_core import KktSystem
 
@@ -63,7 +70,6 @@ __all__ = [
     "assemble_coarse_problem",
     "interior_correction",
     "gradient_pressure",
-    "delta_correction",
     "average",
 ]
 
@@ -100,10 +106,13 @@ class _DeltaGroup:
     Members share one constrained KKT, whose flux rows are the sorted local
     dofs and whose last ``n_faces`` rows hold the face averages;
     ``face_cols[k]`` are the local positions of the dofs of the ``k``-th
-    present face (slot ``face_slots[k]``).
+    present face (slot ``face_slots[k]``).  ``w`` holds one row of weights
+    per member: 1 on interior dofs, the face weight ``w_lo`` where the
+    member is a face's lower subdomain and ``1 - w_lo`` where it is the
+    higher one.
     """
 
-    def __init__(self, system, decomp, weights, subs):
+    def __init__(self, system, decomp, w_lo, subs):
         self.subs = subs
         first = subs[0]
         self.face_slots = np.flatnonzero(decomp.faces_by_sub[first] >= 0)
@@ -116,10 +125,11 @@ class _DeltaGroup:
         self.n_loc = len(local)
         self.face_cols = np.searchsorted(local, decomp.face_dofs[self.face_ids[0]])
         # A face's normal points into the members on their left and bottom
-        # faces: there they are the higher subdomain and take its weights.
-        high = np.zeros(self.n_loc, dtype=bool)
-        high[self.face_cols[np.isin(self.face_slots, (SLOT_LEFT, SLOT_BOTTOM))]] = True
-        self.w = np.where(high, weights.side_hi[self.idx_loc], weights.side_lo[self.idx_loc])
+        # faces: there they are the higher subdomain and take its weight.
+        w_face = w_lo[self.face_ids]
+        high = np.isin(self.face_slots, (SLOT_LEFT, SLOT_BOTTOM))
+        self.w = np.ones((len(subs), self.n_loc))
+        self.w[:, self.face_cols] = np.where(high, 1.0 - w_face, w_face)[:, :, None]
         mass, div, con = _neumann_blocks(system, local, cells, self.face_cols)
         self.kkt = KktSystem(mass, div, gauge=system.areas[cells], c_block=con)
         # Energy-minimal basis: one column per face, unit coarse dof each,
@@ -156,7 +166,6 @@ class LevelBddc:
 
     system: Rt0System
     decomp: LevelDecomposition
-    weights: AveragingWeights
     interior_groups: list[_InteriorGroup]
     delta_groups: list[_DeltaGroup]
     grad_inv: np.ndarray  # (n_cells, n_int), shared by all subdomains (template order)
@@ -194,9 +203,7 @@ def _groups(keys: np.ndarray) -> list[np.ndarray]:
     return np.split(members, np.cumsum(np.bincount(label))[:-1])
 
 
-def build_level_bddc(
-    system: Rt0System, decomp: LevelDecomposition, weights: AveragingWeights
-) -> LevelBddc:
+def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float) -> LevelBddc:
     """Group the subdomains of a level and build each group's solvers once.
 
     A subdomain's local problems are fixed by its cells' element matrices
@@ -207,9 +214,10 @@ def build_level_bddc(
     cell_class = _unique_rows(system.elem_mass.reshape(system.grid.n_cells, -1))[2]
     classes = cell_class[decomp.cells_by_sub]
     present = decomp.faces_by_sub >= 0
+    w_lo = compute_weights(decomp, system.elem_mass, gamma)
 
     delta_groups = [
-        _DeltaGroup(system, decomp, weights, subs)
+        _DeltaGroup(system, decomp, w_lo, subs)
         for subs in _groups(np.hstack([present, classes]))
     ]
     # An interior group's first member is the first member of its delta
@@ -229,7 +237,6 @@ def build_level_bddc(
     return LevelBddc(
         system=system,
         decomp=decomp,
-        weights=weights,
         interior_groups=interior_groups,
         delta_groups=delta_groups,
         grad_inv=_gradient_inverse(first.b_block, first.gauge),
@@ -280,33 +287,11 @@ def gradient_pressure(level: LevelBddc, r: np.ndarray) -> np.ndarray:
     return p
 
 
-def _delta_solve(level: LevelBddc, r_B: np.ndarray):
-    """Constrained subdomain solves against the weighted residual.
-
-    One ``(group, dual corrections, restriction coefficients)`` per group.
-    """
-    return [(grp, *grp.solve(grp.w * r_B[grp.idx_loc])) for grp in level.delta_groups]
-
-
-def delta_correction(level: LevelBddc, r_B: np.ndarray) -> list[np.ndarray]:
-    """Substructure corrections with vanishing face averages.
-
-    One array per delta group with one row of local values per member.
-    """
-    return [w_delta for _, w_delta, _ in _delta_solve(level, r_B)]
-
-
 def _scatter_add(n: int, pairs) -> np.ndarray:
     """Length-n vector summing each (indices, values) pair, in the order given."""
     idx = np.concatenate([i.ravel() for i, _ in pairs])
     vals = np.concatenate([v.ravel() for _, v in pairs])
     return np.bincount(idx, vals, minlength=n)
-
-
-def _restrict(level: LevelBddc, delta_out) -> np.ndarray:
-    return _scatter_add(
-        level.decomp.n_faces, [(grp.face_ids, coeffs) for grp, _, coeffs in delta_out]
-    )
 
 
 def average(level: LevelBddc, rows_per_group) -> np.ndarray:
@@ -318,13 +303,6 @@ def average(level: LevelBddc, rows_per_group) -> np.ndarray:
     return _scatter_add(
         level.system.n_flux,
         [(grp.idx_loc, grp.w * rows) for grp, rows in zip(level.delta_groups, rows_per_group)],
-    )
-
-
-def _average(level: LevelBddc, delta_out, u_next: np.ndarray) -> np.ndarray:
-    return average(
-        level,
-        [w_delta + u_next[grp.face_ids] @ grp.psi.T for grp, w_delta, _ in delta_out],
     )
 
 
@@ -370,22 +348,18 @@ class MultilevelPreconditioner:
     """
 
     levels: list[LevelBddc]
-    top_system: Rt0System
     top_kkt: KktSystem
 
     @classmethod
-    def build(cls, system: Rt0System, decomps, gamma: float) -> "MultilevelPreconditioner":
+    def build(
+        cls, system: Rt0System, n_levels: int, ratio: int, gamma: float
+    ) -> "MultilevelPreconditioner":
+        """Levels 1..L-1 of the fine ``system``, each on the coarse problem below."""
         levels = []
-        current = system
-        for decomp in decomps:
-            if decomp.grid.n_flux != current.n_flux:
-                raise BddcError("decomposition does not match the level system")
-            weights = compute_weights(decomp, current.elem_mass, gamma)
-            level = build_level_bddc(current, decomp, weights)
-            levels.append(level)
-            current = assemble_coarse_problem(level)
-        top_kkt = KktSystem(current.A, current.B, gauge=current.areas)
-        return cls(levels=levels, top_system=current, top_kkt=top_kkt)
+        for decomp in build_hierarchy(system.grid, n_levels, ratio):
+            levels.append(build_level_bddc(system, decomp, gamma))
+            system = assemble_coarse_problem(levels[-1])
+        return cls(levels=levels, top_kkt=KktSystem(system.A, system.B, gauge=system.areas))
 
     def apply(self, r: np.ndarray, start_level: int = 1):
         """Preconditioned (flux, pressure) for any flux residual ``r``."""
@@ -412,13 +386,19 @@ class MultilevelPreconditioner:
         level = self.levels[idx]
         a_mat, b_mat = level.system.A, level.system.B
         u_int, p_int, r_b = pre(level, r)
-        delta_out = _delta_solve(level, r_b)
-        r_next = _restrict(level, delta_out)
+        # Per delta group: dual corrections with vanishing face averages and
+        # restriction coefficients, one row per member.
+        delta_out = [(grp, *grp.solve(grp.w * r_b[grp.idx_loc])) for grp in level.delta_groups]
+        r_next = _scatter_add(
+            level.decomp.n_faces, [(grp.face_ids, coeffs) for grp, _, coeffs in delta_out]
+        )
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
         else:
             u_next, p_next = self._apply(idx + 1, r_next, _interior_pre)
-        u_b = _average(level, delta_out, u_next)
+        u_b = average(
+            level, [w_delta + u_next[grp.face_ids] @ grp.psi.T for grp, w_delta, _ in delta_out]
+        )
         p_0 = inject_pressure(level, p_next)
         v_int, q_int = interior_correction(level, a_mat @ u_b, b_mat @ u_b)
         return u_int + u_b - v_int, p_int + p_0 - q_int

@@ -1,7 +1,8 @@
 """Command line front end: ``bddc solve`` writes per-level iteration CSV.
 
-Exit codes: 0 success, 2 invalid arguments or problem setup, 3 PCG
-non-convergence, 4 verification failure with ``--verify``.
+Exit codes: 0 success, 2 invalid arguments, problem setup or an
+unwritable output path, 3 PCG non-convergence, 4 verification failure with
+``--verify``.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ def _specs_from_args(args) -> list[ExperimentSpec]:
     return [ExperimentSpec(**{"levels": 2, "ratio": 3, **given})]
 
 
+def _cannot_write(exc: OSError) -> int:
+    print(f"bddc: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _solve_command(args) -> int:
     try:
         specs = _specs_from_args(args)
@@ -147,7 +153,10 @@ def _solve_command(args) -> int:
             print(f"bddc: {spec.name()}: invalid setup: {exc}", file=sys.stderr)
             return EXIT_INVALID
         if args.dump_matrices:
-            dump_matrix_market(solver.fine, args.dump_matrices)
+            try:
+                dump_matrix_market(solver.fine, args.dump_matrices)
+            except OSError as exc:
+                return _cannot_write(exc)
         try:
             result = solver.solve()
         except PcgNonConvergence as exc:
@@ -193,11 +202,14 @@ def _solve_command(args) -> int:
                     )
                     return EXIT_VERIFY_FAILED
 
-    out_path.write_text("\n".join(rows_text) + "\n")
-    print(f"bddc: wrote {out_path}")
-    if args.dump_history:
-        history_path.write_text("\n".join(history_text) + "\n")
-        print(f"bddc: wrote {history_path}")
+    try:
+        out_path.write_text("\n".join(rows_text) + "\n")
+        print(f"bddc: wrote {out_path}")
+        if args.dump_history:
+            history_path.write_text("\n".join(history_text) + "\n")
+            print(f"bddc: wrote {history_path}")
+    except OSError as exc:
+        return _cannot_write(exc)
     return exit_code
 
 

@@ -1,4 +1,4 @@
-"""Nested substructure hierarchy: index arrays per level and averaging weights.
+"""Nested substructure hierarchy: index arrays per level and face weights.
 
 Each decomposition level groups the current grid's cells into square
 ratio x ratio subdomains.  The only interface entities are faces (no
@@ -12,7 +12,9 @@ subdomain, which is the global +x/+y edge orientation, so all dof signs are
 
 On the uniform grid every per-subdomain index set is one template shifted
 by the subdomain's corner, so a level is a handful of integer arrays with
-one row per subdomain or face, built by broadcasting and reshapes.
+one row per subdomain or face, built by broadcasting and reshapes.  The
+interface weights are one value per face, the weight of its lower copy;
+the higher copy takes the rest.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP, QuadMesh
 __all__ = [
     "HierarchyError",
     "WeightsError",
-    "HierarchyConfig",
     "LevelDecomposition",
-    "AveragingWeights",
     "build_level_decomposition",
     "build_hierarchy",
     "compute_weights",
@@ -41,20 +41,6 @@ class HierarchyError(ValueError):
 
 class WeightsError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class HierarchyConfig:
-    """Number of levels and the coarsening ratio shared by every level."""
-
-    levels: int
-    ratio: int
-
-    def __post_init__(self):
-        if self.levels < 2:
-            raise HierarchyError("at least two levels are required")
-        if int(self.ratio) != self.ratio or self.ratio < 2:
-            raise HierarchyError("coarsening ratio must be an integer >= 2")
 
 
 @dataclass
@@ -123,41 +109,34 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
     )
 
 
-def build_hierarchy(mesh: QuadMesh, config: HierarchyConfig) -> list[LevelDecomposition]:
+def build_hierarchy(mesh: QuadMesh, levels: int, ratio: int) -> list[LevelDecomposition]:
     """Decompositions for levels 1..L-1; each sub grid is the next level's grid."""
-    total = config.ratio ** (config.levels - 1)
+    if levels < 2:
+        raise HierarchyError("at least two levels are required")
+    if int(ratio) != ratio or ratio < 2:
+        raise HierarchyError("coarsening ratio must be an integer >= 2")
+    total = ratio ** (levels - 1)
     if mesh.nx % total or mesh.ny % total:
         raise HierarchyError(
-            f"mesh {mesh.nx}x{mesh.ny} is not divisible by ratio^{config.levels - 1} = {total}"
+            f"mesh {mesh.nx}x{mesh.ny} is not divisible by ratio^{levels - 1} = {total}"
         )
     decomps = []
     grid = mesh
-    for _ in range(config.levels - 1):
-        decomp = build_level_decomposition(grid, config.ratio)
+    for _ in range(levels - 1):
+        decomp = build_level_decomposition(grid, ratio)
         decomps.append(decomp)
         grid = decomp.sub_grid
     return decomps
 
 
-@dataclass
-class AveragingWeights:
-    """Interface weights of the two subdomain copies; interior dofs weigh 1.
-
-    ``side_lo``/``side_hi`` hold, for every flux dof of the level, the weight
-    of the lower/higher subdomain copy (1 and 0 on interior dofs so the sum
-    is a partition of unity everywhere by construction).
-    """
-
-    side_lo: np.ndarray
-    side_hi: np.ndarray
-
-
 def compute_weights(
     decomp: LevelDecomposition, elem_mass: np.ndarray, gamma: float
-) -> AveragingWeights:
-    """Averaging weights, one value per face and side.
+) -> np.ndarray:
+    """Weight ``w_lo`` of the lower subdomain copy, one value per face.
 
-    ``gamma=0`` gives both subdomain copies of a face the weight 1/2.
+    The higher copy weighs ``1 - w_lo``, so the two copies of every face
+    dof sum to one; interior dofs have one copy of weight 1.
+    ``gamma=0`` gives both copies of a face the weight 1/2.
     ``gamma=1`` gives the lower side ``D_lo / (D_lo + D_hi)``, where ``D_i``
     sums side ``i``'s element mass diagonals at the face's dofs (the lower
     cells' right/top slots, the higher cells' left/bottom slots).  The
@@ -173,17 +152,11 @@ def compute_weights(
     if elem_mass.shape != (grid.n_cells, 4, 4):
         raise WeightsError("element masses do not match the level grid")
 
-    side_lo = np.ones(grid.n_flux)
-    side_hi = np.zeros(grid.n_flux)
-    face_dofs = decomp.face_dofs
     if gamma == 0:
-        w_lo = np.full((len(face_dofs), 1), 0.5)
-    else:
-        vertical = face_dofs < grid.n_vertical
-        slots = np.where(vertical[..., None], (SLOT_RIGHT, SLOT_LEFT), (SLOT_TOP, SLOT_BOTTOM))
-        diag = np.diagonal(elem_mass, axis1=1, axis2=2)
-        d = diag[grid.edge_sides[face_dofs], slots].sum(axis=1)  # (n_faces, 2)
-        w_lo = (d[:, 0] / (d[:, 0] + d[:, 1]))[:, None]
-    side_lo[face_dofs] = w_lo
-    side_hi[face_dofs] = 1.0 - w_lo  # exact partition of unity
-    return AveragingWeights(side_lo=side_lo, side_hi=side_hi)
+        return np.full(decomp.n_faces, 0.5)
+    face_dofs = decomp.face_dofs
+    vertical = face_dofs < grid.n_vertical
+    slots = np.where(vertical[..., None], (SLOT_RIGHT, SLOT_LEFT), (SLOT_TOP, SLOT_BOTTOM))
+    diag = np.diagonal(elem_mass, axis1=1, axis2=2)
+    d = diag[grid.edge_sides[face_dofs], slots].sum(axis=1)  # (n_faces, 2)
+    return d[:, 0] / (d[:, 0] + d[:, 1])

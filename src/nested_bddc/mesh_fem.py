@@ -361,6 +361,9 @@ def dump_matrix_market(system: Rt0System, prefix: str) -> tuple[str, str]:
 
     a_path = f"{prefix}A.mtx"
     b_path = f"{prefix}B.mtx"
-    mmwrite(a_path, system.A.tocoo())
-    mmwrite(b_path, system.B.tocoo())
+    # Through an open file: mmwrite given a path in a missing directory
+    # may neither write nor raise.
+    for path, matrix in ((a_path, system.A), (b_path, system.B)):
+        with open(path, "wb") as fh:
+            mmwrite(fh, matrix.tocoo())
     return a_path, b_path

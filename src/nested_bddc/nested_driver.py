@@ -1,16 +1,20 @@
 """End-to-end nested solver: upsweep of coarse problems, downsweep of solves.
 
 The upsweep builds the hierarchy of coarse saddle problems (they all share
-the quad-grid mixed structure) and restricts the source through the levels.
-The top problem is solved exactly; sweeping back down, each level runs the
-three-step solve: subdomain interior solves that match the divergence data,
-then a divergence-free PCG correction with the multilevel preconditioner of
-all coarser levels.  Only the finest pressure is kept, gauged to zero mean.
+the quad-grid mixed structure) once, in ``MultilevelPreconditioner.build``,
+and the solve reuses its levels in every step: the source is restricted
+through their decompositions, and the top problem is solved exactly.
+Sweeping back down, each level prolongs the flux of the level above and
+runs the three-step solve: subdomain interior solves that match the
+divergence data, then a divergence-free PCG correction with the multilevel
+preconditioner of all coarser levels.  Only the finest pressure is kept,
+gauged to zero mean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .bddc import (
     interior_correction,
     prolong_average,
 )
-from .hierarchy import HierarchyConfig, LevelDecomposition, build_hierarchy
+from .hierarchy import LevelDecomposition
 from .krylov import PcgReport, pcg
 from .mesh_fem import (
     CoefficientField,
@@ -76,6 +80,12 @@ class ExperimentSpec:
     maxit: int = 500
     base: int = 0  # top-grid cells per side; defaults to ratio
     label: str = ""
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DriverError(f"PCG tolerance must be finite and > 0, got {self.tol!r}")
+        if not isinstance(self.maxit, int) or self.maxit < 1:
+            raise DriverError(f"PCG iteration limit must be an integer >= 1, got {self.maxit!r}")
 
     @property
     def nx(self) -> int:
@@ -188,9 +198,10 @@ class NestedSolver:
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         mesh, coeff = spec.build_problem()
-        self.decomps = build_hierarchy(mesh, HierarchyConfig(spec.levels, spec.ratio))
         self.fine = assemble_rt0(mesh, coeff, source="corner")
-        self.precond = MultilevelPreconditioner.build(self.fine, self.decomps, spec.gamma)
+        self.precond = MultilevelPreconditioner.build(
+            self.fine, spec.levels, spec.ratio, spec.gamma
+        )
 
     def solve(self) -> NestedResult:
         spec = self.spec
@@ -205,16 +216,14 @@ class NestedSolver:
         for level in levels:
             f_chain.append(step1_coarse_rhs(level.decomp, f_chain[-1]))
 
-        # Exact top solve; hand the flux down as coarse dof values.
-        u_top, _, _ = precond.top_kkt.solve(rhs_div=f_chain[-1])
-        u0 = prolong_average(levels[-1], u_top)
+        # Exact top solve; each level takes the flux above as coarse dof values.
+        u_level, _, _ = precond.top_kkt.solve(rhs_div=f_chain[-1])
 
         rows: list[ResultRow] = []
         reports: list[PcgReport] = []
-        u_level = None
-        p_level = None
         for ell in range(n_levels - 1, 0, -1):
             level = levels[ell - 1]
+            u0 = prolong_average(level, u_level)
             u_int, _ = step2_subdomain_solve(level, u0, f_chain[ell - 1])
             u_star = u0 + u_int
             u_corr, p_level, report = step3_correction(
@@ -234,8 +243,6 @@ class NestedSolver:
                 )
             )
             reports.append(report)
-            if ell > 1:
-                u0 = prolong_average(levels[ell - 2], u_level)
 
         areas = self.fine.areas
         p_level = p_level - areas @ p_level / areas.sum()
@@ -258,20 +265,22 @@ def oracle_direct_solve(system: Rt0System, rtol: float = 1e-10):
     return flux, pressure
 
 
-def _table_block(ratio, levels, **kw):
-    return [ExperimentSpec(levels=lvl, ratio=ratio, **kw) for lvl in levels]
-
-
 _PRESETS = {
-    "table1-ratio3": lambda kw: _table_block(3, (2, 3, 4, 5), **kw),
-    "table1-ratio4": lambda kw: _table_block(4, (2, 3, 4), **kw),
-    "table1-ratio6": lambda kw: _table_block(6, (2, 3), **kw),
-    "table1-ratio8": lambda kw: _table_block(8, (2, 3), **kw),
-    "table1-ratio16": lambda kw: _table_block(16, (2,), **kw),
-    "table1-ratio32": lambda kw: _table_block(32, (2,), **kw),
+    "table1-ratio3": [ExperimentSpec(levels=n, ratio=3) for n in (2, 3, 4, 5)],
+    "table1-ratio4": [ExperimentSpec(levels=n, ratio=4) for n in (2, 3, 4)],
+    "table1-ratio6": [ExperimentSpec(levels=n, ratio=6) for n in (2, 3)],
+    "table1-ratio8": [ExperimentSpec(levels=n, ratio=8) for n in (2, 3)],
+    "table1-ratio16": [ExperimentSpec(levels=2, ratio=16)],
+    "table1-ratio32": [ExperimentSpec(levels=2, ratio=32)],
+    "fig3-left": [
+        ExperimentSpec(levels=4, ratio=3, coeff="jump-left", k1=100.0, k3=0.01, label="fig3-left")
+    ],
+    "fig3-right": [
+        ExperimentSpec(levels=4, ratio=3, coeff="jump-right", k1=100.0, k3=0.01, label="fig3-right")
+    ],
 }
 
-PRESET_NAMES = tuple(sorted(_PRESETS)) + ("fig3-left", "fig3-right")
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_specs(name, k1=None, k2=None, k3=None, gamma=None, tol=None) -> list[ExperimentSpec]:
@@ -281,27 +290,8 @@ def preset_specs(name, k1=None, k2=None, k3=None, gamma=None, tol=None) -> list[
     run the four-level ratio-3 hierarchy with defaults k1=100, k2=1,
     k3=0.01.  Explicit arguments override the defaults.
     """
-    kw = {}
-    if gamma is not None:
-        kw["gamma"] = gamma
-    if tol is not None:
-        kw["tol"] = tol
-    if name in _PRESETS:
-        if any(v is not None for v in (k1, k2, k3)):
-            kw.update({k: v for k, v in (("k1", k1), ("k2", k2), ("k3", k3)) if v is not None})
-        return _PRESETS[name](kw)
-    if name in ("fig3-left", "fig3-right"):
-        kw.setdefault("gamma", 1.0)
-        return [
-            ExperimentSpec(
-                levels=4,
-                ratio=3,
-                coeff="jump-" + name.removeprefix("fig3-"),
-                k1=100.0 if k1 is None else k1,
-                k2=1.0 if k2 is None else k2,
-                k3=0.01 if k3 is None else k3,
-                label=name,
-                **kw,
-            )
-        ]
-    raise DriverError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise DriverError(f"unknown preset {name!r}")
+    given = dict(k1=k1, k2=k2, k3=k3, gamma=gamma, tol=tol)
+    overrides = {key: value for key, value in given.items() if value is not None}
+    return [replace(spec, **overrides) for spec in _PRESETS[name]]

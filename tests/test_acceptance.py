@@ -201,9 +201,10 @@ def test_criterion_8_property_suite(runs, rng):
     spec = ExperimentSpec(levels=4, ratio=3, coeff="jump-left", k1=100.0, k3=0.01, label="fig3-left")
     solver = runs.solver(spec)
     for level in solver.precond.levels:
-        w = level.weights
-        # partition of unity holds exactly, not approximately
-        assert np.all(w.side_lo + w.side_hi == 1.0)
+        # partition of unity holds exactly, not approximately, on the
+        # weights the apply uses
+        ones = [np.ones(grp.idx_loc.shape) for grp in level.delta_groups]
+        assert np.all(average(level, ones) == 1.0)
         # averaging reproduces continuous vectors
         v = rng.standard_normal(level.system.n_flux)
         copies = [v[grp.idx_loc] for grp in level.delta_groups]
@@ -215,7 +216,7 @@ def test_criterion_8_property_suite(runs, rng):
 
     # source restriction preserves compatibility level by level
     f = solver.fine.g
-    for decomp in solver.decomps:
+    for decomp in [level.decomp for level in solver.precond.levels]:
         coarse = step1_coarse_rhs(decomp, f)
         assert coarse.sum() == pytest.approx(f.sum(), abs=1e-12)
         f = coarse

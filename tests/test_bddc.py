@@ -9,13 +9,13 @@ import scipy.sparse as sp
 import nested_bddc as nb
 from nested_bddc.bddc import (
     MultilevelPreconditioner,
+    assemble_coarse_problem,
     average,
     build_level_bddc,
-    delta_correction,
     gradient_pressure,
     interior_correction,
 )
-from nested_bddc.hierarchy import HierarchyConfig, build_hierarchy, compute_weights
+from nested_bddc.hierarchy import compute_weights
 from nested_bddc.mesh_fem import (
     SLOT_SIGNS,
     CoefficientField,
@@ -34,15 +34,19 @@ def make_setup(nx, levels, ratio, k=None, gamma=1.0, ny=None):
         if k is None
         else CoefficientField(k)
     )
-    decomps = build_hierarchy(mesh, HierarchyConfig(levels, ratio))
     system = assemble_rt0(mesh, coeff, source="corner")
-    precond = MultilevelPreconditioner.build(system, decomps, gamma)
-    return system, decomps, precond
+    precond = MultilevelPreconditioner.build(system, levels, ratio, gamma)
+    return system, [level.decomp for level in precond.levels], precond
 
 
 @pytest.fixture(scope="module")
 def two_level_9x9():
     return make_setup(9, 2, 3)
+
+
+def delta_correction(level, r_b):
+    """Dual corrections of the weighted residual, one array of member rows per delta group."""
+    return [grp.solve(grp.w * r_b[grp.idx_loc])[0] for grp in level.delta_groups]
 
 
 def delta_member(level, sub):
@@ -119,7 +123,7 @@ def test_coarse_basis_energy_minimal(two_level_9x9, rng):
 
 def test_coarse_problem_dimensions(two_level_9x9):
     _, _, precond = two_level_9x9
-    coarse = precond.top_system
+    coarse = assemble_coarse_problem(precond.levels[-1])
     assert coarse.n_flux == 12
     assert coarse.n_pressure == 9
 
@@ -127,14 +131,15 @@ def test_coarse_problem_dimensions(two_level_9x9):
 def test_coarse_of_coarse_dimensions():
     _, decomps, precond = make_setup(27, 3, 3)
     assert precond.levels[1].system.n_flux == decomps[0].n_faces
-    assert precond.top_system.n_flux == decomps[1].n_faces
-    assert precond.top_system.n_pressure == decomps[1].n_sub
+    top = assemble_coarse_problem(precond.levels[-1])
+    assert top.n_flux == decomps[1].n_faces
+    assert top.n_pressure == decomps[1].n_sub
 
 
 def test_coarse_system_is_galerkin_product(two_level_9x9):
     system, _, precond = two_level_9x9
     level = precond.levels[0]
-    coarse = precond.top_system
+    coarse = assemble_coarse_problem(precond.levels[-1])
     n_faces = level.decomp.n_faces
     n_sub = level.decomp.n_sub
     a_c = np.zeros((n_faces, n_faces))
@@ -250,7 +255,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
     alpha = rng.standard_normal(level.decomp.n_faces)
     copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.delta_groups]
     averaged = average(level, copies)
-    coarse_b = precond.top_system.B.toarray()
+    coarse_b = assemble_coarse_problem(precond.levels[-1]).B.toarray()
     for sub, cells in enumerate(cells_by_sub):
         broken = coarse_b[sub] @ alpha
         total = (b_dense[cells] @ averaged).sum()
@@ -344,9 +349,8 @@ def test_jump_coefficients_shrink_weights():
     vals = np.where(np.arange(nx * nx) // nx < 3, k, 1.0)
     system, decomps, precond = make_setup(nx, 2, 3, k=vals)
     level = precond.levels[0]
-    w = level.weights
-    iface = np.sort(level.decomp.face_dofs.ravel())
-    values = np.unique(np.round(w.side_lo[iface], 12))
+    w_lo = compute_weights(level.decomp, system.elem_mass, 1.0)
+    values = np.unique(np.round(w_lo, 12))
     assert set(values) <= {np.round(1 / (1 + k), 12), 0.5, np.round(k / (1 + k), 12)}
 
 
@@ -354,7 +358,8 @@ def test_jump_coefficients_shrink_weights():
 def test_build_determinism(nx, ny):
     s1, _, p1 = make_setup(nx, 3, 3, ny=ny)
     s2, _, p2 = make_setup(nx, 3, 3, ny=ny)
-    assert p1.top_system.A.data.tobytes() == p2.top_system.A.data.tobytes()
+    a1, a2 = (assemble_coarse_problem(p.levels[-1]).A for p in (p1, p2))
+    assert a1.data.tobytes() == a2.data.tobytes()
     r = np.arange(s1.n_flux, dtype=float)
     u1, q1 = p1.apply(r)
     u2, q2 = p2.apply(r)
@@ -486,9 +491,8 @@ def test_singular_local_kkt_rejected_at_build(nx, ratio, sub):
     decomp = decomps[0]
     mass = system.elem_mass.copy()
     mass[decomp.cells_by_sub[sub]] = 0.0
-    weights = compute_weights(decomp, system.elem_mass, 1.0)
     with pytest.raises(SingularMatrixError):
-        build_level_bddc(dataclasses.replace(system, elem_mass=mass), decomp, weights)
+        build_level_bddc(dataclasses.replace(system, elem_mass=mass), decomp, 1.0)
 
 
 def _bytes_key(*blocks) -> tuple:
@@ -505,7 +509,7 @@ def _bytes_key(*blocks) -> tuple:
     return tuple(key)
 
 
-def reference_subdomain(system, decomp, weights, s):
+def reference_subdomain(system, decomp, w_lo, s):
     """One subdomain's local problem assembled from its own cells.
 
     This is the per-subdomain assembly the level build replaced.  Each
@@ -566,8 +570,7 @@ def reference_subdomain(system, decomp, weights, s):
     w = np.ones(n_loc)
     for f, pos in zip(face_ids, face_cols):
         sub_lo = decomp.sub_grid.edge_sides[f, 0]
-        side = weights.side_lo if s == sub_lo else weights.side_hi
-        w[pos] = side[decomp.face_dofs[f]]
+        w[pos] = w_lo[f] if s == sub_lo else 1.0 - w_lo[f]
 
     gauge = system.areas[cells]
     return {
@@ -604,8 +607,9 @@ def test_groups_match_per_subdomain_reference(case, runs):
         }[case]
         precond = runs.solver(spec).precond
     for level in precond.levels:
+        w_lo = compute_weights(level.decomp, level.system.elem_mass, 1.0)
         refs = [
-            reference_subdomain(level.system, level.decomp, level.weights, s)
+            reference_subdomain(level.system, level.decomp, w_lo, s)
             for s in range(level.decomp.n_sub)
         ]
         # grouping by each member's own assembled blocks: same members, same order

@@ -102,6 +102,37 @@ def test_dump_matrices_rejects_multiple_experiments(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--dump-matrices", "--out"])
+def test_unwritable_output_exit_2(tmp_path, capsys, flag):
+    # a path in a missing directory is reported, not written silently or
+    # raised as a traceback
+    missing = str(tmp_path / "missing" / "x")
+    args = ["solve", "--levels", "2", "--ratio", "3", "--out", str(tmp_path / "r.csv")]
+    code = run_cli(args + [flag, missing])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"bddc: cannot write {missing}")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "preset"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_invalid_tolerance_exit_2(tmp_path, capsys, source, tol):
+    out = tmp_path / "r.csv"
+    args = ["solve", "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tol = {tol}\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += [f"--tol={tol}"] + (["--preset", "fig3-left"] if source == "preset" else [])
+    code = run_cli(args)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "tolerance" in err[0]
+    assert not out.exists()
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("levels = 3\nratio = 3\ntol = 1e-6  # comment\n")

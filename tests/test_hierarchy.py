@@ -1,4 +1,4 @@
-"""Decomposition geometry, dof partition and averaging weights."""
+"""Decomposition geometry, dof partition and interface weights."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nested_bddc.bddc import MultilevelPreconditioner, average, build_level_bddc
-from nested_bddc.hierarchy import (
-    HierarchyConfig,
-    HierarchyError,
-    WeightsError,
-    build_hierarchy,
-    compute_weights,
-)
+from nested_bddc.hierarchy import HierarchyError, WeightsError, build_hierarchy, compute_weights
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
 from nested_bddc.nested_driver import ExperimentSpec, preset_specs
 
@@ -21,14 +15,38 @@ def elem_mass_of(mesh, values):
     return assemble_rt0(mesh, CoefficientField(values)).elem_mass
 
 
+def applied_face_weights(level):
+    """Weights the apply gives the lower and the higher copy of each face dof.
+
+    Read from the delta groups' weight rows, with the side of each copy
+    taken from the subdomain grid's edge sides; two ``(n_faces, ratio)``
+    arrays.
+    """
+    lo = np.full(level.decomp.face_dofs.shape, np.nan)
+    hi = lo.copy()
+    lower_sub = level.decomp.sub_grid.edge_sides[:, 0]
+    for grp in level.delta_groups:
+        for k, cols in enumerate(grp.face_cols):
+            faces = grp.face_ids[:, k]
+            lower = lower_sub[faces] == grp.subs
+            lo[faces[lower]] = grp.w[lower][:, cols]
+            hi[faces[~lower]] = grp.w[~lower][:, cols]
+    return lo, hi
+
+
+def unit_average(level):
+    """Weighted average of all-ones subdomain copies."""
+    return average(level, [np.ones(grp.idx_loc.shape) for grp in level.delta_groups])
+
+
 def test_config_validation():
-    with pytest.raises(HierarchyError):
-        HierarchyConfig(1, 3)
-    with pytest.raises(HierarchyError):
-        HierarchyConfig(2, 1)
-    # gamma is validated where the weights are computed
     mesh = build_mesh(9, 9)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
+    with pytest.raises(HierarchyError):
+        build_hierarchy(mesh, 1, 3)
+    with pytest.raises(HierarchyError):
+        build_hierarchy(mesh, 2, 1)
+    # gamma is validated where the weights are computed
+    d = build_hierarchy(mesh, 2, 3)[0]
     with pytest.raises(WeightsError):
         compute_weights(d, elem_mass_of(mesh, np.ones(mesh.n_cells)), 0.5)
     # weights come from the element masses, not from a per-cell coefficient
@@ -38,7 +56,7 @@ def test_config_validation():
 
 def test_two_level_counts_9x9():
     mesh = build_mesh(9, 9)
-    decomps = build_hierarchy(mesh, HierarchyConfig(2, 3))
+    decomps = build_hierarchy(mesh, 2, 3)
     assert len(decomps) == 1
     d = decomps[0]
     assert d.n_sub == 9
@@ -55,7 +73,7 @@ def test_two_level_counts_9x9():
 
 def test_three_level_counts_27x27():
     mesh = build_mesh(27, 27)
-    decomps = build_hierarchy(mesh, HierarchyConfig(3, 3))
+    decomps = build_hierarchy(mesh, 3, 3)
     assert [d.n_sub for d in decomps] == [81, 9]
     assert decomps[0].grid.n_flux == 2 * 26 * 27
     # level-2 grid dofs are the level-1 faces
@@ -64,7 +82,7 @@ def test_three_level_counts_27x27():
 
 def test_degenerate_single_subdomain():
     mesh = build_mesh(3, 3)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
+    d = build_hierarchy(mesh, 2, 3)[0]
     assert d.n_sub == 1
     assert d.n_faces == 0
     assert d.face_dofs.size == 0
@@ -73,12 +91,12 @@ def test_degenerate_single_subdomain():
 
 def test_indivisible_mesh_rejected():
     with pytest.raises(HierarchyError):
-        build_hierarchy(build_mesh(10, 10), HierarchyConfig(2, 3))
+        build_hierarchy(build_mesh(10, 10), 2, 3)
 
 
 def test_every_interface_dof_on_one_face_two_subs():
     mesh = build_mesh(12, 12)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 4))[0]
+    d = build_hierarchy(mesh, 2, 4)[0]
     interface = np.sort(d.face_dofs.ravel())
     interior = np.sort(d.interior_by_sub.ravel())
     seen = np.zeros(mesh.n_flux, dtype=int)
@@ -95,7 +113,7 @@ def test_every_interface_dof_on_one_face_two_subs():
 
 def test_interface_nesting_across_levels():
     mesh = build_mesh(27, 27)
-    decomps = build_hierarchy(mesh, HierarchyConfig(3, 3))
+    decomps = build_hierarchy(mesh, 3, 3)
     upper = decomps[1]
     lower = decomps[0]
     # level-2 interface dofs, expanded one level down, lie inside the level-1 interface
@@ -105,7 +123,7 @@ def test_interface_nesting_across_levels():
 
 def test_face_average_functional_examples():
     mesh = build_mesh(6, 6)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
+    d = build_hierarchy(mesh, 2, 3)[0]
     dofs = d.face_dofs[0]
     assert len(dofs) == 3  # one fine dof per cell along the face
     vec = np.zeros(mesh.n_flux)
@@ -119,51 +137,50 @@ def test_face_average_functional_examples():
 
 def test_weights_unit_coefficient_all_half():
     mesh = build_mesh(9, 9)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
-    coeff = CoefficientField.constant(mesh, 1.0)
-    elem_mass = elem_mass_of(mesh, coeff.values)
-    iface = np.sort(d.face_dofs.ravel())
-    interior = np.sort(d.interior_by_sub.ravel())
+    d = build_hierarchy(mesh, 2, 3)[0]
+    system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
     for gamma in (0.0, 1.0):
-        w = compute_weights(d, elem_mass, gamma)
-        assert np.all(w.side_lo[iface] == 0.5)
-        assert np.all(w.side_hi[iface] == 0.5)
-        assert np.all(w.side_lo[interior] == 1.0)
+        assert np.all(compute_weights(d, system.elem_mass, gamma) == 0.5)
+        # applied weights: 1 on interior dofs, 1/2 on both copies of a face dof
+        level = build_level_bddc(system, d, gamma)
+        for grp in level.delta_groups:
+            on_face = np.zeros(grp.n_loc, dtype=bool)
+            on_face[grp.face_cols] = True
+            assert np.all(grp.w[:, ~on_face] == 1.0)
+            assert np.all(grp.w[:, on_face] == 0.5)
 
 
 def test_weights_jump_formula():
     # k = 100 on the left half, k = 1 on the right half of a 2x1 split
     mesh = build_mesh(6, 3)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
+    d = build_hierarchy(mesh, 2, 3)[0]
     values = np.where(np.arange(mesh.n_cells) % 6 < 3, 100.0, 1.0)
     elem_mass = elem_mass_of(mesh, values)
-    w = compute_weights(d, elem_mass, 1.0)
-    iface = np.sort(d.face_dofs.ravel())
-    assert np.allclose(w.side_lo[iface], (1 / 100) / (1 / 100 + 1.0))
-    assert np.allclose(w.side_lo[iface], 1.0 / 101.0)
+    w_lo = compute_weights(d, elem_mass, 1.0)
+    assert np.allclose(w_lo, (1 / 100) / (1 / 100 + 1.0))
+    assert np.allclose(w_lo, 1.0 / 101.0)
     # gamma = 0 ignores the jump
-    w0 = compute_weights(d, elem_mass, 0.0)
-    assert np.all(w0.side_lo[iface] == 0.5)
+    assert np.all(compute_weights(d, elem_mass, 0.0) == 0.5)
 
 
 def test_weights_partition_of_unity_exact(rng):
     mesh = build_mesh(12, 12)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 4))[0]
+    d = build_hierarchy(mesh, 2, 4)[0]
     # random per-subdomain coefficients, constant inside each subdomain
     sub_vals = rng.uniform(0.01, 100.0, d.n_sub)
     values = np.empty(mesh.n_cells)
     for s, cells in enumerate(d.cells_by_sub):
         values[cells] = sub_vals[s]
-    w = compute_weights(d, elem_mass_of(mesh, values), 1.0)
-    assert np.all(w.side_lo + w.side_hi == 1.0)
+    level = build_level_bddc(assemble_rt0(mesh, CoefficientField(values)), d, 1.0)
+    assert np.all(unit_average(level) == 1.0)
 
 
 def test_averaging_is_projection(rng):
     mesh = build_mesh(9, 9)
-    d = build_hierarchy(mesh, HierarchyConfig(2, 3))[0]
+    d = build_hierarchy(mesh, 2, 3)[0]
     coeff = CoefficientField.constant(mesh, 1.0)
     system = assemble_rt0(mesh, coeff)
-    level = build_level_bddc(system, d, compute_weights(d, system.elem_mass, 1.0))
+    level = build_level_bddc(system, d, 1.0)
     v = rng.standard_normal(mesh.n_flux)
     copies = [v[grp.idx_loc] for grp in level.delta_groups]
     assert np.allclose(average(level, copies), v, atol=1e-14)
@@ -199,11 +216,14 @@ def rho_scaling_reference(decomps, k):
 def test_weights_match_rho_scaling_on_aligned_fields(runs, spec):
     solver = runs.solver(spec)
     _, coeff = spec.build_problem()
-    refs = rho_scaling_reference(solver.decomps, coeff.values)
-    for level, ref in zip(solver.precond.levels, refs):
-        w, faces = level.weights, level.decomp.face_dofs
-        assert np.abs(w.side_lo[faces] - ref).max() <= 1e-15
-        assert np.abs(w.side_hi[faces] - (1.0 - ref)).max() <= 1e-15
+    levels = solver.precond.levels
+    refs = rho_scaling_reference([level.decomp for level in levels], coeff.values)
+    for level, ref in zip(levels, refs):
+        w_lo = compute_weights(level.decomp, level.system.elem_mass, 1.0)
+        assert np.abs(w_lo[:, None] - ref).max() <= 1e-15
+        lo, hi = applied_face_weights(level)
+        assert np.abs(lo - ref).max() <= 1e-15
+        assert np.abs(hi - (1.0 - ref)).max() <= 1e-15
 
 
 def test_weights_face_diagonal_loop_reference():
@@ -211,18 +231,20 @@ def test_weights_face_diagonal_loop_reference():
     mesh = build_mesh(27, 27)
     values = np.random.default_rng(7).lognormal(0.0, 1.0, mesh.n_cells)
     system = assemble_rt0(mesh, CoefficientField(values))
-    decomps = build_hierarchy(mesh, HierarchyConfig(3, 3))
-    level = MultilevelPreconditioner.build(system, decomps, 1.0).levels[1]
+    level = MultilevelPreconditioner.build(system, 3, 3, 1.0).levels[1]
     grid, elem_mass = level.decomp.grid, level.system.elem_mass
-    for dofs in level.decomp.face_dofs:
+    w_face = compute_weights(level.decomp, elem_mass, 1.0)
+    lo, hi = applied_face_weights(level)
+    for f, dofs in enumerate(level.decomp.face_dofs):
         diag = [0.0, 0.0]
         for dof in dofs:
             for side, cell in enumerate(grid.edge_sides[dof]):
                 slot = list(grid.cell_dof_slots[cell]).index(dof)
                 diag[side] += elem_mass[cell, slot, slot]
         w_lo = diag[0] / (diag[0] + diag[1])
-        assert np.all(level.weights.side_lo[dofs] == w_lo)
-        assert np.all(level.weights.side_hi[dofs] == 1.0 - w_lo)
+        assert w_face[f] == w_lo
+        assert np.all(lo[f] == w_lo)
+        assert np.all(hi[f] == 1.0 - w_lo)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -237,12 +259,11 @@ def test_weights_properties_on_random_fields(ratio, sx, sy, sigma, seed):
     mesh = build_mesh(ratio * ratio * sx, ratio * ratio * sy)
     values = np.random.default_rng(seed).lognormal(0.0, sigma, mesh.n_cells)
     system = assemble_rt0(mesh, CoefficientField(values))
-    decomps = build_hierarchy(mesh, HierarchyConfig(3, ratio))
-    for level in MultilevelPreconditioner.build(system, decomps, 1.0).levels:
-        w, faces = level.weights, level.decomp.face_dofs
-        assert np.all(w.side_lo + w.side_hi == 1.0)
-        lo = w.side_lo[faces]
+    levels = MultilevelPreconditioner.build(system, 3, ratio, 1.0).levels
+    for level in levels:
+        assert np.all(unit_average(level) == 1.0)
+        lo, _ = applied_face_weights(level)
         assert np.all((lo > 0.0) & (lo < 1.0))
         assert np.all(lo == lo[:, :1])  # one value per face
     with pytest.raises(WeightsError):
-        compute_weights(decomps[0], system.elem_mass, 0.5)
+        compute_weights(levels[0].decomp, system.elem_mass, 0.5)

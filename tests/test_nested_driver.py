@@ -10,6 +10,7 @@ import nested_bddc as nb
 from nested_bddc.mesh_fem import CoefficientField, build_mesh, divergence_defect
 from nested_bddc.nested_driver import (
     CSV_HEADER,
+    DriverError,
     ExperimentSpec,
     NestedSolver,
     PcgNonConvergence,
@@ -73,13 +74,13 @@ def a_norm_rel_error(system, u, u_ref):
 
 def test_step1_zero_source(runs):
     solver = runs.solver(ExperimentSpec(levels=2, ratio=3))
-    d = solver.decomps[0]
+    d = solver.precond.levels[0].decomp
     assert np.array_equal(step1_coarse_rhs(d, np.zeros(d.grid.n_cells)), np.zeros(d.n_sub))
 
 
 def test_step1_corner_source_two_entries(runs):
     solver = runs.solver(ExperimentSpec(levels=2, ratio=3))
-    d = solver.decomps[0]
+    d = solver.precond.levels[0].decomp
     coarse = step1_coarse_rhs(d, solver.fine.g)
     nz = np.flatnonzero(coarse)
     assert len(nz) == 2
@@ -92,7 +93,7 @@ def test_step1_preserves_compatibility(runs, rng):
     solver = runs.solver(ExperimentSpec(levels=3, ratio=3))
     f = rng.standard_normal(solver.fine.n_pressure)
     f -= f.mean()
-    for d in solver.decomps:
+    for d in [level.decomp for level in solver.precond.levels]:
         coarse = step1_coarse_rhs(d, f)
         assert abs(coarse.sum()) < 1e-12 * np.linalg.norm(f)
         assert coarse.sum() == pytest.approx(f.sum(), abs=1e-12)
@@ -195,7 +196,7 @@ def test_global_conservation_per_subdomain(runs):
     solver = runs.solver(spec)
     result = runs.result(spec)
     system = solver.fine
-    for d in solver.decomps[:1]:
+    for d in [solver.precond.levels[0].decomp]:
         for cells in d.cells_by_sub:
             enclosed = (system.B @ result.flux)[cells].sum()
             assert enclosed == pytest.approx(system.g[cells].sum(), abs=1e-10)
@@ -285,6 +286,15 @@ def test_spec_nx():
     assert ExperimentSpec(levels=2, ratio=3).nx == 9
     assert ExperimentSpec(levels=5, ratio=3).nx == 243
     assert ExperimentSpec(levels=2, ratio=4, base=2).nx == 8
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}, {"maxit": 0}, {"maxit": 2.5}],
+)
+def test_spec_rejects_invalid_pcg_settings(bad):
+    with pytest.raises(DriverError):
+        ExperimentSpec(levels=2, ratio=3, **bad)
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN_CSV))
