@@ -1,8 +1,15 @@
 """Command line front end: ``bddc solve`` writes per-level iteration CSV.
 
-Exit codes: 0 success, 2 invalid arguments, problem setup or an
-unwritable output path, 3 PCG non-convergence, 4 verification failure with
-``--verify``.
+Config files (``--config``) become ``--key=value`` arguments ahead of the
+command line, so the parser checks their values like flags and a flag given
+on the command line wins.  With ``--preset`` only ``--k1/--k2/--k3``,
+``--gamma`` and ``--tol`` may be given; the preset fixes levels, ratio and
+coefficient pattern.
+
+Exit codes: 0 success, 2 invalid arguments or config values (``--preset``
+together with ``--levels``, ``--ratio`` or ``--coeff`` included), problem
+setup or an unwritable output path, 3 PCG non-convergence, 4 verification
+failure with ``--verify``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 from .hierarchy import HierarchyError, WeightsError
 from .mesh_fem import CoefficientError, MeshError, dump_matrix_market
 from .nested_driver import (
+    COEFF_PATTERNS,
     CSV_HEADER,
     ORACLE_DOF_LIMIT,
     DriverError,
@@ -35,33 +43,25 @@ EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
 
+# ExperimentSpec fields that a flag or a config line may set
+_RUN_FIELDS = ("levels", "ratio", "coeff", "k1", "k2", "k3", "gamma", "tol")
+_CONFIG_KEYS = (*_RUN_FIELDS, "out", "preset")
 
-def _read_config(path: str) -> dict:
-    """Flat key=value text; '#' starts a comment."""
-    values = {}
+
+def _config_args(path: str) -> list[str]:
+    """Flat key=value text as ``--key=value`` arguments; '#' starts a comment."""
+    args = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-_CONFIG_TYPES = {
-    "levels": int,
-    "ratio": int,
-    "coeff": str,
-    "k1": float,
-    "k2": float,
-    "k3": float,
-    "gamma": float,
-    "tol": float,
-    "out": str,
-    "preset": str,
-}
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        args.append(f"--{key}={value}")
+    return args
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--ratio", type=int, default=None, help="coarsening ratio per level (default 3)")
     solve.add_argument(
         "--coeff",
-        choices=("constant", "jump-left", "jump-right"),
+        choices=COEFF_PATTERNS,
         default=None,
         help="coefficient pattern (default constant)",
     )
@@ -96,28 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args) -> None:
-    if not args.config:
-        return
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, _CONFIG_TYPES[key](raw))
-
-
 def _specs_from_args(args) -> list[ExperimentSpec]:
+    given = {key: getattr(args, key) for key in _RUN_FIELDS if getattr(args, key) is not None}
     if args.preset:
-        return preset_specs(
-            args.preset, k1=args.k1, k2=args.k2, k3=args.k3, gamma=args.gamma, tol=args.tol
-        )
-    given = {
-        key: getattr(args, key)
-        for key in ("levels", "ratio", "coeff", "k1", "k2", "k3", "gamma", "tol")
-        if getattr(args, key) is not None
-    }
+        return preset_specs(args.preset, **given)
     return [ExperimentSpec(**{"levels": 2, "ratio": 3, **given})]
+
+
+def _history_lines(spec: ExperimentSpec, level: int, report) -> list[str]:
+    return [
+        f"{spec.name()},{spec.levels},{level},{it},{rel:.6e},{pre:.6e},{dfct:.6e}"
+        for it, rel, pre, dfct in report.history_rows()
+    ]
 
 
 def _cannot_write(exc: OSError) -> int:
@@ -128,7 +118,7 @@ def _cannot_write(exc: OSError) -> int:
 def _solve_command(args) -> int:
     try:
         specs = _specs_from_args(args)
-    except (DriverError, ValueError) as exc:
+    except DriverError as exc:
         print(f"bddc: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.dump_matrices and len(specs) > 1:
@@ -161,6 +151,8 @@ def _solve_command(args) -> int:
             result = solver.solve()
         except PcgNonConvergence as exc:
             print(f"bddc: {spec.name()}: {exc}", file=sys.stderr)
+            if args.dump_history:
+                history_text += _history_lines(spec, exc.level, exc.report)
             exit_code = max(exit_code, EXIT_NO_CONVERGENCE)
             continue
         except SaddleError as exc:
@@ -178,10 +170,7 @@ def _solve_command(args) -> int:
                 )
         if args.dump_history:
             for row, report in zip(result.rows, result.reports):
-                for it, rel, pre, dfct in report.history_rows():
-                    history_text.append(
-                        f"{spec.name()},{row.L},{row.level},{it},{rel:.6e},{pre:.6e},{dfct:.6e}"
-                    )
+                history_text += _history_lines(spec, row.level, report)
 
         if args.verify:
             if solver.fine.n_dofs > ORACLE_DOF_LIMIT:
@@ -215,16 +204,17 @@ def _solve_command(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    try:
-        _merge_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"bddc: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if args.command == "solve":
-        return _solve_command(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_INVALID
+    if args.config:
+        try:
+            config = _config_args(args.config)
+        except (OSError, ValueError) as exc:
+            print(f"bddc: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        # argparse keeps the last value, so command-line flags win
+        args = parser.parse_args([args.command, *config, *argv[1:]])
+    return _solve_command(args)
 
 
 if __name__ == "__main__":

@@ -49,10 +49,12 @@ __all__ = [
     "oracle_direct_solve",
     "preset_specs",
     "PRESET_NAMES",
+    "COEFF_PATTERNS",
 ]
 
 CSV_HEADER = "L,level,M,nsub,n,n_gamma,iter,cond"
 ORACLE_DOF_LIMIT = 100_000
+COEFF_PATTERNS = ("constant", "jump-left", "jump-right")
 
 
 class DriverError(Exception):
@@ -60,9 +62,10 @@ class DriverError(Exception):
 
 
 class PcgNonConvergence(DriverError):
-    def __init__(self, report: PcgReport, message: str):
-        super().__init__(message)
+    def __init__(self, report: PcgReport, level: int, message: str):
+        super().__init__(f"level {level}: {message}")
         self.report = report
+        self.level = level
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class ExperimentSpec:
 
     levels: int
     ratio: int
-    coeff: str = "constant"  # constant | jump-left | jump-right
+    coeff: str = "constant"  # one of COEFF_PATTERNS
     k1: float = 1.0
     k2: float = 1.0
     k3: float = 1.0
@@ -82,6 +85,8 @@ class ExperimentSpec:
     label: str = ""
 
     def __post_init__(self):
+        if self.coeff not in COEFF_PATTERNS:
+            raise DriverError(f"unknown coefficient pattern {self.coeff!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DriverError(f"PCG tolerance must be finite and > 0, got {self.tol!r}")
         if not isinstance(self.maxit, int) or self.maxit < 1:
@@ -98,20 +103,11 @@ class ExperimentSpec:
     def build_problem(self):
         mesh = build_mesh(self.nx, self.nx)
         if self.coeff == "constant":
-            coeff = CoefficientField.constant(mesh, self.k1)
-        elif self.coeff in ("jump-left", "jump-right"):
-            coeff = CoefficientField.aligned_jump(
-                mesh,
-                self.ratio,
-                self.levels,
-                self.coeff.removeprefix("jump-"),
-                self.k1,
-                self.k2,
-                self.k3,
-            )
-        else:
-            raise DriverError(f"unknown coefficient pattern {self.coeff!r}")
-        return mesh, coeff
+            return mesh, CoefficientField.constant(mesh, self.k1)
+        side = self.coeff.removeprefix("jump-")
+        return mesh, CoefficientField.aligned_jump(
+            mesh, self.ratio, self.levels, side, self.k1, self.k2, self.k3
+        )
 
 
 @dataclass
@@ -187,7 +183,7 @@ def step3_correction(
     x, report = pcg(operator, preconditioner, rhs, tol=tol, maxit=maxit, defect_fn=defect)
     if not report.converged:
         raise PcgNonConvergence(
-            report, f"PCG did not reach {tol:g} within {report.iterations} iterations"
+            report, level_number, f"PCG did not reach {tol:g} within {report.iterations} iterations"
         )
     return x[:n_u], x[n_u:], report
 
@@ -283,15 +279,19 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset_specs(name, k1=None, k2=None, k3=None, gamma=None, tol=None) -> list[ExperimentSpec]:
+def preset_specs(name, **overrides) -> list[ExperimentSpec]:
     """Experiment lists behind the named presets.
 
     Table presets take the constant unit coefficient; the two jump presets
     run the four-level ratio-3 hierarchy with defaults k1=100, k2=1,
-    k3=0.01.  Explicit arguments override the defaults.
+    k3=0.01.  ``overrides`` replace fields of every spec in the list (for
+    example ``k1``, ``gamma`` or ``tol``); the preset fixes ``levels``,
+    ``ratio`` and ``coeff``, and overriding any of them raises
+    ``DriverError``.
     """
     if name not in _PRESETS:
         raise DriverError(f"unknown preset {name!r}")
-    given = dict(k1=k1, k2=k2, k3=k3, gamma=gamma, tol=tol)
-    overrides = {key: value for key, value in given.items() if value is not None}
+    fixed = [key for key in ("levels", "ratio", "coeff") if key in overrides]
+    if fixed:
+        raise DriverError(f"preset {name!r} fixes {', '.join(fixed)}; drop the override")
     return [replace(spec, **overrides) for spec in _PRESETS[name]]

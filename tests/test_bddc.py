@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nested_bddc as nb
 from nested_bddc.bddc import (
@@ -339,6 +341,37 @@ def test_multilevel_three_level_iteration_counts(runs):
     assert 1.8 <= by_level[1].cond <= 2.4
     assert by_level[2].iter in (2, 3, 4)
     assert 1.0 <= by_level[2].cond <= 1.5
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    ratio=st.integers(2, 3),
+    levels=st.integers(2, 3),
+    sx=st.integers(2, 3),  # two or more top cells: every level has an interface
+    sy=st.integers(1, 3),
+    sigma=st.floats(0.0, 2.0),
+    gamma=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_preconditioner_properties_on_random_hierarchies(ratio, levels, sx, sy, sigma, gamma, seed):
+    # rectangular meshes and lognormal fields; interface-supported residuals
+    # on every start level
+    nx, ny = ratio ** (levels - 1) * sx, ratio ** (levels - 1) * sy
+    rng = np.random.default_rng(seed)
+    k = rng.lognormal(0.0, sigma, nx * ny)
+    _, _, precond = make_setup(nx, levels, ratio, k=k, gamma=gamma, ny=ny)
+    _, _, again = make_setup(nx, levels, ratio, k=k, gamma=gamma, ny=ny)
+    for start, level in enumerate(precond.levels, start=1):
+        r1, r2 = balanced_residual(level, rng), balanced_residual(level, rng)
+        u1, p1 = precond.apply(r1, start_level=start)
+        u2, _ = precond.apply(r2, start_level=start)
+        assert divergence_defect(level.system, u1) <= 1e-10
+        e1, e2 = r1 @ u1, r2 @ u2
+        assert e1 >= 0.0 and e2 >= 0.0
+        # symmetry, relative to the Cauchy-Schwarz bound of the cross term
+        assert abs(r1 @ u2 - r2 @ u1) <= 1e-11 * np.sqrt(e1 * e2)
+        u_again, p_again = again.apply(r1, start_level=start)
+        assert np.array_equal(u1, u_again) and np.array_equal(p1, p_again)
 
 
 def test_jump_coefficients_shrink_weights():

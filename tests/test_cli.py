@@ -1,5 +1,7 @@
 """Command line interface: flags, config file, outputs, exit codes."""
 
+import re
+
 import pytest
 
 from nested_bddc.cli import main
@@ -156,3 +158,63 @@ def test_bad_config_key_rejected(tmp_path):
     cfg.write_text("nonsense = 1\n")
     code = run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
     assert code == 2
+
+
+def test_nonconvergence_keeps_failing_level_history(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run_cli(["solve", "--levels", "3", "--ratio", "3", "--tol", "1e-30",
+                    "--dump-history", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    match = re.search(r"L3-r3-constant: level 2: PCG did not reach 1e-30 within (\d+) iterations", err)
+    assert match
+    rows = [line.split(",") for line in (tmp_path / "r_history.csv").read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["L3-r3-constant", "3", "2"]] * int(match[1])
+    assert [int(row[3]) for row in rows] == list(range(1, len(rows) + 1))
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "config-preset"])
+@pytest.mark.parametrize("field, value", [("levels", "5"), ("ratio", "4"), ("coeff", "constant")])
+def test_preset_shape_override_exit_2(tmp_path, capsys, source, field, value):
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "run.cfg"
+    args = ["solve", "--out", str(out)]
+    if source == "flag":
+        args += ["--preset", "fig3-left", f"--{field}", value]
+    else:
+        preset_line = "preset = fig3-left\n" if source == "config-preset" else ""
+        cfg.write_text(f"{preset_line}{field} = {value}\n")
+        args += ["--config", str(cfg)]
+        if source == "config":
+            args += ["--preset", "fig3-left"]
+    code = run_cli(args)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "fig3-left" in err[0] and field in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("coeff", "bogus"), ("gamma", "0.5"), ("levels", "two")])
+def test_invalid_config_value_fails_like_flag(tmp_path, capsys, key, value):
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    from_config = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli(["solve", f"--{key}", value, "--out", str(out)])
+    assert capsys.readouterr().err == from_config
+    assert f"argument --{key}" in from_config
+    assert not out.exists()
+
+
+def test_config_preset_with_flag_override(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = fig3-right\nk1 = 100\nk3 = 5\n")
+    from_config = tmp_path / "config.csv"
+    assert run_cli(["solve", "--config", str(cfg), "--k3", "0.01", "--out", str(from_config)]) == 0
+    from_flags = tmp_path / "flags.csv"
+    assert run_cli(["solve", "--preset", "fig3-right", "--out", str(from_flags)]) == 0
+    assert from_config.read_text() == from_flags.read_text()

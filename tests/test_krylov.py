@@ -119,3 +119,51 @@ def test_history_rows_shape():
     rows = list(report.history_rows())
     assert len(rows) == report.iterations
     assert rows[0][0] == 1
+
+
+def test_operator_applied_once_per_iteration(rng):
+    # the start-of-run check's product with the first preconditioner output
+    # is the first direction's product, so it is not formed again
+    m = rng.standard_normal((12, 12))
+    a = m @ m.T + 12 * np.eye(12)
+    b = rng.standard_normal(12)
+    calls = []
+
+    def operator(x):
+        calls.append(1)
+        return a @ x
+
+    x, report = pcg(operator, lambda v: v.copy(), b, tol=1e-12, maxit=50)
+    assert report.converged
+    assert len(calls) == report.iterations
+    assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
+
+
+def saddle_accept_case():
+    """Two fluxes and one pressure: after one step the residual is a pure
+    gradient, which the preconditioner maps to the exact pressure with
+    <r, Mr> = 0, so PCG ends by accepting that output at iteration 2."""
+    a = np.diag([1.0, 2.0])
+    b = np.array([[1.0, 1.0]])
+    kkt = np.block([[a, b.T], [b, np.zeros((1, 1))]])
+    v = np.array([1.0, -1.0])  # divergence-free direction
+
+    def preconditioner(r):
+        u = (v @ r[:2]) / 6.0 * v  # twice the exact divergence-free solve
+        p = b @ (r[:2] - a @ u) / 2.0
+        return np.concatenate([u, p])
+
+    return kkt, preconditioner, np.array([6.0, 0.0, 0.0])
+
+
+def test_accepted_preconditioner_output_is_recorded_and_checked():
+    kkt, preconditioner, rhs = saddle_accept_case()
+    x, report = pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x: 0.0)
+    assert report.converged
+    assert report.iterations == 2
+    assert np.allclose(x, np.linalg.solve(kkt, rhs), atol=1e-14)
+    assert report.div_defects == [0.0, 0.0]
+    assert len(list(report.history_rows())) == report.iterations
+    defects = iter([0.0, 1.0])
+    with pytest.raises(InvariantViolation, match="at iteration 2"):
+        pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x: next(defects))

@@ -265,8 +265,33 @@ def test_result_row_csv_formats_cond_two_decimals(runs):
 
 
 def test_pcg_nonconvergence_raises():
-    with pytest.raises(PcgNonConvergence):
+    with pytest.raises(PcgNonConvergence, match="^level 1: PCG did not reach") as exc:
         NestedSolver(ExperimentSpec(levels=2, ratio=3, tol=1e-30, maxit=3)).solve()
+    assert exc.value.level == 1
+    assert exc.value.report.iterations == 3
+    assert len(list(exc.value.report.history_rows())) == 3
+
+
+def test_every_iteration_has_a_history_row(runs):
+    # level 3 ends by accepting the preconditioner output (<r, Mr> ~ 0)
+    spec = preset_specs("fig3-right", k1=1e4, k3=1e-4, tol=1e-10)[0]
+    reports = runs.result(spec).reports
+    assert [report.iterations for report in reports] == [20, 12, 6]
+    for report in reports:
+        assert len(list(report.history_rows())) == report.iterations
+        assert len(report.div_defects) == report.iterations
+        assert max(report.div_defects) <= 1e-9
+
+
+@pytest.mark.parametrize("field, value", [("levels", 5), ("ratio", 4), ("coeff", "constant")])
+def test_preset_fixes_its_shape(field, value):
+    with pytest.raises(DriverError, match=f"fixes {field}"):
+        preset_specs("fig3-left", **{field: value})
+
+
+def test_spec_rejects_unknown_coefficient_pattern():
+    with pytest.raises(DriverError, match="coefficient pattern"):
+        ExperimentSpec(levels=2, ratio=3, coeff="bogus")
 
 
 def test_preset_lists():
