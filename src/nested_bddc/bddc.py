@@ -1,51 +1,52 @@
 """BDDC components per level and the multilevel preconditioner application.
 
-Per subdomain two local saddle problems are kept: the interior KKT (interior
-flux dofs, local pressures, mean-zero gauge) drives the pre/post corrections,
-and the constrained KKT (all local flux dofs, local pressures, gauge, one
-face-average row per face) drives both the dual substructure correction and
-the energy-minimal coarse basis, whose columns realize exactly one coarse
-dof each.
+Per subdomain one local saddle problem is factored: the interior KKT
+``K_I`` (interior flux dofs, local pressures, mean-zero gauge).  It serves
+step 2 of the nested solve and the interior pre-correction, and it
+condenses the subdomain onto its faces: with ``M_F`` the interior rows
+coupled to the face dofs, ``-K_I^-1 M_F`` is the discrete harmonic
+extension of face values (interior flux and pressure), and
+``S = A_FF - M_F^T K_I^-1 M_F`` the face Schur complement.  The inverse of
+the small bordered face system ``[S C^T; C 0]`` (``C`` the face averages,
+at most ``4 ratio + 4`` rows) gives the dual face operator and the
+energy-minimal coarse basis on the faces, one column per coarse dof.
 
-On the uniform grid a subdomain's local problems are fixed by the element
-matrices of its cells and, for the constrained KKT, by which of its four
-faces exist.  Subdomains are grouped by that key (cells compared by the bit
-pattern of their element matrices): each group assembles its blocks once,
-from its first member, holds one factorization, and keeps one row of index
-arrays and weights per member, so its solves run in batches.  A level's
-face weights (``hierarchy.compute_weights``) live only in those weight
-rows.
+After the pre-correction a residual's interior rows vanish, and the
+post-correction maps each subdomain copy to the harmonic extension of its
+face values.  So the dual step, the restriction and the averaging of a
+level apply work on face values only, and the post-correction is one
+product with the extension per group: no KKT solve, no global product.
+
+On the uniform grid a subdomain's interior KKT is fixed by the element
+matrices of its cells, its face operators also by which of its four faces
+exist.  Subdomains are grouped by those keys (cells compared by the bit
+pattern of their element matrices): an interior group factors one
+``KktSystem`` from its first member and solves in batches through
+``Factorization.solve_leading``; a delta group condenses its first member
+through its interior group's factorization, once.  Both keep one row of
+index arrays per member, delta groups also one row of face weights
+(``hierarchy.compute_weights``).  How the blocks are stored and solved, by
+size class, is decided in ``saddle_core`` alone; the Neumann blocks come
+from the same element scatter as the global matrices
+(``mesh_fem.element_triplets``), on local positions.
 
 ``MultilevelPreconditioner.build`` owns the level list: it makes the
 decompositions from the fine grid, and each level's system is the coarse
-problem of the level below, so decompositions and systems match by
-construction.
-
-Every group holds one ``KktSystem``, factored when it is built, and
-solves through ``Factorization.solve_leading``: a group's data sits in the
-leading KKT rows (flux, then divergence) and only leading unknowns are read
-back.  The blocks are handed over in any format; how they are stored,
-assembled and solved, by size class, is decided in ``saddle_core`` alone.
-The Neumann mass and divergence blocks come from the same element scatter
-as the global matrices (``mesh_fem.element_blocks``), on local positions.
-
-The coarse problem assembled from the basis has the same quad-grid mixed
-structure as the level below (one flux dof per face, one pressure per
-subdomain, divergence entries +-H), which is what makes the recursion in
-``MultilevelPreconditioner.apply`` possible.
+problem of the level below.  The coarse problem has the same quad-grid
+mixed structure (one flux dof per face, one pressure per subdomain,
+divergence entries +-H), which is what makes the recursion possible.
 
 Step 3 of the nested solve runs PCG on residuals whose interior flux rows
 lie in ``range(B_I^T)`` per subdomain: the step-2 interior solves leave
-``-A u*`` there, and the interior post-correction keeps every
-preconditioner output there.  For such a residual the interior
-pre-correction is ``u_int = 0`` and the gauged pressure with
-``B_I^T p = r_I``.  ``B`` carries no coefficient, so every subdomain of a
-level shares one ``B_I``, and one dense gradient inverse per level
-(``LevelBddc.grad_inv``) gives that pressure without a KKT solve; the
-step-3 entry ``MultilevelPreconditioner.apply_step3`` uses it on its start
-level.
+``-A u*`` there, and the post-correction keeps every preconditioner output
+there.  For such a residual the interior pre-correction is ``u_int = 0``
+and the gauged pressure with ``B_I^T p = r_I``.  ``B`` carries no
+coefficient, so every subdomain of a level shares one ``B_I``, and one
+dense gradient inverse per level (``LevelBddc.grad_inv``) gives that
+pressure without a KKT solve; ``MultilevelPreconditioner.apply_step3``
+uses it on its start level.
 
-Subdomain solves within one level are independent (levels are inherently
+Subdomain work within one level is independent (levels are inherently
 sequential); all scatter reductions run in a fixed order, so results are
 reproducible run to run.  Built components are immutable during apply.
 """
@@ -59,8 +60,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .hierarchy import LevelDecomposition, build_hierarchy, compute_weights
-from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, Rt0System, assemble_system, element_blocks
-from .saddle_core import KktSystem
+from .mesh_fem import (
+    SLOT_BOTTOM,
+    SLOT_LEFT,
+    Rt0System,
+    assemble_system,
+    element_blocks,
+    element_triplets,
+)
+from .saddle_core import Factorization, KktSystem
 
 __all__ = [
     "BddcError",
@@ -81,17 +89,19 @@ class BddcError(Exception):
 class _InteriorGroup:
     """Subdomains sharing one interior-KKT factorization.
 
-    The KKT is factored at build, so a singular local problem is rejected
-    before any apply.
+    The KKT is assembled from the first member's cells and factored at
+    build, so a singular local problem is rejected before any apply.
     """
 
-    def __init__(self, kkt: KktSystem, subs, idx_int, idx_cells):
-        self.kkt = kkt
+    def __init__(self, system: Rt0System, decomp: LevelDecomposition, subs):
         self.subs = subs
-        self.idx_int = idx_int
-        self.idx_cells = idx_cells
-        self.n_int = idx_int.shape[1]
-        self.n_cells = idx_cells.shape[1]
+        self.idx_int = decomp.interior_by_sub[subs]
+        self.idx_cells = decomp.cells_by_sub[subs]
+        self.n_int = self.idx_int.shape[1]
+        self.n_cells = self.idx_cells.shape[1]
+        cells = self.idx_cells[0]
+        mass, div = _neumann_blocks(system, self.idx_int[0], cells)
+        self.kkt = KktSystem(mass, div, gauge=system.areas[cells])
 
     def solve(self, flux_rows, div_rows=None):
         """Interior flux and pressure rows for one row of data per subdomain."""
@@ -101,63 +111,91 @@ class _InteriorGroup:
 
 
 class _DeltaGroup:
-    """Subdomains sharing one constrained-KKT factorization and basis.
+    """Subdomains sharing one interior group and one set of present faces.
 
-    Members share one constrained KKT, whose flux rows are the sorted local
-    dofs and whose last ``n_faces`` rows hold the face averages;
-    ``face_cols[k]`` are the local positions of the dofs of the ``k``-th
-    present face (slot ``face_slots[k]``).  ``w`` holds one row of weights
-    per member: 1 on interior dofs, the face weight ``w_lo`` where the
+    Everything here is condensed onto the members' face dofs, listed face
+    by face in ``idx_face``: the ``k``-th present face (slot
+    ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
+    With ``K_I`` the interior KKT and ``M_F = [A_IF; B_F]`` its rows coupled
+    to the faces, a row ``f`` of face values extends to ``f @ ext``, the
+    interior flux (first ``n_int`` entries) and pressure of its discrete
+    harmonic extension ``-K_I^-1 M_F f``.  ``S = A_FF - M_F^T K_I^-1 M_F``
+    is the face Schur complement.  The inverse of the bordered face system
+    ``[S C^T; C 0]``, with ``C`` the face averages, gives ``face_op``: the
+    dual face operator (zero face averages) in its first ``n_face_dofs``
+    columns, then the energy-minimal basis ``psi`` on the faces, one column
+    per face with unit average there and zero on the others.  A basis
+    column extends like any face values; its energy is ``psi^T S psi``.
+    ``w`` holds one row of face weights per member: ``w_lo`` where the
     member is a face's lower subdomain and ``1 - w_lo`` where it is the
     higher one.
     """
 
-    def __init__(self, system, decomp, w_lo, subs):
+    def __init__(self, system, decomp, w_lo, subs, interior: _InteriorGroup):
         self.subs = subs
         first = subs[0]
         self.face_slots = np.flatnonzero(decomp.faces_by_sub[first] >= 0)
         self.n_faces = len(self.face_slots)
         self.face_ids = decomp.faces_by_sub[subs][:, self.face_slots]
-        faces = decomp.face_dofs[self.face_ids].reshape(len(subs), -1)
-        self.idx_loc = np.sort(np.hstack([decomp.interior_by_sub[subs], faces]), axis=1)
-        local = self.idx_loc[0]
-        cells = decomp.cells_by_sub[first]
-        self.n_loc = len(local)
-        self.face_cols = np.searchsorted(local, decomp.face_dofs[self.face_ids[0]])
+        self.idx_face = decomp.face_dofs[self.face_ids].reshape(len(subs), -1)
+        self.idx_int = decomp.interior_by_sub[subs]
+        self.idx_cells = decomp.cells_by_sub[subs]
+        self.n_int = self.idx_int.shape[1]
+        self.n_face_dofs = n_f = self.idx_face.shape[1]
+        ratio = decomp.face_dofs.shape[1]
         # A face's normal points into the members on their left and bottom
         # faces: there they are the higher subdomain and take its weight.
         w_face = w_lo[self.face_ids]
-        high = np.isin(self.face_slots, (SLOT_LEFT, SLOT_BOTTOM))
-        self.w = np.ones((len(subs), self.n_loc))
-        self.w[:, self.face_cols] = np.where(high, 1.0 - w_face, w_face)[:, :, None]
-        mass, div, con = _neumann_blocks(system, local, cells, self.face_cols)
-        self.kkt = KktSystem(mass, div, gauge=system.areas[cells], c_block=con)
-        # Energy-minimal basis: one column per face, unit coarse dof each,
-        # from unit data in the constraint rows (the last n_faces rows).
-        size = self.kkt.size
-        unit = np.eye(size, self.n_faces, self.n_faces - size)
-        self.psi = self.kkt.factorization.solve(unit)[: self.n_loc]
-        self.coarse_elem = np.asarray(self.psi.T @ (self.kkt.a_block @ self.psi))
+        high = (self.face_slots == SLOT_LEFT) | (self.face_slots == SLOT_BOTTOM)
+        self.w = np.repeat(np.where(high, 1.0 - w_face, w_face), ratio, axis=1)
 
-    def solve(self, weighted):
-        """Dual corrections and restriction coefficients, one row per subdomain."""
-        return self.kkt.factorization.solve_leading(weighted, self.n_loc), weighted @ self.psi
+        # The face rows of the Neumann blocks, columns in the order
+        # (interior, faces), dense, straight from the element scatter.
+        cells = self.idx_cells[0]
+        n_int, n_loc, n_cells = self.n_int, self.n_int + n_f, len(cells)
+        slots = _local_slots(system, np.concatenate([self.idx_int[0], self.idx_face[0]]), cells)
+        mass, div = element_triplets(slots, system.elem_mass[cells], system.grid.h)
+        a_f = _dense_rows(*mass, n_int, (n_f, n_loc))
+        b_ft = _dense_rows(div[0], div[2], div[1], n_int, (n_f, n_cells))
+        coupling = np.hstack([a_f[:, :n_int], b_ft])  # M_F^T
+        self.ext = -interior.kkt.factorization.solve_leading(coupling, n_int + n_cells)
+        schur = a_f[:, n_int:] + coupling @ self.ext.T
+        schur = 0.5 * (schur + schur.T)
+        # The bordered face system; the face averages C are its last rows.
+        size = n_f + self.n_faces  # 0 on a level of one subdomain, which has no faces
+        face_kkt = np.zeros((size, size))
+        face_kkt[:n_f, :n_f] = schur
+        face_kkt[n_f:, :n_f] = np.repeat(np.eye(self.n_faces), ratio, axis=1) / ratio
+        face_kkt[:n_f, n_f:] = face_kkt[n_f:, :n_f].T
+        inv = Factorization(face_kkt).solve(np.eye(size)) if size else face_kkt
+        self.face_op = inv[:n_f]
+        self.psi = self.face_op[:, n_f:]
+        self.coarse_elem = self.psi.T @ schur @ self.psi
 
 
-def _neumann_blocks(system: Rt0System, local, cells, face_cols):
-    """Local mass, divergence and face-average blocks (COO) of one subdomain.
+def _local_slots(system: Rt0System, local, cells) -> np.ndarray:
+    """Per cell and slot, the position of the slot's dof in ``local``, else -1."""
+    slots = system.grid.cell_dof_slots[cells]
+    order = np.argsort(local)
+    at = order[np.searchsorted(local, slots, sorter=order).clip(max=len(local) - 1)]
+    return np.where(local[at] == slots, at, -1)
 
-    Rows and columns follow the sorted dof list ``local``.
+
+def _neumann_blocks(system: Rt0System, local, cells):
+    """Local mass and divergence blocks (COO) of one subdomain.
+
+    Rows and columns follow the dof list ``local``, in its order; dofs of
+    the cells that ``local`` does not list are left out.
     """
-    n_loc = len(local)
-    n_faces, ratio = face_cols.shape
-    cell_slots = system.grid.cell_dof_slots[cells]
-    local_slots = np.where(cell_slots >= 0, np.searchsorted(local, cell_slots), -1)
-    mass, div = element_blocks(local_slots, system.elem_mass[cells], system.grid.h, n_loc)
-    crow = np.repeat(np.arange(n_faces), ratio)
-    cval = np.full(face_cols.size, 1.0 / ratio)
-    con = sp.coo_matrix((cval, (crow, face_cols.ravel())), shape=(n_faces, n_loc))
-    return mass, div, con
+    slots = _local_slots(system, local, cells)
+    return element_blocks(slots, system.elem_mass[cells], system.grid.h, len(local))
+
+
+def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
+    """Dense rows ``first`` on of a block given by its entries, summed."""
+    on = rows >= first
+    flat = (rows[on] - first) * shape[1] + cols[on]
+    return _scatter_add(shape[0] * shape[1], [(flat, values[on])]).reshape(shape)
 
 
 @dataclass
@@ -204,34 +242,27 @@ def _groups(keys: np.ndarray) -> list[np.ndarray]:
 
 
 def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float) -> LevelBddc:
-    """Group the subdomains of a level and build each group's solvers once.
+    """Group the subdomains of a level and build each group's operators once.
 
-    A subdomain's local problems are fixed by its cells' element matrices
-    and, for the constrained KKT, by which of its four faces exist.  Cells
-    are classed by the bit pattern of their element matrix, so members of a
-    group have bit-identical local matrices.
+    A subdomain's interior KKT is fixed by its cells' element matrices, its
+    face operators also by which of its four faces exist.  Cells are
+    classed by the bit pattern of their element matrix, so members of a
+    group have bit-identical local matrices; a delta group's members all
+    sit in one interior group, whose factorization condenses them.
     """
     cell_class = _unique_rows(system.elem_mass.reshape(system.grid.n_cells, -1))[2]
     classes = cell_class[decomp.cells_by_sub]
     present = decomp.faces_by_sub >= 0
     w_lo = compute_weights(decomp, system.elem_mass, gamma)
 
+    interior_groups = [_InteriorGroup(system, decomp, subs) for subs in _groups(classes)]
+    interior_of = np.empty(decomp.n_sub, dtype=int)
+    for k, grp in enumerate(interior_groups):
+        interior_of[grp.subs] = k
     delta_groups = [
-        _DeltaGroup(system, decomp, w_lo, subs)
+        _DeltaGroup(system, decomp, w_lo, subs, interior_groups[interior_of[subs[0]]])
         for subs in _groups(np.hstack([present, classes]))
     ]
-    # An interior group's first member is the first member of its delta
-    # group (the delta key refines the interior key); take its blocks there.
-    delta_of = {grp.subs[0]: grp for grp in delta_groups}
-    interior_groups = []
-    for subs in _groups(classes):
-        dgrp = delta_of[subs[0]]
-        pos = np.searchsorted(dgrp.idx_loc[0], decomp.interior_by_sub[subs[0]])
-        a, b = dgrp.kkt.a_block, dgrp.kkt.b_block
-        kkt = KktSystem(a[np.ix_(pos, pos)], b[:, pos], gauge=dgrp.kkt.gauge)
-        interior_groups.append(
-            _InteriorGroup(kkt, subs, decomp.interior_by_sub[subs], decomp.cells_by_sub[subs])
-        )
     # B carries no coefficient: every interior group has the first one's B_I.
     first = interior_groups[0].kkt
     return LevelBddc(
@@ -291,24 +322,33 @@ def _scatter_add(n: int, pairs) -> np.ndarray:
     """Length-n vector summing each (indices, values) pair, in the order given."""
     idx = np.concatenate([i.ravel() for i, _ in pairs])
     vals = np.concatenate([v.ravel() for _, v in pairs])
-    return np.bincount(idx, vals, minlength=n)
+    # bincount returns integers when there is nothing to add
+    return np.bincount(idx, vals, minlength=n).astype(float, copy=False)
 
 
 def average(level: LevelBddc, rows_per_group) -> np.ndarray:
-    """Weighted average of subdomain copies into one continuous level vector.
+    """Weighted average of subdomain face copies into one level vector.
 
-    ``rows_per_group`` holds, per delta group, one row of local values per
-    member in the group's local dof order.
+    ``rows_per_group`` holds, per delta group, one row of face values per
+    member in the group's ``idx_face`` order; interior dofs stay zero.
     """
     return _scatter_add(
         level.system.n_flux,
-        [(grp.idx_loc, grp.w * rows) for grp, rows in zip(level.delta_groups, rows_per_group)],
+        [(grp.idx_face, grp.w * rows) for grp, rows in zip(level.delta_groups, rows_per_group)],
     )
 
 
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
-    """Continuous level vector from coarse dof values: basis columns, then averaging."""
-    return average(level, [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.delta_groups])
+    """Continuous level vector from coarse dof values.
+
+    The basis columns are averaged on the faces; inside, each subdomain
+    keeps its own basis values, the harmonic extension of its face copies.
+    """
+    copies = [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.delta_groups]
+    u = average(level, copies)
+    for grp, rows in zip(level.delta_groups, copies):
+        u[grp.idx_int] = rows @ grp.ext[:, : grp.n_int]
+    return u
 
 
 def inject_pressure(level: LevelBddc, p_coarse: np.ndarray) -> np.ndarray:
@@ -335,10 +375,11 @@ class MultilevelPreconditioner:
     """Stack of level components plus the exact top-level factorization.
 
     ``apply(r, start_level)`` runs the downward sweep (interior
-    pre-correction, dual correction, coarse restriction) from the given
-    level to the top, solves the top coarse saddle problem exactly, and
-    walks back up (averaging, interior post-correction, combination).  The
-    output flux is divergence-free on the starting level.
+    pre-correction, dual correction on the faces, coarse restriction) from
+    the given level to the top, solves the top coarse saddle problem
+    exactly, and walks back up (averaging of face values, harmonic
+    extension into the interiors as the post-correction).  The output flux
+    is divergence-free on the starting level.
 
     ``apply_step3`` is the same map for the step-3 PCG residuals, whose
     interior rows lie in ``range(B_I^T)``: there the start-level
@@ -371,7 +412,7 @@ class MultilevelPreconditioner:
         Premise: on the start level, each subdomain's interior rows of ``r``
         lie in ``range(B_I^T)``.  The step-3 right-hand side ``-A u*`` has
         that property after the step-2 interior solves, every output of
-        this map has it after the interior post-correction, and so, by
+        this map has it after the harmonic extension, and so, by
         linearity, has every PCG residual.  On other inputs the result
         differs from ``apply``.
         """
@@ -384,22 +425,33 @@ class MultilevelPreconditioner:
 
     def _apply(self, idx: int, r: np.ndarray, pre):
         level = self.levels[idx]
-        a_mat, b_mat = level.system.A, level.system.B
+        groups = level.delta_groups
         u_int, p_int, r_b = pre(level, r)
-        # Per delta group: dual corrections with vanishing face averages and
-        # restriction coefficients, one row per member.
-        delta_out = [(grp, *grp.solve(grp.w * r_b[grp.idx_loc])) for grp in level.delta_groups]
+        # The pre-correction leaves no interior residual.  Per delta group,
+        # from the weighted face residuals: dual face values with vanishing
+        # face averages, then the restriction coefficients.
+        face_out = [(grp.w * r_b[grp.idx_face]) @ grp.face_op for grp in groups]
         r_next = _scatter_add(
-            level.decomp.n_faces, [(grp.face_ids, coeffs) for grp, _, coeffs in delta_out]
+            level.decomp.n_faces,
+            [(grp.face_ids, out[:, grp.n_face_dofs :]) for grp, out in zip(groups, face_out)],
         )
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
         else:
             u_next, p_next = self._apply(idx + 1, r_next, _interior_pre)
-        u_b = average(
-            level, [w_delta + u_next[grp.face_ids] @ grp.psi.T for grp, w_delta, _ in delta_out]
+        u = average(
+            level,
+            [
+                out[:, : grp.n_face_dofs] + u_next[grp.face_ids] @ grp.psi.T
+                for grp, out in zip(groups, face_out)
+            ],
         )
-        p_0 = inject_pressure(level, p_next)
-        v_int, q_int = interior_correction(level, a_mat @ u_b, b_mat @ u_b)
-        return u_int + u_b - v_int, p_int + p_0 - q_int
-
+        # Post-correction: the interior flux and pressure of each
+        # subdomain's harmonic extension of the averaged face values.
+        p = p_int + inject_pressure(level, p_next)
+        for grp in groups:
+            ext = u[grp.idx_face] @ grp.ext
+            u[grp.idx_int] += ext[:, : grp.n_int]
+            p[grp.idx_cells] += ext[:, grp.n_int :]
+        u += u_int
+        return u, p

@@ -118,7 +118,7 @@ def _cannot_write(exc: OSError) -> int:
 def _solve_command(args) -> int:
     try:
         specs = _specs_from_args(args)
-    except DriverError as exc:
+    except (DriverError, HierarchyError) as exc:
         print(f"bddc: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.dump_matrices and len(specs) > 1:

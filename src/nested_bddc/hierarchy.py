@@ -30,6 +30,7 @@ __all__ = [
     "WeightsError",
     "LevelDecomposition",
     "build_level_decomposition",
+    "check_shape",
     "build_hierarchy",
     "compute_weights",
 ]
@@ -109,12 +110,17 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
     )
 
 
-def build_hierarchy(mesh: QuadMesh, levels: int, ratio: int) -> list[LevelDecomposition]:
-    """Decompositions for levels 1..L-1; each sub grid is the next level's grid."""
+def check_shape(levels: int, ratio: int) -> None:
+    """Reject a level count or coarsening ratio that no mesh can take."""
     if levels < 2:
         raise HierarchyError("at least two levels are required")
     if int(ratio) != ratio or ratio < 2:
         raise HierarchyError("coarsening ratio must be an integer >= 2")
+
+
+def build_hierarchy(mesh: QuadMesh, levels: int, ratio: int) -> list[LevelDecomposition]:
+    """Decompositions for levels 1..L-1; each sub grid is the next level's grid."""
+    check_shape(levels, ratio)
     total = ratio ** (levels - 1)
     if mesh.nx % total or mesh.ny % total:
         raise HierarchyError(

@@ -31,6 +31,7 @@ __all__ = [
     "CoefficientField",
     "Rt0System",
     "build_mesh",
+    "element_triplets",
     "element_blocks",
     "assemble_system",
     "assemble_rt0",
@@ -260,6 +261,21 @@ class Rt0System:
         return self.n_flux + self.n_pressure
 
 
+def element_triplets(slot_map: np.ndarray, elem_mass: np.ndarray, h: float):
+    """Entries of the mass and divergence blocks, ``(values, rows, cols)`` each.
+
+    The element scatter behind ``element_blocks``, with the same
+    ``slot_map``; entries that share a position are not yet summed.
+    """
+    present = slot_map >= 0
+    pair = present[:, :, None] & present[:, None, :]
+    rows = np.broadcast_to(slot_map[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(slot_map[:, None, :], pair.shape)[pair]
+    cell_rows = np.broadcast_to(np.arange(len(slot_map))[:, None], slot_map.shape)[present]
+    signs = np.broadcast_to(SLOT_SIGNS * h, slot_map.shape)[present]
+    return (elem_mass[pair], rows, cols), (signs, cell_rows, slot_map[present])
+
+
 def element_blocks(slot_map: np.ndarray, elem_mass: np.ndarray, h: float, n_flux: int):
     """Mass and divergence blocks (COO) scattered from per-cell contributions.
 
@@ -268,15 +284,9 @@ def element_blocks(slot_map: np.ndarray, elem_mass: np.ndarray, h: float, n_flux
     for a whole grid, local positions for a subdomain.  Row ``c`` of the
     divergence block belongs to cell ``c`` of ``slot_map``.
     """
-    present = slot_map >= 0
-    pair = present[:, :, None] & present[:, None, :]
-    rows = np.broadcast_to(slot_map[:, :, None], pair.shape)[pair]
-    cols = np.broadcast_to(slot_map[:, None, :], pair.shape)[pair]
-    mass = sp.coo_matrix((elem_mass[pair], (rows, cols)), shape=(n_flux, n_flux))
-    n_cells = len(slot_map)
-    cell_rows = np.broadcast_to(np.arange(n_cells)[:, None], slot_map.shape)[present]
-    signs = np.broadcast_to(SLOT_SIGNS * h, slot_map.shape)[present]
-    div = sp.coo_matrix((signs, (cell_rows, slot_map[present])), shape=(n_cells, n_flux))
+    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(slot_map, elem_mass, h)
+    mass = sp.coo_matrix((m_val, (m_row, m_col)), shape=(n_flux, n_flux))
+    div = sp.coo_matrix((d_val, (d_row, d_col)), shape=(len(slot_map), n_flux))
     return mass, div
 
 

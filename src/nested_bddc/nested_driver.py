@@ -24,7 +24,7 @@ from .bddc import (
     interior_correction,
     prolong_average,
 )
-from .hierarchy import LevelDecomposition
+from .hierarchy import LevelDecomposition, check_shape
 from .krylov import PcgReport, pcg
 from .mesh_fem import (
     CoefficientField,
@@ -70,7 +70,11 @@ class PcgNonConvergence(DriverError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: hierarchy shape, coefficient pattern, tolerance."""
+    """One experiment: hierarchy shape, coefficient pattern, tolerance.
+
+    A shape that no mesh can take raises ``HierarchyError``, every other
+    invalid field ``DriverError``.
+    """
 
     levels: int
     ratio: int
@@ -85,6 +89,7 @@ class ExperimentSpec:
     label: str = ""
 
     def __post_init__(self):
+        check_shape(self.levels, self.ratio)
         if self.coeff not in COEFF_PATTERNS:
             raise DriverError(f"unknown coefficient pattern {self.coeff!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):

@@ -1,27 +1,25 @@
-"""Symmetric-indefinite factorizations and the bordered saddle/KKT layout.
+"""Symmetric-indefinite factorizations and the gauged saddle/KKT layout.
 
-All constrained energy minimisations in the solver share one bordered
-layout with variables (flux w, pressure multiplier p, gauge multiplier beta,
-constraint multipliers lambda):
+Every local and global saddle solve in the solver shares one gauged layout
+with variables (flux w, pressure multiplier p, gauge multiplier beta):
 
-    [ A   B^T  0   C^T ] [w]      [rhs_flux]
-    [ B   0    a   0   ] [p]   =  [rhs_div]
-    [ 0   a^T  0   0   ] [beta]   [0]
-    [ C   0    0   0   ] [lam]    [constraint data]
+    [ A   B^T  0 ] [w]      [rhs_flux]
+    [ B   0    a ] [p]   =  [rhs_div]
+    [ 0   a^T  0 ] [beta]   [0]
 
 The gauge column ``a`` (area weights) pins the pressure mean and absorbs the
-constant in the divergence rows, so the same assembly serves global solves,
-subdomain interior solves and the constrained coarse-basis problems.  This
-module alone decides by size class how such a system is stored, assembled
-and solved.  ``KktSystem`` takes its blocks in any format and keeps them as
-dense arrays up to ``DENSE_LIMIT`` rows of the whole system, as CSR above,
-and factors the system once, at construction.  ``Factorization`` applies the
-same rule: up to ``DENSE_LIMIT`` rows it forms the explicit inverse once,
-from a partial-pivoting LU and after the pivot check, and every solve is a
-matrix product; above, SuperLU solves.  ``solve_leading`` serves callers
-whose data sits in the leading rows and who read back only leading unknowns
-(the BDDC subdomain groups): one product with a corner of the inverse, or
-one zero-padded SuperLU solve.
+constant in the divergence rows, so the same assembly serves global solves
+and subdomain interior solves.  This module alone decides by size class how
+such a system is stored, assembled and solved.  ``KktSystem`` takes its
+blocks in any format and keeps them as dense arrays up to ``DENSE_LIMIT``
+rows of the whole system, as CSR above, and factors the system once, at
+construction.  ``Factorization`` applies the same rule to any square matrix
+(the BDDC face systems included): up to ``DENSE_LIMIT`` rows it forms the
+explicit inverse once, from a partial-pivoting LU and after the pivot
+check, and every solve is a matrix product; above, SuperLU solves.
+``solve_leading`` serves callers whose data sits in the leading rows and
+who read back only leading unknowns (the BDDC subdomain groups): one
+product with a corner of the inverse, or one zero-padded SuperLU solve.
 """
 
 from __future__ import annotations
@@ -122,12 +120,11 @@ class Factorization:
 
 @dataclass
 class KktSystem:
-    """Gauged saddle system, optionally bordered by constraint rows.
+    """Gauged saddle system.
 
-    ``a_block`` is n x n (SPD on the constraint nullspace), ``b_block`` holds
-    the divergence rows (m x n), ``gauge`` the pressure area weights (length
-    m) and ``c_block`` extra constraint rows on the flux variables (c x n,
-    none by default).  The blocks may come as arrays or sparse matrices;
+    ``a_block`` is n x n (SPD on the divergence-free subspace), ``b_block``
+    holds the divergence rows (m x n) and ``gauge`` the pressure area
+    weights (length m).  The blocks may come as arrays or sparse matrices;
     they are kept as dense arrays when the whole system has at most
     ``DENSE_LIMIT`` rows (``dense``) and as CSR above, and the system is
     factored at construction, so a singular one is rejected there.
@@ -136,35 +133,26 @@ class KktSystem:
     a_block: object
     b_block: object
     gauge: np.ndarray
-    c_block: object = None
 
     def __post_init__(self):
         self.n_flux = self.a_block.shape[0]
-        if self.c_block is None:
-            self.c_block = np.zeros((0, self.n_flux))
-        self.n_div, self.n_con = self.b_block.shape[0], self.c_block.shape[0]
-        self.size = self.n_flux + self.n_div + 1 + self.n_con
+        self.n_div = self.b_block.shape[0]
+        self.size = self.n_flux + self.n_div + 1
         self.dense = self.size <= DENSE_LIMIT
-        blocks = (self.a_block, self.b_block, self.c_block)
+        blocks = (self.a_block, self.b_block)
         if self.dense:
             blocks = [m.toarray() if sp.issparse(m) else m for m in blocks]
         else:
             blocks = [sp.csr_matrix(m) for m in blocks]
-        self.a_block, self.b_block, self.c_block = blocks
+        self.a_block, self.b_block = blocks
         self.factorization = Factorization(self.matrix())
 
     def matrix(self):
-        """The bordered matrix, a dense array or CSR like the stored blocks."""
-        a, b, c, g = self.a_block, self.b_block, self.c_block, self.gauge
+        """The gauged matrix, a dense array or CSR like the stored blocks."""
+        a, b, g = self.a_block, self.b_block, self.gauge
         if not self.dense:
             g = g[None, :]
-            grid = [
-                [a, b.T, None, c.T],
-                [b, None, g.T, None],
-                [None, g, None, None],
-                [c, None, None, None],
-            ]
-            return sp.bmat(grid, format="csr")
+            return sp.bmat([[a, b.T, None], [b, None, g.T], [None, g, None]], format="csr")
         n, off_g = self.n_flux, self.n_flux + self.n_div
         out = np.zeros((self.size, self.size))
         out[:n, :n] = a
@@ -172,8 +160,6 @@ class KktSystem:
         out[:n, n:off_g] = b.T
         out[n:off_g, off_g] = g
         out[off_g, n:off_g] = g
-        out[off_g + 1 :, :n] = c
-        out[:n, off_g + 1 :] = c.T
         return out
 
     def solve(self, rhs_flux=None, rhs_div=None):

@@ -158,38 +158,38 @@ def test_criterion_7_averaging_identities(runs, rng):
 
             # dual member: subtract face averages per side copy; one draw
             # per subdomain, in subdomain order
-            n_loc = np.empty(decomp.n_sub, dtype=int)
+            ratio = decomp.face_dofs.shape[1]
+            n_face = np.empty(decomp.n_sub, dtype=int)
             for grp in level.delta_groups:
-                n_loc[grp.subs] = grp.n_loc
-            offsets = np.cumsum(n_loc) - n_loc
-            draws = rng.standard_normal(n_loc.sum())
+                n_face[grp.subs] = grp.n_face_dofs
+            offsets = np.cumsum(n_face) - n_face
+            draws = rng.standard_normal(n_face.sum())
             copies = []
             for grp in level.delta_groups:
-                rows = draws[offsets[grp.subs, None] + np.arange(grp.n_loc)]
-                for v in rows:
-                    for cols in grp.face_cols:
-                        v[cols] -= v[cols].mean()
-                    v /= max(np.linalg.norm(v), 1e-30)
+                rows = draws[offsets[grp.subs, None] + np.arange(grp.n_face_dofs)]
+                faces = rows.reshape(len(grp.subs), grp.n_faces, ratio)
+                faces -= faces.mean(axis=2, keepdims=True)
+                rows /= np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-30)
                 copies.append(rows)
             averaged = average(level, copies)
             for cells in decomp.cells_by_sub:
                 val = (b_mat[cells] @ averaged).sum()
                 worst = max(worst, abs(val) / scale)
 
-            # primal member: random coarse dof values through the basis
+            # primal member: random coarse dof values through the basis; a
+            # subdomain's own copy, before averaging, fixes its total
             if decomp.n_faces:
                 alpha = rng.standard_normal(decomp.n_faces)
                 alpha /= np.linalg.norm(alpha)
-                copies = [
-                    np.array([grp.psi @ a for a in alpha[grp.face_ids]])
-                    for grp in level.delta_groups
-                ]
+                copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.delta_groups]
                 averaged = average(level, copies)
                 for grp, rows in zip(level.delta_groups, copies):
-                    b_loc = np.asarray(grp.kkt.b_block)
-                    for sub, row in zip(grp.subs, rows):
-                        total = (b_mat[decomp.cells_by_sub[sub]] @ averaged).sum()
-                        broken = (b_loc @ row).sum()
+                    for sub, idx, row in zip(grp.subs, grp.idx_face, rows):
+                        own = np.zeros(level.system.n_flux)
+                        own[idx] = row
+                        cells = decomp.cells_by_sub[sub]
+                        total = (b_mat[cells] @ averaged).sum()
+                        broken = (b_mat[cells] @ own).sum()
                         worst = max(worst, abs(total - broken) / scale)
             assert worst <= 1e-10, f"{spec.name()} level {number}: {worst:.2e}"
     print(f"ACCEPTANCE 7 (averaging identities): PASS worst residual {worst:.2e}")
@@ -203,15 +203,18 @@ def test_criterion_8_property_suite(runs, rng):
     for level in solver.precond.levels:
         # partition of unity holds exactly, not approximately, on the
         # weights the apply uses
-        ones = [np.ones(grp.idx_loc.shape) for grp in level.delta_groups]
-        assert np.all(average(level, ones) == 1.0)
-        # averaging reproduces continuous vectors
+        faces = level.decomp.face_dofs
+        ones = [np.ones(grp.idx_face.shape) for grp in level.delta_groups]
+        assert np.all(average(level, ones)[faces] == 1.0)
+        # averaging reproduces continuous vectors on the faces
         v = rng.standard_normal(level.system.n_flux)
-        copies = [v[grp.idx_loc] for grp in level.delta_groups]
-        assert np.allclose(average(level, copies), v, rtol=0, atol=1e-13 * np.abs(v).max())
+        copies = [v[grp.idx_face] for grp in level.delta_groups]
+        assert np.allclose(
+            average(level, copies)[faces], v[faces], rtol=0, atol=1e-13 * np.abs(v).max()
+        )
         # every basis column realizes exactly one unit coarse dof
         for grp in level.delta_groups:
-            avgs = np.stack([grp.psi[cols].mean(axis=0) for cols in grp.face_cols])
+            avgs = grp.psi.reshape(grp.n_faces, -1, grp.n_faces).mean(axis=1)
             assert np.allclose(avgs, np.eye(grp.n_faces), atol=1e-11)
 
     # source restriction preserves compatibility level by level

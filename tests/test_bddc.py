@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import nested_bddc as nb
 from nested_bddc.bddc import (
     MultilevelPreconditioner,
+    _neumann_blocks,
     assemble_coarse_problem,
     average,
     build_level_bddc,
@@ -47,8 +48,16 @@ def two_level_9x9():
 
 
 def delta_correction(level, r_b):
-    """Dual corrections of the weighted residual, one array of member rows per delta group."""
-    return [grp.solve(grp.w * r_b[grp.idx_loc])[0] for grp in level.delta_groups]
+    """Dual face corrections of the weighted residual, member rows per delta group."""
+    return [
+        (grp.w * r_b[grp.idx_face]) @ grp.face_op[:, : grp.n_face_dofs]
+        for grp in level.delta_groups
+    ]
+
+
+def face_means(grp, rows):
+    """Per-face means of face rows, shape ``(..., n_faces)``."""
+    return rows.reshape(*rows.shape[:-1], grp.n_faces, -1).mean(axis=-1)
 
 
 def delta_member(level, sub):
@@ -58,6 +67,71 @@ def delta_member(level, sub):
         if len(rows):
             return grp, rows[0]
     raise KeyError(sub)
+
+
+def dense_block(b):
+    return b.toarray() if sp.issparse(b) else b
+
+
+def member_problem(level, grp, row):
+    """One member's local problem from its own cells, through ``_neumann_blocks``.
+
+    Dense mass, divergence and face-average blocks with columns in the
+    group's order (interior dofs, then face dofs), and the gauge.
+    """
+    local = np.concatenate([grp.idx_int[row], grp.idx_face[row]])
+    cells = level.decomp.cells_by_sub[grp.subs[row]]
+    mass, div = _neumann_blocks(level.system, local, cells)
+    con = np.zeros((grp.n_faces, len(local)))
+    for k, face in enumerate(grp.face_ids[row]):
+        dofs = level.decomp.face_dofs[face]
+        con[k, np.isin(local, dofs)] = 1.0 / len(dofs)
+    return mass.toarray(), div.toarray(), con, level.system.areas[cells]
+
+
+def constrained_kkt(a, b, con, gauge):
+    """The explicit constrained KKT: flux, pressure, gauge, face averages."""
+    n, m = b.shape[1], b.shape[0]
+    kkt = np.zeros((n + m + 1 + len(con),) * 2)
+    kkt[:n, :n] = a
+    kkt[n : n + m, :n] = b
+    kkt[:n, n : n + m] = b.T
+    kkt[n : n + m, n + m] = gauge
+    kkt[n + m, n : n + m] = gauge
+    kkt[n + m + 1 :, :n] = con
+    kkt[:n, n + m + 1 :] = con.T
+    return kkt
+
+
+def basis_all_dofs(grp):
+    """The group's basis on all local dofs: interior rows, then face rows."""
+    return np.vstack([grp.ext[:, : grp.n_int].T @ grp.psi, grp.psi])
+
+
+def check_face_operators(grp, a, b, con, gauge, int_pos, face_pos, tol):
+    """A group's face operators against one member's explicit constrained KKT.
+
+    ``a``, ``b`` and ``con`` are the member's Neumann mass, divergence and
+    face-average blocks in any local dof order; the group's interior and
+    face columns sit at ``int_pos`` and ``face_pos`` there.
+    """
+    a, b, con = (dense_block(m) for m in (a, b, con))
+    n, m = a.shape[0], b.shape[0]
+    kkt = constrained_kkt(a, b, con, gauge)
+    inv = np.linalg.inv(kkt)
+    # dual face operator: data on the faces, face values read back
+    n_f = grp.n_face_dofs
+    assert rel_err(grp.face_op[:, :n_f], inv[np.ix_(face_pos, face_pos)].T) <= tol
+    # basis on all local dofs: unit data in the constraint rows
+    psi_ref = inv[:n, n + m + 1 :]
+    psi = np.empty_like(psi_ref)
+    psi[np.r_[int_pos, face_pos]] = basis_all_dofs(grp)
+    assert rel_err(psi, psi_ref) <= tol
+    assert rel_err(grp.coarse_elem, psi_ref.T @ a @ psi_ref) <= tol
+    # harmonic extension: the interior KKT with face values as data
+    inner = np.r_[int_pos, n + np.arange(m + 1)]
+    ext_ref = -np.linalg.solve(kkt[np.ix_(inner, inner)], kkt[np.ix_(inner, face_pos)])
+    assert rel_err(grp.ext, ext_ref[:-1].T) <= tol
 
 
 def balanced_residual(level, rng):
@@ -72,12 +146,7 @@ def test_coarse_basis_realizes_unit_coarse_dofs(two_level_9x9):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
     for grp in level.delta_groups:
-        psi = grp.psi
-        for j, cols in enumerate(grp.face_cols):
-            averages = psi[cols].mean(axis=0)
-            expected = np.zeros(grp.n_faces)
-            expected[j] = 1.0
-            assert np.allclose(averages, expected, atol=1e-12)
+        assert np.allclose(face_means(grp, grp.psi.T), np.eye(grp.n_faces), atol=1e-12)
 
 
 def test_coarse_basis_beats_constant_flux_competitor(two_level_9x9):
@@ -89,13 +158,13 @@ def test_coarse_basis_beats_constant_flux_competitor(two_level_9x9):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
     grp, row = delta_member(level, 4)  # interior subdomain, all four faces present
-    local_dofs = grp.idx_loc[row]
+    local_dofs = np.concatenate([grp.idx_int[row], grp.idx_face[row]])
     assert len(grp.face_ids[row]) == 4
-    a_loc = np.asarray(grp.kkt.a_block)
-    combo = grp.psi[:, 0] + grp.psi[:, 1]
-    for j, cols in enumerate(grp.face_cols):
-        assert combo[cols].mean() == pytest.approx(1.0 if j < 2 else 0.0, abs=1e-12)
-    assert np.allclose(np.asarray(grp.kkt.b_block) @ combo, 0.0, atol=1e-11)
+    a_loc, b_loc, con, _ = member_problem(level, grp, row)
+    psi = basis_all_dofs(grp)
+    combo = psi[:, 0] + psi[:, 1]
+    assert np.allclose(con @ combo, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(b_loc @ combo, 0.0, atol=1e-11)
     constant = np.zeros(len(local_dofs))
     constant[local_dofs < level.system.grid.n_vertical] = 1.0
     assert combo @ a_loc @ combo < constant @ a_loc @ constant
@@ -104,16 +173,12 @@ def test_coarse_basis_beats_constant_flux_competitor(two_level_9x9):
 def test_coarse_basis_energy_minimal(two_level_9x9, rng):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
-    grp, _ = delta_member(level, 4)
-    a_loc = np.asarray(grp.kkt.a_block)
-    b_loc = np.asarray(grp.kkt.b_block)
-    c_blk = np.asarray(grp.kkt.c_block)
-    psi = grp.psi[:, 0]
+    grp, row = delta_member(level, 4)
+    a_loc, b_loc, c_blk, areas = member_problem(level, grp, row)
+    psi = basis_all_dofs(grp)[:, 0]
     base = psi @ a_loc @ psi
-    # feasible competitors: same face averages, divergence still cellwise constant
-    constraints = np.vstack([b_loc - grp.kkt.a_block.sum() * 0.0, c_blk])
-    # divergence rows modulo constants: project rhs of b_loc onto mean-zero
-    areas = level.system.areas[level.decomp.cells_by_sub[4]]
+    # feasible competitors: same face averages, divergence still cellwise
+    # constant (divergence rows modulo constants: project onto mean zero)
     proj = np.eye(len(areas)) - np.outer(areas, areas) / (areas @ areas)
     constraints = np.vstack([proj @ b_loc, c_blk])
     ns = np.linalg.svd(constraints)[2][np.linalg.matrix_rank(constraints) :]
@@ -147,14 +212,15 @@ def test_coarse_system_is_galerkin_product(two_level_9x9):
     a_c = np.zeros((n_faces, n_faces))
     b_c = np.zeros((n_sub, n_faces))
     for grp in level.delta_groups:
-        psi = grp.psi
-        a_loc = np.asarray(grp.kkt.a_block)
-        b_loc = np.asarray(grp.kkt.b_block)
-        # basis pressures: a fresh solve on the constraint unit columns
-        m = grp.n_loc + grp.kkt.b_block.shape[0]
-        unit = np.zeros((grp.kkt.size, grp.n_faces))
+        psi = basis_all_dofs(grp)
+        a_loc, b_loc, con, gauge = member_problem(level, grp, 0)
+        # basis pressures: a fresh solve of the explicit constrained KKT on
+        # the constraint unit columns
+        kkt = constrained_kkt(a_loc, b_loc, con, gauge)
+        n, m = b_loc.shape[1], b_loc.shape[1] + b_loc.shape[0]
+        unit = np.zeros((len(kkt), grp.n_faces))
         unit[m + 1 :] = np.eye(grp.n_faces)
-        p_psi = Factorization(grp.kkt.matrix()).solve(unit)[grp.n_loc : m]
+        p_psi = np.linalg.solve(kkt, unit)[n:m]
         for sub, f in zip(grp.subs, grp.face_ids):
             # flux block: basis energies plus divergence cross terms (which vanish)
             contrib = psi.T @ a_loc @ psi + psi.T @ b_loc.T @ p_psi + p_psi.T @ b_loc @ psi
@@ -220,9 +286,7 @@ def test_delta_correction_face_averages_vanish(two_level_9x9, rng):
     r_b = balanced_residual(level, rng)
     w = delta_correction(level, r_b)
     for grp, rows in zip(level.delta_groups, w):
-        for row in rows:
-            for cols in grp.face_cols:
-                assert abs(row[cols].mean()) < 1e-12
+        assert np.abs(face_means(grp, rows)).max() < 1e-12
 
 
 def test_delta_correction_zero_residual(two_level_9x9):
@@ -244,10 +308,9 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
     # random dual-space member: zero face averages on every side copy
     copies = []
     for grp in level.delta_groups:
-        v = rng.standard_normal((len(grp.subs), grp.n_loc))
-        for cols in grp.face_cols:
-            v[:, cols] -= v[:, cols].mean(axis=1, keepdims=True)
-        copies.append(v)
+        v = rng.standard_normal((len(grp.subs), grp.n_faces, grp.n_face_dofs // grp.n_faces))
+        v -= v.mean(axis=2, keepdims=True)
+        copies.append(v.reshape(len(grp.subs), -1))
     averaged = average(level, copies)
     for cells in cells_by_sub:
         q0 = b_dense[cells] @ averaged
@@ -417,14 +480,12 @@ def rel_err(got, ref):
 def test_group_solves_match_explicit_factorization(spec, dense, rng):
     precond = NestedSolver(spec).precond
     for level in precond.levels:
-        groups = level.interior_groups + level.delta_groups
-        assert all((grp.kkt.size <= DENSE_LIMIT) == dense for grp in groups)
+        assert all(grp.kkt.dense == dense for grp in level.interior_groups)
         r = rng.standard_normal(level.system.n_flux)
         div = rng.standard_normal(level.system.n_pressure)
         for rhs_div in (None, div):
             u, p = interior_correction(level, r, rhs_div)
             for grp in level.interior_groups:
-                assert grp.kkt.dense == dense
                 m = grp.n_int + grp.n_cells
                 rhs = np.zeros((grp.kkt.size, len(grp.subs)))
                 rhs[: grp.n_int] = r[grp.idx_int].T
@@ -433,18 +494,12 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
                 ref = Factorization(grp.kkt.matrix()).solve(rhs)[:m]
                 got = np.vstack([u[grp.idx_int].T, p[grp.idx_cells].T])
                 assert rel_err(got, ref) <= 1e-12
-        r_b = rng.standard_normal(level.system.n_flux)
-        w = delta_correction(level, r_b)
-        for grp, got in zip(level.delta_groups, w):
-            assert grp.kkt.dense == dense
-            rhs = np.zeros((grp.kkt.size, len(grp.subs)))
-            rhs[: grp.n_loc] = (grp.w * r_b[grp.idx_loc]).T
-            ref = Factorization(grp.kkt.matrix()).solve(rhs)[: grp.n_loc].T
-            assert rel_err(got, ref) <= 1e-12
-
-
-def dense_block(b):
-    return b.toarray() if sp.issparse(b) else b
+        # each delta group's face operators against the inverse of its first
+        # member's explicit constrained KKT (interior dofs, then face dofs)
+        for grp in level.delta_groups:
+            n_int, n_f = grp.n_int, grp.n_face_dofs
+            int_pos, face_pos = np.arange(n_int), n_int + np.arange(n_f)
+            check_face_operators(grp, *member_problem(level, grp, 0), int_pos, face_pos, 1e-12)
 
 
 # Step 3 runs on every start level of each spec; ratio 16 takes the sparse path.
@@ -608,6 +663,9 @@ def reference_subdomain(system, decomp, w_lo, s):
     gauge = system.areas[cells]
     return {
         "local": local,
+        "int_pos": int_pos,
+        "face_pos": np.concatenate(face_cols),
+        "gauge": gauge,
         "face_ids": face_ids,
         "w": w,
         "interior_key": _bytes_key(a_int, b_int, gauge),
@@ -652,15 +710,21 @@ def test_groups_match_per_subdomain_reference(case, runs):
         assert [list(g.subs) for g in level.interior_groups] == _group_by(
             ref["interior_key"] for ref in refs
         )
-        # every member's own blocks equal its group's, bit for bit
+        # every member's own interior blocks equal its group's, bit for bit,
+        # and every member's index rows and weights match its own
         for grp in level.delta_groups:
-            blocks = _bytes_key(grp.kkt.a_block, grp.kkt.b_block, grp.kkt.c_block)
             for row, s in enumerate(grp.subs):
                 ref = refs[s]
-                assert _bytes_key(*ref["delta_blocks"]) == blocks
-                assert np.array_equal(grp.idx_loc[row], ref["local"])
+                local = ref["local"]
+                assert np.array_equal(grp.idx_int[row], local[ref["int_pos"]])
+                assert np.array_equal(grp.idx_face[row], local[ref["face_pos"]])
                 assert np.array_equal(grp.face_ids[row], ref["face_ids"])
-                assert np.array_equal(grp.w[row], ref["w"])
+                assert np.array_equal(grp.w[row], ref["w"][ref["face_pos"]])
+            # the group's face operators from the first member's own blocks
+            ref = refs[grp.subs[0]]
+            check_face_operators(
+                grp, *ref["delta_blocks"], ref["gauge"], ref["int_pos"], ref["face_pos"], 1e-12
+            )
         for grp in level.interior_groups:
             blocks = _bytes_key(grp.kkt.a_block, grp.kkt.b_block)
             for row, s in enumerate(grp.subs):

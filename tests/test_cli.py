@@ -135,6 +135,26 @@ def test_invalid_tolerance_exit_2(tmp_path, capsys, source, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("field, value", [("levels", "-2"), ("levels", "1"), ("ratio", "0"), ("ratio", "1")])
+def test_impossible_shape_exit_2(tmp_path, capsys, source, field, value):
+    # rejected with the hierarchy's message before any mesh is built
+    message = {"levels": "at least two levels", "ratio": "ratio must be an integer >= 2"}[field]
+    out = tmp_path / "r.csv"
+    args = ["solve", "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field} = {value}\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += [f"--{field}={value}"]
+    code = run_cli(args)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not out.exists()
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("levels = 3\nratio = 3\ntol = 1e-6  # comment\n")

@@ -25,18 +25,22 @@ def applied_face_weights(level):
     lo = np.full(level.decomp.face_dofs.shape, np.nan)
     hi = lo.copy()
     lower_sub = level.decomp.sub_grid.edge_sides[:, 0]
+    ratio = level.decomp.face_dofs.shape[1]
     for grp in level.delta_groups:
-        for k, cols in enumerate(grp.face_cols):
+        # a group's face dofs run face by face, ratio columns each
+        w = grp.w.reshape(len(grp.subs), grp.n_faces, ratio)
+        for k in range(grp.n_faces):
             faces = grp.face_ids[:, k]
             lower = lower_sub[faces] == grp.subs
-            lo[faces[lower]] = grp.w[lower][:, cols]
-            hi[faces[~lower]] = grp.w[~lower][:, cols]
+            lo[faces[lower]] = w[lower, k]
+            hi[faces[~lower]] = w[~lower, k]
     return lo, hi
 
 
 def unit_average(level):
-    """Weighted average of all-ones subdomain copies."""
-    return average(level, [np.ones(grp.idx_loc.shape) for grp in level.delta_groups])
+    """Weighted average of all-ones subdomain face copies, on the face dofs."""
+    avg = average(level, [np.ones(grp.idx_face.shape) for grp in level.delta_groups])
+    return avg[level.decomp.face_dofs]
 
 
 def test_config_validation():
@@ -141,13 +145,10 @@ def test_weights_unit_coefficient_all_half():
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
     for gamma in (0.0, 1.0):
         assert np.all(compute_weights(d, system.elem_mass, gamma) == 0.5)
-        # applied weights: 1 on interior dofs, 1/2 on both copies of a face dof
+        # applied weights: 1/2 on both copies of a face dof
         level = build_level_bddc(system, d, gamma)
         for grp in level.delta_groups:
-            on_face = np.zeros(grp.n_loc, dtype=bool)
-            on_face[grp.face_cols] = True
-            assert np.all(grp.w[:, ~on_face] == 1.0)
-            assert np.all(grp.w[:, on_face] == 0.5)
+            assert np.all(grp.w == 0.5)
 
 
 def test_weights_jump_formula():
@@ -182,8 +183,12 @@ def test_averaging_is_projection(rng):
     system = assemble_rt0(mesh, coeff)
     level = build_level_bddc(system, d, 1.0)
     v = rng.standard_normal(mesh.n_flux)
-    copies = [v[grp.idx_loc] for grp in level.delta_groups]
-    assert np.allclose(average(level, copies), v, atol=1e-14)
+    copies = [v[grp.idx_face] for grp in level.delta_groups]
+    avg = average(level, copies)
+    faces = d.face_dofs.ravel()
+    assert np.allclose(avg[faces], v[faces], atol=1e-14)
+    # interior dofs have no face copy and stay zero
+    assert np.all(np.delete(avg, faces) == 0.0)
 
 
 

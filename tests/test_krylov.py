@@ -167,3 +167,30 @@ def test_accepted_preconditioner_output_is_recorded_and_checked():
     defects = iter([0.0, 1.0])
     with pytest.raises(InvariantViolation, match="at iteration 2"):
         pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x: next(defects))
+
+
+def test_accepts_pressure_gradient_after_several_steps():
+    # Two cells with two fluxes each.  A maps each cell's divergence-free
+    # direction to a multiple of itself, and the preconditioner scales those
+    # directions to the eigenvalues 1/2 and 2, so every CG scalar is dyadic
+    # and exact.  After two steps the residual is a pure pressure gradient,
+    # <r, Mr> is exactly 0, and iteration 3 accepts the preconditioner output.
+    a = np.diag([1.0, 1.0, 2.0, 2.0])
+    b = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    kkt = np.block([[a, b.T], [b, np.zeros((2, 2))]])
+    div_free = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]).T
+    scale = np.diag([0.25, 0.5])
+
+    def preconditioner(r):
+        u = div_free @ (scale @ (div_free.T @ r[:4]))
+        p = b @ (r[:4] - a @ u) / 2.0  # B B^T = 2 I
+        return np.concatenate([u, p])
+
+    rhs = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    x, report = pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x: 0.0)
+    assert report.converged
+    assert report.iterations == 3
+    assert len(report.alphas) == 2  # iteration 3 takes no CG step
+    assert report.precond_residuals[-1] == 0.0
+    assert len(list(report.history_rows())) == 3
+    assert np.array_equal(kkt @ x, rhs)

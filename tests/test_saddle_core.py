@@ -21,11 +21,9 @@ def gauged_darcy_kkt(nx, source="corner"):
     return system, kkt
 
 
-def constraint_rhs(kkt, target):
-    """Packed right-hand side with ``target`` in the constraint rows."""
-    rhs = np.zeros(kkt.size)
-    rhs[kkt.n_flux + kkt.n_div + 1 :] = target
-    return rhs
+def bordered(a, c):
+    """Energy minimisation under the constraints ``c``, as one bordered matrix."""
+    return np.block([[a, c.T], [c, np.zeros((len(c), len(c)))]])
 
 
 def test_identity_solve():
@@ -63,11 +61,10 @@ def test_singular_matrix_detected():
 
 
 def test_minimal_norm_under_sum_constraint():
-    # minimize 0.5*|u|^2 subject to u1 + u2 = 2  ->  (1, 1); the gauge
-    # multiplier absorbs the divergence row, which leaves the flux free
-    kkt = KktSystem(np.eye(2), np.ones((1, 2)), gauge=np.ones(1), c_block=np.array([[1.0, 1.0]]))
-    flux = kkt.factorization.solve(constraint_rhs(kkt, np.array([2.0])))[: kkt.n_flux]
-    assert np.allclose(flux, [1.0, 1.0])
+    # minimize 0.5*|u|^2 subject to u1 + u2 = 2  ->  (1, 1), through the
+    # bordered layout of the BDDC face systems
+    fact = Factorization(bordered(np.eye(2), np.array([[1.0, 1.0]])))
+    assert np.allclose(fact.solve(np.array([0.0, 0.0, 2.0]))[:2], [1.0, 1.0])
 
 
 def test_zero_rhs_gives_zero():
@@ -83,10 +80,8 @@ def test_energy_minimality_random_feasible_perturbations(rng):
     m = rng.standard_normal((n, n))
     a = m @ m.T + n * np.eye(n)
     c = rng.standard_normal((3, n))
-    # the gauge multiplier absorbs the divergence row, which leaves the flux free
-    kkt = KktSystem(a, np.ones((1, n)), gauge=np.ones(1), c_block=c)
     target = rng.standard_normal(3)
-    flux = kkt.factorization.solve(constraint_rhs(kkt, target))[: kkt.n_flux]
+    flux = Factorization(bordered(a, c)).solve(np.concatenate([np.zeros(n), target]))[:n]
     base = flux @ a @ flux
     ns = np.linalg.svd(c)[2][3:]  # nullspace basis of the constraints
     for _ in range(10):
@@ -192,23 +187,19 @@ def test_solve_leading_matches_padded_solve(rng, nx, dense):
         fact.solve_leading(np.ones((1, n + 1)), 1)
 
 
-def random_blocks(rng, constraints):
+def random_blocks(rng):
     n, m = 7, 3
     g = rng.standard_normal((n, n))
     a = g @ g.T
-    blocks = dict(
+    return dict(
         a_block=(a + a.T) / 2 + n * np.eye(n),
         b_block=rng.standard_normal((m, n)),
         gauge=rng.uniform(0.5, 1.0, m),
     )
-    if constraints:
-        blocks["c_block"] = rng.standard_normal((2, n))
-    return blocks
 
 
-@pytest.mark.parametrize("constraints", [False, True], ids=["gauge", "gauge+constraints"])
-def test_dense_assembly_matches_sparse(rng, monkeypatch, constraints):
-    blocks = random_blocks(rng, constraints)
+def test_dense_assembly_matches_sparse(rng, monkeypatch):
+    blocks = random_blocks(rng)
     as_csr = {k: v if k == "gauge" else sp.csr_matrix(v) for k, v in blocks.items()}
     # blocks in either format give the same dense system below DENSE_LIMIT
     kkt = KktSystem(**blocks)
