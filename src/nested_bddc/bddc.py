@@ -1,7 +1,7 @@
 """BDDC components per level and the multilevel preconditioner application.
 
-Per subdomain one local saddle problem is factored: the interior KKT
-``K_I`` (interior flux dofs, local pressures, mean-zero gauge).  It serves
+Each subdomain has one local saddle problem, the interior KKT ``K_I``
+(interior flux dofs, local pressures, mean-zero gauge).  It serves
 step 2 of the nested solve and the interior pre-correction, and it
 condenses the subdomain onto its faces: with ``M_F`` the interior rows
 coupled to the face dofs, ``-K_I^-1 M_F`` is the discrete harmonic
@@ -19,15 +19,16 @@ product with the extension per group: no KKT solve, no global product.
 
 On the uniform grid a subdomain's interior KKT is fixed by the element
 matrices of its cells, its face operators also by which of its four faces
-exist.  Subdomains are grouped by those keys (cells compared by the bit
-pattern of their element matrices): an interior group factors one
-``KktSystem`` from its first member and solves in batches through
-``Factorization.solve_leading``; a delta group condenses its first member
-through its interior group's factorization, once.  Both keep one row of
-index arrays per member, delta groups also one row of face weights
-(``hierarchy.compute_weights``).  How the blocks are stored and solved, by
-size class, is decided in ``saddle_core`` alone; the Neumann blocks come
-from the same element scatter as the global matrices
+exist.  Subdomains are grouped by both keys (cells compared by the bit
+pattern of their element matrices), one group kind per level: a group
+condenses its first member once and keeps one row of index arrays and one
+row of face weights (``hierarchy.compute_weights``) per member.  Groups on
+the same cells share one ``KktSystem``, factored from the first member of
+the first such group and solved in batches through
+``Factorization.solve_leading``; with a constant coefficient the nine
+groups of the fine level share one.  How the blocks are stored and
+solved, by size class, is decided in ``saddle_core`` alone; the Neumann
+blocks come from the same element scatter as the global matrices
 (``mesh_fem.element_triplets``), on local positions.
 
 ``MultilevelPreconditioner.build`` owns the level list: it makes the
@@ -86,41 +87,24 @@ class BddcError(Exception):
     pass
 
 
-class _InteriorGroup:
-    """Subdomains sharing one interior-KKT factorization.
+class _Group:
+    """Subdomains sharing one set of present faces and one cell pattern.
 
-    The KKT is assembled from the first member's cells and factored at
+    ``kkt`` is the members' interior KKT ``K_I`` (interior flux dofs, local
+    pressures, gauge), assembled from one member's cells and factored at
     build, so a singular local problem is rejected before any apply.
-    """
+    Groups on the same cells differ only in their present faces and share
+    that one object.  The interior correction solves with it in batches,
+    one row of data per member.
 
-    def __init__(self, system: Rt0System, decomp: LevelDecomposition, subs):
-        self.subs = subs
-        self.idx_int = decomp.interior_by_sub[subs]
-        self.idx_cells = decomp.cells_by_sub[subs]
-        self.n_int = self.idx_int.shape[1]
-        self.n_cells = self.idx_cells.shape[1]
-        cells = self.idx_cells[0]
-        mass, div = _neumann_blocks(system, self.idx_int[0], cells)
-        self.kkt = KktSystem(mass, div, gauge=system.areas[cells])
-
-    def solve(self, flux_rows, div_rows=None):
-        """Interior flux and pressure rows for one row of data per subdomain."""
-        rows = flux_rows if div_rows is None else np.hstack([flux_rows, div_rows])
-        out = self.kkt.factorization.solve_leading(rows, self.n_int + self.n_cells)
-        return out[:, : self.n_int], out[:, self.n_int :]
-
-
-class _DeltaGroup:
-    """Subdomains sharing one interior group and one set of present faces.
-
-    Everything here is condensed onto the members' face dofs, listed face
+    Everything else is condensed onto the members' face dofs, listed face
     by face in ``idx_face``: the ``k``-th present face (slot
     ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
-    With ``K_I`` the interior KKT and ``M_F = [A_IF; B_F]`` its rows coupled
-    to the faces, a row ``f`` of face values extends to ``f @ ext``, the
-    interior flux (first ``n_int`` entries) and pressure of its discrete
-    harmonic extension ``-K_I^-1 M_F f``.  ``S = A_FF - M_F^T K_I^-1 M_F``
-    is the face Schur complement.  The inverse of the bordered face system
+    With ``M_F = [A_IF; B_F]`` the rows of ``K_I`` coupled to the faces, a
+    row ``f`` of face values extends to ``f @ ext``, the interior flux
+    (first ``n_int`` entries) and pressure of its discrete harmonic
+    extension ``-K_I^-1 M_F f``.  ``S = A_FF - M_F^T K_I^-1 M_F`` is the
+    face Schur complement.  The inverse of the bordered face system
     ``[S C^T; C 0]``, with ``C`` the face averages, gives ``face_op``: the
     dual face operator (zero face averages) in its first ``n_face_dofs``
     columns, then the energy-minimal basis ``psi`` on the faces, one column
@@ -131,8 +115,9 @@ class _DeltaGroup:
     higher one.
     """
 
-    def __init__(self, system, decomp, w_lo, subs, interior: _InteriorGroup):
+    def __init__(self, system, decomp, w_lo, subs, kkt: KktSystem):
         self.subs = subs
+        self.kkt = kkt
         first = subs[0]
         self.face_slots = np.flatnonzero(decomp.faces_by_sub[first] >= 0)
         self.n_faces = len(self.face_slots)
@@ -141,6 +126,7 @@ class _DeltaGroup:
         self.idx_int = decomp.interior_by_sub[subs]
         self.idx_cells = decomp.cells_by_sub[subs]
         self.n_int = self.idx_int.shape[1]
+        self.n_cells = self.idx_cells.shape[1]
         self.n_face_dofs = n_f = self.idx_face.shape[1]
         ratio = decomp.face_dofs.shape[1]
         # A face's normal points into the members on their left and bottom
@@ -152,13 +138,13 @@ class _DeltaGroup:
         # The face rows of the Neumann blocks, columns in the order
         # (interior, faces), dense, straight from the element scatter.
         cells = self.idx_cells[0]
-        n_int, n_loc, n_cells = self.n_int, self.n_int + n_f, len(cells)
+        n_int, n_loc, n_cells = self.n_int, self.n_int + n_f, self.n_cells
         slots = _local_slots(system, np.concatenate([self.idx_int[0], self.idx_face[0]]), cells)
         mass, div = element_triplets(slots, system.elem_mass[cells], system.grid.h)
         a_f = _dense_rows(*mass, n_int, (n_f, n_loc))
         b_ft = _dense_rows(div[0], div[2], div[1], n_int, (n_f, n_cells))
         coupling = np.hstack([a_f[:, :n_int], b_ft])  # M_F^T
-        self.ext = -interior.kkt.factorization.solve_leading(coupling, n_int + n_cells)
+        self.ext = -kkt.factorization.solve_leading(coupling, n_int + n_cells)
         schur = a_f[:, n_int:] + coupling @ self.ext.T
         schur = 0.5 * (schur + schur.T)
         # The bordered face system; the face averages C are its last rows.
@@ -204,8 +190,7 @@ class LevelBddc:
 
     system: Rt0System
     decomp: LevelDecomposition
-    interior_groups: list[_InteriorGroup]
-    delta_groups: list[_DeltaGroup]
+    groups: list[_Group]
     grad_inv: np.ndarray  # (n_cells, n_int), shared by all subdomains (template order)
 
 
@@ -247,29 +232,31 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     A subdomain's interior KKT is fixed by its cells' element matrices, its
     face operators also by which of its four faces exist.  Cells are
     classed by the bit pattern of their element matrix, so members of a
-    group have bit-identical local matrices; a delta group's members all
-    sit in one interior group, whose factorization condenses them.
+    group have bit-identical local matrices.  The first group on a cell
+    pattern assembles and factors the interior KKT; later groups on the
+    same pattern share it.
     """
     cell_class = _unique_rows(system.elem_mass.reshape(system.grid.n_cells, -1))[2]
     classes = cell_class[decomp.cells_by_sub]
+    pattern = _unique_rows(classes)[2]
     present = decomp.faces_by_sub >= 0
     w_lo = compute_weights(decomp, system.elem_mass, gamma)
 
-    interior_groups = [_InteriorGroup(system, decomp, subs) for subs in _groups(classes)]
-    interior_of = np.empty(decomp.n_sub, dtype=int)
-    for k, grp in enumerate(interior_groups):
-        interior_of[grp.subs] = k
-    delta_groups = [
-        _DeltaGroup(system, decomp, w_lo, subs, interior_groups[interior_of[subs[0]]])
-        for subs in _groups(np.hstack([present, classes]))
-    ]
-    # B carries no coefficient: every interior group has the first one's B_I.
-    first = interior_groups[0].kkt
+    kkts: dict[int, KktSystem] = {}
+    groups = []
+    for subs in _groups(np.hstack([present, classes])):
+        key = pattern[subs[0]]
+        if key not in kkts:
+            cells = decomp.cells_by_sub[subs[0]]
+            mass, div = _neumann_blocks(system, decomp.interior_by_sub[subs[0]], cells)
+            kkts[key] = KktSystem(mass, div, gauge=system.areas[cells])
+        groups.append(_Group(system, decomp, w_lo, subs, kkts[key]))
+    # B carries no coefficient: every interior KKT has the first one's B_I.
+    first = groups[0].kkt
     return LevelBddc(
         system=system,
         decomp=decomp,
-        interior_groups=interior_groups,
-        delta_groups=delta_groups,
+        groups=groups,
         grad_inv=_gradient_inverse(first.b_block, first.gauge),
     )
 
@@ -283,7 +270,7 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     """
     decomp = level.decomp
     elem_mass = np.zeros((decomp.n_sub, 4, 4))
-    for grp in level.delta_groups:
+    for grp in level.groups:
         slots = grp.face_slots
         elem_mass[grp.subs[:, None, None], slots[:, None], slots] = grp.coarse_elem
     return assemble_system(decomp.sub_grid, elem_mass)
@@ -299,9 +286,12 @@ def interior_correction(level: LevelBddc, r: np.ndarray, rhs_div=None):
     """
     u = np.zeros(level.system.n_flux)
     p = np.zeros(level.system.n_pressure)
-    for grp in level.interior_groups:
-        div_rows = None if rhs_div is None else rhs_div[grp.idx_cells]
-        u[grp.idx_int], p[grp.idx_cells] = grp.solve(r[grp.idx_int], div_rows)
+    for grp in level.groups:
+        rows = r[grp.idx_int]
+        if rhs_div is not None:
+            rows = np.hstack([rows, rhs_div[grp.idx_cells]])
+        out = grp.kkt.factorization.solve_leading(rows, grp.n_int + grp.n_cells)
+        u[grp.idx_int], p[grp.idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
     return u, p
 
 
@@ -329,26 +319,23 @@ def _scatter_add(n: int, pairs) -> np.ndarray:
 def average(level: LevelBddc, rows_per_group) -> np.ndarray:
     """Weighted average of subdomain face copies into one level vector.
 
-    ``rows_per_group`` holds, per delta group, one row of face values per
+    ``rows_per_group`` holds, per group, one row of face values per
     member in the group's ``idx_face`` order; interior dofs stay zero.
     """
     return _scatter_add(
         level.system.n_flux,
-        [(grp.idx_face, grp.w * rows) for grp, rows in zip(level.delta_groups, rows_per_group)],
+        [(grp.idx_face, grp.w * rows) for grp, rows in zip(level.groups, rows_per_group)],
     )
 
 
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
-    """Continuous level vector from coarse dof values.
+    """Level vector with the averaged face values of the coarse basis.
 
-    The basis columns are averaged on the faces; inside, each subdomain
-    keeps its own basis values, the harmonic extension of its face copies.
+    Interior dofs stay zero.  Step 2 solves ``K_I`` with this vector's
+    residual, and the interior rows of ``u0 + u_int`` depend on the face
+    values of ``u0`` alone: step 2 fills the interiors.
     """
-    copies = [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.delta_groups]
-    u = average(level, copies)
-    for grp, rows in zip(level.delta_groups, copies):
-        u[grp.idx_int] = rows @ grp.ext[:, : grp.n_int]
-    return u
+    return average(level, [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.groups])
 
 
 def inject_pressure(level: LevelBddc, p_coarse: np.ndarray) -> np.ndarray:
@@ -425,9 +412,9 @@ class MultilevelPreconditioner:
 
     def _apply(self, idx: int, r: np.ndarray, pre):
         level = self.levels[idx]
-        groups = level.delta_groups
+        groups = level.groups
         u_int, p_int, r_b = pre(level, r)
-        # The pre-correction leaves no interior residual.  Per delta group,
+        # The pre-correction leaves no interior residual.  Per group,
         # from the weighted face residuals: dual face values with vanishing
         # face averages, then the restriction coefficients.
         face_out = [(grp.w * r_b[grp.idx_face]) @ grp.face_op for grp in groups]

@@ -160,12 +160,12 @@ def test_criterion_7_averaging_identities(runs, rng):
             # per subdomain, in subdomain order
             ratio = decomp.face_dofs.shape[1]
             n_face = np.empty(decomp.n_sub, dtype=int)
-            for grp in level.delta_groups:
+            for grp in level.groups:
                 n_face[grp.subs] = grp.n_face_dofs
             offsets = np.cumsum(n_face) - n_face
             draws = rng.standard_normal(n_face.sum())
             copies = []
-            for grp in level.delta_groups:
+            for grp in level.groups:
                 rows = draws[offsets[grp.subs, None] + np.arange(grp.n_face_dofs)]
                 faces = rows.reshape(len(grp.subs), grp.n_faces, ratio)
                 faces -= faces.mean(axis=2, keepdims=True)
@@ -181,9 +181,9 @@ def test_criterion_7_averaging_identities(runs, rng):
             if decomp.n_faces:
                 alpha = rng.standard_normal(decomp.n_faces)
                 alpha /= np.linalg.norm(alpha)
-                copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.delta_groups]
+                copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.groups]
                 averaged = average(level, copies)
-                for grp, rows in zip(level.delta_groups, copies):
+                for grp, rows in zip(level.groups, copies):
                     for sub, idx, row in zip(grp.subs, grp.idx_face, rows):
                         own = np.zeros(level.system.n_flux)
                         own[idx] = row
@@ -204,16 +204,16 @@ def test_criterion_8_property_suite(runs, rng):
         # partition of unity holds exactly, not approximately, on the
         # weights the apply uses
         faces = level.decomp.face_dofs
-        ones = [np.ones(grp.idx_face.shape) for grp in level.delta_groups]
+        ones = [np.ones(grp.idx_face.shape) for grp in level.groups]
         assert np.all(average(level, ones)[faces] == 1.0)
         # averaging reproduces continuous vectors on the faces
         v = rng.standard_normal(level.system.n_flux)
-        copies = [v[grp.idx_face] for grp in level.delta_groups]
+        copies = [v[grp.idx_face] for grp in level.groups]
         assert np.allclose(
             average(level, copies)[faces], v[faces], rtol=0, atol=1e-13 * np.abs(v).max()
         )
         # every basis column realizes exactly one unit coarse dof
-        for grp in level.delta_groups:
+        for grp in level.groups:
             avgs = grp.psi.reshape(grp.n_faces, -1, grp.n_faces).mean(axis=1)
             assert np.allclose(avgs, np.eye(grp.n_faces), atol=1e-11)
 

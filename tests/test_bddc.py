@@ -48,10 +48,10 @@ def two_level_9x9():
 
 
 def delta_correction(level, r_b):
-    """Dual face corrections of the weighted residual, member rows per delta group."""
+    """Dual face corrections of the weighted residual, member rows per group."""
     return [
         (grp.w * r_b[grp.idx_face]) @ grp.face_op[:, : grp.n_face_dofs]
-        for grp in level.delta_groups
+        for grp in level.groups
     ]
 
 
@@ -61,8 +61,8 @@ def face_means(grp, rows):
 
 
 def delta_member(level, sub):
-    """Delta group holding subdomain ``sub`` and the member row of it there."""
-    for grp in level.delta_groups:
+    """Group holding subdomain ``sub`` and the member row of it there."""
+    for grp in level.groups:
         rows = np.flatnonzero(grp.subs == sub)
         if len(rows):
             return grp, rows[0]
@@ -145,7 +145,7 @@ def balanced_residual(level, rng):
 def test_coarse_basis_realizes_unit_coarse_dofs(two_level_9x9):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
-    for grp in level.delta_groups:
+    for grp in level.groups:
         assert np.allclose(face_means(grp, grp.psi.T), np.eye(grp.n_faces), atol=1e-12)
 
 
@@ -211,7 +211,7 @@ def test_coarse_system_is_galerkin_product(two_level_9x9):
     n_sub = level.decomp.n_sub
     a_c = np.zeros((n_faces, n_faces))
     b_c = np.zeros((n_sub, n_faces))
-    for grp in level.delta_groups:
+    for grp in level.groups:
         psi = basis_all_dofs(grp)
         a_loc, b_loc, con, gauge = member_problem(level, grp, 0)
         # basis pressures: a fresh solve of the explicit constrained KKT on
@@ -285,7 +285,7 @@ def test_delta_correction_face_averages_vanish(two_level_9x9, rng):
     level = precond.levels[0]
     r_b = balanced_residual(level, rng)
     w = delta_correction(level, r_b)
-    for grp, rows in zip(level.delta_groups, w):
+    for grp, rows in zip(level.groups, w):
         assert np.abs(face_means(grp, rows)).max() < 1e-12
 
 
@@ -307,7 +307,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
 
     # random dual-space member: zero face averages on every side copy
     copies = []
-    for grp in level.delta_groups:
+    for grp in level.groups:
         v = rng.standard_normal((len(grp.subs), grp.n_faces, grp.n_face_dofs // grp.n_faces))
         v -= v.mean(axis=2, keepdims=True)
         copies.append(v.reshape(len(grp.subs), -1))
@@ -318,7 +318,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
 
     # random primal member: averaging preserves subdomain divergence totals
     alpha = rng.standard_normal(level.decomp.n_faces)
-    copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.delta_groups]
+    copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.groups]
     averaged = average(level, copies)
     coarse_b = assemble_coarse_problem(precond.levels[-1]).B.toarray()
     for sub, cells in enumerate(cells_by_sub):
@@ -480,23 +480,27 @@ def rel_err(got, ref):
 def test_group_solves_match_explicit_factorization(spec, dense, rng):
     precond = NestedSolver(spec).precond
     for level in precond.levels:
-        assert all(grp.kkt.dense == dense for grp in level.interior_groups)
+        # one explicit factorization per distinct interior KKT, for all the
+        # groups that share it
+        kkts = {id(grp.kkt): grp.kkt for grp in level.groups}
+        assert all(kkt.dense == dense for kkt in kkts.values())
+        refs = {key: Factorization(kkt.matrix()) for key, kkt in kkts.items()}
         r = rng.standard_normal(level.system.n_flux)
         div = rng.standard_normal(level.system.n_pressure)
         for rhs_div in (None, div):
             u, p = interior_correction(level, r, rhs_div)
-            for grp in level.interior_groups:
+            for grp in level.groups:
                 m = grp.n_int + grp.n_cells
                 rhs = np.zeros((grp.kkt.size, len(grp.subs)))
                 rhs[: grp.n_int] = r[grp.idx_int].T
                 if rhs_div is not None:
                     rhs[grp.n_int : m] = rhs_div[grp.idx_cells].T
-                ref = Factorization(grp.kkt.matrix()).solve(rhs)[:m]
+                ref = refs[id(grp.kkt)].solve(rhs)[:m]
                 got = np.vstack([u[grp.idx_int].T, p[grp.idx_cells].T])
                 assert rel_err(got, ref) <= 1e-12
-        # each delta group's face operators against the inverse of its first
+        # each group's face operators against the inverse of its first
         # member's explicit constrained KKT (interior dofs, then face dofs)
-        for grp in level.delta_groups:
+        for grp in level.groups:
             n_int, n_f = grp.n_int, grp.n_face_dofs
             int_pos, face_pos = np.arange(n_int), n_int + np.arange(n_f)
             check_face_operators(grp, *member_problem(level, grp, 0), int_pos, face_pos, 1e-12)
@@ -552,16 +556,19 @@ def test_interior_groups_share_divergence_block(case, runs, rng):
     if case == "fig3-right":
         precond = runs.solver(preset_specs("fig3-right")[0]).precond
     else:
-        # 2 x 2 subdomains with one coefficient each: four sparse interior groups
+        # 2 x 2 subdomains with one coefficient each: four sparse interior KKTs
         k = np.kron([[1.0, 10.0], [100.0, 1000.0]], np.ones((16, 16))).ravel()
         precond = make_setup(32, 2, 16, k=k)[2]
-    assert max(len(level.interior_groups) for level in precond.levels) > 1
-    for level in precond.levels:
-        b_int = dense_block(level.interior_groups[0].kkt.b_block)
-        for grp in level.interior_groups[1:]:
-            assert np.array_equal(dense_block(grp.kkt.b_block), b_int)
+    kkts_by_level = [
+        list({id(grp.kkt): grp.kkt for grp in level.groups}.values()) for level in precond.levels
+    ]
+    assert max(len(kkts) for kkts in kkts_by_level) > 1
+    for level, kkts in zip(precond.levels, kkts_by_level):
+        b_int = dense_block(kkts[0].b_block)
+        for kkt in kkts[1:]:
+            assert np.array_equal(dense_block(kkt.b_block), b_int)
         # the level's one gradient inverse recovers every gauged pressure
-        gauge = level.interior_groups[0].kkt.gauge
+        gauge = kkts[0].gauge
         p = rng.standard_normal((len(gauge), 3))
         p -= np.outer(gauge, gauge @ p) / (gauge @ gauge)
         assert np.abs(level.grad_inv @ (b_int.T @ p) - p).max() <= 1e-12 * np.abs(p).max()
@@ -704,18 +711,26 @@ def test_groups_match_per_subdomain_reference(case, runs):
             for s in range(level.decomp.n_sub)
         ]
         # grouping by each member's own assembled blocks: same members, same order
-        assert [list(g.subs) for g in level.delta_groups] == _group_by(
+        assert [list(g.subs) for g in level.groups] == _group_by(
             ref["delta_key"] for ref in refs
         )
-        assert [list(g.subs) for g in level.interior_groups] == _group_by(
+        # subdomains share an interior KKT object exactly when their own
+        # interior blocks are equal: one factorization per interior key
+        by_kkt: dict = {}
+        for grp in level.groups:
+            by_kkt.setdefault(id(grp.kkt), []).extend(grp.subs)
+        assert [sorted(subs) for subs in by_kkt.values()] == _group_by(
             ref["interior_key"] for ref in refs
         )
         # every member's own interior blocks equal its group's, bit for bit,
         # and every member's index rows and weights match its own
-        for grp in level.delta_groups:
+        for grp in level.groups:
+            blocks = _bytes_key(grp.kkt.a_block, grp.kkt.b_block)
             for row, s in enumerate(grp.subs):
                 ref = refs[s]
                 local = ref["local"]
+                assert _bytes_key(*ref["interior_blocks"]) == blocks
+                assert np.array_equal(grp.idx_cells[row], level.decomp.cells_by_sub[s])
                 assert np.array_equal(grp.idx_int[row], local[ref["int_pos"]])
                 assert np.array_equal(grp.idx_face[row], local[ref["face_pos"]])
                 assert np.array_equal(grp.face_ids[row], ref["face_ids"])
@@ -725,9 +740,3 @@ def test_groups_match_per_subdomain_reference(case, runs):
             check_face_operators(
                 grp, *ref["delta_blocks"], ref["gauge"], ref["int_pos"], ref["face_pos"], 1e-12
             )
-        for grp in level.interior_groups:
-            blocks = _bytes_key(grp.kkt.a_block, grp.kkt.b_block)
-            for row, s in enumerate(grp.subs):
-                assert _bytes_key(*refs[s]["interior_blocks"]) == blocks
-                assert np.array_equal(grp.idx_int[row], level.decomp.interior_by_sub[s])
-                assert np.array_equal(grp.idx_cells[row], level.decomp.cells_by_sub[s])

@@ -18,7 +18,7 @@ def elem_mass_of(mesh, values):
 def applied_face_weights(level):
     """Weights the apply gives the lower and the higher copy of each face dof.
 
-    Read from the delta groups' weight rows, with the side of each copy
+    Read from the groups' weight rows, with the side of each copy
     taken from the subdomain grid's edge sides; two ``(n_faces, ratio)``
     arrays.
     """
@@ -26,7 +26,7 @@ def applied_face_weights(level):
     hi = lo.copy()
     lower_sub = level.decomp.sub_grid.edge_sides[:, 0]
     ratio = level.decomp.face_dofs.shape[1]
-    for grp in level.delta_groups:
+    for grp in level.groups:
         # a group's face dofs run face by face, ratio columns each
         w = grp.w.reshape(len(grp.subs), grp.n_faces, ratio)
         for k in range(grp.n_faces):
@@ -39,7 +39,7 @@ def applied_face_weights(level):
 
 def unit_average(level):
     """Weighted average of all-ones subdomain face copies, on the face dofs."""
-    avg = average(level, [np.ones(grp.idx_face.shape) for grp in level.delta_groups])
+    avg = average(level, [np.ones(grp.idx_face.shape) for grp in level.groups])
     return avg[level.decomp.face_dofs]
 
 
@@ -147,7 +147,7 @@ def test_weights_unit_coefficient_all_half():
         assert np.all(compute_weights(d, system.elem_mass, gamma) == 0.5)
         # applied weights: 1/2 on both copies of a face dof
         level = build_level_bddc(system, d, gamma)
-        for grp in level.delta_groups:
+        for grp in level.groups:
             assert np.all(grp.w == 0.5)
 
 
@@ -183,7 +183,7 @@ def test_averaging_is_projection(rng):
     system = assemble_rt0(mesh, coeff)
     level = build_level_bddc(system, d, 1.0)
     v = rng.standard_normal(mesh.n_flux)
-    copies = [v[grp.idx_face] for grp in level.delta_groups]
+    copies = [v[grp.idx_face] for grp in level.groups]
     avg = average(level, copies)
     faces = d.face_dofs.ravel()
     assert np.allclose(avg[faces], v[faces], atol=1e-14)

@@ -121,6 +121,26 @@ def test_step2_matches_divergence_data(runs, rng):
         assert np.ptp(d / system.areas[cells]) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [ExperimentSpec(levels=2, ratio=3), ExperimentSpec(levels=2, ratio=16, base=2)],
+    ids=["ratio3-dense", "ratio16-sparse"],
+)
+def test_step2_ignores_interior_start_values(spec, runs, rng):
+    # u0 + u_I depends on the face values of u0 alone, which is why
+    # prolong_average leaves the interiors at zero
+    solver = runs.solver(spec)
+    level = solver.precond.levels[0]
+    f = solver.fine.g
+    u0 = rng.standard_normal(level.system.n_flux)
+    u_star = u0 + step2_subdomain_solve(level, u0, f)[0]
+    interior = level.decomp.interior_by_sub.ravel()
+    u1 = u0.copy()
+    u1[interior] += rng.standard_normal(len(interior))
+    u_star1 = u1 + step2_subdomain_solve(level, u1, f)[0]
+    assert np.linalg.norm(u_star1 - u_star) <= 1e-12 * np.linalg.norm(u_star)
+
+
 def test_step2_after_step1_is_fully_balanced(runs):
     # with u0 handed down from the coarse solve, u* matches f against all pressures
     solver = runs.solver(ExperimentSpec(levels=2, ratio=3))
