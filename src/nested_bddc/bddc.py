@@ -18,18 +18,17 @@ level apply work on face values only, and the post-correction is one
 product with the extension per group: no KKT solve, no global product.
 
 On the uniform grid a subdomain's interior KKT is fixed by the element
-matrices of its cells, its face operators also by which of its four faces
-exist.  Subdomains are grouped by both keys (cells compared by the bit
-pattern of their element matrices), one group kind per level: a group
-condenses its first member once and keeps one row of index arrays and one
-row of face weights (``hierarchy.compute_weights``) per member.  Groups on
-the same cells share one ``KktSystem``, factored from the first member of
-the first such group and solved in batches through
-``Factorization.solve_leading``; with a constant coefficient the nine
-groups of the fine level share one.  How the blocks are stored and
-solved, by size class, is decided in ``saddle_core`` alone; the Neumann
-blocks come from the same element scatter as the global matrices
-(``mesh_fem.element_triplets``), on local positions.
+matrices of its cells (compared by bit pattern), its face operators also
+by which of its four faces exist.  All subdomains of a level share one
+local numbering, ``LevelDecomposition.local_slots``: each cell pattern is
+assembled on it from the element scatter of the global matrices
+(``mesh_fem.element_blocks``), factored, and condensed onto all four faces
+by one ``Factorization.solve_leading`` call (``_Cells``).  Subdomains are
+grouped by cell pattern and present faces, one group kind per level: a
+group slices its faces from its pattern, inverts its bordered face system
+and keeps one row of index arrays and of face weights
+(``hierarchy.compute_weights``) per member.  How blocks are stored and
+solved, by size class, is decided in ``saddle_core`` alone.
 
 ``MultilevelPreconditioner.build`` owns the level list: it makes the
 decompositions from the fine grid, and each level's system is the coarse
@@ -87,39 +86,57 @@ class BddcError(Exception):
     pass
 
 
+class _Cells:
+    """The local problem of one cell pattern, condensed onto its four faces.
+
+    ``kkt`` is the interior KKT ``K_I`` of the pattern's cells on the
+    template ``local_slots``, factored at build, so a singular local
+    problem is rejected before any apply.  With ``M_F = [A_IF; B_F]`` the
+    rows of ``K_I`` coupled to the ``4 ratio`` face dofs, ``ext`` holds
+    ``-(K_I^-1 M_F)^T`` (the harmonic extension: row ``f`` of face values
+    extends to the interior flux, first ``n_int`` entries, and pressure
+    ``f @ ext``) and ``schur`` the face Schur complement
+    ``S = A_FF - M_F^T K_I^-1 M_F``, symmetrised, from one solve.
+    """
+
+    def __init__(self, system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
+        slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
+        elem_mass, h = system.elem_mass[cells], system.grid.h
+        mass, div = element_blocks(np.where(slots < n_int, slots, -1), elem_mass, h, n_int)
+        self.kkt = KktSystem(mass, div, gauge=system.areas[cells])
+        # Dense face rows of the Neumann blocks, columns (interior, faces).
+        n_f = 4 * decomp.face_dofs.shape[1]
+        mass, div = element_triplets(slots, elem_mass, h)
+        a_f = _dense_rows(*mass, n_int, (n_f, n_int + n_f))
+        b_ft = _dense_rows(div[0], div[2], div[1], n_int, (n_f, len(cells)))
+        coupling = np.hstack([a_f[:, :n_int], b_ft])  # M_F^T
+        self.ext = -self.kkt.factorization.solve_leading(coupling, n_int + len(cells))
+        schur = a_f[:, n_int:] + coupling @ self.ext.T
+        self.schur = 0.5 * (schur + schur.T)
+
+
 class _Group:
     """Subdomains sharing one set of present faces and one cell pattern.
 
-    ``kkt`` is the members' interior KKT ``K_I`` (interior flux dofs, local
-    pressures, gauge), assembled from one member's cells and factored at
-    build, so a singular local problem is rejected before any apply.
-    Groups on the same cells differ only in their present faces and share
-    that one object.  The interior correction solves with it in batches,
-    one row of data per member.
-
-    Everything else is condensed onto the members' face dofs, listed face
-    by face in ``idx_face``: the ``k``-th present face (slot
+    ``kkt`` is the pattern's interior KKT, which the interior correction
+    solves in batches, one row of data per member.  Face data run face by
+    face in ``idx_face``: the ``k``-th present face (slot
     ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
-    With ``M_F = [A_IF; B_F]`` the rows of ``K_I`` coupled to the faces, a
-    row ``f`` of face values extends to ``f @ ext``, the interior flux
-    (first ``n_int`` entries) and pressure of its discrete harmonic
-    extension ``-K_I^-1 M_F f``.  ``S = A_FF - M_F^T K_I^-1 M_F`` is the
-    face Schur complement.  The inverse of the bordered face system
-    ``[S C^T; C 0]``, with ``C`` the face averages, gives ``face_op``: the
-    dual face operator (zero face averages) in its first ``n_face_dofs``
-    columns, then the energy-minimal basis ``psi`` on the faces, one column
-    per face with unit average there and zero on the others.  A basis
-    column extends like any face values; its energy is ``psi^T S psi``.
-    ``w`` holds one row of face weights per member: ``w_lo`` where the
-    member is a face's lower subdomain and ``1 - w_lo`` where it is the
-    higher one.
+    ``ext`` holds the pattern's extension rows of these faces.  The inverse
+    of the bordered face system ``[S C^T; C 0]``, with ``S`` the pattern's
+    Schur complement on these faces and ``C`` the face averages, gives
+    ``face_op``: the dual face operator (zero face averages) in its first
+    ``n_face_dofs`` columns, then the energy-minimal basis ``psi``, one
+    column per face with unit average there and zero on the others; its
+    energy is ``psi^T S psi``.  ``w`` holds one row of face weights per
+    member: ``w_lo`` where the member is a face's lower subdomain and
+    ``1 - w_lo`` where it is the higher one.
     """
 
-    def __init__(self, system, decomp, w_lo, subs, kkt: KktSystem):
+    def __init__(self, decomp: LevelDecomposition, w_lo, subs, cells: _Cells):
         self.subs = subs
-        self.kkt = kkt
-        first = subs[0]
-        self.face_slots = np.flatnonzero(decomp.faces_by_sub[first] >= 0)
+        self.kkt = cells.kkt
+        self.face_slots = np.flatnonzero(decomp.faces_by_sub[subs[0]] >= 0)
         self.n_faces = len(self.face_slots)
         self.face_ids = decomp.faces_by_sub[subs][:, self.face_slots]
         self.idx_face = decomp.face_dofs[self.face_ids].reshape(len(subs), -1)
@@ -135,46 +152,17 @@ class _Group:
         high = (self.face_slots == SLOT_LEFT) | (self.face_slots == SLOT_BOTTOM)
         self.w = np.repeat(np.where(high, 1.0 - w_face, w_face), ratio, axis=1)
 
-        # The face rows of the Neumann blocks, columns in the order
-        # (interior, faces), dense, straight from the element scatter.
-        cells = self.idx_cells[0]
-        n_int, n_loc, n_cells = self.n_int, self.n_int + n_f, self.n_cells
-        slots = _local_slots(system, np.concatenate([self.idx_int[0], self.idx_face[0]]), cells)
-        mass, div = element_triplets(slots, system.elem_mass[cells], system.grid.h)
-        a_f = _dense_rows(*mass, n_int, (n_f, n_loc))
-        b_ft = _dense_rows(div[0], div[2], div[1], n_int, (n_f, n_cells))
-        coupling = np.hstack([a_f[:, :n_int], b_ft])  # M_F^T
-        self.ext = -kkt.factorization.solve_leading(coupling, n_int + n_cells)
-        schur = a_f[:, n_int:] + coupling @ self.ext.T
-        schur = 0.5 * (schur + schur.T)
+        rows = (self.face_slots[:, None] * ratio + np.arange(ratio)).ravel()
+        self.ext = cells.ext[rows]
+        schur = cells.schur[np.ix_(rows, rows)]
         # The bordered face system; the face averages C are its last rows.
-        size = n_f + self.n_faces  # 0 on a level of one subdomain, which has no faces
-        face_kkt = np.zeros((size, size))
-        face_kkt[:n_f, :n_f] = schur
-        face_kkt[n_f:, :n_f] = np.repeat(np.eye(self.n_faces), ratio, axis=1) / ratio
-        face_kkt[:n_f, n_f:] = face_kkt[n_f:, :n_f].T
+        con = np.repeat(np.eye(self.n_faces), ratio, axis=1) / ratio
+        face_kkt = np.block([[schur, con.T], [con, np.zeros((self.n_faces, self.n_faces))]])
+        size = len(face_kkt)  # 0 on a level of one subdomain, which has no faces
         inv = Factorization(face_kkt).solve(np.eye(size)) if size else face_kkt
         self.face_op = inv[:n_f]
         self.psi = self.face_op[:, n_f:]
         self.coarse_elem = self.psi.T @ schur @ self.psi
-
-
-def _local_slots(system: Rt0System, local, cells) -> np.ndarray:
-    """Per cell and slot, the position of the slot's dof in ``local``, else -1."""
-    slots = system.grid.cell_dof_slots[cells]
-    order = np.argsort(local)
-    at = order[np.searchsorted(local, slots, sorter=order).clip(max=len(local) - 1)]
-    return np.where(local[at] == slots, at, -1)
-
-
-def _neumann_blocks(system: Rt0System, local, cells):
-    """Local mass and divergence blocks (COO) of one subdomain.
-
-    Rows and columns follow the dof list ``local``, in its order; dofs of
-    the cells that ``local`` does not list are left out.
-    """
-    slots = _local_slots(system, local, cells)
-    return element_blocks(slots, system.elem_mass[cells], system.grid.h, len(local))
 
 
 def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
@@ -232,32 +220,26 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     A subdomain's interior KKT is fixed by its cells' element matrices, its
     face operators also by which of its four faces exist.  Cells are
     classed by the bit pattern of their element matrix, so members of a
-    group have bit-identical local matrices.  The first group on a cell
-    pattern assembles and factors the interior KKT; later groups on the
-    same pattern share it.
+    group have bit-identical local matrices.  Each cell pattern is
+    assembled, factored and condensed onto its four faces once
+    (``_Cells``); every group on it slices the faces it has.
     """
     cell_class = _unique_rows(system.elem_mass.reshape(system.grid.n_cells, -1))[2]
     classes = cell_class[decomp.cells_by_sub]
-    pattern = _unique_rows(classes)[2]
-    present = decomp.faces_by_sub >= 0
+    _, first, pattern = _unique_rows(classes)
+    patterns = [_Cells(system, decomp, decomp.cells_by_sub[sub]) for sub in first]
     w_lo = compute_weights(decomp, system.elem_mass, gamma)
-
-    kkts: dict[int, KktSystem] = {}
-    groups = []
-    for subs in _groups(np.hstack([present, classes])):
-        key = pattern[subs[0]]
-        if key not in kkts:
-            cells = decomp.cells_by_sub[subs[0]]
-            mass, div = _neumann_blocks(system, decomp.interior_by_sub[subs[0]], cells)
-            kkts[key] = KktSystem(mass, div, gauge=system.areas[cells])
-        groups.append(_Group(system, decomp, w_lo, subs, kkts[key]))
+    groups = [
+        _Group(decomp, w_lo, subs, patterns[pattern[subs[0]]])
+        for subs in _groups(np.hstack([decomp.faces_by_sub >= 0, classes]))
+    ]
     # B carries no coefficient: every interior KKT has the first one's B_I.
-    first = groups[0].kkt
+    kkt = patterns[0].kkt
     return LevelBddc(
         system=system,
         decomp=decomp,
         groups=groups,
-        grad_inv=_gradient_inverse(first.b_block, first.gauge),
+        grad_inv=_gradient_inverse(kkt.b_block, kkt.gauge),
     )
 
 

@@ -12,7 +12,8 @@ subdomain, which is the global +x/+y edge orientation, so all dof signs are
 
 On the uniform grid every per-subdomain index set is one template shifted
 by the subdomain's corner, so a level is a handful of integer arrays with
-one row per subdomain or face, built by broadcasting and reshapes.  The
+one row per subdomain or face, built by broadcasting and reshapes, and
+one local numbering (``local_slots``) serves every subdomain.  The
 interface weights are one value per face, the weight of its lower copy;
 the higher copy takes the rest.
 """
@@ -51,6 +52,12 @@ class LevelDecomposition:
     Faces are the flux dofs of ``sub_grid``: face ``f`` separates the
     subdomains ``sub_grid.edge_sides[f]`` (lower, higher) and holds the level
     dofs ``face_dofs[f]``.
+
+    ``local_slots`` is the local numbering of every subdomain: per cell
+    (``cells_by_sub`` order) and slot, the position of the slot's dof in
+    the subdomain's ``interior_by_sub`` row followed by the ``face_dofs``
+    rows of its four faces by slot (``ratio`` entries each, -1 for an
+    absent face).
     """
 
     grid: QuadMesh
@@ -59,6 +66,7 @@ class LevelDecomposition:
     cells_by_sub: np.ndarray  # (n_sub, ratio**2), ascending per row
     interior_by_sub: np.ndarray  # (n_sub, 2 ratio (ratio - 1)), ascending per row
     faces_by_sub: np.ndarray  # (n_sub, 4) face ids by slot, -1 absent
+    local_slots: np.ndarray  # (ratio**2, 4) local dof positions, one template
 
     @property
     def n_sub(self) -> int:
@@ -100,6 +108,14 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
     h_faces = grid.horizontal_edge(col[:, None] * ratio + t, (line[:, None] + 1) * ratio)
     face_dofs = np.concatenate([v_faces, h_faces])
 
+    # A ratio x ratio grid numbers its edges like interior_by_sub; its
+    # boundary slots run along each face like face_dofs: by cell row on the
+    # left and right, by cell column on the bottom and top.
+    block = QuadMesh(ratio, ratio, grid.h)
+    j, i = np.divmod(np.arange(ratio * ratio), ratio)
+    on_face = block.n_flux + np.arange(4) * ratio + np.stack([j, j, i, i], axis=1)
+    local_slots = np.where(block.cell_dof_slots >= 0, block.cell_dof_slots, on_face)
+
     return LevelDecomposition(
         grid=grid,
         sub_grid=sub_grid,
@@ -107,6 +123,7 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
         cells_by_sub=cells_by_sub,
         interior_by_sub=interior_by_sub,
         faces_by_sub=sub_grid.cell_dof_slots,
+        local_slots=local_slots,
     )
 
 

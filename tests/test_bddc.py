@@ -11,20 +11,20 @@ from hypothesis import strategies as st
 import nested_bddc as nb
 from nested_bddc.bddc import (
     MultilevelPreconditioner,
-    _neumann_blocks,
     assemble_coarse_problem,
     average,
     build_level_bddc,
     gradient_pressure,
     interior_correction,
 )
-from nested_bddc.hierarchy import compute_weights
+from nested_bddc.hierarchy import build_hierarchy, compute_weights
 from nested_bddc.mesh_fem import (
     SLOT_SIGNS,
     CoefficientField,
     assemble_rt0,
     build_mesh,
     divergence_defect,
+    element_blocks,
 )
 from nested_bddc.nested_driver import ExperimentSpec, NestedSolver, preset_specs
 from nested_bddc.saddle_core import DENSE_LIMIT, Factorization, SingularMatrixError
@@ -74,14 +74,19 @@ def dense_block(b):
 
 
 def member_problem(level, grp, row):
-    """One member's local problem from its own cells, through ``_neumann_blocks``.
+    """One member's local problem from its own cells, through ``element_blocks``.
 
     Dense mass, divergence and face-average blocks with columns in the
     group's order (interior dofs, then face dofs), and the gauge.
     """
+    system = level.system
     local = np.concatenate([grp.idx_int[row], grp.idx_face[row]])
     cells = level.decomp.cells_by_sub[grp.subs[row]]
-    mass, div = _neumann_blocks(level.system, local, cells)
+    # global dof id -> position in ``local``; -1 (the last entry) elsewhere
+    position = np.full(system.n_flux + 1, -1)
+    position[local] = np.arange(len(local))
+    slots = position[system.grid.cell_dof_slots[cells]]
+    mass, div = element_blocks(slots, system.elem_mass[cells], system.grid.h, len(local))
     con = np.zeros((grp.n_faces, len(local)))
     for k, face in enumerate(grp.face_ids[row]):
         dofs = level.decomp.face_dofs[face]
@@ -504,6 +509,36 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
             n_int, n_f = grp.n_int, grp.n_face_dofs
             int_pos, face_pos = np.arange(n_int), n_int + np.arange(n_f)
             check_face_operators(grp, *member_problem(level, grp, 0), int_pos, face_pos, 1e-12)
+
+
+@pytest.mark.parametrize("case", ["ratio16-constant", "fig3-right"])
+def test_one_condensation_call_per_cell_pattern(case, runs, monkeypatch):
+    # Each cell pattern is condensed onto its four faces by one
+    # solve_leading call; its groups of present faces slice that.
+    if case == "ratio16-constant":
+        # 3 x 3 subdomains: nine groups of present faces on one pattern
+        mesh = build_mesh(48, 48)
+        system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
+        levels = [(system, build_hierarchy(system.grid, 2, 16)[0])]
+    else:
+        precond = runs.solver(preset_specs("fig3-right")[0]).precond
+        levels = [(level.system, level.decomp) for level in precond.levels]
+    leading = Factorization.solve_leading
+    calls = []
+
+    def count(self, rows, m):
+        calls.append(rows.shape)
+        return leading(self, rows, m)
+
+    monkeypatch.setattr(Factorization, "solve_leading", count)
+    for system, decomp in levels:
+        calls.clear()
+        level = build_level_bddc(system, decomp, 1.0)
+        n_kkts = len({id(grp.kkt) for grp in level.groups})
+        assert len(calls) == n_kkts
+        if case == "ratio16-constant":
+            # one call, with the 4 x 16 face dofs as right-hand sides
+            assert (len(level.groups), n_kkts, calls[0][0]) == (9, 1, 64)
 
 
 # Step 3 runs on every start level of each spec; ratio 16 takes the sparse path.

@@ -93,6 +93,34 @@ def test_degenerate_single_subdomain():
     assert d.interior_by_sub.size == mesh.n_flux
 
 
+def member_dofs(decomp):
+    """Each subdomain's global dofs in the local order of ``local_slots``.
+
+    Its ``interior_by_sub`` row, then per slot the face's ``face_dofs`` row,
+    or -1 where the face is absent; one row per subdomain.
+    """
+    faces = np.vstack([decomp.face_dofs, np.full(decomp.face_dofs.shape[1], -1)])
+    return np.hstack([decomp.interior_by_sub, faces[decomp.faces_by_sub].reshape(decomp.n_sub, -1)])
+
+
+@pytest.mark.parametrize(
+    "nx, ny, levels, ratio",
+    [(27, 27, 3, 3), (27, 9, 3, 3), (32, 32, 2, 16), (64, 32, 3, 4), (4, 4, 2, 2)],
+)
+def test_local_slots_template_matches_every_subdomain(nx, ny, levels, ratio):
+    for d in build_hierarchy(build_mesh(nx, ny), levels, ratio):
+        assert d.local_slots.shape == (ratio * ratio, 4)
+        dofs = member_dofs(d)
+        expected = d.grid.cell_dof_slots[d.cells_by_sub]
+        assert np.array_equal(dofs[:, d.local_slots], expected)
+        # the check tells faces apart: the template with the left and right
+        # face offsets swapped fails it
+        n_int = d.interior_by_sub.shape[1]
+        order = np.arange(n_int + 4 * ratio)
+        order[n_int : n_int + 2 * ratio] = np.roll(order[n_int : n_int + 2 * ratio], ratio)
+        assert not np.array_equal(dofs[:, order[d.local_slots]], expected)
+
+
 def test_indivisible_mesh_rejected():
     with pytest.raises(HierarchyError):
         build_hierarchy(build_mesh(10, 10), 2, 3)

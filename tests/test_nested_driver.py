@@ -20,7 +20,7 @@ from nested_bddc.nested_driver import (
     step2_subdomain_solve,
     step3_correction,
 )
-from nested_bddc.saddle_core import IncompatibleRhsError
+from nested_bddc.saddle_core import IncompatibleRhsError, SingularMatrixError
 
 
 # Exact CSV text (header plus one row per downsweep level) of the presets.
@@ -234,6 +234,22 @@ def test_coefficient_scaling_invariants(runs):
         assert rs.cond == pytest.approx(rb.cond, rel=1e-9)
     assert np.allclose(scaled.flux, base.flux, atol=1e-9 * np.abs(base.flux).max())
     assert np.allclose(scaled.pressure, base.pressure / 8.0, atol=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SingularMatrixError,
+    reason="pivot ratio check: the top KKT fails for small k, the face systems for large k",
+)
+@pytest.mark.parametrize("k", [1e-12, 1e12], ids=["1e-12", "1e12"])
+def test_constant_coefficient_scale(runs, k):
+    # A constant coefficient k leaves the k = 1 flux and divides the
+    # pressure by k, at any scale.  Both ends raise today: the flux block
+    # scales like h^2 / k and the pressure Schur complement like k.
+    base = runs.result(ExperimentSpec(levels=2, ratio=3))
+    scaled = NestedSolver(ExperimentSpec(levels=2, ratio=3, k1=k)).solve()
+    assert np.allclose(scaled.flux, base.flux, atol=1e-9 * np.abs(base.flux).max())
+    assert np.allclose(scaled.pressure * k, base.pressure, atol=1e-9 * np.abs(base.pressure).max())
 
 
 def test_unit_coefficient_scalings_agree(runs):
