@@ -320,13 +320,6 @@ def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
     return average(level, [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.groups])
 
 
-def inject_pressure(level: LevelBddc, p_coarse: np.ndarray) -> np.ndarray:
-    """Subdomain-constant pressure from one value per subdomain."""
-    p = np.empty(level.system.n_pressure)
-    p[level.decomp.cells_by_sub] = p_coarse[:, None]
-    return p
-
-
 def _interior_pre(level: LevelBddc, r: np.ndarray):
     """Interior pre-correction of any residual, and the residual left over."""
     u_int, p_int = interior_correction(level, r)
@@ -395,7 +388,8 @@ class MultilevelPreconditioner:
     def _apply(self, idx: int, r: np.ndarray, pre):
         level = self.levels[idx]
         groups = level.groups
-        u_int, p_int, r_b = pre(level, r)
+        # ``p`` starts as the pre-correction's pressure, a fresh array.
+        u_int, p, r_b = pre(level, r)
         # The pre-correction leaves no interior residual.  Per group,
         # from the weighted face residuals: dual face values with vanishing
         # face averages, then the restriction coefficients.
@@ -415,9 +409,10 @@ class MultilevelPreconditioner:
                 for grp, out in zip(groups, face_out)
             ],
         )
-        # Post-correction: the interior flux and pressure of each
-        # subdomain's harmonic extension of the averaged face values.
-        p = p_int + inject_pressure(level, p_next)
+        # Post-correction: the coarse pressure on each subdomain's cells,
+        # and the interior flux and pressure of each subdomain's harmonic
+        # extension of the averaged face values.
+        p[level.decomp.cells_by_sub] += p_next[:, None]
         for grp in groups:
             ext = u[grp.idx_face] @ grp.ext
             u[grp.idx_int] += ext[:, : grp.n_int]

@@ -86,7 +86,6 @@ def pcg(
     tol: float = 1e-6,
     maxit: int = 500,
     defect_fn=None,
-    defect_tol: float = DEFECT_TOL,
 ):
     """PCG for a symmetric operator with an SPD preconditioner.
 
@@ -102,7 +101,7 @@ def pcg(
         residual norm is recorded as well).
     defect_fn:
         Optional monitor evaluated on each iterate; values are recorded and
-        checked against ``defect_tol``.
+        checked against ``DEFECT_TOL``.
 
     Returns
     -------
@@ -121,9 +120,9 @@ def pcg(
             return
         defect = float(defect_fn(x))
         report.div_defects.append(defect)
-        if defect > defect_tol:
+        if defect > DEFECT_TOL:
             raise InvariantViolation(
-                f"divergence defect {defect:.3e} exceeded {defect_tol:.1e} at iteration {it}"
+                f"divergence defect {defect:.3e} exceeded {DEFECT_TOL:.1e} at iteration {it}"
             )
 
     r = rhs.copy()

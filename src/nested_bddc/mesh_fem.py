@@ -12,6 +12,9 @@ The same machinery is reused for coarsened problems: a coarse system has one
 flux dof per interface between blocks of cells and one pressure dof per
 block, so it is again an ``Rt0System`` on a smaller ``QuadMesh``.
 
+A coefficient field is a validated array of per-cell values; the named
+experiment patterns are built in ``nested_driver``.
+
 Assembly is deterministic (identical inputs give bit-identical matrices) and
 assembled systems are immutable, safe to share across concurrent readers.
 """
@@ -182,54 +185,6 @@ class CoefficientField:
     def constant(cls, mesh: QuadMesh, k: float) -> "CoefficientField":
         return cls(np.full(mesh.n_cells, float(k)))
 
-    @classmethod
-    def aligned_jump(
-        cls,
-        mesh: QuadMesh,
-        ratio: int,
-        levels: int,
-        layout: str,
-        k1: float,
-        k2: float = 1.0,
-        k3: float = 1.0,
-    ) -> "CoefficientField":
-        """Three-material patterns whose jumps align with block boundaries.
-
-        ``layout="right"``: each top-level block (side ``ratio**(levels-1)``
-        cells) is uniform, cycling k1/k2/k3 along diagonals, so all jumps sit
-        on top-level interfaces.
-
-        ``layout="left"``: jumps are interior to top-level blocks.  Inside
-        each top-level block the central child block carries k3 with a k1
-        core (one grandchild block), everything else is k2, so jumps align
-        only with the two finer block tiers.
-        """
-        c = np.arange(mesh.n_cells)
-        i = c % mesh.nx
-        j = c // mesh.nx
-        if layout == "right":
-            if levels < 2:
-                raise CoefficientError("layout 'right' needs at least 2 levels")
-            t = ratio ** (levels - 1)
-            if mesh.nx % t or mesh.ny % t:
-                raise CoefficientError("mesh does not tile into top-level blocks")
-            mats = np.array([k1, k2, k3], dtype=float)
-            values = mats[((i // t) + (j // t)) % 3]
-        elif layout == "left":
-            if levels < 4:
-                raise CoefficientError("layout 'left' needs at least 4 levels")
-            t2 = ratio ** (levels - 2)
-            t3 = ratio ** (levels - 3)
-            if mesh.nx % (t2 * ratio) or mesh.ny % (t2 * ratio):
-                raise CoefficientError("mesh does not tile into top-level blocks")
-            mid = ratio // 2
-            inner = ((i // t2) % ratio == mid) & ((j // t2) % ratio == mid)
-            core = inner & ((i // t3) % ratio == mid) & ((j // t3) % ratio == mid)
-            values = np.where(core, k1, np.where(inner, k3, k2))
-        else:
-            raise CoefficientError(f"unknown layout {layout!r}")
-        return cls(values)
-
 
 @dataclass
 class Rt0System:
@@ -341,10 +296,10 @@ def assemble_rhs(mesh: QuadMesh, source) -> np.ndarray:
     return -f * mesh.cell_area
 
 
-def check_compatibility(g: np.ndarray, rtol: float = COMPATIBILITY_RTOL) -> bool:
+def check_compatibility(g: np.ndarray) -> bool:
     """True iff the source integrates to zero (relative to its norm)."""
     g = np.asarray(g, dtype=float)
-    return abs(g.sum()) <= rtol * np.linalg.norm(g)
+    return abs(g.sum()) <= COMPATIBILITY_RTOL * np.linalg.norm(g)
 
 
 def divergence_defect(system: Rt0System, u: np.ndarray) -> float:

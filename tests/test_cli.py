@@ -155,6 +155,15 @@ def test_impossible_shape_exit_2(tmp_path, capsys, source, field, value):
     assert not out.exists()
 
 
+def test_jump_left_below_four_levels_exit_2(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run_cli(["solve", "--coeff", "jump-left", "--levels", "3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'jump-left' needs at least 4 levels" in err[0]
+    assert not out.exists()
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("levels = 3\nratio = 3\ntol = 1e-6  # comment\n")

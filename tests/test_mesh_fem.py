@@ -194,26 +194,6 @@ def test_divergence_defect_of_exact_solution():
     assert np.allclose(u0, 0.0)
 
 
-def test_aligned_jump_layouts():
-    mesh = build_mesh(81, 81)
-    left = CoefficientField.aligned_jump(mesh, 3, 4, "left", 100.0, 1.0, 0.01)
-    right = CoefficientField.aligned_jump(mesh, 3, 4, "right", 100.0, 1.0, 0.01)
-    for field in (left, right):
-        vals = field.values.reshape(81, 81)
-        # constant within every level-1 subdomain (3x3 cells)
-        blocks = vals.reshape(27, 3, 27, 3)
-        assert np.all(blocks == blocks[:, :1, :, :1])
-    right_vals = right.values.reshape(81, 81)
-    # right layout: constant within every top-level block (27x27 cells)
-    top = right_vals.reshape(3, 27, 3, 27)
-    assert np.all(top == top[:, :1, :, :1])
-    # left layout: no jumps across top-level boundaries
-    left_vals = left.values.reshape(81, 81)
-    assert np.all(left_vals[:, 26] == left_vals[:, 27])
-    assert np.all(left_vals[26, :] == left_vals[27, :])
-    assert set(np.unique(left.values)) == {0.01, 1.0, 100.0}
-
-
 def test_matrix_market_dump(tmp_path):
     from scipy.io import mmread
 

@@ -279,6 +279,37 @@ def test_condition_growth_trend(runs):
     assert all(b >= a for a, b in zip(conds, conds[1:]))
     factor = (1.0 + np.log(3.0)) ** 2
     assert all(b / a <= factor for a, b in zip(conds, conds[1:]))
+    # one constant factor per added level: measured 1.68-1.72 (estimates
+    # 1.22, 2.07, 3.48, 6.00), pinned with a 10 % margin on either side
+    assert all(1.5 <= b / a <= 1.9 for a, b in zip(conds, conds[1:]))
+
+
+def test_two_level_condition_within_log_squared_band(runs):
+    # two-level bound cond <= C (1 + log H/h)^2 with one C for every ratio:
+    # the quotient measured 0.277-0.349 over these ratios, pinned with a
+    # 10 % margin on either side
+    for r in (2, 3, 4, 6, 8, 16):
+        cond = runs.result(ExperimentSpec(levels=2, ratio=r)).rows[0].cond
+        assert 0.25 <= cond / (1.0 + np.log(r)) ** 2 <= 0.385, f"ratio {r}: cond {cond:.3f}"
+
+
+@pytest.mark.parametrize("coeff", ["jump-left", "jump-right"])
+def test_jump_counts_independent_of_contrast(runs, coeff):
+    # gamma = 1, k1 = c, k3 = 1/c for c = 1 ... 1e6.  Finest level measured:
+    # jump-left 11 iterations each time, cond 3.48 -> 3.13; jump-right 11,
+    # 13, 14, 14 iterations, cond 3.48 -> 3.10.  Pinned: at most 3
+    # iterations over c = 1 (criterion 4's rule), and no estimate above the
+    # c = 1 one (measured at most 0.94 times it).  Coarser levels are not
+    # pinned: at 1e6 jump-right's level 3 stops after one iteration with
+    # the default estimate 1.00.
+    rows = [
+        runs.result(
+            ExperimentSpec(levels=4, ratio=3, coeff=coeff, k1=c, k3=1.0 / c, gamma=1.0)
+        ).rows[0]
+        for c in (1.0, 1e2, 1e4, 1e6)
+    ]
+    assert all(row.iter <= rows[0].iter + 3 for row in rows), [row.iter for row in rows]
+    assert all(row.cond <= rows[0].cond for row in rows), [row.cond for row in rows]
 
 
 def test_result_rows_shape(runs):
@@ -341,6 +372,34 @@ def test_spec_rejects_impossible_shape(levels, ratio):
 def test_spec_rejects_unknown_coefficient_pattern():
     with pytest.raises(DriverError, match="coefficient pattern"):
         ExperimentSpec(levels=2, ratio=3, coeff="bogus")
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_spec_rejects_jump_left_below_four_levels(levels):
+    # the layout needs top blocks, child blocks and grandchild blocks
+    with pytest.raises(DriverError, match="'jump-left' needs at least 4 levels"):
+        ExperimentSpec(levels=levels, ratio=3, coeff="jump-left")
+
+
+def test_aligned_jump_layouts():
+    left, right = (
+        ExperimentSpec(levels=4, ratio=3, coeff=coeff, k1=100.0, k3=0.01).build_problem()[1]
+        for coeff in ("jump-left", "jump-right")
+    )
+    for field in (left, right):
+        vals = field.values.reshape(81, 81)
+        # constant within every level-1 subdomain (3x3 cells)
+        blocks = vals.reshape(27, 3, 27, 3)
+        assert np.all(blocks == blocks[:, :1, :, :1])
+    right_vals = right.values.reshape(81, 81)
+    # right layout: constant within every top-level block (27x27 cells)
+    top = right_vals.reshape(3, 27, 3, 27)
+    assert np.all(top == top[:, :1, :, :1])
+    # left layout: no jumps across top-level boundaries
+    left_vals = left.values.reshape(81, 81)
+    assert np.all(left_vals[:, 26] == left_vals[:, 27])
+    assert np.all(left_vals[26, :] == left_vals[27, :])
+    assert set(np.unique(left.values)) == {0.01, 1.0, 100.0}
 
 
 def test_preset_lists():
