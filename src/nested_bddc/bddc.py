@@ -13,9 +13,21 @@ energy-minimal coarse basis on the faces, one column per coarse dof.
 
 After the pre-correction a residual's interior rows vanish, and the
 post-correction maps each subdomain copy to the harmonic extension of its
-face values.  So the dual step, the restriction and the averaging of a
-level apply work on face values only, and the post-correction is one
-product with the extension per group: no KKT solve, no global product.
+face values.  So a level apply works on the level's face vector, its face
+dofs in ``decomp.face_dofs`` order, which each group indexes with
+``face_pos``: ``MultilevelPreconditioner._apply`` takes the face rows of a
+pre-corrected residual and the pre-correction's pressure, and returns the
+averaged face values and the pressure, with the pressure of each
+subdomain's harmonic extension added by one product per group.  The flux
+is extended into the interiors (``LevelBddc.extend``) only where a level
+vector is needed: in the general ``apply``, which pre-corrects any
+residual with the interior KKT solves, and on the coarser levels of the
+recursion.  Step 3 of the nested solve hands its start level
+pre-corrected residuals directly (``apply_faces``, see
+``nested_driver.step3_correction``) and iterates on face values with the
+level's condensed products: ``schur_product``, ``face_pressure`` and
+``face_divergence_defect``.  The divergence of a harmonic extension is
+constant on each subdomain and follows from its net face flux.
 
 On the uniform grid a subdomain's interior KKT is fixed by the element
 matrices of its cells (compared by bit pattern), its face operators also
@@ -36,16 +48,6 @@ problem of the level below.  The coarse problem has the same quad-grid
 mixed structure (one flux dof per face, one pressure per subdomain,
 divergence entries +-H), which is what makes the recursion possible.
 
-Step 3 of the nested solve runs PCG on residuals whose interior flux rows
-lie in ``range(B_I^T)`` per subdomain: the step-2 interior solves leave
-``-A u*`` there, and the post-correction keeps every preconditioner output
-there.  For such a residual the interior pre-correction is ``u_int = 0``
-and the gauged pressure with ``B_I^T p = r_I``.  ``B`` carries no
-coefficient, so every subdomain of a level shares one ``B_I``, and one
-dense gradient inverse per level (``LevelBddc.grad_inv``) gives that
-pressure without a KKT solve; ``MultilevelPreconditioner.apply_step3``
-uses it on its start level.
-
 Subdomain work within one level is independent (levels are inherently
 sequential); all scatter reductions run in a fixed order, so results are
 reproducible run to run.  Built components are immutable during apply.
@@ -56,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .hierarchy import LevelDecomposition, build_hierarchy, compute_weights
@@ -67,6 +68,7 @@ from .mesh_fem import (
     assemble_system,
     element_blocks,
     element_triplets,
+    gauged_defect,
 )
 from .saddle_core import Factorization, KktSystem
 
@@ -77,7 +79,6 @@ __all__ = [
     "build_level_bddc",
     "assemble_coarse_problem",
     "interior_correction",
-    "gradient_pressure",
     "average",
 ]
 
@@ -120,11 +121,12 @@ class _Group:
 
     ``kkt`` is the pattern's interior KKT, which the interior correction
     solves in batches, one row of data per member.  Face data run face by
-    face in ``idx_face``: the ``k``-th present face (slot
+    face in ``idx_face`` (level dofs) and ``face_pos`` (positions in the
+    level's face vector): the ``k``-th present face (slot
     ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
-    ``ext`` holds the pattern's extension rows of these faces.  The inverse
-    of the bordered face system ``[S C^T; C 0]``, with ``S`` the pattern's
-    Schur complement on these faces and ``C`` the face averages, gives
+    ``ext`` holds the pattern's extension rows of these faces and
+    ``schur`` its Schur complement ``S`` on them.  The inverse of the
+    bordered face system ``[S C^T; C 0]``, with ``C`` the face averages, gives
     ``face_op``: the dual face operator (zero face averages) in its first
     ``n_face_dofs`` columns, then the energy-minimal basis ``psi``, one
     column per face with unit average there and zero on the others; its
@@ -140,12 +142,13 @@ class _Group:
         self.n_faces = len(self.face_slots)
         self.face_ids = decomp.faces_by_sub[subs][:, self.face_slots]
         self.idx_face = decomp.face_dofs[self.face_ids].reshape(len(subs), -1)
+        ratio = decomp.face_dofs.shape[1]
+        self.face_pos = (self.face_ids[:, :, None] * ratio + np.arange(ratio)).reshape(len(subs), -1)
         self.idx_int = decomp.interior_by_sub[subs]
         self.idx_cells = decomp.cells_by_sub[subs]
         self.n_int = self.idx_int.shape[1]
         self.n_cells = self.idx_cells.shape[1]
         self.n_face_dofs = n_f = self.idx_face.shape[1]
-        ratio = decomp.face_dofs.shape[1]
         # A face's normal points into the members on their left and bottom
         # faces: there they are the higher subdomain and take its weight.
         w_face = w_lo[self.face_ids]
@@ -154,7 +157,7 @@ class _Group:
 
         rows = (self.face_slots[:, None] * ratio + np.arange(ratio)).ravel()
         self.ext = cells.ext[rows]
-        schur = cells.schur[np.ix_(rows, rows)]
+        self.schur = schur = cells.schur[np.ix_(rows, rows)]
         # The bordered face system; the face averages C are its last rows.
         con = np.repeat(np.eye(self.n_faces), ratio, axis=1) / ratio
         face_kkt = np.block([[schur, con.T], [con, np.zeros((self.n_faces, self.n_faces))]])
@@ -174,29 +177,59 @@ def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
 
 @dataclass
 class LevelBddc:
-    """All BDDC components of one decomposition level."""
+    """All BDDC components of one decomposition level.
+
+    Besides the groups, a level keeps ``bt``, its ``B^T`` formed once,
+    and what the divergence of a harmonic extension needs: ``net``, each
+    subdomain's net face flux (``B``'s face columns summed over its cells,
+    one row per subdomain and one column per entry of the face vector),
+    and ``mean``, each subdomain's area-weighted cell mean.  The step-3
+    residual norm also uses ``b_int``, the interior divergence block
+    ``B_I`` that all subdomains share (template order), and ``face_bt``,
+    the face rows of ``B^T``.
+    """
 
     system: Rt0System
     decomp: LevelDecomposition
     groups: list[_Group]
-    grad_inv: np.ndarray  # (n_cells, n_int), shared by all subdomains (template order)
+    bt: sp.spmatrix
+    b_int: object
+    face_bt: sp.csr_matrix
+    net: sp.csc_matrix
+    mean: sp.csr_matrix
 
+    def extend(self, u_face: np.ndarray) -> np.ndarray:
+        """Level flux with face values ``u_face`` and their harmonic extension inside."""
+        u = np.zeros(self.system.n_flux)
+        u[self.decomp.face_dofs.ravel()] = u_face
+        for grp in self.groups:
+            u[grp.idx_int] = u_face[grp.face_pos] @ grp.ext[:, : grp.n_int]
+        return u
 
-def _gradient_inverse(b_int, gauge: np.ndarray) -> np.ndarray:
-    """``G`` with ``G @ B_I^T p = p`` for every ``p`` with ``gauge @ p = 0``.
+    def face_pressure(self, u_face: np.ndarray) -> np.ndarray:
+        """Gauged pressure of each subdomain's harmonic extension of ``u_face``."""
+        p = np.empty(self.system.n_pressure)
+        for grp in self.groups:
+            p[grp.idx_cells] = u_face[grp.face_pos] @ grp.ext[:, grp.n_int :]
+        return p
 
-    ``G = (B_I B_I^T + c g g^T)^-1 B_I`` from one Cholesky factorization of
-    the cell Laplacian, whose null space (the constants) the rank-one gauge
-    term fills; ``c`` puts that term on the scale of the Laplacian's
-    diagonal.  The small inverse comes from the factor (``potri``), and
-    ``B_I``, with two entries per column, multiplies it as given.
-    """
-    lap = b_int @ b_int.T
-    lap = lap.toarray() if sp.issparse(lap) else lap
-    lap += np.trace(lap) / (len(gauge) * (gauge @ gauge)) * np.outer(gauge, gauge)
-    factor, lower = sla.cho_factor(lap, lower=True)
-    inv = sla.lapack.dpotri(factor, lower=lower)[0]  # lower triangle only
-    return (np.tril(inv) + np.tril(inv, -1).T) @ b_int
+    def schur_product(self, u_face: np.ndarray) -> np.ndarray:
+        """Sum of the subdomains' face Schur complements times ``u_face``."""
+        return _scatter_add(
+            len(u_face), [(grp.face_pos, u_face[grp.face_pos] @ grp.schur) for grp in self.groups]
+        )
+
+    def face_divergence_defect(self, u_face: np.ndarray) -> float:
+        """``divergence_defect`` of ``extend(u_face)`` from face values alone.
+
+        The extension's divergence on each cell is its area times the
+        subdomain's net face flux over the subdomain's area, and its energy
+        is ``u_face`` against ``schur_product(u_face)``.
+        """
+        if not np.any(u_face):
+            return 0.0
+        div = self.mean.T @ (self.net @ u_face)
+        return gauged_defect(self.system, div, u_face @ self.schur_product(u_face))
 
 
 def _unique_rows(a: np.ndarray):
@@ -233,13 +266,36 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         _Group(decomp, w_lo, subs, patterns[pattern[subs[0]]])
         for subs in _groups(np.hstack([decomp.faces_by_sub >= 0, classes]))
     ]
-    # B carries no coefficient: every interior KKT has the first one's B_I.
-    kkt = patterns[0].kkt
+    cells = decomp.cells_by_sub  # ascending per row
+    n_sub, n_cells = cells.shape
+    areas = system.areas[cells]
+    # B's entries in the column of an edge: -h on its lower cell, +h on its
+    # higher one (SLOT_SIGNS); a face dof's two cells lie in its face's two
+    # subdomains.
+    face_dofs = decomp.face_dofs.ravel()
+    signs = np.tile([-system.grid.h, system.grid.h], len(face_dofs))
+    pairs = np.arange(0, signs.size + 1, 2)
+    face_subs = np.repeat(decomp.sub_grid.edge_sides, decomp.face_dofs.shape[1], axis=0)
     return LevelBddc(
         system=system,
         decomp=decomp,
         groups=groups,
-        grad_inv=_gradient_inverse(kkt.b_block, kkt.gauge),
+        bt=system.B.T,
+        # B carries no coefficient: every interior KKT has the first one's B_I.
+        b_int=patterns[0].kkt.b_block,
+        face_bt=sp.csr_matrix(
+            (signs, np.take(system.grid.edge_sides, face_dofs, axis=0).ravel(), pairs),
+            (len(face_dofs), system.n_pressure),
+        ),
+        net=sp.csc_matrix((signs, face_subs.ravel(), pairs), (n_sub, len(face_dofs))),
+        mean=sp.csr_matrix(
+            (
+                (areas / areas.sum(axis=1, keepdims=True)).ravel(),
+                cells.ravel(),
+                np.arange(n_sub + 1) * n_cells,
+            ),
+            (n_sub, system.n_pressure),
+        ),
     )
 
 
@@ -277,19 +333,6 @@ def interior_correction(level: LevelBddc, r: np.ndarray, rhs_div=None):
     return u, p
 
 
-def gradient_pressure(level: LevelBddc, r: np.ndarray) -> np.ndarray:
-    """Local gauged pressures whose gradients match the interior rows of ``r``.
-
-    Exact when each subdomain's interior rows of ``r`` lie in
-    ``range(B_I^T)``; then ``interior_correction(level, r)`` is
-    ``(0, gradient_pressure(level, r))`` up to round-off.
-    """
-    decomp = level.decomp
-    p = np.empty(level.system.n_pressure)
-    p[decomp.cells_by_sub] = r[decomp.interior_by_sub] @ level.grad_inv.T
-    return p
-
-
 def _scatter_add(n: int, pairs) -> np.ndarray:
     """Length-n vector summing each (indices, values) pair, in the order given."""
     idx = np.concatenate([i.ravel() for i, _ in pairs])
@@ -298,16 +341,23 @@ def _scatter_add(n: int, pairs) -> np.ndarray:
     return np.bincount(idx, vals, minlength=n).astype(float, copy=False)
 
 
-def average(level: LevelBddc, rows_per_group) -> np.ndarray:
-    """Weighted average of subdomain face copies into one level vector.
+def _face_average(level: LevelBddc, rows_per_group) -> np.ndarray:
+    """Weighted average of subdomain face copies into the level's face vector.
 
     ``rows_per_group`` holds, per group, one row of face values per
-    member in the group's ``idx_face`` order; interior dofs stay zero.
+    member in the group's ``face_pos`` order.
     """
     return _scatter_add(
-        level.system.n_flux,
-        [(grp.idx_face, grp.w * rows) for grp, rows in zip(level.groups, rows_per_group)],
+        level.decomp.face_dofs.size,
+        [(grp.face_pos, grp.w * rows) for grp, rows in zip(level.groups, rows_per_group)],
     )
+
+
+def average(level: LevelBddc, rows_per_group) -> np.ndarray:
+    """``_face_average`` as a level vector; interior dofs stay zero."""
+    u = np.zeros(level.system.n_flux)
+    u[level.decomp.face_dofs.ravel()] = _face_average(level, rows_per_group)
+    return u
 
 
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
@@ -318,18 +368,6 @@ def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
     values of ``u0`` alone: step 2 fills the interiors.
     """
     return average(level, [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.groups])
-
-
-def _interior_pre(level: LevelBddc, r: np.ndarray):
-    """Interior pre-correction of any residual, and the residual left over."""
-    u_int, p_int = interior_correction(level, r)
-    return u_int, p_int, r - level.system.A @ u_int - level.system.B.T @ p_int
-
-
-def _gradient_pre(level: LevelBddc, r: np.ndarray):
-    """The same for interior rows in ``range(B_I^T)``, where ``u_int = 0``."""
-    p_int = gradient_pressure(level, r)
-    return 0.0, p_int, r - level.system.B.T @ p_int
 
 
 @dataclass
@@ -343,11 +381,11 @@ class MultilevelPreconditioner:
     extension into the interiors as the post-correction).  The output flux
     is divergence-free on the starting level.
 
-    ``apply_step3`` is the same map for the step-3 PCG residuals, whose
-    interior rows lie in ``range(B_I^T)``: there the start-level
-    pre-correction has ``u_int = 0``, and its pressure comes from the
-    level's gradient inverse instead of a KKT solve.  Coarser levels get
-    general residuals and keep the interior KKT solves.
+    ``apply_faces`` is the same map without the start level's
+    pre-correction and interior extension: it takes a residual whose
+    interior rows the pre-correction has already removed and returns
+    face values.  Coarser levels get general residuals and keep the
+    interior KKT solves.
     """
 
     levels: list[LevelBddc]
@@ -366,34 +404,40 @@ class MultilevelPreconditioner:
 
     def apply(self, r: np.ndarray, start_level: int = 1):
         """Preconditioned (flux, pressure) for any flux residual ``r``."""
-        return self._apply(self._index(start_level), np.asarray(r, dtype=float), _interior_pre)
+        return self._apply_level(self._index(start_level), np.asarray(r, dtype=float))
 
-    def apply_step3(self, r: np.ndarray, start_level: int):
-        """``apply`` for a flux residual of the step-3 PCG.
+    def apply_faces(self, r_face: np.ndarray, p: np.ndarray, start_level: int):
+        """Preconditioned (face values, pressure) for a residual without interior rows.
 
-        Premise: on the start level, each subdomain's interior rows of ``r``
-        lie in ``range(B_I^T)``.  The step-3 right-hand side ``-A u*`` has
-        that property after the step-2 interior solves, every output of
-        this map has it after the harmonic extension, and so, by
-        linearity, has every PCG residual.  On other inputs the result
-        differs from ``apply``.
+        ``r_face`` holds the residual's rows in the start level's face
+        vector and ``p`` the pressure of its interior pre-correction.  The
+        flux is ``extend`` of the returned face values on the start level.
         """
-        return self._apply(self._index(start_level), np.asarray(r, dtype=float), _gradient_pre)
+        idx = self._index(start_level)
+        return self._apply(idx, np.asarray(r_face, dtype=float), np.array(p, dtype=float))
 
     def _index(self, start_level: int) -> int:
         if not 1 <= start_level <= len(self.levels):
             raise BddcError(f"start level {start_level} out of range")
         return start_level - 1
 
-    def _apply(self, idx: int, r: np.ndarray, pre):
+    def _apply_level(self, idx: int, r: np.ndarray):
+        """``apply`` on level ``idx``: pre-correct, ``_apply``, extend."""
+        level = self.levels[idx]
+        u_int, p = interior_correction(level, r)
+        r_b = r - level.system.A @ u_int - level.bt @ p
+        u_face, p = self._apply(idx, r_b[level.decomp.face_dofs.ravel()], p)
+        u = level.extend(u_face)
+        u += u_int
+        return u, p
+
+    def _apply(self, idx: int, r_face: np.ndarray, p: np.ndarray):
+        """One level's face work; adds to ``p`` in place."""
         level = self.levels[idx]
         groups = level.groups
-        # ``p`` starts as the pre-correction's pressure, a fresh array.
-        u_int, p, r_b = pre(level, r)
-        # The pre-correction leaves no interior residual.  Per group,
-        # from the weighted face residuals: dual face values with vanishing
-        # face averages, then the restriction coefficients.
-        face_out = [(grp.w * r_b[grp.idx_face]) @ grp.face_op for grp in groups]
+        # Per group, from the weighted face residuals: dual face values with
+        # vanishing face averages, then the restriction coefficients.
+        face_out = [(grp.w * r_face[grp.face_pos]) @ grp.face_op for grp in groups]
         r_next = _scatter_add(
             level.decomp.n_faces,
             [(grp.face_ids, out[:, grp.n_face_dofs :]) for grp, out in zip(groups, face_out)],
@@ -401,8 +445,8 @@ class MultilevelPreconditioner:
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
         else:
-            u_next, p_next = self._apply(idx + 1, r_next, _interior_pre)
-        u = average(
+            u_next, p_next = self._apply_level(idx + 1, r_next)
+        u_face = _face_average(
             level,
             [
                 out[:, : grp.n_face_dofs] + u_next[grp.face_ids] @ grp.psi.T
@@ -410,12 +454,9 @@ class MultilevelPreconditioner:
             ],
         )
         # Post-correction: the coarse pressure on each subdomain's cells,
-        # and the interior flux and pressure of each subdomain's harmonic
-        # extension of the averaged face values.
+        # and the pressure of each subdomain's harmonic extension of the
+        # averaged face values.
         p[level.decomp.cells_by_sub] += p_next[:, None]
         for grp in groups:
-            ext = u[grp.idx_face] @ grp.ext
-            u[grp.idx_int] += ext[:, : grp.n_int]
-            p[grp.idx_cells] += ext[:, grp.n_int :]
-        u += u_int
-        return u, p
+            p[grp.idx_cells] += u_face[grp.face_pos] @ grp.ext[:, grp.n_int :]
+        return u_face, p

@@ -86,6 +86,7 @@ def pcg(
     tol: float = 1e-6,
     maxit: int = 500,
     defect_fn=None,
+    norm_fn=np.linalg.norm,
 ):
     """PCG for a symmetric operator with an SPD preconditioner.
 
@@ -102,6 +103,10 @@ def pcg(
     defect_fn:
         Optional monitor evaluated on each iterate; values are recorded and
         checked against ``DEFECT_TOL``.
+    norm_fn:
+        Norm of a residual, for the stopping test and the recorded
+        residuals; the default is the Euclidean norm.  A caller whose
+        vectors stand for longer ones passes the norm of those.
 
     Returns
     -------
@@ -110,7 +115,7 @@ def pcg(
     rhs = np.asarray(rhs, dtype=float)
     x = np.zeros_like(rhs)
     report = PcgReport()
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_norm = norm_fn(rhs)
     if rhs_norm == 0.0:
         report.converged = True
         return x, report
@@ -136,7 +141,7 @@ def pcg(
     # The flux of this bare output may be round-off, so its defect is
     # recorded but not checked.
     az = np.asarray(operator(z), dtype=float)
-    rel_try = float(np.linalg.norm(rhs - az) / rhs_norm)
+    rel_try = float(norm_fn(rhs - az) / rhs_norm)
     if rel_try <= tol:
         report.iterations = 1
         report.rel_residuals.append(rel_try)
@@ -149,12 +154,18 @@ def pcg(
     d = z.copy()
 
     for it in range(1, maxit + 1):
-        if rz <= 0.0:
+        if rz > 0.0:
+            # the first direction is z, whose product the start-of-run check made
+            od = az if it == 1 else np.asarray(operator(d), dtype=float)
+            dod = float(d @ od)
+        if rz <= 0.0 or dod <= 0.0:
             # Residual annihilated by the preconditioner (pure multiplier
-            # content, <r, Mr> ~ 0): take the preconditioner output directly.
+            # content, <r, Mr> ~ 0), or a direction with no energy, which
+            # follows when <r, Mr> is round-off of either sign: take the
+            # preconditioner output directly.
             x_try = x + z
             r_try = rhs - np.asarray(operator(x_try), dtype=float)
-            rel = float(np.linalg.norm(r_try) / rhs_norm)
+            rel = float(norm_fn(r_try) / rhs_norm)
             if rel <= tol:
                 x, r = x_try, r_try
                 report.iterations = it
@@ -163,23 +174,22 @@ def pcg(
                 monitor(x, it)
                 report.converged = True
                 break
+            if rz > 0.0:
+                raise PcgBreakdownError(
+                    f"<d, Ad> = {dod:.3e} <= 0: operator not SPD on the Krylov space"
+                )
             if abs(rz) <= 1e-16 * abs(rz0):
                 break  # stagnated at round-off level: report non-convergence
             raise PcgBreakdownError(
                 f"<r, Mr> = {rz:.3e} < 0 before convergence: preconditioner not SPD"
             )
-        # the first direction is z, whose product the start-of-run check made
-        od = az if it == 1 else np.asarray(operator(d), dtype=float)
-        dod = float(d @ od)
-        if dod <= 0.0:
-            raise PcgBreakdownError(f"<d, Ad> = {dod:.3e} <= 0: operator not SPD on the Krylov space")
         alpha = rz / dod
         x += alpha * d
         r -= alpha * od
         report.alphas.append(alpha)
         report.iterations = it
 
-        rel = float(np.linalg.norm(r) / rhs_norm)
+        rel = float(norm_fn(r) / rhs_norm)
         report.rel_residuals.append(rel)
         monitor(x, it)
 

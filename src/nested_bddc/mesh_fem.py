@@ -41,6 +41,7 @@ __all__ = [
     "assemble_rhs",
     "check_compatibility",
     "divergence_defect",
+    "gauged_defect",
     "dump_matrix_market",
 ]
 
@@ -311,13 +312,16 @@ def divergence_defect(system: Rt0System, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (system.n_flux,):
         raise ValueError(f"flux vector has length {u.size}, expected {system.n_flux}")
-    w = system.areas
     if not np.any(u):
         return 0.0
-    d = system.B @ u
-    d = d - w * (w @ d) / (w @ w)
-    energy = np.sqrt(u @ (system.A @ u))
-    return float(np.linalg.norm(d) / energy)
+    return gauged_defect(system, system.B @ u, u @ (system.A @ u))
+
+
+def gauged_defect(system: Rt0System, div: np.ndarray, energy: float) -> float:
+    """``divergence_defect`` of a flux given its divergence ``B u`` and energy ``u^T A u``."""
+    w = system.areas
+    d = div - w * (w @ div) / (w @ w)
+    return float(np.linalg.norm(d) / np.sqrt(energy))
 
 
 def dump_matrix_market(system: Rt0System, prefix: str) -> tuple[str, str]:

@@ -7,8 +7,11 @@ through their decompositions, and the top problem is solved exactly.
 Sweeping back down, each level prolongs the flux of the level above and
 runs the three-step solve: subdomain interior solves that match the
 divergence data, then a divergence-free PCG correction with the multilevel
-preconditioner of all coarser levels.  Only the finest pressure is kept,
-gauged to zero mean.
+preconditioner of all coarser levels.  The step-2 pressure starts the
+correction, whose PCG iterates on the level's face values and cell
+pressures, in vectors that stand exactly for those of PCG on the whole
+level system; the flux is extended into the subdomain interiors once, at
+the end.  Only the finest pressure is kept, gauged to zero mean.
 
 The coefficient patterns of the experiments, the constant field and two
 three-material layouts whose jumps align with subdomain boundaries, live
@@ -30,7 +33,7 @@ from .bddc import (
     prolong_average,
 )
 from .hierarchy import LevelDecomposition, check_shape
-from .krylov import PcgReport, pcg
+from .krylov import DEFECT_TOL, InvariantViolation, PcgReport, pcg
 from .mesh_fem import (
     CoefficientField,
     Rt0System,
@@ -110,10 +113,10 @@ class ExperimentSpec:
 
     Construction raises ``HierarchyError`` for a shape that no mesh can
     take, and ``DriverError`` for an unknown pattern, ``jump-left`` below
-    four levels, or a bad ``tol`` or ``maxit``.  Set-up (``build_problem``,
-    ``NestedSolver``) raises ``WeightsError`` for a bad ``gamma``,
-    ``CoefficientError`` for a bad ``k1``-``k3`` that the pattern uses and
-    ``MeshError`` for a bad ``base``.
+    four levels, a ``k1``-``k3`` that is not finite and > 0 (whether or
+    not the pattern uses it), or a bad ``tol`` or ``maxit``.  Set-up
+    (``build_problem``, ``NestedSolver``) raises ``WeightsError`` for a
+    bad ``gamma`` and ``MeshError`` for a bad ``base``.
     """
 
     levels: int
@@ -134,6 +137,10 @@ class ExperimentSpec:
             raise DriverError(f"unknown coefficient pattern {self.coeff!r}")
         if self.coeff == "jump-left" and self.levels < 4:
             raise DriverError(f"pattern 'jump-left' needs at least 4 levels, got {self.levels}")
+        for name in ("k1", "k2", "k3"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DriverError(f"contrast {name} must be finite and > 0, got {value!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DriverError(f"PCG tolerance must be finite and > 0, got {self.tol!r}")
         if not isinstance(self.maxit, int) or self.maxit < 1:
@@ -194,41 +201,87 @@ def step3_correction(
     precond: MultilevelPreconditioner,
     level_number: int,
     u_star: np.ndarray,
+    p_star: np.ndarray,
     tol: float = 1e-6,
     maxit: int = 500,
 ):
-    """Divergence-free flux correction and pressure by PCG.
+    """Divergence-free flux correction and pressure by PCG on face values.
 
-    Iterates on the full assembled level system; the preconditioner keeps
-    every flux iterate divergence-free, monitored each iteration.  Since
-    ``u_star`` already holds the step-2 interior solves, the interior rows
-    of ``-A u_star`` lie in ``range(B_I^T)`` per subdomain, and so do those
-    of every PCG residual.  The preconditioner is therefore applied through
-    ``apply_step3``, whose start-level interior pre-correction is
-    ``u_int = 0`` plus a pressure from the level's gradient inverse.
+    Solves ``[A B^T; B 0] (u, p) = (-A u_star, 0)`` on the level with
+    vectors that stand exactly for the full-length ones.  An iterate
+    ``(u_F, p, 0)`` holds face fluxes, whose harmonic extension ``E u_F``
+    (``LevelBddc.extend``) is its flux, and cell pressures.  A residual
+    ``(r_F - (B^T q)_F, r_p, q)`` holds its face rows ``r_F``, its
+    pressure rows ``r_p`` and a cell potential ``q``, gauged per
+    subdomain, whose gradients ``B_I^T q`` are its interior rows.  PCG
+    starts from the step-2 pressure ``p_star``: after the step-2 interior
+    solves in ``u_star`` the interior rows of ``-A u_star`` are
+    ``B_I^T p_star``.  The product of a direction ``d`` has the interior
+    rows ``B_I^T (d_p - p_ext)``, with ``p_ext`` the extension's pressure,
+    the face rows ``sum_s S_s d_F + (B^T (d_p - p_ext))_F`` and the
+    pressure rows ``B E d_F``.  With ``q`` gauged, the Euclidean product of
+    a residual and an iterate is that of the full-length vectors, so in
+    exact arithmetic the iterates, coefficients and stopping test are those
+    of the full-length PCG; only the residual norm needs ``B_I^T q``.
+
+    The start level's preconditioner takes the face rows and ``q`` as the
+    residual and pressure of its interior pre-correction (``apply_faces``).
+    The monitor takes each iterate's divergence defect from its face values
+    (``face_divergence_defect``); the flux is extended into the interiors
+    once, after PCG, and its ``divergence_defect`` is checked again.
     """
-    system = precond.levels[level_number - 1].system
-    n_u = system.n_flux
-    a_mat, b_mat = system.A, system.B
+    level = precond.levels[level_number - 1]
+    cells = level.decomp.cells_by_sub
+    n_face, n_p = level.decomp.face_dofs.size, level.system.n_pressure
+    split = [n_face, n_face + n_p]
+
+    def gauged(p):
+        """Each subdomain's area-weighted mean of ``p``, and ``p`` less it, in place."""
+        mean = level.mean @ p
+        p[cells] -= mean[:, None]
+        return mean, p
 
     def operator(x):
-        u, p = x[:n_u], x[n_u:]
-        return np.concatenate([a_mat @ u + b_mat.T @ p, b_mat @ u])
+        u_face, p, _ = np.split(x, split)
+        mean, q = gauged(p - level.face_pressure(u_face))
+        r_face = level.schur_product(u_face) + level.net.T @ mean
+        return np.concatenate([r_face, level.mean.T @ (level.net @ u_face), q])
 
-    def preconditioner(x):
-        u, p = precond.apply_step3(x[:n_u], level_number)
-        return np.concatenate([u, p])
+    def preconditioner(r):
+        r_face, _, q = np.split(r, split)
+        return np.concatenate([*precond.apply_faces(r_face, q, level_number), np.zeros(n_p)])
 
-    def defect(x):
-        return divergence_defect(system, x[:n_u])
+    def norm(r):
+        r_face, r_p, q = np.split(r, split)
+        r_int = q[cells] @ level.b_int
+        return math.hypot(*map(np.linalg.norm, (r_face + level.face_bt @ q, r_int, r_p)))
 
-    rhs = np.concatenate([-(a_mat @ u_star), np.zeros(system.n_pressure)])
-    x, report = pcg(operator, preconditioner, rhs, tol=tol, maxit=maxit, defect_fn=defect)
+    _, q = gauged(np.array(p_star, dtype=float))
+    r_face = -(level.system.A @ u_star)[level.decomp.face_dofs.ravel()] - level.face_bt @ q
+    rhs = np.concatenate([r_face, np.zeros(n_p), q])
+    x, report = pcg(
+        operator,
+        preconditioner,
+        rhs,
+        tol=tol,
+        maxit=maxit,
+        defect_fn=lambda x: level.face_divergence_defect(x[:n_face]),
+        norm_fn=norm,
+    )
     if not report.converged:
         raise PcgNonConvergence(
             report, level_number, f"PCG did not reach {tol:g} within {report.iterations} iterations"
         )
-    return x[:n_u], x[n_u:], report
+    u = level.extend(x[:n_face])
+    # As in pcg, a bare preconditioner output (no PCG step) may be
+    # round-off, and its defect is not checked.
+    defect = divergence_defect(level.system, u) if report.alphas else 0.0
+    if defect > DEFECT_TOL:
+        raise InvariantViolation(
+            f"level {level_number}: divergence defect {defect:.3e} of the extended flux "
+            f"exceeded {DEFECT_TOL:.1e}"
+        )
+    return u, x[n_face : n_face + n_p], report
 
 
 class NestedSolver:
@@ -263,10 +316,10 @@ class NestedSolver:
         for ell in range(n_levels - 1, 0, -1):
             level = levels[ell - 1]
             u0 = prolong_average(level, u_level)
-            u_int, _ = step2_subdomain_solve(level, u0, f_chain[ell - 1])
+            u_int, p_int = step2_subdomain_solve(level, u0, f_chain[ell - 1])
             u_star = u0 + u_int
             u_corr, p_level, report = step3_correction(
-                precond, ell, u_star, tol=spec.tol, maxit=spec.maxit
+                precond, ell, u_star, p_int, tol=spec.tol, maxit=spec.maxit
             )
             u_level = u_star + u_corr
             rows.append(

@@ -155,6 +155,17 @@ def test_impossible_shape_exit_2(tmp_path, capsys, source, field, value):
     assert not out.exists()
 
 
+def test_unused_invalid_contrast_exit_2(tmp_path, capsys):
+    # the constant pattern uses k1 only; bad k2 and k3 are still rejected
+    out = tmp_path / "r.csv"
+    code = run_cli(["solve", "--levels", "2", "--ratio", "3", "--k2", "-5", "--k3", "nan",
+                    "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "contrast k2 must be finite and > 0" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_jump_left_below_four_levels_exit_2(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code = run_cli(["solve", "--coeff", "jump-left", "--levels", "3", "--out", str(out)])

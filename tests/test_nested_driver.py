@@ -152,8 +152,8 @@ def test_step2_after_step1_is_fully_balanced(runs):
 def test_step3_with_exact_start_returns_zero_correction(runs):
     solver = runs.solver(ExperimentSpec(levels=2, ratio=3))
     system = solver.fine
-    u_ref, _ = nb.oracle_direct_solve(system)
-    u_corr, p, report = step3_correction(solver.precond, 1, u_ref)
+    u_ref, p_ref = nb.oracle_direct_solve(system)
+    u_corr, p, report = step3_correction(solver.precond, 1, u_ref, p_ref)
     assert report.iterations <= 1
     assert np.linalg.norm(u_corr) <= 1e-8 * np.linalg.norm(u_ref)
     # the recovered pressure closes the flux equation
@@ -419,6 +419,15 @@ def test_spec_nx():
     assert ExperimentSpec(levels=2, ratio=3).nx == 9
     assert ExperimentSpec(levels=5, ratio=3).nx == 243
     assert ExperimentSpec(levels=2, ratio=4, base=2).nx == 8
+
+
+@pytest.mark.parametrize("coeff", ["constant", "jump-right"])
+@pytest.mark.parametrize("field", ["k1", "k2", "k3"])
+@pytest.mark.parametrize("value", [0.0, -5.0, np.nan, np.inf])
+def test_spec_rejects_invalid_contrast(coeff, field, value):
+    # every contrast is checked, also one the pattern does not use
+    with pytest.raises(DriverError, match=f"contrast {field} must be finite and > 0"):
+        ExperimentSpec(levels=2, ratio=3, coeff=coeff, **{field: value})
 
 
 @pytest.mark.parametrize(
