@@ -16,18 +16,21 @@ post-correction maps each subdomain copy to the harmonic extension of its
 face values.  So a level apply works on the level's face vector, its face
 dofs in ``decomp.face_dofs`` order, which each group indexes with
 ``face_pos``: ``MultilevelPreconditioner._apply`` takes the face rows of a
-pre-corrected residual and the pre-correction's pressure, and returns the
-averaged face values and the pressure, with the pressure of each
-subdomain's harmonic extension added by one product per group.  The flux
-is extended into the interiors (``LevelBddc.extend``) only where a level
+pre-corrected residual and returns the averaged face values and the
+coarse pressure, one value per subdomain.  The flux is extended into the
+interiors (``LevelBddc.extend``) and the pressure formed on the cells
+(the pre-correction's, the coarse pressure and ``face_pressure``, the
+pressure of each subdomain's harmonic extension) only where a level
 vector is needed: in the general ``apply``, which pre-corrects any
 residual with the interior KKT solves, and on the coarser levels of the
 recursion.  Step 3 of the nested solve hands its start level
 pre-corrected residuals directly (``apply_faces``, see
-``nested_driver.step3_correction``) and iterates on face values with the
-level's condensed products: ``schur_product``, ``face_pressure`` and
-``face_divergence_defect``.  The divergence of a harmonic extension is
-constant on each subdomain and follows from its net face flux.
+``nested_driver.step3_correction``) and iterates on face fluxes and
+per-subdomain values with the level's condensed products:
+``schur_product``, ``net``, ``net_t`` and ``face_divergence_defect``.
+The divergence of a harmonic extension is the cell area times the
+subdomain's net face flux over the subdomain's area, so it is one value
+per subdomain.
 
 On the uniform grid a subdomain's interior KKT is fixed by the element
 matrices of its cells (compared by bit pattern), its face operators also
@@ -183,10 +186,13 @@ class LevelBddc:
     and what the divergence of a harmonic extension needs: ``net``, each
     subdomain's net face flux (``B``'s face columns summed over its cells,
     one row per subdomain and one column per entry of the face vector),
-    and ``mean``, each subdomain's area-weighted cell mean.  The step-3
-    residual norm also uses ``b_int``, the interior divergence block
-    ``B_I`` that all subdomains share (template order), and ``face_bt``,
-    the face rows of ``B^T``.
+    and its transpose ``net_t``.  The extension's divergence on a cell is
+    the cell's area over the subdomain's area ``sub_areas`` times the net
+    flux, so its norm on the subdomain is ``div_norm`` times the net flux,
+    with ``div_norm`` the norm of the cells' areas over ``sub_areas``.
+    The step-3 residual norm also uses ``b_int``, the interior divergence
+    block ``B_I`` that all subdomains share (template order), and
+    ``face_bt``, the face rows of ``B^T``.
     """
 
     system: Rt0System
@@ -196,7 +202,9 @@ class LevelBddc:
     b_int: object
     face_bt: sp.csr_matrix
     net: sp.csc_matrix
-    mean: sp.csr_matrix
+    net_t: sp.csr_matrix
+    sub_areas: np.ndarray
+    div_norm: np.ndarray
 
     def extend(self, u_face: np.ndarray) -> np.ndarray:
         """Level flux with face values ``u_face`` and their harmonic extension inside."""
@@ -222,26 +230,40 @@ class LevelBddc:
     def face_divergence_defect(self, u_face: np.ndarray) -> float:
         """``divergence_defect`` of ``extend(u_face)`` from face values alone.
 
-        The extension's divergence on each cell is its area times the
-        subdomain's net face flux over the subdomain's area, and its energy
-        is ``u_face`` against ``schur_product(u_face)``.
+        The extension's divergence is a multiple of the cell areas on each
+        subdomain, and so is the pressure gauge, so the defect is taken on
+        one entry per subdomain: the divergence's norm there, against the
+        gauge's.  The energy is ``u_face`` against ``schur_product(u_face)``.
         """
         if not np.any(u_face):
             return 0.0
-        div = self.mean.T @ (self.net @ u_face)
-        return gauged_defect(self.system, div, u_face @ self.schur_product(u_face))
+        return gauged_defect(
+            self.div_norm * (self.net @ u_face),
+            u_face @ self.schur_product(u_face),
+            self.div_norm * self.sub_areas,
+        )
 
 
 def _unique_rows(a: np.ndarray):
-    """``np.unique`` over the rows of a 2-D array, rows compared bit for bit."""
-    a = np.ascontiguousarray(a)
-    rows = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
-    return np.unique(rows, return_index=True, return_inverse=True)
+    """Rows of a 2-D array classed bit for bit: (first row of each class, class of each row).
+
+    A lexicographic sort of the rows' bit patterns puts equal rows next
+    to each other, in ascending order, so the first of each run is its
+    class's first row.
+    """
+    bits = np.ascontiguousarray(a).view(f"i{a.itemsize}")
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    label = np.empty(len(order), dtype=np.intp)
+    label[order] = np.cumsum(new) - 1
+    return order[new], label
 
 
 def _groups(keys: np.ndarray) -> list[np.ndarray]:
     """Rows of ``keys`` grouped by equality: ascending members, groups by first row."""
-    _, first, label = _unique_rows(keys)
+    first, label = _unique_rows(keys)
     label = np.argsort(np.argsort(first))[label]
     members = np.argsort(label, kind="stable")
     return np.split(members, np.cumsum(np.bincount(label))[:-1])
@@ -257,18 +279,17 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     assembled, factored and condensed onto its four faces once
     (``_Cells``); every group on it slices the faces it has.
     """
-    cell_class = _unique_rows(system.elem_mass.reshape(system.grid.n_cells, -1))[2]
+    cell_class = _unique_rows(system.elem_mass.reshape(system.grid.n_cells, -1))[1]
     classes = cell_class[decomp.cells_by_sub]
-    _, first, pattern = _unique_rows(classes)
+    first, pattern = _unique_rows(classes)
     patterns = [_Cells(system, decomp, decomp.cells_by_sub[sub]) for sub in first]
     w_lo = compute_weights(decomp, system.elem_mass, gamma)
     groups = [
         _Group(decomp, w_lo, subs, patterns[pattern[subs[0]]])
         for subs in _groups(np.hstack([decomp.faces_by_sub >= 0, classes]))
     ]
-    cells = decomp.cells_by_sub  # ascending per row
-    n_sub, n_cells = cells.shape
-    areas = system.areas[cells]
+    areas = system.areas[decomp.cells_by_sub]
+    sub_areas = areas.sum(axis=1)
     # B's entries in the column of an edge: -h on its lower cell, +h on its
     # higher one (SLOT_SIGNS); a face dof's two cells lie in its face's two
     # subdomains.
@@ -276,6 +297,7 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     signs = np.tile([-system.grid.h, system.grid.h], len(face_dofs))
     pairs = np.arange(0, signs.size + 1, 2)
     face_subs = np.repeat(decomp.sub_grid.edge_sides, decomp.face_dofs.shape[1], axis=0)
+    net = sp.csc_matrix((signs, face_subs.ravel(), pairs), (decomp.n_sub, len(face_dofs)))
     return LevelBddc(
         system=system,
         decomp=decomp,
@@ -287,15 +309,10 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
             (signs, np.take(system.grid.edge_sides, face_dofs, axis=0).ravel(), pairs),
             (len(face_dofs), system.n_pressure),
         ),
-        net=sp.csc_matrix((signs, face_subs.ravel(), pairs), (n_sub, len(face_dofs))),
-        mean=sp.csr_matrix(
-            (
-                (areas / areas.sum(axis=1, keepdims=True)).ravel(),
-                cells.ravel(),
-                np.arange(n_sub + 1) * n_cells,
-            ),
-            (n_sub, system.n_pressure),
-        ),
+        net=net,
+        net_t=net.T.tocsr(),
+        sub_areas=sub_areas,
+        div_norm=np.linalg.norm(areas, axis=1) / sub_areas,
     )
 
 
@@ -382,10 +399,10 @@ class MultilevelPreconditioner:
     is divergence-free on the starting level.
 
     ``apply_faces`` is the same map without the start level's
-    pre-correction and interior extension: it takes a residual whose
-    interior rows the pre-correction has already removed and returns
-    face values.  Coarser levels get general residuals and keep the
-    interior KKT solves.
+    pre-correction and post-correction: it takes a residual whose interior
+    rows the pre-correction has already removed and returns face values
+    and the coarse pressure per subdomain.  Coarser levels get general
+    residuals and keep the interior KKT solves.
     """
 
     levels: list[LevelBddc]
@@ -406,15 +423,16 @@ class MultilevelPreconditioner:
         """Preconditioned (flux, pressure) for any flux residual ``r``."""
         return self._apply_level(self._index(start_level), np.asarray(r, dtype=float))
 
-    def apply_faces(self, r_face: np.ndarray, p: np.ndarray, start_level: int):
-        """Preconditioned (face values, pressure) for a residual without interior rows.
+    def apply_faces(self, r_face: np.ndarray, start_level: int):
+        """Preconditioned face values and coarse pressure for a pre-corrected residual.
 
         ``r_face`` holds the residual's rows in the start level's face
-        vector and ``p`` the pressure of its interior pre-correction.  The
-        flux is ``extend`` of the returned face values on the start level.
+        vector, after an interior pre-correction has removed its interior
+        rows.  The flux is ``extend`` of the returned face values on the
+        start level; the pressure adds, on each subdomain, the returned
+        coarse pressure to the pre-correction's and to ``face_pressure``.
         """
-        idx = self._index(start_level)
-        return self._apply(idx, np.asarray(r_face, dtype=float), np.array(p, dtype=float))
+        return self._apply(self._index(start_level), np.asarray(r_face, dtype=float))
 
     def _index(self, start_level: int) -> int:
         if not 1 <= start_level <= len(self.levels):
@@ -422,17 +440,21 @@ class MultilevelPreconditioner:
         return start_level - 1
 
     def _apply_level(self, idx: int, r: np.ndarray):
-        """``apply`` on level ``idx``: pre-correct, ``_apply``, extend."""
+        """``apply`` on level ``idx``: pre-correct, ``_apply``, post-correct."""
         level = self.levels[idx]
         u_int, p = interior_correction(level, r)
         r_b = r - level.system.A @ u_int - level.bt @ p
-        u_face, p = self._apply(idx, r_b[level.decomp.face_dofs.ravel()], p)
+        u_face, p_coarse = self._apply(idx, r_b[level.decomp.face_dofs.ravel()])
         u = level.extend(u_face)
         u += u_int
+        # The coarse pressure on each subdomain's cells, and the pressure of
+        # each subdomain's harmonic extension of the averaged face values.
+        p[level.decomp.cells_by_sub] += p_coarse[:, None]
+        p += level.face_pressure(u_face)
         return u, p
 
-    def _apply(self, idx: int, r_face: np.ndarray, p: np.ndarray):
-        """One level's face work; adds to ``p`` in place."""
+    def _apply(self, idx: int, r_face: np.ndarray):
+        """One level's face work: averaged face values and the coarse pressure per subdomain."""
         level = self.levels[idx]
         groups = level.groups
         # Per group, from the weighted face residuals: dual face values with
@@ -453,10 +475,4 @@ class MultilevelPreconditioner:
                 for grp, out in zip(groups, face_out)
             ],
         )
-        # Post-correction: the coarse pressure on each subdomain's cells,
-        # and the pressure of each subdomain's harmonic extension of the
-        # averaged face values.
-        p[level.decomp.cells_by_sub] += p_next[:, None]
-        for grp in groups:
-            p[grp.idx_cells] += u_face[grp.face_pos] @ grp.ext[:, grp.n_int :]
-        return u_face, p
+        return u_face, p_next

@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 DEFECT_TOL = 1e-9
+# <d, Ad> at most this fraction of |d| |Ad| is a direction with no energy.
+NO_ENERGY = 1e-12
 
 
 class PcgError(Exception):
@@ -158,7 +160,8 @@ def pcg(
             # the first direction is z, whose product the start-of-run check made
             od = az if it == 1 else np.asarray(operator(d), dtype=float)
             dod = float(d @ od)
-        if rz <= 0.0 or dod <= 0.0:
+            no_energy = dod <= NO_ENERGY * np.linalg.norm(d) * np.linalg.norm(od)
+        if rz <= 0.0 or no_energy:
             # Residual annihilated by the preconditioner (pure multiplier
             # content, <r, Mr> ~ 0), or a direction with no energy, which
             # follows when <r, Mr> is round-off of either sign: take the
@@ -174,15 +177,17 @@ def pcg(
                 monitor(x, it)
                 report.converged = True
                 break
-            if rz > 0.0:
+            if rz <= 0.0:
+                if abs(rz) <= 1e-16 * abs(rz0):
+                    break  # stagnated at round-off level: report non-convergence
+                raise PcgBreakdownError(
+                    f"<r, Mr> = {rz:.3e} < 0 before convergence: preconditioner not SPD"
+                )
+            if dod <= 0.0:
                 raise PcgBreakdownError(
                     f"<d, Ad> = {dod:.3e} <= 0: operator not SPD on the Krylov space"
                 )
-            if abs(rz) <= 1e-16 * abs(rz0):
-                break  # stagnated at round-off level: report non-convergence
-            raise PcgBreakdownError(
-                f"<r, Mr> = {rz:.3e} < 0 before convergence: preconditioner not SPD"
-            )
+            # a small but positive energy: take the step
         alpha = rz / dod
         x += alpha * d
         r -= alpha * od

@@ -314,12 +314,11 @@ def divergence_defect(system: Rt0System, u: np.ndarray) -> float:
         raise ValueError(f"flux vector has length {u.size}, expected {system.n_flux}")
     if not np.any(u):
         return 0.0
-    return gauged_defect(system, system.B @ u, u @ (system.A @ u))
+    return gauged_defect(system.B @ u, u @ (system.A @ u), system.areas)
 
 
-def gauged_defect(system: Rt0System, div: np.ndarray, energy: float) -> float:
-    """``divergence_defect`` of a flux given its divergence ``B u`` and energy ``u^T A u``."""
-    w = system.areas
+def gauged_defect(div: np.ndarray, energy: float, w: np.ndarray) -> float:
+    """``divergence_defect`` of a flux given its divergence, energy and gauge direction ``w``."""
     d = div - w * (w @ div) / (w @ w)
     return float(np.linalg.norm(d) / np.sqrt(energy))
 

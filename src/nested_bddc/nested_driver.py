@@ -8,10 +8,11 @@ Sweeping back down, each level prolongs the flux of the level above and
 runs the three-step solve: subdomain interior solves that match the
 divergence data, then a divergence-free PCG correction with the multilevel
 preconditioner of all coarser levels.  The step-2 pressure starts the
-correction, whose PCG iterates on the level's face values and cell
-pressures, in vectors that stand exactly for those of PCG on the whole
-level system; the flux is extended into the subdomain interiors once, at
-the end.  Only the finest pressure is kept, gauged to zero mean.
+correction, whose PCG iterates on the level's face fluxes and one value
+per subdomain, in vectors that stand exactly for those of PCG on the
+whole level system; the flux is extended into the subdomain interiors
+and the cell pressure formed once, at the end.  Only the finest pressure
+is kept, gauged to zero mean.
 
 The coefficient patterns of the experiments, the constant field and two
 three-material layouts whose jumps align with subdomain boundaries, live
@@ -205,64 +206,72 @@ def step3_correction(
     tol: float = 1e-6,
     maxit: int = 500,
 ):
-    """Divergence-free flux correction and pressure by PCG on face values.
+    """Divergence-free flux correction and pressure by PCG on face fluxes.
 
     Solves ``[A B^T; B 0] (u, p) = (-A u_star, 0)`` on the level with
-    vectors that stand exactly for the full-length ones.  An iterate
-    ``(u_F, p, 0)`` holds face fluxes, whose harmonic extension ``E u_F``
-    (``LevelBddc.extend``) is its flux, and cell pressures.  A residual
-    ``(r_F - (B^T q)_F, r_p, q)`` holds its face rows ``r_F``, its
-    pressure rows ``r_p`` and a cell potential ``q``, gauged per
-    subdomain, whose gradients ``B_I^T q`` are its interior rows.  PCG
-    starts from the step-2 pressure ``p_star``: after the step-2 interior
-    solves in ``u_star`` the interior rows of ``-A u_star`` are
-    ``B_I^T p_star``.  The product of a direction ``d`` has the interior
-    rows ``B_I^T (d_p - p_ext)``, with ``p_ext`` the extension's pressure,
-    the face rows ``sum_s S_s d_F + (B^T (d_p - p_ext))_F`` and the
-    pressure rows ``B E d_F``.  With ``q`` gauged, the Euclidean product of
-    a residual and an iterate is that of the full-length vectors, so in
-    exact arithmetic the iterates, coefficients and stopping test are those
-    of the full-length PCG; only the residual norm needs ``B_I^T q``.
+    vectors of one entry per face dof and per subdomain, plus two, that
+    stand exactly for the full-length ones.  PCG starts from the step-2
+    pressure: after the step-2 interior solves in ``u_star`` the interior
+    rows of ``-A u_star`` are ``B_I^T q0``, with ``q0`` the step-2 pressure
+    ``p_star`` gauged per subdomain.  The preconditioner (``apply_faces``)
+    copies a residual's gauged pressure into its output and the operator
+    copies it back, so every such pressure is a multiple ``s q0``.
 
-    The start level's preconditioner takes the face rows and ``q`` as the
-    residual and pressure of its interior pre-correction (``apply_faces``).
+    An iterate ``(u_F, m, 0, s)`` holds face fluxes, whose harmonic
+    extension ``E u_F`` (``LevelBddc.extend``) is its flux, and a pressure
+    ``m + s q0 + p_ext``: ``m`` constant on each subdomain and ``p_ext``
+    the extension's pressure (``face_pressure``).  A residual
+    ``(r_F - s (B^T q0)_F, rho, s, 0)`` holds its face rows ``r_F``, its
+    interior rows ``s B_I^T q0``, and pressure rows that are each
+    subdomain's net divergence ``rho`` spread over its cells by area.  The
+    product of a direction ``(d_F, m, 0, s)`` is
+    ``(S d_F + (B^T m)_F, net d_F, s, 0)``, with ``S`` the sum of the
+    subdomains' face Schur complements.  In the full-length dot product of
+    a residual and an iterate, the interior rows meet a divergence that is
+    constant per subdomain and so vanish against the gauged ``q0``, and
+    the pressure rows meet the subdomain means ``m``; the two ``s`` slots
+    never meet.  So in exact arithmetic the iterates, coefficients and
+    stopping test are those of the full-length PCG; only the residual norm
+    needs ``(B^T q0)_F`` and ``B_I^T q0``, formed once.
+
     The monitor takes each iterate's divergence defect from its face values
     (``face_divergence_defect``); the flux is extended into the interiors
-    once, after PCG, and its ``divergence_defect`` is checked again.
+    and the pressure formed once, after PCG, and the flux's
+    ``divergence_defect`` is checked again.
     """
     level = precond.levels[level_number - 1]
     cells = level.decomp.cells_by_sub
-    n_face, n_p = level.decomp.face_dofs.size, level.system.n_pressure
-    split = [n_face, n_face + n_p]
+    n_face, n_sub = level.decomp.face_dofs.size, level.decomp.n_sub
+    split = [n_face, n_face + n_sub, n_face + n_sub + 1]
 
-    def gauged(p):
-        """Each subdomain's area-weighted mean of ``p``, and ``p`` less it, in place."""
-        mean = level.mean @ p
-        p[cells] -= mean[:, None]
-        return mean, p
+    q0 = np.array(p_star, dtype=float)
+    areas = level.system.areas[cells]
+    q0[cells] -= ((areas * q0[cells]).sum(axis=1) / level.sub_areas)[:, None]
+    bt_q0 = level.face_bt @ q0
+    int_norm = np.linalg.norm(q0[cells] @ level.b_int)
 
     def operator(x):
-        u_face, p, _ = np.split(x, split)
-        mean, q = gauged(p - level.face_pressure(u_face))
-        r_face = level.schur_product(u_face) + level.net.T @ mean
-        return np.concatenate([r_face, level.mean.T @ (level.net @ u_face), q])
+        u_face, m, _, s = np.split(x, split)
+        r_face = level.schur_product(u_face) + level.net_t @ m
+        return np.concatenate([r_face, level.net @ u_face, s, [0.0]])
 
     def preconditioner(r):
-        r_face, _, q = np.split(r, split)
-        return np.concatenate([*precond.apply_faces(r_face, q, level_number), np.zeros(n_p)])
+        r_face, _, s, _ = np.split(r, split)
+        return np.concatenate([*precond.apply_faces(r_face, level_number), [0.0], s])
 
     def norm(r):
-        r_face, r_p, q = np.split(r, split)
-        r_int = q[cells] @ level.b_int
-        return math.hypot(*map(np.linalg.norm, (r_face + level.face_bt @ q, r_int, r_p)))
+        r_face, rho, (s,), _ = np.split(r, split)
+        return math.hypot(
+            np.linalg.norm(r_face + s * bt_q0),
+            abs(s) * int_norm,
+            np.linalg.norm(rho * level.div_norm),
+        )
 
-    _, q = gauged(np.array(p_star, dtype=float))
-    r_face = -(level.system.A @ u_star)[level.decomp.face_dofs.ravel()] - level.face_bt @ q
-    rhs = np.concatenate([r_face, np.zeros(n_p), q])
+    r_face = -(level.system.A @ u_star)[level.decomp.face_dofs.ravel()] - bt_q0
     x, report = pcg(
         operator,
         preconditioner,
-        rhs,
+        np.concatenate([r_face, np.zeros(n_sub), [1.0, 0.0]]),
         tol=tol,
         maxit=maxit,
         defect_fn=lambda x: level.face_divergence_defect(x[:n_face]),
@@ -272,7 +281,8 @@ def step3_correction(
         raise PcgNonConvergence(
             report, level_number, f"PCG did not reach {tol:g} within {report.iterations} iterations"
         )
-    u = level.extend(x[:n_face])
+    u_face, m, _, (s,) = np.split(x, split)
+    u = level.extend(u_face)
     # As in pcg, a bare preconditioner output (no PCG step) may be
     # round-off, and its defect is not checked.
     defect = divergence_defect(level.system, u) if report.alphas else 0.0
@@ -281,7 +291,9 @@ def step3_correction(
             f"level {level_number}: divergence defect {defect:.3e} of the extended flux "
             f"exceeded {DEFECT_TOL:.1e}"
         )
-    return u, x[n_face : n_face + n_p], report
+    p = s * q0 + level.face_pressure(u_face)
+    p[cells] += m[:, None]
+    return u, p, report
 
 
 class NestedSolver:

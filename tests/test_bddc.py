@@ -584,8 +584,8 @@ def full_length_pcg(precond, level_number, u_star, tol):
 
 @pytest.mark.parametrize("case", list(PREMISE_SPECS))
 def test_step3_residuals_match_general_apply(case, runs, monkeypatch):
-    # Step 3 iterates on face values and a cell potential that stand for the
-    # full-length vectors of PCG on [A B^T; B 0] with the general apply as
+    # Step 3 iterates on face fluxes and per-subdomain values that stand for
+    # the full-length vectors of PCG on [A B^T; B 0] with the general apply as
     # preconditioner; both runs must agree on every start level.  Round-off
     # of about 1e-13 of the right-hand side differs between the two, so
     # residuals are compared against the right-hand side and the Lanczos
@@ -654,25 +654,53 @@ class _Counted:
 def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     # Level 1 of a three-level hierarchy: its A and B multiply a
     # full-length vector a fixed number of times per step-3 call (the
-    # right-hand side and the final check), whatever the iteration count.
+    # right-hand side and the final check), and the extension pressure of
+    # its face values is formed once, after PCG, whatever the iteration
+    # count.
     precond = NestedSolver(ExperimentSpec(levels=3, ratio=3)).precond
     level = precond.levels[0]
     system = level.system
     u0 = np.random.default_rng(3).standard_normal(system.n_flux)
     u_int, p_int = step2_subdomain_solve(level, u0, system.g)
-    calls = []
+    calls, pressures = [], []
     counted = dataclasses.replace(
         system, A=_Counted(system.A, calls), B=_Counted(system.B, calls)
     )
     monkeypatch.setattr(level, "system", counted)
     monkeypatch.setattr(level, "bt", _Counted(level.bt, calls))
+    face_pressure = level.face_pressure
+
+    def count_pressure(u_face):
+        pressures.append(u_face.shape)
+        return face_pressure(u_face)
+
+    monkeypatch.setattr(level, "face_pressure", count_pressure)
     counts = {}
     for tol in (1e-2, 1e-10):
         calls.clear()
+        pressures.clear()
         report = step3_correction(precond, 1, u0 + u_int, p_int, tol=tol)[2]
-        counts[report.iterations] = len(calls)
+        counts[report.iterations] = (len(calls), len(pressures))
     assert len(counts) == 2
-    assert set(counts.values()) == {3}
+    assert set(counts.values()) == {(3, 1)}
+
+
+def test_step3_vectors_hold_face_and_subdomain_entries(runs, monkeypatch):
+    # wide-r16 (ratio 16, L=2): the step-3 PCG runs on one entry per face
+    # dof and per subdomain, plus two slots for the coefficient of the
+    # gauged step-2 pressure, not on cell-sized vectors.
+    solver = runs.solver(PREMISE_SPECS["ratio16-L2"])
+    lengths = []
+
+    def record(operator, preconditioner, rhs, **kwargs):
+        lengths.append(len(rhs))
+        return pcg(operator, preconditioner, rhs, **kwargs)
+
+    monkeypatch.setattr(nested_driver, "pcg", record)
+    solver.solve()
+    decomp = solver.precond.levels[0].decomp
+    assert (decomp.face_dofs.size, decomp.n_sub) == (7680, 256)
+    assert lengths == [7680 + 256 + 2]
 
 
 @pytest.mark.parametrize("case", ["fig3-right", "ratio16-sparse"])

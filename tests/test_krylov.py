@@ -194,3 +194,43 @@ def test_accepts_pressure_gradient_after_several_steps():
     assert report.precond_residuals[-1] == 0.0
     assert len(list(report.history_rows())) == 3
     assert np.array_equal(kkt @ x, rhs)
+
+
+@pytest.mark.parametrize("delta", [1e-15, 1e-17])
+def test_direction_with_round_off_energy_accepts_preconditioner_output(delta):
+    # saddle_accept_case with a preconditioner that leaks a tiny flux along
+    # the gradient: after one step <r, Mr> and <d, Ad> are positive
+    # round-off instead of 0.  A step along d would be meaningless (with
+    # delta 1e-17 it stalls PCG for good), so iteration 2 must accept the
+    # preconditioner output, as it does when <d, Ad> reads <= 0.
+    kkt, preconditioner, rhs = saddle_accept_case()
+    energies = []
+
+    def operator(x):
+        energies.append(x @ kkt @ x)
+        return kkt @ x
+
+    def leaky(r):
+        z = preconditioner(r)
+        z[:2] += delta * (r[0] + r[1])
+        return z
+
+    x, report = pcg(operator, leaky, rhs, tol=1e-12)
+    assert report.converged
+    assert report.iterations == 2
+    assert len(report.alphas) == 1
+    assert 0.0 < energies[1] <= 1e-12
+    assert np.allclose(x, np.linalg.solve(kkt, rhs), atol=1e-12)
+
+
+def test_small_positive_energy_takes_the_step():
+    # <d, Ad> is a tiny fraction of |d| |Ad| on a badly conditioned SPD
+    # matrix, but the preconditioner output does not solve: PCG takes the
+    # normal step rather than raising.
+    a = np.diag([1.0, 1e-26])
+    b = np.array([1e-13, 1.0])
+    x, report = pcg(matvec(a), lambda v: v.copy(), b, tol=1e-10)
+    assert report.converged
+    assert report.iterations == 2
+    assert report.alphas[0] == pytest.approx(5e25)
+    assert np.allclose(a @ x, b, atol=1e-12)
