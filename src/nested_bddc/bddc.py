@@ -36,14 +36,16 @@ On the uniform grid a subdomain's interior KKT is fixed by the element
 matrices of its cells (compared by bit pattern), its face operators also
 by which of its four faces exist.  All subdomains of a level share one
 local numbering, ``LevelDecomposition.local_slots``: each cell pattern is
-assembled on it from the element scatter of the global matrices
-(``mesh_fem.element_blocks``), factored, and condensed onto all four faces
-by one ``Factorization.solve_leading`` call (``_Cells``).  Subdomains are
-grouped by cell pattern and present faces, one group kind per level: a
-group slices its faces from its pattern, inverts its bordered face system
-and keeps one row of index arrays and of face weights
-(``hierarchy.compute_weights``) per member.  How blocks are stored and
-solved, by size class, is decided in ``saddle_core`` alone.
+scattered on it once from its element matrices
+(``mesh_fem.element_triplets``), factored, and condensed onto all four
+faces by one ``Factorization.solve_leading`` call (``_Cells``).
+Subdomains are grouped by cell pattern and present faces, one group kind
+per level: a group slices its faces from its pattern, inverts its
+bordered face system and keeps one row of index arrays and of face
+weights (``hierarchy.compute_weights``) per member.  How blocks are stored
+and solved, by size class, is decided in ``saddle_core``
+(``DENSE_LIMIT``); a cell pattern scatters its interior blocks straight
+into the storage of their class.
 
 ``MultilevelPreconditioner.build`` owns the level list: it makes the
 decompositions from the fine grid, and each level's system is the coarse
@@ -69,11 +71,10 @@ from .mesh_fem import (
     SLOT_LEFT,
     Rt0System,
     assemble_system,
-    element_blocks,
     element_triplets,
     gauged_defect,
 )
-from .saddle_core import Factorization, KktSystem
+from .saddle_core import DENSE_LIMIT, Factorization, KktSystem
 
 __all__ = [
     "BddcError",
@@ -101,20 +102,38 @@ class _Cells:
     extends to the interior flux, first ``n_int`` entries, and pressure
     ``f @ ext``) and ``schur`` the face Schur complement
     ``S = A_FF - M_F^T K_I^-1 M_F``, symmetrised, from one solve.
+
+    The pattern's element matrices are scattered once: in the dense size
+    class into the dense Neumann blocks ``A`` and ``B^T`` on
+    ``local_slots``, whose interior corner is ``K_I``'s and whose face rows
+    give ``M_F``; above it, the interior entries into one CSR and only the
+    face rows into dense arrays.
     """
 
     def __init__(self, system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
         slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
-        elem_mass, h = system.elem_mass[cells], system.grid.h
-        mass, div = element_blocks(np.where(slots < n_int, slots, -1), elem_mass, h, n_int)
-        self.kkt = KktSystem(mass, div, gauge=system.areas[cells])
-        # Dense face rows of the Neumann blocks, columns (interior, faces).
-        n_f = 4 * decomp.face_dofs.shape[1]
-        mass, div = element_triplets(slots, elem_mass, h)
-        a_f = _dense_rows(*mass, n_int, (n_f, n_int + n_f))
-        b_ft = _dense_rows(div[0], div[2], div[1], n_int, (n_f, len(cells)))
+        n_loc, n_cells = n_int + 4 * decomp.face_dofs.shape[1], len(cells)
+        mass, (d_val, d_row, d_col) = element_triplets(slots, system.elem_mass[cells], system.grid.h)
+        dense = n_int + n_cells + 1 <= DENSE_LIMIT
+        first = 0 if dense else n_int
+        a = _dense_rows(*mass, first, (n_loc - first, n_loc))
+        bt = _dense_rows(d_val, d_col, d_row, first, (n_loc - first, n_cells))
+        if dense:
+            blocks = a[:n_int, :n_int], np.ascontiguousarray(bt[:n_int].T)
+        else:
+            # A_II above B_I, one CSR from the interior entries.
+            m_val, m_row, m_col = mass
+            on, d_on = (m_row < n_int) & (m_col < n_int), d_col < n_int
+            rows = np.concatenate([m_row[on], n_int + d_row[d_on]])
+            cols = np.concatenate([m_col[on], d_col[d_on]])
+            a_b = sp.csr_matrix(
+                (np.concatenate([m_val[on], d_val[d_on]]), (rows, cols)), shape=(n_int + n_cells, n_int)
+            )
+            blocks = a_b[:n_int], a_b[n_int:]
+        self.kkt = KktSystem(*blocks, gauge=system.areas[cells])
+        a_f, b_ft = a[n_int - first :], bt[n_int - first :]
         coupling = np.hstack([a_f[:, :n_int], b_ft])  # M_F^T
-        self.ext = -self.kkt.factorization.solve_leading(coupling, n_int + len(cells))
+        self.ext = -self.kkt.factorization.solve_leading(coupling, n_int + n_cells)
         schur = a_f[:, n_int:] + coupling @ self.ext.T
         self.schur = 0.5 * (schur + schur.T)
 

@@ -35,7 +35,6 @@ __all__ = [
     "Rt0System",
     "build_mesh",
     "element_triplets",
-    "element_blocks",
     "assemble_system",
     "assemble_rt0",
     "assemble_rhs",
@@ -126,19 +125,15 @@ class QuadMesh:
     @cached_property
     def cell_dof_slots(self) -> np.ndarray:
         """(n_cells, 4) dof ids per slot (left, right, bottom, top); -1 on boundary."""
-        c = np.arange(self.n_cells)
-        i = c % self.nx
-        j = c // self.nx
-        slots = np.full((self.n_cells, 4), -1, dtype=np.int64)
-        m = i >= 1
-        slots[m, SLOT_LEFT] = self.vertical_edge(i[m], j[m])
-        m = i <= self.nx - 2
-        slots[m, SLOT_RIGHT] = self.vertical_edge(i[m] + 1, j[m])
-        m = j >= 1
-        slots[m, SLOT_BOTTOM] = self.horizontal_edge(i[m], j[m])
-        m = j <= self.ny - 2
-        slots[m, SLOT_TOP] = self.horizontal_edge(i[m], j[m] + 1)
-        return slots
+        nx, ny, nv = self.nx, self.ny, self.n_vertical
+        slots = np.full((ny, nx, 4), -1, dtype=np.int64)
+        vertical = np.arange(nv).reshape(nx - 1, ny).T
+        horizontal = np.arange(nv, self.n_flux).reshape(ny - 1, nx)
+        slots[:, 1:, SLOT_LEFT] = vertical
+        slots[:, :-1, SLOT_RIGHT] = vertical
+        slots[1:, :, SLOT_BOTTOM] = horizontal
+        slots[:-1, :, SLOT_TOP] = horizontal
+        return slots.reshape(self.n_cells, 4)
 
     @cached_property
     def edge_sides(self) -> np.ndarray:
@@ -147,17 +142,13 @@ class QuadMesh:
         The low side sits against the edge normal (left/bottom cell), the
         high side along it.  Every enumerated edge is interior so both exist.
         """
+        cells = np.arange(self.n_cells).reshape(self.ny, self.nx)
+        nv = self.n_vertical
         sides = np.empty((self.n_flux, 2), dtype=np.int64)
-        if self.n_vertical:
-            line, row = np.divmod(np.arange(self.n_vertical), self.ny)
-            line += 1
-            sides[: self.n_vertical, 0] = self.cell_id(line - 1, row)
-            sides[: self.n_vertical, 1] = self.cell_id(line, row)
-        if self.n_horizontal:
-            line, col = np.divmod(np.arange(self.n_horizontal), self.nx)
-            line += 1
-            sides[self.n_vertical :, 0] = self.cell_id(col, line - 1)
-            sides[self.n_vertical :, 1] = self.cell_id(col, line)
+        sides[:nv, 0] = cells[:, :-1].T.ravel()
+        sides[:nv, 1] = cells[:, 1:].T.ravel()
+        sides[nv:, 0] = cells[:-1].ravel()
+        sides[nv:, 1] = cells[1:].ravel()
         return sides
 
 
@@ -220,8 +211,11 @@ class Rt0System:
 def element_triplets(slot_map: np.ndarray, elem_mass: np.ndarray, h: float):
     """Entries of the mass and divergence blocks, ``(values, rows, cols)`` each.
 
-    The element scatter behind ``element_blocks``, with the same
-    ``slot_map``; entries that share a position are not yet summed.
+    ``slot_map`` holds, per cell and slot, the row/column of the slot's flux
+    dof in the blocks, -1 where the cell has no dof there (local positions
+    on a subdomain's numbering, say).  Row ``c`` of the divergence block
+    belongs to cell ``c`` of ``slot_map``.  Entries that share a position
+    are not yet summed.
     """
     present = slot_map >= 0
     pair = present[:, :, None] & present[:, None, :]
@@ -232,18 +226,42 @@ def element_triplets(slot_map: np.ndarray, elem_mass: np.ndarray, h: float):
     return (elem_mass[pair], rows, cols), (signs, cell_rows, slot_map[present])
 
 
-def element_blocks(slot_map: np.ndarray, elem_mass: np.ndarray, h: float, n_flux: int):
-    """Mass and divergence blocks (COO) scattered from per-cell contributions.
+# Per edge family, the edge's slot in its lower and its higher cell, then
+# the edge's row of A in ascending column order: per column, the side (0
+# the lower cell, 1 the higher one) and the slot that cell couples the edge
+# to; None is the edge itself, summed from both cells.  Vertical edges
+# (lower cell on the left) number below horizontal ones (lower cell below),
+# each family line by line.
+_EDGE_STENCILS = (
+    (
+        (SLOT_RIGHT, SLOT_LEFT),
+        ((0, SLOT_LEFT), None, (1, SLOT_RIGHT), (0, SLOT_BOTTOM), (1, SLOT_BOTTOM), (0, SLOT_TOP), (1, SLOT_TOP)),
+    ),
+    (
+        (SLOT_TOP, SLOT_BOTTOM),
+        ((0, SLOT_LEFT), (1, SLOT_LEFT), (0, SLOT_RIGHT), (1, SLOT_RIGHT), (0, SLOT_BOTTOM), None, (1, SLOT_TOP)),
+    ),
+)
+# Grid lines of edges filled at a time: the band's cells stay in cache
+# while the seven columns are written.
+_BAND = 16
 
-    ``slot_map`` holds, per cell and slot, the row/column of the slot's flux
-    dof in the blocks, -1 where the cell has no dof there: global dof ids
-    for a whole grid, local positions for a subdomain.  Row ``c`` of the
-    divergence block belongs to cell ``c`` of ``slot_map``.
-    """
-    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(slot_map, elem_mass, h)
-    mass = sp.coo_matrix((m_val, (m_row, m_col)), shape=(n_flux, n_flux))
-    div = sp.coo_matrix((d_val, (d_row, d_col)), shape=(len(slot_map), n_flux))
-    return mass, div
+
+def _index_dtype(size: int):
+    """32-bit sparse indices where they fit, as scipy's own conversions make them."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
+def _compressed(values: np.ndarray, cols: np.ndarray, counts: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """CSR with one row per row of ``cols``: the entries whose column is >= 0, ``counts`` per row."""
+    keep = cols >= 0
+    index = _index_dtype(max(cols.size, n_cols))
+    indptr = np.zeros(len(cols) + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = cols[keep].astype(index, copy=False)
+    matrix = sp.csr_matrix((values[keep], indices, indptr), shape=(len(cols), n_cols))
+    matrix.has_canonical_format = True
+    return matrix
 
 
 def assemble_system(
@@ -251,13 +269,57 @@ def assemble_system(
     elem_mass: np.ndarray,
     g: np.ndarray | None = None,
 ) -> Rt0System:
-    """Assemble A and B from per-cell contributions on ``grid``."""
-    mass, div = element_blocks(grid.cell_dof_slots, elem_mass, grid.h, grid.n_flux)
+    """Assemble A and B as CSR from per-cell contributions on ``grid``.
+
+    On the uniform grid both follow a fixed stencil.  A cell row of B holds
+    its present slots in slot order, which is ascending.  An edge row of A
+    holds one entry per present slot of its two cells, in ascending column
+    order, the edge itself once and summed from both cells
+    (``_EDGE_STENCILS``).  Entries that vanish (the orthogonal x/y basis
+    pairs) are kept, so the structure depends on the grid alone.
+    """
+    nx, ny = grid.nx, grid.ny
+    slots = grid.cell_dof_slots
+    present = np.count_nonzero(slots >= 0, axis=1)
+    b = _compressed(np.broadcast_to(SLOT_SIGNS * grid.h, slots.shape), slots, present, grid.n_flux)
+    values = np.empty((grid.n_flux, 7))
+    cols = np.empty((grid.n_flux, 7), dtype=_index_dtype(7 * grid.n_flux))
+    counts = np.empty(grid.n_flux, dtype=present.dtype)
+    # Each edge family as lines of cells: its edges between cell lines m
+    # and m + 1 are its m-th block of rows, in the order of the cells.
+    by_line = [
+        [a.reshape(ny, nx, *a.shape[1:]).swapaxes(0, 1) for a in (slots, elem_mass, present)],
+        [a.reshape(ny, nx, *a.shape[1:]) for a in (slots, elem_mass, present)],
+    ]
+    rows = (slice(None, grid.n_vertical), slice(grid.n_vertical, None))
+    for row, (cell_slots, cell_mass, cell_present), (own, stencil) in zip(rows, by_line, _EDGE_STENCILS):
+        n_lines, n_along = cell_present.shape[0] - 1, cell_present.shape[1]
+        counts[row].reshape(n_lines, n_along)[:] = cell_present[:-1] + cell_present[1:] - 1
+        out_val = values[row].reshape(n_lines, n_along, 7)
+        out_col = cols[row].reshape(n_lines, n_along, 7)
+        for start in range(0, n_lines, _BAND):
+            stop = min(start + _BAND, n_lines)
+            band = slice(start, stop)
+            sides = [(cell_slots[lines], cell_mass[lines]) for lines in (band, slice(start + 1, stop + 1))]
+            (lo_slots, lo_mass), (_, hi_mass) = sides
+            for k, entry in enumerate(stencil):
+                if entry is None:
+                    out_col[band, :, k] = lo_slots[..., own[0]]
+                    out_val[band, :, k] = lo_mass[..., own[0], own[0]] + hi_mass[..., own[1], own[1]]
+                else:
+                    side, slot = entry
+                    out_col[band, :, k] = sides[side][0][..., slot]
+                    out_val[band, :, k] = sides[side][1][..., own[side], slot]
     if g is None:
         g = np.zeros(grid.n_cells)
     areas = np.full(grid.n_cells, grid.cell_area)
     return Rt0System(
-        grid, elem_mass, mass.tocsr(), div.tocsr(), np.asarray(g, dtype=float), areas
+        grid,
+        elem_mass,
+        _compressed(values, cols, counts, grid.n_flux),
+        b,
+        np.asarray(g, dtype=float),
+        areas,
     )
 
 

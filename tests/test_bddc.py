@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import nested_bddc as nb
 from nested_bddc.bddc import (
     MultilevelPreconditioner,
+    _Cells,
     assemble_coarse_problem,
     average,
     build_level_bddc,
@@ -23,7 +24,7 @@ from nested_bddc.mesh_fem import (
     assemble_rt0,
     build_mesh,
     divergence_defect,
-    element_blocks,
+    element_triplets,
 )
 from nested_bddc import nested_driver
 from nested_bddc.krylov import pcg
@@ -34,7 +35,7 @@ from nested_bddc.nested_driver import (
     step2_subdomain_solve,
     step3_correction,
 )
-from nested_bddc.saddle_core import DENSE_LIMIT, Factorization, SingularMatrixError
+from nested_bddc.saddle_core import DENSE_LIMIT, Factorization, KktSystem, SingularMatrixError
 
 
 def make_setup(nx, levels, ratio, k=None, gamma=1.0, ny=None):
@@ -80,8 +81,16 @@ def dense_block(b):
     return b.toarray() if sp.issparse(b) else b
 
 
+def coo_blocks(slot_map, elem_mass, h, n_flux):
+    """Mass and divergence blocks as COO from the element scatter, duplicates unsummed."""
+    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(slot_map, elem_mass, h)
+    mass = sp.coo_matrix((m_val, (m_row, m_col)), shape=(n_flux, n_flux))
+    div = sp.coo_matrix((d_val, (d_row, d_col)), shape=(len(slot_map), n_flux))
+    return mass, div
+
+
 def member_problem(level, grp, row):
-    """One member's local problem from its own cells, through ``element_blocks``.
+    """One member's local problem from its own cells, through ``coo_blocks``.
 
     Dense mass, divergence and face-average blocks with columns in the
     group's order (interior dofs, then face dofs), and the gauge.
@@ -93,7 +102,7 @@ def member_problem(level, grp, row):
     position = np.full(system.n_flux + 1, -1)
     position[local] = np.arange(len(local))
     slots = position[system.grid.cell_dof_slots[cells]]
-    mass, div = element_blocks(slots, system.elem_mass[cells], system.grid.h, len(local))
+    mass, div = coo_blocks(slots, system.elem_mass[cells], system.grid.h, len(local))
     con = np.zeros((grp.n_faces, len(local)))
     for k, face in enumerate(grp.face_ids[row]):
         dofs = level.decomp.face_dofs[face]
@@ -546,6 +555,43 @@ def test_one_condensation_call_per_cell_pattern(case, runs, monkeypatch):
         if case == "ratio16-constant":
             # one call, with the 4 x 16 face dofs as right-hand sides
             assert (len(level.groups), n_kkts, calls[0][0]) == (9, 1, 64)
+
+
+@pytest.mark.parametrize(
+    "nx, ratio, dense",
+    [(9, 3, True), (32, 16, False)],  # 3 x 3 dense patterns; 2 x 2 above DENSE_LIMIT
+    ids=["ratio3-dense", "ratio16-sparse"],
+)
+def test_cells_match_coo_reference(nx, ratio, dense):
+    # The condensation of each cell pattern against the same steps through
+    # COO blocks: the interior KKT from the interior slots, the dense face
+    # rows from the whole Neumann matrix.  Scaling the element matrices
+    # entry by entry keeps their zeros but not their symmetry, as on a
+    # coarse level, and gives every subdomain a pattern of its own.
+    system, decomps, _ = make_setup(nx, 2, ratio)
+    decomp = decomps[0]
+    scale = 1.0 + 0.1 * np.random.default_rng(ratio).random(system.elem_mass.shape)
+    system = dataclasses.replace(system, elem_mass=system.elem_mass * scale)
+    slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
+    n_loc, h = n_int + 4 * ratio, system.grid.h
+    for cells in decomp.cells_by_sub:
+        got = _Cells(system, decomp, cells)
+        elem_mass, gauge = system.elem_mass[cells], system.areas[cells]
+        kkt = KktSystem(*coo_blocks(np.where(slots < n_int, slots, -1), elem_mass, h, n_int), gauge)
+        assert got.kkt.dense == kkt.dense == dense
+        if dense:
+            assert np.array_equal(got.kkt.matrix(), kkt.matrix())
+        else:
+            m_got, m_ref = got.kkt.matrix(), kkt.matrix()
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(m_got, name), getattr(m_ref, name))
+        mass, div = (m.toarray() for m in coo_blocks(slots, elem_mass, h, n_loc))
+        a_f, b_ft = mass[n_int:], div[:, n_int:].T
+        coupling = np.hstack([a_f[:, :n_int], b_ft])
+        ext = -kkt.factorization.solve_leading(coupling, n_int + len(cells))
+        schur = a_f[:, n_int:] + coupling @ ext.T
+        assert np.array_equal(got.ext, ext)
+        assert np.array_equal(got.schur, 0.5 * (schur + schur.T))
 
 
 # Step 3 runs on every start level of each spec; ratio 16 takes the sparse path.

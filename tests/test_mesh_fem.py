@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nested_bddc.mesh_fem import (
     CoefficientError,
@@ -9,10 +10,12 @@ from nested_bddc.mesh_fem import (
     MeshError,
     assemble_rhs,
     assemble_rt0,
+    assemble_system,
     build_mesh,
     check_compatibility,
     divergence_defect,
     dump_matrix_market,
+    element_triplets,
 )
 
 
@@ -126,6 +129,38 @@ def test_nonpositive_coefficient_rejected():
         CoefficientField([1.0, -1.0, 1.0, 1.0])
     with pytest.raises(CoefficientError):
         CoefficientField([1.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "nx,ny", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 3), (3, 7), (16, 16)]
+)
+@pytest.mark.parametrize("values", ["random", "rt0"])
+def test_stencil_csr_matches_coo_reference(nx, ny, values):
+    # The element scatter summed by scipy's COO -> CSR conversion, bit for
+    # bit: random blocks are not symmetric (coarse blocks need not be), the
+    # RT0 blocks have zero x/y couplings, which stay explicit entries.
+    mesh = build_mesh(nx, ny)
+    rng = np.random.default_rng(nx * ny)
+    if values == "random":
+        elem_mass = rng.standard_normal((mesh.n_cells, 4, 4))
+    else:
+        k = np.exp(rng.standard_normal(mesh.n_cells))
+        elem_mass = assemble_rt0(mesh, CoefficientField(k)).elem_mass
+    system = assemble_system(mesh, elem_mass)
+    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(
+        mesh.cell_dof_slots, elem_mass, mesh.h
+    )
+    ref_a = sp.coo_matrix((m_val, (m_row, m_col)), shape=(mesh.n_flux,) * 2).tocsr()
+    ref_b = sp.coo_matrix((d_val, (d_row, d_col)), shape=(mesh.n_cells, mesh.n_flux)).tocsr()
+    if values == "rt0" and min(nx, ny) > 1:
+        assert np.any(ref_a.data == 0.0)
+    for got, ref in ((system.A, ref_a), (system.B, ref_b)):
+        assert got.format == "csr" and got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # the flag set at assembly is what the conversion establishes
+        assert ref.has_canonical_format and got.has_canonical_format
 
 
 def test_assembly_deterministic():
