@@ -1,15 +1,18 @@
 """BDDC components per level and the multilevel preconditioner application.
 
 Each subdomain has one local saddle problem, the interior KKT ``K_I``
-(interior flux dofs, local pressures, mean-zero gauge).  It serves
-step 2 of the nested solve and the interior pre-correction, and it
-condenses the subdomain onto its faces: with ``M_F`` the interior rows
-coupled to the face dofs, ``-K_I^-1 M_F`` is the discrete harmonic
-extension of face values (interior flux and pressure), and
-``S = A_FF - M_F^T K_I^-1 M_F`` the face Schur complement.  The inverse of
-the small bordered face system ``[S C^T; C 0]`` (``C`` the face averages,
-at most ``4 ratio + 4`` rows) gives the dual face operator and the
-energy-minimal coarse basis on the faces, one column per coarse dof.
+(interior flux dofs, local pressures, mean-zero gauge).  It serves the
+interior pre-correction, and it condenses the subdomain onto its faces:
+with ``M_F`` the interior rows coupled to the face dofs, ``-K_I^-1 M_F``
+is the discrete harmonic extension of face values (interior flux and
+pressure), and ``S = A_FF - M_F^T K_I^-1 M_F`` the face Schur complement.
+Step 2 of the nested solve is that extension of the prolonged face
+values (``prolong_average``) plus ``K_I^-1 [0; f]``, which
+``interior_correction`` solves only on the subdomains where the source
+``f`` is nonzero.  The inverse of the small bordered face system
+``[S C^T; C 0]`` (``C`` the face averages, at most ``4 ratio + 4`` rows)
+gives the dual face operator and the energy-minimal coarse basis on the
+faces, one column per coarse dof.
 
 After the pre-correction a residual's interior rows vanish, and the
 post-correction maps each subdomain copy to the harmonic extension of its
@@ -42,7 +45,10 @@ faces by one ``Factorization.solve_leading`` call (``_Cells``).
 Subdomains are grouped by cell pattern and present faces, one group kind
 per level: a group slices its faces from its pattern, inverts its
 bordered face system and keeps one row of index arrays and of face
-weights (``hierarchy.compute_weights``) per member.  How blocks are stored
+weights (``hierarchy.compute_weights``) per member.  Every face lies
+between two subdomains, so a sum of the members' face copies (the Schur
+product, the averaging, the restriction) adds two entries of the groups'
+rows, located once at build (``_copy_pairs``).  How blocks are stored
 and solved, by size class, is decided in ``saddle_core``
 (``DENSE_LIMIT``); a cell pattern scatters its interior blocks straight
 into the storage of their class.
@@ -152,9 +158,10 @@ class _Group:
     ``face_op``: the dual face operator (zero face averages) in its first
     ``n_face_dofs`` columns, then the energy-minimal basis ``psi``, one
     column per face with unit average there and zero on the others; its
-    energy is ``psi^T S psi``.  ``w`` holds one row of face weights per
-    member: ``w_lo`` where the member is a face's lower subdomain and
-    ``1 - w_lo`` where it is the higher one.
+    energy is ``psi^T S psi``.  ``high`` marks the present faces on which
+    the members are the higher subdomain (left and bottom slots), and ``w``
+    holds one row of face weights per member: ``w_lo`` where the member is
+    a face's lower subdomain and ``1 - w_lo`` where it is the higher one.
     """
 
     def __init__(self, decomp: LevelDecomposition, w_lo, subs, cells: _Cells):
@@ -174,8 +181,8 @@ class _Group:
         # A face's normal points into the members on their left and bottom
         # faces: there they are the higher subdomain and take its weight.
         w_face = w_lo[self.face_ids]
-        high = (self.face_slots == SLOT_LEFT) | (self.face_slots == SLOT_BOTTOM)
-        self.w = np.repeat(np.where(high, 1.0 - w_face, w_face), ratio, axis=1)
+        self.high = (self.face_slots == SLOT_LEFT) | (self.face_slots == SLOT_BOTTOM)
+        self.w = np.repeat(np.where(self.high, 1.0 - w_face, w_face), ratio, axis=1)
 
         rows = (self.face_slots[:, None] * ratio + np.arange(ratio)).ravel()
         self.ext = cells.ext[rows]
@@ -194,7 +201,31 @@ def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
     """Dense rows ``first`` on of a block given by its entries, summed."""
     on = rows >= first
     flat = (rows[on] - first) * shape[1] + cols[on]
-    return _scatter_add(shape[0] * shape[1], [(flat, values[on])]).reshape(shape)
+    # bincount returns integers when there is nothing to add
+    summed = np.bincount(flat, values[on], minlength=shape[0] * shape[1])
+    return summed.astype(float, copy=False).reshape(shape)
+
+
+def _copy_pairs(n: int, copies) -> np.ndarray:
+    """Positions of the two copies of each of ``n`` entries in the groups' raveled rows.
+
+    ``copies`` holds, per group in level order, the entries' positions
+    ``(members, k)`` and the columns ``(k,)`` on which the members are the
+    higher subdomain.  Every face, and so every face dof, lies between two
+    subdomains: row 0 of the result holds the lower one's copy, row 1 the
+    higher one's.
+    """
+    pos = np.concatenate([at.ravel() for at, _ in copies])
+    high = np.concatenate([np.broadcast_to(hi, at.shape).ravel() for at, hi in copies])
+    pairs = np.empty(2 * n, dtype=np.intp)
+    pairs[high * n + pos] = np.arange(pos.size)
+    return pairs.reshape(2, n)
+
+
+def _pair_sum(pairs: np.ndarray, rows_per_group) -> np.ndarray:
+    """Sum of each entry's two copies, from one row per member per group (``_copy_pairs``)."""
+    copies = np.concatenate([rows.ravel() for rows in rows_per_group])
+    return copies[pairs[0]] + copies[pairs[1]]
 
 
 @dataclass
@@ -211,7 +242,10 @@ class LevelBddc:
     with ``div_norm`` the norm of the cells' areas over ``sub_areas``.
     The step-3 residual norm also uses ``b_int``, the interior divergence
     block ``B_I`` that all subdomains share (template order), and
-    ``face_bt``, the face rows of ``B^T``.
+    ``face_bt``, the face rows of ``B^T``.  ``dof_pairs`` and ``face_pairs``
+    locate the two subdomain copies of each face dof and each face in the
+    groups' raveled rows (``_copy_pairs``), so a sum over subdomains is one
+    addition per entry (``_pair_sum``).
     """
 
     system: Rt0System
@@ -224,6 +258,8 @@ class LevelBddc:
     net_t: sp.csr_matrix
     sub_areas: np.ndarray
     div_norm: np.ndarray
+    dof_pairs: np.ndarray
+    face_pairs: np.ndarray
 
     def extend(self, u_face: np.ndarray) -> np.ndarray:
         """Level flux with face values ``u_face`` and their harmonic extension inside."""
@@ -242,25 +278,28 @@ class LevelBddc:
 
     def schur_product(self, u_face: np.ndarray) -> np.ndarray:
         """Sum of the subdomains' face Schur complements times ``u_face``."""
-        return _scatter_add(
-            len(u_face), [(grp.face_pos, u_face[grp.face_pos] @ grp.schur) for grp in self.groups]
-        )
+        return _pair_sum(self.dof_pairs, [u_face[grp.face_pos] @ grp.schur for grp in self.groups])
 
-    def face_divergence_defect(self, u_face: np.ndarray) -> float:
+    def face_divergence_defect(self, u_face: np.ndarray, product=None, m=None) -> float:
         """``divergence_defect`` of ``extend(u_face)`` from face values alone.
 
         The extension's divergence is a multiple of the cell areas on each
         subdomain, and so is the pressure gauge, so the defect is taken on
         one entry per subdomain: the divergence's norm there, against the
-        gauge's.  The energy is ``u_face`` against ``schur_product(u_face)``.
+        gauge's.  The energy is ``u_face @ S u_face``.  Given ``product``,
+        the face rows ``S u_face + net_t m`` of the step-3 operator applied
+        to ``(u_face, m)``, which PCG holds as its right-hand side less its
+        residual, the energy is ``u_face @ product - (net u_face) @ m``;
+        without it, or when that is not positive, ``u_face`` against
+        ``schur_product(u_face)``.
         """
         if not np.any(u_face):
             return 0.0
-        return gauged_defect(
-            self.div_norm * (self.net @ u_face),
-            u_face @ self.schur_product(u_face),
-            self.div_norm * self.sub_areas,
-        )
+        net = self.net @ u_face
+        energy = 0.0 if product is None else u_face @ product - net @ m
+        if not energy > 0.0:
+            energy = u_face @ self.schur_product(u_face)
+        return gauged_defect(self.div_norm * net, energy, self.div_norm * self.sub_areas)
 
 
 def _unique_rows(a: np.ndarray):
@@ -315,7 +354,8 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     face_dofs = decomp.face_dofs.ravel()
     signs = np.tile([-system.grid.h, system.grid.h], len(face_dofs))
     pairs = np.arange(0, signs.size + 1, 2)
-    face_subs = np.repeat(decomp.sub_grid.edge_sides, decomp.face_dofs.shape[1], axis=0)
+    ratio = decomp.face_dofs.shape[1]
+    face_subs = np.repeat(decomp.sub_grid.edge_sides, ratio, axis=0)
     net = sp.csc_matrix((signs, face_subs.ravel(), pairs), (decomp.n_sub, len(face_dofs)))
     return LevelBddc(
         system=system,
@@ -332,6 +372,10 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         net_t=net.T.tocsr(),
         sub_areas=sub_areas,
         div_norm=np.linalg.norm(areas, axis=1) / sub_areas,
+        dof_pairs=_copy_pairs(
+            len(face_dofs), [(grp.face_pos, np.repeat(grp.high, ratio)) for grp in groups]
+        ),
+        face_pairs=_copy_pairs(decomp.n_faces, [(grp.face_ids, grp.high) for grp in groups]),
     )
 
 
@@ -350,31 +394,33 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     return assemble_system(decomp.sub_grid, elem_mass)
 
 
-def interior_correction(level: LevelBddc, r: np.ndarray, rhs_div=None):
+def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     """Independent subdomain saddle solves with zero interface data.
 
     Solves for interior fluxes and local pressures with the flux residual
-    ``r`` (and optionally per-cell divergence data) as right-hand side; the
-    divergence of the correction is balanced against all local mean-zero
-    pressures.
+    ``r`` and per-cell divergence data ``rhs_div`` (either may be left
+    out) as right-hand side; the divergence of the correction is balanced
+    against all local mean-zero pressures.  Given divergence data alone,
+    only the subdomains whose data is nonzero are solved: the others'
+    solution is zero.
     """
     u = np.zeros(level.system.n_flux)
     p = np.zeros(level.system.n_pressure)
     for grp in level.groups:
-        rows = r[grp.idx_int]
+        idx_int, idx_cells = grp.idx_int, grp.idx_cells
+        if r is None:
+            live = np.any(rhs_div[idx_cells], axis=1)
+            if not live.any():
+                continue
+            idx_int, idx_cells = idx_int[live], idx_cells[live]
+            rows = np.zeros(idx_int.shape)
+        else:
+            rows = r[idx_int]
         if rhs_div is not None:
-            rows = np.hstack([rows, rhs_div[grp.idx_cells]])
+            rows = np.hstack([rows, rhs_div[idx_cells]])
         out = grp.kkt.factorization.solve_leading(rows, grp.n_int + grp.n_cells)
-        u[grp.idx_int], p[grp.idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
+        u[idx_int], p[idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
     return u, p
-
-
-def _scatter_add(n: int, pairs) -> np.ndarray:
-    """Length-n vector summing each (indices, values) pair, in the order given."""
-    idx = np.concatenate([i.ravel() for i, _ in pairs])
-    vals = np.concatenate([v.ravel() for _, v in pairs])
-    # bincount returns integers when there is nothing to add
-    return np.bincount(idx, vals, minlength=n).astype(float, copy=False)
 
 
 def _face_average(level: LevelBddc, rows_per_group) -> np.ndarray:
@@ -383,10 +429,8 @@ def _face_average(level: LevelBddc, rows_per_group) -> np.ndarray:
     ``rows_per_group`` holds, per group, one row of face values per
     member in the group's ``face_pos`` order.
     """
-    return _scatter_add(
-        level.decomp.face_dofs.size,
-        [(grp.face_pos, grp.w * rows) for grp, rows in zip(level.groups, rows_per_group)],
-    )
+    groups = level.groups
+    return _pair_sum(level.dof_pairs, [grp.w * rows for grp, rows in zip(groups, rows_per_group)])
 
 
 def average(level: LevelBddc, rows_per_group) -> np.ndarray:
@@ -397,13 +441,12 @@ def average(level: LevelBddc, rows_per_group) -> np.ndarray:
 
 
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
-    """Level vector with the averaged face values of the coarse basis.
+    """Averaged face values of the coarse basis, in the level's face vector.
 
-    Interior dofs stay zero.  Step 2 solves ``K_I`` with this vector's
-    residual, and the interior rows of ``u0 + u_int`` depend on the face
-    values of ``u0`` alone: step 2 fills the interiors.
+    The prolonged flux has zero interiors, so step 2 needs its face values
+    alone: its subdomain solves add their harmonic extension.
     """
-    return average(level, [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.groups])
+    return _face_average(level, [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.groups])
 
 
 @dataclass
@@ -479,9 +522,8 @@ class MultilevelPreconditioner:
         # Per group, from the weighted face residuals: dual face values with
         # vanishing face averages, then the restriction coefficients.
         face_out = [(grp.w * r_face[grp.face_pos]) @ grp.face_op for grp in groups]
-        r_next = _scatter_add(
-            level.decomp.n_faces,
-            [(grp.face_ids, out[:, grp.n_face_dofs :]) for grp, out in zip(groups, face_out)],
+        r_next = _pair_sum(
+            level.face_pairs, [out[:, grp.n_face_dofs :] for grp, out in zip(groups, face_out)]
         )
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)

@@ -103,8 +103,10 @@ def pcg(
         Relative tolerance on the plain residual norm (the preconditioned
         residual norm is recorded as well).
     defect_fn:
-        Optional monitor evaluated on each iterate; values are recorded and
-        checked against ``DEFECT_TOL``.
+        Optional monitor ``defect_fn(x, r)`` evaluated on each iterate ``x``
+        and its residual ``r`` (the recursively updated one, or the true
+        residual where PCG formed it); values are recorded and checked
+        against ``DEFECT_TOL``.
     norm_fn:
         Norm of a residual, for the stopping test and the recorded
         residuals; the default is the Euclidean norm.  A caller whose
@@ -122,10 +124,10 @@ def pcg(
         report.converged = True
         return x, report
 
-    def monitor(x, it):
+    def monitor(x, r, it):
         if defect_fn is None:
             return
-        defect = float(defect_fn(x))
+        defect = float(defect_fn(x, r))
         report.div_defects.append(defect)
         if defect > DEFECT_TOL:
             raise InvariantViolation(
@@ -143,13 +145,14 @@ def pcg(
     # The flux of this bare output may be round-off, so its defect is
     # recorded but not checked.
     az = np.asarray(operator(z), dtype=float)
-    rel_try = float(norm_fn(rhs - az) / rhs_norm)
+    r_try = rhs - az
+    rel_try = float(norm_fn(r_try) / rhs_norm)
     if rel_try <= tol:
         report.iterations = 1
         report.rel_residuals.append(rel_try)
         report.precond_residuals.append(0.0)
         if defect_fn is not None:
-            report.div_defects.append(float(defect_fn(z)))
+            report.div_defects.append(float(defect_fn(z, r_try)))
         report.converged = True
         return z, report
 
@@ -174,7 +177,7 @@ def pcg(
                 report.iterations = it
                 report.rel_residuals.append(rel)
                 report.precond_residuals.append(0.0)
-                monitor(x, it)
+                monitor(x, r, it)
                 report.converged = True
                 break
             if rz <= 0.0:
@@ -196,7 +199,7 @@ def pcg(
 
         rel = float(norm_fn(r) / rhs_norm)
         report.rel_residuals.append(rel)
-        monitor(x, it)
+        monitor(x, r, it)
 
         z = np.asarray(preconditioner(r), dtype=float)
         rz_next = float(r @ z)

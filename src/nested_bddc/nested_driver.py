@@ -4,10 +4,12 @@ The upsweep builds the hierarchy of coarse saddle problems (they all share
 the quad-grid mixed structure) once, in ``MultilevelPreconditioner.build``,
 and the solve reuses its levels in every step: the source is restricted
 through their decompositions, and the top problem is solved exactly.
-Sweeping back down, each level prolongs the flux of the level above and
-runs the three-step solve: subdomain interior solves that match the
-divergence data, then a divergence-free PCG correction with the multilevel
-preconditioner of all coarser levels.  The step-2 pressure starts the
+Sweeping back down, each level prolongs the flux of the level above onto
+its face values and runs the three-step solve: subdomain interior solves
+that match the divergence data, then a divergence-free PCG correction
+with the multilevel preconditioner of all coarser levels.  The subdomain
+solves reuse the harmonic extension built at set-up for the face values
+and solve only where the source is nonzero.  The step-2 pressure starts the
 correction, whose PCG iterates on the level's face fluxes and one value
 per subdomain, in vectors that stand exactly for those of PCG on the
 whole level system; the flux is extended into the subdomain interiors
@@ -192,10 +194,22 @@ def step1_coarse_rhs(decomp: LevelDecomposition, f: np.ndarray) -> np.ndarray:
     return np.asarray(f, dtype=float)[decomp.cells_by_sub].sum(axis=1)
 
 
-def step2_subdomain_solve(level: LevelBddc, u0: np.ndarray, f: np.ndarray):
-    """Interior components making u0 + u_I match the divergence data f."""
-    system = level.system
-    return interior_correction(level, -(system.A @ u0), f - system.B @ u0)
+def step2_subdomain_solve(level: LevelBddc, u0_face: np.ndarray, f: np.ndarray):
+    """Level flux and pressure with face values ``u0_face`` that match the divergence data f.
+
+    Each subdomain solves its interior KKT ``K_I`` with the face values as
+    boundary data and ``f`` on its cells: the right-hand side
+    ``-M_F u0_F + [0; f]``.  The solution is linear in both, and set-up
+    already holds the face part, the harmonic extension ``-K_I^-1 M_F``
+    (``extend``, ``face_pressure``).  So only ``K_I^-1 [0; f]`` is solved
+    (``interior_correction`` with divergence data alone), and only on the
+    subdomains where ``f`` is nonzero.  Returns ``(u_star, p_star)``:
+    ``u_star`` holds ``u0_face`` on the faces.
+    """
+    u_star, p_star = interior_correction(level, rhs_div=f)
+    u_star += level.extend(u0_face)
+    p_star += level.face_pressure(u0_face)
+    return u_star, p_star
 
 
 def step3_correction(
@@ -235,9 +249,9 @@ def step3_correction(
     needs ``(B^T q0)_F`` and ``B_I^T q0``, formed once.
 
     The monitor takes each iterate's divergence defect from its face values
-    (``face_divergence_defect``); the flux is extended into the interiors
-    and the pressure formed once, after PCG, and the flux's
-    ``divergence_defect`` is checked again.
+    and its energy from PCG's residual (``face_divergence_defect``); the
+    flux is extended into the interiors and the pressure formed once, after
+    PCG, and the flux's ``divergence_defect`` is checked again.
     """
     level = precond.levels[level_number - 1]
     cells = level.decomp.cells_by_sub
@@ -274,7 +288,10 @@ def step3_correction(
         np.concatenate([r_face, np.zeros(n_sub), [1.0, 0.0]]),
         tol=tol,
         maxit=maxit,
-        defect_fn=lambda x: level.face_divergence_defect(x[:n_face]),
+        # The right-hand side less the residual is the operator applied to x.
+        defect_fn=lambda x, r: level.face_divergence_defect(
+            x[:n_face], r_face - r[:n_face], x[n_face : n_face + n_sub]
+        ),
         norm_fn=norm,
     )
     if not report.converged:
@@ -327,11 +344,10 @@ class NestedSolver:
         reports: list[PcgReport] = []
         for ell in range(n_levels - 1, 0, -1):
             level = levels[ell - 1]
-            u0 = prolong_average(level, u_level)
-            u_int, p_int = step2_subdomain_solve(level, u0, f_chain[ell - 1])
-            u_star = u0 + u_int
+            u0_face = prolong_average(level, u_level)
+            u_star, p_star = step2_subdomain_solve(level, u0_face, f_chain[ell - 1])
             u_corr, p_level, report = step3_correction(
-                precond, ell, u_star, p_int, tol=spec.tol, maxit=spec.maxit
+                precond, ell, u_star, p_star, tol=spec.tol, maxit=spec.maxit
             )
             u_level = u_star + u_corr
             rows.append(

@@ -12,6 +12,8 @@ import nested_bddc as nb
 from nested_bddc.bddc import (
     MultilevelPreconditioner,
     _Cells,
+    _face_average,
+    _pair_sum,
     assemble_coarse_problem,
     average,
     build_level_bddc,
@@ -624,7 +626,7 @@ def full_length_pcg(precond, level_number, u_star, tol):
         preconditioner,
         rhs,
         tol=tol,
-        defect_fn=lambda x: divergence_defect(system, x[:n_u]),
+        defect_fn=lambda x, r: divergence_defect(system, x[:n_u]),
     )
 
 
@@ -679,7 +681,50 @@ def test_face_divergence_defect_matches_extended_flux(case, runs, rng):
             u_face = rng.standard_normal(level.decomp.face_dofs.size)
             ref = divergence_defect(level.system, level.extend(u_face))
             assert abs(level.face_divergence_defect(u_face) - ref) <= 1e-12 * ref
+            # the energy from the step-3 operator's face rows of (u_face, m),
+            # and the direct product when that energy is not positive
+            m = rng.standard_normal(level.decomp.n_sub)
+            product = level.schur_product(u_face) + level.net_t @ m
+            assert abs(level.face_divergence_defect(u_face, product, m) - ref) <= 1e-12 * ref
+            no_energy = level.face_divergence_defect(u_face, np.zeros_like(u_face), 0 * m)
+            assert abs(no_energy - ref) <= 1e-12 * ref
     assert level.face_divergence_defect(np.zeros(level.decomp.face_dofs.size)) == 0.0
+
+
+def bincount_sum(n, index_rows, value_rows):
+    """Reference sum of subdomain copies: one bincount over every group's rows."""
+    idx = np.concatenate([i.ravel() for i in index_rows])
+    values = np.concatenate([v.ravel() for v in value_rows])
+    return np.bincount(idx, values, minlength=n).astype(float, copy=False)
+
+
+@pytest.mark.parametrize("case", ["deep-r3", "jump-r3", "one-subdomain"])
+def test_pair_sums_equal_bincount(case, runs, rng):
+    # Each face dof and face has one copy on each of its two subdomains,
+    # and their sum equals a bincount over all copies bit for bit.
+    if case == "one-subdomain":
+        precond = make_setup(3, 2, 3)[2]
+    else:
+        spec = ExperimentSpec(levels=5, ratio=3)
+        if case == "jump-r3":
+            spec = ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=30.0, k3=0.05)
+        precond = runs.solver(spec).precond
+    for level in precond.levels:
+        groups, n_face, n_faces = level.groups, level.decomp.face_dofs.size, level.decomp.n_faces
+        assert np.array_equal(np.sort(level.dof_pairs.ravel()), np.arange(2 * n_face))
+        assert np.array_equal(np.sort(level.face_pairs.ravel()), np.arange(2 * n_faces))
+        face_pos = [grp.face_pos for grp in groups]
+        u_face = rng.standard_normal(n_face)
+        ref = bincount_sum(n_face, face_pos, [u_face[grp.face_pos] @ grp.schur for grp in groups])
+        assert np.array_equal(level.schur_product(u_face), ref)
+        copies = [rng.standard_normal(grp.face_pos.shape) for grp in groups]
+        ref = bincount_sum(n_face, face_pos, [grp.w * rows for grp, rows in zip(groups, copies)])
+        assert np.array_equal(_face_average(level, copies), ref)
+        coeffs = [rng.standard_normal(grp.face_ids.shape) for grp in groups]
+        ref = bincount_sum(n_faces, [grp.face_ids for grp in groups], coeffs)
+        assert np.array_equal(_pair_sum(level.face_pairs, coeffs), ref)
+    if case == "one-subdomain":
+        assert (n_face, n_faces) == (0, 0)
 
 
 class _Counted:
@@ -706,8 +751,8 @@ def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     precond = NestedSolver(ExperimentSpec(levels=3, ratio=3)).precond
     level = precond.levels[0]
     system = level.system
-    u0 = np.random.default_rng(3).standard_normal(system.n_flux)
-    u_int, p_int = step2_subdomain_solve(level, u0, system.g)
+    u0_face = np.random.default_rng(3).standard_normal(level.decomp.face_dofs.size)
+    u_star, p_star = step2_subdomain_solve(level, u0_face, system.g)
     calls, pressures = [], []
     counted = dataclasses.replace(
         system, A=_Counted(system.A, calls), B=_Counted(system.B, calls)
@@ -725,7 +770,7 @@ def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     for tol in (1e-2, 1e-10):
         calls.clear()
         pressures.clear()
-        report = step3_correction(precond, 1, u0 + u_int, p_int, tol=tol)[2]
+        report = step3_correction(precond, 1, u_star, p_star, tol=tol)[2]
         counts[report.iterations] = (len(calls), len(pressures))
     assert len(counts) == 2
     assert set(counts.values()) == {(3, 1)}

@@ -96,10 +96,10 @@ def test_indefinite_preconditioner_detected():
 def test_defect_monitor_recorded_and_enforced(rng):
     a = np.diag([1.0, 2.0, 3.0])
     b = np.ones(3)
-    x, report = pcg(matvec(a), lambda v: v.copy(), b, defect_fn=lambda x: 0.0)
+    x, report = pcg(matvec(a), lambda v: v.copy(), b, defect_fn=lambda x, r: 0.0)
     assert report.div_defects == [0.0] * report.iterations
     with pytest.raises(InvariantViolation):
-        pcg(matvec(a), lambda v: v.copy(), b, defect_fn=lambda x: 1.0)
+        pcg(matvec(a), lambda v: v.copy(), b, defect_fn=lambda x, r: 1.0)
 
 
 def test_lanczos_condition_edge_cases():
@@ -158,7 +158,7 @@ def saddle_accept_case():
 
 def test_accepted_preconditioner_output_is_recorded_and_checked():
     kkt, preconditioner, rhs = saddle_accept_case()
-    x, report = pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x: 0.0)
+    x, report = pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x, r: 0.0)
     assert report.converged
     assert report.iterations == 2
     assert np.allclose(x, np.linalg.solve(kkt, rhs), atol=1e-14)
@@ -166,7 +166,7 @@ def test_accepted_preconditioner_output_is_recorded_and_checked():
     assert len(list(report.history_rows())) == report.iterations
     defects = iter([0.0, 1.0])
     with pytest.raises(InvariantViolation, match="at iteration 2"):
-        pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x: next(defects))
+        pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x, r: next(defects))
 
 
 def test_accepts_pressure_gradient_after_several_steps():
@@ -187,7 +187,7 @@ def test_accepts_pressure_gradient_after_several_steps():
         return np.concatenate([u, p])
 
     rhs = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    x, report = pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x: 0.0)
+    x, report = pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x, r: 0.0)
     assert report.converged
     assert report.iterations == 3
     assert len(report.alphas) == 2  # iteration 3 takes no CG step

@@ -20,7 +20,7 @@ from nested_bddc.nested_driver import (
     step2_subdomain_solve,
     step3_correction,
 )
-from nested_bddc.saddle_core import IncompatibleRhsError, SingularMatrixError
+from nested_bddc.saddle_core import Factorization, IncompatibleRhsError, SingularMatrixError
 
 
 # Exact CSV text (header plus one row per downsweep level) of the presets.
@@ -107,38 +107,81 @@ def test_step2_matches_divergence_data(runs, rng):
     solver = runs.solver(ExperimentSpec(levels=2, ratio=3))
     level = solver.precond.levels[0]
     system = level.system
-    u0 = rng.standard_normal(system.n_flux)
+    u0_face = rng.standard_normal(level.decomp.face_dofs.size)
     f = solver.fine.g
-    u_int, p_int = step2_subdomain_solve(level, u0, f)
-    # interface values of the interior correction vanish by construction
-    assert np.allclose(u_int[np.sort(level.decomp.face_dofs.ravel())], 0.0)
-    u_star = u0 + u_int
+    u_star, _ = step2_subdomain_solve(level, u0_face, f)
+    # the face values are kept
+    assert np.array_equal(u_star[level.decomp.face_dofs.ravel()], u0_face)
     # b(u*, q) = <f, q> for all mean-zero pressures (constants cancel when
-    # u0 already matches the subdomain totals, which a random u0 does not;
-    # test against the interior pressures instead)
+    # the face values already match the subdomain totals, which random ones
+    # do not; test against the interior pressures instead)
     for cells in level.decomp.cells_by_sub:
         d = (system.B @ u_star - f)[cells]
         assert np.ptp(d / system.areas[cells]) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [ExperimentSpec(levels=2, ratio=3), ExperimentSpec(levels=2, ratio=16, base=2)],
-    ids=["ratio3-dense", "ratio16-sparse"],
-)
-def test_step2_ignores_interior_start_values(spec, runs, rng):
-    # u0 + u_I depends on the face values of u0 alone, which is why
-    # prolong_average leaves the interiors at zero
-    solver = runs.solver(spec)
+STEP2_SPECS = {
+    "ratio3-dense": ExperimentSpec(levels=2, ratio=3),
+    "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
+}
+
+
+def step2_source(kind, solver, rng):
+    if kind == "corner":
+        return solver.fine.g
+    if kind == "zero":
+        return np.zeros(solver.fine.n_pressure)
+    # compatible and nonzero on every cell, so on every subdomain
+    n = solver.fine.n_pressure
+    f = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    return f - f.mean()
+
+
+def rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("source", ["corner", "random", "zero"])
+@pytest.mark.parametrize("case", list(STEP2_SPECS))
+def test_step2_equals_interior_solve_of_prolonged_flux(case, source, runs, rng):
+    # Step 2 from the harmonic extension plus the source solve against the
+    # interior KKT solved with the residual of the prolonged flux u0 (face
+    # values, zero interiors) and the divergence data.
+    solver = runs.solver(STEP2_SPECS[case])
     level = solver.precond.levels[0]
+    system = level.system
+    f = step2_source(source, solver, rng)
+    assert np.all(f != 0) == (source == "random")
+    u0_face = rng.standard_normal(level.decomp.face_dofs.size)
+    u0 = np.zeros(system.n_flux)
+    u0[level.decomp.face_dofs.ravel()] = u0_face
+    u_int, p_ref = nb.interior_correction(level, -(system.A @ u0), f - system.B @ u0)
+    u_star, p_star = step2_subdomain_solve(level, u0_face, f)
+    assert rel_err(u_star, u0 + u_int) <= 1e-12
+    assert rel_err(p_star, p_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["ratio3-L3", "ratio16-sparse"])
+def test_step2_solves_only_the_source_subdomains(case, runs, monkeypatch):
+    # The corner source lies in two subdomains of every level: step 2
+    # passes the interior KKTs two right-hand sides, whatever the level's
+    # subdomain count.
+    spec = ExperimentSpec(levels=3, ratio=3) if case == "ratio3-L3" else STEP2_SPECS[case]
+    solver = runs.solver(spec)
+    counted = []
+    solve_leading = Factorization.solve_leading
+
+    def count(self, rows, m):
+        counted.append(len(rows))
+        return solve_leading(self, rows, m)
+
+    monkeypatch.setattr(Factorization, "solve_leading", count)
     f = solver.fine.g
-    u0 = rng.standard_normal(level.system.n_flux)
-    u_star = u0 + step2_subdomain_solve(level, u0, f)[0]
-    interior = level.decomp.interior_by_sub.ravel()
-    u1 = u0.copy()
-    u1[interior] += rng.standard_normal(len(interior))
-    u_star1 = u1 + step2_subdomain_solve(level, u1, f)[0]
-    assert np.linalg.norm(u_star1 - u_star) <= 1e-12 * np.linalg.norm(u_star)
+    for level in solver.precond.levels:
+        counted.clear()
+        step2_subdomain_solve(level, np.zeros(level.decomp.face_dofs.size), f)
+        assert sum(counted) == 2
+        f = step1_coarse_rhs(level.decomp, f)
 
 
 def test_step2_after_step1_is_fully_balanced(runs):
