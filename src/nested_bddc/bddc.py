@@ -20,15 +20,15 @@ face values.  So a level apply works on the level's face vector, its face
 dofs in ``decomp.face_dofs`` order, which each group indexes with
 ``face_pos``: ``MultilevelPreconditioner._apply`` takes the face rows of a
 pre-corrected residual and returns the averaged face values and the
-coarse pressure, one value per subdomain.  The flux is extended into the
-interiors (``LevelBddc.extend``) and the pressure formed on the cells
-(the pre-correction's, the coarse pressure and ``face_pressure``, the
-pressure of each subdomain's harmonic extension) only where a level
-vector is needed: in the general ``apply``, which pre-corrects any
-residual with the interior KKT solves, and on the coarser levels of the
-recursion.  Step 3 of the nested solve hands its start level
-pre-corrected residuals directly (``apply_faces``, see
-``nested_driver.step3_correction``) and iterates on face fluxes and
+coarse pressure, one value per subdomain.  One call,
+``LevelBddc.extend``, gives the harmonic extension of face values: the
+flux in the interiors and each subdomain's pressure.  A level vector is
+formed from it (plus the pre-correction's pressure and the coarse
+pressure on the cells) only where one is needed: in ``apply``, which
+pre-corrects any residual with the interior KKT solves and which the
+recursion calls on every coarser level.  Step 3 of the nested solve
+hands its start level pre-corrected residuals directly (``apply_faces``,
+see ``nested_driver.step3_correction``) and iterates on face fluxes and
 per-subdomain values with the level's condensed products:
 ``schur_product``, ``net``, ``net_t`` and ``face_divergence_defect``.
 The divergence of a harmonic extension is the cell area times the
@@ -89,7 +89,6 @@ __all__ = [
     "build_level_bddc",
     "assemble_coarse_problem",
     "interior_correction",
-    "average",
 ]
 
 
@@ -261,20 +260,19 @@ class LevelBddc:
     dof_pairs: np.ndarray
     face_pairs: np.ndarray
 
-    def extend(self, u_face: np.ndarray) -> np.ndarray:
-        """Level flux with face values ``u_face`` and their harmonic extension inside."""
+    def extend(self, u_face: np.ndarray):
+        """Harmonic extension of face values ``u_face``: level flux and pressure.
+
+        The flux holds ``u_face`` on the faces and each subdomain's
+        extension inside; the pressure is each extension's gauged pressure.
+        """
         u = np.zeros(self.system.n_flux)
         u[self.decomp.face_dofs.ravel()] = u_face
-        for grp in self.groups:
-            u[grp.idx_int] = u_face[grp.face_pos] @ grp.ext[:, : grp.n_int]
-        return u
-
-    def face_pressure(self, u_face: np.ndarray) -> np.ndarray:
-        """Gauged pressure of each subdomain's harmonic extension of ``u_face``."""
         p = np.empty(self.system.n_pressure)
         for grp in self.groups:
-            p[grp.idx_cells] = u_face[grp.face_pos] @ grp.ext[:, grp.n_int :]
-        return p
+            out = u_face[grp.face_pos] @ grp.ext
+            u[grp.idx_int], p[grp.idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
+        return u, p
 
     def schur_product(self, u_face: np.ndarray) -> np.ndarray:
         """Sum of the subdomains' face Schur complements times ``u_face``."""
@@ -433,13 +431,6 @@ def _face_average(level: LevelBddc, rows_per_group) -> np.ndarray:
     return _pair_sum(level.dof_pairs, [grp.w * rows for grp, rows in zip(groups, rows_per_group)])
 
 
-def average(level: LevelBddc, rows_per_group) -> np.ndarray:
-    """``_face_average`` as a level vector; interior dofs stay zero."""
-    u = np.zeros(level.system.n_flux)
-    u[level.decomp.face_dofs.ravel()] = _face_average(level, rows_per_group)
-    return u
-
-
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
     """Averaged face values of the coarse basis, in the level's face vector.
 
@@ -463,8 +454,9 @@ class MultilevelPreconditioner:
     ``apply_faces`` is the same map without the start level's
     pre-correction and post-correction: it takes a residual whose interior
     rows the pre-correction has already removed and returns face values
-    and the coarse pressure per subdomain.  Coarser levels get general
-    residuals and keep the interior KKT solves.
+    and the coarse pressure per subdomain.  Each level's ``_apply`` hands
+    its restricted residual to ``apply`` on the next level, so coarser
+    levels get general residuals and keep the interior KKT solves.
     """
 
     levels: list[LevelBddc]
@@ -483,16 +475,28 @@ class MultilevelPreconditioner:
 
     def apply(self, r: np.ndarray, start_level: int = 1):
         """Preconditioned (flux, pressure) for any flux residual ``r``."""
-        return self._apply_level(self._index(start_level), np.asarray(r, dtype=float))
+        idx = self._index(start_level)
+        r = np.asarray(r, dtype=float)
+        level = self.levels[idx]
+        u_int, p = interior_correction(level, r)
+        r_b = r - level.system.A @ u_int - level.bt @ p
+        u_face, p_coarse = self._apply(idx, r_b[level.decomp.face_dofs.ravel()])
+        u, p_ext = level.extend(u_face)
+        u += u_int
+        # The coarse pressure on each subdomain's cells, and the pressure of
+        # each subdomain's harmonic extension of the averaged face values.
+        p[level.decomp.cells_by_sub] += p_coarse[:, None]
+        p += p_ext
+        return u, p
 
     def apply_faces(self, r_face: np.ndarray, start_level: int):
         """Preconditioned face values and coarse pressure for a pre-corrected residual.
 
         ``r_face`` holds the residual's rows in the start level's face
         vector, after an interior pre-correction has removed its interior
-        rows.  The flux is ``extend`` of the returned face values on the
-        start level; the pressure adds, on each subdomain, the returned
-        coarse pressure to the pre-correction's and to ``face_pressure``.
+        rows.  ``extend`` of the returned face values on the start level
+        gives the flux and, on each subdomain, the pressure to which the
+        returned coarse pressure and the pre-correction's pressure add.
         """
         return self._apply(self._index(start_level), np.asarray(r_face, dtype=float))
 
@@ -500,20 +504,6 @@ class MultilevelPreconditioner:
         if not 1 <= start_level <= len(self.levels):
             raise BddcError(f"start level {start_level} out of range")
         return start_level - 1
-
-    def _apply_level(self, idx: int, r: np.ndarray):
-        """``apply`` on level ``idx``: pre-correct, ``_apply``, post-correct."""
-        level = self.levels[idx]
-        u_int, p = interior_correction(level, r)
-        r_b = r - level.system.A @ u_int - level.bt @ p
-        u_face, p_coarse = self._apply(idx, r_b[level.decomp.face_dofs.ravel()])
-        u = level.extend(u_face)
-        u += u_int
-        # The coarse pressure on each subdomain's cells, and the pressure of
-        # each subdomain's harmonic extension of the averaged face values.
-        p[level.decomp.cells_by_sub] += p_coarse[:, None]
-        p += level.face_pressure(u_face)
-        return u, p
 
     def _apply(self, idx: int, r_face: np.ndarray):
         """One level's face work: averaged face values and the coarse pressure per subdomain."""
@@ -528,7 +518,7 @@ class MultilevelPreconditioner:
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
         else:
-            u_next, p_next = self._apply_level(idx + 1, r_next)
+            u_next, p_next = self.apply(r_next, idx + 2)
         u_face = _face_average(
             level,
             [

@@ -20,6 +20,7 @@ the higher copy takes the rest.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,12 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
 
 def check_shape(levels: int, ratio: int) -> None:
     """Reject a level count or coarsening ratio that no mesh can take."""
+    if not isinstance(levels, numbers.Integral):
+        raise HierarchyError(f"level count must be an integer, got {levels!r}")
     if levels < 2:
         raise HierarchyError("at least two levels are required")
-    if int(ratio) != ratio or ratio < 2:
-        raise HierarchyError("coarsening ratio must be an integer >= 2")
+    if not isinstance(ratio, numbers.Integral) or ratio < 2:
+        raise HierarchyError(f"coarsening ratio must be an integer >= 2, got {ratio!r}")
 
 
 def build_hierarchy(mesh: QuadMesh, levels: int, ratio: int) -> list[LevelDecomposition]:

@@ -201,14 +201,15 @@ def step2_subdomain_solve(level: LevelBddc, u0_face: np.ndarray, f: np.ndarray):
     boundary data and ``f`` on its cells: the right-hand side
     ``-M_F u0_F + [0; f]``.  The solution is linear in both, and set-up
     already holds the face part, the harmonic extension ``-K_I^-1 M_F``
-    (``extend``, ``face_pressure``).  So only ``K_I^-1 [0; f]`` is solved
+    (``LevelBddc.extend``).  So only ``K_I^-1 [0; f]`` is solved
     (``interior_correction`` with divergence data alone), and only on the
     subdomains where ``f`` is nonzero.  Returns ``(u_star, p_star)``:
     ``u_star`` holds ``u0_face`` on the faces.
     """
     u_star, p_star = interior_correction(level, rhs_div=f)
-    u_star += level.extend(u0_face)
-    p_star += level.face_pressure(u0_face)
+    u_ext, p_ext = level.extend(u0_face)
+    u_star += u_ext
+    p_star += p_ext
     return u_star, p_star
 
 
@@ -232,9 +233,9 @@ def step3_correction(
     copies it back, so every such pressure is a multiple ``s q0``.
 
     An iterate ``(u_F, m, 0, s)`` holds face fluxes, whose harmonic
-    extension ``E u_F`` (``LevelBddc.extend``) is its flux, and a pressure
-    ``m + s q0 + p_ext``: ``m`` constant on each subdomain and ``p_ext``
-    the extension's pressure (``face_pressure``).  A residual
+    extension (``LevelBddc.extend``) gives its flux ``E u_F`` and a
+    pressure ``p_ext``, and its pressure is ``m + s q0 + p_ext``, with
+    ``m`` constant on each subdomain.  A residual
     ``(r_F - s (B^T q0)_F, rho, s, 0)`` holds its face rows ``r_F``, its
     interior rows ``s B_I^T q0``, and pressure rows that are each
     subdomain's net divergence ``rho`` spread over its cells by area.  The
@@ -249,9 +250,9 @@ def step3_correction(
     needs ``(B^T q0)_F`` and ``B_I^T q0``, formed once.
 
     The monitor takes each iterate's divergence defect from its face values
-    and its energy from PCG's residual (``face_divergence_defect``); the
-    flux is extended into the interiors and the pressure formed once, after
-    PCG, and the flux's ``divergence_defect`` is checked again.
+    and its energy from PCG's residual (``face_divergence_defect``).  One
+    ``extend`` of the face values after PCG gives the flux and the
+    pressure, and the flux's ``divergence_defect`` is checked again.
     """
     level = precond.levels[level_number - 1]
     cells = level.decomp.cells_by_sub
@@ -299,7 +300,7 @@ def step3_correction(
             report, level_number, f"PCG did not reach {tol:g} within {report.iterations} iterations"
         )
     u_face, m, _, (s,) = np.split(x, split)
-    u = level.extend(u_face)
+    u, p_ext = level.extend(u_face)
     # As in pcg, a bare preconditioner output (no PCG step) may be
     # round-off, and its defect is not checked.
     defect = divergence_defect(level.system, u) if report.alphas else 0.0
@@ -308,7 +309,7 @@ def step3_correction(
             f"level {level_number}: divergence defect {defect:.3e} of the extended flux "
             f"exceeded {DEFECT_TOL:.1e}"
         )
-    p = s * q0 + level.face_pressure(u_face)
+    p = s * q0 + p_ext
     p[cells] += m[:, None]
     return u, p, report
 

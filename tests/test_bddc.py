@@ -15,7 +15,6 @@ from nested_bddc.bddc import (
     _face_average,
     _pair_sum,
     assemble_coarse_problem,
-    average,
     build_level_bddc,
     interior_correction,
 )
@@ -326,7 +325,8 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
     system, _, precond = two_level_9x9
     level = precond.levels[0]
     cells_by_sub = level.decomp.cells_by_sub
-    b_dense = system.B.toarray()
+    # B's face columns, in the order of the averaged face vector
+    b_dense = system.B.toarray()[:, level.decomp.face_dofs.ravel()]
 
     # random dual-space member: zero face averages on every side copy
     copies = []
@@ -334,7 +334,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
         v = rng.standard_normal((len(grp.subs), grp.n_faces, grp.n_face_dofs // grp.n_faces))
         v -= v.mean(axis=2, keepdims=True)
         copies.append(v.reshape(len(grp.subs), -1))
-    averaged = average(level, copies)
+    averaged = _face_average(level, copies)
     for cells in cells_by_sub:
         q0 = b_dense[cells] @ averaged
         assert abs(q0.sum()) < 1e-10 * (np.linalg.norm(averaged) + 1)
@@ -342,7 +342,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
     # random primal member: averaging preserves subdomain divergence totals
     alpha = rng.standard_normal(level.decomp.n_faces)
     copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.groups]
-    averaged = average(level, copies)
+    averaged = _face_average(level, copies)
     coarse_b = assemble_coarse_problem(precond.levels[-1]).B.toarray()
     for sub, cells in enumerate(cells_by_sub):
         broken = coarse_b[sub] @ alpha
@@ -679,7 +679,7 @@ def test_face_divergence_defect_matches_extended_flux(case, runs, rng):
     for level in precond.levels:
         for _ in range(3):
             u_face = rng.standard_normal(level.decomp.face_dofs.size)
-            ref = divergence_defect(level.system, level.extend(u_face))
+            ref = divergence_defect(level.system, level.extend(u_face)[0])
             assert abs(level.face_divergence_defect(u_face) - ref) <= 1e-12 * ref
             # the energy from the step-3 operator's face rows of (u_face, m),
             # and the direct product when that energy is not positive
@@ -745,7 +745,7 @@ class _Counted:
 def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     # Level 1 of a three-level hierarchy: its A and B multiply a
     # full-length vector a fixed number of times per step-3 call (the
-    # right-hand side and the final check), and the extension pressure of
+    # right-hand side and the final check), and the harmonic extension of
     # its face values is formed once, after PCG, whatever the iteration
     # count.
     precond = NestedSolver(ExperimentSpec(levels=3, ratio=3)).precond
@@ -753,25 +753,25 @@ def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     system = level.system
     u0_face = np.random.default_rng(3).standard_normal(level.decomp.face_dofs.size)
     u_star, p_star = step2_subdomain_solve(level, u0_face, system.g)
-    calls, pressures = [], []
+    calls, extensions = [], []
     counted = dataclasses.replace(
         system, A=_Counted(system.A, calls), B=_Counted(system.B, calls)
     )
     monkeypatch.setattr(level, "system", counted)
     monkeypatch.setattr(level, "bt", _Counted(level.bt, calls))
-    face_pressure = level.face_pressure
+    extend = level.extend
 
-    def count_pressure(u_face):
-        pressures.append(u_face.shape)
-        return face_pressure(u_face)
+    def count_extend(u_face):
+        extensions.append(u_face.shape)
+        return extend(u_face)
 
-    monkeypatch.setattr(level, "face_pressure", count_pressure)
+    monkeypatch.setattr(level, "extend", count_extend)
     counts = {}
     for tol in (1e-2, 1e-10):
         calls.clear()
-        pressures.clear()
+        extensions.clear()
         report = step3_correction(precond, 1, u_star, p_star, tol=tol)[2]
-        counts[report.iterations] = (len(calls), len(pressures))
+        counts[report.iterations] = (len(calls), len(extensions))
     assert len(counts) == 2
     assert set(counts.values()) == {(3, 1)}
 

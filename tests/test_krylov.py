@@ -122,8 +122,8 @@ def test_history_rows_shape():
 
 
 def test_operator_applied_once_per_iteration(rng):
-    # the start-of-run check's product with the first preconditioner output
-    # is the first direction's product, so it is not formed again
+    # one product per CG step: the direction's, which also updates the
+    # residual
     m = rng.standard_normal((12, 12))
     a = m @ m.T + 12 * np.eye(12)
     b = rng.standard_normal(12)
@@ -167,6 +167,29 @@ def test_accepted_preconditioner_output_is_recorded_and_checked():
     defects = iter([0.0, 1.0])
     with pytest.raises(InvariantViolation, match="at iteration 2"):
         pcg(matvec(kkt), preconditioner, rhs, tol=1e-12, defect_fn=lambda x, r: next(defects))
+
+
+def test_preconditioner_output_that_solves_is_accepted_at_iteration_1():
+    # A pure pressure gradient: the preconditioner maps it to the exact
+    # pressure with a zero flux, so <r, Mr> = 0 and iteration 1 accepts the
+    # output against a true residual, before any CG step.  The flux of that
+    # bare output may be round-off, so its defect is recorded, not checked.
+    kkt, preconditioner, _ = saddle_accept_case()
+    rhs = np.array([2.0, 2.0, 0.0])
+    calls = []
+
+    def operator(x):
+        calls.append(1)
+        return kkt @ x
+
+    x, report = pcg(operator, preconditioner, rhs, tol=1e-12, defect_fn=lambda x, r: 1.0)
+    assert report.converged
+    assert report.iterations == 1
+    assert report.alphas == []
+    assert report.precond_residuals == [0.0]
+    assert report.div_defects == [1.0]
+    assert len(calls) == 1
+    assert np.array_equal(x, [0.0, 0.0, 2.0])
 
 
 def test_accepts_pressure_gradient_after_several_steps():

@@ -53,6 +53,12 @@ L,level,M,nsub,n,n_gamma,iter,cond
 3,1,3,1296,139536,15120,14,5.60
 3,2,2,36,3816,360,9,2.30
 """,
+    "table1-ratio8": """\
+L,level,M,nsub,n,n_gamma,iter,cond
+2,1,2,64,12160,896,10,3.01
+3,1,3,4096,785408,64512,17,7.47
+3,2,2,64,12160,896,10,2.72
+""",
     "fig3-left": """\
 L,level,M,nsub,n,n_gamma,iter,cond
 4,1,4,729,19521,4212,11,3.15
@@ -404,10 +410,23 @@ def test_preset_fixes_its_shape(field, value):
         preset_specs("fig3-left", **{field: value})
 
 
-@pytest.mark.parametrize("levels, ratio", [(1, 3), (-2, 3), (2, 1), (2, 0)])
-def test_spec_rejects_impossible_shape(levels, ratio):
+@pytest.mark.parametrize(
+    "levels, ratio, message",
+    [
+        pytest.param(levels, ratio, message, id=f"{levels}-{ratio}")
+        for levels, ratio, message in [
+            (1, 3, "at least two levels"),
+            (-2, 3, "at least two levels"),
+            (2, 1, "ratio must be an integer >= 2"),
+            (2, 0, "ratio must be an integer >= 2"),
+            (3.0, 3, "level count must be an integer, got 3.0"),
+            (2.5, 3, "level count must be an integer, got 2.5"),
+            (2, 3.0, "ratio must be an integer >= 2, got 3.0"),
+        ]
+    ],
+)
+def test_spec_rejects_impossible_shape(levels, ratio, message):
     # the hierarchy's own messages, before any mesh is built
-    message = "at least two levels" if levels < 2 else "ratio must be an integer >= 2"
     with pytest.raises(HierarchyError, match=message):
         ExperimentSpec(levels=levels, ratio=ratio)
 
