@@ -9,10 +9,12 @@ pressure), and ``S = A_FF - M_F^T K_I^-1 M_F`` the face Schur complement.
 Step 2 of the nested solve is that extension of the prolonged face
 values (``prolong_average``) plus ``K_I^-1 [0; f]``, which
 ``interior_correction`` solves only on the subdomains where the source
-``f`` is nonzero.  The inverse of the small bordered face system
-``[S C^T; C 0]`` (``C`` the face averages, at most ``4 ratio + 4`` rows)
-gives the dual face operator and the energy-minimal coarse basis on the
-faces, one column per coarse dof.
+``f`` is nonzero.  ``K_I`` is symmetric, so the face rows that these
+source solves add to a residual are the extension's pressure columns
+times ``f`` (``LevelBddc.source_face_rows``).  The inverse of the small
+bordered face system ``[S C^T; C 0]`` (``C`` the face averages, at most
+``4 ratio + 4`` rows) gives the dual face operator and the
+energy-minimal coarse basis on the faces, one column per coarse dof.
 
 After the pre-correction a residual's interior rows vanish, and the
 post-correction maps each subdomain copy to the harmonic extension of its
@@ -45,10 +47,14 @@ faces by one ``Factorization.solve_leading`` call (``_Cells``).
 Subdomains are grouped by cell pattern and present faces, one group kind
 per level: a group slices its faces from its pattern, inverts its
 bordered face system and keeps one row of index arrays and of face
-weights (``hierarchy.compute_weights``) per member.  Every face lies
-between two subdomains, so a sum of the members' face copies (the Schur
-product, the averaging, the restriction) adds two entries of the groups'
-rows, located once at build (``_copy_pairs``).  How blocks are stored
+weights (``hierarchy.compute_weights``) per member, as views of the
+level's copy layout: every group's face copies, one row per member,
+in one buffer.  Each face product (the Schur product, the dual
+correction, the restriction, the prolongation) writes its groups'
+rows in place into one such buffer.  Every face lies between two
+subdomains, so a sum of the members' face copies (the Schur product,
+the averaging, the restriction) adds two entries of the buffer,
+located once at build (``_copy_pairs``).  How blocks are stored
 and solved, by size class, is decided in ``saddle_core``
 (``DENSE_LIMIT``); a cell pattern scatters its interior blocks straight
 into the storage of their class.
@@ -153,36 +159,36 @@ class _Group:
     ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
     ``ext`` holds the pattern's extension rows of these faces and
     ``schur`` its Schur complement ``S`` on them.  The inverse of the
-    bordered face system ``[S C^T; C 0]``, with ``C`` the face averages, gives
-    ``face_op``: the dual face operator (zero face averages) in its first
-    ``n_face_dofs`` columns, then the energy-minimal basis ``psi``, one
-    column per face with unit average there and zero on the others; its
-    energy is ``psi^T S psi``.  ``high`` marks the present faces on which
-    the members are the higher subdomain (left and bottom slots), and ``w``
-    holds one row of face weights per member: ``w_lo`` where the member is
-    a face's lower subdomain and ``1 - w_lo`` where it is the higher one.
+    bordered face system ``[S C^T; C 0]``, with ``C`` the face averages,
+    gives ``dual``, the dual face operator (zero face averages), and the
+    energy-minimal basis ``psi``, one column per face with unit average
+    there and zero on the others; its energy is ``psi^T S psi``.  ``high``
+    marks the present faces on which the members are the higher subdomain
+    (left and bottom slots).
+
+    The level lays every group's face copies out in one buffer
+    (``LevelBddc``): ``face_span`` and ``dof_span`` are the group's slices
+    of it, one row per member, and ``face_ids``, ``face_pos`` and the face
+    weights ``w`` are views of the level's arrays.
     """
 
-    def __init__(self, decomp: LevelDecomposition, w_lo, subs, cells: _Cells):
+    def __init__(self, decomp: LevelDecomposition, subs, cells: _Cells):
         self.subs = subs
         self.kkt = cells.kkt
         self.face_slots = np.flatnonzero(decomp.faces_by_sub[subs[0]] >= 0)
         self.n_faces = len(self.face_slots)
         self.face_ids = decomp.faces_by_sub[subs][:, self.face_slots]
         self.idx_face = decomp.face_dofs[self.face_ids].reshape(len(subs), -1)
-        ratio = decomp.face_dofs.shape[1]
-        self.face_pos = (self.face_ids[:, :, None] * ratio + np.arange(ratio)).reshape(len(subs), -1)
         self.idx_int = decomp.interior_by_sub[subs]
         self.idx_cells = decomp.cells_by_sub[subs]
         self.n_int = self.idx_int.shape[1]
         self.n_cells = self.idx_cells.shape[1]
         self.n_face_dofs = n_f = self.idx_face.shape[1]
         # A face's normal points into the members on their left and bottom
-        # faces: there they are the higher subdomain and take its weight.
-        w_face = w_lo[self.face_ids]
+        # faces: there they are the higher subdomain.
         self.high = (self.face_slots == SLOT_LEFT) | (self.face_slots == SLOT_BOTTOM)
-        self.w = np.repeat(np.where(self.high, 1.0 - w_face, w_face), ratio, axis=1)
 
+        ratio = decomp.face_dofs.shape[1]
         rows = (self.face_slots[:, None] * ratio + np.arange(ratio)).ravel()
         self.ext = cells.ext[rows]
         self.schur = schur = cells.schur[np.ix_(rows, rows)]
@@ -191,9 +197,17 @@ class _Group:
         face_kkt = np.block([[schur, con.T], [con, np.zeros((self.n_faces, self.n_faces))]])
         size = len(face_kkt)  # 0 on a level of one subdomain, which has no faces
         inv = Factorization(face_kkt).solve(np.eye(size)) if size else face_kkt
-        self.face_op = inv[:n_f]
-        self.psi = self.face_op[:, n_f:]
+        self.dual = np.ascontiguousarray(inv[:n_f, :n_f])
+        self.psi = np.ascontiguousarray(inv[:n_f, n_f:])
         self.coarse_elem = self.psi.T @ schur @ self.psi
+
+    def face_rows(self, copies: np.ndarray) -> np.ndarray:
+        """The members' rows, one entry per present face, of a level's face-copy buffer (a view)."""
+        return copies[self.face_span].reshape(self.face_ids.shape)
+
+    def dof_rows(self, copies: np.ndarray) -> np.ndarray:
+        """The members' rows, one entry per face dof, of a level's dof-copy buffer (a view)."""
+        return copies[self.dof_span].reshape(self.face_pos.shape)
 
 
 def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
@@ -205,25 +219,21 @@ def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
     return summed.astype(float, copy=False).reshape(shape)
 
 
-def _copy_pairs(n: int, copies) -> np.ndarray:
-    """Positions of the two copies of each of ``n`` entries in the groups' raveled rows.
+def _copy_pairs(n: int, pos: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Positions of the two copies of each of ``n`` entries in a level's copy buffer.
 
-    ``copies`` holds, per group in level order, the entries' positions
-    ``(members, k)`` and the columns ``(k,)`` on which the members are the
-    higher subdomain.  Every face, and so every face dof, lies between two
-    subdomains: row 0 of the result holds the lower one's copy, row 1 the
-    higher one's.
+    ``pos`` holds each copy's entry and ``high`` whether its subdomain is
+    the entry's higher one.  Every face, and so every face dof, lies
+    between two subdomains: row 0 of the result holds the lower one's
+    copy, row 1 the higher one's.
     """
-    pos = np.concatenate([at.ravel() for at, _ in copies])
-    high = np.concatenate([np.broadcast_to(hi, at.shape).ravel() for at, hi in copies])
     pairs = np.empty(2 * n, dtype=np.intp)
     pairs[high * n + pos] = np.arange(pos.size)
     return pairs.reshape(2, n)
 
 
-def _pair_sum(pairs: np.ndarray, rows_per_group) -> np.ndarray:
-    """Sum of each entry's two copies, from one row per member per group (``_copy_pairs``)."""
-    copies = np.concatenate([rows.ravel() for rows in rows_per_group])
+def _pair_sum(pairs: np.ndarray, copies: np.ndarray) -> np.ndarray:
+    """Sum of each entry's two copies in a copy buffer (``_copy_pairs``)."""
     return copies[pairs[0]] + copies[pairs[1]]
 
 
@@ -241,10 +251,19 @@ class LevelBddc:
     with ``div_norm`` the norm of the cells' areas over ``sub_areas``.
     The step-3 residual norm also uses ``b_int``, the interior divergence
     block ``B_I`` that all subdomains share (template order), and
-    ``face_bt``, the face rows of ``B^T``.  ``dof_pairs`` and ``face_pairs``
-    locate the two subdomain copies of each face dof and each face in the
-    groups' raveled rows (``_copy_pairs``), so a sum over subdomains is one
-    addition per entry (``_pair_sum``).
+    ``face_bt``, the face rows of ``B^T``.
+
+    Each subdomain holds a copy of each of its faces and face dofs.  The
+    level lays the copies out once, group after group, one row per
+    member: ``copy_faces`` holds each face copy's face, ``copy_pos`` each
+    face-dof copy's position in the face vector and ``copy_w`` its face
+    weight (``hierarchy.compute_weights``), ``w_lo`` where the member is a
+    face's lower subdomain and ``1 - w_lo`` where it is the higher one.
+    A buffer of face copies or of face-dof copies in this layout takes
+    each group's products in place (``_Group.face_rows``,
+    ``_Group.dof_rows``).  ``face_pairs`` and ``dof_pairs`` locate the two
+    copies of each face and face dof (``_copy_pairs``), so a sum over
+    subdomains is one addition per entry (``_pair_sum``).
     """
 
     system: Rt0System
@@ -257,8 +276,11 @@ class LevelBddc:
     net_t: sp.csr_matrix
     sub_areas: np.ndarray
     div_norm: np.ndarray
-    dof_pairs: np.ndarray
+    copy_faces: np.ndarray
+    copy_pos: np.ndarray
+    copy_w: np.ndarray
     face_pairs: np.ndarray
+    dof_pairs: np.ndarray
 
     def extend(self, u_face: np.ndarray):
         """Harmonic extension of face values ``u_face``: level flux and pressure.
@@ -269,14 +291,43 @@ class LevelBddc:
         u = np.zeros(self.system.n_flux)
         u[self.decomp.face_dofs.ravel()] = u_face
         p = np.empty(self.system.n_pressure)
+        copies = u_face[self.copy_pos]
         for grp in self.groups:
-            out = u_face[grp.face_pos] @ grp.ext
+            out = grp.dof_rows(copies) @ grp.ext
             u[grp.idx_int], p[grp.idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
         return u, p
 
+    def extend_pressure(self, u_face: np.ndarray) -> np.ndarray:
+        """The pressure of ``extend(u_face)`` alone, from the extension's pressure columns."""
+        p = np.empty(self.system.n_pressure)
+        copies = u_face[self.copy_pos]
+        for grp in self.groups:
+            p[grp.idx_cells] = grp.dof_rows(copies) @ grp.ext[:, grp.n_int :]
+        return p
+
     def schur_product(self, u_face: np.ndarray) -> np.ndarray:
         """Sum of the subdomains' face Schur complements times ``u_face``."""
-        return _pair_sum(self.dof_pairs, [u_face[grp.face_pos] @ grp.schur for grp in self.groups])
+        copies = u_face[self.copy_pos]
+        out = np.empty_like(copies)
+        for grp in self.groups:
+            np.matmul(grp.dof_rows(copies), grp.schur, out=grp.dof_rows(out))
+        return _pair_sum(self.dof_pairs, out)
+
+    def source_face_rows(self, f: np.ndarray) -> np.ndarray:
+        """Face rows of ``-(A u + B^T p)`` for the source solves ``(u, p) = K_I^-1 [0; f]``.
+
+        They are ``-M_F^T K_I^-1 [0; f]`` on each subdomain, and ``K_I`` is
+        symmetric, so they are the extension's pressure columns times the
+        subdomain's ``f``, summed over each face dof's two copies.  Only
+        the subdomains where ``f`` is nonzero add.
+        """
+        copies = np.zeros(self.copy_pos.size)
+        for grp in self.groups:
+            f_rows = f[grp.idx_cells]
+            live = np.any(f_rows, axis=1)
+            if live.any():
+                grp.dof_rows(copies)[live] = f_rows[live] @ grp.ext[:, grp.n_int :].T
+        return _pair_sum(self.dof_pairs, copies)
 
     def face_divergence_defect(self, u_face: np.ndarray, product=None, m=None) -> float:
         """``divergence_defect`` of ``extend(u_face)`` from face values alone.
@@ -339,11 +390,25 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     classes = cell_class[decomp.cells_by_sub]
     first, pattern = _unique_rows(classes)
     patterns = [_Cells(system, decomp, decomp.cells_by_sub[sub]) for sub in first]
-    w_lo = compute_weights(decomp, system.elem_mass, gamma)
     groups = [
-        _Group(decomp, w_lo, subs, patterns[pattern[subs[0]]])
+        _Group(decomp, subs, patterns[pattern[subs[0]]])
         for subs in _groups(np.hstack([decomp.faces_by_sub >= 0, classes]))
     ]
+    # The face copies, group after group, one row per member.
+    ratio = decomp.face_dofs.shape[1]
+    copy_faces = np.concatenate([grp.face_ids.ravel() for grp in groups])
+    high = np.concatenate([np.broadcast_to(grp.high, grp.face_ids.shape).ravel() for grp in groups])
+    w_lo = compute_weights(decomp, system.elem_mass, gamma)[copy_faces]
+    copy_pos = (copy_faces[:, None] * ratio + np.arange(ratio)).ravel()
+    copy_w = np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio)
+    start = 0
+    for grp in groups:
+        stop = start + grp.face_ids.size
+        grp.face_span, grp.dof_span = slice(start, stop), slice(start * ratio, stop * ratio)
+        grp.face_ids = copy_faces[grp.face_span].reshape(grp.face_ids.shape)
+        grp.face_pos = copy_pos[grp.dof_span].reshape(len(grp.subs), -1)
+        grp.w = copy_w[grp.dof_span].reshape(grp.face_pos.shape)
+        start = stop
     areas = system.areas[decomp.cells_by_sub]
     sub_areas = areas.sum(axis=1)
     # B's entries in the column of an edge: -h on its lower cell, +h on its
@@ -352,7 +417,6 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     face_dofs = decomp.face_dofs.ravel()
     signs = np.tile([-system.grid.h, system.grid.h], len(face_dofs))
     pairs = np.arange(0, signs.size + 1, 2)
-    ratio = decomp.face_dofs.shape[1]
     face_subs = np.repeat(decomp.sub_grid.edge_sides, ratio, axis=0)
     net = sp.csc_matrix((signs, face_subs.ravel(), pairs), (decomp.n_sub, len(face_dofs)))
     return LevelBddc(
@@ -370,10 +434,11 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         net_t=net.T.tocsr(),
         sub_areas=sub_areas,
         div_norm=np.linalg.norm(areas, axis=1) / sub_areas,
-        dof_pairs=_copy_pairs(
-            len(face_dofs), [(grp.face_pos, np.repeat(grp.high, ratio)) for grp in groups]
-        ),
-        face_pairs=_copy_pairs(decomp.n_faces, [(grp.face_ids, grp.high) for grp in groups]),
+        copy_faces=copy_faces,
+        copy_pos=copy_pos,
+        copy_w=copy_w,
+        face_pairs=_copy_pairs(decomp.n_faces, copy_faces, high),
+        dof_pairs=_copy_pairs(len(face_dofs), copy_pos, np.repeat(high, ratio)),
     )
 
 
@@ -421,14 +486,13 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     return u, p
 
 
-def _face_average(level: LevelBddc, rows_per_group) -> np.ndarray:
+def _face_average(level: LevelBddc, copies: np.ndarray) -> np.ndarray:
     """Weighted average of subdomain face copies into the level's face vector.
 
-    ``rows_per_group`` holds, per group, one row of face values per
-    member in the group's ``face_pos`` order.
+    ``copies`` holds one value per face-dof copy, in the level's
+    ``copy_pos`` layout.
     """
-    groups = level.groups
-    return _pair_sum(level.dof_pairs, [grp.w * rows for grp, rows in zip(groups, rows_per_group)])
+    return _pair_sum(level.dof_pairs, level.copy_w * copies)
 
 
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
@@ -437,7 +501,11 @@ def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
     The prolonged flux has zero interiors, so step 2 needs its face values
     alone: its subdomain solves add their harmonic extension.
     """
-    return _face_average(level, [u_coarse[grp.face_ids] @ grp.psi.T for grp in level.groups])
+    coarse = u_coarse[level.copy_faces]
+    copies = np.empty(level.copy_pos.size)
+    for grp in level.groups:
+        np.matmul(grp.face_rows(coarse), grp.psi.T, out=grp.dof_rows(copies))
+    return _face_average(level, copies)
 
 
 @dataclass
@@ -508,22 +576,24 @@ class MultilevelPreconditioner:
     def _apply(self, idx: int, r_face: np.ndarray):
         """One level's face work: averaged face values and the coarse pressure per subdomain."""
         level = self.levels[idx]
-        groups = level.groups
         # Per group, from the weighted face residuals: dual face values with
         # vanishing face averages, then the restriction coefficients.
-        face_out = [(grp.w * r_face[grp.face_pos]) @ grp.face_op for grp in groups]
-        r_next = _pair_sum(
-            level.face_pairs, [out[:, grp.n_face_dofs :] for grp, out in zip(groups, face_out)]
-        )
+        weighted = r_face[level.copy_pos]
+        weighted *= level.copy_w
+        dual = np.empty_like(weighted)
+        coarse = np.empty(level.copy_faces.size)
+        for grp in level.groups:
+            rows = grp.dof_rows(weighted)
+            np.matmul(rows, grp.dual, out=grp.dof_rows(dual))
+            np.matmul(rows, grp.psi, out=grp.face_rows(coarse))
+        r_next = _pair_sum(level.face_pairs, coarse)
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
         else:
             u_next, p_next = self.apply(r_next, idx + 2)
-        u_face = _face_average(
-            level,
-            [
-                out[:, : grp.n_face_dofs] + u_next[grp.face_ids] @ grp.psi.T
-                for grp, out in zip(groups, face_out)
-            ],
-        )
-        return u_face, p_next
+        # The coarse correction through the basis, added to the dual values.
+        u_copies = u_next[level.copy_faces]
+        for grp in level.groups:
+            rows = grp.dof_rows(dual)
+            rows += grp.face_rows(u_copies) @ grp.psi.T
+        return _face_average(level, dual), p_next

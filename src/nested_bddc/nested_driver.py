@@ -43,7 +43,7 @@ from .mesh_fem import (
     assemble_rt0,
     build_mesh,
     check_compatibility,
-    divergence_defect,
+    gauged_defect,
 )
 from .saddle_core import IncompatibleRhsError, KktSystem
 
@@ -195,7 +195,7 @@ def step1_coarse_rhs(decomp: LevelDecomposition, f: np.ndarray) -> np.ndarray:
 
 
 def step2_subdomain_solve(level: LevelBddc, u0_face: np.ndarray, f: np.ndarray):
-    """Level flux and pressure with face values ``u0_face`` that match the divergence data f.
+    """Subdomain solves with face values ``u0_face`` that match the divergence data f.
 
     Each subdomain solves its interior KKT ``K_I`` with the face values as
     boundary data and ``f`` on its cells: the right-hand side
@@ -203,31 +203,41 @@ def step2_subdomain_solve(level: LevelBddc, u0_face: np.ndarray, f: np.ndarray):
     already holds the face part, the harmonic extension ``-K_I^-1 M_F``
     (``LevelBddc.extend``).  So only ``K_I^-1 [0; f]`` is solved
     (``interior_correction`` with divergence data alone), and only on the
-    subdomains where ``f`` is nonzero.  Returns ``(u_star, p_star)``:
-    ``u_star`` holds ``u0_face`` on the faces.
+    subdomains where ``f`` is nonzero.  The flux of the face part is left
+    to the end of step 3, which extends the face values once.
+
+    Returns ``(u_src, p_star, p_ext0)``: the source solves' flux, the
+    step-2 pressure, and the extension's pressure ``p_ext0`` of
+    ``u0_face``, which ``p_star`` holds next to the source solves'.  The
+    step-2 flux is ``extend(u0_face)`` plus ``u_src``.
     """
-    u_star, p_star = interior_correction(level, rhs_div=f)
-    u_ext, p_ext = level.extend(u0_face)
-    u_star += u_ext
-    p_star += p_ext
-    return u_star, p_star
+    u_src, p_star = interior_correction(level, rhs_div=f)
+    p_ext0 = level.extend_pressure(u0_face)
+    p_star += p_ext0
+    return u_src, p_star, p_ext0
 
 
 def step3_correction(
     precond: MultilevelPreconditioner,
     level_number: int,
-    u_star: np.ndarray,
+    u0_face: np.ndarray,
+    f: np.ndarray,
+    u_src: np.ndarray,
     p_star: np.ndarray,
+    p_ext0: np.ndarray,
     tol: float = 1e-6,
     maxit: int = 500,
 ):
-    """Divergence-free flux correction and pressure by PCG on face fluxes.
+    """Level flux and pressure: step 2's, corrected by PCG on face fluxes.
 
-    Solves ``[A B^T; B 0] (u, p) = (-A u_star, 0)`` on the level with
-    vectors of one entry per face dof and per subdomain, plus two, that
-    stand exactly for the full-length ones.  PCG starts from the step-2
-    pressure: after the step-2 interior solves in ``u_star`` the interior
-    rows of ``-A u_star`` are ``B_I^T q0``, with ``q0`` the step-2 pressure
+    Takes step 2's face values ``u0_face``, divergence data ``f`` and
+    output ``(u_src, p_star, p_ext0)``, whose flux is
+    ``u_star = extend(u0_face) + u_src``.  Solves
+    ``[A B^T; B 0] (u, p) = (-A u_star, 0)`` on the level with vectors of
+    one entry per face dof and per subdomain, plus two, that stand
+    exactly for the full-length ones.  PCG starts from the step-2
+    pressure: after the step-2 interior solves the interior rows of
+    ``-A u_star`` are ``B_I^T q0``, with ``q0`` the step-2 pressure
     ``p_star`` gauged per subdomain.  The preconditioner (``apply_faces``)
     copies a residual's gauged pressure into its output and the operator
     copies it back, so every such pressure is a multiple ``s q0``.
@@ -249,19 +259,35 @@ def step3_correction(
     stopping test are those of the full-length PCG; only the residual norm
     needs ``(B^T q0)_F`` and ``B_I^T q0``, formed once.
 
+    The start residual's face rows follow from face values, with no
+    full-length product.  With ``c`` each subdomain's area mean of
+    ``p_star``, ``q0 = p_star - c``, so ``-(A u_star + B^T q0)_F`` is
+    ``-(A u_star + B^T p_star)_F + net_t c``.  On each subdomain
+    ``S u = A_FF u + M_F^T [E_I u; p_ext]`` gives the extension's part,
+    ``-S u0_F``, and the source solves' part is
+    ``-M_F^T K_I^-1 [0; f]`` (``LevelBddc.source_face_rows``), so
+    ``r_F = -S u0_F + net_t c + source_face_rows(f)``.  Both parts of
+    ``p_star`` are gauged per subdomain by ``K_I``, so ``c`` vanishes in
+    exact arithmetic; its round-off is kept so that ``r_F`` stays the
+    face rows for the ``q0`` that the iteration uses.
+
     The monitor takes each iterate's divergence defect from its face values
     and its energy from PCG's residual (``face_divergence_defect``).  One
-    ``extend`` of the face values after PCG gives the flux and the
-    pressure, and the flux's ``divergence_defect`` is checked again.
+    ``extend`` of ``u0_face + u_F`` after PCG gives the level flux, with
+    ``u_src`` added, and the extension's pressure; the level pressure is
+    ``s q0 + (p_ext - p_ext0) + m``.  The returned flux ``u`` is checked
+    against the divergence data: ``B u - f`` against its energy
+    ``u . A u``, to ``DEFECT_TOL``.
     """
     level = precond.levels[level_number - 1]
     cells = level.decomp.cells_by_sub
     n_face, n_sub = level.decomp.face_dofs.size, level.decomp.n_sub
     split = [n_face, n_face + n_sub, n_face + n_sub + 1]
 
-    q0 = np.array(p_star, dtype=float)
     areas = level.system.areas[cells]
-    q0[cells] -= ((areas * q0[cells]).sum(axis=1) / level.sub_areas)[:, None]
+    c = (areas * p_star[cells]).sum(axis=1) / level.sub_areas
+    q0 = np.array(p_star, dtype=float)
+    q0[cells] -= c[:, None]
     bt_q0 = level.face_bt @ q0
     int_norm = np.linalg.norm(q0[cells] @ level.b_int)
 
@@ -282,7 +308,7 @@ def step3_correction(
             np.linalg.norm(rho * level.div_norm),
         )
 
-    r_face = -(level.system.A @ u_star)[level.decomp.face_dofs.ravel()] - bt_q0
+    r_face = level.net_t @ c - level.schur_product(u0_face) + level.source_face_rows(f)
     x, report = pcg(
         operator,
         preconditioner,
@@ -300,16 +326,19 @@ def step3_correction(
             report, level_number, f"PCG did not reach {tol:g} within {report.iterations} iterations"
         )
     u_face, m, _, (s,) = np.split(x, split)
-    u, p_ext = level.extend(u_face)
-    # As in pcg, a bare preconditioner output (no PCG step) may be
-    # round-off, and its defect is not checked.
-    defect = divergence_defect(level.system, u) if report.alphas else 0.0
+    u, p_ext = level.extend(u0_face + u_face)
+    u += u_src
+    if np.any(u):
+        system = level.system
+        defect = gauged_defect(system.B @ u - f, u @ (system.A @ u), system.areas)
+    else:
+        defect = np.inf if np.any(f) else 0.0
     if defect > DEFECT_TOL:
         raise InvariantViolation(
-            f"level {level_number}: divergence defect {defect:.3e} of the extended flux "
+            f"level {level_number}: divergence defect {defect:.3e} of the level flux "
             f"exceeded {DEFECT_TOL:.1e}"
         )
-    p = s * q0 + p_ext
+    p = s * q0 + (p_ext - p_ext0)
     p[cells] += m[:, None]
     return u, p, report
 
@@ -346,11 +375,11 @@ class NestedSolver:
         for ell in range(n_levels - 1, 0, -1):
             level = levels[ell - 1]
             u0_face = prolong_average(level, u_level)
-            u_star, p_star = step2_subdomain_solve(level, u0_face, f_chain[ell - 1])
-            u_corr, p_level, report = step3_correction(
-                precond, ell, u_star, p_star, tol=spec.tol, maxit=spec.maxit
+            f_level = f_chain[ell - 1]
+            u_src, p_star, p_ext0 = step2_subdomain_solve(level, u0_face, f_level)
+            u_level, p_level, report = step3_correction(
+                precond, ell, u0_face, f_level, u_src, p_star, p_ext0, tol=spec.tol, maxit=spec.maxit
             )
-            u_level = u_star + u_corr
             rows.append(
                 ResultRow(
                     L=n_levels,

@@ -173,7 +173,7 @@ def test_criterion_7_averaging_identities(runs, rng):
                 copies.append(rows)
             # B's face columns, in the order of the averaged face vector
             b_face = b_mat[:, decomp.face_dofs.ravel()]
-            averaged = _face_average(level, copies)
+            averaged = _face_average(level, np.concatenate(copies, axis=None))
             for cells in decomp.cells_by_sub:
                 val = (b_face[cells] @ averaged).sum()
                 worst = max(worst, abs(val) / scale)
@@ -184,7 +184,7 @@ def test_criterion_7_averaging_identities(runs, rng):
                 alpha = rng.standard_normal(decomp.n_faces)
                 alpha /= np.linalg.norm(alpha)
                 copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.groups]
-                averaged = _face_average(level, copies)
+                averaged = _face_average(level, np.concatenate(copies, axis=None))
                 for grp, rows in zip(level.groups, copies):
                     for sub, idx, row in zip(grp.subs, grp.idx_face, rows):
                         own = np.zeros(level.system.n_flux)
@@ -206,11 +206,10 @@ def test_criterion_8_property_suite(runs, rng):
         # partition of unity holds exactly, not approximately, on the
         # weights the apply uses
         faces = level.decomp.face_dofs.ravel()
-        ones = [np.ones(grp.idx_face.shape) for grp in level.groups]
-        assert np.all(_face_average(level, ones) == 1.0)
+        assert np.all(_face_average(level, np.ones(level.copy_pos.size)) == 1.0)
         # averaging reproduces continuous vectors on the faces
         v = rng.standard_normal(level.system.n_flux)
-        copies = [v[grp.idx_face] for grp in level.groups]
+        copies = v[faces][level.copy_pos]
         assert np.allclose(
             _face_average(level, copies), v[faces], rtol=0, atol=1e-13 * np.abs(v).max()
         )

@@ -17,6 +17,7 @@ from nested_bddc.bddc import (
     assemble_coarse_problem,
     build_level_bddc,
     interior_correction,
+    prolong_average,
 )
 from nested_bddc.hierarchy import build_hierarchy, compute_weights
 from nested_bddc.mesh_fem import (
@@ -32,7 +33,9 @@ from nested_bddc.krylov import pcg
 from nested_bddc.nested_driver import (
     ExperimentSpec,
     NestedSolver,
+    oracle_direct_solve,
     preset_specs,
+    step1_coarse_rhs,
     step2_subdomain_solve,
     step3_correction,
 )
@@ -59,7 +62,7 @@ def two_level_9x9():
 def delta_correction(level, r_b):
     """Dual face corrections of the weighted residual, member rows per group."""
     return [
-        (grp.w * r_b[grp.idx_face]) @ grp.face_op[:, : grp.n_face_dofs]
+        (grp.w * r_b[grp.idx_face]) @ grp.dual
         for grp in level.groups
     ]
 
@@ -142,8 +145,7 @@ def check_face_operators(grp, a, b, con, gauge, int_pos, face_pos, tol):
     kkt = constrained_kkt(a, b, con, gauge)
     inv = np.linalg.inv(kkt)
     # dual face operator: data on the faces, face values read back
-    n_f = grp.n_face_dofs
-    assert rel_err(grp.face_op[:, :n_f], inv[np.ix_(face_pos, face_pos)].T) <= tol
+    assert rel_err(grp.dual, inv[np.ix_(face_pos, face_pos)].T) <= tol
     # basis on all local dofs: unit data in the constraint rows
     psi_ref = inv[:n, n + m + 1 :]
     psi = np.empty_like(psi_ref)
@@ -334,7 +336,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
         v = rng.standard_normal((len(grp.subs), grp.n_faces, grp.n_face_dofs // grp.n_faces))
         v -= v.mean(axis=2, keepdims=True)
         copies.append(v.reshape(len(grp.subs), -1))
-    averaged = _face_average(level, copies)
+    averaged = _face_average(level, np.concatenate(copies, axis=None))
     for cells in cells_by_sub:
         q0 = b_dense[cells] @ averaged
         assert abs(q0.sum()) < 1e-10 * (np.linalg.norm(averaged) + 1)
@@ -342,7 +344,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
     # random primal member: averaging preserves subdomain divergence totals
     alpha = rng.standard_normal(level.decomp.n_faces)
     copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.groups]
-    averaged = _face_average(level, copies)
+    averaged = _face_average(level, np.concatenate(copies, axis=None))
     coarse_b = assemble_coarse_problem(precond.levels[-1]).B.toarray()
     for sub, cells in enumerate(cells_by_sub):
         broken = coarse_b[sub] @ alpha
@@ -644,8 +646,9 @@ def test_step3_residuals_match_general_apply(case, runs, monkeypatch):
     precond = solver.precond
     recorded = []
 
-    def record(precond, level_number, u_star, p_star, tol, maxit):
-        out = step3_correction(precond, level_number, u_star, p_star, tol, maxit)
+    def record(precond, level_number, u0_face, f, u_src, p_star, p_ext0, tol, maxit):
+        out = step3_correction(precond, level_number, u0_face, f, u_src, p_star, p_ext0, tol, maxit)
+        u_star = precond.levels[level_number - 1].extend(u0_face)[0] + u_src
         recorded.append((level_number, u_star, tol, *out))
         return out
 
@@ -666,8 +669,9 @@ def test_step3_residuals_match_general_apply(case, runs, monkeypatch):
         ):
             got, want = np.array(got), np.array(want)
             assert np.all(np.abs(got - want) / np.abs(want) * scale <= 1e-11)
+        # step 3 returns the level flux, step 2's plus the correction
         n_u = len(u)
-        assert rel_err(u, x[:n_u]) <= 1e-10
+        assert rel_err(u - u_star, x[:n_u]) <= 1e-10
         assert rel_err(p, x[n_u:]) <= 1e-10
 
 
@@ -701,7 +705,8 @@ def bincount_sum(n, index_rows, value_rows):
 @pytest.mark.parametrize("case", ["deep-r3", "jump-r3", "one-subdomain"])
 def test_pair_sums_equal_bincount(case, runs, rng):
     # Each face dof and face has one copy on each of its two subdomains,
-    # and their sum equals a bincount over all copies bit for bit.
+    # and their sum equals a bincount over all copies bit for bit.  The
+    # groups' index and weight rows are views of the level's copy layout.
     if case == "one-subdomain":
         precond = make_setup(3, 2, 3)[2]
     else:
@@ -709,20 +714,45 @@ def test_pair_sums_equal_bincount(case, runs, rng):
         if case == "jump-r3":
             spec = ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=30.0, k3=0.05)
         precond = runs.solver(spec).precond
-    for level in precond.levels:
+    for idx, level in enumerate(precond.levels):
         groups, n_face, n_faces = level.groups, level.decomp.face_dofs.size, level.decomp.n_faces
         assert np.array_equal(np.sort(level.dof_pairs.ravel()), np.arange(2 * n_face))
         assert np.array_equal(np.sort(level.face_pairs.ravel()), np.arange(2 * n_faces))
+        for grp in groups:
+            for rows, flat in (
+                (grp.face_pos, level.copy_pos),
+                (grp.w, level.copy_w),
+                (grp.face_ids, level.copy_faces),
+            ):
+                assert rows.size == 0 or np.shares_memory(rows, flat)
         face_pos = [grp.face_pos for grp in groups]
+        assert np.array_equal(np.concatenate(face_pos, axis=None), level.copy_pos)
         u_face = rng.standard_normal(n_face)
         ref = bincount_sum(n_face, face_pos, [u_face[grp.face_pos] @ grp.schur for grp in groups])
         assert np.array_equal(level.schur_product(u_face), ref)
-        copies = [rng.standard_normal(grp.face_pos.shape) for grp in groups]
-        ref = bincount_sum(n_face, face_pos, [grp.w * rows for grp, rows in zip(groups, copies)])
+        copies = rng.standard_normal(level.copy_pos.size)
+        ref = bincount_sum(n_face, [level.copy_pos], [level.copy_w * copies])
         assert np.array_equal(_face_average(level, copies), ref)
-        coeffs = [rng.standard_normal(grp.face_ids.shape) for grp in groups]
-        ref = bincount_sum(n_faces, [grp.face_ids for grp in groups], coeffs)
+        coeffs = rng.standard_normal(level.copy_faces.size)
+        ref = bincount_sum(n_faces, [level.copy_faces], [coeffs])
         assert np.array_equal(_pair_sum(level.face_pairs, coeffs), ref)
+        # A level apply: restriction, then averaging of the dual values plus
+        # the coarse correction, per group.
+        r_face = rng.standard_normal(n_face)
+        weighted = [grp.w * r_face[grp.face_pos] for grp in groups]
+        face_ids = [grp.face_ids for grp in groups]
+        r_next = bincount_sum(n_faces, face_ids, [rows @ grp.psi for grp, rows in zip(groups, weighted)])
+        if idx == len(precond.levels) - 1:
+            u_next, p_next, _ = precond.top_kkt.solve(rhs_flux=r_next)
+        else:
+            u_next, p_next = precond.apply(r_next, idx + 2)
+        values = [
+            grp.w * (rows @ grp.dual + u_next[grp.face_ids] @ grp.psi.T)
+            for grp, rows in zip(groups, weighted)
+        ]
+        u_face, p_coarse = precond._apply(idx, r_face)
+        assert np.array_equal(u_face, bincount_sum(n_face, face_pos, values))
+        assert np.array_equal(p_coarse, p_next)
     if case == "one-subdomain":
         assert (n_face, n_faces) == (0, 0)
 
@@ -744,15 +774,19 @@ class _Counted:
 
 def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     # Level 1 of a three-level hierarchy: its A and B multiply a
-    # full-length vector a fixed number of times per step-3 call (the
-    # right-hand side and the final check), and the harmonic extension of
-    # its face values is formed once, after PCG, whatever the iteration
-    # count.
+    # full-length vector twice per step-3 call (the check of the returned
+    # flux), and the harmonic extension of its face values is formed
+    # once, after PCG, whatever the iteration count.
     precond = NestedSolver(ExperimentSpec(levels=3, ratio=3)).precond
     level = precond.levels[0]
     system = level.system
-    u0_face = np.random.default_rng(3).standard_normal(level.decomp.face_dofs.size)
-    u_star, p_star = step2_subdomain_solve(level, u0_face, system.g)
+    # Face values that match the source's subdomain totals, as the nested
+    # solve hands them down: the exact coarse flux, prolonged.
+    coarse = dataclasses.replace(
+        precond.levels[1].system, g=step1_coarse_rhs(level.decomp, system.g)
+    )
+    u0_face = prolong_average(level, oracle_direct_solve(coarse)[0])
+    start = step2_subdomain_solve(level, u0_face, system.g)
     calls, extensions = [], []
     counted = dataclasses.replace(
         system, A=_Counted(system.A, calls), B=_Counted(system.B, calls)
@@ -770,10 +804,10 @@ def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     for tol in (1e-2, 1e-10):
         calls.clear()
         extensions.clear()
-        report = step3_correction(precond, 1, u_star, p_star, tol=tol)[2]
+        report = step3_correction(precond, 1, u0_face, system.g, *start, tol=tol)[2]
         counts[report.iterations] = (len(calls), len(extensions))
     assert len(counts) == 2
-    assert set(counts.values()) == {(3, 1)}
+    assert set(counts.values()) == {(2, 1)}
 
 
 def test_step3_vectors_hold_face_and_subdomain_entries(runs, monkeypatch):

@@ -1,16 +1,20 @@
 """Outer nested algorithm: restriction, subdomain solves, PCG correction,
 oracle equivalence, table output."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nested_bddc as nb
+from nested_bddc import nested_driver
 from nested_bddc.hierarchy import HierarchyError
 from nested_bddc.mesh_fem import CoefficientField, build_mesh, divergence_defect
 from nested_bddc.nested_driver import (
     CSV_HEADER,
+    ORACLE_DOF_LIMIT,
     DriverError,
     ExperimentSpec,
     NestedSolver,
@@ -115,7 +119,8 @@ def test_step2_matches_divergence_data(runs, rng):
     system = level.system
     u0_face = rng.standard_normal(level.decomp.face_dofs.size)
     f = solver.fine.g
-    u_star, _ = step2_subdomain_solve(level, u0_face, f)
+    u_src = step2_subdomain_solve(level, u0_face, f)[0]
+    u_star = level.extend(u0_face)[0] + u_src
     # the face values are kept
     assert np.array_equal(u_star[level.decomp.face_dofs.ravel()], u0_face)
     # b(u*, q) = <f, q> for all mean-zero pressures (constants cancel when
@@ -162,9 +167,11 @@ def test_step2_equals_interior_solve_of_prolonged_flux(case, source, runs, rng):
     u0 = np.zeros(system.n_flux)
     u0[level.decomp.face_dofs.ravel()] = u0_face
     u_int, p_ref = nb.interior_correction(level, -(system.A @ u0), f - system.B @ u0)
-    u_star, p_star = step2_subdomain_solve(level, u0_face, f)
-    assert rel_err(u_star, u0 + u_int) <= 1e-12
+    u_src, p_star, p_ext0 = step2_subdomain_solve(level, u0_face, f)
+    u_ext, p_ext = level.extend(u0_face)
+    assert rel_err(u_ext + u_src, u0 + u_int) <= 1e-12
     assert rel_err(p_star, p_ref) <= 1e-12
+    assert rel_err(p_ext0, p_ext) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["ratio3-L3", "ratio16-sparse"])
@@ -199,15 +206,81 @@ def test_step2_after_step1_is_fully_balanced(runs):
 
 
 def test_step3_with_exact_start_returns_zero_correction(runs):
+    # Step 2 from the oracle's face values, handed to step 3: the step-2
+    # flux is already the oracle's, and step 3 returns it uncorrected.
     solver = runs.solver(ExperimentSpec(levels=2, ratio=3))
     system = solver.fine
+    level = solver.precond.levels[0]
     u_ref, p_ref = nb.oracle_direct_solve(system)
-    u_corr, p, report = step3_correction(solver.precond, 1, u_ref, p_ref)
+    u0_face = u_ref[level.decomp.face_dofs.ravel()]
+    start = step2_subdomain_solve(level, u0_face, system.g)
+    u_star = level.extend(u0_face)[0] + start[0]
+    u, p, report = step3_correction(solver.precond, 1, u0_face, system.g, *start)
     assert report.iterations <= 1
-    assert np.linalg.norm(u_corr) <= 1e-8 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(u - u_star) <= 1e-8 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(u - u_ref) <= 1e-8 * np.linalg.norm(u_ref)
     # the recovered pressure closes the flux equation
-    res = system.A @ (u_ref + u_corr) + system.B.T @ p
+    res = system.A @ u + system.B.T @ p
     assert np.linalg.norm(res) <= 1e-6 * np.linalg.norm(system.A @ u_ref)
+
+
+START_SPECS = {**STEP2_SPECS, "jump-left-L4": preset_specs("fig3-left")[0]}
+
+
+class _Started(Exception):
+    """Raised in place of step 3's PCG with the right-hand side it was given."""
+
+
+@pytest.mark.parametrize("source", ["corner", "random", "zero"])
+@pytest.mark.parametrize("case", list(START_SPECS))
+def test_step3_start_residual_matches_full_length(case, source, runs, rng, monkeypatch):
+    # The face rows of step 3's start residual, formed from face values,
+    # against -(A u_star)_F - (B^T q0)_F from the full-length step-2 flux
+    # u_star and pressure q0 (the step-2 pressure gauged per subdomain),
+    # on every level, with the source restricted level by level.
+    solver = runs.solver(START_SPECS[case])
+    f = step2_source(source, solver, rng)
+
+    def start_only(operator, preconditioner, rhs, **kwargs):
+        raise _Started(rhs)
+
+    monkeypatch.setattr(nested_driver, "pcg", start_only)
+    for number, level in enumerate(solver.precond.levels, 1):
+        system, faces = level.system, level.decomp.face_dofs.ravel()
+        u0_face = rng.standard_normal(faces.size)
+        start = step2_subdomain_solve(level, u0_face, f)
+        with pytest.raises(_Started) as started:
+            step3_correction(solver.precond, number, u0_face, f, *start)
+        u_star = level.extend(u0_face)[0] + start[0]
+        q0 = start[1].copy()
+        for cells in level.decomp.cells_by_sub:
+            areas = system.areas[cells]
+            q0[cells] -= areas @ q0[cells] / areas.sum()
+        ref = -(system.A @ u_star + system.B.T @ q0)[faces]
+        assert rel_err(started.value.args[0][: faces.size], ref) <= 1e-12
+        f = step1_coarse_rhs(level.decomp, f)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    levels=st.sampled_from([2, 3]),
+    ratio=st.sampled_from([2, 3, 4]),
+    coeff=st.sampled_from(["constant", "jump-right"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_hierarchy_matches_oracle(levels, ratio, coeff, seed):
+    # A zero-mean source on every cell, so step 2 solves on every
+    # subdomain of every level.
+    solver = NestedSolver(ExperimentSpec(levels=levels, ratio=ratio, coeff=coeff, k1=100.0, k3=0.01))
+    assert solver.fine.n_dofs <= ORACLE_DOF_LIMIT
+    f = np.random.default_rng(seed).uniform(1.0, 2.0, solver.fine.n_pressure)
+    solver.fine = replace(solver.fine, g=f - f.mean())
+    result = solver.solve()
+    u_ref, p_ref = nb.oracle_direct_solve(solver.fine)
+    assert a_norm_rel_error(solver.fine, result.flux, u_ref) <= 1e-5
+    areas = solver.fine.areas
+    p_ref = p_ref - areas @ p_ref / areas.sum()
+    assert np.linalg.norm(result.pressure - p_ref) <= 1e-5 * np.linalg.norm(p_ref)
 
 
 def test_step3_full_system_residual(runs):
