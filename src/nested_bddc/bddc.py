@@ -29,8 +29,8 @@ formed from it (plus the pre-correction's pressure and the coarse
 pressure on the cells) only where one is needed: in ``apply``, which
 pre-corrects any residual with the interior KKT solves and which the
 recursion calls on every coarser level.  Step 3 of the nested solve
-hands its start level pre-corrected residuals directly (``apply_faces``,
-see ``nested_driver.step3_correction``) and iterates on face fluxes and
+hands its start level's ``_apply`` pre-corrected residuals directly
+(see ``nested_driver.step3_correction``) and iterates on face fluxes and
 per-subdomain values with the level's condensed products:
 ``schur_product``, ``net``, ``net_t`` and ``face_divergence_defect``.
 The divergence of a harmonic extension is the cell area times the
@@ -519,12 +519,13 @@ class MultilevelPreconditioner:
     extension into the interiors as the post-correction).  The output flux
     is divergence-free on the starting level.
 
-    ``apply_faces`` is the same map without the start level's
-    pre-correction and post-correction: it takes a residual whose interior
-    rows the pre-correction has already removed and returns face values
-    and the coarse pressure per subdomain.  Each level's ``_apply`` hands
-    its restricted residual to ``apply`` on the next level, so coarser
-    levels get general residuals and keep the interior KKT solves.
+    ``_apply`` is the same map without the start level's pre-correction
+    and post-correction: it takes a residual whose interior rows the
+    pre-correction has already removed and returns face values and the
+    coarse pressure per subdomain.  Step 3 of the nested solve calls it
+    on its start level.  Each level's ``_apply`` hands its restricted
+    residual to ``apply`` on the next level, so coarser levels get
+    general residuals and keep the interior KKT solves.
     """
 
     levels: list[LevelBddc]
@@ -543,7 +544,9 @@ class MultilevelPreconditioner:
 
     def apply(self, r: np.ndarray, start_level: int = 1):
         """Preconditioned (flux, pressure) for any flux residual ``r``."""
-        idx = self._index(start_level)
+        if not 1 <= start_level <= len(self.levels):
+            raise BddcError(f"start level {start_level} out of range")
+        idx = start_level - 1
         r = np.asarray(r, dtype=float)
         level = self.levels[idx]
         u_int, p = interior_correction(level, r)
@@ -557,24 +560,15 @@ class MultilevelPreconditioner:
         p += p_ext
         return u, p
 
-    def apply_faces(self, r_face: np.ndarray, start_level: int):
-        """Preconditioned face values and coarse pressure for a pre-corrected residual.
-
-        ``r_face`` holds the residual's rows in the start level's face
-        vector, after an interior pre-correction has removed its interior
-        rows.  ``extend`` of the returned face values on the start level
-        gives the flux and, on each subdomain, the pressure to which the
-        returned coarse pressure and the pre-correction's pressure add.
-        """
-        return self._apply(self._index(start_level), np.asarray(r_face, dtype=float))
-
-    def _index(self, start_level: int) -> int:
-        if not 1 <= start_level <= len(self.levels):
-            raise BddcError(f"start level {start_level} out of range")
-        return start_level - 1
-
     def _apply(self, idx: int, r_face: np.ndarray):
-        """One level's face work: averaged face values and the coarse pressure per subdomain."""
+        """One level's face work: averaged face values and the coarse pressure per subdomain.
+
+        ``r_face`` holds a residual's rows in the face vector of level
+        ``idx + 1``, after an interior pre-correction has removed its
+        interior rows.  ``extend`` of the returned face values on that
+        level gives the flux and, on each subdomain, the pressure to which
+        the returned coarse pressure and the pre-correction's pressure add.
+        """
         level = self.levels[idx]
         # Per group, from the weighted face residuals: dual face values with
         # vanishing face averages, then the restriction coefficients.

@@ -106,8 +106,10 @@ def pcg(
     rhs:
         Right-hand side; the initial guess is zero.
     tol:
-        Relative tolerance on the plain residual norm (the preconditioned
-        residual norm is recorded as well).
+        Relative tolerance on the plain residual norm, tested before the
+        residual is preconditioned, so ``n`` iterations make ``n`` applies.
+        Each iteration also records the M-norm of the residual it starts
+        from, relative to the first (``precond_residuals``).
     defect_fn:
         Optional monitor ``defect_fn(x, r)`` evaluated on each iterate ``x``
         and its residual ``r`` (the recursively updated one, or the true
@@ -150,6 +152,8 @@ def pcg(
     d = z.copy()
 
     for it in range(1, maxit + 1):
+        # The M-norm of the residual this iteration starts from.
+        report.precond_residuals.append(float(np.sqrt(max(rz, 0.0) / rz0)) if rz0 > 0 else 0.0)
         if rz > 0.0:
             od = np.asarray(operator(d), dtype=float)
             dod = float(d @ od)
@@ -166,13 +170,15 @@ def pcg(
                 x, r = x_try, r_try
                 report.iterations = it
                 report.rel_residuals.append(rel)
-                report.precond_residuals.append(0.0)
                 monitor(x, r, it)
                 report.converged = True
                 break
             if rz <= 0.0:
                 if abs(rz) <= 1e-16 * abs(rz0):
-                    break  # stagnated at round-off level: report non-convergence
+                    # Stagnated at round-off level: no iteration was made,
+                    # report non-convergence.
+                    report.precond_residuals.pop()
+                    break
                 raise PcgBreakdownError(
                     f"<r, Mr> = {rz:.3e} < 0 before convergence: preconditioner not SPD"
                 )
@@ -190,15 +196,12 @@ def pcg(
         rel = float(norm_fn(r) / rhs_norm)
         report.rel_residuals.append(rel)
         monitor(x, r, it)
-
-        z = np.asarray(preconditioner(r), dtype=float)
-        rz_next = float(r @ z)
-        report.precond_residuals.append(
-            float(np.sqrt(max(rz_next, 0.0) / rz0)) if rz0 > 0 else 0.0
-        )
         if rel <= tol:
             report.converged = True
             break
+
+        z = np.asarray(preconditioner(r), dtype=float)
+        rz_next = float(r @ z)
         if rz_next <= 0.0:
             # handled at the top of the next pass (stagnation or breakdown)
             rz = rz_next

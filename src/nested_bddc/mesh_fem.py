@@ -365,18 +365,19 @@ def check_compatibility(g: np.ndarray) -> bool:
     return abs(g.sum()) <= COMPATIBILITY_RTOL * np.linalg.norm(g)
 
 
-def divergence_defect(system: Rt0System, u: np.ndarray) -> float:
-    """Defect of u against divergence-freedom on the zero-mean pressure space.
+def divergence_defect(system: Rt0System, u: np.ndarray, g=0.0) -> float:
+    """Defect of u against the divergence data g on the zero-mean pressure space.
 
-    Returns ||B u|| with the component along the pressure-gauge direction
-    removed, normalised by the energy norm of u.  Zero flux gives zero.
+    Returns ||B u - g|| with the component along the pressure-gauge
+    direction removed, normalised by the energy norm of u.  Zero flux gives
+    zero against zero data and ``inf`` against any other.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (system.n_flux,):
         raise ValueError(f"flux vector has length {u.size}, expected {system.n_flux}")
     if not np.any(u):
-        return 0.0
-    return gauged_defect(system.B @ u, u @ (system.A @ u), system.areas)
+        return np.inf if np.any(g) else 0.0
+    return gauged_defect(system.B @ u - g, u @ (system.A @ u), system.areas)
 
 
 def gauged_defect(div: np.ndarray, energy: float, w: np.ndarray) -> float:

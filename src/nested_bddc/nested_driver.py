@@ -43,7 +43,7 @@ from .mesh_fem import (
     assemble_rt0,
     build_mesh,
     check_compatibility,
-    gauged_defect,
+    divergence_defect,
 )
 from .saddle_core import IncompatibleRhsError, KktSystem
 
@@ -237,59 +237,52 @@ def step3_correction(
     one entry per face dof and per subdomain, plus two, that stand
     exactly for the full-length ones.  PCG starts from the step-2
     pressure: after the step-2 interior solves the interior rows of
-    ``-A u_star`` are ``B_I^T q0``, with ``q0`` the step-2 pressure
-    ``p_star`` gauged per subdomain.  The preconditioner (``apply_faces``)
-    copies a residual's gauged pressure into its output and the operator
-    copies it back, so every such pressure is a multiple ``s q0``.
+    ``-A u_star`` are ``B_I^T p_star``, and ``p_star`` has zero area
+    mean on every subdomain, as the interior KKT solves leave it.  The
+    preconditioner (``MultilevelPreconditioner._apply`` on the face rows)
+    copies a residual's coefficient of ``p_star`` into its output and the
+    operator copies it back, so every such pressure is a multiple
+    ``s p_star``.
 
     An iterate ``(u_F, m, 0, s)`` holds face fluxes, whose harmonic
     extension (``LevelBddc.extend``) gives its flux ``E u_F`` and a
-    pressure ``p_ext``, and its pressure is ``m + s q0 + p_ext``, with
-    ``m`` constant on each subdomain.  A residual
-    ``(r_F - s (B^T q0)_F, rho, s, 0)`` holds its face rows ``r_F``, its
-    interior rows ``s B_I^T q0``, and pressure rows that are each
+    pressure ``p_ext``, and its pressure is ``m + s p_star + p_ext``,
+    with ``m`` constant on each subdomain.  A residual
+    ``(r_F - s (B^T p_star)_F, rho, s, 0)`` holds its face rows ``r_F``,
+    its interior rows ``s B_I^T p_star``, and pressure rows that are each
     subdomain's net divergence ``rho`` spread over its cells by area.  The
     product of a direction ``(d_F, m, 0, s)`` is
     ``(S d_F + (B^T m)_F, net d_F, s, 0)``, with ``S`` the sum of the
     subdomains' face Schur complements.  In the full-length dot product of
     a residual and an iterate, the interior rows meet a divergence that is
-    constant per subdomain and so vanish against the gauged ``q0``, and
-    the pressure rows meet the subdomain means ``m``; the two ``s`` slots
+    constant per subdomain and so vanish against ``p_star``, and the
+    pressure rows meet the subdomain means ``m``; the two ``s`` slots
     never meet.  So in exact arithmetic the iterates, coefficients and
     stopping test are those of the full-length PCG; only the residual norm
-    needs ``(B^T q0)_F`` and ``B_I^T q0``, formed once.
+    needs ``(B^T p_star)_F`` and ``B_I^T p_star``, formed once.
 
-    The start residual's face rows follow from face values, with no
-    full-length product.  With ``c`` each subdomain's area mean of
-    ``p_star``, ``q0 = p_star - c``, so ``-(A u_star + B^T q0)_F`` is
-    ``-(A u_star + B^T p_star)_F + net_t c``.  On each subdomain
+    The start residual's face rows ``-(A u_star + B^T p_star)_F`` follow
+    from face values, with no full-length product.  On each subdomain
     ``S u = A_FF u + M_F^T [E_I u; p_ext]`` gives the extension's part,
     ``-S u0_F``, and the source solves' part is
     ``-M_F^T K_I^-1 [0; f]`` (``LevelBddc.source_face_rows``), so
-    ``r_F = -S u0_F + net_t c + source_face_rows(f)``.  Both parts of
-    ``p_star`` are gauged per subdomain by ``K_I``, so ``c`` vanishes in
-    exact arithmetic; its round-off is kept so that ``r_F`` stays the
-    face rows for the ``q0`` that the iteration uses.
+    ``r_F = source_face_rows(f) - S u0_F``.
 
     The monitor takes each iterate's divergence defect from its face values
     and its energy from PCG's residual (``face_divergence_defect``).  One
     ``extend`` of ``u0_face + u_F`` after PCG gives the level flux, with
     ``u_src`` added, and the extension's pressure; the level pressure is
-    ``s q0 + (p_ext - p_ext0) + m``.  The returned flux ``u`` is checked
-    against the divergence data: ``B u - f`` against its energy
-    ``u . A u``, to ``DEFECT_TOL``.
+    ``s p_star + (p_ext - p_ext0) + m``.  The returned flux ``u`` is
+    checked against the divergence data ``f`` (``divergence_defect``), to
+    ``DEFECT_TOL``.
     """
     level = precond.levels[level_number - 1]
     cells = level.decomp.cells_by_sub
     n_face, n_sub = level.decomp.face_dofs.size, level.decomp.n_sub
     split = [n_face, n_face + n_sub, n_face + n_sub + 1]
 
-    areas = level.system.areas[cells]
-    c = (areas * p_star[cells]).sum(axis=1) / level.sub_areas
-    q0 = np.array(p_star, dtype=float)
-    q0[cells] -= c[:, None]
-    bt_q0 = level.face_bt @ q0
-    int_norm = np.linalg.norm(q0[cells] @ level.b_int)
+    bt_p = level.face_bt @ p_star
+    int_norm = np.linalg.norm(p_star[cells] @ level.b_int)
 
     def operator(x):
         u_face, m, _, s = np.split(x, split)
@@ -298,17 +291,17 @@ def step3_correction(
 
     def preconditioner(r):
         r_face, _, s, _ = np.split(r, split)
-        return np.concatenate([*precond.apply_faces(r_face, level_number), [0.0], s])
+        return np.concatenate([*precond._apply(level_number - 1, r_face), [0.0], s])
 
     def norm(r):
         r_face, rho, (s,), _ = np.split(r, split)
         return math.hypot(
-            np.linalg.norm(r_face + s * bt_q0),
+            np.linalg.norm(r_face + s * bt_p),
             abs(s) * int_norm,
             np.linalg.norm(rho * level.div_norm),
         )
 
-    r_face = level.net_t @ c - level.schur_product(u0_face) + level.source_face_rows(f)
+    r_face = level.source_face_rows(f) - level.schur_product(u0_face)
     x, report = pcg(
         operator,
         preconditioner,
@@ -328,17 +321,13 @@ def step3_correction(
     u_face, m, _, (s,) = np.split(x, split)
     u, p_ext = level.extend(u0_face + u_face)
     u += u_src
-    if np.any(u):
-        system = level.system
-        defect = gauged_defect(system.B @ u - f, u @ (system.A @ u), system.areas)
-    else:
-        defect = np.inf if np.any(f) else 0.0
+    defect = divergence_defect(level.system, u, f)
     if defect > DEFECT_TOL:
         raise InvariantViolation(
             f"level {level_number}: divergence defect {defect:.3e} of the level flux "
             f"exceeded {DEFECT_TOL:.1e}"
         )
-    p = s * q0 + (p_ext - p_ext0)
+    p = s * p_star + (p_ext - p_ext0)
     p[cells] += m[:, None]
     return u, p, report
 

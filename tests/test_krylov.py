@@ -139,6 +139,28 @@ def test_operator_applied_once_per_iteration(rng):
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
 
 
+def test_preconditioner_applied_once_per_iteration(rng):
+    # The stopping test comes before the apply: a run of n iterations
+    # preconditions n residuals, the right-hand side and the residuals of
+    # the n - 1 steps that did not converge, and records the M-norm of
+    # each, relative to the first.
+    m = rng.standard_normal((12, 12))
+    a = m @ m.T + 12 * np.eye(12)
+    b = rng.standard_normal(12)
+    calls = []
+
+    def preconditioner(r):
+        calls.append(1)
+        return r / np.diag(a)
+
+    x, report = pcg(matvec(a), preconditioner, b, tol=1e-12, maxit=50)
+    assert report.converged
+    assert len(calls) == report.iterations
+    assert len(report.precond_residuals) == report.iterations
+    assert report.precond_residuals[0] == 1.0
+    assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
+
+
 def saddle_accept_case():
     """Two fluxes and one pressure: after one step the residual is a pure
     gradient, which the preconditioner maps to the exact pressure with

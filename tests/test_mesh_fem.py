@@ -16,6 +16,7 @@ from nested_bddc.mesh_fem import (
     divergence_defect,
     dump_matrix_market,
     element_triplets,
+    gauged_defect,
 )
 
 
@@ -203,15 +204,22 @@ def test_check_compatibility_cases():
 def test_divergence_defect_zero_and_oracle(rng):
     mesh = build_mesh(3, 3)
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 2.0))
-    assert divergence_defect(system, np.zeros(system.n_flux)) == 0.0
+    zero = np.zeros(system.n_flux)
+    assert divergence_defect(system, zero) == 0.0
+    # zero flux against divergence data: exact for zero data only
+    assert divergence_defect(system, zero, np.zeros(system.n_pressure)) == 0.0
+    assert divergence_defect(system, zero, np.ones(system.n_pressure)) == np.inf
 
     u = rng.standard_normal(system.n_flux)
+    g = rng.standard_normal(system.n_pressure)
     b_dense = system.B.toarray()
-    d = b_dense @ u
     w = system.areas
-    d = d - w * (w @ d) / (w @ w)
-    expected = np.linalg.norm(d) / np.sqrt(u @ (system.A.toarray() @ u))
-    assert np.isclose(divergence_defect(system, u), expected, rtol=1e-12)
+    energy = u @ (system.A.toarray() @ u)
+    for data in (0.0, g):
+        d = b_dense @ u - data
+        d = d - w * (w @ d) / (w @ w)
+        expected = np.linalg.norm(d) / np.sqrt(energy)
+        assert np.isclose(divergence_defect(system, u, data), expected, rtol=1e-12)
 
     with pytest.raises(ValueError):
         divergence_defect(system, np.zeros(3))
@@ -223,6 +231,12 @@ def test_divergence_defect_of_exact_solution():
     mesh = build_mesh(6, 6)
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0), source="corner")
     u, _ = oracle_direct_solve(system)
+    # the level flux meets its divergence data, and the defect against the
+    # data is the gauged defect of B u - g
+    defect = divergence_defect(system, u, system.g)
+    expected = gauged_defect(system.B @ u - system.g, u @ (system.A @ u), system.areas)
+    assert abs(defect - expected) <= 1e-12 * expected
+    assert defect <= 1e-12
     # solution of B u = g is not divergence free, but with f = 0 it is
     system0 = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0), source=np.zeros(36))
     u0, _ = oracle_direct_solve(system0)

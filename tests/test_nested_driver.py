@@ -227,6 +227,24 @@ def test_step3_with_exact_start_returns_zero_correction(runs):
 START_SPECS = {**STEP2_SPECS, "jump-left-L4": preset_specs("fig3-left")[0]}
 
 
+@pytest.mark.parametrize("source", ["corner", "random"])
+@pytest.mark.parametrize("case", list(START_SPECS))
+def test_step2_pressure_has_zero_mean_per_subdomain(case, source, runs, rng):
+    # Both parts of the step-2 pressure come from interior KKT solves with
+    # the area gauge, so it has zero area mean on every subdomain of every
+    # level: step 3 starts from it as it stands.
+    solver = runs.solver(START_SPECS[case])
+    f = step2_source(source, solver, rng)
+    for level in solver.precond.levels:
+        u0_face = rng.standard_normal(level.decomp.face_dofs.size)
+        p_star = step2_subdomain_solve(level, u0_face, f)[1]
+        cells = level.decomp.cells_by_sub
+        areas = level.system.areas[cells]
+        means = (areas * p_star[cells]).sum(axis=1) / areas.sum(axis=1)
+        assert np.abs(means).max() <= 1e-13 * np.abs(p_star).max()
+        f = step1_coarse_rhs(level.decomp, f)
+
+
 class _Started(Exception):
     """Raised in place of step 3's PCG with the right-hand side it was given."""
 
@@ -460,6 +478,17 @@ def test_pcg_nonconvergence_raises():
     assert exc.value.level == 1
     assert exc.value.report.iterations == 3
     assert len(list(exc.value.report.history_rows())) == 3
+
+
+def test_pcg_stagnation_keeps_one_history_row_per_iteration():
+    # An unreachable tolerance: PCG stops at the round-off floor well
+    # before maxit, and the pass that finds it stalled records no row.
+    with pytest.raises(PcgNonConvergence) as exc:
+        NestedSolver(ExperimentSpec(levels=2, ratio=3, tol=1e-30)).solve()
+    report = exc.value.report
+    assert report.iterations < 500
+    assert len(report.precond_residuals) == len(report.rel_residuals) == report.iterations
+    assert report.precond_residuals[0] == 1.0
 
 
 def test_every_iteration_has_a_history_row(runs):
