@@ -38,8 +38,9 @@ subdomain's net face flux over the subdomain's area, so it is one value
 per subdomain.
 
 On the uniform grid a subdomain's interior KKT is fixed by the element
-matrices of its cells (compared by bit pattern), its face operators also
-by which of its four faces exist.  All subdomains of a level share one
+matrices of its cells, that is by their rows of the level's element
+class table (``Rt0System.elem_class``), its face operators also by which
+of its four faces exist.  All subdomains of a level share one
 local numbering, ``LevelDecomposition.local_slots``: each cell pattern is
 scattered on it once from its element matrices
 (``mesh_fem.element_triplets``), factored, and condensed onto all four
@@ -64,6 +65,8 @@ decompositions from the fine grid, and each level's system is the coarse
 problem of the level below.  The coarse problem has the same quad-grid
 mixed structure (one flux dof per face, one pressure per subdomain,
 divergence entries +-H), which is what makes the recursion possible.
+Its element class table has one row per group of the level below, the
+group's basis energies, and each subdomain's group as its class.
 
 Subdomain work within one level is independent (levels are inherently
 sequential); all scatter reductions run in a fixed order, so results are
@@ -82,6 +85,7 @@ from .mesh_fem import (
     SLOT_BOTTOM,
     SLOT_LEFT,
     Rt0System,
+    _unique_rows,
     assemble_system,
     element_triplets,
     gauged_defect,
@@ -124,7 +128,8 @@ class _Cells:
     def __init__(self, system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
         slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
         n_loc, n_cells = n_int + 4 * decomp.face_dofs.shape[1], len(cells)
-        mass, (d_val, d_row, d_col) = element_triplets(slots, system.elem_mass[cells], system.grid.h)
+        blocks = system.elem_table[system.elem_class[cells]]
+        mass, (d_val, d_row, d_col) = element_triplets(slots, blocks, system.grid.h)
         dense = n_int + n_cells + 1 <= DENSE_LIMIT
         first = 0 if dense else n_int
         a = _dense_rows(*mass, first, (n_loc - first, n_loc))
@@ -351,23 +356,6 @@ class LevelBddc:
         return gauged_defect(self.div_norm * net, energy, self.div_norm * self.sub_areas)
 
 
-def _unique_rows(a: np.ndarray):
-    """Rows of a 2-D array classed bit for bit: (first row of each class, class of each row).
-
-    A lexicographic sort of the rows' bit patterns puts equal rows next
-    to each other, in ascending order, so the first of each run is its
-    class's first row.
-    """
-    bits = np.ascontiguousarray(a).view(f"i{a.itemsize}")
-    order = np.lexsort(bits.T)
-    ranked = bits[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    label = np.empty(len(order), dtype=np.intp)
-    label[order] = np.cumsum(new) - 1
-    return order[new], label
-
-
 def _groups(keys: np.ndarray) -> list[np.ndarray]:
     """Rows of ``keys`` grouped by equality: ascending members, groups by first row."""
     first, label = _unique_rows(keys)
@@ -381,13 +369,12 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
 
     A subdomain's interior KKT is fixed by its cells' element matrices, its
     face operators also by which of its four faces exist.  Cells are
-    classed by the bit pattern of their element matrix, so members of a
+    classed by their row of the system's element table, so members of a
     group have bit-identical local matrices.  Each cell pattern is
     assembled, factored and condensed onto its four faces once
     (``_Cells``); every group on it slices the faces it has.
     """
-    cell_class = _unique_rows(system.elem_mass.reshape(system.grid.n_cells, -1))[1]
-    classes = cell_class[decomp.cells_by_sub]
+    classes = system.elem_class[decomp.cells_by_sub]
     first, pattern = _unique_rows(classes)
     patterns = [_Cells(system, decomp, decomp.cells_by_sub[sub]) for sub in first]
     groups = [
@@ -398,7 +385,7 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     ratio = decomp.face_dofs.shape[1]
     copy_faces = np.concatenate([grp.face_ids.ravel() for grp in groups])
     high = np.concatenate([np.broadcast_to(grp.high, grp.face_ids.shape).ravel() for grp in groups])
-    w_lo = compute_weights(decomp, system.elem_mass, gamma)[copy_faces]
+    w_lo = compute_weights(decomp, system.elem_table, system.elem_class, gamma)[copy_faces]
     copy_pos = (copy_faces[:, None] * ratio + np.arange(ratio)).ravel()
     copy_w = np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio)
     start = 0
@@ -445,16 +432,19 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
 def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     """Galerkin coarse system on the subdomain grid.
 
-    Flux block entries come from the basis energies; the divergence block is
-    the exact +-(face length) pattern of the coarse grid, which reproduces
-    the subdomain-integrated divergence of any basis combination.
+    Flux block entries come from the basis energies, one element matrix
+    per group (its members share them): the group's ``coarse_elem`` in its
+    present face slots, zero in the others.  The divergence block is the
+    exact +-(face length) pattern of the coarse grid, which reproduces the
+    subdomain-integrated divergence of any basis combination.
     """
     decomp = level.decomp
-    elem_mass = np.zeros((decomp.n_sub, 4, 4))
-    for grp in level.groups:
-        slots = grp.face_slots
-        elem_mass[grp.subs[:, None, None], slots[:, None], slots] = grp.coarse_elem
-    return assemble_system(decomp.sub_grid, elem_mass)
+    elem_table = np.zeros((len(level.groups), 4, 4))
+    elem_class = np.empty(decomp.n_sub, dtype=np.intp)
+    for k, grp in enumerate(level.groups):
+        elem_table[k][np.ix_(grp.face_slots, grp.face_slots)] = grp.coarse_elem
+        elem_class[grp.subs] = k
+    return assemble_system(decomp.sub_grid, elem_table, elem_class)
 
 
 def interior_correction(level: LevelBddc, r=None, rhs_div=None):

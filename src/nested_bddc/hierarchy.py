@@ -156,7 +156,7 @@ def build_hierarchy(mesh: QuadMesh, levels: int, ratio: int) -> list[LevelDecomp
 
 
 def compute_weights(
-    decomp: LevelDecomposition, elem_mass: np.ndarray, gamma: float
+    decomp: LevelDecomposition, elem_table: np.ndarray, elem_class: np.ndarray, gamma: float
 ) -> np.ndarray:
     """Weight ``w_lo`` of the lower subdomain copy, one value per face.
 
@@ -166,23 +166,34 @@ def compute_weights(
     ``gamma=1`` gives the lower side ``D_lo / (D_lo + D_hi)``, where ``D_i``
     sums side ``i``'s element mass diagonals at the face's dofs (the lower
     cells' right/top slots, the higher cells' left/bottom slots).  The
-    level's ``elem_mass`` exists on every level and for every positive
+    level's element matrices come as its class table (``Rt0System``):
+    ``elem_table`` holds each distinct matrix, ``elem_class`` the row of
+    each cell of the level grid, and the diagonals are read from the table
+    through the classes.  They exist on every level and for every positive
     coefficient, and a weight constant along a face keeps the face average
     that the nested method passes between levels.  For a coefficient
     constant on each side of a face this is ``k_lo^-1 / (k_lo^-1 + k_hi^-1)``.
     """
     if gamma not in (0, 1):
         raise WeightsError(f"gamma must be 0 or 1, got {gamma!r}")
-    elem_mass = np.asarray(elem_mass, dtype=float)
+    elem_table = np.asarray(elem_table, dtype=float)
+    elem_class = np.asarray(elem_class)
     grid = decomp.grid
-    if elem_mass.shape != (grid.n_cells, 4, 4):
-        raise WeightsError("element masses do not match the level grid")
+    if (
+        elem_table.ndim != 3
+        or elem_table.shape[1:] != (4, 4)
+        or elem_class.dtype.kind not in "iu"
+        or elem_class.shape != (grid.n_cells,)
+        or elem_class.min() < 0
+        or elem_class.max() >= len(elem_table)
+    ):
+        raise WeightsError("element matrices do not match the level grid")
 
     if gamma == 0:
         return np.full(decomp.n_faces, 0.5)
     face_dofs = decomp.face_dofs
     vertical = face_dofs < grid.n_vertical
     slots = np.where(vertical[..., None], (SLOT_RIGHT, SLOT_LEFT), (SLOT_TOP, SLOT_BOTTOM))
-    diag = np.diagonal(elem_mass, axis1=1, axis2=2)
-    d = diag[grid.edge_sides[face_dofs], slots].sum(axis=1)  # (n_faces, 2)
+    diag = np.diagonal(elem_table, axis1=1, axis2=2)
+    d = diag[elem_class[grid.edge_sides[face_dofs]], slots].sum(axis=1)  # (n_faces, 2)
     return d[:, 0] / (d[:, 0] + d[:, 1])

@@ -182,14 +182,20 @@ class CoefficientField:
 class Rt0System:
     """Assembled mixed system: flux mass matrix A, divergence matrix B, rhs g.
 
-    ``elem_mass`` keeps the per-cell contributions (slot-ordered 4x4 blocks)
-    so that subdomain Neumann matrices can be re-assembled locally; on a
-    coarse level they are the coarse basis energies.  Its diagonals also
-    give the interface averaging weights (``hierarchy.compute_weights``).
+    The per-cell contributions (slot-ordered 4x4 blocks) are stored as a
+    class table: ``elem_table`` holds each bit-distinct element matrix
+    once, sorted by the bit patterns of its entries (``_unique_rows``),
+    and ``elem_class`` each cell's row of it.  On the uniform grid a level
+    has a handful of distinct blocks (one for a constant coefficient), so
+    cells of one class are known to be equal without comparing them.  The
+    blocks re-assemble subdomain Neumann matrices locally; on a coarse
+    level they are the coarse basis energies.  Their diagonals also give
+    the interface averaging weights (``hierarchy.compute_weights``).
     """
 
     grid: QuadMesh
-    elem_mass: np.ndarray
+    elem_table: np.ndarray
+    elem_class: np.ndarray
     A: sp.csr_matrix
     B: sp.csr_matrix
     g: np.ndarray
@@ -208,14 +214,15 @@ class Rt0System:
         return self.n_flux + self.n_pressure
 
 
-def element_triplets(slot_map: np.ndarray, elem_mass: np.ndarray, h: float):
+def element_triplets(slot_map: np.ndarray, blocks: np.ndarray, h: float):
     """Entries of the mass and divergence blocks, ``(values, rows, cols)`` each.
 
     ``slot_map`` holds, per cell and slot, the row/column of the slot's flux
     dof in the blocks, -1 where the cell has no dof there (local positions
-    on a subdomain's numbering, say).  Row ``c`` of the divergence block
-    belongs to cell ``c`` of ``slot_map``.  Entries that share a position
-    are not yet summed.
+    on a subdomain's numbering, say), and ``blocks`` the cells' element
+    matrices, one per row of ``slot_map``.  Row ``c`` of the divergence
+    block belongs to cell ``c`` of ``slot_map``.  Entries that share a
+    position are not yet summed.
     """
     present = slot_map >= 0
     pair = present[:, :, None] & present[:, None, :]
@@ -223,7 +230,7 @@ def element_triplets(slot_map: np.ndarray, elem_mass: np.ndarray, h: float):
     cols = np.broadcast_to(slot_map[:, None, :], pair.shape)[pair]
     cell_rows = np.broadcast_to(np.arange(len(slot_map))[:, None], slot_map.shape)[present]
     signs = np.broadcast_to(SLOT_SIGNS * h, slot_map.shape)[present]
-    return (elem_mass[pair], rows, cols), (signs, cell_rows, slot_map[present])
+    return (blocks[pair], rows, cols), (signs, cell_rows, slot_map[present])
 
 
 # Per edge family, the edge's slot in its lower and its higher cell, then
@@ -242,9 +249,6 @@ _EDGE_STENCILS = (
         ((0, SLOT_LEFT), (1, SLOT_LEFT), (0, SLOT_RIGHT), (1, SLOT_RIGHT), (0, SLOT_BOTTOM), None, (1, SLOT_TOP)),
     ),
 )
-# Grid lines of edges filled at a time: the band's cells stay in cache
-# while the seven columns are written.
-_BAND = 16
 
 
 def _index_dtype(size: int):
@@ -264,20 +268,68 @@ def _compressed(values: np.ndarray, cols: np.ndarray, counts: np.ndarray, n_cols
     return matrix
 
 
+def _unique_rows(a: np.ndarray):
+    """Rows of a 2-D array classed bit for bit: (first row of each class, class of each row).
+
+    A lexicographic sort of the rows' bit patterns puts equal rows next
+    to each other, in ascending order, so the first of each run is its
+    class's first row.
+    """
+    bits = np.ascontiguousarray(a).view(f"i{a.itemsize}")
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    label = np.empty(len(order), dtype=np.intp)
+    label[order] = np.cumsum(new) - 1
+    return order[new], label
+
+
+def _class_table(grid: QuadMesh, elem_table, elem_class):
+    """The canonical class table of ``grid``'s cells: (table, class of each cell).
+
+    Rows that no cell uses are dropped and bit-identical rows merged, the
+    rest kept in ``_unique_rows`` order, so equal cells share one class.
+    """
+    table = np.asarray(elem_table, dtype=float)
+    cls = np.asarray(elem_class)
+    if cls.dtype.kind not in "iu":
+        raise MeshError(f"element classes must be integers, got {cls.dtype}")
+    if cls.shape != (grid.n_cells,):
+        raise MeshError(f"element classes have shape {cls.shape}, grid has {grid.n_cells} cells")
+    if table.ndim != 3 or table.shape[1:] != (4, 4):
+        raise MeshError(f"element table must have shape (n, 4, 4), got {table.shape}")
+    if cls.min() < 0 or cls.max() >= len(table):
+        raise MeshError(f"element classes must lie in 0..{len(table) - 1}")
+    used = np.flatnonzero(np.bincount(cls.astype(np.intp, copy=False), minlength=len(table)))
+    first, label = _unique_rows(table[used].reshape(len(used), -1))
+    remap = np.empty(len(table), dtype=np.intp)
+    remap[used] = label
+    return table[used[first]], remap[cls]
+
+
 def assemble_system(
     grid: QuadMesh,
-    elem_mass: np.ndarray,
+    elem_table: np.ndarray,
+    elem_class: np.ndarray,
     g: np.ndarray | None = None,
 ) -> Rt0System:
-    """Assemble A and B as CSR from per-cell contributions on ``grid``.
+    """Assemble A and B as CSR on ``grid`` from its cells' element matrices.
 
-    On the uniform grid both follow a fixed stencil.  A cell row of B holds
-    its present slots in slot order, which is ascending.  An edge row of A
-    holds one entry per present slot of its two cells, in ascending column
-    order, the edge itself once and summed from both cells
-    (``_EDGE_STENCILS``).  Entries that vanish (the orthogonal x/y basis
-    pairs) are kept, so the structure depends on the grid alone.
+    Cell ``c`` contributes ``elem_table[elem_class[c]]``.  The system keeps
+    the table in canonical form (``_class_table``), so a table with
+    duplicate or unused rows assembles as its canonical form does.
+
+    On the uniform grid both matrices follow a fixed stencil.  A cell row
+    of B holds its present slots in slot order, which is ascending.  An
+    edge row of A holds one entry per present slot of its two cells, in
+    ascending column order, the edge itself once and summed from both
+    cells (``_EDGE_STENCILS``); each such value is one column of the
+    table read through the cells' classes.  Entries that vanish (the
+    orthogonal x/y basis pairs) are kept, so the structure depends on the
+    grid alone.
     """
+    table, cls = _class_table(grid, elem_table, elem_class)
     nx, ny = grid.nx, grid.ny
     slots = grid.cell_dof_slots
     present = np.count_nonzero(slots >= 0, axis=1)
@@ -288,34 +340,32 @@ def assemble_system(
     # Each edge family as lines of cells: its edges between cell lines m
     # and m + 1 are its m-th block of rows, in the order of the cells.
     by_line = [
-        [a.reshape(ny, nx, *a.shape[1:]).swapaxes(0, 1) for a in (slots, elem_mass, present)],
-        [a.reshape(ny, nx, *a.shape[1:]) for a in (slots, elem_mass, present)],
+        [a.reshape(ny, nx, *a.shape[1:]).swapaxes(0, 1) for a in (slots, cls, present)],
+        [a.reshape(ny, nx, *a.shape[1:]) for a in (slots, cls, present)],
     ]
     rows = (slice(None, grid.n_vertical), slice(grid.n_vertical, None))
-    for row, (cell_slots, cell_mass, cell_present), (own, stencil) in zip(rows, by_line, _EDGE_STENCILS):
+    for row, (cell_slots, cell_cls, cell_present), (own, stencil) in zip(rows, by_line, _EDGE_STENCILS):
         n_lines, n_along = cell_present.shape[0] - 1, cell_present.shape[1]
         counts[row].reshape(n_lines, n_along)[:] = cell_present[:-1] + cell_present[1:] - 1
         out_val = values[row].reshape(n_lines, n_along, 7)
         out_col = cols[row].reshape(n_lines, n_along, 7)
-        for start in range(0, n_lines, _BAND):
-            stop = min(start + _BAND, n_lines)
-            band = slice(start, stop)
-            sides = [(cell_slots[lines], cell_mass[lines]) for lines in (band, slice(start + 1, stop + 1))]
-            (lo_slots, lo_mass), (_, hi_mass) = sides
-            for k, entry in enumerate(stencil):
-                if entry is None:
-                    out_col[band, :, k] = lo_slots[..., own[0]]
-                    out_val[band, :, k] = lo_mass[..., own[0], own[0]] + hi_mass[..., own[1], own[1]]
-                else:
-                    side, slot = entry
-                    out_col[band, :, k] = sides[side][0][..., slot]
-                    out_val[band, :, k] = sides[side][1][..., own[side], slot]
+        sides = [(cell_slots[:-1], cell_cls[:-1]), (cell_slots[1:], cell_cls[1:])]
+        (lo_slots, lo_cls), (_, hi_cls) = sides
+        for k, entry in enumerate(stencil):
+            if entry is None:
+                out_col[..., k] = lo_slots[..., own[0]]
+                out_val[..., k] = table[:, own[0], own[0]][lo_cls] + table[:, own[1], own[1]][hi_cls]
+            else:
+                side, slot = entry
+                out_col[..., k] = sides[side][0][..., slot]
+                out_val[..., k] = table[:, own[side], slot][sides[side][1]]
     if g is None:
         g = np.zeros(grid.n_cells)
     areas = np.full(grid.n_cells, grid.cell_area)
     return Rt0System(
         grid,
-        elem_mass,
+        table,
+        cls,
         _compressed(values, cols, counts, grid.n_flux),
         b,
         np.asarray(g, dtype=float),
@@ -328,6 +378,8 @@ def assemble_rt0(
 ) -> Rt0System:
     """Assemble the RT0/P0 saddle system for a coefficient field.
 
+    Every element matrix is ``REFERENCE_MASS`` times the cell's area over
+    its coefficient, so the table holds one block per distinct value.
     ``source`` is forwarded to :func:`assemble_rhs`; without it the rhs is 0.
     """
     k = coeff.values
@@ -335,9 +387,10 @@ def assemble_rt0(
         raise CoefficientError(
             f"coefficient covers {k.size} cells, mesh has {mesh.n_cells}"
         )
-    elem_mass = REFERENCE_MASS[None, :, :] * (mesh.cell_area / k)[:, None, None]
+    scale, elem_class = np.unique(mesh.cell_area / k, return_inverse=True)
+    elem_table = REFERENCE_MASS[None, :, :] * scale[:, None, None]
     g = assemble_rhs(mesh, source) if source is not None else None
-    return assemble_system(mesh, elem_mass, g)
+    return assemble_system(mesh, elem_table, elem_class, g)
 
 
 def assemble_rhs(mesh: QuadMesh, source) -> np.ndarray:

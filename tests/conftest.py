@@ -13,40 +13,60 @@ import pytest
 import nested_bddc as nb
 from nested_bddc.nested_driver import NestedSolver
 
-# Solvers held at once.  Tests that ask for a solver ask again soon after,
-# if at all, so the last two asked for serve nearly every repeat.
+# A solver is small when its fine grid has at most SMALL_CELLS cells (up
+# to the four-level ratio-3 hierarchy, 81 x 81): tests ask for the same
+# small solvers again and again, and each holds a few MB, so every small
+# solver asked for is held for the whole session.  At most HELD_SOLVERS
+# large solvers exist at once: tests that ask for a large solver ask again
+# soon after, if at all.
+SMALL_CELLS = 81 * 81
 HELD_SOLVERS = 2
 
 
+def _small(spec: nb.ExperimentSpec) -> bool:
+    return spec.nx**2 <= SMALL_CELLS
+
+
 class SolveCache:
-    """Every spec's result, and the solvers of the specs asked for last.
+    """Every spec's result, every small solver, and the large solvers asked for last.
 
     A solver holds a spec's set-up (factorizations, groups, levels), far
-    more memory than its result, so only the ``HELD_SOLVERS`` most
-    recently asked for are kept: the session's peak memory is then that
-    of its largest cases, not their sum.  A solver asked for again once
-    dropped is built again; set-up is deterministic, so it is the same.
-    A result is solved with the held solver of its spec or, without one,
-    with a solver built for that solve alone.
+    more memory than its result.  A small solver is built once.  Of the
+    large solvers only the ``HELD_SOLVERS`` most recently asked for are
+    kept, and none while a large one is built for a single solve: the
+    session's peak memory is then that of its largest cases, not their
+    sum.  A large solver asked for again once dropped is built again;
+    set-up is deterministic, so it is the same.  A result is solved with
+    the held solver of its spec or, without one, with a solver built for
+    that solve alone.
     """
 
     def __init__(self):
-        self._solvers: OrderedDict = OrderedDict()
+        self._small = {}
+        self._large: OrderedDict = OrderedDict()
         self._results = {}
 
     def solver(self, spec: nb.ExperimentSpec) -> NestedSolver:
-        solver = self._solvers.pop(spec, None)
+        if _small(spec):
+            if spec not in self._small:
+                self._small[spec] = NestedSolver(spec)
+            return self._small[spec]
+        solver = self._large.pop(spec, None)
         if solver is None:
             # Drop the oldest before building, so at most HELD_SOLVERS exist.
-            while len(self._solvers) >= HELD_SOLVERS:
-                self._solvers.popitem(last=False)
+            while len(self._large) >= HELD_SOLVERS:
+                self._large.popitem(last=False)
             solver = NestedSolver(spec)
-        self._solvers[spec] = solver
+        self._large[spec] = solver
         return solver
 
     def result(self, spec: nb.ExperimentSpec):
         if spec not in self._results:
-            solver = self._solvers.get(spec) or NestedSolver(spec)
+            solver = self._small.get(spec) or self._large.get(spec)
+            if solver is None:
+                if not _small(spec):
+                    self._large.clear()
+                solver = NestedSolver(spec)
             self._results[spec] = solver.solve()
         return self._results[spec]
 

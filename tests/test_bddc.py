@@ -24,6 +24,7 @@ from nested_bddc.mesh_fem import (
     SLOT_SIGNS,
     CoefficientField,
     assemble_rt0,
+    assemble_system,
     build_mesh,
     divergence_defect,
     element_triplets,
@@ -85,9 +86,18 @@ def dense_block(b):
     return b.toarray() if sp.issparse(b) else b
 
 
-def coo_blocks(slot_map, elem_mass, h, n_flux):
+def per_cell_table(system):
+    """``system`` with a class table of one row per cell (``elem_class`` the identity)."""
+    return dataclasses.replace(
+        system,
+        elem_table=system.elem_table[system.elem_class],
+        elem_class=np.arange(system.grid.n_cells),
+    )
+
+
+def coo_blocks(slot_map, blocks, h, n_flux):
     """Mass and divergence blocks as COO from the element scatter, duplicates unsummed."""
-    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(slot_map, elem_mass, h)
+    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(slot_map, blocks, h)
     mass = sp.coo_matrix((m_val, (m_row, m_col)), shape=(n_flux, n_flux))
     div = sp.coo_matrix((d_val, (d_row, d_col)), shape=(len(slot_map), n_flux))
     return mass, div
@@ -106,7 +116,8 @@ def member_problem(level, grp, row):
     position = np.full(system.n_flux + 1, -1)
     position[local] = np.arange(len(local))
     slots = position[system.grid.cell_dof_slots[cells]]
-    mass, div = coo_blocks(slots, system.elem_mass[cells], system.grid.h, len(local))
+    blocks = system.elem_table[system.elem_class[cells]]
+    mass, div = coo_blocks(slots, blocks, system.grid.h, len(local))
     con = np.zeros((grp.n_faces, len(local)))
     for k, face in enumerate(grp.face_ids[row]):
         dofs = level.decomp.face_dofs[face]
@@ -470,7 +481,7 @@ def test_jump_coefficients_shrink_weights():
     vals = np.where(np.arange(nx * nx) // nx < 3, k, 1.0)
     system, decomps, precond = make_setup(nx, 2, 3, k=vals)
     level = precond.levels[0]
-    w_lo = compute_weights(level.decomp, system.elem_mass, 1.0)
+    w_lo = compute_weights(level.decomp, system.elem_table, system.elem_class, 1.0)
     values = np.unique(np.round(w_lo, 12))
     assert set(values) <= {np.round(1 / (1 + k), 12), 0.5, np.round(k / (1 + k), 12)}
 
@@ -571,17 +582,19 @@ def test_cells_match_coo_reference(nx, ratio, dense):
     # COO blocks: the interior KKT from the interior slots, the dense face
     # rows from the whole Neumann matrix.  Scaling the element matrices
     # entry by entry keeps their zeros but not their symmetry, as on a
-    # coarse level, and gives every subdomain a pattern of its own.
+    # coarse level, and gives every cell a table row of its own and every
+    # subdomain a pattern of its own.
     system, decomps, _ = make_setup(nx, 2, ratio)
     decomp = decomps[0]
-    scale = 1.0 + 0.1 * np.random.default_rng(ratio).random(system.elem_mass.shape)
-    system = dataclasses.replace(system, elem_mass=system.elem_mass * scale)
+    system = per_cell_table(system)
+    scale = 1.0 + 0.1 * np.random.default_rng(ratio).random(system.elem_table.shape)
+    system = dataclasses.replace(system, elem_table=system.elem_table * scale)
     slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
     n_loc, h = n_int + 4 * ratio, system.grid.h
     for cells in decomp.cells_by_sub:
         got = _Cells(system, decomp, cells)
-        elem_mass, gauge = system.elem_mass[cells], system.areas[cells]
-        kkt = KktSystem(*coo_blocks(np.where(slots < n_int, slots, -1), elem_mass, h, n_int), gauge)
+        blocks, gauge = system.elem_table[system.elem_class[cells]], system.areas[cells]
+        kkt = KktSystem(*coo_blocks(np.where(slots < n_int, slots, -1), blocks, h, n_int), gauge)
         assert got.kkt.dense == kkt.dense == dense
         if dense:
             assert np.array_equal(got.kkt.matrix(), kkt.matrix())
@@ -589,7 +602,7 @@ def test_cells_match_coo_reference(nx, ratio, dense):
             m_got, m_ref = got.kkt.matrix(), kkt.matrix()
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(m_got, name), getattr(m_ref, name))
-        mass, div = (m.toarray() for m in coo_blocks(slots, elem_mass, h, n_loc))
+        mass, div = (m.toarray() for m in coo_blocks(slots, blocks, h, n_loc))
         a_f, b_ft = mass[n_int:], div[:, n_int:].T
         coupling = np.hstack([a_f[:, :n_int], b_ft])
         ext = -kkt.factorization.solve_leading(coupling, n_int + len(cells))
@@ -858,10 +871,52 @@ def test_singular_local_kkt_rejected_at_build(nx, ratio, sub):
     # build must reject them before any solve
     system, decomps, _ = make_setup(nx, 2, ratio)
     decomp = decomps[0]
-    mass = system.elem_mass.copy()
-    mass[decomp.cells_by_sub[sub]] = 0.0
+    system = per_cell_table(system)
+    system.elem_table[decomp.cells_by_sub[sub]] = 0.0
     with pytest.raises(SingularMatrixError):
-        build_level_bddc(dataclasses.replace(system, elem_mass=mass), decomp, 1.0)
+        build_level_bddc(system, decomp, 1.0)
+
+
+def test_redundant_class_table_loses_reuse_only(monkeypatch):
+    # A class table with every row twice, the cells split at random between
+    # the copies, and an unused row.  Assembled, it is the canonical table
+    # (its A and B: test_redundant_table_assembles_as_canonical_form); kept
+    # as it is, cells of equal blocks fall into different classes, so the
+    # preconditioner only factors more, and applies the same.
+    mesh = build_mesh(27, 27)
+    k = np.where(np.arange(mesh.n_cells) % 27 < 10, 30.0, 1.0)
+    system = assemble_rt0(mesh, CoefficientField(k), source="corner")
+    rng = np.random.default_rng(3)
+    n = len(system.elem_table)
+    table = np.concatenate([system.elem_table, system.elem_table, rng.standard_normal((1, 4, 4))])
+    cls = system.elem_class + n * rng.integers(0, 2, mesh.n_cells)
+    assembled = assemble_system(mesh, table, cls, system.g)
+    assert np.array_equal(assembled.elem_table, system.elem_table)
+    assert np.array_equal(assembled.elem_class, system.elem_class)
+    redundant = dataclasses.replace(system, elem_table=table, elem_class=cls)
+
+    factor = Factorization.__init__
+    made = []
+
+    def count(self, matrix):
+        made.append(1)
+        factor(self, matrix)
+
+    monkeypatch.setattr(Factorization, "__init__", count)
+    preconds, counts = [], []
+    for case in (system, assembled, redundant):
+        made.clear()
+        preconds.append(MultilevelPreconditioner.build(case, 3, 3, 1.0))
+        counts.append(len(made))
+    assert counts[0] == counts[1] < counts[2]
+    r = rng.standard_normal(system.n_flux)
+    u, p = preconds[0].apply(r)
+    for precond in preconds[1:]:
+        level, ref = precond.levels[0], preconds[0].levels[0]
+        assert np.array_equal(level.copy_w[level.dof_pairs], ref.copy_w[ref.dof_pairs])
+        u_other, p_other = precond.apply(r)
+        assert np.abs(u_other - u).max() <= 1e-13 * np.abs(u).max()
+        assert np.abs(p_other - p).max() <= 1e-13 * np.abs(p).max()
 
 
 def _bytes_key(*blocks) -> tuple:
@@ -905,7 +960,7 @@ def reference_subdomain(system, decomp, w_lo, s):
     pair = present[:, :, None] & present[:, None, :]
     rows = np.broadcast_to(loc_pos[:, :, None], pair.shape)[pair]
     cols = np.broadcast_to(loc_pos[:, None, :], pair.shape)[pair]
-    vals = system.elem_mass[cells][pair]
+    vals = system.elem_table[system.elem_class[cells]][pair]
     brow = np.broadcast_to(np.arange(n_cells)[:, None], cell_slots.shape)[present]
     bcol = loc_pos[present]
     bval = np.broadcast_to(SLOT_SIGNS * grid.h, cell_slots.shape)[present]
@@ -979,7 +1034,7 @@ def test_groups_match_per_subdomain_reference(case, runs):
         }[case]
         precond = runs.solver(spec).precond
     for level in precond.levels:
-        w_lo = compute_weights(level.decomp, level.system.elem_mass, 1.0)
+        w_lo = compute_weights(level.decomp, level.system.elem_table, level.system.elem_class, 1.0)
         refs = [
             reference_subdomain(level.system, level.decomp, w_lo, s)
             for s in range(level.decomp.n_sub)

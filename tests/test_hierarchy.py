@@ -11,8 +11,10 @@ from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
 from nested_bddc.nested_driver import ExperimentSpec, preset_specs
 
 
-def elem_mass_of(mesh, values):
-    return assemble_rt0(mesh, CoefficientField(values)).elem_mass
+def elem_data_of(mesh, values):
+    """The element class table of a coefficient field: (table, class of each cell)."""
+    system = assemble_rt0(mesh, CoefficientField(values))
+    return system.elem_table, system.elem_class
 
 
 def applied_face_weights(level):
@@ -51,10 +53,27 @@ def test_config_validation():
     # gamma is validated where the weights are computed
     d = build_hierarchy(mesh, 2, 3)[0]
     with pytest.raises(WeightsError):
-        compute_weights(d, elem_mass_of(mesh, np.ones(mesh.n_cells)), 0.5)
+        compute_weights(d, *elem_data_of(mesh, np.ones(mesh.n_cells)), 0.5)
     # weights come from the element masses, not from a per-cell coefficient
     with pytest.raises(WeightsError):
-        compute_weights(d, np.ones(mesh.n_cells), 1.0)
+        compute_weights(d, np.ones(mesh.n_cells), np.zeros(mesh.n_cells, dtype=int), 1.0)
+
+
+@pytest.mark.parametrize("case", ["float-classes", "short-classes", "class-outside-table", "flat-table"])
+def test_weights_reject_element_data_off_the_grid(case):
+    mesh = build_mesh(9, 9)
+    d = build_hierarchy(mesh, 2, 3)[0]
+    table, cls = elem_data_of(mesh, np.ones(mesh.n_cells))
+    if case == "float-classes":
+        cls = cls.astype(float)
+    elif case == "short-classes":
+        cls = cls[:-1]
+    elif case == "class-outside-table":
+        cls = cls + len(table)
+    else:
+        table = table.reshape(len(table), 16)
+    with pytest.raises(WeightsError):
+        compute_weights(d, table, cls, 1.0)
 
 
 def test_two_level_counts_9x9():
@@ -171,7 +190,7 @@ def test_weights_unit_coefficient_all_half():
     d = build_hierarchy(mesh, 2, 3)[0]
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
     for gamma in (0.0, 1.0):
-        assert np.all(compute_weights(d, system.elem_mass, gamma) == 0.5)
+        assert np.all(compute_weights(d, system.elem_table, system.elem_class, gamma) == 0.5)
         # applied weights: 1/2 on both copies of a face dof
         level = build_level_bddc(system, d, gamma)
         for grp in level.groups:
@@ -183,12 +202,12 @@ def test_weights_jump_formula():
     mesh = build_mesh(6, 3)
     d = build_hierarchy(mesh, 2, 3)[0]
     values = np.where(np.arange(mesh.n_cells) % 6 < 3, 100.0, 1.0)
-    elem_mass = elem_mass_of(mesh, values)
-    w_lo = compute_weights(d, elem_mass, 1.0)
+    elem_data = elem_data_of(mesh, values)
+    w_lo = compute_weights(d, *elem_data, 1.0)
     assert np.allclose(w_lo, (1 / 100) / (1 / 100 + 1.0))
     assert np.allclose(w_lo, 1.0 / 101.0)
     # gamma = 0 ignores the jump
-    assert np.all(compute_weights(d, elem_mass, 0.0) == 0.5)
+    assert np.all(compute_weights(d, *elem_data, 0.0) == 0.5)
 
 
 def test_weights_partition_of_unity_exact(rng):
@@ -247,7 +266,7 @@ def test_weights_match_rho_scaling_on_aligned_fields(runs, spec):
     levels = solver.precond.levels
     refs = rho_scaling_reference([level.decomp for level in levels], coeff.values)
     for level, ref in zip(levels, refs):
-        w_lo = compute_weights(level.decomp, level.system.elem_mass, 1.0)
+        w_lo = compute_weights(level.decomp, level.system.elem_table, level.system.elem_class, 1.0)
         assert np.abs(w_lo[:, None] - ref).max() <= 1e-15
         lo, hi = applied_face_weights(level)
         assert np.abs(lo - ref).max() <= 1e-15
@@ -260,15 +279,15 @@ def test_weights_face_diagonal_loop_reference():
     values = np.random.default_rng(7).lognormal(0.0, 1.0, mesh.n_cells)
     system = assemble_rt0(mesh, CoefficientField(values))
     level = MultilevelPreconditioner.build(system, 3, 3, 1.0).levels[1]
-    grid, elem_mass = level.decomp.grid, level.system.elem_mass
-    w_face = compute_weights(level.decomp, elem_mass, 1.0)
+    grid, table, cls = level.decomp.grid, level.system.elem_table, level.system.elem_class
+    w_face = compute_weights(level.decomp, table, cls, 1.0)
     lo, hi = applied_face_weights(level)
     for f, dofs in enumerate(level.decomp.face_dofs):
         diag = [0.0, 0.0]
         for dof in dofs:
             for side, cell in enumerate(grid.edge_sides[dof]):
                 slot = list(grid.cell_dof_slots[cell]).index(dof)
-                diag[side] += elem_mass[cell, slot, slot]
+                diag[side] += table[cls[cell], slot, slot]
         w_lo = diag[0] / (diag[0] + diag[1])
         assert w_face[f] == w_lo
         assert np.all(lo[f] == w_lo)
@@ -294,4 +313,4 @@ def test_weights_properties_on_random_fields(ratio, sx, sy, sigma, seed):
         assert np.all((lo > 0.0) & (lo < 1.0))
         assert np.all(lo == lo[:, :1])  # one value per face
     with pytest.raises(WeightsError):
-        compute_weights(levels[0].decomp, system.elem_mass, 0.5)
+        compute_weights(levels[0].decomp, system.elem_table, system.elem_class, 0.5)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from nested_bddc.mesh_fem import (
+    REFERENCE_MASS,
     CoefficientError,
     CoefficientField,
     MeshError,
@@ -18,6 +19,7 @@ from nested_bddc.mesh_fem import (
     element_triplets,
     gauged_defect,
 )
+from nested_bddc.nested_driver import ExperimentSpec
 
 
 def quadrature_element_mass(h, k, order=4):
@@ -91,8 +93,22 @@ def test_edge_enumeration_consistency():
 def test_element_mass_matches_quadrature(h, k):
     # the element matrices the solver assembles, on a mesh of cell size h
     mesh = build_mesh(round(1 / h), round(1 / h))
-    elem_mass = assemble_rt0(mesh, CoefficientField.constant(mesh, k)).elem_mass
-    assert np.allclose(elem_mass, quadrature_element_mass(mesh.h, k), rtol=1e-13)
+    system = assemble_rt0(mesh, CoefficientField.constant(mesh, k))
+    # a constant coefficient gives every cell one element matrix
+    assert system.elem_table.shape == (1, 4, 4)
+    assert np.all(system.elem_class == 0)
+    assert np.allclose(system.elem_table[0], quadrature_element_mass(mesh.h, k), rtol=1e-13)
+
+
+def test_jump_right_has_three_element_matrices():
+    spec = ExperimentSpec(levels=3, ratio=3, coeff="jump-right", k1=100.0, k3=0.01)
+    mesh, coeff = spec.build_problem()
+    system = assemble_rt0(mesh, coeff)
+    assert system.elem_table.shape == (3, 4, 4)
+    # one row per coefficient value, scaled by the cell's area over it
+    for row, k in enumerate(np.unique(coeff.values)[::-1]):
+        assert np.array_equal(system.elem_table[row], REFERENCE_MASS * (mesh.cell_area / k))
+        assert np.array_equal(system.elem_class == row, coeff.values == k)
 
 
 def test_assembled_mass_is_spd():
@@ -143,25 +159,87 @@ def test_stencil_csr_matches_coo_reference(nx, ny, values):
     mesh = build_mesh(nx, ny)
     rng = np.random.default_rng(nx * ny)
     if values == "random":
-        elem_mass = rng.standard_normal((mesh.n_cells, 4, 4))
+        # a table of its own per cell
+        elem_table, elem_class = rng.standard_normal((mesh.n_cells, 4, 4)), np.arange(mesh.n_cells)
     else:
         k = np.exp(rng.standard_normal(mesh.n_cells))
-        elem_mass = assemble_rt0(mesh, CoefficientField(k)).elem_mass
-    system = assemble_system(mesh, elem_mass)
-    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(
-        mesh.cell_dof_slots, elem_mass, mesh.h
-    )
-    ref_a = sp.coo_matrix((m_val, (m_row, m_col)), shape=(mesh.n_flux,) * 2).tocsr()
-    ref_b = sp.coo_matrix((d_val, (d_row, d_col)), shape=(mesh.n_cells, mesh.n_flux)).tocsr()
+        rt0 = assemble_rt0(mesh, CoefficientField(k))
+        elem_table, elem_class = rt0.elem_table, rt0.elem_class
+    system = assemble_system(mesh, elem_table, elem_class)
+    ref_a, ref_b = coo_reference(mesh, elem_table[elem_class])
     if values == "rt0" and min(nx, ny) > 1:
         assert np.any(ref_a.data == 0.0)
-    for got, ref in ((system.A, ref_a), (system.B, ref_b)):
-        assert got.format == "csr" and got.shape == ref.shape
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        # the flag set at assembly is what the conversion establishes
-        assert ref.has_canonical_format and got.has_canonical_format
+    assert_same_csr(system.A, ref_a)
+    assert_same_csr(system.B, ref_b)
+
+
+def coo_reference(mesh, blocks):
+    """A and B summed by scipy's COO -> CSR conversion from one block per cell."""
+    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(mesh.cell_dof_slots, blocks, mesh.h)
+    ref_a = sp.coo_matrix((m_val, (m_row, m_col)), shape=(mesh.n_flux,) * 2).tocsr()
+    ref_b = sp.coo_matrix((d_val, (d_row, d_col)), shape=(mesh.n_cells, mesh.n_flux)).tocsr()
+    return ref_a, ref_b
+
+
+def assert_same_csr(got, ref):
+    assert got.format == "csr" and got.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the flag set at assembly is what the conversion establishes
+    assert ref.has_canonical_format and got.has_canonical_format
+
+
+def redundant_table(mesh, rng):
+    """A class table with duplicate and unused rows and a random class map, and its per-cell blocks.
+
+    Rows 0-2 are distinct, row 3 repeats row 1 bit for bit and row 4 is
+    used by no cell.
+    """
+    distinct = rng.standard_normal((3, 4, 4))
+    table = np.concatenate([distinct, distinct[1:2], rng.standard_normal((1, 4, 4))])
+    cls = rng.integers(0, 4, mesh.n_cells)
+    cls[:4] = np.arange(4)  # every row but the last in use
+    return table, cls
+
+
+def test_redundant_table_assembles_as_canonical_form():
+    # Duplicate rows and unused ones may cost reuse only: the assembled
+    # matrices are those of the canonical table and of one block per cell.
+    mesh = build_mesh(7, 5)
+    rng = np.random.default_rng(5)
+    table, cls = redundant_table(mesh, rng)
+    system = assemble_system(mesh, table, cls)
+    # canonical: the three distinct rows in ascending bit order, all in use
+    assert system.elem_table.shape == (3, 4, 4)
+    assert np.array_equal(np.unique(system.elem_class), np.arange(3))
+    bits = system.elem_table.reshape(3, -1).view(np.int64)
+    assert list(np.lexsort(bits.T)) == [0, 1, 2]
+    # every cell keeps its block, bit for bit
+    assert np.array_equal(system.elem_table[system.elem_class], table[cls])
+    canonical = assemble_system(mesh, system.elem_table, system.elem_class)
+    ref_a, ref_b = coo_reference(mesh, table[cls])
+    for got in (system, canonical):
+        assert_same_csr(got.A, ref_a)
+        assert_same_csr(got.B, ref_b)
+    assert np.array_equal(canonical.elem_table, system.elem_table)
+    assert np.array_equal(canonical.elem_class, system.elem_class)
+
+
+@pytest.mark.parametrize("case", ["float-classes", "short-classes", "class-outside-table", "flat-table"])
+def test_assemble_system_rejects_bad_class_table(case):
+    mesh = build_mesh(4, 3)
+    table, cls = np.tile(REFERENCE_MASS, (2, 1, 1)), np.arange(mesh.n_cells) % 2
+    if case == "float-classes":
+        cls = cls.astype(float)
+    elif case == "short-classes":
+        cls = cls[:-1]
+    elif case == "class-outside-table":
+        cls[5] = 2
+    else:
+        table = table.reshape(2, 16)
+    with pytest.raises(MeshError):
+        assemble_system(mesh, table, cls)
 
 
 def test_assembly_deterministic():
