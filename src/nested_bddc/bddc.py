@@ -198,9 +198,11 @@ class _Group:
         self.ext = cells.ext[rows]
         self.schur = schur = cells.schur[np.ix_(rows, rows)]
         # The bordered face system; the face averages C are its last rows.
-        con = np.repeat(np.eye(self.n_faces), ratio, axis=1) / ratio
-        face_kkt = np.block([[schur, con.T], [con, np.zeros((self.n_faces, self.n_faces))]])
-        size = len(face_kkt)  # 0 on a level of one subdomain, which has no faces
+        size = n_f + self.n_faces  # 0 on a level of one subdomain, which has no faces
+        face_kkt = np.zeros((size, size))
+        face_kkt[:n_f, :n_f] = schur
+        face_kkt[n_f:, :n_f] = np.repeat(np.eye(self.n_faces), ratio, axis=1) / ratio
+        face_kkt[:n_f, n_f:] = face_kkt[n_f:, :n_f].T
         inv = Factorization(face_kkt).solve(np.eye(size)) if size else face_kkt
         self.dual = np.ascontiguousarray(inv[:n_f, :n_f])
         self.psi = np.ascontiguousarray(inv[:n_f, n_f:])

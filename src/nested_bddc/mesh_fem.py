@@ -257,13 +257,13 @@ def _index_dtype(size: int):
 
 
 def _compressed(values: np.ndarray, cols: np.ndarray, counts: np.ndarray, n_cols: int) -> sp.csr_matrix:
-    """CSR with one row per row of ``cols``: the entries whose column is >= 0, ``counts`` per row."""
+    """CSR of the entries of ``values`` whose column in ``cols`` is >= 0, in order, ``counts[i]`` in row ``i``."""
     keep = cols >= 0
     index = _index_dtype(max(cols.size, n_cols))
-    indptr = np.zeros(len(cols) + 1, dtype=index)
+    indptr = np.zeros(len(counts) + 1, dtype=index)
     np.cumsum(counts, out=indptr[1:])
     indices = cols[keep].astype(index, copy=False)
-    matrix = sp.csr_matrix((values[keep], indices, indptr), shape=(len(cols), n_cols))
+    matrix = sp.csr_matrix((values[keep], indices, indptr), shape=(len(counts), n_cols))
     matrix.has_canonical_format = True
     return matrix
 
@@ -318,59 +318,63 @@ def assemble_system(
 
     Cell ``c`` contributes ``elem_table[elem_class[c]]``.  The system keeps
     the table in canonical form (``_class_table``), so a table with
-    duplicate or unused rows assembles as its canonical form does.
+    duplicate or unused rows assembles as its canonical form does.  ``g``,
+    one value per cell, is the divergence data (zero if not given).
 
     On the uniform grid both matrices follow a fixed stencil.  A cell row
     of B holds its present slots in slot order, which is ascending.  An
-    edge row of A holds one entry per present slot of its two cells, in
-    ascending column order, the edge itself once and summed from both
-    cells (``_EDGE_STENCILS``); each such value is one column of the
-    table read through the cells' classes.  Entries that vanish (the
-    orthogonal x/y basis pairs) are kept, so the structure depends on the
-    grid alone.
+    edge row of A holds, in ascending column order, the edge itself,
+    summed from both cells, and each present slot of its two cells that
+    the table can couple it to (``_EDGE_STENCILS``); each such value is
+    one column of the table read through the cells' classes.  A coupling
+    whose column is zero in every class adds nothing to any product and
+    is left out: the orthogonal x/y basis pairs of an RT0 table, so a
+    fine edge row holds at most three entries, while the dense basis
+    energies of a coarse level keep all seven.
     """
     table, cls = _class_table(grid, elem_table, elem_class)
+    g = np.zeros(grid.n_cells) if g is None else np.asarray(g, dtype=float)
+    if g.shape != (grid.n_cells,):
+        raise MeshError(f"divergence data has shape {g.shape}, grid has {grid.n_cells} cells")
     nx, ny = grid.nx, grid.ny
     slots = grid.cell_dof_slots
     present = np.count_nonzero(slots >= 0, axis=1)
     b = _compressed(np.broadcast_to(SLOT_SIGNS * grid.h, slots.shape), slots, present, grid.n_flux)
-    values = np.empty((grid.n_flux, 7))
-    cols = np.empty((grid.n_flux, 7), dtype=_index_dtype(7 * grid.n_flux))
-    counts = np.empty(grid.n_flux, dtype=present.dtype)
+    # Per edge family, its slots and the stencil entries that some class makes nonzero.
+    families = [
+        (own, [e for e in stencil if e is None or np.any(table[:, own[e[0]], e[1]])])
+        for own, stencil in _EDGE_STENCILS
+    ]
+    ends = np.cumsum([grid.n_vertical * len(families[0][1]), grid.n_horizontal * len(families[1][1])])
+    values = np.empty(ends[-1])
+    cols = np.empty(ends[-1], dtype=_index_dtype(max(ends[-1], grid.n_flux)))
+    counts = np.ones(grid.n_flux, dtype=np.intp)
     # Each edge family as lines of cells: its edges between cell lines m
     # and m + 1 are its m-th block of rows, in the order of the cells.
     by_line = [
-        [a.reshape(ny, nx, *a.shape[1:]).swapaxes(0, 1) for a in (slots, cls, present)],
-        [a.reshape(ny, nx, *a.shape[1:]) for a in (slots, cls, present)],
+        [a.reshape(ny, nx, *a.shape[1:]).swapaxes(0, 1) for a in (slots, cls)],
+        [a.reshape(ny, nx, *a.shape[1:]) for a in (slots, cls)],
     ]
     rows = (slice(None, grid.n_vertical), slice(grid.n_vertical, None))
-    for row, (cell_slots, cell_cls, cell_present), (own, stencil) in zip(rows, by_line, _EDGE_STENCILS):
-        n_lines, n_along = cell_present.shape[0] - 1, cell_present.shape[1]
-        counts[row].reshape(n_lines, n_along)[:] = cell_present[:-1] + cell_present[1:] - 1
-        out_val = values[row].reshape(n_lines, n_along, 7)
-        out_col = cols[row].reshape(n_lines, n_along, 7)
+    spans = (slice(None, ends[0]), slice(ends[0], None))
+    for row, span, (cell_slots, cell_cls), (own, entries) in zip(rows, spans, by_line, families):
+        n_lines, n_along = cell_cls.shape[0] - 1, cell_cls.shape[1]
+        out_count = counts[row].reshape(n_lines, n_along)
+        out_val = values[span].reshape(n_lines, n_along, len(entries))
+        out_col = cols[span].reshape(n_lines, n_along, len(entries))
         sides = [(cell_slots[:-1], cell_cls[:-1]), (cell_slots[1:], cell_cls[1:])]
         (lo_slots, lo_cls), (_, hi_cls) = sides
-        for k, entry in enumerate(stencil):
+        for k, entry in enumerate(entries):
             if entry is None:
                 out_col[..., k] = lo_slots[..., own[0]]
                 out_val[..., k] = table[:, own[0], own[0]][lo_cls] + table[:, own[1], own[1]][hi_cls]
             else:
                 side, slot = entry
-                out_col[..., k] = sides[side][0][..., slot]
+                out_col[..., k] = col = sides[side][0][..., slot]
+                out_count += col >= 0
                 out_val[..., k] = table[:, own[side], slot][sides[side][1]]
-    if g is None:
-        g = np.zeros(grid.n_cells)
     areas = np.full(grid.n_cells, grid.cell_area)
-    return Rt0System(
-        grid,
-        table,
-        cls,
-        _compressed(values, cols, counts, grid.n_flux),
-        b,
-        np.asarray(g, dtype=float),
-        areas,
-    )
+    return Rt0System(grid, table, cls, _compressed(values, cols, counts, grid.n_flux), b, g, areas)
 
 
 def assemble_rt0(

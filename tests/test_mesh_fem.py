@@ -155,7 +155,7 @@ def test_nonpositive_coefficient_rejected():
 def test_stencil_csr_matches_coo_reference(nx, ny, values):
     # The element scatter summed by scipy's COO -> CSR conversion, bit for
     # bit: random blocks are not symmetric (coarse blocks need not be), the
-    # RT0 blocks have zero x/y couplings, which stay explicit entries.
+    # RT0 blocks have zero x/y couplings in every class, which A leaves out.
     mesh = build_mesh(nx, ny)
     rng = np.random.default_rng(nx * ny)
     if values == "random":
@@ -167,16 +167,55 @@ def test_stencil_csr_matches_coo_reference(nx, ny, values):
         elem_table, elem_class = rt0.elem_table, rt0.elem_class
     system = assemble_system(mesh, elem_table, elem_class)
     ref_a, ref_b = coo_reference(mesh, elem_table[elem_class])
-    if values == "rt0" and min(nx, ny) > 1:
-        assert np.any(ref_a.data == 0.0)
+    if values == "rt0":
+        assert not np.any(system.A.data == 0.0)
+        with_zeros, _ = coo_reference(mesh, elem_table[elem_class], structural=False)
+        x = rng.standard_normal(mesh.n_flux)
+        assert np.array_equal(system.A @ x, with_zeros @ x)
+        if min(nx, ny) > 1:
+            assert np.any(with_zeros.data == 0.0)
+            # an edge, and the parallel edge across each cell where it is interior
+            assert system.A.nnz == ny * (3 * nx - 5) + nx * (3 * ny - 5)
     assert_same_csr(system.A, ref_a)
     assert_same_csr(system.B, ref_b)
 
 
-def coo_reference(mesh, blocks):
-    """A and B summed by scipy's COO -> CSR conversion from one block per cell."""
+def test_one_cell_with_xy_coupling_keeps_every_coupling():
+    # A single cell whose block couples x- and y-edges puts every stencil
+    # column in use, so every edge row keeps its seven entries, the zeros
+    # of the other cells' blocks included.
+    mesh = build_mesh(6, 5)
+    # Entries above REFERENCE_MASS's sort the coupling block last in the
+    # canonical table.
+    dense = np.random.default_rng(3).uniform(1.0, 2.0, (4, 4))
+    table = np.stack([REFERENCE_MASS, dense + dense.T])
+    cls = np.zeros(mesh.n_cells, dtype=np.intp)
+    cls[mesh.cell_id(2, 3)] = 1
+    system = assemble_system(mesh, table, cls)
+    assert np.array_equal(system.elem_table[1], table[1])
+    ref_a, ref_b = coo_reference(mesh, table[cls])
+    assert_same_csr(system.A, ref_a)
+    assert_same_csr(system.B, ref_b)
+    assert np.any(system.A.data == 0.0)
+    # every present slot of both cells: seven away from the boundary
+    present = np.count_nonzero(mesh.cell_dof_slots >= 0, axis=1)
+    assert np.array_equal(np.diff(system.A.indptr), present[mesh.edge_sides].sum(axis=1) - 1)
+    assert np.diff(system.A.indptr).max() == 7
+
+
+def coo_reference(mesh, blocks, structural=True):
+    """A and B summed by scipy's COO -> CSR conversion from one block per cell.
+
+    With ``structural``, the couplings of two distinct slots that are zero
+    in every block are dropped before the sum.
+    """
+    if structural:
+        pattern = np.any(blocks != 0.0, axis=0) | np.eye(4, dtype=bool)
+    else:
+        pattern = np.ones((4, 4), dtype=bool)
     (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(mesh.cell_dof_slots, blocks, mesh.h)
-    ref_a = sp.coo_matrix((m_val, (m_row, m_col)), shape=(mesh.n_flux,) * 2).tocsr()
+    (m_keep, _, _), _ = element_triplets(mesh.cell_dof_slots, np.broadcast_to(pattern, blocks.shape), mesh.h)
+    ref_a = sp.coo_matrix((m_val[m_keep], (m_row[m_keep], m_col[m_keep])), shape=(mesh.n_flux,) * 2).tocsr()
     ref_b = sp.coo_matrix((d_val, (d_row, d_col)), shape=(mesh.n_cells, mesh.n_flux)).tocsr()
     return ref_a, ref_b
 
@@ -240,6 +279,13 @@ def test_assemble_system_rejects_bad_class_table(case):
         table = table.reshape(2, 16)
     with pytest.raises(MeshError):
         assemble_system(mesh, table, cls)
+
+
+@pytest.mark.parametrize("shape", [(5,), (9, 2)])
+def test_assemble_system_rejects_misshapen_divergence_data(shape):
+    mesh = build_mesh(3, 3)
+    with pytest.raises(MeshError):
+        assemble_system(mesh, REFERENCE_MASS[None], np.zeros(mesh.n_cells, dtype=int), np.zeros(shape))
 
 
 def test_assembly_deterministic():
