@@ -41,24 +41,28 @@ On the uniform grid a subdomain's interior KKT is fixed by the element
 matrices of its cells, that is by their rows of the level's element
 class table (``Rt0System.elem_class``), its face operators also by which
 of its four faces exist.  All subdomains of a level share one
-local numbering, ``LevelDecomposition.local_slots``: each cell pattern is
-scattered on it once from its element matrices
-(``mesh_fem.element_triplets``), factored, and condensed onto all four
-faces by one ``Factorization.solve_leading`` call (``_Cells``).
+local numbering, ``LevelDecomposition.local_slots``, so the template's
+entries are located once (``mesh_fem.element_triplets``) and all cell
+patterns are scattered on it together, as one stack of values; each
+pattern is factored and condensed onto all four faces by one
+``Factorization.solve_leading`` call (``_condense_patterns``).
 Subdomains are grouped by cell pattern and present faces, one group kind
-per level: a group slices its faces from its pattern, inverts its
-bordered face system and keeps one row of index arrays and of face
-weights (``hierarchy.compute_weights``) per member, as views of the
-level's copy layout: every group's face copies, one row per member,
-in one buffer.  Each face product (the Schur product, the dual
+per level.  The groups on one set of present faces slice their faces
+from their patterns and build their bordered face systems as one stack;
+each system is inverted on its own, and each group keeps its own copy
+of its operators (``_face_operators``).  A group keeps one row of index
+arrays and of face weights (``hierarchy.compute_weights``) per member,
+as views of the level's copy layout: every group's face copies, one row
+per member, in one buffer.  Each face product (the Schur product, the dual
 correction, the restriction, the prolongation) writes its groups'
 rows in place into one such buffer.  Every face lies between two
 subdomains, so a sum of the members' face copies (the Schur product,
 the averaging, the restriction) adds two entries of the buffer,
 located once at build (``_copy_pairs``).  How blocks are stored
 and solved, by size class, is decided in ``saddle_core``
-(``DENSE_LIMIT``); a cell pattern scatters its interior blocks straight
-into the storage of their class.
+(``DENSE_LIMIT``); the cell patterns' interior blocks are scattered
+straight into the storage of their class: one dense stack, or one CSR
+per pattern above ``DENSE_LIMIT``.
 
 ``MultilevelPreconditioner.build`` owns the level list: it makes the
 decompositions from the fine grid, and each level's system is the coarse
@@ -75,6 +79,7 @@ reproducible run to run.  Built components are immutable during apply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,54 +111,7 @@ class BddcError(Exception):
     pass
 
 
-class _Cells:
-    """The local problem of one cell pattern, condensed onto its four faces.
-
-    ``kkt`` is the interior KKT ``K_I`` of the pattern's cells on the
-    template ``local_slots``, factored at build, so a singular local
-    problem is rejected before any apply.  With ``M_F = [A_IF; B_F]`` the
-    rows of ``K_I`` coupled to the ``4 ratio`` face dofs, ``ext`` holds
-    ``-(K_I^-1 M_F)^T`` (the harmonic extension: row ``f`` of face values
-    extends to the interior flux, first ``n_int`` entries, and pressure
-    ``f @ ext``) and ``schur`` the face Schur complement
-    ``S = A_FF - M_F^T K_I^-1 M_F``, symmetrised, from one solve.
-
-    The pattern's element matrices are scattered once: in the dense size
-    class into the dense Neumann blocks ``A`` and ``B^T`` on
-    ``local_slots``, whose interior corner is ``K_I``'s and whose face rows
-    give ``M_F``; above it, the interior entries into one CSR and only the
-    face rows into dense arrays.
-    """
-
-    def __init__(self, system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
-        slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
-        n_loc, n_cells = n_int + 4 * decomp.face_dofs.shape[1], len(cells)
-        blocks = system.elem_table[system.elem_class[cells]]
-        mass, (d_val, d_row, d_col) = element_triplets(slots, blocks, system.grid.h)
-        dense = n_int + n_cells + 1 <= DENSE_LIMIT
-        first = 0 if dense else n_int
-        a = _dense_rows(*mass, first, (n_loc - first, n_loc))
-        bt = _dense_rows(d_val, d_col, d_row, first, (n_loc - first, n_cells))
-        if dense:
-            blocks = a[:n_int, :n_int], np.ascontiguousarray(bt[:n_int].T)
-        else:
-            # A_II above B_I, one CSR from the interior entries.
-            m_val, m_row, m_col = mass
-            on, d_on = (m_row < n_int) & (m_col < n_int), d_col < n_int
-            rows = np.concatenate([m_row[on], n_int + d_row[d_on]])
-            cols = np.concatenate([m_col[on], d_col[d_on]])
-            a_b = sp.csr_matrix(
-                (np.concatenate([m_val[on], d_val[d_on]]), (rows, cols)), shape=(n_int + n_cells, n_int)
-            )
-            blocks = a_b[:n_int], a_b[n_int:]
-        self.kkt = KktSystem(*blocks, gauge=system.areas[cells])
-        a_f, b_ft = a[n_int - first :], bt[n_int - first :]
-        coupling = np.hstack([a_f[:, :n_int], b_ft])  # M_F^T
-        self.ext = -self.kkt.factorization.solve_leading(coupling, n_int + n_cells)
-        schur = a_f[:, n_int:] + coupling @ self.ext.T
-        self.schur = 0.5 * (schur + schur.T)
-
-
+@dataclass(eq=False)
 class _Group:
     """Subdomains sharing one set of present faces and one cell pattern.
 
@@ -167,46 +125,41 @@ class _Group:
     bordered face system ``[S C^T; C 0]``, with ``C`` the face averages,
     gives ``dual``, the dual face operator (zero face averages), and the
     energy-minimal basis ``psi``, one column per face with unit average
-    there and zero on the others; its energy is ``psi^T S psi``.  ``high``
-    marks the present faces on which the members are the higher subdomain
-    (left and bottom slots).
+    there and zero on the others; its energy ``coarse_elem`` is
+    ``psi^T S psi`` (``_face_operators``).  ``ext``, ``schur``, ``dual``
+    and ``psi`` are the group's own arrays, not views of a stack: a BLAS
+    product may round differently when an operand starts at another
+    alignment.
 
     The level lays every group's face copies out in one buffer
     (``LevelBddc``): ``face_span`` and ``dof_span`` are the group's slices
-    of it, one row per member, and ``face_ids``, ``face_pos`` and the face
-    weights ``w`` are views of the level's arrays.
+    of it, one row per member, and ``face_ids``, ``face_pos``, the face
+    weights ``w`` and the index rows ``idx_face``, ``idx_int`` (interior
+    dofs) and ``idx_cells`` are views of the level's arrays.
     """
 
-    def __init__(self, decomp: LevelDecomposition, subs, cells: _Cells):
-        self.subs = subs
-        self.kkt = cells.kkt
-        self.face_slots = np.flatnonzero(decomp.faces_by_sub[subs[0]] >= 0)
+    subs: np.ndarray
+    kkt: KktSystem
+    face_slots: np.ndarray
+    ext: np.ndarray
+    schur: np.ndarray
+    dual: np.ndarray
+    psi: np.ndarray
+    coarse_elem: np.ndarray
+    face_span: slice
+    dof_span: slice
+    face_ids: np.ndarray
+    face_pos: np.ndarray
+    w: np.ndarray
+    idx_face: np.ndarray
+    idx_int: np.ndarray
+    idx_cells: np.ndarray
+
+    def __post_init__(self):
         self.n_faces = len(self.face_slots)
-        self.face_ids = decomp.faces_by_sub[subs][:, self.face_slots]
-        self.idx_face = decomp.face_dofs[self.face_ids].reshape(len(subs), -1)
-        self.idx_int = decomp.interior_by_sub[subs]
-        self.idx_cells = decomp.cells_by_sub[subs]
+        self.n_face_dofs = self.idx_face.shape[1]
         self.n_int = self.idx_int.shape[1]
         self.n_cells = self.idx_cells.shape[1]
-        self.n_face_dofs = n_f = self.idx_face.shape[1]
-        # A face's normal points into the members on their left and bottom
-        # faces: there they are the higher subdomain.
-        self.high = (self.face_slots == SLOT_LEFT) | (self.face_slots == SLOT_BOTTOM)
-
-        ratio = decomp.face_dofs.shape[1]
-        rows = (self.face_slots[:, None] * ratio + np.arange(ratio)).ravel()
-        self.ext = cells.ext[rows]
-        self.schur = schur = cells.schur[np.ix_(rows, rows)]
-        # The bordered face system; the face averages C are its last rows.
-        size = n_f + self.n_faces  # 0 on a level of one subdomain, which has no faces
-        face_kkt = np.zeros((size, size))
-        face_kkt[:n_f, :n_f] = schur
-        face_kkt[n_f:, :n_f] = np.repeat(np.eye(self.n_faces), ratio, axis=1) / ratio
-        face_kkt[:n_f, n_f:] = face_kkt[n_f:, :n_f].T
-        inv = Factorization(face_kkt).solve(np.eye(size)) if size else face_kkt
-        self.dual = np.ascontiguousarray(inv[:n_f, :n_f])
-        self.psi = np.ascontiguousarray(inv[:n_f, n_f:])
-        self.coarse_elem = self.psi.T @ schur @ self.psi
 
     def face_rows(self, copies: np.ndarray) -> np.ndarray:
         """The members' rows, one entry per present face, of a level's face-copy buffer (a view)."""
@@ -217,13 +170,101 @@ class _Group:
         return copies[self.dof_span].reshape(self.face_pos.shape)
 
 
+def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
+    """The local problem of each cell pattern, condensed onto its four faces.
+
+    ``cells`` holds one row per pattern, the cells of a subdomain on it.
+    Returns the patterns' interior KKTs ``K_I`` on the template
+    ``local_slots``, factored, so a singular local problem is rejected
+    before any apply, and two stacks, one entry per pattern.  With
+    ``M_F = [A_IF; B_F]`` the rows of ``K_I`` coupled to the ``4 ratio``
+    face dofs, ``ext`` holds ``-(K_I^-1 M_F)^T`` (the harmonic extension:
+    row ``f`` of face values extends to the interior flux, first ``n_int``
+    entries, and pressure ``f @ ext``), one ``solve_leading`` call per
+    pattern, and ``schur`` the face Schur complement
+    ``S = A_FF - M_F^T K_I^-1 M_F``, symmetrised.
+
+    The template's element entries are located once and the values of all
+    patterns scattered together: in the dense size class into the dense
+    Neumann blocks ``A`` on ``local_slots``, whose interior corners are
+    the ``K_I``'s and whose face rows give ``M_F``; above it, each
+    pattern's interior entries into one CSR and only the face rows into
+    dense arrays.  ``B`` carries no coefficient, so all patterns share one
+    ``B^T``.
+    """
+    slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
+    (n_pat, n_cells), n_loc = cells.shape, n_int + 4 * decomp.face_dofs.shape[1]
+    # The patterns' element matrices along the last axis: one column of values each.
+    blocks = np.moveaxis(system.elem_table[system.elem_class[cells]], 0, -1)
+    (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(slots, blocks, system.grid.h)
+    m_val = m_val.T
+    dense = n_int + n_cells + 1 <= DENSE_LIMIT
+    first = 0 if dense else n_int
+    a = _dense_rows(m_val, m_row, m_col, first, (n_loc - first, n_loc))
+    bt = _dense_rows(d_val, d_col, d_row, first, (n_loc - first, n_cells))
+    if dense:
+        b_int = np.ascontiguousarray(bt[:n_int].T)
+        kkt_blocks = [(a_p[:n_int, :n_int], b_int) for a_p in a]
+    else:
+        # A_II above B_I, one CSR from the interior entries.
+        on, d_on = (m_row < n_int) & (m_col < n_int), d_col < n_int
+        rows = np.concatenate([m_row[on], n_int + d_row[d_on]])
+        cols = np.concatenate([m_col[on], d_col[d_on]])
+        a_b = [
+            sp.csr_matrix((np.concatenate([v[on], d_val[d_on]]), (rows, cols)), shape=(n_int + n_cells, n_int))
+            for v in m_val
+        ]
+        kkt_blocks = [(m[:n_int], m[n_int:]) for m in a_b]
+    kkts = [KktSystem(*blk, gauge=system.areas[c]) for blk, c in zip(kkt_blocks, cells)]
+    a_f, b_ft = a[:, n_int - first :], bt[n_int - first :]
+    coupling = np.concatenate([a_f[:, :, :n_int], np.broadcast_to(b_ft, (n_pat, *b_ft.shape))], axis=2)
+    ext = -np.stack([kkt.factorization.solve_leading(m, n_int + n_cells) for kkt, m in zip(kkts, coupling)])
+    schur = a_f[:, :, n_int:] + np.matmul(coupling, ext.transpose(0, 2, 1))
+    return kkts, ext, 0.5 * (schur + schur.transpose(0, 2, 1))
+
+
+def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio: int) -> list[tuple]:
+    """Face operators of the groups on one set of present faces, one tuple per group.
+
+    ``ext`` and ``schur`` are the stacks of ``_condense_patterns`` and
+    ``pats`` the groups' entries there.  The groups' bordered face systems
+    ``[S C^T; C 0]`` are built as one stack, and each is factored on its
+    own.  A tuple holds the group's extension rows, ``S``, ``dual``,
+    ``psi`` and ``coarse_elem``, the fields of ``_Group`` that follow
+    ``face_slots``, in order; the four operators the level apply multiplies
+    by are the group's own copies, not views of a stack.
+    """
+    rows = (face_slots[:, None] * ratio + np.arange(ratio)).ravel()
+    n_f, n_faces = len(rows), len(face_slots)
+    size = n_f + n_faces  # 0 on a level of one subdomain, which has no faces
+    s_f = schur[pats[:, None, None], rows[:, None], rows]
+    # The bordered face systems; the face averages C are their last rows.
+    face_kkt = np.zeros((len(pats), size, size))
+    face_kkt[:, :n_f, :n_f] = s_f
+    face_kkt[:, n_f:, :n_f] = np.repeat(np.eye(n_faces), ratio, axis=1) / ratio
+    face_kkt[:, :n_f, n_f:] = face_kkt[0, n_f:, :n_f].T
+    inv = np.stack([Factorization(m).solve(np.eye(size)) for m in face_kkt]) if size else face_kkt
+    psi = np.ascontiguousarray(inv[:, :n_f, n_f:])
+    coarse = np.matmul(np.matmul(psi.transpose(0, 2, 1), s_f), psi)
+    return [
+        (ext[pat, rows], s.copy(), inv_g[:n_f, :n_f].copy(), p.copy(), c)
+        for pat, s, inv_g, p, c in zip(pats, s_f, inv, psi, coarse)
+    ]
+
+
 def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
-    """Dense rows ``first`` on of a block given by its entries, summed."""
+    """Dense rows ``first`` on of a block given by its entries, summed.
+
+    The last axis of ``values`` runs over the entries; a leading axis
+    gives a stack of blocks, one per row of ``values``.
+    """
     on = rows >= first
-    flat = (rows[on] - first) * shape[1] + cols[on]
+    values, size = values[..., on], shape[0] * shape[1]
+    n_blocks = math.prod(values.shape[:-1])
+    flat = np.arange(n_blocks)[:, None] * size + (rows[on] - first) * shape[1] + cols[on]
     # bincount returns integers when there is nothing to add
-    summed = np.bincount(flat, values[on], minlength=shape[0] * shape[1])
-    return summed.astype(float, copy=False).reshape(shape)
+    summed = np.bincount(flat.ravel(), values.ravel(), minlength=n_blocks * size)
+    return summed.astype(float, copy=False).reshape(*values.shape[:-1], *shape)
 
 
 def _copy_pairs(n: int, pos: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -372,32 +413,60 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     A subdomain's interior KKT is fixed by its cells' element matrices, its
     face operators also by which of its four faces exist.  Cells are
     classed by their row of the system's element table, so members of a
-    group have bit-identical local matrices.  Each cell pattern is
-    assembled, factored and condensed onto its four faces once
-    (``_Cells``); every group on it slices the faces it has.
+    group have bit-identical local matrices.  All cell patterns are
+    assembled and condensed onto their four faces together, each factored
+    once (``_condense_patterns``); the groups that share a set of present
+    faces slice theirs and get their face operators together
+    (``_face_operators``).
     """
     classes = system.elem_class[decomp.cells_by_sub]
     first, pattern = _unique_rows(classes)
-    patterns = [_Cells(system, decomp, decomp.cells_by_sub[sub]) for sub in first]
-    groups = [
-        _Group(decomp, subs, patterns[pattern[subs[0]]])
-        for subs in _groups(np.hstack([decomp.faces_by_sub >= 0, classes]))
-    ]
-    # The face copies, group after group, one row per member.
+    kkts, ext, schur = _condense_patterns(system, decomp, decomp.cells_by_sub[first])
+    present = decomp.faces_by_sub >= 0
+    members = _groups(np.hstack([present, classes]))
+    heads = np.array([subs[0] for subs in members])
     ratio = decomp.face_dofs.shape[1]
-    copy_faces = np.concatenate([grp.face_ids.ravel() for grp in groups])
-    high = np.concatenate([np.broadcast_to(grp.high, grp.face_ids.shape).ravel() for grp in groups])
+    # The groups' face operators, one set of present faces at a time.
+    ops = [None] * len(members)
+    face_sets, set_of = _unique_rows(present[heads])
+    for k, head in enumerate(heads[face_sets]):
+        ks = np.flatnonzero(set_of == k)
+        face_slots = np.flatnonzero(present[head])
+        for g, op in zip(ks, _face_operators(ext, schur, pattern[heads[ks]], face_slots, ratio)):
+            ops[g] = face_slots, op
+    # The face copies, group after group, one row per member.
+    order = np.concatenate(members)
+    live = present[order]
+    copy_faces = decomp.faces_by_sub[order][live]
+    # A face's normal points into the members on their left and bottom
+    # faces: there they are the higher subdomain.
+    high = np.isin(np.nonzero(live)[1], (SLOT_LEFT, SLOT_BOTTOM))
     w_lo = compute_weights(decomp, system.elem_table, system.elem_class, gamma)[copy_faces]
     copy_pos = (copy_faces[:, None] * ratio + np.arange(ratio)).ravel()
     copy_w = np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio)
-    start = 0
-    for grp in groups:
-        stop = start + grp.face_ids.size
-        grp.face_span, grp.dof_span = slice(start, stop), slice(start * ratio, stop * ratio)
-        grp.face_ids = copy_faces[grp.face_span].reshape(grp.face_ids.shape)
-        grp.face_pos = copy_pos[grp.dof_span].reshape(len(grp.subs), -1)
-        grp.w = copy_w[grp.dof_span].reshape(grp.face_pos.shape)
-        start = stop
+    idx_face = decomp.face_dofs.ravel()[copy_pos]
+    idx_int, idx_cells = decomp.interior_by_sub[order], decomp.cells_by_sub[order]
+    groups, row, start = [], 0, 0
+    for subs, (face_slots, face_ops) in zip(members, ops):
+        n, stop = len(subs), start + len(subs) * len(face_slots)
+        span = slice(start * ratio, stop * ratio)
+        groups.append(
+            _Group(
+                subs,
+                kkts[pattern[subs[0]]],
+                face_slots,
+                *face_ops,
+                face_span=slice(start, stop),
+                dof_span=span,
+                face_ids=copy_faces[start:stop].reshape(n, -1),
+                face_pos=copy_pos[span].reshape(n, -1),
+                w=copy_w[span].reshape(n, -1),
+                idx_face=idx_face[span].reshape(n, -1),
+                idx_int=idx_int[row : row + n],
+                idx_cells=idx_cells[row : row + n],
+            )
+        )
+        row, start = row + n, stop
     areas = system.areas[decomp.cells_by_sub]
     sub_areas = areas.sum(axis=1)
     # B's entries in the column of an edge: -h on its lower cell, +h on its
@@ -414,7 +483,7 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         groups=groups,
         bt=system.B.T,
         # B carries no coefficient: every interior KKT has the first one's B_I.
-        b_int=patterns[0].kkt.b_block,
+        b_int=kkts[0].b_block,
         face_bt=sp.csr_matrix(
             (signs, np.take(system.grid.edge_sides, face_dofs, axis=0).ravel(), pairs),
             (len(face_dofs), system.n_pressure),

@@ -338,8 +338,10 @@ def assemble_system(
         raise MeshError(f"divergence data has shape {g.shape}, grid has {grid.n_cells} cells")
     nx, ny = grid.nx, grid.ny
     slots = grid.cell_dof_slots
-    present = np.count_nonzero(slots >= 0, axis=1)
-    b = _compressed(np.broadcast_to(SLOT_SIGNS * grid.h, slots.shape), slots, present, grid.n_flux)
+    # A cell has a dof on each of its slots but those on the boundary.
+    i, j = np.arange(nx), np.arange(ny)[:, None]
+    present = 4 - (i == 0) - (i == nx - 1) - (j == 0) - (j == ny - 1)
+    b = _compressed(np.broadcast_to(SLOT_SIGNS * grid.h, slots.shape), slots, present.ravel(), grid.n_flux)
     # Per edge family, its slots and the stencil entries that some class makes nonzero.
     families = [
         (own, [e for e in stencil if e is None or np.any(table[:, own[e[0]], e[1]])])

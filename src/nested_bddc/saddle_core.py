@@ -15,8 +15,9 @@ blocks in any format and keeps them as dense arrays up to ``DENSE_LIMIT``
 rows of the whole system, as CSR above, and factors the system once, at
 construction.  ``Factorization`` applies the same rule to any square matrix
 (the BDDC face systems included): up to ``DENSE_LIMIT`` rows it forms the
-explicit inverse once, from a partial-pivoting LU and after the pivot
-check, and every solve is a matrix product; above, SuperLU solves.
+explicit inverse once, from LAPACK's partial-pivoting LU (``dgetrf``, then
+``dgetrs`` on the identity, called directly) and after the pivot check,
+and every solve is a matrix product; above, SuperLU solves.
 ``solve_leading`` serves callers whose data sits in the leading rows and
 who read back only leading unknowns (the BDDC subdomain groups): one
 product with a corner of the inverse, or one zero-padded SuperLU solve.
@@ -24,13 +25,12 @@ product with a corner of the inverse, or one zero-padded SuperLU solve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 __all__ = [
     "SaddleError",
@@ -74,11 +74,8 @@ class Factorization:
         self.n = n
         self.dense = n <= DENSE_LIMIT
         if self.dense:
-            dense = matrix.toarray() if sp.issparse(matrix) else matrix
-            with warnings.catch_warnings():
-                # singularity is detected below from the pivot ratio
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(dense, check_finite=False)
+            # an exactly zero pivot (dgetrf's info > 0) fails the check below
+            lu, piv, _ = dgetrf(matrix.toarray() if sp.issparse(matrix) else matrix)
             udiag = np.abs(np.diag(lu))
         else:
             try:
@@ -92,7 +89,7 @@ class Factorization:
                 f"matrix is numerically singular (pivot ratio below {PIVOT_RTOL:g})"
             )
         if self.dense:
-            self._inv = sla.lu_solve((lu, piv), np.eye(n), check_finite=False)
+            self._inv, _ = dgetrs(lu, piv, np.eye(n))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

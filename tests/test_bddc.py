@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import nested_bddc as nb
 from nested_bddc.bddc import (
     MultilevelPreconditioner,
-    _Cells,
     _face_average,
     _pair_sum,
     assemble_coarse_problem,
@@ -583,7 +582,8 @@ def test_cells_match_coo_reference(nx, ratio, dense):
     # rows from the whole Neumann matrix.  Scaling the element matrices
     # entry by entry keeps their zeros but not their symmetry, as on a
     # coarse level, and gives every cell a table row of its own and every
-    # subdomain a pattern of its own.
+    # subdomain a pattern of its own, so each group has one member and the
+    # level build's groups hold every pattern's condensation on its faces.
     system, decomps, _ = make_setup(nx, 2, ratio)
     decomp = decomps[0]
     system = per_cell_table(system)
@@ -591,8 +591,11 @@ def test_cells_match_coo_reference(nx, ratio, dense):
     system = dataclasses.replace(system, elem_table=system.elem_table * scale)
     slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
     n_loc, h = n_int + 4 * ratio, system.grid.h
-    for cells in decomp.cells_by_sub:
-        got = _Cells(system, decomp, cells)
+    level = build_level_bddc(system, decomp, 1.0)
+    assert sorted(sub for grp in level.groups for sub in grp.subs) == list(range(decomp.n_sub))
+    for got in level.groups:
+        (sub,) = got.subs
+        cells = decomp.cells_by_sub[sub]
         blocks, gauge = system.elem_table[system.elem_class[cells]], system.areas[cells]
         kkt = KktSystem(*coo_blocks(np.where(slots < n_int, slots, -1), blocks, h, n_int), gauge)
         assert got.kkt.dense == kkt.dense == dense
@@ -607,8 +610,49 @@ def test_cells_match_coo_reference(nx, ratio, dense):
         coupling = np.hstack([a_f[:, :n_int], b_ft])
         ext = -kkt.factorization.solve_leading(coupling, n_int + len(cells))
         schur = a_f[:, n_int:] + coupling @ ext.T
-        assert np.array_equal(got.ext, ext)
-        assert np.array_equal(got.schur, 0.5 * (schur + schur.T))
+        # the group's faces of the pattern's condensation
+        rows = (got.face_slots[:, None] * ratio + np.arange(ratio)).ravel()
+        assert np.array_equal(got.ext, ext[rows])
+        assert np.array_equal(got.schur, (0.5 * (schur + schur.T))[np.ix_(rows, rows)])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        preset_specs("fig3-right")[0],
+        # three materials on 27 x 27 cells: up to three cell patterns
+        # share a set of present faces on level 1
+        ExperimentSpec(levels=3, ratio=3, coeff="jump-right", k1=37.0, k3=0.05),
+    ],
+    ids=["fig3-right", "jump-right-L3"],
+)
+def test_face_operators_match_per_group_formula(spec, runs):
+    # The level build gets the face operators of all groups with the same
+    # present faces together; each group's must equal, bit for bit, those
+    # of its own bordered face system inverted on its own.
+    precond = runs.solver(spec).precond
+    sets = [
+        np.unique([grp.face_slots.tobytes() for grp in level.groups], return_counts=True)[1]
+        for level in precond.levels
+    ]
+    assert max(counts.max() for counts in sets) >= 2
+    for level in precond.levels:
+        ratio = level.decomp.face_dofs.shape[1]
+        for grp in level.groups:
+            n_f, n_faces = grp.n_face_dofs, grp.n_faces
+            size = n_f + n_faces
+            face_kkt = np.zeros((size, size))
+            face_kkt[:n_f, :n_f] = grp.schur
+            face_kkt[n_f:, :n_f] = np.repeat(np.eye(n_faces), ratio, axis=1) / ratio
+            face_kkt[:n_f, n_f:] = face_kkt[n_f:, :n_f].T
+            inv = Factorization(face_kkt).solve(np.eye(size))
+            psi = np.ascontiguousarray(inv[:n_f, n_f:])
+            assert np.array_equal(grp.dual, inv[:n_f, :n_f])
+            assert np.array_equal(grp.psi, psi)
+            assert np.array_equal(grp.coarse_elem, psi.T @ grp.schur @ psi)
+            # each group holds its own operators, none a view of a stack
+            for op in (grp.ext, grp.schur, grp.dual, grp.psi):
+                assert op.base is None and op.flags.c_contiguous
 
 
 # Step 3 runs on every start level of each spec; ratio 16 takes the sparse path.

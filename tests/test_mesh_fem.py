@@ -149,13 +149,15 @@ def test_nonpositive_coefficient_rejected():
 
 
 @pytest.mark.parametrize(
-    "nx,ny", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 3), (3, 7), (16, 16)]
+    "nx,ny", [(1, 1), (1, 6), (6, 1), (2, 2), (2, 3), (5, 3), (3, 7), (9, 9), (16, 16)]
 )
 @pytest.mark.parametrize("values", ["random", "rt0"])
 def test_stencil_csr_matches_coo_reference(nx, ny, values):
     # The element scatter summed by scipy's COO -> CSR conversion, bit for
     # bit: random blocks are not symmetric (coarse blocks need not be), the
     # RT0 blocks have zero x/y couplings in every class, which A leaves out.
+    # B depends on the grid alone; its row counts come from each cell's
+    # position, one fewer per boundary side the cell touches.
     mesh = build_mesh(nx, ny)
     rng = np.random.default_rng(nx * ny)
     if values == "random":

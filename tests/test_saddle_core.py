@@ -1,12 +1,17 @@
 """Factorization and constrained-solve kernel against dense oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from nested_bddc import saddle_core
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
 from nested_bddc.saddle_core import (
+    DENSE_LIMIT,
+    PIVOT_RTOL,
     Factorization,
     KktSystem,
     SaddleError,
@@ -58,6 +63,35 @@ def test_singular_matrix_detected():
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
     with pytest.raises(SingularMatrixError):
         Factorization(sp.bmat([[system.A, system.B.T], [system.B, None]]))
+
+
+@pytest.mark.parametrize("n", [1, 16, 22, DENSE_LIMIT])
+def test_dense_inverse_matches_scipy_lu(n):
+    # The dense path calls LAPACK's getrf/getrs itself: its inverse is the
+    # one scipy's LU wrappers give, bit for bit, and no warning escapes.
+    m = np.random.default_rng(n).standard_normal((n, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fact = Factorization(m)
+        assert fact.dense
+        ref = sla.lu_solve(sla.lu_factor(m), np.eye(n))
+        assert fact._inv.tobytes() == ref.tobytes()
+        assert np.array_equal(fact.solve(np.eye(n)), ref)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[1.0, 2.0], [2.0, 4.0]]),  # an exactly zero pivot
+        np.diag([1.0, 0.1 * PIVOT_RTOL, 1.0]),  # a pivot ratio below PIVOT_RTOL
+    ],
+    ids=["exactly-singular", "pivot-ratio"],
+)
+def test_dense_singular_rejected_without_warnings(matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            Factorization(matrix)
 
 
 def test_minimal_norm_under_sum_constraint():
