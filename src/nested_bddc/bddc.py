@@ -6,15 +6,17 @@ interior pre-correction, and it condenses the subdomain onto its faces:
 with ``M_F`` the interior rows coupled to the face dofs, ``-K_I^-1 M_F``
 is the discrete harmonic extension of face values (interior flux and
 pressure), and ``S = A_FF - M_F^T K_I^-1 M_F`` the face Schur complement.
-Step 2 of the nested solve is that extension of the prolonged face
-values (``prolong_average``) plus ``K_I^-1 [0; f]``, which
+``K_I`` is symmetric, so the face rows ``-M_F^T K_I^-1 [r_I; f]`` that
+an interior solve adds to a residual are its data rows times the
+extension's: ``interior_correction`` returns them with its solution, so
+no preconditioner apply multiplies by a level's assembled ``A`` or ``B``.
+Step 2 of the nested solve is the extension of the prolonged face values
+(``prolong_average``) plus ``K_I^-1 [0; f]``, which
 ``interior_correction`` solves only on the subdomains where the source
-``f`` is nonzero.  ``K_I`` is symmetric, so the face rows that these
-source solves add to a residual are the extension's pressure columns
-times ``f`` (``LevelBddc.source_face_rows``).  The inverse of the small
-bordered face system ``[S C^T; C 0]`` (``C`` the face averages, at most
-``4 ratio + 4`` rows) gives the dual face operator and the
-energy-minimal coarse basis on the faces, one column per coarse dof.
+``f`` is nonzero.  The inverse of the small bordered face system
+``[S C^T; C 0]`` (``C`` the face averages, at most ``4 ratio + 4`` rows)
+gives the dual face operator and the energy-minimal coarse basis on the
+faces, one column per coarse dof.
 
 After the pre-correction a residual's interior rows vanish, and the
 post-correction maps each subdomain copy to the harmonic extension of its
@@ -27,10 +29,11 @@ coarse pressure, one value per subdomain.  One call,
 flux in the interiors and each subdomain's pressure.  A level vector is
 formed from it (plus the pre-correction's pressure and the coarse
 pressure on the cells) only where one is needed: in ``apply``, which
-pre-corrects any residual with the interior KKT solves and which the
-recursion calls on every coarser level.  Step 3 of the nested solve
-hands its start level's ``_apply`` pre-corrected residuals directly
-(see ``nested_driver.step3_correction``) and iterates on face fluxes and
+pre-corrects any residual with the interior KKT solves, adds their face
+residual to the residual's face rows, and which the recursion calls on
+every coarser level.  Step 3 of the nested solve hands its start level's
+``_apply`` pre-corrected residuals directly (see
+``nested_driver.step3_correction``) and iterates on face fluxes and
 per-subdomain values with the level's condensed products:
 ``schur_product``, ``net``, ``net_t`` and ``face_divergence_defect``.
 The divergence of a harmonic extension is the cell area times the
@@ -289,14 +292,14 @@ def _pair_sum(pairs: np.ndarray, copies: np.ndarray) -> np.ndarray:
 class LevelBddc:
     """All BDDC components of one decomposition level.
 
-    Besides the groups, a level keeps ``bt``, its ``B^T`` formed once,
-    and what the divergence of a harmonic extension needs: ``net``, each
-    subdomain's net face flux (``B``'s face columns summed over its cells,
-    one row per subdomain and one column per entry of the face vector),
-    and its transpose ``net_t``.  The extension's divergence on a cell is
-    the cell's area over the subdomain's area ``sub_areas`` times the net
-    flux, so its norm on the subdomain is ``div_norm`` times the net flux,
-    with ``div_norm`` the norm of the cells' areas over ``sub_areas``.
+    Besides the groups, a level keeps what the divergence of a harmonic
+    extension needs: ``net``, each subdomain's net face flux (``B``'s face
+    columns summed over its cells, one row per subdomain and one column
+    per entry of the face vector), and its transpose ``net_t``.  The
+    extension's divergence on a cell is the cell's area over the
+    subdomain's area ``sub_areas`` times the net flux, so its norm on the
+    subdomain is ``div_norm`` times the net flux, with ``div_norm`` the
+    norm of the cells' areas over ``sub_areas``.
     The step-3 residual norm also uses ``b_int``, the interior divergence
     block ``B_I`` that all subdomains share (template order), and
     ``face_bt``, the face rows of ``B^T``.
@@ -317,7 +320,6 @@ class LevelBddc:
     system: Rt0System
     decomp: LevelDecomposition
     groups: list[_Group]
-    bt: sp.spmatrix
     b_int: object
     face_bt: sp.csr_matrix
     net: sp.csc_matrix
@@ -360,22 +362,6 @@ class LevelBddc:
         for grp in self.groups:
             np.matmul(grp.dof_rows(copies), grp.schur, out=grp.dof_rows(out))
         return _pair_sum(self.dof_pairs, out)
-
-    def source_face_rows(self, f: np.ndarray) -> np.ndarray:
-        """Face rows of ``-(A u + B^T p)`` for the source solves ``(u, p) = K_I^-1 [0; f]``.
-
-        They are ``-M_F^T K_I^-1 [0; f]`` on each subdomain, and ``K_I`` is
-        symmetric, so they are the extension's pressure columns times the
-        subdomain's ``f``, summed over each face dof's two copies.  Only
-        the subdomains where ``f`` is nonzero add.
-        """
-        copies = np.zeros(self.copy_pos.size)
-        for grp in self.groups:
-            f_rows = f[grp.idx_cells]
-            live = np.any(f_rows, axis=1)
-            if live.any():
-                grp.dof_rows(copies)[live] = f_rows[live] @ grp.ext[:, grp.n_int :].T
-        return _pair_sum(self.dof_pairs, copies)
 
     def face_divergence_defect(self, u_face: np.ndarray, product=None, m=None) -> float:
         """``divergence_defect`` of ``extend(u_face)`` from face values alone.
@@ -481,7 +467,6 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         system=system,
         decomp=decomp,
         groups=groups,
-        bt=system.B.T,
         # B carries no coefficient: every interior KKT has the first one's B_I.
         b_int=kkts[0].b_block,
         face_bt=sp.csr_matrix(
@@ -519,32 +504,40 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
 
 
 def interior_correction(level: LevelBddc, r=None, rhs_div=None):
-    """Independent subdomain saddle solves with zero interface data.
+    """Independent subdomain saddle solves with zero interface data, and their face residual.
 
     Solves for interior fluxes and local pressures with the flux residual
     ``r`` and per-cell divergence data ``rhs_div`` (either may be left
-    out) as right-hand side; the divergence of the correction is balanced
-    against all local mean-zero pressures.  Given divergence data alone,
-    only the subdomains whose data is nonzero are solved: the others'
-    solution is zero.
+    out, not both) as right-hand side; the divergence of the correction is
+    balanced against all local mean-zero pressures.  Given divergence data
+    alone, only the subdomains whose data is nonzero are solved: the
+    others' solution is zero.
+
+    Returns ``(u, p, r_face)``, with ``r_face`` the face rows of
+    ``-(A u + B^T p)`` in the level's face-vector order.  On a subdomain
+    they are ``-M_F^T K_I^-1 [r_I; f]``, and ``K_I`` is symmetric, so they
+    are the data rows the solve takes times the extension rows ``ext``,
+    summed over each face dof's two copies.
     """
+    if r is None and rhs_div is None:
+        raise BddcError("interior_correction needs a flux residual r or divergence data rhs_div")
     u = np.zeros(level.system.n_flux)
     p = np.zeros(level.system.n_pressure)
+    copies = np.zeros(level.copy_pos.size)
     for grp in level.groups:
-        idx_int, idx_cells = grp.idx_int, grp.idx_cells
+        live = slice(None)
         if r is None:
-            live = np.any(rhs_div[idx_cells], axis=1)
+            live = np.any(rhs_div[grp.idx_cells], axis=1)
             if not live.any():
                 continue
-            idx_int, idx_cells = idx_int[live], idx_cells[live]
-            rows = np.zeros(idx_int.shape)
-        else:
-            rows = r[idx_int]
+        idx_int, idx_cells = grp.idx_int[live], grp.idx_cells[live]
+        rows = np.zeros(idx_int.shape) if r is None else r[idx_int]
         if rhs_div is not None:
             rows = np.hstack([rows, rhs_div[idx_cells]])
         out = grp.kkt.factorization.solve_leading(rows, grp.n_int + grp.n_cells)
         u[idx_int], p[idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
-    return u, p
+        grp.dof_rows(copies)[live] = rows @ grp.ext[:, : rows.shape[1]].T
+    return u, p, _pair_sum(level.dof_pairs, copies)
 
 
 def _face_average(level: LevelBddc, copies: np.ndarray) -> np.ndarray:
@@ -610,9 +603,12 @@ class MultilevelPreconditioner:
         idx = start_level - 1
         r = np.asarray(r, dtype=float)
         level = self.levels[idx]
-        u_int, p = interior_correction(level, r)
-        r_b = r - level.system.A @ u_int - level.bt @ p
-        u_face, p_coarse = self._apply(idx, r_b[level.decomp.face_dofs.ravel()])
+        if r.shape != (level.system.n_flux,):
+            raise BddcError(
+                f"residual of shape {r.shape} on level {start_level}, expected ({level.system.n_flux},)"
+            )
+        u_int, p, r_face = interior_correction(level, r)
+        u_face, p_coarse = self._apply(idx, r[level.decomp.face_dofs.ravel()] + r_face)
         u, p_ext = level.extend(u_face)
         u += u_int
         # The coarse pressure on each subdomain's cells, and the pressure of

@@ -206,15 +206,19 @@ def step2_subdomain_solve(level: LevelBddc, u0_face: np.ndarray, f: np.ndarray):
     subdomains where ``f`` is nonzero.  The flux of the face part is left
     to the end of step 3, which extends the face values once.
 
-    Returns ``(u_src, p_star, p_ext0)``: the source solves' flux, the
-    step-2 pressure, and the extension's pressure ``p_ext0`` of
-    ``u0_face``, which ``p_star`` holds next to the source solves'.  The
-    step-2 flux is ``extend(u0_face)`` plus ``u_src``.
+    Returns ``(u_src, p_star, p_ext0, r_face)``: the source solves' flux,
+    the step-2 pressure, the extension's pressure ``p_ext0`` of
+    ``u0_face``, which ``p_star`` holds next to the source solves', and
+    the face rows ``r_face`` of ``-(A u_star + B^T p_star)``.  The step-2
+    flux ``u_star`` is ``extend(u0_face)`` plus ``u_src``.  On each
+    subdomain ``S u = A_FF u + M_F^T [E_I u; p_ext]`` gives the
+    extension's face rows, ``-S u0_F``, and the source solves return
+    theirs, so ``r_face`` needs no full-length product.
     """
-    u_src, p_star = interior_correction(level, rhs_div=f)
+    u_src, p_star, r_src = interior_correction(level, rhs_div=f)
     p_ext0 = level.extend_pressure(u0_face)
     p_star += p_ext0
-    return u_src, p_star, p_ext0
+    return u_src, p_star, p_ext0, r_src - level.schur_product(u0_face)
 
 
 def step3_correction(
@@ -225,13 +229,14 @@ def step3_correction(
     u_src: np.ndarray,
     p_star: np.ndarray,
     p_ext0: np.ndarray,
+    r_face: np.ndarray,
     tol: float = 1e-6,
     maxit: int = 500,
 ):
     """Level flux and pressure: step 2's, corrected by PCG on face fluxes.
 
     Takes step 2's face values ``u0_face``, divergence data ``f`` and
-    output ``(u_src, p_star, p_ext0)``, whose flux is
+    output ``(u_src, p_star, p_ext0, r_face)``, whose flux is
     ``u_star = extend(u0_face) + u_src``.  Solves
     ``[A B^T; B 0] (u, p) = (-A u_star, 0)`` on the level with vectors of
     one entry per face dof and per subdomain, plus two, that stand
@@ -261,12 +266,8 @@ def step3_correction(
     stopping test are those of the full-length PCG; only the residual norm
     needs ``(B^T p_star)_F`` and ``B_I^T p_star``, formed once.
 
-    The start residual's face rows ``-(A u_star + B^T p_star)_F`` follow
-    from face values, with no full-length product.  On each subdomain
-    ``S u = A_FF u + M_F^T [E_I u; p_ext]`` gives the extension's part,
-    ``-S u0_F``, and the source solves' part is
-    ``-M_F^T K_I^-1 [0; f]`` (``LevelBddc.source_face_rows``), so
-    ``r_F = source_face_rows(f) - S u0_F``.
+    The start residual's face rows ``-(A u_star + B^T p_star)_F`` are
+    step 2's ``r_face``.
 
     The monitor takes each iterate's divergence defect from its face values
     and its energy from PCG's residual (``face_divergence_defect``).  One
@@ -286,8 +287,8 @@ def step3_correction(
 
     def operator(x):
         u_face, m, _, s = np.split(x, split)
-        r_face = level.schur_product(u_face) + level.net_t @ m
-        return np.concatenate([r_face, level.net @ u_face, s, [0.0]])
+        product = level.schur_product(u_face) + level.net_t @ m
+        return np.concatenate([product, level.net @ u_face, s, [0.0]])
 
     def preconditioner(r):
         r_face, _, s, _ = np.split(r, split)
@@ -301,7 +302,6 @@ def step3_correction(
             np.linalg.norm(rho * level.div_norm),
         )
 
-    r_face = level.source_face_rows(f) - level.schur_product(u0_face)
     x, report = pcg(
         operator,
         preconditioner,
@@ -365,9 +365,9 @@ class NestedSolver:
             level = levels[ell - 1]
             u0_face = prolong_average(level, u_level)
             f_level = f_chain[ell - 1]
-            u_src, p_star, p_ext0 = step2_subdomain_solve(level, u0_face, f_level)
+            start = step2_subdomain_solve(level, u0_face, f_level)
             u_level, p_level, report = step3_correction(
-                precond, ell, u0_face, f_level, u_src, p_star, p_ext0, tol=spec.tol, maxit=spec.maxit
+                precond, ell, u0_face, f_level, *start, tol=spec.tol, maxit=spec.maxit
             )
             rows.append(
                 ResultRow(

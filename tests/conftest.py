@@ -5,6 +5,7 @@ RSS is printed in the terminal summary."""
 from __future__ import annotations
 
 import resource
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -85,3 +86,17 @@ def pytest_terminal_summary(terminalreporter):
     # ru_maxrss is in KiB on Linux.
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     terminalreporter.write_line(f"peak RSS of the test session: {peak_mb:.0f} MB")
+
+
+def pytest_runtest_makereport(item, call):
+    # When a hypothesis test fails, hypothesis's pytest plugin imports its
+    # patch writer at teardown, after this hook.  That import pulls in
+    # libcst, which warns DeprecationWarning, and the session's
+    # error::DeprecationWarning filter would turn the warning into an
+    # INTERNALERROR that hides the falsifying example.  Importing the
+    # module here, with that warning ignored, leaves it loaded for the
+    # plugin; a passing run never imports it.
+    if call.when == "teardown" and getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import nested_bddc as nb
 from nested_bddc.bddc import (
+    BddcError,
     MultilevelPreconditioner,
     _face_average,
     _pair_sum,
@@ -273,7 +274,7 @@ def test_interface_residual_gives_zero_interior_correction(two_level_9x9, rng):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
     r = balanced_residual(level, rng)
-    u, p = interior_correction(level, r)
+    u, p, _ = interior_correction(level, r)
     assert np.allclose(u, 0.0)
     assert np.allclose(p, 0.0)
 
@@ -282,7 +283,7 @@ def test_interior_correction_matches_dense_oracle(two_level_9x9, rng):
     system, _, precond = two_level_9x9
     level = precond.levels[0]
     r = rng.standard_normal(system.n_flux)
-    u, p = interior_correction(level, r)
+    u, p, _ = interior_correction(level, r)
     a_dense = system.A.toarray()
     b_dense = system.B.toarray()
     for ii, cc in zip(level.decomp.interior_by_sub, level.decomp.cells_by_sub):
@@ -312,6 +313,47 @@ def test_single_subdomain_interior_correction_is_exact_solve(rng):
     res_u = r - system.A @ u - system.B.T @ p
     assert np.linalg.norm(res_u) < 1e-11 * np.linalg.norm(r)
     assert np.linalg.norm(system.B @ u) < 1e-11 * np.linalg.norm(r)
+
+
+FACE_RESIDUAL_SPECS = {
+    "ratio3-L3-dense": ExperimentSpec(levels=3, ratio=3),
+    "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
+}
+
+
+@pytest.mark.parametrize("mode", ["r", "rhs_div", "both"])
+@pytest.mark.parametrize("case", list(FACE_RESIDUAL_SPECS))
+def test_interior_correction_face_residual_matches_assembled(case, mode, runs, rng):
+    # The face residual an interior solve returns, from its data rows and
+    # the extension rows, against -(A u + B^T p) on the face dofs from the
+    # level's assembled matrices.  Divergence data vanish on every other
+    # subdomain, so with them alone only some members of a group are solved.
+    precond = runs.solver(FACE_RESIDUAL_SPECS[case]).precond
+    for level in precond.levels:
+        system, faces = level.system, level.decomp.face_dofs.ravel()
+        r = rng.standard_normal(system.n_flux) if mode != "rhs_div" else None
+        div = None
+        if mode != "r":
+            div = rng.standard_normal(system.n_pressure)
+            div[level.decomp.cells_by_sub[::2]] = 0.0
+        u, p, r_face = interior_correction(level, r, div)
+        ref = -(system.A @ u + system.B.T @ p)[faces]
+        assert rel_err(r_face, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("start_level", [1, 2])
+@pytest.mark.parametrize("shape", ["short", "long", "2-d"])
+def test_apply_rejects_residual_of_wrong_shape(shape, start_level, runs):
+    precond = runs.solver(FACE_RESIDUAL_SPECS["ratio3-L3-dense"]).precond
+    n = precond.levels[start_level - 1].system.n_flux
+    r = {"short": np.ones(n - 1), "long": np.ones(n + 1), "2-d": np.ones((n, 1))}[shape]
+    with pytest.raises(BddcError, match=rf"expected \({n},\)"):
+        precond.apply(r, start_level)
+
+
+def test_interior_correction_without_data_raises(two_level_9x9):
+    with pytest.raises(BddcError, match="needs a flux residual"):
+        interior_correction(two_level_9x9[2].levels[0])
 
 
 def test_delta_correction_face_averages_vanish(two_level_9x9, rng):
@@ -523,7 +565,7 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
         r = rng.standard_normal(level.system.n_flux)
         div = rng.standard_normal(level.system.n_pressure)
         for rhs_div in (None, div):
-            u, p = interior_correction(level, r, rhs_div)
+            u, p, _ = interior_correction(level, r, rhs_div)
             for grp in level.groups:
                 m = grp.n_int + grp.n_cells
                 rhs = np.zeros((grp.kkt.size, len(grp.subs)))
@@ -703,8 +745,8 @@ def test_step3_residuals_match_general_apply(case, runs, monkeypatch):
     precond = solver.precond
     recorded = []
 
-    def record(precond, level_number, u0_face, f, u_src, p_star, p_ext0, tol, maxit):
-        out = step3_correction(precond, level_number, u0_face, f, u_src, p_star, p_ext0, tol, maxit)
+    def record(precond, level_number, u0_face, f, u_src, p_star, p_ext0, r_face, tol, maxit):
+        out = step3_correction(precond, level_number, u0_face, f, u_src, p_star, p_ext0, r_face, tol, maxit)
         u_star = precond.levels[level_number - 1].extend(u0_face)[0] + u_src
         recorded.append((level_number, u_star, tol, *out))
         return out
@@ -833,9 +875,11 @@ def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     # Level 1 of a three-level hierarchy: its A and B multiply a
     # full-length vector twice per step-3 call (the check of the returned
     # flux), and the harmonic extension of its face values is formed
-    # once, after PCG, whatever the iteration count.
+    # once, after PCG, whatever the iteration count.  Level 2's A and B
+    # are not multiplied at all: the recursion's pre-correction takes its
+    # face residual from the interior solves.
     precond = NestedSolver(ExperimentSpec(levels=3, ratio=3)).precond
-    level = precond.levels[0]
+    level, coarse_level = precond.levels
     system = level.system
     # Face values that match the source's subdomain totals, as the nested
     # solve hands them down: the exact coarse flux, prolonged.
@@ -844,12 +888,12 @@ def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     )
     u0_face = prolong_average(level, oracle_direct_solve(coarse)[0])
     start = step2_subdomain_solve(level, u0_face, system.g)
-    calls, extensions = [], []
-    counted = dataclasses.replace(
-        system, A=_Counted(system.A, calls), B=_Counted(system.B, calls)
-    )
-    monkeypatch.setattr(level, "system", counted)
-    monkeypatch.setattr(level, "bt", _Counted(level.bt, calls))
+    calls, coarse_calls, extensions = [], [], []
+    for lev, log in ((level, calls), (coarse_level, coarse_calls)):
+        counted = dataclasses.replace(
+            lev.system, A=_Counted(lev.system.A, log), B=_Counted(lev.system.B, log)
+        )
+        monkeypatch.setattr(lev, "system", counted)
     extend = level.extend
 
     def count_extend(u_face):
@@ -860,11 +904,12 @@ def test_step3_products_do_not_grow_with_iterations(monkeypatch):
     counts = {}
     for tol in (1e-2, 1e-10):
         calls.clear()
+        coarse_calls.clear()
         extensions.clear()
         report = step3_correction(precond, 1, u0_face, system.g, *start, tol=tol)[2]
-        counts[report.iterations] = (len(calls), len(extensions))
+        counts[report.iterations] = (len(calls), len(extensions), len(coarse_calls))
     assert len(counts) == 2
-    assert set(counts.values()) == {(2, 1)}
+    assert set(counts.values()) == {(2, 1, 0)}
 
 
 def test_step3_vectors_hold_face_and_subdomain_entries(runs, monkeypatch):

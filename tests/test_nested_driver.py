@@ -166,8 +166,8 @@ def test_step2_equals_interior_solve_of_prolonged_flux(case, source, runs, rng):
     u0_face = rng.standard_normal(level.decomp.face_dofs.size)
     u0 = np.zeros(system.n_flux)
     u0[level.decomp.face_dofs.ravel()] = u0_face
-    u_int, p_ref = nb.interior_correction(level, -(system.A @ u0), f - system.B @ u0)
-    u_src, p_star, p_ext0 = step2_subdomain_solve(level, u0_face, f)
+    u_int, p_ref, _ = nb.interior_correction(level, -(system.A @ u0), f - system.B @ u0)
+    u_src, p_star, p_ext0, _ = step2_subdomain_solve(level, u0_face, f)
     u_ext, p_ext = level.extend(u0_face)
     assert rel_err(u_ext + u_src, u0 + u_int) <= 1e-12
     assert rel_err(p_star, p_ref) <= 1e-12
