@@ -503,13 +503,22 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     return assemble_system(decomp.sub_grid, elem_table, elem_class)
 
 
+def _checked_vector(data, n: int, what: str) -> np.ndarray:
+    """``data`` as a float vector of length ``n``, or ``BddcError`` naming ``what``."""
+    data = np.asarray(data, dtype=float)
+    if data.shape != (n,):
+        raise BddcError(f"{what} of shape {data.shape}, expected ({n},)")
+    return data
+
+
 def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     """Independent subdomain saddle solves with zero interface data, and their face residual.
 
     Solves for interior fluxes and local pressures with the flux residual
     ``r`` and per-cell divergence data ``rhs_div`` (either may be left
-    out, not both) as right-hand side; the divergence of the correction is
-    balanced against all local mean-zero pressures.  Given divergence data
+    out, not both) as right-hand side, of the level's lengths (``BddcError``
+    otherwise); the divergence of the correction is balanced against all
+    local mean-zero pressures.  Given divergence data
     alone, only the subdomains whose data is nonzero are solved: the
     others' solution is zero.
 
@@ -521,6 +530,10 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     """
     if r is None and rhs_div is None:
         raise BddcError("interior_correction needs a flux residual r or divergence data rhs_div")
+    if r is not None:
+        r = _checked_vector(r, level.system.n_flux, "flux residual")
+    if rhs_div is not None:
+        rhs_div = _checked_vector(rhs_div, level.system.n_pressure, "divergence data")
     u = np.zeros(level.system.n_flux)
     p = np.zeros(level.system.n_pressure)
     copies = np.zeros(level.copy_pos.size)
@@ -601,12 +614,8 @@ class MultilevelPreconditioner:
         if not 1 <= start_level <= len(self.levels):
             raise BddcError(f"start level {start_level} out of range")
         idx = start_level - 1
-        r = np.asarray(r, dtype=float)
         level = self.levels[idx]
-        if r.shape != (level.system.n_flux,):
-            raise BddcError(
-                f"residual of shape {r.shape} on level {start_level}, expected ({level.system.n_flux},)"
-            )
+        r = _checked_vector(r, level.system.n_flux, f"residual on level {start_level}")
         u_int, p, r_face = interior_correction(level, r)
         u_face, p_coarse = self._apply(idx, r[level.decomp.face_dofs.ravel()] + r_face)
         u, p_ext = level.extend(u_face)

@@ -15,8 +15,10 @@ block, so it is again an ``Rt0System`` on a smaller ``QuadMesh``.
 A coefficient field is a validated array of per-cell values; the named
 experiment patterns are built in ``nested_driver``.
 
-Assembly is deterministic (identical inputs give bit-identical matrices) and
-assembled systems are immutable, safe to share across concurrent readers.
+Assembly is deterministic (identical inputs give bit-identical matrices).
+A system's fields are not changed after assembly, and its CSR matrices
+``A`` and ``B`` are built on first access and kept, so a system is safe
+to share across concurrent readers.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class CoefficientField:
 
 @dataclass
 class Rt0System:
-    """Assembled mixed system: flux mass matrix A, divergence matrix B, rhs g.
+    """Mixed system on a grid: flux mass matrix A, divergence matrix B, rhs g.
 
     The per-cell contributions (slot-ordered 4x4 blocks) are stored as a
     class table: ``elem_table`` holds each bit-distinct element matrix
@@ -191,13 +193,16 @@ class Rt0System:
     blocks re-assemble subdomain Neumann matrices locally; on a coarse
     level they are the coarse basis energies.  Their diagonals also give
     the interface averaging weights (``hierarchy.compute_weights``).
+
+    ``A`` and ``B`` are CSR, built from the table and the grid on first
+    access and kept; the solver itself reads only the top level's.  A
+    system made by ``dataclasses.replace`` builds its own from its fields.
+    ``divergence(u)`` is ``B @ u`` from the grid alone.
     """
 
     grid: QuadMesh
     elem_table: np.ndarray
     elem_class: np.ndarray
-    A: sp.csr_matrix
-    B: sp.csr_matrix
     g: np.ndarray
     areas: np.ndarray = field(repr=False, default=None)
 
@@ -212,6 +217,33 @@ class Rt0System:
     @property
     def n_dofs(self) -> int:
         return self.n_flux + self.n_pressure
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        return _flux_mass(self.grid, self.elem_table, self.elem_class)
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        return _divergence_matrix(self.grid)
+
+    def divergence(self, u: np.ndarray) -> np.ndarray:
+        """``B @ u``, bit for bit, from the grid's edge lines.
+
+        Each family of edges, scaled by ``h``, is padded with the zero
+        boundary fluxes to one value per grid line and cell; a cell's
+        entry is then its left, right, bottom and top fluxes summed with
+        ``SLOT_SIGNS`` in slot order, as the CSR product sums its row.
+        """
+        grid, h = self.grid, self.grid.h
+        u = np.asarray(u, dtype=float)
+        if u.shape != (grid.n_flux,):
+            raise ValueError(f"flux vector has shape {u.shape}, expected ({grid.n_flux},)")
+        nx, ny, nv = grid.nx, grid.ny, grid.n_vertical
+        v = np.zeros((ny, nx + 1))
+        v[:, 1:-1] = (h * u[:nv]).reshape(nx - 1, ny).T
+        w = np.zeros((ny + 1, nx))
+        w[1:-1] = (h * u[nv:]).reshape(ny - 1, nx)
+        return (((v[:, :-1] - v[:, 1:]) + w[:-1]) - w[1:]).ravel()
 
 
 def element_triplets(slot_map: np.ndarray, blocks: np.ndarray, h: float):
@@ -314,16 +346,35 @@ def assemble_system(
     elem_class: np.ndarray,
     g: np.ndarray | None = None,
 ) -> Rt0System:
-    """Assemble A and B as CSR on ``grid`` from its cells' element matrices.
+    """The mixed system on ``grid`` of its cells' element matrices.
 
     Cell ``c`` contributes ``elem_table[elem_class[c]]``.  The system keeps
     the table in canonical form (``_class_table``), so a table with
     duplicate or unused rows assembles as its canonical form does.  ``g``,
-    one value per cell, is the divergence data (zero if not given).
+    one value per cell, is the divergence data (zero if not given).  ``A``
+    and ``B`` are built on first access (``Rt0System``).
+    """
+    table, cls = _class_table(grid, elem_table, elem_class)
+    g = np.zeros(grid.n_cells) if g is None else np.asarray(g, dtype=float)
+    if g.shape != (grid.n_cells,):
+        raise MeshError(f"divergence data has shape {g.shape}, grid has {grid.n_cells} cells")
+    return Rt0System(grid, table, cls, g, np.full(grid.n_cells, grid.cell_area))
 
-    On the uniform grid both matrices follow a fixed stencil.  A cell row
-    of B holds its present slots in slot order, which is ascending.  An
-    edge row of A holds, in ascending column order, the edge itself,
+
+def _divergence_matrix(grid: QuadMesh) -> sp.csr_matrix:
+    """B as CSR: a cell row holds its present slots in slot order, which is ascending."""
+    nx, ny = grid.nx, grid.ny
+    slots = grid.cell_dof_slots
+    # A cell has a dof on each of its slots but those on the boundary.
+    i, j = np.arange(nx), np.arange(ny)[:, None]
+    present = 4 - (i == 0) - (i == nx - 1) - (j == 0) - (j == ny - 1)
+    return _compressed(np.broadcast_to(SLOT_SIGNS * grid.h, slots.shape), slots, present.ravel(), grid.n_flux)
+
+
+def _flux_mass(grid: QuadMesh, table: np.ndarray, cls: np.ndarray) -> sp.csr_matrix:
+    """A as CSR from the cells' element matrices ``table[cls]``, by the grid's fixed stencil.
+
+    An edge row of A holds, in ascending column order, the edge itself,
     summed from both cells, and each present slot of its two cells that
     the table can couple it to (``_EDGE_STENCILS``); each such value is
     one column of the table read through the cells' classes.  A coupling
@@ -332,16 +383,8 @@ def assemble_system(
     fine edge row holds at most three entries, while the dense basis
     energies of a coarse level keep all seven.
     """
-    table, cls = _class_table(grid, elem_table, elem_class)
-    g = np.zeros(grid.n_cells) if g is None else np.asarray(g, dtype=float)
-    if g.shape != (grid.n_cells,):
-        raise MeshError(f"divergence data has shape {g.shape}, grid has {grid.n_cells} cells")
     nx, ny = grid.nx, grid.ny
     slots = grid.cell_dof_slots
-    # A cell has a dof on each of its slots but those on the boundary.
-    i, j = np.arange(nx), np.arange(ny)[:, None]
-    present = 4 - (i == 0) - (i == nx - 1) - (j == 0) - (j == ny - 1)
-    b = _compressed(np.broadcast_to(SLOT_SIGNS * grid.h, slots.shape), slots, present.ravel(), grid.n_flux)
     # Per edge family, its slots and the stencil entries that some class makes nonzero.
     families = [
         (own, [e for e in stencil if e is None or np.any(table[:, own[e[0]], e[1]])])
@@ -375,8 +418,7 @@ def assemble_system(
                 out_col[..., k] = col = sides[side][0][..., slot]
                 out_count += col >= 0
                 out_val[..., k] = table[:, own[side], slot][sides[side][1]]
-    areas = np.full(grid.n_cells, grid.cell_area)
-    return Rt0System(grid, table, cls, _compressed(values, cols, counts, grid.n_flux), b, g, areas)
+    return _compressed(values, cols, counts, grid.n_flux)
 
 
 def assemble_rt0(
@@ -424,19 +466,23 @@ def check_compatibility(g: np.ndarray) -> bool:
     return abs(g.sum()) <= COMPATIBILITY_RTOL * np.linalg.norm(g)
 
 
-def divergence_defect(system: Rt0System, u: np.ndarray, g=0.0) -> float:
+def divergence_defect(system: Rt0System, u: np.ndarray, g=0.0, energy=None) -> float:
     """Defect of u against the divergence data g on the zero-mean pressure space.
 
     Returns ||B u - g|| with the component along the pressure-gauge
     direction removed, normalised by the energy norm of u.  Zero flux gives
-    zero against zero data and ``inf`` against any other.
+    zero against zero data and ``inf`` against any other.  The divergence
+    is ``system.divergence(u)``; the energy ``u @ A u`` is ``energy`` when
+    given (a caller that knows it from other terms), else formed with A.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (system.n_flux,):
         raise ValueError(f"flux vector has length {u.size}, expected {system.n_flux}")
     if not np.any(u):
         return np.inf if np.any(g) else 0.0
-    return gauged_defect(system.B @ u - g, u @ (system.A @ u), system.areas)
+    if energy is None:
+        energy = u @ (system.A @ u)
+    return gauged_defect(system.divergence(u) - g, energy, system.areas)
 
 
 def gauged_defect(div: np.ndarray, energy: float, w: np.ndarray) -> float:

@@ -32,6 +32,7 @@ import numpy as np
 from .bddc import (
     LevelBddc,
     MultilevelPreconditioner,
+    _checked_vector,
     interior_correction,
     prolong_average,
 )
@@ -213,8 +214,10 @@ def step2_subdomain_solve(level: LevelBddc, u0_face: np.ndarray, f: np.ndarray):
     flux ``u_star`` is ``extend(u0_face)`` plus ``u_src``.  On each
     subdomain ``S u = A_FF u + M_F^T [E_I u; p_ext]`` gives the
     extension's face rows, ``-S u0_F``, and the source solves return
-    theirs, so ``r_face`` needs no full-length product.
+    theirs, so ``r_face`` needs no full-length product.  Face values or
+    data of another length than the level's raise ``BddcError``.
     """
+    u0_face = _checked_vector(u0_face, level.decomp.face_dofs.size, "face values")
     u_src, p_star, r_src = interior_correction(level, rhs_div=f)
     p_ext0 = level.extend_pressure(u0_face)
     p_star += p_ext0
@@ -273,9 +276,19 @@ def step3_correction(
     and its energy from PCG's residual (``face_divergence_defect``).  One
     ``extend`` of ``u0_face + u_F`` after PCG gives the level flux, with
     ``u_src`` added, and the extension's pressure; the level pressure is
-    ``s p_star + (p_ext - p_ext0) + m``.  The returned flux ``u`` is
-    checked against the divergence data ``f`` (``divergence_defect``), to
-    ``DEFECT_TOL``.
+    ``s p_star + (p_ext - p_ext0) + m``.
+
+    The returned flux ``u`` is checked against the divergence data ``f``
+    (``divergence_defect``), to ``DEFECT_TOL``, with no assembled matrix:
+    its divergence is ``Rt0System.divergence(u)`` and its energy comes
+    from the face values ``w = u0_face + u_F``.  With ``u_src`` the source
+    solves' flux and ``p_src = p_star - p_ext0`` their pressure, ``K_I``
+    symmetric and every local pressure of zero mean, ``u @ A u`` is
+    ``w @ S w - 2 w @ r_src - p_src @ f``, ``r_src`` being the source
+    solves' face residual; ``r_face = r_src - S u0_face`` makes that
+    ``w @ S (u_F - u0_face) - 2 w @ r_face - p_src @ f``, one face
+    product.  An energy that rounds to zero or below falls back to
+    ``w @ S w``, as in ``face_divergence_defect``.
     """
     level = precond.levels[level_number - 1]
     cells = level.decomp.cells_by_sub
@@ -319,9 +332,13 @@ def step3_correction(
             report, level_number, f"PCG did not reach {tol:g} within {report.iterations} iterations"
         )
     u_face, m, _, (s,) = np.split(x, split)
-    u, p_ext = level.extend(u0_face + u_face)
+    w = u0_face + u_face
+    u, p_ext = level.extend(w)
     u += u_src
-    defect = divergence_defect(level.system, u, f)
+    energy = w @ level.schur_product(u_face - u0_face) - 2.0 * (w @ r_face) - (p_star - p_ext0) @ f
+    if not energy > 0.0:
+        energy = w @ level.schur_product(w)
+    defect = divergence_defect(level.system, u, f, energy)
     if defect > DEFECT_TOL:
         raise InvariantViolation(
             f"level {level_number}: divergence defect {defect:.3e} of the level flux "

@@ -1,5 +1,7 @@
 """Mesh enumeration and RT0 assembly against independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -203,6 +205,41 @@ def test_one_cell_with_xy_coupling_keeps_every_coupling():
     present = np.count_nonzero(mesh.cell_dof_slots >= 0, axis=1)
     assert np.array_equal(np.diff(system.A.indptr), present[mesh.edge_sides].sum(axis=1) - 1)
     assert np.diff(system.A.indptr).max() == 7
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 6), (6, 1), (2, 3), (5, 3), (9, 9), (16, 16)])
+def test_divergence_matches_csr_product(nx, ny):
+    # The grid's divergence sums each cell's slots in the order B's row
+    # holds them, so it is B @ u bit for bit, for random u; square,
+    # rectangular and one-cell-wide grids.
+    mesh = build_mesh(nx, ny)
+    system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
+    u = np.random.default_rng(nx + 17 * ny).standard_normal(mesh.n_flux)
+    assert system.divergence(u).tobytes() == (system.B @ u).tobytes()
+    with pytest.raises(ValueError, match=rf"expected \({mesh.n_flux},\)"):
+        system.divergence(np.ones(mesh.n_flux + 1))
+
+
+def test_matrices_built_on_first_access():
+    # Assembly leaves A and B to their first reader, which keeps them.
+    mesh = build_mesh(5, 4)
+    system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
+    assert "A" not in vars(system) and "B" not in vars(system)
+    assert system.A is system.A and system.B is system.B
+
+
+def test_replaced_table_builds_its_own_mass_matrix():
+    # A system made by dataclasses.replace reads its own table: doubling
+    # every element matrix doubles every entry of A, bit for bit, also
+    # when the original's A was built before the replace.
+    mesh = build_mesh(7, 5)
+    k = np.exp(np.random.default_rng(2).standard_normal(mesh.n_cells))
+    system = assemble_rt0(mesh, CoefficientField(k))
+    old = system.A
+    doubled = dataclasses.replace(system, elem_table=2.0 * system.elem_table)
+    assert_same_csr(doubled.A, sp.csr_matrix((2.0 * old.data, old.indices, old.indptr), shape=old.shape))
+    assert doubled.A.data.tobytes() == (2.0 * old.data).tobytes()
+    assert_same_csr(doubled.B, system.B)
 
 
 def coo_reference(mesh, blocks, structural=True):

@@ -279,6 +279,53 @@ def test_step3_start_residual_matches_full_length(case, source, runs, rng, monke
         f = step1_coarse_rhs(level.decomp, f)
 
 
+def solve_recording_checks(solver, monkeypatch):
+    """Solve, recording each level's post-PCG check as (system, flux, energy)."""
+    checks = []
+    check = nested_driver.divergence_defect
+
+    def record(system, u, g=0.0, energy=None):
+        checks.append((system, u.copy(), energy))
+        return check(system, u, g, energy)
+
+    monkeypatch.setattr(nested_driver, "divergence_defect", record)
+    return solver.solve(), checks
+
+
+def assert_check_energies_match_assembled(checks):
+    for system, u, energy in checks:
+        ref = u @ (system.A @ u)
+        assert abs(energy - ref) <= 1e-13 * ref
+
+
+CHECK_SPECS = {
+    "ratio3-L4-dense": ExperimentSpec(levels=4, ratio=3),
+    "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
+    "jump-right-L4": ExperimentSpec(levels=4, ratio=3, coeff="jump-right", k1=37.0, k3=0.05),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECK_SPECS))
+def test_check_energy_from_face_values_matches_assembled(case, monkeypatch):
+    # Step 3 forms the energy of its returned flux from the face values,
+    # the face residual of step 2 and the source solves' pressure; on
+    # every level it is u @ A u of the level's assembled A.
+    spec = CHECK_SPECS[case]
+    _, checks = solve_recording_checks(NestedSolver(spec), monkeypatch)
+    assert len(checks) == spec.levels - 1
+    assert_check_energies_match_assembled(checks)
+
+
+@pytest.mark.parametrize("spec", [ExperimentSpec(levels=5, ratio=3), ExperimentSpec(levels=2, ratio=16)])
+def test_solve_builds_no_level_matrices(spec):
+    # Set-up and solve read no level's assembled A or B: only the top
+    # system's, which the top solve factors and which no level holds.
+    solver = NestedSolver(spec)
+    solver.solve()
+    for level in solver.precond.levels:
+        assert "A" not in vars(level.system) and "B" not in vars(level.system)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     levels=st.sampled_from([2, 3]),
@@ -293,7 +340,9 @@ def test_random_hierarchy_matches_oracle(levels, ratio, coeff, seed):
     assert solver.fine.n_dofs <= ORACLE_DOF_LIMIT
     f = np.random.default_rng(seed).uniform(1.0, 2.0, solver.fine.n_pressure)
     solver.fine = replace(solver.fine, g=f - f.mean())
-    result = solver.solve()
+    with pytest.MonkeyPatch.context() as patch:
+        result, checks = solve_recording_checks(solver, patch)
+    assert_check_energies_match_assembled(checks)
     u_ref, p_ref = nb.oracle_direct_solve(solver.fine)
     assert a_norm_rel_error(solver.fine, result.flux, u_ref) <= 1e-5
     areas = solver.fine.areas
