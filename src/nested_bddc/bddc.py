@@ -56,16 +56,30 @@ each system is inverted on its own, and each group keeps its own copy
 of its operators (``_face_operators``).  A group keeps one row of index
 arrays and of face weights (``hierarchy.compute_weights``) per member,
 as views of the level's copy layout: every group's face copies, one row
-per member, in one buffer.  Each face product (the Schur product, the dual
-correction, the restriction, the prolongation) writes its groups'
-rows in place into one such buffer.  Every face lies between two
+per member, one group after another.  Every face lies between two
 subdomains, so a sum of the members' face copies (the Schur product,
-the averaging, the restriction) adds two entries of the buffer,
+the averaging, the restriction) adds two entries of a copy buffer,
 located once at build (``_copy_pairs``).  How blocks are stored
 and solved, by size class, is decided in ``saddle_core``
 (``DENSE_LIMIT``); the cell patterns' interior blocks are scattered
 straight into the storage of their class: one dense stack, or one CSR
 per pattern above ``DENSE_LIMIT``.
+
+Each level owns a workspace, built once with the level: buffers of
+face-dof copies and of face copies in the copy layout, and buffers of
+interior data and of interior solutions, one row per subdomain in group
+order.  Each group holds views of its rows of every buffer.  So every
+level pass has one shape: one level-wide gather into an input buffer
+(``ndarray.take`` with ``mode="clip"``, which writes straight into it;
+the indices are in range by construction), one product per group from
+its input view into its output view, and one level-wide scatter or pair
+sum into a new array.  The products, their operands and the order of
+every addition are those of a per-group pass, so results do not depend
+on the workspace.  A preconditioner applies one residual at a time: a
+level's buffers serve one pass at a time, and the only data that wait in
+a workspace across a call are a level's dual values while the coarser
+levels of the recursion run on their own workspaces.  No pass returns a
+view of a workspace, so an output stays as it was through later calls.
 
 ``MultilevelPreconditioner.build`` owns the level list: it makes the
 decompositions from the fine grid, and each level's system is the coarse
@@ -77,12 +91,14 @@ group's basis energies, and each subdomain's group as its class.
 
 Subdomain work within one level is independent (levels are inherently
 sequential); all scatter reductions run in a fixed order, so results are
-reproducible run to run.  Built components are immutable during apply.
+reproducible run to run.  Built components other than the workspaces are
+immutable during apply; two preconditioners never share a workspace.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +148,19 @@ class _Group:
     ``psi^T S psi`` (``_face_operators``).  ``ext``, ``schur``, ``dual``
     and ``psi`` are the group's own arrays, not views of a stack: a BLAS
     product may round differently when an operand starts at another
-    alignment.
+    alignment.  ``ext_flux_t`` (the flux columns of ``ext``, transposed),
+    ``ext_p`` (its pressure columns) and ``psi_t`` are views of them, the
+    operands the level passes multiply by.
 
-    The level lays every group's face copies out in one buffer
-    (``LevelBddc``): ``face_span`` and ``dof_span`` are the group's slices
-    of it, one row per member, and ``face_ids``, ``face_pos``, the face
-    weights ``w`` and the index rows ``idx_face``, ``idx_int`` (interior
-    dofs) and ``idx_cells`` are views of the level's arrays.
+    Every other array is a view of the level's (``LevelBddc``), one row
+    per member: the face ids ``face_ids``, ``face_pos``, the face weights
+    ``w`` and the index rows ``idx_face``, ``idx_int`` (interior dofs) and
+    ``idx_cells``, and the group's rows of the level's workspace, which
+    the level sets: ``dof_in`` and ``dof_out`` of its face-dof copies,
+    ``face_in`` of its face copies, ``rows`` of its interior data and
+    ``sol`` (with its pressure columns ``sol_p``) of its interior
+    solutions and extensions.  A level pass gathers into the level's
+    buffers and multiplies each group's input view into its output view.
     """
 
     subs: np.ndarray
@@ -149,8 +171,6 @@ class _Group:
     dual: np.ndarray
     psi: np.ndarray
     coarse_elem: np.ndarray
-    face_span: slice
-    dof_span: slice
     face_ids: np.ndarray
     face_pos: np.ndarray
     w: np.ndarray
@@ -163,14 +183,9 @@ class _Group:
         self.n_face_dofs = self.idx_face.shape[1]
         self.n_int = self.idx_int.shape[1]
         self.n_cells = self.idx_cells.shape[1]
-
-    def face_rows(self, copies: np.ndarray) -> np.ndarray:
-        """The members' rows, one entry per present face, of a level's face-copy buffer (a view)."""
-        return copies[self.face_span].reshape(self.face_ids.shape)
-
-    def dof_rows(self, copies: np.ndarray) -> np.ndarray:
-        """The members' rows, one entry per face dof, of a level's dof-copy buffer (a view)."""
-        return copies[self.dof_span].reshape(self.face_pos.shape)
+        self.ext_flux_t = self.ext[:, : self.n_int].T
+        self.ext_p = self.ext[:, self.n_int :]
+        self.psi_t = self.psi.T
 
 
 def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
@@ -283,9 +298,21 @@ def _copy_pairs(n: int, pos: np.ndarray, high: np.ndarray) -> np.ndarray:
     return pairs.reshape(2, n)
 
 
-def _pair_sum(pairs: np.ndarray, copies: np.ndarray) -> np.ndarray:
-    """Sum of each entry's two copies in a copy buffer (``_copy_pairs``)."""
-    return copies[pairs[0]] + copies[pairs[1]]
+class _PairSum:
+    """Sum of each entry's two copies in a copy buffer (``_copy_pairs``).
+
+    ``pairs`` locates the copies; a call gathers them into ``buf``, a
+    ``(2, n)`` buffer of the level's workspace, and returns the sums of
+    its two rows as a new array.
+    """
+
+    def __init__(self, pairs: np.ndarray, buf: np.ndarray):
+        self.pairs, self.buf = pairs, buf
+        self.lo, self.hi = buf
+
+    def __call__(self, copies: np.ndarray) -> np.ndarray:
+        copies.take(self.pairs, out=self.buf, mode="clip")
+        return self.lo + self.hi
 
 
 @dataclass
@@ -310,11 +337,30 @@ class LevelBddc:
     face-dof copy's position in the face vector and ``copy_w`` its face
     weight (``hierarchy.compute_weights``), ``w_lo`` where the member is a
     face's lower subdomain and ``1 - w_lo`` where it is the higher one.
-    A buffer of face copies or of face-dof copies in this layout takes
-    each group's products in place (``_Group.face_rows``,
-    ``_Group.dof_rows``).  ``face_pairs`` and ``dof_pairs`` locate the two
-    copies of each face and face dof (``_copy_pairs``), so a sum over
-    subdomains is one addition per entry (``_pair_sum``).
+    ``idx_int`` and ``idx_cells`` hold the members' interior dofs and
+    cells in the same order, one row per subdomain.  ``face_pairs`` and
+    ``dof_pairs`` locate the two copies of each face and face dof
+    (``_copy_pairs``), so a sum over subdomains is one addition per entry
+    (``face_sum``, ``dof_sum``).
+
+    The workspace holds one buffer per kind of data in this layout, and
+    each group keeps views of its rows (``_Group``): ``dof_in`` and
+    ``dof_out`` of face-dof copies, ``face_in`` of face copies, ``rows``
+    of interior data and ``sol`` of interior solutions and extensions
+    (flux columns ``sol_u``, pressure columns ``sol_p``).  Every pass
+    (``extend``, ``extend_pressure``, ``schur_product``,
+    ``interior_correction``, ``prolong_average`` and
+    ``MultilevelPreconditioner._apply``) makes one level-wide gather into
+    an input buffer, one product per group from its input view into its
+    output view, and one level-wide scatter or pair sum into a new array.
+    Buffers whose uses never overlap share memory, so a level makes two
+    allocations: ``rows`` and the pair sums' gathers lie in ``dof_in``'s
+    memory, and ``dof_out`` and ``face_in``, side by side, in ``sol``'s.
+    So a level serves one pass at a time, and a preconditioner applies one
+    residual at a time; what a pass returns is never a view of the
+    workspace.  The level builds its workspace and its groups' views when
+    it is made, so a level made from another (``dataclasses.replace``)
+    takes the groups' views over.
     """
 
     system: Rt0System
@@ -329,8 +375,40 @@ class LevelBddc:
     copy_faces: np.ndarray
     copy_pos: np.ndarray
     copy_w: np.ndarray
+    idx_int: np.ndarray
+    idx_cells: np.ndarray
     face_pairs: np.ndarray
     dof_pairs: np.ndarray
+
+    def __post_init__(self):
+        """The workspace, in two allocations, and each group's views of it."""
+        self.face_dofs = self.decomp.face_dofs.ravel()
+        (n_sub, n_int), n_cells = self.idx_int.shape, self.idx_cells.shape[1]
+        n_copy, n_face_copy, n_sol = self.copy_pos.size, self.copy_faces.size, n_sub * (n_int + n_cells)
+        inputs = np.empty(max(n_copy, n_sub * n_int))
+        self.dof_in, self.rows = inputs[:n_copy], inputs[: n_sub * n_int].reshape(n_sub, n_int)
+        outputs = np.empty(max(n_sol, n_copy + n_face_copy))
+        self.sol = outputs[:n_sol].reshape(n_sub, n_int + n_cells)
+        self.dof_out, self.face_in = outputs[:n_copy], outputs[n_copy : n_copy + n_face_copy]
+        self.sol_u, self.sol_p = self.sol[:, :n_int], self.sol[:, n_int:]
+        self.dof_sum = _PairSum(self.dof_pairs, self.dof_in.reshape(self.dof_pairs.shape))
+        face_buf = self.dof_in[: self.face_pairs.size].reshape(self.face_pairs.shape)
+        self.face_sum = _PairSum(self.face_pairs, face_buf)
+        sub = face = dof = 0
+        for grp in self.groups:
+            n = len(grp.subs)
+            n_faces, n_dofs = n * grp.n_faces, n * grp.n_face_dofs
+            grp.dof_in = self.dof_in[dof : dof + n_dofs].reshape(n, grp.n_face_dofs)
+            grp.dof_out = self.dof_out[dof : dof + n_dofs].reshape(n, grp.n_face_dofs)
+            grp.face_in = self.face_in[face : face + n_faces].reshape(n, grp.n_faces)
+            grp.rows, grp.sol = self.rows[sub : sub + n], self.sol[sub : sub + n]
+            grp.sol_p = grp.sol[:, n_int:]
+            sub, face, dof = sub + n, face + n_faces, dof + n_dofs
+
+    def _gather_faces(self, u_face: np.ndarray) -> None:
+        """Face values ``u_face`` into ``dof_in``, one entry per face-dof copy."""
+        u_face = _checked_vector(u_face, self.face_dofs.size, "face values")
+        u_face.take(self.copy_pos, out=self.dof_in, mode="clip")
 
     def extend(self, u_face: np.ndarray):
         """Harmonic extension of face values ``u_face``: level flux and pressure.
@@ -338,30 +416,31 @@ class LevelBddc:
         The flux holds ``u_face`` on the faces and each subdomain's
         extension inside; the pressure is each extension's gauged pressure.
         """
-        u = np.zeros(self.system.n_flux)
-        u[self.decomp.face_dofs.ravel()] = u_face
-        p = np.empty(self.system.n_pressure)
-        copies = u_face[self.copy_pos]
+        self._gather_faces(u_face)
         for grp in self.groups:
-            out = grp.dof_rows(copies) @ grp.ext
-            u[grp.idx_int], p[grp.idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
+            np.matmul(grp.dof_in, grp.ext, out=grp.sol)
+        u = np.zeros(self.system.n_flux)
+        u[self.face_dofs] = u_face
+        u[self.idx_int] = self.sol_u
+        p = np.empty(self.system.n_pressure)
+        p[self.idx_cells] = self.sol_p
         return u, p
 
     def extend_pressure(self, u_face: np.ndarray) -> np.ndarray:
         """The pressure of ``extend(u_face)`` alone, from the extension's pressure columns."""
-        p = np.empty(self.system.n_pressure)
-        copies = u_face[self.copy_pos]
+        self._gather_faces(u_face)
         for grp in self.groups:
-            p[grp.idx_cells] = grp.dof_rows(copies) @ grp.ext[:, grp.n_int :]
+            np.matmul(grp.dof_in, grp.ext_p, out=grp.sol_p)
+        p = np.empty(self.system.n_pressure)
+        p[self.idx_cells] = self.sol_p
         return p
 
     def schur_product(self, u_face: np.ndarray) -> np.ndarray:
         """Sum of the subdomains' face Schur complements times ``u_face``."""
-        copies = u_face[self.copy_pos]
-        out = np.empty_like(copies)
+        self._gather_faces(u_face)
         for grp in self.groups:
-            np.matmul(grp.dof_rows(copies), grp.schur, out=grp.dof_rows(out))
-        return _pair_sum(self.dof_pairs, out)
+            np.matmul(grp.dof_in, grp.schur, out=grp.dof_out)
+        return self.dof_sum(self.dof_out)
 
     def face_divergence_defect(self, u_face: np.ndarray, product=None, m=None) -> float:
         """``divergence_defect`` of ``extend(u_face)`` from face values alone.
@@ -442,8 +521,6 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
                 kkts[pattern[subs[0]]],
                 face_slots,
                 *face_ops,
-                face_span=slice(start, stop),
-                dof_span=span,
                 face_ids=copy_faces[start:stop].reshape(n, -1),
                 face_pos=copy_pos[span].reshape(n, -1),
                 w=copy_w[span].reshape(n, -1),
@@ -480,6 +557,8 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         copy_faces=copy_faces,
         copy_pos=copy_pos,
         copy_w=copy_w,
+        idx_int=idx_int,
+        idx_cells=idx_cells,
         face_pairs=_copy_pairs(decomp.n_faces, copy_faces, high),
         dof_pairs=_copy_pairs(len(face_dofs), copy_pos, np.repeat(high, ratio)),
     )
@@ -511,6 +590,15 @@ def _checked_vector(data, n: int, what: str) -> np.ndarray:
     return data
 
 
+def _checked_level(number, n_levels: int, what: str) -> int:
+    """The index of level ``number`` (1 to ``n_levels``), or ``BddcError`` naming ``what``."""
+    if not isinstance(number, numbers.Integral):
+        raise BddcError(f"{what} must be an integer, got {number!r}")
+    if not 1 <= number <= n_levels:
+        raise BddcError(f"{what} {number} out of range")
+    return int(number) - 1
+
+
 def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     """Independent subdomain saddle solves with zero interface data, and their face residual.
 
@@ -535,8 +623,21 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     if rhs_div is not None:
         rhs_div = _checked_vector(rhs_div, level.system.n_pressure, "divergence data")
     u = np.zeros(level.system.n_flux)
+    if rhs_div is None:
+        # Every subdomain, over the workspace: one gather, one solve per
+        # group, one scatter, and one face-residual product per group.
+        r.take(level.idx_int, out=level.rows, mode="clip")
+        for grp in level.groups:
+            grp.kkt.factorization.solve_leading(grp.rows, grp.n_int + grp.n_cells, out=grp.sol)
+        u[level.idx_int] = level.sol_u
+        p = np.empty(level.system.n_pressure)
+        p[level.idx_cells] = level.sol_p
+        # dof_out shares sol's memory, so the face residuals come after.
+        for grp in level.groups:
+            np.matmul(grp.rows, grp.ext_flux_t, out=grp.dof_out)
+        return u, p, level.dof_sum(level.dof_out)
     p = np.zeros(level.system.n_pressure)
-    copies = np.zeros(level.copy_pos.size)
+    level.dof_out.fill(0.0)
     for grp in level.groups:
         live = slice(None)
         if r is None:
@@ -545,21 +646,21 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
                 continue
         idx_int, idx_cells = grp.idx_int[live], grp.idx_cells[live]
         rows = np.zeros(idx_int.shape) if r is None else r[idx_int]
-        if rhs_div is not None:
-            rows = np.hstack([rows, rhs_div[idx_cells]])
+        rows = np.hstack([rows, rhs_div[idx_cells]])
         out = grp.kkt.factorization.solve_leading(rows, grp.n_int + grp.n_cells)
         u[idx_int], p[idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
-        grp.dof_rows(copies)[live] = rows @ grp.ext[:, : rows.shape[1]].T
-    return u, p, _pair_sum(level.dof_pairs, copies)
+        grp.dof_out[live] = rows @ grp.ext.T
+    return u, p, level.dof_sum(level.dof_out)
 
 
 def _face_average(level: LevelBddc, copies: np.ndarray) -> np.ndarray:
     """Weighted average of subdomain face copies into the level's face vector.
 
     ``copies`` holds one value per face-dof copy, in the level's
-    ``copy_pos`` layout.
+    ``copy_pos`` layout; the weighted copies go to ``dof_out``.
     """
-    return _pair_sum(level.dof_pairs, level.copy_w * copies)
+    np.multiply(copies, level.copy_w, out=level.dof_out)
+    return level.dof_sum(level.dof_out)
 
 
 def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
@@ -568,11 +669,11 @@ def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
     The prolonged flux has zero interiors, so step 2 needs its face values
     alone: its subdomain solves add their harmonic extension.
     """
-    coarse = u_coarse[level.copy_faces]
-    copies = np.empty(level.copy_pos.size)
+    u_coarse = _checked_vector(u_coarse, level.decomp.n_faces, "coarse flux")
+    u_coarse.take(level.copy_faces, out=level.face_in, mode="clip")
     for grp in level.groups:
-        np.matmul(grp.face_rows(coarse), grp.psi.T, out=grp.dof_rows(copies))
-    return _face_average(level, copies)
+        np.matmul(grp.face_in, grp.psi_t, out=grp.dof_out)
+    return _face_average(level, level.dof_out)
 
 
 @dataclass
@@ -593,6 +694,10 @@ class MultilevelPreconditioner:
     on its start level.  Each level's ``_apply`` hands its restricted
     residual to ``apply`` on the next level, so coarser levels get
     general residuals and keep the interior KKT solves.
+
+    Each level computes in its own workspace (``LevelBddc``), so a
+    preconditioner applies one residual at a time: calls from two threads
+    must not overlap.  Every array it returns is new.
     """
 
     levels: list[LevelBddc]
@@ -611,13 +716,11 @@ class MultilevelPreconditioner:
 
     def apply(self, r: np.ndarray, start_level: int = 1):
         """Preconditioned (flux, pressure) for any flux residual ``r``."""
-        if not 1 <= start_level <= len(self.levels):
-            raise BddcError(f"start level {start_level} out of range")
-        idx = start_level - 1
+        idx = _checked_level(start_level, len(self.levels), "start level")
         level = self.levels[idx]
         r = _checked_vector(r, level.system.n_flux, f"residual on level {start_level}")
         u_int, p, r_face = interior_correction(level, r)
-        u_face, p_coarse = self._apply(idx, r[level.decomp.face_dofs.ravel()] + r_face)
+        u_face, p_coarse = self._apply(idx, r[level.face_dofs] + r_face)
         u, p_ext = level.extend(u_face)
         u += u_int
         # The coarse pressure on each subdomain's cells, and the pressure of
@@ -634,26 +737,25 @@ class MultilevelPreconditioner:
         interior rows.  ``extend`` of the returned face values on that
         level gives the flux and, on each subdomain, the pressure to which
         the returned coarse pressure and the pre-correction's pressure add.
+        The dual values wait in the level's ``dof_out`` while the coarser
+        levels run on their own workspaces.
         """
         level = self.levels[idx]
         # Per group, from the weighted face residuals: dual face values with
         # vanishing face averages, then the restriction coefficients.
-        weighted = r_face[level.copy_pos]
-        weighted *= level.copy_w
-        dual = np.empty_like(weighted)
-        coarse = np.empty(level.copy_faces.size)
+        level._gather_faces(r_face)
+        level.dof_in *= level.copy_w
         for grp in level.groups:
-            rows = grp.dof_rows(weighted)
-            np.matmul(rows, grp.dual, out=grp.dof_rows(dual))
-            np.matmul(rows, grp.psi, out=grp.face_rows(coarse))
-        r_next = _pair_sum(level.face_pairs, coarse)
+            np.matmul(grp.dof_in, grp.dual, out=grp.dof_out)
+            np.matmul(grp.dof_in, grp.psi, out=grp.face_in)
+        r_next = level.face_sum(level.face_in)
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
         else:
             u_next, p_next = self.apply(r_next, idx + 2)
         # The coarse correction through the basis, added to the dual values.
-        u_copies = u_next[level.copy_faces]
+        u_next.take(level.copy_faces, out=level.face_in, mode="clip")
         for grp in level.groups:
-            rows = grp.dof_rows(dual)
-            rows += grp.face_rows(u_copies) @ grp.psi.T
-        return _face_average(level, dual), p_next
+            np.matmul(grp.face_in, grp.psi_t, out=grp.dof_in)
+        level.dof_out += level.dof_in
+        return _face_average(level, level.dof_out), p_next

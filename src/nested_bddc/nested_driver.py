@@ -32,6 +32,7 @@ import numpy as np
 from .bddc import (
     LevelBddc,
     MultilevelPreconditioner,
+    _checked_level,
     _checked_vector,
     interior_correction,
     prolong_average,
@@ -289,10 +290,22 @@ def step3_correction(
     ``w @ S (u_F - u0_face) - 2 w @ r_face - p_src @ f``, one face
     product.  An energy that rounds to zero or below falls back to
     ``w @ S w``, as in ``face_divergence_defect``.
+
+    A level number that is not an integer from 1 to the level count, or
+    step-2 data of another shape than the level's, raises ``BddcError``
+    naming the argument.
     """
-    level = precond.levels[level_number - 1]
+    idx = _checked_level(level_number, len(precond.levels), "level")
+    level = precond.levels[idx]
     cells = level.decomp.cells_by_sub
     n_face, n_sub = level.decomp.face_dofs.size, level.decomp.n_sub
+    n_flux, n_cells = level.system.n_flux, level.system.n_pressure
+    u0_face = _checked_vector(u0_face, n_face, "u0_face")
+    f = _checked_vector(f, n_cells, "f")
+    u_src = _checked_vector(u_src, n_flux, "u_src")
+    p_star = _checked_vector(p_star, n_cells, "p_star")
+    p_ext0 = _checked_vector(p_ext0, n_cells, "p_ext0")
+    r_face = _checked_vector(r_face, n_face, "r_face")
     split = [n_face, n_face + n_sub, n_face + n_sub + 1]
 
     bt_p = level.face_bt @ p_star
@@ -305,7 +318,7 @@ def step3_correction(
 
     def preconditioner(r):
         r_face, _, s, _ = np.split(r, split)
-        return np.concatenate([*precond._apply(level_number - 1, r_face), [0.0], s])
+        return np.concatenate([*precond._apply(idx, r_face), [0.0], s])
 
     def norm(r):
         r_face, rho, (s,), _ = np.split(r, split)

@@ -99,20 +99,25 @@ class Factorization:
             return self._inv @ rhs
         return self._splu.solve(rhs)
 
-    def solve_leading(self, rows: np.ndarray, m: int) -> np.ndarray:
+    def solve_leading(self, rows: np.ndarray, m: int, out=None) -> np.ndarray:
         """Leading ``m`` unknowns for data in the leading rows of the system.
 
         One row of ``rows`` (and of the result) per right-hand side; the
-        rows past ``rows.shape[1]`` of each right-hand side are zero.
+        rows past ``rows.shape[1]`` of each right-hand side are zero.  The
+        result goes to ``out`` when given, an array of that shape (a view
+        of a caller's buffer, say), which is returned.
         """
         k = rows.shape[1]
         if k > self.n:
             raise SaddleError(f"data has {k} rows, the system {self.n}")
         if self.dense:
-            return rows @ self._inv[:m, :k].T
+            return np.matmul(rows, self._inv[:m, :k].T, out=out)
         rhs = np.zeros((self.n, len(rows)))
         rhs[:k] = rows.T
-        return self.solve(rhs)[:m].T
+        if out is None:
+            return self.solve(rhs)[:m].T
+        out[...] = self.solve(rhs)[:m].T
+        return out
 
 
 @dataclass

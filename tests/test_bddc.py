@@ -1,6 +1,7 @@
 """BDDC components: basis properties, corrections, preconditioner invariants."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from nested_bddc.bddc import (
     BddcError,
     MultilevelPreconditioner,
     _face_average,
-    _pair_sum,
     assemble_coarse_problem,
     build_level_bddc,
     interior_correction,
@@ -352,25 +352,55 @@ def test_apply_rejects_residual_of_wrong_shape(shape, start_level, runs):
         precond.apply(r, start_level)
 
 
-@pytest.mark.parametrize("shape", ["short", "long", "2-d"])
-@pytest.mark.parametrize("data", ["r", "rhs_div", "u0_face"])
+STEP3_DATA = ("u0_face", "f", "u_src", "p_star", "p_ext0", "r_face")
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "2-d", "one"])
+@pytest.mark.parametrize("data", ["r", "rhs_div", "u0_face", *(f"step3_{name}" for name in STEP3_DATA)])
 def test_level_entry_points_reject_data_of_wrong_shape(data, shape, runs):
     # Each group gathers only the rows it indexes, so data longer than the
-    # level would otherwise pass unnoticed.
-    level = runs.solver(FACE_RESIDUAL_SPECS["ratio3-L3-dense"]).precond.levels[1]
-    n = {
-        "r": level.system.n_flux,
-        "rhs_div": level.system.n_pressure,
-        "u0_face": level.decomp.face_dofs.size,
-    }[data]
-    bad = {"short": np.ones(n - 1), "long": np.ones(n + 1), "2-d": np.ones((n, 1))}[shape]
-    with pytest.raises(BddcError, match=rf"expected \({n},\)"):
+    # level would otherwise pass unnoticed; a length-1 vector would
+    # broadcast.  Step 3 takes step 2's inputs and outputs, checked one by
+    # one and named in the error.
+    precond = runs.solver(FACE_RESIDUAL_SPECS["ratio3-L3-dense"]).precond
+    level = precond.levels[1]
+    n_face, n_flux, n_cells = level.decomp.face_dofs.size, level.system.n_flux, level.system.n_pressure
+    n = {"r": n_flux, "rhs_div": n_cells, "u0_face": n_face}.get(data)
+    if data.startswith("step3_"):
+        args = dict(zip(STEP3_DATA, (n_face, n_cells, n_flux, n_cells, n_cells, n_face)))
+        n = args[data.removeprefix("step3_")]
+    bad = {"short": np.ones(n - 1), "long": np.ones(n + 1), "2-d": np.ones((n, 1)), "one": np.ones(1)}[shape]
+    named = data.removeprefix("step3_") + " " if data.startswith("step3_") else ""
+    with pytest.raises(BddcError, match=rf"^{named}.*expected \({n},\)"):
         if data == "r":
             interior_correction(level, bad)
         elif data == "rhs_div":
             interior_correction(level, rhs_div=bad)
+        elif data == "u0_face":
+            step2_subdomain_solve(level, bad, np.zeros(n_cells))
         else:
-            step2_subdomain_solve(level, bad, np.zeros(level.system.n_pressure))
+            rng = np.random.default_rng(5)
+            u0_face, f = rng.standard_normal(n_face), np.zeros(n_cells)
+            f[:2] = 1.0, -1.0
+            args = dict(zip(STEP3_DATA, (u0_face, f, *step2_subdomain_solve(level, u0_face, f))))
+            args[data.removeprefix("step3_")] = bad
+            nested_driver.step3_correction(precond, 2, *args.values())
+
+
+@pytest.mark.parametrize("level", [1.0, 1.5, "1", 0, 3])
+def test_level_numbers_must_be_integers_in_range(level, runs):
+    # A level that is not an integral number from 1 to the level count is
+    # rejected by name, in the preconditioner and in step 3 alike; numpy
+    # integers are integers.
+    precond = runs.solver(FACE_RESIDUAL_SPECS["ratio3-L3-dense"]).precond
+    r = np.zeros(precond.levels[0].system.n_flux)
+    message = "must be an integer" if not isinstance(level, int) else "out of range"
+    with pytest.raises(BddcError, match=message):
+        precond.apply(r, level)
+    with pytest.raises(BddcError, match=message):
+        nested_driver.step3_correction(precond, level, *([np.zeros(1)] * 6))
+    u, p = precond.apply(r, np.int64(1))
+    assert not u.any() and not p.any()
 
 
 def test_coarse_divergence_matches_csr_product():
@@ -868,7 +898,7 @@ def test_pair_sums_equal_bincount(case, runs, rng):
         assert np.array_equal(_face_average(level, copies), ref)
         coeffs = rng.standard_normal(level.copy_faces.size)
         ref = bincount_sum(n_faces, [level.copy_faces], [coeffs])
-        assert np.array_equal(_pair_sum(level.face_pairs, coeffs), ref)
+        assert np.array_equal(level.face_sum(coeffs), ref)
         # A level apply: restriction, then averaging of the dual values plus
         # the coarse correction, per group.
         r_face = rng.standard_normal(n_face)
@@ -888,6 +918,145 @@ def test_pair_sums_equal_bincount(case, runs, rng):
         assert np.array_equal(p_coarse, p_next)
     if case == "one-subdomain":
         assert (n_face, n_faces) == (0, 0)
+
+
+WORKSPACE_SPECS = {
+    "deep-r3": ExperimentSpec(levels=5, ratio=3),
+    "jump-r3": ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=30.0, k3=0.05),
+    "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
+}
+WORKSPACE = ("dof_in", "dof_out", "face_in", "rows", "sol")
+
+
+def byte_offset(view, buf) -> int:
+    return view.__array_interface__["data"][0] - buf.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("case", [*WORKSPACE_SPECS, "one-subdomain"])
+def test_group_views_tile_the_level_workspace(case, runs):
+    # Each group's views of a workspace buffer follow one another in group
+    # order with no gap or overlap and cover the buffer: a product written
+    # into a group's output view lands in its rows of the level's copy
+    # layout and nowhere else.  The gathers run with mode="clip", which
+    # does not check indices, so every index must lie in its source.
+    if case == "one-subdomain":
+        precond = make_setup(3, 2, 3)[2]
+    else:
+        precond = runs.solver(WORKSPACE_SPECS[case]).precond
+    for level in precond.levels:
+        groups, system, decomp = level.groups, level.system, level.decomp
+        assert level.dof_in.size == level.dof_out.size == level.copy_pos.size
+        assert level.face_in.size == level.copy_faces.size
+        assert level.rows.shape == level.idx_int.shape and level.sol.shape[0] == decomp.n_sub
+        for name in WORKSPACE:
+            buf, offset = getattr(level, name), 0
+            for grp in groups:
+                view = getattr(grp, name)
+                assert view.flags.c_contiguous and view.base is not None
+                assert view.size == 0 or byte_offset(view, buf) == offset
+                offset += view.nbytes
+            assert offset == buf.nbytes
+        # Buffers that share memory serve passes one at a time; those that
+        # one pass uses together do not overlap.
+        assert np.shares_memory(level.rows, level.dof_in) or level.dof_in.size == 0
+        assert np.shares_memory(level.dof_out, level.sol) or level.dof_out.size == 0
+        for one, other in (("dof_in", "dof_out"), ("dof_in", "sol"), ("rows", "sol"), ("dof_out", "face_in")):
+            assert not np.shares_memory(getattr(level, one), getattr(level, other))
+        for idx, n in (
+            (level.copy_pos, decomp.face_dofs.size),
+            (level.copy_faces, decomp.n_faces),
+            (level.idx_int, system.n_flux),
+            (level.idx_cells, system.n_pressure),
+            (level.dof_pairs, level.copy_pos.size),
+            (level.face_pairs, level.copy_faces.size),
+        ):
+            assert idx.size == 0 or (idx.min() >= 0 and idx.max() < n)
+
+
+def level_passes(precond, idx, rng):
+    """Every level pass on level ``idx + 1`` with fresh random data: name -> outputs."""
+    level = precond.levels[idx]
+    n_face, n_flux = level.decomp.face_dofs.size, level.system.n_flux
+    return {
+        "apply": precond.apply(rng.standard_normal(n_flux), idx + 1),
+        "_apply": precond._apply(idx, rng.standard_normal(n_face)),
+        "schur_product": (level.schur_product(rng.standard_normal(n_face)),),
+        "extend": level.extend(rng.standard_normal(n_face)),
+        "extend_pressure": (level.extend_pressure(rng.standard_normal(n_face)),),
+        "interior_correction": interior_correction(level, rng.standard_normal(n_flux)),
+        "interior_correction rhs_div": interior_correction(level, rhs_div=rng.standard_normal(level.system.n_pressure)),
+        "prolong_average": (prolong_average(level, rng.standard_normal(level.decomp.n_faces)),),
+    }
+
+
+@pytest.mark.parametrize("case", list(WORKSPACE_SPECS))
+def test_later_calls_leave_earlier_outputs_alone(case, runs, rng):
+    # Every pass returns new arrays: a later call on any level, which
+    # reuses the same workspace, changes nothing a former call returned.
+    precond = runs.solver(WORKSPACE_SPECS[case]).precond
+    first = [level_passes(precond, idx, rng) for idx in range(len(precond.levels))]
+    kept = [{name: [a.copy() for a in out] for name, out in passes.items()} for passes in first]
+    for idx in range(len(precond.levels)):
+        level_passes(precond, idx, rng)
+    for idx, (passes, copies) in enumerate(zip(first, kept)):
+        level = precond.levels[idx]
+        for name, outputs in passes.items():
+            for got, ref in zip(outputs, copies[name]):
+                assert got.tobytes() == ref.tobytes(), (idx, name)
+                for buf in WORKSPACE:
+                    assert not np.shares_memory(got, getattr(level, buf)), (idx, name, buf)
+
+
+def test_interleaved_solvers_match_sequential_solves():
+    # Two solvers whose solves take turns, one preconditioner apply each,
+    # in two threads of which only one runs at a time: each solver keeps
+    # its own workspace, so both results equal their sequential solves bit
+    # for bit.  The two hierarchies have the same shapes, so a buffer shared
+    # between solvers would go unnoticed but for the results.
+    specs = (
+        ExperimentSpec(levels=4, ratio=3, coeff="jump-right", k1=37.0, k3=0.05),
+        ExperimentSpec(levels=4, ratio=3),
+    )
+    sequential = [NestedSolver(spec).solve() for spec in specs]
+    solvers = [NestedSolver(spec) for spec in specs]
+    turns, done = [threading.Semaphore(0), threading.Semaphore(0)], [False, False]
+    results, errors, handovers = [None, None], [], [0, 0]
+
+    def take_turns(k, apply):
+        def traced(idx, r_face):
+            out = apply(idx, r_face)
+            if not done[1 - k]:
+                handovers[k] += 1
+                turns[1 - k].release()
+                turns[k].acquire()
+            return out
+
+        return traced
+
+    def run(k):
+        turns[k].acquire()
+        try:
+            results[k] = solvers[k].solve()
+        except Exception as exc:  # re-raised in the main thread
+            errors.append(exc)
+        finally:
+            done[k] = True
+            turns[1 - k].release()
+
+    for k, solver in enumerate(solvers):
+        solver.precond._apply = take_turns(k, solver.precond._apply)
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    turns[0].release()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not errors, errors
+    assert min(handovers) > 10
+    for got, ref in zip(results, sequential):
+        assert got.flux.tobytes() == ref.flux.tobytes()
+        assert got.pressure.tobytes() == ref.pressure.tobytes()
+        assert [row.csv() for row in got.rows] == [row.csv() for row in ref.rows]
 
 
 def test_step3_products_do_not_grow_with_iterations(monkeypatch):

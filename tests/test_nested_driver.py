@@ -1,6 +1,7 @@
 """Outer nested algorithm: restriction, subdomain solves, PCG correction,
 oracle equivalence, table output."""
 
+import importlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -696,3 +697,16 @@ def test_face_diagonal_weights_on_non_aligned_fields(runs, rng, field):
     assert a_norm_rel_error(solver.fine, result.flux, u_ref) <= 1e-5
     multiplicity = runs.result(SeededFieldSpec(levels=4, ratio=3, gamma=0.0, field=field))
     assert result.rows[0].iter <= multiplicity.rows[0].iter
+
+
+TRACED_MODULES = ("mesh_fem", "hierarchy", "saddle_core", "bddc", "krylov", "nested_driver")
+
+
+@pytest.mark.parametrize("module", ["nested_bddc", *(f"nested_bddc.{m}" for m in TRACED_MODULES)])
+def test_no_module_level_none(module):
+    # The benchmark's span tracer patches every public function of these
+    # modules, wherever a module binds it, by the id of the bound object; a
+    # module-level None matches a missing entry and stops every traced run
+    # with a KeyError, so no module binds one.
+    mod = importlib.import_module(module)
+    assert [name for name, value in vars(mod).items() if value is None] == []
