@@ -21,21 +21,24 @@ faces, one column per coarse dof.
 After the pre-correction a residual's interior rows vanish, and the
 post-correction maps each subdomain copy to the harmonic extension of its
 face values.  So a level apply works on the level's face vector, its face
-dofs in ``decomp.face_dofs`` order, which each group indexes with
-``face_pos``: ``MultilevelPreconditioner._apply`` takes the face rows of a
-pre-corrected residual and returns the averaged face values and the
-coarse pressure, one value per subdomain.  One call,
+dofs in ``decomp.face_dofs`` order, which the level's copy layout indexes
+(``LevelBddc.copy_pos``): ``MultilevelPreconditioner._apply`` takes the
+face rows of a pre-corrected residual and returns the averaged face values
+and the coarse pressure, one value per subdomain.  One call,
 ``LevelBddc.extend``, gives the harmonic extension of face values: the
-flux in the interiors and each subdomain's pressure.  A level vector is
-formed from it (plus the pre-correction's pressure and the coarse
-pressure on the cells) only where one is needed: in ``apply``, which
-pre-corrects any residual with the interior KKT solves, adds their face
-residual to the residual's face rows, and which the recursion calls on
-every coarser level.  Step 3 of the nested solve hands its start level's
-``_apply`` pre-corrected residuals directly (see
-``nested_driver.step3_correction``) and iterates on face fluxes and
-per-subdomain values with the level's condensed products:
-``schur_product``, ``net``, ``net_t`` and ``face_divergence_defect``.
+flux in the interiors and each subdomain's pressure.  On every coarser
+level the recursion runs the whole level pass in the level's workspace
+(``MultilevelPreconditioner._descend``): the interior KKT solves of the
+pre-correction go into the level's result block, their face residual
+joins the residual's face rows, and the extension of the returned face
+values and the coarse pressure add to the block, which the finer level
+then gathers from.  So no level vector is formed inside an iteration; the
+public ``apply`` is that pass followed by the level's scatters.  Step 3
+of the nested solve hands its start level's ``_apply`` pre-corrected
+residuals directly (see ``nested_driver.step3_correction``) and iterates
+on face fluxes and per-subdomain values with the level's condensed
+products: ``schur_net`` (the Schur product and each subdomain's net face
+flux from one gather), ``net`` and ``face_divergence_defect``.
 The divergence of a harmonic extension is the cell area times the
 subdomain's net face flux over the subdomain's area, so it is one value
 per subdomain.
@@ -53,10 +56,10 @@ Subdomains are grouped by cell pattern and present faces, one group kind
 per level.  The groups on one set of present faces slice their faces
 from their patterns and build their bordered face systems as one stack;
 each system is inverted on its own, and each group keeps its own copy
-of its operators (``_face_operators``).  A group keeps one row of index
-arrays and of face weights (``hierarchy.compute_weights``) per member,
-as views of the level's copy layout: every group's face copies, one row
-per member, one group after another.  Every face lies between two
+of its operators (``_face_operators``).  The level lays out its
+subdomains' face copies once, with their face weights
+(``hierarchy.compute_weights``): every group's copies, one row per
+member, one group after another.  Every face lies between two
 subdomains, so a sum of the members' face copies (the Schur product,
 the averaging, the restriction) adds two entries of a copy buffer,
 located once at build (``_copy_pairs``).  How blocks are stored
@@ -67,8 +70,10 @@ per pattern above ``DENSE_LIMIT``.
 
 Each level owns a workspace, built once with the level: buffers of
 face-dof copies and of face copies in the copy layout, and buffers of
-interior data and of interior solutions, one row per subdomain in group
-order.  Each group holds views of its rows of every buffer.  So every
+interior data, of interior solutions and of the level's result (its face
+values, then its interior flux and cell pressures), one row per
+subdomain in group order.  Each group holds views of its rows of every
+buffer.  So every
 level pass has one shape: one level-wide gather into an input buffer
 (``ndarray.take`` with ``mode="clip"``, which writes straight into it;
 the indices are in range by construction), one product per group from
@@ -77,9 +82,10 @@ sum into a new array.  The products, their operands and the order of
 every addition are those of a per-group pass, so results do not depend
 on the workspace.  A preconditioner applies one residual at a time: a
 level's buffers serve one pass at a time, and the only data that wait in
-a workspace across a call are a level's dual values while the coarser
-levels of the recursion run on their own workspaces.  No pass returns a
-view of a workspace, so an output stays as it was through later calls.
+a workspace across a call are a level's dual values and its result block
+while the coarser levels of the recursion run on their own workspaces.
+No pass returns a view of a workspace, so every returned array is new
+and stays as it was through later calls.
 
 ``MultilevelPreconditioner.build`` owns the level list: it makes the
 decompositions from the fine grid, and each level's system is the coarse
@@ -108,6 +114,7 @@ from .hierarchy import LevelDecomposition, build_hierarchy, compute_weights
 from .mesh_fem import (
     SLOT_BOTTOM,
     SLOT_LEFT,
+    SLOT_SIGNS,
     Rt0System,
     _unique_rows,
     assemble_system,
@@ -136,8 +143,8 @@ class _Group:
 
     ``kkt`` is the pattern's interior KKT, which the interior correction
     solves in batches, one row of data per member.  Face data run face by
-    face in ``idx_face`` (level dofs) and ``face_pos`` (positions in the
-    level's face vector): the ``k``-th present face (slot
+    face, as in the group's rows of the level's copy layout
+    (``LevelBddc.copy_pos``): the ``k``-th present face (slot
     ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
     ``ext`` holds the pattern's extension rows of these faces and
     ``schur`` its Schur complement ``S`` on them.  The inverse of the
@@ -152,15 +159,21 @@ class _Group:
     ``ext_p`` (its pressure columns) and ``psi_t`` are views of them, the
     operands the level passes multiply by.
 
+    ``signs`` holds ``B``'s entry of each face dof on the members' cells,
+    ``+h`` on the faces where a member is the higher subdomain and ``-h``
+    on the others, so a member's face values times ``signs`` are its net
+    face flux.
+
     Every other array is a view of the level's (``LevelBddc``), one row
-    per member: the face ids ``face_ids``, ``face_pos``, the face weights
-    ``w`` and the index rows ``idx_face``, ``idx_int`` (interior dofs) and
+    per member: the index rows ``idx_int`` (interior dofs) and
     ``idx_cells``, and the group's rows of the level's workspace, which
     the level sets: ``dof_in`` and ``dof_out`` of its face-dof copies,
-    ``face_in`` of its face copies, ``rows`` of its interior data and
-    ``sol`` (with its pressure columns ``sol_p``) of its interior
-    solutions and extensions.  A level pass gathers into the level's
-    buffers and multiplies each group's input view into its output view.
+    ``face_in`` of its face copies, ``sub_out`` of one value per member,
+    ``rows`` of its interior data, ``sol`` (with its pressure columns
+    ``sol_p``) of its interior solutions and extensions, and
+    ``result_rows`` of the level's result block.  A level pass gathers
+    into the level's buffers and multiplies each group's input view into
+    its output view.
     """
 
     subs: np.ndarray
@@ -171,16 +184,13 @@ class _Group:
     dual: np.ndarray
     psi: np.ndarray
     coarse_elem: np.ndarray
-    face_ids: np.ndarray
-    face_pos: np.ndarray
-    w: np.ndarray
-    idx_face: np.ndarray
+    signs: np.ndarray
     idx_int: np.ndarray
     idx_cells: np.ndarray
 
     def __post_init__(self):
         self.n_faces = len(self.face_slots)
-        self.n_face_dofs = self.idx_face.shape[1]
+        self.n_face_dofs = len(self.ext)
         self.n_int = self.idx_int.shape[1]
         self.n_cells = self.idx_cells.shape[1]
         self.ext_flux_t = self.ext[:, : self.n_int].T
@@ -322,7 +332,7 @@ class LevelBddc:
     Besides the groups, a level keeps what the divergence of a harmonic
     extension needs: ``net``, each subdomain's net face flux (``B``'s face
     columns summed over its cells, one row per subdomain and one column
-    per entry of the face vector), and its transpose ``net_t``.  The
+    per entry of the face vector).  The
     extension's divergence on a cell is the cell's area over the
     subdomain's area ``sub_areas`` times the net flux, so its norm on the
     subdomain is ``div_norm`` times the net flux, with ``div_norm`` the
@@ -337,30 +347,47 @@ class LevelBddc:
     face-dof copy's position in the face vector and ``copy_w`` its face
     weight (``hierarchy.compute_weights``), ``w_lo`` where the member is a
     face's lower subdomain and ``1 - w_lo`` where it is the higher one.
-    ``idx_int`` and ``idx_cells`` hold the members' interior dofs and
-    cells in the same order, one row per subdomain.  ``face_pairs`` and
-    ``dof_pairs`` locate the two copies of each face and face dof
-    (``_copy_pairs``), so a sum over subdomains is one addition per entry
-    (``face_sum``, ``dof_sum``).
+    ``order`` holds the members' subdomains and ``idx_int`` and
+    ``idx_cells`` their interior dofs and cells in the same order, one
+    row per subdomain.  ``face_pairs`` and ``dof_pairs`` locate the two
+    copies of each face and face dof (``_copy_pairs``), so a sum over
+    subdomains is one addition per entry (``face_sum``, ``dof_sum``).
 
     The workspace holds one buffer per kind of data in this layout, and
     each group keeps views of its rows (``_Group``): ``dof_in`` and
-    ``dof_out`` of face-dof copies, ``face_in`` of face copies, ``rows``
-    of interior data and ``sol`` of interior solutions and extensions
-    (flux columns ``sol_u``, pressure columns ``sol_p``).  Every pass
-    (``extend``, ``extend_pressure``, ``schur_product``,
-    ``interior_correction``, ``prolong_average`` and
-    ``MultilevelPreconditioner._apply``) makes one level-wide gather into
-    an input buffer, one product per group from its input view into its
-    output view, and one level-wide scatter or pair sum into a new array.
-    Buffers whose uses never overlap share memory, so a level makes two
-    allocations: ``rows`` and the pair sums' gathers lie in ``dof_in``'s
-    memory, and ``dof_out`` and ``face_in``, side by side, in ``sol``'s.
+    ``dof_out`` of face-dof copies, ``face_in`` of face copies,
+    ``sub_out`` of one value per subdomain, ``rows`` of interior data and
+    ``sol`` of interior solutions and extensions (flux columns ``sol_u``,
+    pressure columns ``sol_p``).  Every pass (``extend``,
+    ``extend_pressure``, ``schur_product``, ``schur_net``,
+    ``interior_correction``, ``prolong_average`` and the preconditioner's
+    level passes) makes one level-wide gather into an input buffer, one
+    product per group from its input view into its output view, and one
+    level-wide scatter or pair sum into a new array.  Buffers whose uses
+    never overlap share memory: ``rows`` and the pair sums' gathers lie in
+    ``dof_in``'s memory, and ``dof_out``, ``face_in`` and ``sub_out``,
+    side by side, in ``sol``'s.
+
+    A third allocation is the result block ``result`` of the
+    preconditioner's level pass (``MultilevelPreconditioner._descend``):
+    the level's averaged face values ``result_face``, then one row per
+    subdomain in group order, its interior flux and its cell pressures
+    (``result_rows``, flux columns ``result_u``, pressure columns
+    ``result_p``; each group keeps a view of its rows).  A level's block
+    waits in its workspace while the coarser levels run; the finer level
+    reads it back with one gather each for its face copies' coarse flux
+    and for the cell pressures, through the index maps that ``link``
+    builds on each level the recursion reaches (``result_at_copies``,
+    ``result_at_cells``).  ``link`` allots the block on those levels;
+    on the first level, which the recursion never reaches, it is allotted
+    by the first ``apply`` or ``interior_correction`` of a residual there
+    (``_allot_result``), so a solve allots none on it.
     So a level serves one pass at a time, and a preconditioner applies one
     residual at a time; what a pass returns is never a view of the
     workspace.  The level builds its workspace and its groups' views when
     it is made, so a level made from another (``dataclasses.replace``)
-    takes the groups' views over.
+    takes the groups' views over; the index maps stay with the level that
+    ``link`` built them on.
     """
 
     system: Rt0System
@@ -369,12 +396,12 @@ class LevelBddc:
     b_int: object
     face_bt: sp.csr_matrix
     net: sp.csc_matrix
-    net_t: sp.csr_matrix
     sub_areas: np.ndarray
     div_norm: np.ndarray
     copy_faces: np.ndarray
     copy_pos: np.ndarray
     copy_w: np.ndarray
+    order: np.ndarray
     idx_int: np.ndarray
     idx_cells: np.ndarray
     face_pairs: np.ndarray
@@ -387,10 +414,12 @@ class LevelBddc:
         n_copy, n_face_copy, n_sol = self.copy_pos.size, self.copy_faces.size, n_sub * (n_int + n_cells)
         inputs = np.empty(max(n_copy, n_sub * n_int))
         self.dof_in, self.rows = inputs[:n_copy], inputs[: n_sub * n_int].reshape(n_sub, n_int)
-        outputs = np.empty(max(n_sol, n_copy + n_face_copy))
+        outputs = np.empty(max(n_sol, n_copy + n_face_copy + n_sub))
         self.sol = outputs[:n_sol].reshape(n_sub, n_int + n_cells)
         self.dof_out, self.face_in = outputs[:n_copy], outputs[n_copy : n_copy + n_face_copy]
+        self.sub_out = outputs[n_copy + n_face_copy : n_copy + n_face_copy + n_sub]
         self.sol_u, self.sol_p = self.sol[:, :n_int], self.sol[:, n_int:]
+        self.result = None
         self.dof_sum = _PairSum(self.dof_pairs, self.dof_in.reshape(self.dof_pairs.shape))
         face_buf = self.dof_in[: self.face_pairs.size].reshape(self.face_pairs.shape)
         self.face_sum = _PairSum(self.face_pairs, face_buf)
@@ -401,14 +430,53 @@ class LevelBddc:
             grp.dof_in = self.dof_in[dof : dof + n_dofs].reshape(n, grp.n_face_dofs)
             grp.dof_out = self.dof_out[dof : dof + n_dofs].reshape(n, grp.n_face_dofs)
             grp.face_in = self.face_in[face : face + n_faces].reshape(n, grp.n_faces)
+            grp.sub_out = self.sub_out[sub : sub + n]
             grp.rows, grp.sol = self.rows[sub : sub + n], self.sol[sub : sub + n]
             grp.sol_p = grp.sol[:, n_int:]
             sub, face, dof = sub + n, face + n_faces, dof + n_dofs
+
+    def _allot_result(self) -> None:
+        """The result block and each group's view of its rows, allotted once."""
+        if self.result is not None:
+            return
+        n_face, (n_sub, width), n_int = self.face_dofs.size, self.sol.shape, self.idx_int.shape[1]
+        self.result = np.empty(n_face + self.sol.size)
+        self.result_face, self.result_rows = self.result[:n_face], self.result[n_face:].reshape(n_sub, width)
+        self.result_u, self.result_p = self.result_rows[:, :n_int], self.result_rows[:, n_int:]
+        sub = 0
+        for grp in self.groups:
+            grp.result_rows = self.result_rows[sub : sub + len(grp.subs)]
+            sub += len(grp.subs)
+
+    def link(self, copy_faces: np.ndarray) -> None:
+        """Index maps into ``result`` for the finer level whose face copies are ``copy_faces``.
+
+        The finer level's face copies hold faces of its decomposition,
+        that is flux dofs of this level: ``result_at_copies`` holds the
+        entry of ``result`` that carries each copy's flux, a face value or
+        an interior flux, and ``result_at_cells`` the entry that carries
+        each cell's pressure, in cell order.
+        """
+        self._allot_result()
+        (n_sub, width), n_int = self.result_rows.shape, self.idx_int.shape[1]
+        at_rows = self.face_dofs.size + width * np.arange(n_sub)[:, None]
+        at_flux = np.empty(self.system.n_flux, dtype=np.intp)
+        at_flux[self.face_dofs] = np.arange(self.face_dofs.size)
+        at_flux[self.idx_int] = at_rows + np.arange(n_int)
+        self.result_at_copies = at_flux[copy_faces]
+        self.result_at_cells = np.empty(self.system.n_pressure, dtype=np.intp)
+        self.result_at_cells[self.idx_cells] = at_rows + n_int + np.arange(width - n_int)
 
     def _gather_faces(self, u_face: np.ndarray) -> None:
         """Face values ``u_face`` into ``dof_in``, one entry per face-dof copy."""
         u_face = _checked_vector(u_face, self.face_dofs.size, "face values")
         u_face.take(self.copy_pos, out=self.dof_in, mode="clip")
+
+    def _extend_rows(self, u_face: np.ndarray) -> None:
+        """Harmonic extension of face values ``u_face`` into ``sol``, one row per subdomain."""
+        self._gather_faces(u_face)
+        for grp in self.groups:
+            np.matmul(grp.dof_in, grp.ext, out=grp.sol)
 
     def extend(self, u_face: np.ndarray):
         """Harmonic extension of face values ``u_face``: level flux and pressure.
@@ -416,9 +484,7 @@ class LevelBddc:
         The flux holds ``u_face`` on the faces and each subdomain's
         extension inside; the pressure is each extension's gauged pressure.
         """
-        self._gather_faces(u_face)
-        for grp in self.groups:
-            np.matmul(grp.dof_in, grp.ext, out=grp.sol)
+        self._extend_rows(u_face)
         u = np.zeros(self.system.n_flux)
         u[self.face_dofs] = u_face
         u[self.idx_int] = self.sol_u
@@ -442,6 +508,20 @@ class LevelBddc:
             np.matmul(grp.dof_in, grp.schur, out=grp.dof_out)
         return self.dof_sum(self.dof_out)
 
+    def schur_net(self, u_face: np.ndarray):
+        """``schur_product(u_face)`` and each subdomain's net face flux, from one gather.
+
+        The net flux equals ``net @ u_face`` up to round-off: one product
+        per group of its members' face-dof copies with its ``signs``.
+        """
+        self._gather_faces(u_face)
+        for grp in self.groups:
+            np.matmul(grp.dof_in, grp.schur, out=grp.dof_out)
+            np.matmul(grp.dof_in, grp.signs, out=grp.sub_out)
+        net = np.empty(self.order.size)
+        net[self.order] = self.sub_out
+        return self.dof_sum(self.dof_out), net
+
     def face_divergence_defect(self, u_face: np.ndarray, product=None, m=None) -> float:
         """``divergence_defect`` of ``extend(u_face)`` from face values alone.
 
@@ -449,9 +529,9 @@ class LevelBddc:
         subdomain, and so is the pressure gauge, so the defect is taken on
         one entry per subdomain: the divergence's norm there, against the
         gauge's.  The energy is ``u_face @ S u_face``.  Given ``product``,
-        the face rows ``S u_face + net_t m`` of the step-3 operator applied
-        to ``(u_face, m)``, which PCG holds as its right-hand side less its
-        residual, the energy is ``u_face @ product - (net u_face) @ m``;
+        the face rows ``S u_face + (B^T m)_F`` of the step-3 operator
+        applied to ``(u_face, m)``, which PCG holds as its right-hand side
+        less its residual, the energy is ``u_face @ product - (net u_face) @ m``;
         without it, or when that is not positive, ``u_face`` against
         ``schur_product(u_face)``.
         """
@@ -509,34 +589,27 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     w_lo = compute_weights(decomp, system.elem_table, system.elem_class, gamma)[copy_faces]
     copy_pos = (copy_faces[:, None] * ratio + np.arange(ratio)).ravel()
     copy_w = np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio)
-    idx_face = decomp.face_dofs.ravel()[copy_pos]
     idx_int, idx_cells = decomp.interior_by_sub[order], decomp.cells_by_sub[order]
-    groups, row, start = [], 0, 0
+    # B's entry on a subdomain's cells at each of its faces' dofs: +h on its
+    # left and bottom faces, -h on its right and top faces.
+    h = system.grid.h
+    slot_signs = SLOT_SIGNS * h
+    groups, row = [], 0
     for subs, (face_slots, face_ops) in zip(members, ops):
-        n, stop = len(subs), start + len(subs) * len(face_slots)
-        span = slice(start * ratio, stop * ratio)
+        n = len(subs)
+        signs = slot_signs[face_slots].repeat(ratio)
+        kkt = kkts[pattern[subs[0]]]
         groups.append(
-            _Group(
-                subs,
-                kkts[pattern[subs[0]]],
-                face_slots,
-                *face_ops,
-                face_ids=copy_faces[start:stop].reshape(n, -1),
-                face_pos=copy_pos[span].reshape(n, -1),
-                w=copy_w[span].reshape(n, -1),
-                idx_face=idx_face[span].reshape(n, -1),
-                idx_int=idx_int[row : row + n],
-                idx_cells=idx_cells[row : row + n],
-            )
+            _Group(subs, kkt, face_slots, *face_ops, signs, idx_int[row : row + n], idx_cells[row : row + n])
         )
-        row, start = row + n, stop
+        row += n
     areas = system.areas[decomp.cells_by_sub]
     sub_areas = areas.sum(axis=1)
     # B's entries in the column of an edge: -h on its lower cell, +h on its
     # higher one (SLOT_SIGNS); a face dof's two cells lie in its face's two
     # subdomains.
     face_dofs = decomp.face_dofs.ravel()
-    signs = np.tile([-system.grid.h, system.grid.h], len(face_dofs))
+    signs = np.tile([-h, h], len(face_dofs))
     pairs = np.arange(0, signs.size + 1, 2)
     face_subs = np.repeat(decomp.sub_grid.edge_sides, ratio, axis=0)
     net = sp.csc_matrix((signs, face_subs.ravel(), pairs), (decomp.n_sub, len(face_dofs)))
@@ -551,12 +624,12 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
             (len(face_dofs), system.n_pressure),
         ),
         net=net,
-        net_t=net.T.tocsr(),
         sub_areas=sub_areas,
         div_norm=np.linalg.norm(areas, axis=1) / sub_areas,
         copy_faces=copy_faces,
         copy_pos=copy_pos,
         copy_w=copy_w,
+        order=order,
         idx_int=idx_int,
         idx_cells=idx_cells,
         face_pairs=_copy_pairs(decomp.n_faces, copy_faces, high),
@@ -591,12 +664,28 @@ def _checked_vector(data, n: int, what: str) -> np.ndarray:
 
 
 def _checked_level(number, n_levels: int, what: str) -> int:
-    """The index of level ``number`` (1 to ``n_levels``), or ``BddcError`` naming ``what``."""
-    if not isinstance(number, numbers.Integral):
+    """The index of level ``number`` (1 to ``n_levels``), or ``BddcError`` naming ``what``.
+
+    ``bool`` is an ``Integral`` in Python, but not a level number.
+    """
+    if isinstance(number, bool) or not isinstance(number, numbers.Integral):
         raise BddcError(f"{what} must be an integer, got {number!r}")
     if not 1 <= number <= n_levels:
         raise BddcError(f"{what} {number} out of range")
     return int(number) - 1
+
+
+def _precorrect(level: LevelBddc, r: np.ndarray) -> np.ndarray:
+    """Every subdomain's interior solve for the flux residual ``r``, into ``level.result_rows``.
+
+    One gather, and one solve and one face-residual product per group;
+    returns the face residual (``interior_correction``).
+    """
+    r.take(level.idx_int, out=level.rows, mode="clip")
+    for grp in level.groups:
+        grp.kkt.factorization.solve_leading(grp.rows, grp.n_int + grp.n_cells, out=grp.result_rows)
+        np.matmul(grp.rows, grp.ext_flux_t, out=grp.dof_out)
+    return level.dof_sum(level.dof_out)
 
 
 def interior_correction(level: LevelBddc, r=None, rhs_div=None):
@@ -614,7 +703,9 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     ``-(A u + B^T p)`` in the level's face-vector order.  On a subdomain
     they are ``-M_F^T K_I^-1 [r_I; f]``, and ``K_I`` is symmetric, so they
     are the data rows the solve takes times the extension rows ``ext``,
-    summed over each face dof's two copies.
+    summed over each face dof's two copies.  Given ``r`` alone, this is
+    the pre-correction of the preconditioner's level pass
+    (``_precorrect``), scattered to the level's dofs and cells.
     """
     if r is None and rhs_div is None:
         raise BddcError("interior_correction needs a flux residual r or divergence data rhs_div")
@@ -624,18 +715,12 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
         rhs_div = _checked_vector(rhs_div, level.system.n_pressure, "divergence data")
     u = np.zeros(level.system.n_flux)
     if rhs_div is None:
-        # Every subdomain, over the workspace: one gather, one solve per
-        # group, one scatter, and one face-residual product per group.
-        r.take(level.idx_int, out=level.rows, mode="clip")
-        for grp in level.groups:
-            grp.kkt.factorization.solve_leading(grp.rows, grp.n_int + grp.n_cells, out=grp.sol)
-        u[level.idx_int] = level.sol_u
+        level._allot_result()
+        r_face = _precorrect(level, r)
+        u[level.idx_int] = level.result_u
         p = np.empty(level.system.n_pressure)
-        p[level.idx_cells] = level.sol_p
-        # dof_out shares sol's memory, so the face residuals come after.
-        for grp in level.groups:
-            np.matmul(grp.rows, grp.ext_flux_t, out=grp.dof_out)
-        return u, p, level.dof_sum(level.dof_out)
+        p[level.idx_cells] = level.result_p
+        return u, p, r_face
     p = np.zeros(level.system.n_pressure)
     level.dof_out.fill(0.0)
     for grp in level.groups:
@@ -691,9 +776,11 @@ class MultilevelPreconditioner:
     and post-correction: it takes a residual whose interior rows the
     pre-correction has already removed and returns face values and the
     coarse pressure per subdomain.  Step 3 of the nested solve calls it
-    on its start level.  Each level's ``_apply`` hands its restricted
-    residual to ``apply`` on the next level, so coarser levels get
-    general residuals and keep the interior KKT solves.
+    on its start level.  On every coarser level the recursion runs the
+    whole map, ``_descend``, whose output stays in that level's result
+    block (``LevelBddc.result``) for the finer level to gather, so the
+    recursion forms no level vector.  ``apply`` is ``_descend`` followed
+    by the start level's scatters.
 
     Each level computes in its own workspace (``LevelBddc``), so a
     preconditioner applies one residual at a time: calls from two threads
@@ -707,11 +794,18 @@ class MultilevelPreconditioner:
     def build(
         cls, system: Rt0System, n_levels: int, ratio: int, gamma: float
     ) -> "MultilevelPreconditioner":
-        """Levels 1..L-1 of the fine ``system``, each on the coarse problem below."""
+        """Levels 1..L-1 of the fine ``system``, each on the coarse problem below.
+
+        Each level below the first is one the recursion reaches: it gets
+        the index maps into its result block (``LevelBddc.link``).
+        """
         levels = []
         for decomp in build_hierarchy(system.grid, n_levels, ratio):
-            levels.append(build_level_bddc(system, decomp, gamma))
-            system = assemble_coarse_problem(levels[-1])
+            level = build_level_bddc(system, decomp, gamma)
+            if levels:
+                level.link(levels[-1].copy_faces)
+            levels.append(level)
+            system = assemble_coarse_problem(level)
         return cls(levels=levels, top_kkt=KktSystem(system.A, system.B, gauge=system.areas))
 
     def apply(self, r: np.ndarray, start_level: int = 1):
@@ -719,15 +813,33 @@ class MultilevelPreconditioner:
         idx = _checked_level(start_level, len(self.levels), "start level")
         level = self.levels[idx]
         r = _checked_vector(r, level.system.n_flux, f"residual on level {start_level}")
-        u_int, p, r_face = interior_correction(level, r)
-        u_face, p_coarse = self._apply(idx, r[level.face_dofs] + r_face)
-        u, p_ext = level.extend(u_face)
-        u += u_int
-        # The coarse pressure on each subdomain's cells, and the pressure of
-        # each subdomain's harmonic extension of the averaged face values.
-        p[level.decomp.cells_by_sub] += p_coarse[:, None]
-        p += p_ext
+        level._allot_result()
+        self._descend(idx, r)
+        u = np.empty(level.system.n_flux)
+        u[level.face_dofs] = level.result_face
+        u[level.idx_int] = level.result_u
+        p = np.empty(level.system.n_pressure)
+        p[level.idx_cells] = level.result_p
         return u, p
+
+    def _descend(self, idx: int, r: np.ndarray) -> None:
+        """``apply(r, idx + 1)`` into the result block of level ``idx + 1``.
+
+        Pre-corrects ``r`` with the interior solves into the block's rows
+        (``_precorrect``), runs ``_apply`` on the residual's face rows plus
+        their face residual, extends the returned face values into ``sol``
+        and adds the coarse pressure and then that extension to the rows:
+        the flux is the pre-correction's plus the extension's, the pressure
+        the pre-correction's plus the coarse pressure, plus the extension's.
+        ``sol`` has the rows' layout, so the extension adds in one pass.
+        """
+        level = self.levels[idx]
+        r_face = _precorrect(level, r)
+        u_face, p_coarse = self._apply(idx, r[level.face_dofs] + r_face)
+        level._extend_rows(u_face)
+        level.result_face[:] = u_face
+        level.result_p += p_coarse.take(level.order)[:, None]
+        level.result_rows += level.sol
 
     def _apply(self, idx: int, r_face: np.ndarray):
         """One level's face work: averaged face values and the coarse pressure per subdomain.
@@ -738,7 +850,8 @@ class MultilevelPreconditioner:
         level gives the flux and, on each subdomain, the pressure to which
         the returned coarse pressure and the pre-correction's pressure add.
         The dual values wait in the level's ``dof_out`` while the coarser
-        levels run on their own workspaces.
+        levels run on their own workspaces; the next level's output is
+        gathered from its result block.
         """
         level = self.levels[idx]
         # Per group, from the weighted face residuals: dual face values with
@@ -751,10 +864,13 @@ class MultilevelPreconditioner:
         r_next = level.face_sum(level.face_in)
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
+            u_next.take(level.copy_faces, out=level.face_in, mode="clip")
         else:
-            u_next, p_next = self.apply(r_next, idx + 2)
+            coarse = self.levels[idx + 1]
+            self._descend(idx + 1, r_next)
+            coarse.result.take(coarse.result_at_copies, out=level.face_in, mode="clip")
+            p_next = coarse.result.take(coarse.result_at_cells)
         # The coarse correction through the basis, added to the dual values.
-        u_next.take(level.copy_faces, out=level.face_in, mode="clip")
         for grp in level.groups:
             np.matmul(grp.face_in, grp.psi_t, out=grp.dof_in)
         level.dof_out += level.dof_in

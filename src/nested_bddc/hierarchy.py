@@ -129,12 +129,15 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
 
 
 def check_shape(levels: int, ratio: int) -> None:
-    """Reject a level count or coarsening ratio that no mesh can take."""
-    if not isinstance(levels, numbers.Integral):
+    """Reject a level count or coarsening ratio that no mesh can take.
+
+    ``bool`` is an ``Integral`` in Python, but neither a count nor a ratio.
+    """
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
         raise HierarchyError(f"level count must be an integer, got {levels!r}")
     if levels < 2:
         raise HierarchyError("at least two levels are required")
-    if not isinstance(ratio, numbers.Integral) or ratio < 2:
+    if isinstance(ratio, bool) or not isinstance(ratio, numbers.Integral) or ratio < 2:
         raise HierarchyError(f"coarsening ratio must be an integer >= 2, got {ratio!r}")
 
 

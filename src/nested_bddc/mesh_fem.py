@@ -206,11 +206,12 @@ class Rt0System:
     g: np.ndarray
     areas: np.ndarray = field(repr=False, default=None)
 
-    @property
+    # The sizes are read on every level pass: kept after the first read.
+    @cached_property
     def n_flux(self) -> int:
         return self.grid.n_flux
 
-    @property
+    @cached_property
     def n_pressure(self) -> int:
         return self.grid.n_pressure
 

@@ -148,7 +148,7 @@ class ExperimentSpec:
                 raise DriverError(f"contrast {name} must be finite and > 0, got {value!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DriverError(f"PCG tolerance must be finite and > 0, got {self.tol!r}")
-        if not isinstance(self.maxit, int) or self.maxit < 1:
+        if isinstance(self.maxit, bool) or not isinstance(self.maxit, int) or self.maxit < 1:
             raise DriverError(f"PCG iteration limit must be an integer >= 1, got {self.maxit!r}")
 
     @property
@@ -262,11 +262,15 @@ def step3_correction(
     subdomain's net divergence ``rho`` spread over its cells by area.  The
     product of a direction ``(d_F, m, 0, s)`` is
     ``(S d_F + (B^T m)_F, net d_F, s, 0)``, with ``S`` the sum of the
-    subdomains' face Schur complements.  In the full-length dot product of
-    a residual and an iterate, the interior rows meet a divergence that is
-    constant per subdomain and so vanish against ``p_star``, and the
-    pressure rows meet the subdomain means ``m``; the two ``s`` slots
-    never meet.  So in exact arithmetic the iterates, coefficients and
+    subdomains' face Schur complements.  The operator takes ``S d_F`` and
+    ``net d_F`` from one gather of ``d_F``'s copies
+    (``LevelBddc.schur_net``) and forms ``(B^T m)_F`` from the sub-grid's
+    face sides, ``-h m`` on a face's lower subdomain plus ``h m`` on its
+    higher one, on each of the face's dofs: it multiplies by no sparse
+    matrix.  In the full-length dot product of a residual and an iterate,
+    the interior rows meet a divergence that is constant per subdomain
+    and so vanish against ``p_star``, and the pressure rows meet the
+    subdomain means ``m``; the two ``s`` slots never meet.  So in exact arithmetic the iterates, coefficients and
     stopping test are those of the full-length PCG; only the residual norm
     needs ``(B^T p_star)_F`` and ``B_I^T p_star``, formed once.
 
@@ -306,45 +310,58 @@ def step3_correction(
     p_star = _checked_vector(p_star, n_cells, "p_star")
     p_ext0 = _checked_vector(p_ext0, n_cells, "p_ext0")
     r_face = _checked_vector(r_face, n_face, "r_face")
-    split = [n_face, n_face + n_sub, n_face + n_sub + 1]
+    # PCG's vectors: face fluxes, one value per subdomain, then the two s slots.
+    face, sub, n = slice(0, n_face), slice(n_face, n_face + n_sub), n_face + n_sub + 2
 
     bt_p = level.face_bt @ p_star
     int_norm = np.linalg.norm(p_star[cells] @ level.b_int)
+    # (B^T m)_F on a face's dofs: -h m on its lower subdomain, +h m on its
+    # higher one, as B's face columns hold them.
+    lo, hi = np.ascontiguousarray(level.decomp.sub_grid.edge_sides.T)
+    h, ratio = level.system.grid.h, level.decomp.face_dofs.shape[1]
 
     def operator(x):
-        u_face, m, _, s = np.split(x, split)
-        product = level.schur_product(u_face) + level.net_t @ m
-        return np.concatenate([product, level.net @ u_face, s, [0.0]])
+        out = np.empty(n)
+        product, out[sub] = level.schur_net(x[face])
+        m = x[sub]
+        bt_m = -h * m.take(lo) + h * m.take(hi)
+        # A face's dofs run face by face: add bt_m to each k-th dof of every face.
+        for k in range(ratio):
+            np.add(product[k::ratio], bt_m, out=out[k:n_face:ratio])
+        out[-2:] = x[-1], 0.0
+        return out
 
     def preconditioner(r):
-        r_face, _, s, _ = np.split(r, split)
-        return np.concatenate([*precond._apply(idx, r_face), [0.0], s])
+        out = np.empty(n)
+        out[face], out[sub] = precond._apply(idx, r[face])
+        out[-2:] = 0.0, r[-2]
+        return out
 
     def norm(r):
-        r_face, rho, (s,), _ = np.split(r, split)
+        s = r[-2]
         return math.hypot(
-            np.linalg.norm(r_face + s * bt_p),
+            np.linalg.norm(r[face] + s * bt_p),
             abs(s) * int_norm,
-            np.linalg.norm(rho * level.div_norm),
+            np.linalg.norm(r[sub] * level.div_norm),
         )
 
+    rhs = np.zeros(n)
+    rhs[face], rhs[-2] = r_face, 1.0
     x, report = pcg(
         operator,
         preconditioner,
-        np.concatenate([r_face, np.zeros(n_sub), [1.0, 0.0]]),
+        rhs,
         tol=tol,
         maxit=maxit,
         # The right-hand side less the residual is the operator applied to x.
-        defect_fn=lambda x, r: level.face_divergence_defect(
-            x[:n_face], r_face - r[:n_face], x[n_face : n_face + n_sub]
-        ),
+        defect_fn=lambda x, r: level.face_divergence_defect(x[face], r_face - r[face], x[sub]),
         norm_fn=norm,
     )
     if not report.converged:
         raise PcgNonConvergence(
             report, level_number, f"PCG did not reach {tol:g} within {report.iterations} iterations"
         )
-    u_face, m, _, (s,) = np.split(x, split)
+    u_face, m, s = x[face], x[sub], x[-1]
     w = u0_face + u_face
     u, p_ext = level.extend(w)
     u += u_src

@@ -1,12 +1,14 @@
 """Shared fixtures: experiment results are cached per session and reused
 across acceptance criteria and the driver tests, and the session's peak
-RSS is printed in the terminal summary."""
+RSS is printed in the terminal summary.  ``copy_rows`` gives the tests a
+group's rows of its level's copy layout."""
 
 from __future__ import annotations
 
 import resource
 import warnings
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,6 +72,31 @@ class SolveCache:
                 solver = NestedSolver(spec)
             self._results[spec] = solver.solve()
         return self._results[spec]
+
+
+def copy_rows(level, grp) -> SimpleNamespace:
+    """``grp``'s rows of ``level``'s copy layout, one row per member.
+
+    ``face_ids`` holds the faces of its face copies, and ``face_pos``,
+    ``w`` and ``idx_face`` its face-dof copies' positions in the face
+    vector, weights and level dofs: the rows of ``copy_faces``,
+    ``copy_pos`` and ``copy_w`` that follow the groups before it.
+    """
+    ratio = level.decomp.face_dofs.shape[1]
+    start = 0
+    for other in level.groups:
+        if other is grp:
+            break
+        start += len(other.subs) * other.n_faces
+    n, stop = len(grp.subs), start + len(grp.subs) * grp.n_faces
+    span = slice(start * ratio, stop * ratio)
+    face_pos = level.copy_pos[span].reshape(n, -1)
+    return SimpleNamespace(
+        face_ids=level.copy_faces[start:stop].reshape(n, -1),
+        face_pos=face_pos,
+        w=level.copy_w[span].reshape(n, -1),
+        idx_face=level.face_dofs[face_pos],
+    )
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nested_bddc as nb
+from conftest import copy_rows
 from nested_bddc.bddc import _face_average
 from nested_bddc.mesh_fem import divergence_defect
 from nested_bddc.nested_driver import ExperimentSpec, step1_coarse_rhs
@@ -183,10 +184,11 @@ def test_criterion_7_averaging_identities(runs, rng):
             if decomp.n_faces:
                 alpha = rng.standard_normal(decomp.n_faces)
                 alpha /= np.linalg.norm(alpha)
-                copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.groups]
+                layout = [copy_rows(level, grp) for grp in level.groups]
+                copies = [alpha[c.face_ids] @ grp.psi.T for grp, c in zip(level.groups, layout)]
                 averaged = _face_average(level, np.concatenate(copies, axis=None))
-                for grp, rows in zip(level.groups, copies):
-                    for sub, idx, row in zip(grp.subs, grp.idx_face, rows):
+                for grp, c, rows in zip(level.groups, layout, copies):
+                    for sub, idx, row in zip(grp.subs, c.idx_face, rows):
                         own = np.zeros(level.system.n_flux)
                         own[idx] = row
                         cells = decomp.cells_by_sub[sub]

@@ -30,6 +30,7 @@ from nested_bddc.mesh_fem import (
     divergence_defect,
     element_triplets,
 )
+from conftest import copy_rows
 from nested_bddc import nested_driver
 from nested_bddc.krylov import pcg
 from nested_bddc.nested_driver import (
@@ -63,10 +64,8 @@ def two_level_9x9():
 
 def delta_correction(level, r_b):
     """Dual face corrections of the weighted residual, member rows per group."""
-    return [
-        (grp.w * r_b[grp.idx_face]) @ grp.dual
-        for grp in level.groups
-    ]
+    rows = [copy_rows(level, grp) for grp in level.groups]
+    return [(c.w * r_b[c.idx_face]) @ grp.dual for grp, c in zip(level.groups, rows)]
 
 
 def face_means(grp, rows):
@@ -110,8 +109,8 @@ def member_problem(level, grp, row):
     Dense mass, divergence and face-average blocks with columns in the
     group's order (interior dofs, then face dofs), and the gauge.
     """
-    system = level.system
-    local = np.concatenate([grp.idx_int[row], grp.idx_face[row]])
+    system, copies = level.system, copy_rows(level, grp)
+    local = np.concatenate([grp.idx_int[row], copies.idx_face[row]])
     cells = level.decomp.cells_by_sub[grp.subs[row]]
     # global dof id -> position in ``local``; -1 (the last entry) elsewhere
     position = np.full(system.n_flux + 1, -1)
@@ -120,7 +119,7 @@ def member_problem(level, grp, row):
     blocks = system.elem_table[system.elem_class[cells]]
     mass, div = coo_blocks(slots, blocks, system.grid.h, len(local))
     con = np.zeros((grp.n_faces, len(local)))
-    for k, face in enumerate(grp.face_ids[row]):
+    for k, face in enumerate(copies.face_ids[row]):
         dofs = level.decomp.face_dofs[face]
         con[k, np.isin(local, dofs)] = 1.0 / len(dofs)
     return mass.toarray(), div.toarray(), con, level.system.areas[cells]
@@ -194,8 +193,9 @@ def test_coarse_basis_beats_constant_flux_competitor(two_level_9x9):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
     grp, row = delta_member(level, 4)  # interior subdomain, all four faces present
-    local_dofs = np.concatenate([grp.idx_int[row], grp.idx_face[row]])
-    assert len(grp.face_ids[row]) == 4
+    copies = copy_rows(level, grp)
+    local_dofs = np.concatenate([grp.idx_int[row], copies.idx_face[row]])
+    assert len(copies.face_ids[row]) == 4
     a_loc, b_loc, con, _ = member_problem(level, grp, row)
     psi = basis_all_dofs(grp)
     combo = psi[:, 0] + psi[:, 1]
@@ -257,7 +257,7 @@ def test_coarse_system_is_galerkin_product(two_level_9x9):
         unit = np.zeros((len(kkt), grp.n_faces))
         unit[m + 1 :] = np.eye(grp.n_faces)
         p_psi = np.linalg.solve(kkt, unit)[n:m]
-        for sub, f in zip(grp.subs, grp.face_ids):
+        for sub, f in zip(grp.subs, copy_rows(level, grp).face_ids):
             # flux block: basis energies plus divergence cross terms (which vanish)
             contrib = psi.T @ a_loc @ psi + psi.T @ b_loc.T @ p_psi + p_psi.T @ b_loc @ psi
             a_c[np.ix_(f, f)] += contrib
@@ -387,14 +387,15 @@ def test_level_entry_points_reject_data_of_wrong_shape(data, shape, runs):
             nested_driver.step3_correction(precond, 2, *args.values())
 
 
-@pytest.mark.parametrize("level", [1.0, 1.5, "1", 0, 3])
+@pytest.mark.parametrize("level", [1.0, 1.5, "1", 0, 3, True])
 def test_level_numbers_must_be_integers_in_range(level, runs):
     # A level that is not an integral number from 1 to the level count is
     # rejected by name, in the preconditioner and in step 3 alike; numpy
-    # integers are integers.
+    # integers are integers, booleans are not.
     precond = runs.solver(FACE_RESIDUAL_SPECS["ratio3-L3-dense"]).precond
     r = np.zeros(precond.levels[0].system.n_flux)
-    message = "must be an integer" if not isinstance(level, int) else "out of range"
+    integer = isinstance(level, int) and not isinstance(level, bool)
+    message = "out of range" if integer else "must be an integer"
     with pytest.raises(BddcError, match=message):
         precond.apply(r, level)
     with pytest.raises(BddcError, match=message):
@@ -459,7 +460,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
 
     # random primal member: averaging preserves subdomain divergence totals
     alpha = rng.standard_normal(level.decomp.n_faces)
-    copies = [alpha[grp.face_ids] @ grp.psi.T for grp in level.groups]
+    copies = [alpha[copy_rows(level, grp).face_ids] @ grp.psi.T for grp in level.groups]
     averaged = _face_average(level, np.concatenate(copies, axis=None))
     coarse_b = assemble_coarse_problem(precond.levels[-1]).B.toarray()
     for sub, cells in enumerate(cells_by_sub):
@@ -851,7 +852,7 @@ def test_face_divergence_defect_matches_extended_flux(case, runs, rng):
             # the energy from the step-3 operator's face rows of (u_face, m),
             # and the direct product when that energy is not positive
             m = rng.standard_normal(level.decomp.n_sub)
-            product = level.schur_product(u_face) + level.net_t @ m
+            product = level.schur_product(u_face) + level.net.T @ m
             assert abs(level.face_divergence_defect(u_face, product, m) - ref) <= 1e-12 * ref
             no_energy = level.face_divergence_defect(u_face, np.zeros_like(u_face), 0 * m)
             assert abs(no_energy - ref) <= 1e-12 * ref
@@ -869,7 +870,8 @@ def bincount_sum(n, index_rows, value_rows):
 def test_pair_sums_equal_bincount(case, runs, rng):
     # Each face dof and face has one copy on each of its two subdomains,
     # and their sum equals a bincount over all copies bit for bit.  The
-    # groups' index and weight rows are views of the level's copy layout.
+    # groups' index and weight rows are their rows of the level's copy
+    # layout.
     if case == "one-subdomain":
         precond = make_setup(3, 2, 3)[2]
     else:
@@ -881,17 +883,10 @@ def test_pair_sums_equal_bincount(case, runs, rng):
         groups, n_face, n_faces = level.groups, level.decomp.face_dofs.size, level.decomp.n_faces
         assert np.array_equal(np.sort(level.dof_pairs.ravel()), np.arange(2 * n_face))
         assert np.array_equal(np.sort(level.face_pairs.ravel()), np.arange(2 * n_faces))
-        for grp in groups:
-            for rows, flat in (
-                (grp.face_pos, level.copy_pos),
-                (grp.w, level.copy_w),
-                (grp.face_ids, level.copy_faces),
-            ):
-                assert rows.size == 0 or np.shares_memory(rows, flat)
-        face_pos = [grp.face_pos for grp in groups]
-        assert np.array_equal(np.concatenate(face_pos, axis=None), level.copy_pos)
+        layout = [copy_rows(level, grp) for grp in groups]
+        face_pos = [c.face_pos for c in layout]
         u_face = rng.standard_normal(n_face)
-        ref = bincount_sum(n_face, face_pos, [u_face[grp.face_pos] @ grp.schur for grp in groups])
+        ref = bincount_sum(n_face, face_pos, [u_face[c.face_pos] @ grp.schur for grp, c in zip(groups, layout)])
         assert np.array_equal(level.schur_product(u_face), ref)
         copies = rng.standard_normal(level.copy_pos.size)
         ref = bincount_sum(n_face, [level.copy_pos], [level.copy_w * copies])
@@ -902,16 +897,16 @@ def test_pair_sums_equal_bincount(case, runs, rng):
         # A level apply: restriction, then averaging of the dual values plus
         # the coarse correction, per group.
         r_face = rng.standard_normal(n_face)
-        weighted = [grp.w * r_face[grp.face_pos] for grp in groups]
-        face_ids = [grp.face_ids for grp in groups]
+        weighted = [c.w * r_face[c.face_pos] for c in layout]
+        face_ids = [c.face_ids for c in layout]
         r_next = bincount_sum(n_faces, face_ids, [rows @ grp.psi for grp, rows in zip(groups, weighted)])
         if idx == len(precond.levels) - 1:
             u_next, p_next, _ = precond.top_kkt.solve(rhs_flux=r_next)
         else:
             u_next, p_next = precond.apply(r_next, idx + 2)
         values = [
-            grp.w * (rows @ grp.dual + u_next[grp.face_ids] @ grp.psi.T)
-            for grp, rows in zip(groups, weighted)
+            c.w * (rows @ grp.dual + u_next[c.face_ids] @ grp.psi.T)
+            for grp, c, rows in zip(groups, layout, weighted)
         ]
         u_face, p_coarse = precond._apply(idx, r_face)
         assert np.array_equal(u_face, bincount_sum(n_face, face_pos, values))
@@ -925,7 +920,7 @@ WORKSPACE_SPECS = {
     "jump-r3": ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=30.0, k3=0.05),
     "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
 }
-WORKSPACE = ("dof_in", "dof_out", "face_in", "rows", "sol")
+WORKSPACE = ("dof_in", "dof_out", "face_in", "sub_out", "rows", "sol", "result_rows")
 
 
 def byte_offset(view, buf) -> int:
@@ -938,13 +933,21 @@ def test_group_views_tile_the_level_workspace(case, runs):
     # order with no gap or overlap and cover the buffer: a product written
     # into a group's output view lands in its rows of the level's copy
     # layout and nowhere else.  The gathers run with mode="clip", which
-    # does not check indices, so every index must lie in its source.
+    # does not check indices, so every index must lie in its source: also
+    # the index maps into the result block, which only the levels that the
+    # recursion reaches hold.
     if case == "one-subdomain":
         precond = make_setup(3, 2, 3)[2]
     else:
         precond = runs.solver(WORKSPACE_SPECS[case]).precond
-    for level in precond.levels:
+    assert not hasattr(precond.levels[0], "result_at_copies")
+    for idx, level in enumerate(precond.levels):
         groups, system, decomp = level.groups, level.system, level.decomp
+        # The recursion's levels get their result block at build; the first
+        # level gets one from its first pre-correction of a residual.
+        if level.result is None:
+            assert idx == 0
+            interior_correction(level, np.zeros(system.n_flux))
         assert level.dof_in.size == level.dof_out.size == level.copy_pos.size
         assert level.face_in.size == level.copy_faces.size
         assert level.rows.shape == level.idx_int.shape and level.sol.shape[0] == decomp.n_sub
@@ -960,17 +963,26 @@ def test_group_views_tile_the_level_workspace(case, runs):
         # one pass uses together do not overlap.
         assert np.shares_memory(level.rows, level.dof_in) or level.dof_in.size == 0
         assert np.shares_memory(level.dof_out, level.sol) or level.dof_out.size == 0
-        for one, other in (("dof_in", "dof_out"), ("dof_in", "sol"), ("rows", "sol"), ("dof_out", "face_in")):
+        pairs = [("dof_in", "dof_out"), ("dof_in", "sol"), ("rows", "sol"), ("dof_out", "face_in")]
+        pairs += [("dof_out", "sub_out"), ("result", "dof_in"), ("result", "sol")]
+        for one, other in pairs:
             assert not np.shares_memory(getattr(level, one), getattr(level, other))
-        for idx, n in (
+        assert level.result.size == decomp.face_dofs.size + level.sol.size
+        maps = []
+        if idx:
+            # one entry per face copy of the finer level, one per cell
+            assert level.result_at_copies.shape == precond.levels[idx - 1].copy_faces.shape
+            assert np.unique(level.result_at_cells).size == system.n_pressure
+            maps = [(level.result_at_copies, level.result.size), (level.result_at_cells, level.result.size)]
+        for index, n in maps + [
             (level.copy_pos, decomp.face_dofs.size),
             (level.copy_faces, decomp.n_faces),
             (level.idx_int, system.n_flux),
             (level.idx_cells, system.n_pressure),
             (level.dof_pairs, level.copy_pos.size),
             (level.face_pairs, level.copy_faces.size),
-        ):
-            assert idx.size == 0 or (idx.min() >= 0 and idx.max() < n)
+        ]:
+            assert index.size == 0 or (index.min() >= 0 and index.max() < n)
 
 
 def level_passes(precond, idx, rng):
@@ -981,6 +993,7 @@ def level_passes(precond, idx, rng):
         "apply": precond.apply(rng.standard_normal(n_flux), idx + 1),
         "_apply": precond._apply(idx, rng.standard_normal(n_face)),
         "schur_product": (level.schur_product(rng.standard_normal(n_face)),),
+        "schur_net": level.schur_net(rng.standard_normal(n_face)),
         "extend": level.extend(rng.standard_normal(n_face)),
         "extend_pressure": (level.extend_pressure(rng.standard_normal(n_face)),),
         "interior_correction": interior_correction(level, rng.standard_normal(n_flux)),
@@ -993,8 +1006,11 @@ def level_passes(precond, idx, rng):
 def test_later_calls_leave_earlier_outputs_alone(case, runs, rng):
     # Every pass returns new arrays: a later call on any level, which
     # reuses the same workspace, changes nothing a former call returned.
+    # The recursion leaves each level's output in that level's result
+    # block, which later calls overwrite: no output is a view of one.
     precond = runs.solver(WORKSPACE_SPECS[case]).precond
     first = [level_passes(precond, idx, rng) for idx in range(len(precond.levels))]
+    blocks = [level.result for level in precond.levels]
     kept = [{name: [a.copy() for a in out] for name, out in passes.items()} for passes in first]
     for idx in range(len(precond.levels)):
         level_passes(precond, idx, rng)
@@ -1005,6 +1021,65 @@ def test_later_calls_leave_earlier_outputs_alone(case, runs, rng):
                 assert got.tobytes() == ref.tobytes(), (idx, name)
                 for buf in WORKSPACE:
                     assert not np.shares_memory(got, getattr(level, buf)), (idx, name, buf)
+                assert not any(np.shares_memory(got, block) for block in blocks), (idx, name, "result")
+
+
+APPLY_SPECS = {**WORKSPACE_SPECS, "one-subdomain": ExperimentSpec(levels=3, ratio=3, base=1)}
+
+
+@pytest.mark.parametrize("case", list(APPLY_SPECS))
+def test_apply_equals_its_composition_from_every_level(case, runs, rng):
+    # apply(r, k) runs the recursion's level pass (pre-correction into the
+    # result block, _apply, extension, merge) and scatters the block.  It
+    # equals, bit for bit, the composition of the public passes: the
+    # interior correction, _apply on the face rows plus their face
+    # residual, the extension, and the merge, flux ext + ic and pressure
+    # (ic + coarse) + ext.  "one-subdomain" recurses into a level of one
+    # subdomain, which has no faces.
+    precond = runs.solver(APPLY_SPECS[case]).precond
+    for idx, level in enumerate(precond.levels):
+        r = rng.standard_normal(level.system.n_flux)
+        u_int, p, r_face = interior_correction(level, r)
+        u_face, p_coarse = precond._apply(idx, r[level.face_dofs] + r_face)
+        u, p_ext = level.extend(u_face)
+        u += u_int
+        p[level.decomp.cells_by_sub] += p_coarse[:, None]
+        p += p_ext
+        got = precond.apply(r, idx + 1)
+        assert got[0].tobytes() == u.tobytes() and got[1].tobytes() == p.tobytes(), idx
+    if case == "one-subdomain":
+        assert precond.levels[-1].decomp.n_sub == 1 and precond.levels[-1].face_dofs.size == 0
+
+
+def test_step3_operator_forms_net_flux_in_the_schur_pass(runs, rng, monkeypatch):
+    # deep-r3's step-3 operators, one per level, each with groups of two,
+    # three and four present faces: the face rows equal S u + (B^T m)_F
+    # with the level's net matrix bit for bit, and the net flux net @ u to
+    # round-off, from one gather of u's face-dof copies (schur_net).
+    solver = runs.solver(WORKSPACE_SPECS["deep-r3"])
+    operators = []
+
+    def record(operator, preconditioner, rhs, **kwargs):
+        operators.append((operator, len(rhs)))
+        return pcg(operator, preconditioner, rhs, **kwargs)
+
+    monkeypatch.setattr(nested_driver, "pcg", record)
+    solver.solve()
+    assert len(operators) == len(solver.precond.levels)
+    for level, (operator, n) in zip(reversed(solver.precond.levels), operators):
+        assert {grp.n_faces for grp in level.groups} == {2, 3, 4}
+        n_face, n_sub = level.face_dofs.size, level.decomp.n_sub
+        assert n == n_face + n_sub + 2
+        x = rng.standard_normal(n)
+        u, m = x[:n_face], x[n_face : n_face + n_sub]
+        out = operator(x)
+        assert out[:n_face].tobytes() == (level.schur_product(u) + level.net.T @ m).tobytes()
+        net = level.net @ u
+        assert np.abs(out[n_face : n_face + n_sub] - net).max() <= 1e-14 * np.abs(net).max()
+        assert (out[-2], out[-1]) == (x[-1], 0.0)
+        product, net_flux = level.schur_net(u)
+        assert product.tobytes() == level.schur_product(u).tobytes()
+        assert net_flux.tobytes() == out[n_face : n_face + n_sub].tobytes()
 
 
 def test_interleaved_solvers_match_sequential_solves():
@@ -1332,16 +1407,16 @@ def test_groups_match_per_subdomain_reference(case, runs):
         # every member's own interior blocks equal its group's, bit for bit,
         # and every member's index rows and weights match its own
         for grp in level.groups:
-            blocks = _bytes_key(grp.kkt.a_block, grp.kkt.b_block)
+            blocks, copies = _bytes_key(grp.kkt.a_block, grp.kkt.b_block), copy_rows(level, grp)
             for row, s in enumerate(grp.subs):
                 ref = refs[s]
                 local = ref["local"]
                 assert _bytes_key(*ref["interior_blocks"]) == blocks
                 assert np.array_equal(grp.idx_cells[row], level.decomp.cells_by_sub[s])
                 assert np.array_equal(grp.idx_int[row], local[ref["int_pos"]])
-                assert np.array_equal(grp.idx_face[row], local[ref["face_pos"]])
-                assert np.array_equal(grp.face_ids[row], ref["face_ids"])
-                assert np.array_equal(grp.w[row], ref["w"][ref["face_pos"]])
+                assert np.array_equal(copies.idx_face[row], local[ref["face_pos"]])
+                assert np.array_equal(copies.face_ids[row], ref["face_ids"])
+                assert np.array_equal(copies.w[row], ref["w"][ref["face_pos"]])
             # the group's face operators from the first member's own blocks
             ref = refs[grp.subs[0]]
             check_face_operators(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import copy_rows
 from nested_bddc.bddc import MultilevelPreconditioner, _face_average, build_level_bddc
 from nested_bddc.hierarchy import HierarchyError, WeightsError, build_hierarchy, compute_weights
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
@@ -30,9 +31,10 @@ def applied_face_weights(level):
     ratio = level.decomp.face_dofs.shape[1]
     for grp in level.groups:
         # a group's face dofs run face by face, ratio columns each
-        w = grp.w.reshape(len(grp.subs), grp.n_faces, ratio)
+        copies = copy_rows(level, grp)
+        w = copies.w.reshape(len(grp.subs), grp.n_faces, ratio)
         for k in range(grp.n_faces):
-            faces = grp.face_ids[:, k]
+            faces = copies.face_ids[:, k]
             lower = lower_sub[faces] == grp.subs
             lo[faces[lower]] = w[lower, k]
             hi[faces[~lower]] = w[~lower, k]
@@ -193,8 +195,7 @@ def test_weights_unit_coefficient_all_half():
         assert np.all(compute_weights(d, system.elem_table, system.elem_class, gamma) == 0.5)
         # applied weights: 1/2 on both copies of a face dof
         level = build_level_bddc(system, d, gamma)
-        for grp in level.groups:
-            assert np.all(grp.w == 0.5)
+        assert np.all(level.copy_w == 0.5)
 
 
 def test_weights_jump_formula():

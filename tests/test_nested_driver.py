@@ -574,6 +574,8 @@ def test_preset_fixes_its_shape(field, value):
             (3.0, 3, "level count must be an integer, got 3.0"),
             (2.5, 3, "level count must be an integer, got 2.5"),
             (2, 3.0, "ratio must be an integer >= 2, got 3.0"),
+            (True, 3, "level count must be an integer, got True"),
+            (2, True, "ratio must be an integer >= 2, got True"),
         ]
     ],
 )
@@ -646,10 +648,11 @@ def test_spec_rejects_invalid_contrast(coeff, field, value):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}, {"maxit": 0}, {"maxit": 2.5}],
+    [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}, {"maxit": 0}, {"maxit": 2.5}, {"maxit": True}],
 )
 def test_spec_rejects_invalid_pcg_settings(bad):
-    with pytest.raises(DriverError):
+    # maxit=True would otherwise run as maxit=1: bool is an int in Python.
+    with pytest.raises(DriverError, match="must be"):
         ExperimentSpec(levels=2, ratio=3, **bad)
 
 
