@@ -37,11 +37,12 @@ public ``apply`` is that pass followed by the level's scatters.  Step 3
 of the nested solve hands its start level's ``_apply`` pre-corrected
 residuals directly (see ``nested_driver.step3_correction``) and iterates
 on face fluxes and per-subdomain values with the level's condensed
-products: ``schur_net`` (the Schur product and each subdomain's net face
-flux from one gather), ``net`` and ``face_divergence_defect``.
+products: ``schur_product``, ``net_flux`` and ``face_divergence_defect``.
 The divergence of a harmonic extension is the cell area times the
 subdomain's net face flux over the subdomain's area, so it is one value
-per subdomain.
+per subdomain.  The net face flux is the coarse grid's divergence of the
+face averages, as the coarse problem has the fine one's structure, so no
+level holds a piece of ``B``.
 
 On the uniform grid a subdomain's interior KKT is fixed by the element
 matrices of its cells, that is by their rows of the level's element
@@ -114,7 +115,6 @@ from .hierarchy import LevelDecomposition, build_hierarchy, compute_weights
 from .mesh_fem import (
     SLOT_BOTTOM,
     SLOT_LEFT,
-    SLOT_SIGNS,
     Rt0System,
     _unique_rows,
     assemble_system,
@@ -159,18 +159,13 @@ class _Group:
     ``ext_p`` (its pressure columns) and ``psi_t`` are views of them, the
     operands the level passes multiply by.
 
-    ``signs`` holds ``B``'s entry of each face dof on the members' cells,
-    ``+h`` on the faces where a member is the higher subdomain and ``-h``
-    on the others, so a member's face values times ``signs`` are its net
-    face flux.
-
     Every other array is a view of the level's (``LevelBddc``), one row
     per member: the index rows ``idx_int`` (interior dofs) and
     ``idx_cells``, and the group's rows of the level's workspace, which
     the level sets: ``dof_in`` and ``dof_out`` of its face-dof copies,
-    ``face_in`` of its face copies, ``sub_out`` of one value per member,
-    ``rows`` of its interior data, ``sol`` (with its pressure columns
-    ``sol_p``) of its interior solutions and extensions, and
+    ``face_in`` of its face copies, ``rows`` of its interior data, ``sol``
+    (with its pressure columns ``sol_p``) of its interior solutions and
+    extensions, and
     ``result_rows`` of the level's result block.  A level pass gathers
     into the level's buffers and multiplies each group's input view into
     its output view.
@@ -184,7 +179,6 @@ class _Group:
     dual: np.ndarray
     psi: np.ndarray
     coarse_elem: np.ndarray
-    signs: np.ndarray
     idx_int: np.ndarray
     idx_cells: np.ndarray
 
@@ -330,16 +324,13 @@ class LevelBddc:
     """All BDDC components of one decomposition level.
 
     Besides the groups, a level keeps what the divergence of a harmonic
-    extension needs: ``net``, each subdomain's net face flux (``B``'s face
-    columns summed over its cells, one row per subdomain and one column
-    per entry of the face vector).  The
-    extension's divergence on a cell is the cell's area over the
-    subdomain's area ``sub_areas`` times the net flux, so its norm on the
-    subdomain is ``div_norm`` times the net flux, with ``div_norm`` the
-    norm of the cells' areas over ``sub_areas``.
-    The step-3 residual norm also uses ``b_int``, the interior divergence
-    block ``B_I`` that all subdomains share (template order), and
-    ``face_bt``, the face rows of ``B^T``.
+    extension needs.  Each subdomain's net face flux comes from the
+    sub-grid (``net_flux``: its divergence of the face averages,
+    ``face_mean`` times the face values).  The extension's divergence on a
+    cell is the cell's area over the subdomain's area ``sub_areas`` times
+    the net flux, so its norm on the subdomain is ``div_norm`` times the
+    net flux, with ``div_norm`` the norm of the cells' areas over
+    ``sub_areas``.
 
     Each subdomain holds a copy of each of its faces and face dofs.  The
     level lays the copies out once, group after group, one row per
@@ -355,18 +346,17 @@ class LevelBddc:
 
     The workspace holds one buffer per kind of data in this layout, and
     each group keeps views of its rows (``_Group``): ``dof_in`` and
-    ``dof_out`` of face-dof copies, ``face_in`` of face copies,
-    ``sub_out`` of one value per subdomain, ``rows`` of interior data and
-    ``sol`` of interior solutions and extensions (flux columns ``sol_u``,
-    pressure columns ``sol_p``).  Every pass (``extend``,
-    ``extend_pressure``, ``schur_product``, ``schur_net``,
+    ``dof_out`` of face-dof copies, ``face_in`` of face copies, ``rows``
+    of interior data and ``sol`` of interior solutions and extensions
+    (flux columns ``sol_u``, pressure columns ``sol_p``).  Every pass
+    (``extend``, ``extend_pressure``, ``schur_product``,
     ``interior_correction``, ``prolong_average`` and the preconditioner's
     level passes) makes one level-wide gather into an input buffer, one
     product per group from its input view into its output view, and one
     level-wide scatter or pair sum into a new array.  Buffers whose uses
     never overlap share memory: ``rows`` and the pair sums' gathers lie in
-    ``dof_in``'s memory, and ``dof_out``, ``face_in`` and ``sub_out``,
-    side by side, in ``sol``'s.
+    ``dof_in``'s memory, and ``dof_out`` and ``face_in``, side by side, in
+    ``sol``'s.
 
     A third allocation is the result block ``result`` of the
     preconditioner's level pass (``MultilevelPreconditioner._descend``):
@@ -393,9 +383,6 @@ class LevelBddc:
     system: Rt0System
     decomp: LevelDecomposition
     groups: list[_Group]
-    b_int: object
-    face_bt: sp.csr_matrix
-    net: sp.csc_matrix
     sub_areas: np.ndarray
     div_norm: np.ndarray
     copy_faces: np.ndarray
@@ -410,14 +397,15 @@ class LevelBddc:
     def __post_init__(self):
         """The workspace, in two allocations, and each group's views of it."""
         self.face_dofs = self.decomp.face_dofs.ravel()
+        ratio = self.decomp.face_dofs.shape[1]
+        self.face_mean = np.full(ratio, 1.0 / ratio)
         (n_sub, n_int), n_cells = self.idx_int.shape, self.idx_cells.shape[1]
         n_copy, n_face_copy, n_sol = self.copy_pos.size, self.copy_faces.size, n_sub * (n_int + n_cells)
         inputs = np.empty(max(n_copy, n_sub * n_int))
         self.dof_in, self.rows = inputs[:n_copy], inputs[: n_sub * n_int].reshape(n_sub, n_int)
-        outputs = np.empty(max(n_sol, n_copy + n_face_copy + n_sub))
+        outputs = np.empty(max(n_sol, n_copy + n_face_copy))
         self.sol = outputs[:n_sol].reshape(n_sub, n_int + n_cells)
         self.dof_out, self.face_in = outputs[:n_copy], outputs[n_copy : n_copy + n_face_copy]
-        self.sub_out = outputs[n_copy + n_face_copy : n_copy + n_face_copy + n_sub]
         self.sol_u, self.sol_p = self.sol[:, :n_int], self.sol[:, n_int:]
         self.result = None
         self.dof_sum = _PairSum(self.dof_pairs, self.dof_in.reshape(self.dof_pairs.shape))
@@ -430,7 +418,6 @@ class LevelBddc:
             grp.dof_in = self.dof_in[dof : dof + n_dofs].reshape(n, grp.n_face_dofs)
             grp.dof_out = self.dof_out[dof : dof + n_dofs].reshape(n, grp.n_face_dofs)
             grp.face_in = self.face_in[face : face + n_faces].reshape(n, grp.n_faces)
-            grp.sub_out = self.sub_out[sub : sub + n]
             grp.rows, grp.sol = self.rows[sub : sub + n], self.sol[sub : sub + n]
             grp.sol_p = grp.sol[:, n_int:]
             sub, face, dof = sub + n, face + n_faces, dof + n_dofs
@@ -508,19 +495,15 @@ class LevelBddc:
             np.matmul(grp.dof_in, grp.schur, out=grp.dof_out)
         return self.dof_sum(self.dof_out)
 
-    def schur_net(self, u_face: np.ndarray):
-        """``schur_product(u_face)`` and each subdomain's net face flux, from one gather.
+    def net_flux(self, u_face: np.ndarray) -> np.ndarray:
+        """Each subdomain's net face flux: the sub-grid's divergence of the face averages.
 
-        The net flux equals ``net @ u_face`` up to round-off: one product
-        per group of its members' face-dof copies with its ``signs``.
+        It is ``B``'s face columns summed over the subdomain's cells, which
+        hold ``+-h`` on each face dof, up to round-off: the sub-grid's
+        ``B`` holds ``+-ratio h`` on each face.
         """
-        self._gather_faces(u_face)
-        for grp in self.groups:
-            np.matmul(grp.dof_in, grp.schur, out=grp.dof_out)
-            np.matmul(grp.dof_in, grp.signs, out=grp.sub_out)
-        net = np.empty(self.order.size)
-        net[self.order] = self.sub_out
-        return self.dof_sum(self.dof_out), net
+        face_mean = u_face.reshape(-1, self.face_mean.size) @ self.face_mean
+        return self.decomp.sub_grid.divergence(face_mean)
 
     def face_divergence_defect(self, u_face: np.ndarray, product=None, m=None) -> float:
         """``divergence_defect`` of ``extend(u_face)`` from face values alone.
@@ -531,13 +514,13 @@ class LevelBddc:
         gauge's.  The energy is ``u_face @ S u_face``.  Given ``product``,
         the face rows ``S u_face + (B^T m)_F`` of the step-3 operator
         applied to ``(u_face, m)``, which PCG holds as its right-hand side
-        less its residual, the energy is ``u_face @ product - (net u_face) @ m``;
-        without it, or when that is not positive, ``u_face`` against
-        ``schur_product(u_face)``.
+        less its residual, the energy is ``u_face @ product - net @ m``,
+        ``net`` the net face flux (``net_flux``); without it, or when that
+        is not positive, ``u_face`` against ``schur_product(u_face)``.
         """
         if not np.any(u_face):
             return 0.0
-        net = self.net @ u_face
+        net = self.net_flux(u_face)
         energy = 0.0 if product is None else u_face @ product - net @ m
         if not energy > 0.0:
             energy = u_face @ self.schur_product(u_face)
@@ -590,40 +573,18 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     copy_pos = (copy_faces[:, None] * ratio + np.arange(ratio)).ravel()
     copy_w = np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio)
     idx_int, idx_cells = decomp.interior_by_sub[order], decomp.cells_by_sub[order]
-    # B's entry on a subdomain's cells at each of its faces' dofs: +h on its
-    # left and bottom faces, -h on its right and top faces.
-    h = system.grid.h
-    slot_signs = SLOT_SIGNS * h
     groups, row = [], 0
     for subs, (face_slots, face_ops) in zip(members, ops):
         n = len(subs)
-        signs = slot_signs[face_slots].repeat(ratio)
         kkt = kkts[pattern[subs[0]]]
-        groups.append(
-            _Group(subs, kkt, face_slots, *face_ops, signs, idx_int[row : row + n], idx_cells[row : row + n])
-        )
+        groups.append(_Group(subs, kkt, face_slots, *face_ops, idx_int[row : row + n], idx_cells[row : row + n]))
         row += n
     areas = system.areas[decomp.cells_by_sub]
     sub_areas = areas.sum(axis=1)
-    # B's entries in the column of an edge: -h on its lower cell, +h on its
-    # higher one (SLOT_SIGNS); a face dof's two cells lie in its face's two
-    # subdomains.
-    face_dofs = decomp.face_dofs.ravel()
-    signs = np.tile([-h, h], len(face_dofs))
-    pairs = np.arange(0, signs.size + 1, 2)
-    face_subs = np.repeat(decomp.sub_grid.edge_sides, ratio, axis=0)
-    net = sp.csc_matrix((signs, face_subs.ravel(), pairs), (decomp.n_sub, len(face_dofs)))
     return LevelBddc(
         system=system,
         decomp=decomp,
         groups=groups,
-        # B carries no coefficient: every interior KKT has the first one's B_I.
-        b_int=kkts[0].b_block,
-        face_bt=sp.csr_matrix(
-            (signs, np.take(system.grid.edge_sides, face_dofs, axis=0).ravel(), pairs),
-            (len(face_dofs), system.n_pressure),
-        ),
-        net=net,
         sub_areas=sub_areas,
         div_norm=np.linalg.norm(areas, axis=1) / sub_areas,
         copy_faces=copy_faces,
@@ -633,7 +594,7 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         idx_int=idx_int,
         idx_cells=idx_cells,
         face_pairs=_copy_pairs(decomp.n_faces, copy_faces, high),
-        dof_pairs=_copy_pairs(len(face_dofs), copy_pos, np.repeat(high, ratio)),
+        dof_pairs=_copy_pairs(decomp.face_dofs.size, copy_pos, np.repeat(high, ratio)),
     )
 
 

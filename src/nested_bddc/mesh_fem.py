@@ -12,6 +12,9 @@ The same machinery is reused for coarsened problems: a coarse system has one
 flux dof per interface between blocks of cells and one pressure dof per
 block, so it is again an ``Rt0System`` on a smaller ``QuadMesh``.
 
+Every entry of ``B`` is ``+-h`` by slot, so the grid forms ``B @ u`` and
+``B.T @ p`` (``QuadMesh.divergence``, ``QuadMesh.gradient``) for the solver.
+
 A coefficient field is a validated array of per-cell values; the named
 experiment patterns are built in ``nested_driver``.
 
@@ -23,7 +26,7 @@ to share across concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -153,6 +156,38 @@ class QuadMesh:
         sides[nv:, 1] = cells[1:].ravel()
         return sides
 
+    def divergence(self, u: np.ndarray) -> np.ndarray:
+        """``B @ u``, bit for bit, from the grid's edge lines.
+
+        Each family of edges, scaled by ``h``, is padded with the zero
+        boundary fluxes to one value per grid line and cell; a cell's
+        entry is then its left, right, bottom and top fluxes summed with
+        ``SLOT_SIGNS`` in slot order, as the CSR product sums its row.
+        """
+        u = _checked_grid_vector(u, self.n_flux, "flux")
+        nx, ny, nv = self.nx, self.ny, self.n_vertical
+        v = np.zeros((ny, nx + 1))
+        v[:, 1:-1] = (self.h * u[:nv]).reshape(nx - 1, ny).T
+        w = np.zeros((ny + 1, nx))
+        w[1:-1] = (self.h * u[nv:]).reshape(ny - 1, nx)
+        return (((v[:, :-1] - v[:, 1:]) + w[:-1]) - w[1:]).ravel()
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """``B.T @ p``, bit for bit: ``h p`` on each edge's higher cell less on its lower one."""
+        hp = self.h * _checked_grid_vector(p, self.n_cells, "pressure").reshape(self.ny, self.nx)
+        out = np.empty(self.n_flux)
+        out[: self.n_vertical] = (hp[:, 1:] - hp[:, :-1]).T.ravel()
+        out[self.n_vertical :] = (hp[1:] - hp[:-1]).ravel()
+        return out
+
+
+def _checked_grid_vector(data, n: int, what: str) -> np.ndarray:
+    """``data`` as a float vector of length ``n``, or ``ValueError`` naming ``what``."""
+    data = np.asarray(data, dtype=float)
+    if data.shape != (n,):
+        raise ValueError(f"{what} vector has shape {data.shape}, expected ({n},)")
+    return data
+
 
 def build_mesh(nx: int, ny: int) -> QuadMesh:
     """Uniform mesh of the unit-width domain with square cells of size 1/nx."""
@@ -197,14 +232,13 @@ class Rt0System:
     ``A`` and ``B`` are CSR, built from the table and the grid on first
     access and kept; the solver itself reads only the top level's.  A
     system made by ``dataclasses.replace`` builds its own from its fields.
-    ``divergence(u)`` is ``B @ u`` from the grid alone.
+    The cell ``areas``, the pressure gauge, come from the grid.
     """
 
     grid: QuadMesh
     elem_table: np.ndarray
     elem_class: np.ndarray
     g: np.ndarray
-    areas: np.ndarray = field(repr=False, default=None)
 
     # The sizes are read on every level pass: kept after the first read.
     @cached_property
@@ -220,31 +254,16 @@ class Rt0System:
         return self.n_flux + self.n_pressure
 
     @cached_property
+    def areas(self) -> np.ndarray:
+        return np.full(self.grid.n_cells, self.grid.cell_area)
+
+    @cached_property
     def A(self) -> sp.csr_matrix:
         return _flux_mass(self.grid, self.elem_table, self.elem_class)
 
     @cached_property
     def B(self) -> sp.csr_matrix:
         return _divergence_matrix(self.grid)
-
-    def divergence(self, u: np.ndarray) -> np.ndarray:
-        """``B @ u``, bit for bit, from the grid's edge lines.
-
-        Each family of edges, scaled by ``h``, is padded with the zero
-        boundary fluxes to one value per grid line and cell; a cell's
-        entry is then its left, right, bottom and top fluxes summed with
-        ``SLOT_SIGNS`` in slot order, as the CSR product sums its row.
-        """
-        grid, h = self.grid, self.grid.h
-        u = np.asarray(u, dtype=float)
-        if u.shape != (grid.n_flux,):
-            raise ValueError(f"flux vector has shape {u.shape}, expected ({grid.n_flux},)")
-        nx, ny, nv = grid.nx, grid.ny, grid.n_vertical
-        v = np.zeros((ny, nx + 1))
-        v[:, 1:-1] = (h * u[:nv]).reshape(nx - 1, ny).T
-        w = np.zeros((ny + 1, nx))
-        w[1:-1] = (h * u[nv:]).reshape(ny - 1, nx)
-        return (((v[:, :-1] - v[:, 1:]) + w[:-1]) - w[1:]).ravel()
 
 
 def element_triplets(slot_map: np.ndarray, blocks: np.ndarray, h: float):
@@ -359,7 +378,7 @@ def assemble_system(
     g = np.zeros(grid.n_cells) if g is None else np.asarray(g, dtype=float)
     if g.shape != (grid.n_cells,):
         raise MeshError(f"divergence data has shape {g.shape}, grid has {grid.n_cells} cells")
-    return Rt0System(grid, table, cls, g, np.full(grid.n_cells, grid.cell_area))
+    return Rt0System(grid, table, cls, g)
 
 
 def _divergence_matrix(grid: QuadMesh) -> sp.csr_matrix:
@@ -473,17 +492,16 @@ def divergence_defect(system: Rt0System, u: np.ndarray, g=0.0, energy=None) -> f
     Returns ||B u - g|| with the component along the pressure-gauge
     direction removed, normalised by the energy norm of u.  Zero flux gives
     zero against zero data and ``inf`` against any other.  The divergence
-    is ``system.divergence(u)``; the energy ``u @ A u`` is ``energy`` when
-    given (a caller that knows it from other terms), else formed with A.
+    is ``system.grid.divergence(u)``; the energy ``u @ A u`` is ``energy``
+    when given (a caller that knows it from other terms), else formed with
+    A.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (system.n_flux,):
-        raise ValueError(f"flux vector has length {u.size}, expected {system.n_flux}")
+    u = _checked_grid_vector(u, system.n_flux, "flux")
     if not np.any(u):
         return np.inf if np.any(g) else 0.0
     if energy is None:
         energy = u @ (system.A @ u)
-    return gauged_defect(system.divergence(u) - g, energy, system.areas)
+    return gauged_defect(system.grid.divergence(u) - g, energy, system.areas)
 
 
 def gauged_defect(div: np.ndarray, energy: float, w: np.ndarray) -> float:

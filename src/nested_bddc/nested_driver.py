@@ -25,6 +25,7 @@ spec's shape and contrasts; ``mesh_fem`` only validates the values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,9 +120,10 @@ class ExperimentSpec:
     Construction raises ``HierarchyError`` for a shape that no mesh can
     take, and ``DriverError`` for an unknown pattern, ``jump-left`` below
     four levels, a ``k1``-``k3`` that is not finite and > 0 (whether or
-    not the pattern uses it), or a bad ``tol`` or ``maxit``.  Set-up
+    not the pattern uses it), a bad ``tol`` or ``maxit`` (an integer of
+    any type but ``bool``) or a ``bool`` ``base``.  Set-up
     (``build_problem``, ``NestedSolver``) raises ``WeightsError`` for a
-    bad ``gamma`` and ``MeshError`` for a bad ``base``.
+    bad ``gamma`` and ``MeshError`` for any other bad ``base``.
     """
 
     levels: int
@@ -148,8 +150,10 @@ class ExperimentSpec:
                 raise DriverError(f"contrast {name} must be finite and > 0, got {value!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DriverError(f"PCG tolerance must be finite and > 0, got {self.tol!r}")
-        if isinstance(self.maxit, bool) or not isinstance(self.maxit, int) or self.maxit < 1:
+        if isinstance(self.maxit, bool) or not isinstance(self.maxit, numbers.Integral) or self.maxit < 1:
             raise DriverError(f"PCG iteration limit must be an integer >= 1, got {self.maxit!r}")
+        if isinstance(self.base, bool):
+            raise DriverError(f"top-grid cell count base must be an integer, got {self.base!r}")
 
     @property
     def nx(self) -> int:
@@ -192,8 +196,11 @@ class NestedResult:
 
 
 def step1_coarse_rhs(decomp: LevelDecomposition, f: np.ndarray) -> np.ndarray:
-    """Restrict the pressure rhs onto subdomain constants (plain sums)."""
-    return np.asarray(f, dtype=float)[decomp.cells_by_sub].sum(axis=1)
+    """Restrict the pressure rhs onto subdomain constants (plain sums).
+
+    ``f`` of another shape than the level's cells raises ``BddcError``.
+    """
+    return _checked_vector(f, decomp.grid.n_cells, "f")[decomp.cells_by_sub].sum(axis=1)
 
 
 def step2_subdomain_solve(level: LevelBddc, u0_face: np.ndarray, f: np.ndarray):
@@ -262,17 +269,19 @@ def step3_correction(
     subdomain's net divergence ``rho`` spread over its cells by area.  The
     product of a direction ``(d_F, m, 0, s)`` is
     ``(S d_F + (B^T m)_F, net d_F, s, 0)``, with ``S`` the sum of the
-    subdomains' face Schur complements.  The operator takes ``S d_F`` and
-    ``net d_F`` from one gather of ``d_F``'s copies
-    (``LevelBddc.schur_net``) and forms ``(B^T m)_F`` from the sub-grid's
-    face sides, ``-h m`` on a face's lower subdomain plus ``h m`` on its
-    higher one, on each of the face's dofs: it multiplies by no sparse
-    matrix.  In the full-length dot product of a residual and an iterate,
-    the interior rows meet a divergence that is constant per subdomain
-    and so vanish against ``p_star``, and the pressure rows meet the
-    subdomain means ``m``; the two ``s`` slots never meet.  So in exact arithmetic the iterates, coefficients and
-    stopping test are those of the full-length PCG; only the residual norm
-    needs ``(B^T p_star)_F`` and ``B_I^T p_star``, formed once.
+    subdomains' face Schur complements.  The operator takes ``S d_F`` from
+    ``LevelBddc.schur_product`` and ``net d_F``, each subdomain's net face
+    flux, from ``LevelBddc.net_flux`` (the sub-grid's divergence of the
+    face averages), and forms ``(B^T m)_F`` from the sub-grid's face
+    sides, ``-h m`` on a face's lower subdomain plus ``h m`` on its higher
+    one, on each of the face's dofs: it multiplies by no sparse matrix.
+    In the full-length dot product of a residual and an iterate, the
+    interior rows meet a divergence that is constant per subdomain and so
+    vanish against ``p_star``, and the pressure rows meet the subdomain
+    means ``m``; the two ``s`` slots never meet.  So in exact arithmetic
+    the iterates, coefficients and stopping test are those of the
+    full-length PCG; only the residual norm needs ``(B^T p_star)_F`` and
+    ``B_I^T p_star``, both read from one ``QuadMesh.gradient(p_star)``.
 
     The start residual's face rows ``-(A u_star + B^T p_star)_F`` are
     step 2's ``r_face``.
@@ -285,7 +294,7 @@ def step3_correction(
 
     The returned flux ``u`` is checked against the divergence data ``f``
     (``divergence_defect``), to ``DEFECT_TOL``, with no assembled matrix:
-    its divergence is ``Rt0System.divergence(u)`` and its energy comes
+    its divergence is ``QuadMesh.divergence(u)`` and its energy comes
     from the face values ``w = u0_face + u_F``.  With ``u_src`` the source
     solves' flux and ``p_src = p_star - p_ext0`` their pressure, ``K_I``
     symmetric and every local pressure of zero mean, ``u @ A u`` is
@@ -313,8 +322,8 @@ def step3_correction(
     # PCG's vectors: face fluxes, one value per subdomain, then the two s slots.
     face, sub, n = slice(0, n_face), slice(n_face, n_face + n_sub), n_face + n_sub + 2
 
-    bt_p = level.face_bt @ p_star
-    int_norm = np.linalg.norm(p_star[cells] @ level.b_int)
+    grad = level.system.grid.gradient(p_star)
+    bt_p, int_norm = grad[level.face_dofs], np.linalg.norm(grad[level.idx_int])
     # (B^T m)_F on a face's dofs: -h m on its lower subdomain, +h m on its
     # higher one, as B's face columns hold them.
     lo, hi = np.ascontiguousarray(level.decomp.sub_grid.edge_sides.T)
@@ -322,8 +331,8 @@ def step3_correction(
 
     def operator(x):
         out = np.empty(n)
-        product, out[sub] = level.schur_net(x[face])
-        m = x[sub]
+        u_face, m = x[face], x[sub]
+        product, out[sub] = level.schur_product(u_face), level.net_flux(u_face)
         bt_m = -h * m.take(lo) + h * m.take(hi)
         # A face's dofs run face by face: add bt_m to each k-th dof of every face.
         for k in range(ratio):

@@ -356,21 +356,25 @@ STEP3_DATA = ("u0_face", "f", "u_src", "p_star", "p_ext0", "r_face")
 
 
 @pytest.mark.parametrize("shape", ["short", "long", "2-d", "one"])
-@pytest.mark.parametrize("data", ["r", "rhs_div", "u0_face", *(f"step3_{name}" for name in STEP3_DATA)])
+@pytest.mark.parametrize(
+    "data", ["r", "rhs_div", "u0_face", "step1_f", *(f"step3_{name}" for name in STEP3_DATA)]
+)
 def test_level_entry_points_reject_data_of_wrong_shape(data, shape, runs):
     # Each group gathers only the rows it indexes, so data longer than the
     # level would otherwise pass unnoticed; a length-1 vector would
-    # broadcast.  Step 3 takes step 2's inputs and outputs, checked one by
-    # one and named in the error.
+    # broadcast.  Step 1 restricts f by its subdomains' cells, which would
+    # drop the entries past the level's cells.  Steps 1 and 3 name the
+    # argument in the error; step 3 takes step 2's inputs and outputs,
+    # checked one by one.
     precond = runs.solver(FACE_RESIDUAL_SPECS["ratio3-L3-dense"]).precond
     level = precond.levels[1]
     n_face, n_flux, n_cells = level.decomp.face_dofs.size, level.system.n_flux, level.system.n_pressure
-    n = {"r": n_flux, "rhs_div": n_cells, "u0_face": n_face}.get(data)
+    n = {"r": n_flux, "rhs_div": n_cells, "u0_face": n_face, "step1_f": n_cells}.get(data)
     if data.startswith("step3_"):
         args = dict(zip(STEP3_DATA, (n_face, n_cells, n_flux, n_cells, n_cells, n_face)))
         n = args[data.removeprefix("step3_")]
     bad = {"short": np.ones(n - 1), "long": np.ones(n + 1), "2-d": np.ones((n, 1)), "one": np.ones(1)}[shape]
-    named = data.removeprefix("step3_") + " " if data.startswith("step3_") else ""
+    named = data.split("_", 1)[1] + " " if data.startswith(("step1_", "step3_")) else ""
     with pytest.raises(BddcError, match=rf"^{named}.*expected \({n},\)"):
         if data == "r":
             interior_correction(level, bad)
@@ -378,6 +382,8 @@ def test_level_entry_points_reject_data_of_wrong_shape(data, shape, runs):
             interior_correction(level, rhs_div=bad)
         elif data == "u0_face":
             step2_subdomain_solve(level, bad, np.zeros(n_cells))
+        elif data == "step1_f":
+            nested_driver.step1_coarse_rhs(level.decomp, bad)
         else:
             rng = np.random.default_rng(5)
             u0_face, f = rng.standard_normal(n_face), np.zeros(n_cells)
@@ -406,14 +412,21 @@ def test_level_numbers_must_be_integers_in_range(level, runs):
 
 def test_coarse_divergence_matches_csr_product():
     # Every coarse system of a ratio-3, four-level hierarchy, the top one
-    # included: the grid's divergence is B @ u bit for bit.
+    # included: the grid's divergence and gradient are B @ u and B.T @ p
+    # bit for bit, and reject vectors of another shape.
     _, _, precond = make_setup(81, 4, 3)
     systems = [level.system for level in precond.levels[1:]]
     systems.append(assemble_coarse_problem(precond.levels[-1]))
     rng = np.random.default_rng(4)
     for system in systems:
-        u = rng.standard_normal(system.n_flux)
-        assert system.divergence(u).tobytes() == (system.B @ u).tobytes()
+        grid = system.grid
+        u, p = rng.standard_normal(system.n_flux), rng.standard_normal(system.n_pressure)
+        assert grid.divergence(u).tobytes() == (system.B @ u).tobytes()
+        assert grid.gradient(p).tobytes() == (system.B.T @ p).tobytes()
+        with pytest.raises(ValueError, match="expected"):
+            grid.divergence(u[:-1])
+        with pytest.raises(ValueError, match="expected"):
+            grid.gradient(np.append(p, 0.0))
 
 
 def test_interior_correction_without_data_raises(two_level_9x9):
@@ -852,7 +865,9 @@ def test_face_divergence_defect_matches_extended_flux(case, runs, rng):
             # the energy from the step-3 operator's face rows of (u_face, m),
             # and the direct product when that energy is not positive
             m = rng.standard_normal(level.decomp.n_sub)
-            product = level.schur_product(u_face) + level.net.T @ m
+            m_cells = np.empty(level.system.n_pressure)
+            m_cells[level.decomp.cells_by_sub] = m[:, None]
+            product = level.schur_product(u_face) + (level.system.B.T @ m_cells)[level.face_dofs]
             assert abs(level.face_divergence_defect(u_face, product, m) - ref) <= 1e-12 * ref
             no_energy = level.face_divergence_defect(u_face, np.zeros_like(u_face), 0 * m)
             assert abs(no_energy - ref) <= 1e-12 * ref
@@ -920,7 +935,7 @@ WORKSPACE_SPECS = {
     "jump-r3": ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=30.0, k3=0.05),
     "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
 }
-WORKSPACE = ("dof_in", "dof_out", "face_in", "sub_out", "rows", "sol", "result_rows")
+WORKSPACE = ("dof_in", "dof_out", "face_in", "rows", "sol", "result_rows")
 
 
 def byte_offset(view, buf) -> int:
@@ -964,7 +979,7 @@ def test_group_views_tile_the_level_workspace(case, runs):
         assert np.shares_memory(level.rows, level.dof_in) or level.dof_in.size == 0
         assert np.shares_memory(level.dof_out, level.sol) or level.dof_out.size == 0
         pairs = [("dof_in", "dof_out"), ("dof_in", "sol"), ("rows", "sol"), ("dof_out", "face_in")]
-        pairs += [("dof_out", "sub_out"), ("result", "dof_in"), ("result", "sol")]
+        pairs += [("result", "dof_in"), ("result", "sol")]
         for one, other in pairs:
             assert not np.shares_memory(getattr(level, one), getattr(level, other))
         assert level.result.size == decomp.face_dofs.size + level.sol.size
@@ -993,7 +1008,7 @@ def level_passes(precond, idx, rng):
         "apply": precond.apply(rng.standard_normal(n_flux), idx + 1),
         "_apply": precond._apply(idx, rng.standard_normal(n_face)),
         "schur_product": (level.schur_product(rng.standard_normal(n_face)),),
-        "schur_net": level.schur_net(rng.standard_normal(n_face)),
+        "net_flux": (level.net_flux(rng.standard_normal(n_face)),),
         "extend": level.extend(rng.standard_normal(n_face)),
         "extend_pressure": (level.extend_pressure(rng.standard_normal(n_face)),),
         "interior_correction": interior_correction(level, rng.standard_normal(n_flux)),
@@ -1053,9 +1068,10 @@ def test_apply_equals_its_composition_from_every_level(case, runs, rng):
 
 def test_step3_operator_forms_net_flux_in_the_schur_pass(runs, rng, monkeypatch):
     # deep-r3's step-3 operators, one per level, each with groups of two,
-    # three and four present faces: the face rows equal S u + (B^T m)_F
-    # with the level's net matrix bit for bit, and the net flux net @ u to
-    # round-off, from one gather of u's face-dof copies (schur_net).
+    # three and four present faces: the face rows equal S u plus the face
+    # rows of the assembled B^T times m spread onto the cells, bit for bit,
+    # and the subdomain rows hold the net flux, net_flux(u), which agrees
+    # with B's face columns summed over each subdomain's cells to round-off.
     solver = runs.solver(WORKSPACE_SPECS["deep-r3"])
     operators = []
 
@@ -1073,13 +1089,16 @@ def test_step3_operator_forms_net_flux_in_the_schur_pass(runs, rng, monkeypatch)
         x = rng.standard_normal(n)
         u, m = x[:n_face], x[n_face : n_face + n_sub]
         out = operator(x)
-        assert out[:n_face].tobytes() == (level.schur_product(u) + level.net.T @ m).tobytes()
-        net = level.net @ u
+        cells, b = level.decomp.cells_by_sub, level.system.B
+        m_cells = np.empty(level.system.n_pressure)
+        m_cells[cells] = m[:, None]
+        assert out[:n_face].tobytes() == (level.schur_product(u) + (b.T @ m_cells)[level.face_dofs]).tobytes()
+        u_full = np.zeros(level.system.n_flux)
+        u_full[level.face_dofs] = u
+        net = (b @ u_full)[cells].sum(axis=1)
         assert np.abs(out[n_face : n_face + n_sub] - net).max() <= 1e-14 * np.abs(net).max()
+        assert out[n_face : n_face + n_sub].tobytes() == level.net_flux(u).tobytes()
         assert (out[-2], out[-1]) == (x[-1], 0.0)
-        product, net_flux = level.schur_net(u)
-        assert product.tobytes() == level.schur_product(u).tobytes()
-        assert net_flux.tobytes() == out[n_face : n_face + n_sub].tobytes()
 
 
 def test_interleaved_solvers_match_sequential_solves():
@@ -1210,8 +1229,10 @@ def test_interior_groups_share_divergence_block(case, runs):
         b_int = dense_block(kkts[0].b_block)
         for kkt in kkts[1:]:
             assert np.array_equal(dense_block(kkt.b_block), b_int)
-        # the level's one B_I, which the step-3 residual norm uses
-        assert np.array_equal(dense_block(level.b_int), b_int)
+        # the assembled B on every subdomain's cells and interior dofs
+        decomp, b = level.decomp, level.system.B
+        for cells, interior in zip(decomp.cells_by_sub, decomp.interior_by_sub):
+            assert np.array_equal(b[cells][:, interior].toarray(), b_int)
 
 
 @pytest.mark.parametrize(

@@ -210,14 +210,21 @@ def test_one_cell_with_xy_coupling_keeps_every_coupling():
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 6), (6, 1), (2, 3), (5, 3), (9, 9), (16, 16)])
 def test_divergence_matches_csr_product(nx, ny):
     # The grid's divergence sums each cell's slots in the order B's row
-    # holds them, so it is B @ u bit for bit, for random u; square,
-    # rectangular and one-cell-wide grids.
+    # holds them, and its gradient each edge's two cells in the order of
+    # B's column, so they are B @ u and B.T @ p bit for bit, for random u
+    # and p; square, rectangular and one-cell-wide grids.
     mesh = build_mesh(nx, ny)
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
-    u = np.random.default_rng(nx + 17 * ny).standard_normal(mesh.n_flux)
-    assert system.divergence(u).tobytes() == (system.B @ u).tobytes()
-    with pytest.raises(ValueError, match=rf"expected \({mesh.n_flux},\)"):
-        system.divergence(np.ones(mesh.n_flux + 1))
+    rng = np.random.default_rng(nx + 17 * ny)
+    u, p = rng.standard_normal(mesh.n_flux), rng.standard_normal(mesh.n_cells)
+    assert mesh.divergence(u).tobytes() == (system.B @ u).tobytes()
+    assert mesh.gradient(p).tobytes() == (system.B.T @ p).tobytes()
+    for bad in (np.ones(mesh.n_flux + 1), np.ones((mesh.n_flux, 1))):
+        with pytest.raises(ValueError, match=rf"expected \({mesh.n_flux},\)"):
+            mesh.divergence(bad)
+    for bad in (np.ones(mesh.n_cells - 1), np.ones((1, mesh.n_cells))):
+        with pytest.raises(ValueError, match=rf"expected \({mesh.n_cells},\)"):
+            mesh.gradient(bad)
 
 
 def test_matrices_built_on_first_access():

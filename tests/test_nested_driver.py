@@ -6,13 +6,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nested_bddc as nb
 from nested_bddc import nested_driver
+from nested_bddc.bddc import MultilevelPreconditioner
 from nested_bddc.hierarchy import HierarchyError
-from nested_bddc.mesh_fem import CoefficientField, build_mesh, divergence_defect
+from nested_bddc.mesh_fem import CoefficientField, MeshError, Rt0System, build_mesh, divergence_defect
 from nested_bddc.nested_driver import (
     CSV_HEADER,
     ORACLE_DOF_LIMIT,
@@ -320,11 +322,29 @@ def test_check_energy_from_face_values_matches_assembled(case, monkeypatch):
 @pytest.mark.parametrize("spec", [ExperimentSpec(levels=5, ratio=3), ExperimentSpec(levels=2, ratio=16)])
 def test_solve_builds_no_level_matrices(spec):
     # Set-up and solve read no level's assembled A or B: only the top
-    # system's, which the top solve factors and which no level holds.
+    # system's, which the top solve factors and which no level holds.  A
+    # level takes its B terms from the grid, so it holds no sparse matrix.
     solver = NestedSolver(spec)
     solver.solve()
     for level in solver.precond.levels:
         assert "A" not in vars(level.system) and "B" not in vars(level.system)
+        assert not [name for name, value in vars(level).items() if sp.issparse(value)]
+
+
+def test_directly_constructed_system_solves():
+    # A system made by its constructor, not by assemble_system, takes its
+    # cell areas from the grid: it builds a preconditioner and solves, bit
+    # for bit as the assembled system does.
+    spec = ExperimentSpec(levels=3, ratio=3)
+    solver, ref = NestedSolver(spec), NestedSolver(spec).solve()
+    fine = solver.fine
+    solver.fine = Rt0System(fine.grid, fine.elem_table, fine.elem_class, fine.g)
+    solver.precond = MultilevelPreconditioner.build(solver.fine, spec.levels, spec.ratio, spec.gamma)
+    result = solver.solve()
+    assert result.flux.tobytes() == ref.flux.tobytes()
+    assert result.pressure.tobytes() == ref.pressure.tobytes()
+    assert [row.csv() for row in result.rows] == [row.csv() for row in ref.rows]
+    assert divergence_defect(solver.fine, result.flux, fine.g) <= 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -635,6 +655,9 @@ def test_spec_nx():
     assert ExperimentSpec(levels=2, ratio=3).nx == 9
     assert ExperimentSpec(levels=5, ratio=3).nx == 243
     assert ExperimentSpec(levels=2, ratio=4, base=2).nx == 8
+    # levels, ratio, maxit and base take any integer type but bool
+    spec = ExperimentSpec(levels=np.int64(2), ratio=np.int64(4), maxit=np.int64(5), base=np.int64(2))
+    assert (spec.nx, spec.maxit) == (8, 5)
 
 
 @pytest.mark.parametrize("coeff", ["constant", "jump-right"])
@@ -648,12 +671,32 @@ def test_spec_rejects_invalid_contrast(coeff, field, value):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}, {"maxit": 0}, {"maxit": 2.5}, {"maxit": True}],
+    [
+        {"tol": 0.0},
+        {"tol": -1.0},
+        {"tol": np.nan},
+        {"tol": np.inf},
+        {"maxit": 0},
+        {"maxit": 2.5},
+        {"maxit": True},
+        {"maxit": np.int64(0)},
+        {"maxit": np.float64(5.0)},
+        {"base": True},
+        {"base": False},
+    ],
 )
 def test_spec_rejects_invalid_pcg_settings(bad):
-    # maxit=True would otherwise run as maxit=1: bool is an int in Python.
+    # maxit=True would otherwise run as maxit=1, base=True as base=1 and
+    # base=False as the default: bool is an int in Python.
     with pytest.raises(DriverError, match="must be"):
         ExperimentSpec(levels=2, ratio=3, **bad)
+
+
+@pytest.mark.parametrize("base", [2.5, -1])
+def test_spec_leaves_other_bad_base_to_the_mesh(base):
+    spec = ExperimentSpec(levels=2, ratio=3, base=base)
+    with pytest.raises(MeshError, match="cell counts must be positive integers"):
+        spec.build_problem()
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN_CSV))
