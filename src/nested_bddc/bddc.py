@@ -54,7 +54,7 @@ patterns are scattered on it together, as one stack of values; each
 pattern is factored and condensed onto all four faces by one
 ``Factorization.solve_leading`` call (``_condense_patterns``).
 Subdomains are grouped by cell pattern and present faces, one group kind
-per level.  The groups on one set of present faces slice their faces
+per level.  The groups with one count of present faces slice their faces
 from their patterns and build their bordered face systems as one stack;
 each system is inverted on its own, and each group keeps its own copy
 of its operators (``_face_operators``).  The level lays out its
@@ -63,7 +63,7 @@ subdomains' face copies once, with their face weights
 member, one group after another.  Every face lies between two
 subdomains, so a sum of the members' face copies (the Schur product,
 the averaging, the restriction) adds two entries of a copy buffer,
-located once at build (``_copy_pairs``).  How blocks are stored
+located once at build (``LevelBddc.face_pairs``).  How blocks are stored
 and solved, by size class, is decided in ``saddle_core``
 (``DENSE_LIMIT``); the cell patterns' interior blocks are scattered
 straight into the storage of their class: one dense stack, or one CSR
@@ -246,22 +246,23 @@ def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.
 
 
 def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio: int) -> list[tuple]:
-    """Face operators of the groups on one set of present faces, one tuple per group.
+    """Face operators of the groups with one count of present faces, one tuple per group.
 
-    ``ext`` and ``schur`` are the stacks of ``_condense_patterns`` and
-    ``pats`` the groups' entries there.  The groups' bordered face systems
-    ``[S C^T; C 0]`` are built as one stack, and each is factored on its
-    own.  A tuple holds the group's extension rows, ``S``, ``dual``,
-    ``psi`` and ``coarse_elem``, the fields of ``_Group`` that follow
-    ``face_slots``, in order; the four operators the level apply multiplies
-    by are the group's own copies, not views of a stack.
+    ``ext`` and ``schur`` are the stacks of ``_condense_patterns``, ``pats``
+    the groups' entries there and ``face_slots`` their present slots, one
+    row per group.  The groups' bordered face systems ``[S C^T; C 0]``
+    (``C``, the face averages, depends on the count alone) are built as one
+    stack, and each is factored on its own.  A tuple holds the fields of
+    ``_Group`` from ``face_slots`` to ``coarse_elem``, in order; the four
+    operators the level apply multiplies by are the group's own copies,
+    not views of a stack.
     """
-    rows = (face_slots[:, None] * ratio + np.arange(ratio)).ravel()
-    n_f, n_faces = len(rows), len(face_slots)
+    (n_groups, n_faces), n_f = face_slots.shape, face_slots.shape[1] * ratio
+    rows = (face_slots[:, :, None] * ratio + np.arange(ratio)).reshape(n_groups, n_f)
     size = n_f + n_faces  # 0 on a level of one subdomain, which has no faces
-    s_f = schur[pats[:, None, None], rows[:, None], rows]
+    s_f = schur[pats[:, None, None], rows[:, :, None], rows[:, None, :]]
     # The bordered face systems; the face averages C are their last rows.
-    face_kkt = np.zeros((len(pats), size, size))
+    face_kkt = np.zeros((n_groups, size, size))
     face_kkt[:, :n_f, :n_f] = s_f
     face_kkt[:, n_f:, :n_f] = np.repeat(np.eye(n_faces), ratio, axis=1) / ratio
     face_kkt[:, :n_f, n_f:] = face_kkt[0, n_f:, :n_f].T
@@ -269,8 +270,8 @@ def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio:
     psi = np.ascontiguousarray(inv[:, :n_f, n_f:])
     coarse = np.matmul(np.matmul(psi.transpose(0, 2, 1), s_f), psi)
     return [
-        (ext[pat, rows], s.copy(), inv_g[:n_f, :n_f].copy(), p.copy(), c)
-        for pat, s, inv_g, p, c in zip(pats, s_f, inv, psi, coarse)
+        (slots, ext[pat, r], s.copy(), inv_g[:n_f, :n_f].copy(), p.copy(), c)
+        for slots, pat, r, s, inv_g, p, c in zip(face_slots, pats, rows, s_f, inv, psi, coarse)
     ]
 
 
@@ -289,21 +290,8 @@ def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
     return summed.astype(float, copy=False).reshape(*values.shape[:-1], *shape)
 
 
-def _copy_pairs(n: int, pos: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Positions of the two copies of each of ``n`` entries in a level's copy buffer.
-
-    ``pos`` holds each copy's entry and ``high`` whether its subdomain is
-    the entry's higher one.  Every face, and so every face dof, lies
-    between two subdomains: row 0 of the result holds the lower one's
-    copy, row 1 the higher one's.
-    """
-    pairs = np.empty(2 * n, dtype=np.intp)
-    pairs[high * n + pos] = np.arange(pos.size)
-    return pairs.reshape(2, n)
-
-
 class _PairSum:
-    """Sum of each entry's two copies in a copy buffer (``_copy_pairs``).
+    """Sum of each entry's two copies in a copy buffer (``LevelBddc.face_pairs``, ``dof_pairs``).
 
     ``pairs`` locates the copies; a call gathers them into ``buf``, a
     ``(2, n)`` buffer of the level's workspace, and returns the sums of
@@ -340,9 +328,11 @@ class LevelBddc:
     face's lower subdomain and ``1 - w_lo`` where it is the higher one.
     ``order`` holds the members' subdomains and ``idx_int`` and
     ``idx_cells`` their interior dofs and cells in the same order, one
-    row per subdomain.  ``face_pairs`` and ``dof_pairs`` locate the two
-    copies of each face and face dof (``_copy_pairs``), so a sum over
-    subdomains is one addition per entry (``face_sum``, ``dof_sum``).
+    row per subdomain.  ``face_pairs`` holds the positions of each face's
+    lower (row 0) and higher copy, and ``dof_pairs`` those of each face
+    dof, ``dof_pairs[s, f ratio + k] = face_pairs[s, f] ratio + k``, so a
+    sum over subdomains is one addition per entry (``face_sum``,
+    ``dof_sum``).
 
     The workspace holds one buffer per kind of data in this layout, and
     each group keeps views of its rows (``_Group``): ``dof_in`` and
@@ -528,73 +518,71 @@ class LevelBddc:
 
 
 def _groups(keys: np.ndarray) -> list[np.ndarray]:
-    """Rows of ``keys`` grouped by equality: ascending members, groups by first row."""
-    first, label = _unique_rows(keys)
-    label = np.argsort(np.argsort(first))[label]
-    members = np.argsort(label, kind="stable")
-    return np.split(members, np.cumsum(np.bincount(label))[:-1])
+    """Subdomains grouped by an integer key: ascending members, groups by first member."""
+    counts = np.bincount(keys)
+    members = np.split(np.argsort(keys, kind="stable"), np.cumsum(counts[counts > 0])[:-1])
+    return sorted(members, key=lambda m: m[0])
 
 
 def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float) -> LevelBddc:
     """Group the subdomains of a level and build each group's operators once.
 
-    A subdomain's interior KKT is fixed by its cells' element matrices, its
-    face operators also by which of its four faces exist.  Cells are
-    classed by their row of the system's element table, so members of a
-    group have bit-identical local matrices.  All cell patterns are
-    assembled and condensed onto their four faces together, each factored
-    once (``_condense_patterns``); the groups that share a set of present
-    faces slice theirs and get their face operators together
-    (``_face_operators``).
+    Members of a group have bit-identical local matrices: the same row of
+    the element table cell by cell (one cell pattern, assembled, factored
+    and condensed onto its four faces once by ``_condense_patterns``) and
+    the same present faces.  A subdomain's group key is the integer
+    ``pattern * 16 + present @ (1, 2, 4, 8)``; the groups with one count of
+    present faces get their face operators together (``_face_operators``).
+    Copy data are templates per subdomain: a face copy is the higher one by
+    its slot, its dof copies are consecutive, and its cell areas are those
+    of any other subdomain.
     """
-    classes = system.elem_class[decomp.cells_by_sub]
-    first, pattern = _unique_rows(classes)
+    first, pattern = _unique_rows(system.elem_class[decomp.cells_by_sub])
     kkts, ext, schur = _condense_patterns(system, decomp, decomp.cells_by_sub[first])
     present = decomp.faces_by_sub >= 0
-    members = _groups(np.hstack([present, classes]))
+    members = _groups(pattern * 16 + present @ (1, 2, 4, 8))
     heads = np.array([subs[0] for subs in members])
-    ratio = decomp.face_dofs.shape[1]
-    # The groups' face operators, one set of present faces at a time.
-    ops = [None] * len(members)
-    face_sets, set_of = _unique_rows(present[heads])
-    for k, head in enumerate(heads[face_sets]):
-        ks = np.flatnonzero(set_of == k)
-        face_slots = np.flatnonzero(present[head])
-        for g, op in zip(ks, _face_operators(ext, schur, pattern[heads[ks]], face_slots, ratio)):
-            ops[g] = face_slots, op
-    # The face copies, group after group, one row per member.
+    n_faces, ratio = decomp.face_dofs.shape
+    # The groups' face operators, one count of present faces at a time.
+    ops, n_present = {}, np.count_nonzero(present[heads], axis=1)
+    for count in np.unique(n_present):
+        ks = np.flatnonzero(n_present == count)
+        face_slots = np.nonzero(present[heads[ks]])[1].reshape(len(ks), count)
+        ops.update(zip(ks.tolist(), _face_operators(ext, schur, pattern[heads[ks]], face_slots, ratio)))
+    # The face copies, group after group, one row per member.  A face's
+    # normal points into the members on their left and bottom faces: there
+    # they are the higher subdomain.
     order = np.concatenate(members)
     live = present[order]
     copy_faces = decomp.faces_by_sub[order][live]
-    # A face's normal points into the members on their left and bottom
-    # faces: there they are the higher subdomain.
-    high = np.isin(np.nonzero(live)[1], (SLOT_LEFT, SLOT_BOTTOM))
+    high = np.tile([slot in (SLOT_LEFT, SLOT_BOTTOM) for slot in range(4)], (len(order), 1))[live]
     w_lo = compute_weights(decomp, system.elem_table, system.elem_class, gamma)[copy_faces]
-    copy_pos = (copy_faces[:, None] * ratio + np.arange(ratio)).ravel()
-    copy_w = np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio)
+    face_pairs = np.empty(2 * n_faces, dtype=np.intp)
+    face_pairs[high * n_faces + copy_faces] = np.arange(copy_faces.size)
+    face_pairs = face_pairs.reshape(2, n_faces)
     idx_int, idx_cells = decomp.interior_by_sub[order], decomp.cells_by_sub[order]
     groups, row = [], 0
-    for subs, (face_slots, face_ops) in zip(members, ops):
+    for g, subs in enumerate(members):
         n = len(subs)
         kkt = kkts[pattern[subs[0]]]
-        groups.append(_Group(subs, kkt, face_slots, *face_ops, idx_int[row : row + n], idx_cells[row : row + n]))
+        groups.append(_Group(subs, kkt, *ops[g], idx_int[row : row + n], idx_cells[row : row + n]))
         row += n
-    areas = system.areas[decomp.cells_by_sub]
-    sub_areas = areas.sum(axis=1)
+    areas = system.areas[decomp.cells_by_sub[:1]]
+    sub_area = areas.sum(axis=1)
     return LevelBddc(
         system=system,
         decomp=decomp,
         groups=groups,
-        sub_areas=sub_areas,
-        div_norm=np.linalg.norm(areas, axis=1) / sub_areas,
+        sub_areas=np.repeat(sub_area, decomp.n_sub),
+        div_norm=np.repeat(np.linalg.norm(areas, axis=1) / sub_area, decomp.n_sub),
         copy_faces=copy_faces,
-        copy_pos=copy_pos,
-        copy_w=copy_w,
+        copy_pos=(copy_faces[:, None] * ratio + np.arange(ratio)).ravel(),
+        copy_w=np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio),
         order=order,
         idx_int=idx_int,
         idx_cells=idx_cells,
-        face_pairs=_copy_pairs(decomp.n_faces, copy_faces, high),
-        dof_pairs=_copy_pairs(decomp.face_dofs.size, copy_pos, np.repeat(high, ratio)),
+        face_pairs=face_pairs,
+        dof_pairs=(face_pairs[:, :, None] * ratio + np.arange(ratio)).reshape(2, -1),
     )
 
 

@@ -8,8 +8,8 @@ coefficient pattern.
 
 Exit codes: 0 success, 2 invalid arguments or config values (``--preset``
 together with ``--levels``, ``--ratio`` or ``--coeff`` included), problem
-setup or an unwritable output path, 3 PCG non-convergence, 4 verification
-failure with ``--verify``.
+setup or an unwritable output path, 3 PCG did not converge, broke down or
+failed its divergence monitor, 4 verification failure with ``--verify``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .hierarchy import HierarchyError, WeightsError
+from .krylov import PcgError
 from .mesh_fem import CoefficientError, MeshError, dump_matrix_market
 from .nested_driver import (
     COEFF_PATTERNS,
@@ -149,9 +150,9 @@ def _solve_command(args) -> int:
                 return _cannot_write(exc)
         try:
             result = solver.solve()
-        except PcgNonConvergence as exc:
+        except (PcgNonConvergence, PcgError) as exc:
             print(f"bddc: {spec.name()}: {exc}", file=sys.stderr)
-            if args.dump_history:
+            if args.dump_history and isinstance(exc, PcgNonConvergence):
                 history_text += _history_lines(spec, exc.level, exc.report)
             exit_code = max(exit_code, EXIT_NO_CONVERGENCE)
             continue

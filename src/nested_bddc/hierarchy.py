@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -168,14 +169,16 @@ def compute_weights(
     ``gamma=0`` gives both copies of a face the weight 1/2.
     ``gamma=1`` gives the lower side ``D_lo / (D_lo + D_hi)``, where ``D_i``
     sums side ``i``'s element mass diagonals at the face's dofs (the lower
-    cells' right/top slots, the higher cells' left/bottom slots).  The
-    level's element matrices come as its class table (``Rt0System``):
-    ``elem_table`` holds each distinct matrix, ``elem_class`` the row of
-    each cell of the level grid, and the diagonals are read from the table
-    through the classes.  They exist on every level and for every positive
-    coefficient, and a weight constant along a face keeps the face average
-    that the nested method passes between levels.  For a coefficient
-    constant on each side of a face this is ``k_lo^-1 / (k_lo^-1 + k_hi^-1)``.
+    cells' right/top slots, the higher cells' left/bottom slots), added in
+    order along the face; each side of a family's faces is one strided slice
+    of the grid's cell lines (no ``edge_sides``).  The level's element
+    matrices come as its class table (``Rt0System``): ``elem_table`` holds
+    each distinct matrix, ``elem_class`` the row of each cell of the level
+    grid, and the diagonals are read from the table through the classes.
+    They exist on every level and for every positive coefficient, and a
+    weight constant along a face keeps the face average that the nested
+    method passes between levels.  For a coefficient constant on each side of
+    a face this is ``k_lo^-1 / (k_lo^-1 + k_hi^-1)``.
     """
     if gamma not in (0, 1):
         raise WeightsError(f"gamma must be 0 or 1, got {gamma!r}")
@@ -194,9 +197,15 @@ def compute_weights(
 
     if gamma == 0:
         return np.full(decomp.n_faces, 0.5)
-    face_dofs = decomp.face_dofs
-    vertical = face_dofs < grid.n_vertical
-    slots = np.where(vertical[..., None], (SLOT_RIGHT, SLOT_LEFT), (SLOT_TOP, SLOT_BOTTOM))
+    ratio = decomp.face_dofs.shape[1]
     diag = np.diagonal(elem_table, axis1=1, axis2=2)
-    d = diag[elem_class[grid.edge_sides[face_dofs]], slots].sum(axis=1)  # (n_faces, 2)
-    return d[:, 0] / (d[:, 0] + d[:, 1])
+    cls = elem_class.reshape(grid.ny, grid.nx)
+    # Per family (vertical faces first) and side: the faces on sub-grid line L
+    # have their lower cells on grid line L ratio - 1, their higher on L ratio.
+    d = [
+        reduce(np.add, diag[cells, slot].reshape(-1, ratio).T)
+        for lines, slots in ((cls.T, (SLOT_RIGHT, SLOT_LEFT)), (cls, (SLOT_TOP, SLOT_BOTTOM)))
+        for cells, slot in zip((lines[ratio - 1 : -1 : ratio], lines[ratio::ratio]), slots)
+    ]
+    lo, hi = np.concatenate(d[0::2]), np.concatenate(d[1::2])
+    return lo / (lo + hi)

@@ -182,10 +182,10 @@ class QuadMesh:
 
 
 def _checked_grid_vector(data, n: int, what: str) -> np.ndarray:
-    """``data`` as a float vector of length ``n``, or ``ValueError`` naming ``what``."""
+    """``data`` as a float vector of length ``n``, or ``MeshError`` naming ``what``."""
     data = np.asarray(data, dtype=float)
     if data.shape != (n,):
-        raise ValueError(f"{what} vector has shape {data.shape}, expected ({n},)")
+        raise MeshError(f"{what} vector has shape {data.shape}, expected ({n},)")
     return data
 
 

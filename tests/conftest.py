@@ -1,7 +1,8 @@
 """Shared fixtures: experiment results are cached per session and reused
 across acceptance criteria and the driver tests, and the session's peak
 RSS is printed in the terminal summary.  ``copy_rows`` gives the tests a
-group's rows of its level's copy layout."""
+group's rows of its level's copy layout, and ``edge_sides_weights`` the
+face weights by the grid's edge sides."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import nested_bddc as nb
+from nested_bddc.mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP
 from nested_bddc.nested_driver import NestedSolver
 
 # A solver is small when its fine grid has at most SMALL_CELLS cells (up
@@ -97,6 +99,22 @@ def copy_rows(level, grp) -> SimpleNamespace:
         w=level.copy_w[span].reshape(n, -1),
         idx_face=level.face_dofs[face_pos],
     )
+
+
+def edge_sides_weights(decomp, elem_table, elem_class) -> np.ndarray:
+    """``compute_weights(decomp, elem_table, elem_class, 1)`` by the grid's ``edge_sides``.
+
+    Each face dof's lower and higher cell come from ``edge_sides``, their
+    diagonals at the face's slots are gathered into an ``(n_faces, ratio,
+    2)`` array and summed over its middle axis, which numpy adds in order
+    along the face.
+    """
+    grid, face_dofs = decomp.grid, decomp.face_dofs
+    vertical = face_dofs < grid.n_vertical
+    slots = np.where(vertical[..., None], (SLOT_RIGHT, SLOT_LEFT), (SLOT_TOP, SLOT_BOTTOM))
+    diag = np.diagonal(elem_table, axis1=1, axis2=2)
+    d = diag[elem_class[grid.edge_sides[face_dofs]], slots].sum(axis=1)
+    return d[:, 0] / (d[:, 0] + d[:, 1])
 
 
 @pytest.fixture(scope="session")

@@ -21,16 +21,19 @@ from nested_bddc.bddc import (
 )
 from nested_bddc.hierarchy import build_hierarchy, compute_weights
 from nested_bddc.mesh_fem import (
+    SLOT_BOTTOM,
+    SLOT_LEFT,
     SLOT_SIGNS,
     CoefficientField,
     Rt0System,
+    _unique_rows,
     assemble_rt0,
     assemble_system,
     build_mesh,
     divergence_defect,
     element_triplets,
 )
-from conftest import copy_rows
+from conftest import copy_rows, edge_sides_weights
 from nested_bddc import nested_driver
 from nested_bddc.krylov import pcg
 from nested_bddc.nested_driver import (
@@ -1390,6 +1393,60 @@ def _group_by(keys) -> list[list[int]]:
     for s, key in enumerate(keys):
         groups.setdefault(key, []).append(s)
     return list(groups.values())
+
+
+def lexsort_groups(keys):
+    """Rows of ``keys`` grouped by a lexsort of their bit patterns: ascending members, groups by first row."""
+    first, label = _unique_rows(keys)
+    label = np.argsort(np.argsort(first))[label]
+    members = np.argsort(label, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(label))[:-1])
+
+
+def scattered_copy_pairs(n, pos, high):
+    """Positions of the lower and the higher copy of each of ``n`` entries, by one scatter."""
+    pairs = np.empty(2 * n, dtype=np.intp)
+    pairs[high * n + pos] = np.arange(pos.size)
+    return pairs.reshape(2, n)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(levels=5, ratio=3),
+        ExperimentSpec(levels=2, ratio=16),
+        ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=37.0, k3=0.05),
+    ],
+    ids=["deep-r3", "wide-r16", "jump-right-L5"],
+)
+def test_copy_layout_matches_lexsort_and_scatter_reference(spec, runs):
+    # A level groups its subdomains by one integer key per subdomain and
+    # lays out its copies as templates; the groups, their order and every
+    # copy array are those of a lexsort over (present faces, cell classes)
+    # rows and of a scatter per copy, bit for bit, on every level.
+    for level in runs.solver(spec).precond.levels:
+        system, decomp = level.system, level.decomp
+        ratio = decomp.face_dofs.shape[1]
+        present = decomp.faces_by_sub >= 0
+        members = lexsort_groups(np.hstack([present, system.elem_class[decomp.cells_by_sub]]))
+        assert [grp.subs.tolist() for grp in level.groups] == [m.tolist() for m in members]
+        order = np.concatenate(members)
+        live = present[order]
+        copy_faces = decomp.faces_by_sub[order][live]
+        high = np.isin(np.nonzero(live)[1], (SLOT_LEFT, SLOT_BOTTOM))
+        w_lo = edge_sides_weights(decomp, system.elem_table, system.elem_class)[copy_faces]
+        copy_pos = (copy_faces[:, None] * ratio + np.arange(ratio)).ravel()
+        want = {
+            "order": order,
+            "copy_faces": copy_faces,
+            "copy_w": np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio),
+            "face_pairs": scattered_copy_pairs(decomp.n_faces, copy_faces, high),
+            "dof_pairs": scattered_copy_pairs(decomp.face_dofs.size, copy_pos, np.repeat(high, ratio)),
+        }
+        for name, value in want.items():
+            got = getattr(level, name)
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import re
 import pytest
 
 from nested_bddc.cli import main
+from nested_bddc.krylov import InvariantViolation, PcgBreakdownError
+from nested_bddc.nested_driver import NestedSolver
 
 
 def run_cli(args):
@@ -60,6 +62,29 @@ def test_nonconvergence_exit_3(tmp_path):
     code = run_cli(["solve", "--levels", "2", "--ratio", "3", "--tol", "1e-30",
                     "--out", str(tmp_path / "r.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("error", [InvariantViolation, PcgBreakdownError])
+def test_pcg_failure_exit_3_and_next_experiment(error, tmp_path, capsys, monkeypatch):
+    # A PCG error from the first experiment's solve ends in one message
+    # naming it and exit 3, and the next experiment of the preset still runs.
+    real_solve, calls = NestedSolver.solve, []
+
+    def failing_first(self):
+        calls.append(self.spec.name())
+        if len(calls) == 1:
+            raise error("injected failure")
+        return real_solve(self)
+
+    monkeypatch.setattr(NestedSolver, "solve", failing_first)
+    out = tmp_path / "r.csv"
+    code = run_cli(["solve", "--preset", "table1-ratio6", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "bddc: L2-r6-constant: injected failure" in err
+    assert "Traceback" not in err
+    assert calls == ["L2-r6-constant", "L3-r6-constant"]
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["3", "1"], ["3", "2"]]
 
 
 def test_verify_flag_success(tmp_path):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import copy_rows
+from conftest import copy_rows, edge_sides_weights
 from nested_bddc.bddc import MultilevelPreconditioner, _face_average, build_level_bddc
 from nested_bddc.hierarchy import HierarchyError, WeightsError, build_hierarchy, compute_weights
-from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
-from nested_bddc.nested_driver import ExperimentSpec, preset_specs
+from nested_bddc.mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP, CoefficientField, assemble_rt0, build_mesh
+from nested_bddc.nested_driver import ExperimentSpec, NestedSolver, preset_specs
 
 
 def elem_data_of(mesh, values):
@@ -233,6 +233,76 @@ def test_averaging_is_projection(rng):
     copies = v[d.face_dofs.ravel()][level.copy_pos]
     assert np.allclose(_face_average(level, copies), v[d.face_dofs.ravel()], atol=1e-14)
 
+
+
+# (nx, ny, ratio, levels): rectangular grids, sub-grids of a single row or
+# column (ratio 16), every level of L=3 and L=4 hierarchies, and the level
+# of one subdomain, which has no faces (the last level of 9 x 9, 64 x 64 and
+# 27 x 27).
+WEIGHT_GRIDS = [
+    (12, 6, 2, 2),
+    (12, 6, 3, 2),
+    (18, 9, 3, 3),
+    (20, 40, 5, 2),
+    (64, 64, 8, 3),
+    (32, 16, 16, 2),
+    (16, 48, 16, 2),
+    (9, 9, 3, 3),
+    (27, 27, 3, 4),
+]
+
+
+def random_weight_cases(ratio=None):
+    """(decomposition, class table, classes) on every level of ``WEIGHT_GRIDS``.
+
+    Each level gets seeded random symmetric tables of 1 to 6 classes whose
+    magnitudes span six decades, so a face's diagonals added in another
+    order round differently; ``ratio`` keeps only the grids of that ratio,
+    with the same tables.
+    """
+    rng = np.random.default_rng(31)
+    for nx, ny, r, levels in WEIGHT_GRIDS:
+        for d in build_hierarchy(build_mesh(nx, ny), levels, r):
+            for n_classes in (1, 2, 6):
+                table = rng.random((n_classes, 4, 4)) * 10.0 ** rng.uniform(-3, 3, (n_classes, 1, 1))
+                table, cls = table + table.transpose(0, 2, 1), rng.integers(0, n_classes, d.grid.n_cells)
+                if ratio in (None, r):
+                    yield d, table, cls
+
+
+def test_weights_match_edge_sides_formula_bit_for_bit():
+    # The weights read each side of a face from the grid's cell lines and
+    # add its diagonals in order along the face: bit for bit the sums over
+    # the (n_faces, ratio, 2) gather of the grid's edge sides.
+    for d, table, cls in random_weight_cases():
+        assert compute_weights(d, table, cls, 1.0).tobytes() == edge_sides_weights(d, table, cls).tobytes()
+        assert compute_weights(d, table, cls, 0.0).tobytes() == np.full(d.n_faces, 0.5).tobytes()
+
+
+def test_weight_cases_see_summation_order():
+    # Adding each face's diagonals with ratio last (numpy then sums the
+    # contiguous axis pairwise) changes w_lo in the last bits at ratio 16,
+    # so the bit-for-bit test above fails on a weight formula that adds in
+    # another order.
+    changed = 0
+    for d, table, cls in random_weight_cases(ratio=16):
+        grid, face_dofs = d.grid, d.face_dofs
+        vertical = face_dofs < grid.n_vertical
+        slots = np.where(vertical[..., None], (SLOT_RIGHT, SLOT_LEFT), (SLOT_TOP, SLOT_BOTTOM))
+        sides = np.diagonal(table, axis1=1, axis2=2)[cls[grid.edge_sides[face_dofs]], slots]
+        d_lo, d_hi = np.ascontiguousarray(sides.swapaxes(1, 2)).sum(axis=2).T
+        changed += (d_lo / (d_lo + d_hi)).tobytes() != edge_sides_weights(d, table, cls).tobytes()
+    assert changed
+
+
+@pytest.mark.parametrize("levels,ratio", [(5, 3), (2, 16)])
+def test_fine_grid_builds_no_edge_sides(levels, ratio):
+    # The weights read the cell lines, so neither set-up nor a solve builds
+    # the fine grid's (n_flux, 2) edge sides.
+    solver = NestedSolver(ExperimentSpec(levels=levels, ratio=ratio))
+    assert "edge_sides" not in solver.fine.grid.__dict__
+    solver.solve()
+    assert "edge_sides" not in solver.fine.grid.__dict__
 
 
 def rho_scaling_reference(decomps, k):
