@@ -12,8 +12,11 @@ The same machinery is reused for coarsened problems: a coarse system has one
 flux dof per interface between blocks of cells and one pressure dof per
 block, so it is again an ``Rt0System`` on a smaller ``QuadMesh``.
 
-Every entry of ``B`` is ``+-h`` by slot, so the grid forms ``B @ u`` and
-``B.T @ p`` (``QuadMesh.divergence``, ``QuadMesh.gradient``) for the solver.
+``QuadMesh.cell_dof_slots`` is the one table of slot geometry: ``A`` is
+the sum of the cells' element matrices over it on every level, as the
+local subdomain matrices are (``element_triplets``).  Every entry of ``B``
+is ``+-h`` by slot, so the grid forms ``B @ u`` and ``B.T @ p``
+(``QuadMesh.divergence``, ``QuadMesh.gradient``) for the solver.
 
 A coefficient field is a validated array of per-cell values; the named
 experiment patterns are built in ``nested_driver``.
@@ -229,9 +232,11 @@ class Rt0System:
     level they are the coarse basis energies.  Their diagonals also give
     the interface averaging weights (``hierarchy.compute_weights``).
 
-    ``A`` and ``B`` are CSR, built from the table and the grid on first
-    access and kept; the solver itself reads only the top level's.  A
-    system made by ``dataclasses.replace`` builds its own from its fields.
+    ``A`` and ``B`` are CSR, built on first access and kept: ``A`` the
+    sum of the cells' blocks over the grid's slot table (``_flux_mass``),
+    ``B`` the grid's ``+-h`` per slot.  The solver itself reads only the
+    top level's.  A system made by ``dataclasses.replace`` builds its own
+    from its fields.
     The cell ``areas``, the pressure gauge, come from the grid.
     """
 
@@ -283,24 +288,6 @@ def element_triplets(slot_map: np.ndarray, blocks: np.ndarray, h: float):
     cell_rows = np.broadcast_to(np.arange(len(slot_map))[:, None], slot_map.shape)[present]
     signs = np.broadcast_to(SLOT_SIGNS * h, slot_map.shape)[present]
     return (blocks[pair], rows, cols), (signs, cell_rows, slot_map[present])
-
-
-# Per edge family, the edge's slot in its lower and its higher cell, then
-# the edge's row of A in ascending column order: per column, the side (0
-# the lower cell, 1 the higher one) and the slot that cell couples the edge
-# to; None is the edge itself, summed from both cells.  Vertical edges
-# (lower cell on the left) number below horizontal ones (lower cell below),
-# each family line by line.
-_EDGE_STENCILS = (
-    (
-        (SLOT_RIGHT, SLOT_LEFT),
-        ((0, SLOT_LEFT), None, (1, SLOT_RIGHT), (0, SLOT_BOTTOM), (1, SLOT_BOTTOM), (0, SLOT_TOP), (1, SLOT_TOP)),
-    ),
-    (
-        (SLOT_TOP, SLOT_BOTTOM),
-        ((0, SLOT_LEFT), (1, SLOT_LEFT), (0, SLOT_RIGHT), (1, SLOT_RIGHT), (0, SLOT_BOTTOM), None, (1, SLOT_TOP)),
-    ),
-)
 
 
 def _index_dtype(size: int):
@@ -392,53 +379,30 @@ def _divergence_matrix(grid: QuadMesh) -> sp.csr_matrix:
 
 
 def _flux_mass(grid: QuadMesh, table: np.ndarray, cls: np.ndarray) -> sp.csr_matrix:
-    """A as CSR from the cells' element matrices ``table[cls]``, by the grid's fixed stencil.
+    """A as CSR: the sum of the cells' element matrices ``table[cls]`` over ``grid.cell_dof_slots``.
 
-    An edge row of A holds, in ascending column order, the edge itself,
-    summed from both cells, and each present slot of its two cells that
-    the table can couple it to (``_EDGE_STENCILS``); each such value is
-    one column of the table read through the cells' classes.  A coupling
-    whose column is zero in every class adds nothing to any product and
-    is left out: the orthogonal x/y basis pairs of an RT0 table, so a
-    fine edge row holds at most three entries, while the dense basis
-    energies of a coarse level keep all seven.
+    An edge's diagonal entry is the sum of its two cells' (one bincount,
+    so the COO holds no duplicates to sum); no two cells share an
+    off-diagonal position, so each coupling of two present slots is one
+    table entry read through the cell's class, and the conversion to CSR
+    only sorts.  A coupling of two slots that is zero in every class adds
+    nothing to any product and is left out: the orthogonal x/y basis
+    pairs of an RT0 table, so a fine edge row holds at most three entries,
+    while the dense basis energies of a coarse level keep all seven.
     """
-    nx, ny = grid.nx, grid.ny
+    n = grid.n_flux
     slots = grid.cell_dof_slots
-    # Per edge family, its slots and the stencil entries that some class makes nonzero.
-    families = [
-        (own, [e for e in stencil if e is None or np.any(table[:, own[e[0]], e[1]])])
-        for own, stencil in _EDGE_STENCILS
-    ]
-    ends = np.cumsum([grid.n_vertical * len(families[0][1]), grid.n_horizontal * len(families[1][1])])
-    values = np.empty(ends[-1])
-    cols = np.empty(ends[-1], dtype=_index_dtype(max(ends[-1], grid.n_flux)))
-    counts = np.ones(grid.n_flux, dtype=np.intp)
-    # Each edge family as lines of cells: its edges between cell lines m
-    # and m + 1 are its m-th block of rows, in the order of the cells.
-    by_line = [
-        [a.reshape(ny, nx, *a.shape[1:]).swapaxes(0, 1) for a in (slots, cls)],
-        [a.reshape(ny, nx, *a.shape[1:]) for a in (slots, cls)],
-    ]
-    rows = (slice(None, grid.n_vertical), slice(grid.n_vertical, None))
-    spans = (slice(None, ends[0]), slice(ends[0], None))
-    for row, span, (cell_slots, cell_cls), (own, entries) in zip(rows, spans, by_line, families):
-        n_lines, n_along = cell_cls.shape[0] - 1, cell_cls.shape[1]
-        out_count = counts[row].reshape(n_lines, n_along)
-        out_val = values[span].reshape(n_lines, n_along, len(entries))
-        out_col = cols[span].reshape(n_lines, n_along, len(entries))
-        sides = [(cell_slots[:-1], cell_cls[:-1]), (cell_slots[1:], cell_cls[1:])]
-        (lo_slots, lo_cls), (_, hi_cls) = sides
-        for k, entry in enumerate(entries):
-            if entry is None:
-                out_col[..., k] = lo_slots[..., own[0]]
-                out_val[..., k] = table[:, own[0], own[0]][lo_cls] + table[:, own[1], own[1]][hi_cls]
-            else:
-                side, slot = entry
-                out_col[..., k] = col = sides[side][0][..., slot]
-                out_count += col >= 0
-                out_val[..., k] = table[:, own[side], slot][sides[side][1]]
-    return _compressed(values, cols, counts, grid.n_flux)
+    present = slots >= 0
+    pairs = np.argwhere(np.any(table != 0.0, axis=0) & ~np.eye(4, dtype=bool))
+    ends = np.cumsum([n, *(np.count_nonzero(present[:, i] & present[:, j]) for i, j in pairs)])
+    index = _index_dtype(ends[-1])
+    rows, cols, values = np.empty(ends[-1], dtype=index), np.empty(ends[-1], dtype=index), np.empty(ends[-1])
+    rows[:n] = cols[:n] = np.arange(n)
+    values[:n] = np.bincount(slots[present], np.diagonal(table, axis1=1, axis2=2)[cls][present], minlength=n)
+    for (i, j), start, end in zip(pairs, ends[:-1], ends[1:]):
+        on = present[:, i] & present[:, j]
+        rows[start:end], cols[start:end], values[start:end] = slots[on, i], slots[on, j], table[cls[on], i, j]
+    return sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_rt0(

@@ -93,6 +93,20 @@ def test_verify_flag_success(tmp_path):
     assert code == 0
 
 
+def test_verify_exit_4_when_direct_solve_rejects_system(tmp_path, capsys):
+    # At a 1e14 contrast the nested solve converges, but the direct solve's
+    # pivot check rejects the fine KKT: the verification asked for cannot be
+    # made, which is exit 4 with one message and no CSV.
+    out = tmp_path / "r.csv"
+    code = run_cli(["solve", "--levels", "3", "--ratio", "2", "--coeff", "jump-right",
+                    "--k1", "1e7", "--k3", "1e-7", "--verify", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "bddc: L3-r2-jump-right: cannot verify: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_dump_history(tmp_path):
     out = tmp_path / "res.csv"
     code = run_cli(["solve", "--levels", "2", "--ratio", "3", "--dump-history",

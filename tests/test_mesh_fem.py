@@ -1,6 +1,7 @@
 """Mesh enumeration and RT0 assembly against independent oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nested_bddc.mesh_fem import (
     element_triplets,
     gauged_defect,
 )
+from nested_bddc.bddc import MultilevelPreconditioner, assemble_coarse_problem
 from nested_bddc.nested_driver import ExperimentSpec
 
 
@@ -155,9 +157,10 @@ def test_nonpositive_coefficient_rejected():
 )
 @pytest.mark.parametrize("values", ["random", "rt0"])
 def test_stencil_csr_matches_coo_reference(nx, ny, values):
-    # The element scatter summed by scipy's COO -> CSR conversion, bit for
-    # bit: random blocks are not symmetric (coarse blocks need not be), the
-    # RT0 blocks have zero x/y couplings in every class, which A leaves out.
+    # The element sum against one block per cell summed by scipy's COO ->
+    # CSR conversion, bit for bit: random blocks are not symmetric (coarse
+    # blocks need not be), the RT0 blocks have zero x/y couplings in every
+    # class, which A leaves out.
     # B depends on the grid alone; its row counts come from each cell's
     # position, one fewer per boundary side the cell touches.
     mesh = build_mesh(nx, ny)
@@ -205,6 +208,46 @@ def test_one_cell_with_xy_coupling_keeps_every_coupling():
     present = np.count_nonzero(mesh.cell_dof_slots >= 0, axis=1)
     assert np.array_equal(np.diff(system.A.indptr), present[mesh.edge_sides].sum(axis=1) - 1)
     assert np.diff(system.A.indptr).max() == 7
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(levels=4, ratio=3, base=2),
+        ExperimentSpec(levels=3, ratio=3, coeff="jump-right", k1=37.0, k3=0.05, base=2),
+    ],
+    ids=["deep", "jump"],
+)
+def test_every_level_matches_coo_reference(spec):
+    # The fine grid's RT0 blocks, each coarse level's dense basis energies
+    # and the top system, each against one block per cell summed by COO.
+    mesh, coeff = spec.build_problem()
+    precond = MultilevelPreconditioner.build(assemble_rt0(mesh, coeff), spec.levels, spec.ratio, spec.gamma)
+    systems = [level.system for level in precond.levels] + [assemble_coarse_problem(precond.levels[-1])]
+    for depth, system in enumerate(systems):
+        ref_a, ref_b = coo_reference(system.grid, system.elem_table[system.elem_class])
+        assert_same_csr(system.A, ref_a)
+        assert_same_csr(system.B, ref_b)
+        # an edge row: the edge and its present slots of both cells, three
+        # on the fine grid, whose x/y couplings vanish, seven on a coarse one
+        row_max = np.diff(system.A.indptr).max()
+        assert row_max == (3 if depth == 0 or system.grid.nx < 3 else 7)
+
+
+def test_fine_mass_matrix_memory():
+    # Building the fine A of a 243 x 243 grid allocates at most four times
+    # the CSR's own bytes (about 2.5): a COO of one block per cell, summed
+    # by the conversion, allocates about 12.5 times.
+    mesh = build_mesh(243, 243)
+    system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
+    mesh.cell_dof_slots  # the grid's slot table, kept by the mesh, is not part of the build
+    tracemalloc.start()
+    try:
+        a = system.A
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 6), (6, 1), (2, 3), (5, 3), (9, 9), (16, 16)])
