@@ -1,5 +1,6 @@
 """Nested BDDC solver for 2D mixed-form Darcy problems on RT0 quad meshes."""
 
+from .errors import NestedBddcError
 from .mesh_fem import (
     CoefficientField,
     QuadMesh,

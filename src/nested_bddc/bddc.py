@@ -54,16 +54,19 @@ patterns are scattered on it together, as one stack of values; each
 pattern is factored and condensed onto all four faces by one
 ``Factorization.solve_leading`` call (``_condense_patterns``).
 Subdomains are grouped by cell pattern and present faces, one group kind
-per level.  The groups with one count of present faces slice their faces
-from their patterns and build their bordered face systems as one stack;
-each system is inverted on its own, and each group keeps its own copy
-of its operators (``_face_operators``).  The level lays out its
-subdomains' face copies once, with their face weights
-(``hierarchy.compute_weights``): every group's copies, one row per
-member, one group after another.  Every face lies between two
-subdomains, so a sum of the members' face copies (the Schur product,
-the averaging, the restriction) adds two entries of a copy buffer,
-located once at build (``LevelBddc.face_pairs``).  How blocks are stored
+per level, and the groups run by shape: count of present faces
+descending, then member count, then first member.  The groups with one
+count of present faces slice their faces from their patterns and build
+their bordered face systems and face operators as one stack each; each
+system is inverted on its own (``_face_operators``).  A run of groups
+with one member count is a batch (``_Batch``): its operators are slices
+of these stacks, and each group's are entries of its batch's, so every
+operator is stored once.  The level lays out its subdomains' face copies
+once, with their face weights (``hierarchy.compute_weights``): every
+group's copies, one row per member, one group after another.  Every face
+lies between two subdomains, so a sum of the members' face copies (the
+Schur product, the averaging, the restriction) adds two entries of a
+copy buffer, located once at build (``LevelBddc.face_pairs``).  How blocks are stored
 and solved, by size class, is decided in ``saddle_core``
 (``DENSE_LIMIT``); the cell patterns' interior blocks are scattered
 straight into the storage of their class: one dense stack, or one CSR
@@ -73,15 +76,18 @@ Each level owns a workspace, built once with the level: buffers of
 face-dof copies and of face copies in the copy layout, and buffers of
 interior data, of interior solutions and of the level's result (its face
 values, then its interior flux and cell pressures), one row per
-subdomain in group order.  Each group holds views of its rows of every
-buffer.  So every
-level pass has one shape: one level-wide gather into an input buffer
-(``ndarray.take`` with ``mode="clip"``, which writes straight into it;
-the indices are in range by construction), one product per group from
-its input view into its output view, and one level-wide scatter or pair
-sum into a new array.  The products, their operands and the order of
-every addition are those of a per-group pass, so results do not depend
-on the workspace.  A preconditioner applies one residual at a time: a
+subdomain in group order.  Each batch holds ``(groups, members, ...)``
+views of its rows of every buffer, and each group its entries of them.
+So every level pass has one shape: one level-wide gather into an input
+buffer (``ndarray.take`` with ``mode="clip"``, which writes straight
+into it; the indices are in range by construction), one ``np.matmul``
+per batch and operator from its input view into its output view, and
+one level-wide scatter or pair sum into a new array.  A stacked product
+makes one BLAS call per group of the batch, with the operands of a
+per-group pass, and the additions run in the same order, so results
+equal a per-group pass bit for bit and do not depend on the workspace.
+The interior solves above ``DENSE_LIMIT`` are SuperLU's, one call per
+group of a batch.  A preconditioner applies one residual at a time: a
 level's buffers serve one pass at a time, and the only data that wait in
 a workspace across a call are a level's dual values and its result block
 while the coarser levels of the recursion run on their own workspaces.
@@ -107,10 +113,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import NestedBddcError
 from .hierarchy import LevelDecomposition, build_hierarchy, compute_weights
 from .mesh_fem import (
     SLOT_BOTTOM,
@@ -133,7 +141,7 @@ __all__ = [
 ]
 
 
-class BddcError(Exception):
+class BddcError(NestedBddcError):
     pass
 
 
@@ -142,7 +150,7 @@ class _Group:
     """Subdomains sharing one set of present faces and one cell pattern.
 
     ``kkt`` is the pattern's interior KKT, which the interior correction
-    solves in batches, one row of data per member.  Face data run face by
+    solves for many members at once, one row of data per member.  Face data run face by
     face, as in the group's rows of the level's copy layout
     (``LevelBddc.copy_pos``): the ``k``-th present face (slot
     ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
@@ -152,23 +160,18 @@ class _Group:
     gives ``dual``, the dual face operator (zero face averages), and the
     energy-minimal basis ``psi``, one column per face with unit average
     there and zero on the others; its energy ``coarse_elem`` is
-    ``psi^T S psi`` (``_face_operators``).  ``ext``, ``schur``, ``dual``
-    and ``psi`` are the group's own arrays, not views of a stack: a BLAS
-    product may round differently when an operand starts at another
-    alignment.  ``ext_flux_t`` (the flux columns of ``ext``, transposed),
-    ``ext_p`` (its pressure columns) and ``psi_t`` are views of them, the
-    operands the level passes multiply by.
+    ``psi^T S psi`` (``_face_operators``).  The operators are the group's
+    entries of its batch's stacks (``_Batch``), views that hold no data of
+    their own.
 
     Every other array is a view of the level's (``LevelBddc``), one row
     per member: the index rows ``idx_int`` (interior dofs) and
     ``idx_cells``, and the group's rows of the level's workspace, which
     the level sets: ``dof_in`` and ``dof_out`` of its face-dof copies,
     ``face_in`` of its face copies, ``rows`` of its interior data, ``sol``
-    (with its pressure columns ``sol_p``) of its interior solutions and
-    extensions, and
-    ``result_rows`` of the level's result block.  A level pass gathers
-    into the level's buffers and multiplies each group's input view into
-    its output view.
+    of its interior solutions and extensions, and ``result_rows`` of the
+    level's result block.  ``span`` holds the group's rows of the level's
+    subdomain rows.
     """
 
     subs: np.ndarray
@@ -187,9 +190,40 @@ class _Group:
         self.n_face_dofs = len(self.ext)
         self.n_int = self.idx_int.shape[1]
         self.n_cells = self.idx_cells.shape[1]
-        self.ext_flux_t = self.ext[:, : self.n_int].T
-        self.ext_p = self.ext[:, self.n_int :]
-        self.psi_t = self.psi.T
+
+
+@dataclass(eq=False)
+class _Batch:
+    """A run of adjacent groups of one shape: one count of present faces, one member count.
+
+    The operators are stacks, one entry per group, each a slice of the
+    stack that ``_face_operators`` builds for the count, so each is stored
+    once: ``ext``, ``schur``, ``dual`` and ``psi``, with the views
+    ``ext_flux_t`` (the flux columns of ``ext``, transposed), ``ext_p``
+    (its pressure columns) and ``psi_t``.  ``corner`` stacks the groups'
+    interior solves for the pre-correction
+    (``Factorization.leading_stack``), ``None`` above ``DENSE_LIMIT``,
+    where SuperLU solves for each group on its own.
+    The level sets the batch's views of its workspace, ``(groups,
+    members, ...)`` views that its groups' views are entries of, so a
+    level pass makes one ``np.matmul`` per batch from its input view into
+    its output view.
+    """
+
+    groups: list[_Group]
+    ext: np.ndarray
+    schur: np.ndarray
+    dual: np.ndarray
+    psi: np.ndarray
+
+    def __post_init__(self):
+        head = self.groups[0]
+        self.n_members, n_int = len(head.subs), head.n_int
+        self.ext_flux_t = self.ext[:, :, :n_int].transpose(0, 2, 1)
+        self.ext_p = self.ext[:, :, n_int:]
+        self.psi_t = self.psi.transpose(0, 2, 1)
+        factorizations = [grp.kkt.factorization for grp in self.groups]
+        self.corner = Factorization.leading_stack(factorizations, n_int + head.n_cells, n_int)
 
 
 def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
@@ -245,17 +279,16 @@ def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.
     return kkts, ext, 0.5 * (schur + schur.transpose(0, 2, 1))
 
 
-def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio: int) -> list[tuple]:
-    """Face operators of the groups with one count of present faces, one tuple per group.
+def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio: int) -> tuple:
+    """Face operators of the groups with one count of present faces, as stacks, one entry per group.
 
     ``ext`` and ``schur`` are the stacks of ``_condense_patterns``, ``pats``
     the groups' entries there and ``face_slots`` their present slots, one
     row per group.  The groups' bordered face systems ``[S C^T; C 0]``
     (``C``, the face averages, depends on the count alone) are built as one
-    stack, and each is factored on its own.  A tuple holds the fields of
-    ``_Group`` from ``face_slots`` to ``coarse_elem``, in order; the four
-    operators the level apply multiplies by are the group's own copies,
-    not views of a stack.
+    stack, and each is factored on its own.  Returns the stacks of the
+    fields of ``_Group`` from ``ext`` to ``coarse_elem``, in order, each
+    contiguous: a batch's operators are slices of them.
     """
     (n_groups, n_faces), n_f = face_slots.shape, face_slots.shape[1] * ratio
     rows = (face_slots[:, :, None] * ratio + np.arange(ratio)).reshape(n_groups, n_f)
@@ -269,10 +302,7 @@ def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio:
     inv = np.stack([Factorization(m).solve(np.eye(size)) for m in face_kkt]) if size else face_kkt
     psi = np.ascontiguousarray(inv[:, :n_f, n_f:])
     coarse = np.matmul(np.matmul(psi.transpose(0, 2, 1), s_f), psi)
-    return [
-        (slots, ext[pat, r], s.copy(), inv_g[:n_f, :n_f].copy(), p.copy(), c)
-        for slots, pat, r, s, inv_g, p, c in zip(face_slots, pats, rows, s_f, inv, psi, coarse)
-    ]
+    return ext[pats[:, None], rows], s_f, np.ascontiguousarray(inv[:, :n_f, :n_f]), psi, coarse
 
 
 def _dense_rows(values, rows, cols, first: int, shape) -> np.ndarray:
@@ -335,15 +365,19 @@ class LevelBddc:
     ``dof_sum``).
 
     The workspace holds one buffer per kind of data in this layout, and
-    each group keeps views of its rows (``_Group``): ``dof_in`` and
-    ``dof_out`` of face-dof copies, ``face_in`` of face copies, ``rows``
-    of interior data and ``sol`` of interior solutions and extensions
-    (flux columns ``sol_u``, pressure columns ``sol_p``).  Every pass
+    each batch (``batches``, ``_Batch``) keeps ``(groups, members, ...)``
+    views of its rows, whose entries are its groups' views (``_Group``):
+    ``dof_in`` and ``dof_out`` of face-dof copies, ``face_in`` of face
+    copies, ``rows`` of interior data and ``sol`` of interior solutions
+    and extensions (flux columns ``sol_u``, pressure columns ``sol_p``).
+    ``groups`` lists the batches' groups in order.  Every pass
     (``extend``, ``extend_pressure``, ``schur_product``,
     ``interior_correction``, ``prolong_average`` and the preconditioner's
     level passes) makes one level-wide gather into an input buffer, one
-    product per group from its input view into its output view, and one
-    level-wide scatter or pair sum into a new array.  Buffers whose uses
+    product per batch from its input view into its output view, and one
+    level-wide scatter or pair sum into a new array.  Only
+    ``interior_correction`` with divergence data runs group by group,
+    over the members whose data is nonzero.  Buffers whose uses
     never overlap share memory: ``rows`` and the pair sums' gathers lie in
     ``dof_in``'s memory, and ``dof_out`` and ``face_in``, side by side, in
     ``sol``'s.
@@ -353,26 +387,26 @@ class LevelBddc:
     the level's averaged face values ``result_face``, then one row per
     subdomain in group order, its interior flux and its cell pressures
     (``result_rows``, flux columns ``result_u``, pressure columns
-    ``result_p``; each group keeps a view of its rows).  A level's block
-    waits in its workspace while the coarser levels run; the finer level
-    reads it back with one gather each for its face copies' coarse flux
-    and for the cell pressures, through the index maps that ``link``
-    builds on each level the recursion reaches (``result_at_copies``,
+    ``result_p``; each batch and group keeps a view of its rows).  A
+    level's block waits in its workspace while the coarser levels run; the
+    finer level reads it back with one gather each for its face copies'
+    coarse flux and for the cell pressures, through the index maps that
+    ``link`` builds on each level the recursion reaches (``result_at_copies``,
     ``result_at_cells``).  ``link`` allots the block on those levels;
     on the first level, which the recursion never reaches, it is allotted
     by the first ``apply`` or ``interior_correction`` of a residual there
     (``_allot_result``), so a solve allots none on it.
     So a level serves one pass at a time, and a preconditioner applies one
     residual at a time; what a pass returns is never a view of the
-    workspace.  The level builds its workspace and its groups' views when
-    it is made, so a level made from another (``dataclasses.replace``)
-    takes the groups' views over; the index maps stay with the level that
-    ``link`` built them on.
+    workspace.  The level builds its workspace and its batches' and
+    groups' views when it is made, so a level made from another
+    (``dataclasses.replace``) takes their views over; the index maps stay
+    with the level that ``link`` built them on.
     """
 
     system: Rt0System
     decomp: LevelDecomposition
-    groups: list[_Group]
+    batches: list[_Batch]
     sub_areas: np.ndarray
     div_norm: np.ndarray
     copy_faces: np.ndarray
@@ -385,7 +419,8 @@ class LevelBddc:
     dof_pairs: np.ndarray
 
     def __post_init__(self):
-        """The workspace, in two allocations, and each group's views of it."""
+        """The workspace, in two allocations, and each batch's and group's views of it."""
+        self.groups = [grp for batch in self.batches for grp in batch.groups]
         self.face_dofs = self.decomp.face_dofs.ravel()
         ratio = self.decomp.face_dofs.shape[1]
         self.face_mean = np.full(ratio, 1.0 / ratio)
@@ -402,28 +437,33 @@ class LevelBddc:
         face_buf = self.dof_in[: self.face_pairs.size].reshape(self.face_pairs.shape)
         self.face_sum = _PairSum(self.face_pairs, face_buf)
         sub = face = dof = 0
-        for grp in self.groups:
-            n = len(grp.subs)
-            n_faces, n_dofs = n * grp.n_faces, n * grp.n_face_dofs
-            grp.dof_in = self.dof_in[dof : dof + n_dofs].reshape(n, grp.n_face_dofs)
-            grp.dof_out = self.dof_out[dof : dof + n_dofs].reshape(n, grp.n_face_dofs)
-            grp.face_in = self.face_in[face : face + n_faces].reshape(n, grp.n_faces)
-            grp.rows, grp.sol = self.rows[sub : sub + n], self.sol[sub : sub + n]
-            grp.sol_p = grp.sol[:, n_int:]
-            sub, face, dof = sub + n, face + n_faces, dof + n_dofs
+        for batch in self.batches:
+            (g, n_dofs, n_faces), n = batch.psi.shape, batch.n_members
+            batch.span = slice(sub, sub + g * n)
+            batch.dof_in = self.dof_in[dof : dof + g * n * n_dofs].reshape(g, n, n_dofs)
+            batch.dof_out = self.dof_out[dof : dof + g * n * n_dofs].reshape(g, n, n_dofs)
+            batch.face_in = self.face_in[face : face + g * n * n_faces].reshape(g, n, n_faces)
+            batch.rows = self.rows[batch.span].reshape(g, n, n_int)
+            batch.sol = self.sol[batch.span].reshape(g, n, n_int + n_cells)
+            batch.sol_p = batch.sol[:, :, n_int:]
+            for j, grp in enumerate(batch.groups):
+                grp.span = slice(sub + j * n, sub + (j + 1) * n)
+                grp.dof_in, grp.dof_out, grp.face_in = batch.dof_in[j], batch.dof_out[j], batch.face_in[j]
+                grp.rows, grp.sol = batch.rows[j], batch.sol[j]
+            sub, face, dof = sub + g * n, face + g * n * n_faces, dof + g * n * n_dofs
 
     def _allot_result(self) -> None:
-        """The result block and each group's view of its rows, allotted once."""
+        """The result block and each batch's and group's view of its rows, allotted once."""
         if self.result is not None:
             return
         n_face, (n_sub, width), n_int = self.face_dofs.size, self.sol.shape, self.idx_int.shape[1]
         self.result = np.empty(n_face + self.sol.size)
         self.result_face, self.result_rows = self.result[:n_face], self.result[n_face:].reshape(n_sub, width)
         self.result_u, self.result_p = self.result_rows[:, :n_int], self.result_rows[:, n_int:]
-        sub = 0
-        for grp in self.groups:
-            grp.result_rows = self.result_rows[sub : sub + len(grp.subs)]
-            sub += len(grp.subs)
+        for batch in self.batches:
+            batch.result_rows = self.result_rows[batch.span].reshape(batch.sol.shape)
+            for grp, rows in zip(batch.groups, batch.result_rows):
+                grp.result_rows = rows
 
     def link(self, copy_faces: np.ndarray) -> None:
         """Index maps into ``result`` for the finer level whose face copies are ``copy_faces``.
@@ -452,8 +492,8 @@ class LevelBddc:
     def _extend_rows(self, u_face: np.ndarray) -> None:
         """Harmonic extension of face values ``u_face`` into ``sol``, one row per subdomain."""
         self._gather_faces(u_face)
-        for grp in self.groups:
-            np.matmul(grp.dof_in, grp.ext, out=grp.sol)
+        for batch in self.batches:
+            np.matmul(batch.dof_in, batch.ext, out=batch.sol)
 
     def extend(self, u_face: np.ndarray):
         """Harmonic extension of face values ``u_face``: level flux and pressure.
@@ -472,8 +512,8 @@ class LevelBddc:
     def extend_pressure(self, u_face: np.ndarray) -> np.ndarray:
         """The pressure of ``extend(u_face)`` alone, from the extension's pressure columns."""
         self._gather_faces(u_face)
-        for grp in self.groups:
-            np.matmul(grp.dof_in, grp.ext_p, out=grp.sol_p)
+        for batch in self.batches:
+            np.matmul(batch.dof_in, batch.ext_p, out=batch.sol_p)
         p = np.empty(self.system.n_pressure)
         p[self.idx_cells] = self.sol_p
         return p
@@ -481,8 +521,8 @@ class LevelBddc:
     def schur_product(self, u_face: np.ndarray) -> np.ndarray:
         """Sum of the subdomains' face Schur complements times ``u_face``."""
         self._gather_faces(u_face)
-        for grp in self.groups:
-            np.matmul(grp.dof_in, grp.schur, out=grp.dof_out)
+        for batch in self.batches:
+            np.matmul(batch.dof_in, batch.schur, out=batch.dof_out)
         return self.dof_sum(self.dof_out)
 
     def net_flux(self, u_face: np.ndarray) -> np.ndarray:
@@ -517,11 +557,16 @@ class LevelBddc:
         return gauged_defect(self.div_norm * net, energy, self.div_norm * self.sub_areas)
 
 
-def _groups(keys: np.ndarray) -> list[np.ndarray]:
-    """Subdomains grouped by an integer key: ascending members, groups by first member."""
+def _groups(keys: np.ndarray, n_present: np.ndarray) -> list[np.ndarray]:
+    """Subdomains grouped by an integer key, ascending members.
+
+    The groups run by their members' count of present faces
+    ``n_present``, descending, then by member count, then by first
+    member, so the groups of one shape are adjacent.
+    """
     counts = np.bincount(keys)
     members = np.split(np.argsort(keys, kind="stable"), np.cumsum(counts[counts > 0])[:-1])
-    return sorted(members, key=lambda m: m[0])
+    return sorted(members, key=lambda m: (-n_present[m[0]], len(m), m[0]))
 
 
 def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float) -> LevelBddc:
@@ -532,7 +577,9 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     and condensed onto its four faces once by ``_condense_patterns``) and
     the same present faces.  A subdomain's group key is the integer
     ``pattern * 16 + present @ (1, 2, 4, 8)``; the groups with one count of
-    present faces get their face operators together (``_face_operators``).
+    present faces get their face operators together, as stacks
+    (``_face_operators``), and each run of them with one member count is a
+    batch, whose operators are slices of these stacks (``_Batch``).
     Copy data are templates per subdomain: a face copy is the higher one by
     its slot, its dof copies are consecutive, and its cell areas are those
     of any other subdomain.
@@ -540,15 +587,9 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     first, pattern = _unique_rows(system.elem_class[decomp.cells_by_sub])
     kkts, ext, schur = _condense_patterns(system, decomp, decomp.cells_by_sub[first])
     present = decomp.faces_by_sub >= 0
-    members = _groups(pattern * 16 + present @ (1, 2, 4, 8))
-    heads = np.array([subs[0] for subs in members])
+    n_present = np.count_nonzero(present, axis=1)
+    members = _groups(pattern * 16 + present @ (1, 2, 4, 8), n_present)
     n_faces, ratio = decomp.face_dofs.shape
-    # The groups' face operators, one count of present faces at a time.
-    ops, n_present = {}, np.count_nonzero(present[heads], axis=1)
-    for count in np.unique(n_present):
-        ks = np.flatnonzero(n_present == count)
-        face_slots = np.nonzero(present[heads[ks]])[1].reshape(len(ks), count)
-        ops.update(zip(ks.tolist(), _face_operators(ext, schur, pattern[heads[ks]], face_slots, ratio)))
     # The face copies, group after group, one row per member.  A face's
     # normal points into the members on their left and bottom faces: there
     # they are the higher subdomain.
@@ -561,18 +602,28 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     face_pairs[high * n_faces + copy_faces] = np.arange(copy_faces.size)
     face_pairs = face_pairs.reshape(2, n_faces)
     idx_int, idx_cells = decomp.interior_by_sub[order], decomp.cells_by_sub[order]
-    groups, row = [], 0
-    for g, subs in enumerate(members):
-        n = len(subs)
-        kkt = kkts[pattern[subs[0]]]
-        groups.append(_Group(subs, kkt, *ops[g], idx_int[row : row + n], idx_cells[row : row + n]))
-        row += n
+    # The groups' face operators, one count of present faces at a time (a
+    # run of groups), sliced into one batch per run of one member count.
+    batches, row = [], 0
+    for count, same_count in groupby(members, key=lambda subs: n_present[subs[0]]):
+        same_count = list(same_count)
+        heads = [subs[0] for subs in same_count]
+        face_slots = np.nonzero(present[heads])[1].reshape(len(heads), count)
+        stacks = _face_operators(ext, schur, pattern[heads], face_slots, ratio)
+        j = 0
+        for size, same_size in groupby(same_count, key=len):
+            groups = []
+            for subs in same_size:
+                rows, kkt, ops = slice(row, row + size), kkts[pattern[subs[0]]], [stack[j] for stack in stacks]
+                groups.append(_Group(subs, kkt, face_slots[j], *ops, idx_int[rows], idx_cells[rows]))
+                row, j = row + size, j + 1
+            batches.append(_Batch(groups, *(stack[j - len(groups) : j] for stack in stacks[:4])))
     areas = system.areas[decomp.cells_by_sub[:1]]
     sub_area = areas.sum(axis=1)
     return LevelBddc(
         system=system,
         decomp=decomp,
-        groups=groups,
+        batches=batches,
         sub_areas=np.repeat(sub_area, decomp.n_sub),
         div_norm=np.repeat(np.linalg.norm(areas, axis=1) / sub_area, decomp.n_sub),
         copy_faces=copy_faces,
@@ -627,13 +678,18 @@ def _checked_level(number, n_levels: int, what: str) -> int:
 def _precorrect(level: LevelBddc, r: np.ndarray) -> np.ndarray:
     """Every subdomain's interior solve for the flux residual ``r``, into ``level.result_rows``.
 
-    One gather, and one solve and one face-residual product per group;
-    returns the face residual (``interior_correction``).
+    One gather, and one stacked solve and one face-residual product per
+    batch (above ``DENSE_LIMIT``, one SuperLU solve per group); returns
+    the face residual (``interior_correction``).
     """
     r.take(level.idx_int, out=level.rows, mode="clip")
-    for grp in level.groups:
-        grp.kkt.factorization.solve_leading(grp.rows, grp.n_int + grp.n_cells, out=grp.result_rows)
-        np.matmul(grp.rows, grp.ext_flux_t, out=grp.dof_out)
+    for batch in level.batches:
+        if batch.corner is not None:
+            np.matmul(batch.rows, batch.corner, out=batch.result_rows)
+        else:
+            for grp in batch.groups:
+                grp.kkt.factorization.solve_leading(grp.rows, grp.n_int + grp.n_cells, out=grp.result_rows)
+        np.matmul(batch.rows, batch.ext_flux_t, out=batch.dof_out)
     return level.dof_sum(level.dof_out)
 
 
@@ -645,8 +701,9 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     out, not both) as right-hand side, of the level's lengths (``BddcError``
     otherwise); the divergence of the correction is balanced against all
     local mean-zero pressures.  Given divergence data
-    alone, only the subdomains whose data is nonzero are solved: the
-    others' solution is zero.
+    alone, only the subdomains whose data is nonzero are solved, group by
+    group, and groups without one are skipped: the others' solution is
+    zero.
 
     Returns ``(u, p, r_face)``, with ``r_face`` the face rows of
     ``-(A u + B^T p)`` in the level's face-vector order.  On a subdomain
@@ -672,12 +729,14 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
         return u, p, r_face
     p = np.zeros(level.system.n_pressure)
     level.dof_out.fill(0.0)
+    # The subdomains to solve, by one gather of the level's cells.
+    live_subs = np.ones(level.decomp.n_sub, dtype=bool)
+    if r is None:
+        live_subs = np.any(rhs_div.take(level.idx_cells), axis=1)
     for grp in level.groups:
-        live = slice(None)
-        if r is None:
-            live = np.any(rhs_div[grp.idx_cells], axis=1)
-            if not live.any():
-                continue
+        live = live_subs[grp.span]
+        if not live.any():
+            continue
         idx_int, idx_cells = grp.idx_int[live], grp.idx_cells[live]
         rows = np.zeros(idx_int.shape) if r is None else r[idx_int]
         rows = np.hstack([rows, rhs_div[idx_cells]])
@@ -705,8 +764,8 @@ def prolong_average(level: LevelBddc, u_coarse: np.ndarray) -> np.ndarray:
     """
     u_coarse = _checked_vector(u_coarse, level.decomp.n_faces, "coarse flux")
     u_coarse.take(level.copy_faces, out=level.face_in, mode="clip")
-    for grp in level.groups:
-        np.matmul(grp.face_in, grp.psi_t, out=grp.dof_out)
+    for batch in level.batches:
+        np.matmul(batch.face_in, batch.psi_t, out=batch.dof_out)
     return _face_average(level, level.dof_out)
 
 
@@ -807,9 +866,9 @@ class MultilevelPreconditioner:
         # vanishing face averages, then the restriction coefficients.
         level._gather_faces(r_face)
         level.dof_in *= level.copy_w
-        for grp in level.groups:
-            np.matmul(grp.dof_in, grp.dual, out=grp.dof_out)
-            np.matmul(grp.dof_in, grp.psi, out=grp.face_in)
+        for batch in level.batches:
+            np.matmul(batch.dof_in, batch.dual, out=batch.dof_out)
+            np.matmul(batch.dof_in, batch.psi, out=batch.face_in)
         r_next = level.face_sum(level.face_in)
         if idx == len(self.levels) - 1:
             u_next, p_next, _ = self.top_kkt.solve(rhs_flux=r_next)
@@ -820,7 +879,7 @@ class MultilevelPreconditioner:
             coarse.result.take(coarse.result_at_copies, out=level.face_in, mode="clip")
             p_next = coarse.result.take(coarse.result_at_cells)
         # The coarse correction through the basis, added to the dual values.
-        for grp in level.groups:
-            np.matmul(grp.face_in, grp.psi_t, out=grp.dof_in)
+        for batch in level.batches:
+            np.matmul(batch.face_in, batch.psi_t, out=batch.dof_in)
         level.dof_out += level.dof_in
         return _face_average(level, level.dof_out), p_next

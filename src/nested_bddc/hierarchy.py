@@ -26,6 +26,7 @@ from functools import reduce
 
 import numpy as np
 
+from .errors import NestedBddcError
 from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP, QuadMesh
 
 __all__ = [
@@ -39,11 +40,11 @@ __all__ = [
 ]
 
 
-class HierarchyError(ValueError):
+class HierarchyError(NestedBddcError, ValueError):
     pass
 
 
-class WeightsError(ValueError):
+class WeightsError(NestedBddcError, ValueError):
     pass
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .errors import NestedBddcError
+
 __all__ = [
     "PcgError",
     "PcgBreakdownError",
@@ -28,7 +30,7 @@ DEFECT_TOL = 1e-9
 NO_ENERGY = 1e-12
 
 
-class PcgError(Exception):
+class PcgError(NestedBddcError):
     pass
 
 

@@ -35,6 +35,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import NestedBddcError
+
 __all__ = [
     "MeshError",
     "CoefficientError",
@@ -74,11 +76,11 @@ REFERENCE_MASS = np.array(
 COMPATIBILITY_RTOL = 1e-12
 
 
-class MeshError(ValueError):
+class MeshError(NestedBddcError, ValueError):
     pass
 
 
-class CoefficientError(ValueError):
+class CoefficientError(NestedBddcError, ValueError):
     pass
 
 

@@ -38,6 +38,7 @@ from .bddc import (
     interior_correction,
     prolong_average,
 )
+from .errors import NestedBddcError
 from .hierarchy import LevelDecomposition, check_shape
 from .krylov import DEFECT_TOL, InvariantViolation, PcgReport, pcg
 from .mesh_fem import (
@@ -102,7 +103,7 @@ _COEFF_VALUES = {
 COEFF_PATTERNS = tuple(_COEFF_VALUES)
 
 
-class DriverError(Exception):
+class DriverError(NestedBddcError):
     pass
 
 

@@ -21,6 +21,9 @@ and every solve is a matrix product; above, SuperLU solves.
 ``solve_leading`` serves callers whose data sits in the leading rows and
 who read back only leading unknowns (the BDDC subdomain groups): one
 product with a corner of the inverse, or one zero-padded SuperLU solve.
+``Factorization.leading_stack`` stacks those corners for several dense
+factorizations, so that one stacked product solves for all of them (the
+BDDC batches of groups).
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrf, dgetrs
+
+from .errors import NestedBddcError
 
 __all__ = [
     "SaddleError",
@@ -45,7 +50,7 @@ DENSE_LIMIT = 600
 PIVOT_RTOL = 1e-12
 
 
-class SaddleError(Exception):
+class SaddleError(NestedBddcError):
     pass
 
 
@@ -118,6 +123,27 @@ class Factorization:
             return self.solve(rhs)[:m].T
         out[...] = self.solve(rhs)[:m].T
         return out
+
+    @staticmethod
+    def leading_stack(factorizations, m: int, k: int):
+        """The operators of ``solve_leading(rows, m)`` for ``k`` data rows, one per factorization.
+
+        A ``(len(factorizations), k, m)`` stack: ``np.matmul(rows,
+        stack)``, with one stack of ``k``-column data rows per
+        factorization, is each one's ``solve_leading``, bit for bit.  A
+        view of the one inverse when all factorizations are the same one.
+        ``None`` when one is above ``DENSE_LIMIT``, whose solves are
+        SuperLU's.
+        """
+        if not all(f.dense for f in factorizations):
+            return None
+        first = factorizations[0]
+        if all(f is first for f in factorizations):
+            return np.broadcast_to(first._inv[:m, :k].T, (len(factorizations), k, m))
+        # LAPACK's inverse is Fortran-ordered, so solve_leading's operand
+        # is row-major, as these copies are: BLAS takes both the same way,
+        # and a one-row product sums in an order that depends on it.
+        return np.array([f._inv[:m, :k].T for f in factorizations])
 
 
 @dataclass

@@ -773,9 +773,14 @@ def test_face_operators_match_per_group_formula(spec, runs):
             assert np.array_equal(grp.dual, inv[:n_f, :n_f])
             assert np.array_equal(grp.psi, psi)
             assert np.array_equal(grp.coarse_elem, psi.T @ grp.schur @ psi)
-            # each group holds its own operators, none a view of a stack
-            for op in (grp.ext, grp.schur, grp.dual, grp.psi):
-                assert op.base is None and op.flags.c_contiguous
+        # each operator is stored once: a group's is its entry of its
+        # batch's stack, which is contiguous
+        for batch in level.batches:
+            for j, grp in enumerate(batch.groups):
+                for name in ("ext", "schur", "dual", "psi"):
+                    stack, op = getattr(batch, name), getattr(grp, name)
+                    assert stack.flags.c_contiguous and op.shape == stack.shape[1:]
+                    assert op.base is not None and byte_offset(op, stack) == j * op.nbytes
 
 
 # Step 3 runs on every start level of each spec; ratio 16 takes the sparse path.
@@ -1403,6 +1408,11 @@ def lexsort_groups(keys):
     return np.split(members, np.cumsum(np.bincount(label))[:-1])
 
 
+def by_shape(members, present):
+    """Groups ``members`` in the level's order: present-face count descending, member count, first member."""
+    return sorted(members, key=lambda m: (-np.count_nonzero(present[m[0]]), len(m), m[0]))
+
+
 def scattered_copy_pairs(n, pos, high):
     """Positions of the lower and the higher copy of each of ``n`` entries, by one scatter."""
     pairs = np.empty(2 * n, dtype=np.intp)
@@ -1421,14 +1431,16 @@ def scattered_copy_pairs(n, pos, high):
 )
 def test_copy_layout_matches_lexsort_and_scatter_reference(spec, runs):
     # A level groups its subdomains by one integer key per subdomain and
-    # lays out its copies as templates; the groups, their order and every
-    # copy array are those of a lexsort over (present faces, cell classes)
-    # rows and of a scatter per copy, bit for bit, on every level.
+    # lays out its copies as templates; the groups and every copy array are
+    # those of a lexsort over (present faces, cell classes) rows, in the
+    # level's order of shapes (by_shape), and of a scatter per copy, bit
+    # for bit, on every level.
     for level in runs.solver(spec).precond.levels:
         system, decomp = level.system, level.decomp
         ratio = decomp.face_dofs.shape[1]
         present = decomp.faces_by_sub >= 0
-        members = lexsort_groups(np.hstack([present, system.elem_class[decomp.cells_by_sub]]))
+        keys = np.hstack([present, system.elem_class[decomp.cells_by_sub]])
+        members = by_shape(lexsort_groups(keys), present)
         assert [grp.subs.tolist() for grp in level.groups] == [m.tolist() for m in members]
         order = np.concatenate(members)
         live = present[order]
@@ -1470,16 +1482,19 @@ def test_groups_match_per_subdomain_reference(case, runs):
             reference_subdomain(level.system, level.decomp, w_lo, s)
             for s in range(level.decomp.n_sub)
         ]
-        # grouping by each member's own assembled blocks: same members, same order
-        assert [list(g.subs) for g in level.groups] == _group_by(
-            ref["delta_key"] for ref in refs
+        # grouping by each member's own assembled blocks: same members, in
+        # the level's order of shapes
+        present = level.decomp.faces_by_sub >= 0
+        assert [list(g.subs) for g in level.groups] == by_shape(
+            _group_by(ref["delta_key"] for ref in refs), present
         )
         # subdomains share an interior KKT object exactly when their own
-        # interior blocks are equal: one factorization per interior key
+        # interior blocks are equal: one factorization per interior key,
+        # listed by first member
         by_kkt: dict = {}
         for grp in level.groups:
             by_kkt.setdefault(id(grp.kkt), []).extend(grp.subs)
-        assert [sorted(subs) for subs in by_kkt.values()] == _group_by(
+        assert sorted(sorted(subs) for subs in by_kkt.values()) == _group_by(
             ref["interior_key"] for ref in refs
         )
         # every member's own interior blocks equal its group's, bit for bit,
@@ -1500,3 +1515,188 @@ def test_groups_match_per_subdomain_reference(case, runs):
             check_face_operators(
                 grp, *ref["delta_blocks"], ref["gauge"], ref["int_pos"], ref["face_pos"], 1e-12
             )
+
+
+# Each level runs its passes over batches: runs of adjacent groups with one
+# count of present faces and one member count, whose operators are stacks.
+BATCH_SPECS = {
+    "deep-r3": ExperimentSpec(levels=5, ratio=3),
+    "jump-right-L5": ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=37.0, k3=0.05),
+    "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
+}
+
+
+def batch_shape(batch):
+    return {(grp.n_faces, len(grp.subs)) for grp in batch.groups}
+
+
+@pytest.mark.parametrize(
+    "case, counts",
+    # constant k: interior, edge and corner groups; jump-right: two cell
+    # patterns of different member counts among the interior and the edge
+    # groups above the coarsest level; ratio16-sparse: four one-member
+    # corner groups
+    [("deep-r3", [3, 3, 3, 3]), ("jump-right-L5", [5, 5, 5, 3]), ("ratio16-sparse", [1])],
+)
+def test_batches_tile_groups_by_shape(case, counts, runs):
+    # The batches hold the level's groups in order, each group once; the
+    # groups of a batch share their count of present faces and their
+    # member count, and two adjacent batches differ in one of them.
+    precond = runs.solver(BATCH_SPECS[case]).precond
+    assert [len(level.batches) for level in precond.levels] == counts
+    for level in precond.levels:
+        tiled = [grp for batch in level.batches for grp in batch.groups]
+        assert len(tiled) == len(level.groups) and all(a is b for a, b in zip(tiled, level.groups))
+        present = level.decomp.faces_by_sub >= 0
+        subs = [grp.subs.tolist() for grp in level.groups]
+        assert subs == by_shape(subs, present)
+        for batch in level.batches:
+            assert len(batch_shape(batch)) == 1
+            assert batch.ext.shape[0] == batch.psi.shape[0] == len(batch.groups)
+            # stacked interior solves in the dense size class, SuperLU above
+            assert (batch.corner is None) == (case == "ratio16-sparse")
+        for one, other in zip(level.batches, level.batches[1:]):
+            assert batch_shape(one) != batch_shape(other)
+
+
+@pytest.mark.parametrize("case", list(BATCH_SPECS))
+def test_each_pass_makes_one_matmul_per_batch_and_product(case, runs, rng, monkeypatch):
+    # A level pass multiplies each batch by each of its operators once:
+    # the extensions, the Schur product and the prolongation one product
+    # per batch, the pre-correction two in the dense size class (the
+    # stacked interior solves and the face residual) and one above it,
+    # _apply three (dual values, restriction, coarse correction) plus the
+    # coarser levels' passes, and apply its pre-correction, _apply and the
+    # extension.
+    precond = runs.solver(BATCH_SPECS[case]).precond
+    levels, calls, matmul = precond.levels, [], np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return matmul(*args, **kwargs)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    n_batches = [len(level.batches) for level in levels]
+    pre = [sum(1 + (batch.corner is not None) for batch in level.batches) for level in levels]
+    descend = [0] * (len(levels) + 1)
+    for idx in reversed(range(len(levels))):
+        descend[idx] = pre[idx] + 4 * n_batches[idx] + descend[idx + 1]
+    for idx, level in enumerate(levels):
+        n_face, n_flux = level.decomp.face_dofs.size, level.system.n_flux
+        u_face = rng.standard_normal(n_face)
+        assert count(level.extend, u_face) == n_batches[idx]
+        assert count(level.extend_pressure, u_face) == n_batches[idx]
+        assert count(level.schur_product, u_face) == n_batches[idx]
+        assert count(prolong_average, level, rng.standard_normal(level.decomp.n_faces)) == n_batches[idx]
+        assert count(interior_correction, level, rng.standard_normal(n_flux)) == pre[idx]
+        assert count(precond._apply, idx, u_face) == 3 * n_batches[idx] + descend[idx + 1]
+        assert count(precond.apply, rng.standard_normal(n_flux), idx + 1) == descend[idx]
+
+
+def group_interior_solves(level, r, rhs_div):
+    """``interior_correction(level, r, rhs_div)`` by a loop over the level's groups.
+
+    Given ``rhs_div`` alone, only the members whose data is nonzero are
+    solved.  Each group solves its rows of data and multiplies them by its
+    extension rows; each face dof's copies are summed by ``bincount``.
+    """
+    system, n_face = level.system, level.decomp.face_dofs.size
+    u, p, face_pos, copies = np.zeros(system.n_flux), np.zeros(system.n_pressure), [], []
+    for grp in level.groups:
+        live = np.ones(len(grp.subs), dtype=bool)
+        if r is None:
+            live = np.any(rhs_div[grp.idx_cells], axis=1)
+        idx_int, idx_cells = grp.idx_int[live], grp.idx_cells[live]
+        rows = np.zeros(idx_int.shape) if r is None else r[idx_int]
+        if rhs_div is not None:
+            rows = np.hstack([rows, rhs_div[idx_cells]])
+        out = grp.kkt.factorization.solve_leading(rows, grp.n_int + grp.n_cells)
+        u[idx_int], p[idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
+        face_pos.append(copy_rows(level, grp).face_pos[live])
+        copies.append(np.matmul(rows, grp.ext[:, : rows.shape[1]].T))
+    return u, p, bincount_sum(n_face, face_pos, copies)
+
+
+def group_extension(level, u_face):
+    """``level.extend(u_face)`` by a loop over the level's groups."""
+    u, p = np.zeros(level.system.n_flux), np.empty(level.system.n_pressure)
+    u[level.face_dofs] = u_face
+    for grp in level.groups:
+        rows = np.matmul(u_face[copy_rows(level, grp).face_pos], grp.ext)
+        u[grp.idx_int], p[grp.idx_cells] = rows[:, : grp.n_int], rows[:, grp.n_int :]
+    return u, p
+
+
+def group_apply(precond, idx, r_face):
+    """``precond._apply(idx, r_face)`` by a loop over the groups of level ``idx + 1``.
+
+    The coarser levels' part comes from ``apply`` on level ``idx + 2``,
+    or from the top solve.
+    """
+    level = precond.levels[idx]
+    n_face, n_faces = level.decomp.face_dofs.size, level.decomp.n_faces
+    layout = [copy_rows(level, grp) for grp in level.groups]
+    weighted = [c.w * r_face[c.face_pos] for c in layout]
+    restricted = [np.matmul(rows, grp.psi) for grp, rows in zip(level.groups, weighted)]
+    r_next = bincount_sum(n_faces, [c.face_ids for c in layout], restricted)
+    if idx == len(precond.levels) - 1:
+        u_next, p_next, _ = precond.top_kkt.solve(rhs_flux=r_next)
+    else:
+        u_next, p_next = precond.apply(r_next, idx + 2)
+    values = [
+        c.w * (np.matmul(rows, grp.dual) + np.matmul(u_next[c.face_ids], grp.psi.T))
+        for grp, c, rows in zip(level.groups, layout, weighted)
+    ]
+    return bincount_sum(n_face, [c.face_pos for c in layout], values), p_next
+
+
+@pytest.mark.parametrize("case", list(BATCH_SPECS))
+def test_batched_passes_equal_per_group_loop(case, runs, rng):
+    # Every level pass equals, bit for bit, a loop of products over the
+    # level's groups, one group at a time.
+    precond = runs.solver(BATCH_SPECS[case]).precond
+    for idx, level in enumerate(precond.levels):
+        system, decomp = level.system, level.decomp
+        n_face, n_flux = decomp.face_dofs.size, system.n_flux
+        layout = [copy_rows(level, grp) for grp in level.groups]
+        u_face = rng.standard_normal(n_face)
+        got, want = {}, {}
+        got["extend"], want["extend"] = level.extend(u_face), group_extension(level, u_face)
+        got["extend_pressure"] = (level.extend_pressure(u_face),)
+        p = np.empty(system.n_pressure)
+        for grp, c in zip(level.groups, layout):
+            p[grp.idx_cells] = np.matmul(u_face[c.face_pos], grp.ext[:, grp.n_int :])
+        want["extend_pressure"] = (p,)
+        got["schur_product"] = (level.schur_product(u_face),)
+        schur = [np.matmul(u_face[c.face_pos], grp.schur) for grp, c in zip(level.groups, layout)]
+        want["schur_product"] = (bincount_sum(n_face, [c.face_pos for c in layout], schur),)
+        u_coarse = rng.standard_normal(decomp.n_faces)
+        got["prolong_average"] = (prolong_average(level, u_coarse),)
+        basis = [c.w * np.matmul(u_coarse[c.face_ids], grp.psi.T) for grp, c in zip(level.groups, layout)]
+        want["prolong_average"] = (bincount_sum(n_face, [c.face_pos for c in layout], basis),)
+        # divergence data on the cells of a few subdomains: the others are
+        # not solved, and groups without such a member are skipped
+        r, div = rng.standard_normal(n_flux), np.zeros(system.n_pressure)
+        few = decomp.cells_by_sub[rng.choice(decomp.n_sub, size=min(3, decomp.n_sub), replace=False)]
+        div[few] = rng.standard_normal(few.shape)
+        modes = {"r": (r, None), "rhs_div": (None, div), "both": (r, rng.standard_normal(system.n_pressure))}
+        for mode, data in modes.items():
+            name = f"interior_correction {mode}"
+            got[name], want[name] = interior_correction(level, *data), group_interior_solves(level, *data)
+        got["_apply"], want["_apply"] = precond._apply(idx, u_face), group_apply(precond, idx, u_face)
+        # apply: pre-correction, _apply of the face residual, extension
+        u_ic, p_ic, r_face = group_interior_solves(level, r, None)
+        u_face, p_coarse = group_apply(precond, idx, r[level.face_dofs] + r_face)
+        u_ext, p_ext = group_extension(level, u_face)
+        sub_of_cell = np.empty(system.n_pressure, dtype=np.intp)
+        sub_of_cell[decomp.cells_by_sub] = np.arange(decomp.n_sub)[:, None]
+        got["apply"] = precond.apply(r, idx + 1)
+        want["apply"] = (u_ic + u_ext, (p_ic + p_coarse[sub_of_cell]) + p_ext)
+        for name, outputs in want.items():
+            for one, other in zip(got[name], outputs):
+                assert np.array_equal(one, other), (idx, name)

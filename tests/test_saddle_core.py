@@ -221,6 +221,35 @@ def test_solve_leading_matches_padded_solve(rng, nx, dense):
         fact.solve_leading(np.ones((1, n + 1)), 1)
 
 
+def test_leading_stack_matches_solve_leading(rng):
+    # One stacked product equals each dense factorization's solve_leading,
+    # bit for bit, at the sizes of a ratio-3 subdomain's interior KKT; a
+    # stack of one factorization is a view of its inverse, and a sparse
+    # factorization has no stack.
+    mesh = build_mesh(3, 3)
+    facts = [
+        KktSystem(system.A, system.B, gauge=system.areas).factorization
+        for system in (
+            assemble_rt0(mesh, CoefficientField(k), source="corner")
+            for k in (np.ones(9), rng.uniform(0.1, 10.0, 9))
+        )
+    ]
+    k, m = 12, 21
+    for chosen in ([facts[0]] * 3, [facts[0], facts[1], facts[0]]):
+        stack = Factorization.leading_stack(chosen, m, k)
+        assert stack.shape == (len(chosen), k, m)
+        # one row takes BLAS's matrix-vector kernels, which sum in an order
+        # that depends on the operand's layout
+        for n_rows in (1, 1500):
+            rows = rng.standard_normal((len(chosen), n_rows, k))
+            got = np.matmul(rows, stack)
+            for fact, data, out in zip(chosen, rows, got):
+                assert np.array_equal(out, fact.solve_leading(data, m))
+    assert np.shares_memory(Factorization.leading_stack([facts[0]] * 3, m, k), facts[0]._inv)
+    sparse = gauged_darcy_kkt(16)[1].factorization
+    assert not sparse.dense and Factorization.leading_stack([facts[0], sparse], m, k) is None
+
+
 def random_blocks(rng):
     n, m = 7, 3
     g = rng.standard_normal((n, n))
