@@ -77,7 +77,8 @@ face-dof copies and of face copies in the copy layout, and buffers of
 interior data, of interior solutions and of the level's result (its face
 values, then its interior flux and cell pressures), one row per
 subdomain in group order.  Each batch holds ``(groups, members, ...)``
-views of its rows of every buffer, and each group its entries of them.
+views of its rows of every buffer, and each group its entries of those
+that the group-by-group solves use.
 So every level pass has one shape: one level-wide gather into an input
 buffer (``ndarray.take`` with ``mode="clip"``, which writes straight
 into it; the indices are in range by construction), one ``np.matmul``
@@ -166,12 +167,11 @@ class _Group:
 
     Every other array is a view of the level's (``LevelBddc``), one row
     per member: the index rows ``idx_int`` (interior dofs) and
-    ``idx_cells``, and the group's rows of the level's workspace, which
-    the level sets: ``dof_in`` and ``dof_out`` of its face-dof copies,
-    ``face_in`` of its face copies, ``rows`` of its interior data, ``sol``
-    of its interior solutions and extensions, and ``result_rows`` of the
-    level's result block.  ``span`` holds the group's rows of the level's
-    subdomain rows.
+    ``idx_cells``, and the group's rows of the level's workspace that the
+    group-by-group solves use, which the level sets: ``dof_out`` of its
+    face-dof copies, ``rows`` of its interior data and ``result_rows`` of
+    the level's result block.  ``span`` holds the group's rows of the
+    level's subdomain rows.
     """
 
     subs: np.ndarray
@@ -196,9 +196,10 @@ class _Group:
 class _Batch:
     """A run of adjacent groups of one shape: one count of present faces, one member count.
 
-    The operators are stacks, one entry per group, each a slice of the
-    stack that ``_face_operators`` builds for the count, so each is stored
-    once: ``ext``, ``schur``, ``dual`` and ``psi``, with the views
+    ``face_slots`` stacks the groups' present slots.  The operators are
+    stacks, one entry per group, each a slice of the stack that
+    ``_face_operators`` builds for the count, so each is stored once:
+    ``ext``, ``schur``, ``dual``, ``psi`` and ``coarse_elem``, with the views
     ``ext_flux_t`` (the flux columns of ``ext``, transposed), ``ext_p``
     (its pressure columns) and ``psi_t``.  ``corner`` stacks the groups'
     interior solves for the pre-correction
@@ -211,10 +212,12 @@ class _Batch:
     """
 
     groups: list[_Group]
+    face_slots: np.ndarray
     ext: np.ndarray
     schur: np.ndarray
     dual: np.ndarray
     psi: np.ndarray
+    coarse_elem: np.ndarray
 
     def __post_init__(self):
         head = self.groups[0]
@@ -286,9 +289,11 @@ def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio:
     the groups' entries there and ``face_slots`` their present slots, one
     row per group.  The groups' bordered face systems ``[S C^T; C 0]``
     (``C``, the face averages, depends on the count alone) are built as one
-    stack, and each is factored on its own.  Returns the stacks of the
-    fields of ``_Group`` from ``ext`` to ``coarse_elem``, in order, each
-    contiguous: a batch's operators are slices of them.
+    stack, and each is factored on its own; their inverses come as one
+    stack from the factorizations (``Factorization.leading_stack``, with
+    all rows and columns).  Returns the stacks of the fields of ``_Group``
+    from ``ext`` to ``coarse_elem``, in order, each contiguous: a batch's
+    operators are slices of them.
     """
     (n_groups, n_faces), n_f = face_slots.shape, face_slots.shape[1] * ratio
     rows = (face_slots[:, :, None] * ratio + np.arange(ratio)).reshape(n_groups, n_f)
@@ -299,7 +304,13 @@ def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio:
     face_kkt[:, :n_f, :n_f] = s_f
     face_kkt[:, n_f:, :n_f] = np.repeat(np.eye(n_faces), ratio, axis=1) / ratio
     face_kkt[:, :n_f, n_f:] = face_kkt[0, n_f:, :n_f].T
-    inv = np.stack([Factorization(m).solve(np.eye(size)) for m in face_kkt]) if size else face_kkt
+    inv = face_kkt
+    if size:
+        facts = [Factorization(m) for m in face_kkt]
+        inv_t = Factorization.leading_stack(facts, size, size)
+        if inv_t is None:  # above DENSE_LIMIT (ratio 150 on), SuperLU's
+            inv_t = np.stack([f.solve(np.eye(size)).T for f in facts])
+        inv = inv_t.transpose(0, 2, 1)
     psi = np.ascontiguousarray(inv[:, :n_f, n_f:])
     coarse = np.matmul(np.matmul(psi.transpose(0, 2, 1), s_f), psi)
     return ext[pats[:, None], rows], s_f, np.ascontiguousarray(inv[:, :n_f, :n_f]), psi, coarse
@@ -366,11 +377,12 @@ class LevelBddc:
 
     The workspace holds one buffer per kind of data in this layout, and
     each batch (``batches``, ``_Batch``) keeps ``(groups, members, ...)``
-    views of its rows, whose entries are its groups' views (``_Group``):
-    ``dof_in`` and ``dof_out`` of face-dof copies, ``face_in`` of face
-    copies, ``rows`` of interior data and ``sol`` of interior solutions
-    and extensions (flux columns ``sol_u``, pressure columns ``sol_p``).
-    ``groups`` lists the batches' groups in order.  Every pass
+    views of its rows: ``dof_in`` and ``dof_out`` of face-dof copies,
+    ``face_in`` of face copies, ``rows`` of interior data and ``sol`` of
+    interior solutions and extensions (flux columns ``sol_u``, pressure
+    columns ``sol_p``).  The entries of its ``dof_out`` and ``rows`` views
+    are its groups' views (``_Group``), which the group-by-group solves
+    use.  ``groups`` lists the batches' groups in order.  Every pass
     (``extend``, ``extend_pressure``, ``schur_product``,
     ``interior_correction``, ``prolong_average`` and the preconditioner's
     level passes) makes one level-wide gather into an input buffer, one
@@ -448,8 +460,7 @@ class LevelBddc:
             batch.sol_p = batch.sol[:, :, n_int:]
             for j, grp in enumerate(batch.groups):
                 grp.span = slice(sub + j * n, sub + (j + 1) * n)
-                grp.dof_in, grp.dof_out, grp.face_in = batch.dof_in[j], batch.dof_out[j], batch.face_in[j]
-                grp.rows, grp.sol = batch.rows[j], batch.sol[j]
+                grp.dof_out, grp.rows = batch.dof_out[j], batch.rows[j]
             sub, face, dof = sub + g * n, face + g * n * n_faces, dof + g * n * n_dofs
 
     def _allot_result(self) -> None:
@@ -617,7 +628,7 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
                 rows, kkt, ops = slice(row, row + size), kkts[pattern[subs[0]]], [stack[j] for stack in stacks]
                 groups.append(_Group(subs, kkt, face_slots[j], *ops, idx_int[rows], idx_cells[rows]))
                 row, j = row + size, j + 1
-            batches.append(_Batch(groups, *(stack[j - len(groups) : j] for stack in stacks[:4])))
+            batches.append(_Batch(groups, *(stack[j - len(groups) : j] for stack in (face_slots, *stacks))))
     areas = system.areas[decomp.cells_by_sub[:1]]
     sub_area = areas.sum(axis=1)
     return LevelBddc(
@@ -642,16 +653,20 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
 
     Flux block entries come from the basis energies, one element matrix
     per group (its members share them): the group's ``coarse_elem`` in its
-    present face slots, zero in the others.  The divergence block is the
-    exact +-(face length) pattern of the coarse grid, which reproduces the
-    subdomain-integrated divergence of any basis combination.
+    present face slots, zero in the others, written one batch at a time.
+    The divergence block is the exact +-(face length) pattern of the
+    coarse grid, which reproduces the subdomain-integrated divergence of
+    any basis combination.
     """
     decomp = level.decomp
     elem_table = np.zeros((len(level.groups), 4, 4))
     elem_class = np.empty(decomp.n_sub, dtype=np.intp)
-    for k, grp in enumerate(level.groups):
-        elem_table[k][np.ix_(grp.face_slots, grp.face_slots)] = grp.coarse_elem
-        elem_class[grp.subs] = k
+    first = 0
+    for batch in level.batches:
+        classes, slots = first + np.arange(len(batch.groups)), batch.face_slots
+        elem_table[classes[:, None, None], slots[:, :, None], slots[:, None, :]] = batch.coarse_elem
+        elem_class[level.order[batch.span]] = np.repeat(classes, batch.n_members)
+        first += len(batch.groups)
     return assemble_system(decomp.sub_grid, elem_table, elem_class)
 
 

@@ -11,6 +11,10 @@ together with ``--levels``, ``--ratio`` or ``--coeff`` included), problem
 setup or an unwritable output path, 3 PCG did not converge, broke down or
 failed its divergence monitor, 4 ``--verify`` failed (an energy error above
 tolerance, or a direct solve that rejects the system), with no CSV written.
+Each phase (the experiment list, set-up, solve, ``--verify``) catches the
+library's error root ``NestedBddcError`` once: a ``--verify`` direct solve
+that raises exits 4, any other library error takes its code from
+``_EXIT_CODES``, and a code-3 error moves on to the next experiment.
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import HierarchyError, WeightsError
+from .errors import NestedBddcError
 from .krylov import PcgError
-from .mesh_fem import CoefficientError, MeshError, dump_matrix_market
+from .mesh_fem import dump_matrix_market
 from .nested_driver import (
     COEFF_PATTERNS,
     CSV_HEADER,
     ORACLE_DOF_LIMIT,
-    DriverError,
     ExperimentSpec,
     NestedSolver,
     PcgNonConvergence,
@@ -36,7 +39,6 @@ from .nested_driver import (
     oracle_direct_solve,
     preset_specs,
 )
-from .saddle_core import SaddleError
 
 HISTORY_HEADER = "spec,L,level,iteration,relres,precond_relres,div_defect"
 
@@ -44,6 +46,14 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
+
+# The exit code of a library error outside --verify: the first class that
+# it is an instance of.
+_EXIT_CODES = (
+    (PcgError, EXIT_NO_CONVERGENCE),
+    (PcgNonConvergence, EXIT_NO_CONVERGENCE),
+    (NestedBddcError, EXIT_INVALID),
+)
 
 # ExperimentSpec fields that a flag or a config line may set
 _RUN_FIELDS = ("levels", "ratio", "coeff", "k1", "k2", "k3", "gamma", "tol")
@@ -113,6 +123,10 @@ def _history_lines(spec: ExperimentSpec, level: int, report) -> list[str]:
     ]
 
 
+def _exit_code(exc: NestedBddcError) -> int:
+    return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+
+
 def _cannot_write(exc: OSError) -> int:
     print(f"bddc: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
     return EXIT_INVALID
@@ -121,9 +135,9 @@ def _cannot_write(exc: OSError) -> int:
 def _solve_command(args) -> int:
     try:
         specs = _specs_from_args(args)
-    except (DriverError, HierarchyError) as exc:
+    except NestedBddcError as exc:
         print(f"bddc: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _exit_code(exc)
     if args.dump_matrices and len(specs) > 1:
         print(
             f"bddc: --dump-matrices needs a single experiment, the selection has {len(specs)}",
@@ -140,11 +154,9 @@ def _solve_command(args) -> int:
     for spec in specs:
         try:
             solver = NestedSolver(spec)
-        except (
-            MeshError, CoefficientError, HierarchyError, WeightsError, DriverError, SaddleError
-        ) as exc:
+        except NestedBddcError as exc:
             print(f"bddc: {spec.name()}: invalid setup: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            return _exit_code(exc)
         if args.dump_matrices:
             try:
                 dump_matrix_market(solver.fine, args.dump_matrices)
@@ -152,15 +164,15 @@ def _solve_command(args) -> int:
                 return _cannot_write(exc)
         try:
             result = solver.solve()
-        except (PcgNonConvergence, PcgError) as exc:
+        except NestedBddcError as exc:
             print(f"bddc: {spec.name()}: {exc}", file=sys.stderr)
+            code = _exit_code(exc)
+            if code != EXIT_NO_CONVERGENCE:
+                return code
             if args.dump_history and isinstance(exc, PcgNonConvergence):
                 history_text += _history_lines(spec, exc.level, exc.report)
-            exit_code = max(exit_code, EXIT_NO_CONVERGENCE)
+            exit_code = max(exit_code, code)
             continue
-        except SaddleError as exc:
-            print(f"bddc: {spec.name()}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
 
         for row in result.rows:
             rows_text.append(row.csv())
@@ -184,7 +196,7 @@ def _solve_command(args) -> int:
             else:
                 try:
                     u_ref, _ = oracle_direct_solve(solver.fine)
-                except SaddleError as exc:
+                except NestedBddcError as exc:
                     print(f"bddc: {spec.name()}: cannot verify: {exc}", file=sys.stderr)
                     return EXIT_VERIFY_FAILED
                 diff = result.flux - u_ref

@@ -16,14 +16,15 @@ rows of the whole system, as CSR above, and factors the system once, at
 construction.  ``Factorization`` applies the same rule to any square matrix
 (the BDDC face systems included): up to ``DENSE_LIMIT`` rows it forms the
 explicit inverse once, from LAPACK's partial-pivoting LU (``dgetrf``, then
-``dgetrs`` on the identity, called directly) and after the pivot check,
-and every solve is a matrix product; above, SuperLU solves.
+``dgetri`` on that LU, called directly) and after the pivot check, and
+every solve is a matrix product; above, SuperLU solves.
 ``solve_leading`` serves callers whose data sits in the leading rows and
 who read back only leading unknowns (the BDDC subdomain groups): one
 product with a corner of the inverse, or one zero-padded SuperLU solve.
 ``Factorization.leading_stack`` stacks those corners for several dense
 factorizations, so that one stacked product solves for all of them (the
-BDDC batches of groups).
+BDDC batches of groups); with all rows and columns it is their inverses,
+transposed (the BDDC face systems').
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from .errors import NestedBddcError
 
@@ -94,7 +95,7 @@ class Factorization:
                 f"matrix is numerically singular (pivot ratio below {PIVOT_RTOL:g})"
             )
         if self.dense:
-            self._inv, _ = dgetrs(lu, piv, np.eye(n))
+            self._inv, _ = dgetri(lu, piv, overwrite_lu=True)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

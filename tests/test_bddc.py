@@ -34,7 +34,7 @@ from nested_bddc.mesh_fem import (
     element_triplets,
 )
 from conftest import copy_rows, edge_sides_weights
-from nested_bddc import nested_driver
+from nested_bddc import bddc, nested_driver, saddle_core
 from nested_bddc.krylov import pcg
 from nested_bddc.nested_driver import (
     ExperimentSpec,
@@ -944,6 +944,7 @@ WORKSPACE_SPECS = {
     "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
 }
 WORKSPACE = ("dof_in", "dof_out", "face_in", "rows", "sol", "result_rows")
+GROUP_WORKSPACE = ("dof_out", "rows", "result_rows")
 
 
 def byte_offset(view, buf) -> int:
@@ -952,10 +953,11 @@ def byte_offset(view, buf) -> int:
 
 @pytest.mark.parametrize("case", [*WORKSPACE_SPECS, "one-subdomain"])
 def test_group_views_tile_the_level_workspace(case, runs):
-    # Each group's views of a workspace buffer follow one another in group
+    # Each group's (or, for the buffers that only batch products use, each
+    # batch's) views of a workspace buffer follow one another in group
     # order with no gap or overlap and cover the buffer: a product written
-    # into a group's output view lands in its rows of the level's copy
-    # layout and nowhere else.  The gathers run with mode="clip", which
+    # into an output view lands in its rows of the level's copy layout and
+    # nowhere else.  The gathers run with mode="clip", which
     # does not check indices, so every index must lie in its source: also
     # the index maps into the result block, which only the levels that the
     # recursion reaches hold.
@@ -975,9 +977,10 @@ def test_group_views_tile_the_level_workspace(case, runs):
         assert level.face_in.size == level.copy_faces.size
         assert level.rows.shape == level.idx_int.shape and level.sol.shape[0] == decomp.n_sub
         for name in WORKSPACE:
+            owners = groups if name in GROUP_WORKSPACE else level.batches
             buf, offset = getattr(level, name), 0
-            for grp in groups:
-                view = getattr(grp, name)
+            for owner in owners:
+                view = getattr(owner, name)
                 assert view.flags.c_contiguous and view.base is not None
                 assert view.size == 0 or byte_offset(view, buf) == offset
                 offset += view.nbytes
@@ -1299,6 +1302,71 @@ def test_redundant_class_table_loses_reuse_only(monkeypatch):
         u_other, p_other = precond.apply(r)
         assert np.abs(u_other - u).max() <= 1e-13 * np.abs(u).max()
         assert np.abs(p_other - p).max() <= 1e-13 * np.abs(p).max()
+
+
+# Set-up specs whose every factorization is dense, with their counts: one
+# interior KKT per cell pattern, one bordered face system per group, the top.
+DENSE_SETUPS = {
+    "deep-r3": (ExperimentSpec(levels=5, ratio=3), 65),
+    "jump-r3": (ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=37.0, k3=0.05), 117),
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_SETUPS))
+def test_set_up_inverts_each_dense_system_once(case, monkeypatch):
+    # Each dense factorization forms its inverse by one getri on its getrf
+    # LU, and set-up reads every inverse from its factorization: no solve
+    # on an identity, so no Factorization.solve call at all.
+    spec, want = DENSE_SETUPS[case]
+    calls = {"dgetrf": 0, "dgetri": 0, "solve": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("dgetrf", "dgetri"):
+        monkeypatch.setattr(saddle_core, name, counted(name, getattr(saddle_core, name)))
+    monkeypatch.setattr(Factorization, "solve", counted("solve", Factorization.solve))
+    NestedSolver(spec)
+    assert calls == {"dgetrf": want, "dgetri": want, "solve": 0}
+
+
+@pytest.mark.parametrize("case", [*DENSE_SETUPS, "one-subdomain"])
+def test_coarse_tables_match_a_per_group_fill(case, runs, monkeypatch):
+    # assemble_coarse_problem fills the coarse element table and classes one
+    # batch at a time; before assembly canonicalises them, they are the
+    # per-group fill's, bit for bit, on every level.
+    if case == "one-subdomain":
+        precond = make_setup(3, 2, 3)[2]
+    else:
+        precond = runs.solver(DENSE_SETUPS[case][0]).precond
+    monkeypatch.setattr(bddc, "assemble_system", lambda grid, table, cls: (table, cls))
+    for level in precond.levels:
+        table = np.zeros((len(level.groups), 4, 4))
+        classes = np.empty(level.decomp.n_sub, dtype=np.intp)
+        for k, grp in enumerate(level.groups):
+            table[k][np.ix_(grp.face_slots, grp.face_slots)] = grp.coarse_elem
+            classes[grp.subs] = k
+        got_table, got_classes = assemble_coarse_problem(level)
+        assert got_table.tobytes() == table.tobytes()
+        assert got_classes.tobytes() == classes.tobytes()
+
+
+def test_face_operators_above_dense_limit_match_dense(two_level_9x9, monkeypatch):
+    # Above DENSE_LIMIT (the bordered face systems from ratio 150 on) SuperLU
+    # factors the face systems and their inverses come from solves on the
+    # identity: the operators are the dense ones up to round-off.
+    system, decomps, precond = two_level_9x9
+    monkeypatch.setattr(saddle_core, "DENSE_LIMIT", 5)  # below every face system
+    level = build_level_bddc(system, decomps[0], 1.0)
+    assert not any(grp.kkt.factorization.dense for grp in level.groups)
+    for batch, ref in zip(level.batches, precond.levels[0].batches, strict=True):
+        for name in ("ext", "schur", "dual", "psi", "coarse_elem"):
+            got, want = getattr(batch, name), getattr(ref, name)
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def _bytes_key(*blocks) -> tuple:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from nested_bddc.bddc import BddcError
 from nested_bddc.cli import main
 from nested_bddc.krylov import InvariantViolation, PcgBreakdownError
 from nested_bddc.nested_driver import NestedSolver
@@ -85,6 +86,24 @@ def test_pcg_failure_exit_3_and_next_experiment(error, tmp_path, capsys, monkeyp
     assert "Traceback" not in err
     assert calls == ["L2-r6-constant", "L3-r6-constant"]
     assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["3", "1"], ["3", "2"]]
+
+
+@pytest.mark.parametrize("phase", ["__init__", "solve"])
+def test_library_error_exit_2_with_one_message(phase, tmp_path, capsys, monkeypatch):
+    # Any library error that no other code claims, here a BddcError from
+    # set-up or from the solve, exits 2 with one line naming the experiment.
+    def failing(self, *args):
+        raise BddcError("injected failure")
+
+    monkeypatch.setattr(NestedSolver, phase, failing)
+    out = tmp_path / "r.csv"
+    code = run_cli(["solve", "--levels", "2", "--ratio", "3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"bddc: L2-r3-constant: {'invalid setup: ' if phase == '__init__' else ''}injected failure"
+    ]
+    assert not out.exists()
 
 
 def test_verify_flag_success(tmp_path):

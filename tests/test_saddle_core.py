@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetri
 
 from nested_bddc import saddle_core
 from nested_bddc.mesh_fem import CoefficientField, assemble_rt0, build_mesh
@@ -67,14 +68,15 @@ def test_singular_matrix_detected():
 
 @pytest.mark.parametrize("n", [1, 16, 22, DENSE_LIMIT])
 def test_dense_inverse_matches_scipy_lu(n):
-    # The dense path calls LAPACK's getrf/getrs itself: its inverse is the
-    # one scipy's LU wrappers give, bit for bit, and no warning escapes.
+    # The dense path calls LAPACK's getrf/getri itself: its inverse is
+    # getri's on the LU of scipy's wrapper, bit for bit, and no warning
+    # escapes.
     m = np.random.default_rng(n).standard_normal((n, n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fact = Factorization(m)
         assert fact.dense
-        ref = sla.lu_solve(sla.lu_factor(m), np.eye(n))
+        ref = dgetri(*sla.lu_factor(m))[0]
         assert fact._inv.tobytes() == ref.tobytes()
         assert np.array_equal(fact.solve(np.eye(n)), ref)
 
