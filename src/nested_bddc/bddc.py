@@ -53,17 +53,18 @@ entries are located once (``mesh_fem.element_triplets``) and all cell
 patterns are scattered on it together, as one stack of values; each
 pattern is factored and condensed onto all four faces by one
 ``Factorization.solve_leading`` call (``_condense_patterns``).
-Subdomains are grouped by cell pattern and present faces, one group kind
-per level, and the groups run by shape: count of present faces
-descending, then member count, then first member.  The groups with one
-count of present faces slice their faces from their patterns and build
-their bordered face systems and face operators as one stack each; each
-system is inverted on its own (``_face_operators``).  A run of groups
-with one member count is a batch (``_Batch``): its operators are slices
-of these stacks, and each group's are entries of its batch's, so every
-operator is stored once.  The level lays out its subdomains' face copies
-once, with their face weights (``hierarchy.compute_weights``): every
-group's copies, one row per member, one group after another.  Every face
+Subdomains are grouped by cell pattern and present faces, and the
+groups run by shape: count of present faces descending, then member
+count, then first member.  The groups with one count of present faces
+slice their faces from their patterns and build their bordered face
+systems and face operators as one stack each; each system is inverted on
+its own (``_face_operators``).  A run of groups with one member count is
+a batch (``_Batch``), each group one entry of it, and the batches are
+the level's only unit of work: an entry's operators are its rows of the
+batch's stacks, which are slices of the count's, so every operator is
+stored once.  The level lays out its subdomains' face copies once, with
+their face weights (``hierarchy.compute_weights``): every entry's copies,
+one row per member, one entry after another.  Every face
 lies between two subdomains, so a sum of the members' face copies (the
 Schur product, the averaging, the restriction) adds two entries of a
 copy buffer, located once at build (``LevelBddc.face_pairs``).  How blocks are stored
@@ -76,19 +77,18 @@ Each level owns a workspace, built once with the level: buffers of
 face-dof copies and of face copies in the copy layout, and buffers of
 interior data, of interior solutions and of the level's result (its face
 values, then its interior flux and cell pressures), one row per
-subdomain in group order.  Each batch holds ``(groups, members, ...)``
-views of its rows of every buffer, and each group its entries of those
-that the group-by-group solves use.
-So every level pass has one shape: one level-wide gather into an input
-buffer (``ndarray.take`` with ``mode="clip"``, which writes straight
-into it; the indices are in range by construction), one ``np.matmul``
-per batch and operator from its input view into its output view, and
-one level-wide scatter or pair sum into a new array.  A stacked product
-makes one BLAS call per group of the batch, with the operands of a
-per-group pass, and the additions run in the same order, so results
-equal a per-group pass bit for bit and do not depend on the workspace.
+subdomain in batch order.  Each batch holds ``(entries, members, ...)``
+views of its rows of every buffer, so every level pass has one shape:
+one level-wide gather into an input buffer (``ndarray.take`` with
+``mode="clip"``, which writes straight into it; the indices are in range
+by construction), one ``np.matmul`` per batch and operator from its
+input view into its output view, and one level-wide scatter or pair sum
+into a new array.  A stacked product
+makes one BLAS call per entry of the batch, with the operands of a
+per-entry pass, and the additions run in the same order, so results
+equal a per-entry pass bit for bit and do not depend on the workspace.
 The interior solves above ``DENSE_LIMIT`` are SuperLU's, one call per
-group of a batch.  A preconditioner applies one residual at a time: a
+entry of a batch.  A preconditioner applies one residual at a time: a
 level's buffers serve one pass at a time, and the only data that wait in
 a workspace across a call are a level's dual values and its result block
 while the coarser levels of the recursion run on their own workspaces.
@@ -100,8 +100,9 @@ decompositions from the fine grid, and each level's system is the coarse
 problem of the level below.  The coarse problem has the same quad-grid
 mixed structure (one flux dof per face, one pressure per subdomain,
 divergence entries +-H), which is what makes the recursion possible.
-Its element class table has one row per group of the level below, the
-group's basis energies, and each subdomain's group as its class.
+Its element class table has one row per batch entry of the level
+below, the entry's basis energies, and each subdomain's entry as its
+class.
 
 Subdomain work within one level is independent (levels are inherently
 sequential); all scatter reductions run in a fixed order, so results are
@@ -147,71 +148,29 @@ class BddcError(NestedBddcError):
 
 
 @dataclass(eq=False)
-class _Group:
-    """Subdomains sharing one set of present faces and one cell pattern.
-
-    ``kkt`` is the pattern's interior KKT, which the interior correction
-    solves for many members at once, one row of data per member.  Face data run face by
-    face, as in the group's rows of the level's copy layout
-    (``LevelBddc.copy_pos``): the ``k``-th present face (slot
-    ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
-    ``ext`` holds the pattern's extension rows of these faces and
-    ``schur`` its Schur complement ``S`` on them.  The inverse of the
-    bordered face system ``[S C^T; C 0]``, with ``C`` the face averages,
-    gives ``dual``, the dual face operator (zero face averages), and the
-    energy-minimal basis ``psi``, one column per face with unit average
-    there and zero on the others; its energy ``coarse_elem`` is
-    ``psi^T S psi`` (``_face_operators``).  The operators are the group's
-    entries of its batch's stacks (``_Batch``), views that hold no data of
-    their own.
-
-    Every other array is a view of the level's (``LevelBddc``), one row
-    per member: the index rows ``idx_int`` (interior dofs) and
-    ``idx_cells``, and the group's rows of the level's workspace that the
-    group-by-group solves use, which the level sets: ``dof_out`` of its
-    face-dof copies, ``rows`` of its interior data and ``result_rows`` of
-    the level's result block.  ``span`` holds the group's rows of the
-    level's subdomain rows.
-    """
-
-    subs: np.ndarray
-    kkt: KktSystem
-    face_slots: np.ndarray
-    ext: np.ndarray
-    schur: np.ndarray
-    dual: np.ndarray
-    psi: np.ndarray
-    coarse_elem: np.ndarray
-    idx_int: np.ndarray
-    idx_cells: np.ndarray
-
-    def __post_init__(self):
-        self.n_faces = len(self.face_slots)
-        self.n_face_dofs = len(self.ext)
-        self.n_int = self.idx_int.shape[1]
-        self.n_cells = self.idx_cells.shape[1]
-
-
-@dataclass(eq=False)
 class _Batch:
-    """A run of adjacent groups of one shape: one count of present faces, one member count.
+    """Adjacent subdomains of one shape: one count of present faces, ``n_members`` per entry.
 
-    ``face_slots`` stacks the groups' present slots.  The operators are
-    stacks, one entry per group, each a slice of the stack that
-    ``_face_operators`` builds for the count, so each is stored once:
-    ``ext``, ``schur``, ``dual``, ``psi`` and ``coarse_elem``, with the views
-    ``ext_flux_t`` (the flux columns of ``ext``, transposed), ``ext_p``
-    (its pressure columns) and ``psi_t``.  ``corner`` stacks the groups'
-    interior solves for the pre-correction
-    (``Factorization.leading_stack``), ``None`` above ``DENSE_LIMIT``,
-    where SuperLU solves for each group on its own.
-    The level sets the batch's views of its workspace, ``(groups,
-    members, ...)`` views that its groups' views are entries of, so a
-    level pass makes one ``np.matmul`` per batch from its input view into
-    its output view.
+    An entry holds the members of one cell pattern and one set of present
+    faces, whose local matrices are bit-identical: ``kkts`` holds each
+    entry's interior KKT (one per pattern, shared), every array one row
+    per entry.  Face data run face by face: the ``k``-th present face (slot
+    ``face_slots[k]``) holds columns ``k ratio`` to ``(k + 1) ratio - 1``.
+    The operators are slices of the stacks of ``_face_operators``, so each
+    is stored once: the extension rows ``ext``, the Schur complement
+    ``schur``, the dual face operator ``dual``, the coarse basis ``psi``
+    and its energy ``coarse_elem``, with the views ``ext_flux_t`` (the
+    flux columns of ``ext``, transposed), ``ext_p`` (its pressure columns)
+    and ``psi_t``.  ``corner`` stacks the entries' interior solves for the
+    pre-correction (``Factorization.leading_stack``), ``None`` above
+    ``DENSE_LIMIT``, where SuperLU solves for each entry on its own.  The
+    level sets the batch's ``span`` of its subdomain rows and ``(entries,
+    members, ...)`` views of its workspace, so a level pass makes one
+    ``np.matmul`` per batch from its input view into its output view.
     """
 
-    groups: list[_Group]
+    kkts: list[KktSystem]
+    n_members: int
     face_slots: np.ndarray
     ext: np.ndarray
     schur: np.ndarray
@@ -220,13 +179,12 @@ class _Batch:
     coarse_elem: np.ndarray
 
     def __post_init__(self):
-        head = self.groups[0]
-        self.n_members, n_int = len(head.subs), head.n_int
+        n_int, n_cells = self.kkts[0].n_flux, self.kkts[0].n_div
         self.ext_flux_t = self.ext[:, :, :n_int].transpose(0, 2, 1)
         self.ext_p = self.ext[:, :, n_int:]
         self.psi_t = self.psi.transpose(0, 2, 1)
-        factorizations = [grp.kkt.factorization for grp in self.groups]
-        self.corner = Factorization.leading_stack(factorizations, n_int + head.n_cells, n_int)
+        factorizations = [kkt.factorization for kkt in self.kkts]
+        self.corner = Factorization.leading_stack(factorizations, n_int + n_cells, n_int)
 
 
 def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
@@ -283,15 +241,15 @@ def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.
 
 
 def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio: int) -> tuple:
-    """Face operators of the groups with one count of present faces, as stacks, one entry per group.
+    """Face operators of the groups with one count of present faces, as stacks, one row per group.
 
     ``ext`` and ``schur`` are the stacks of ``_condense_patterns``, ``pats``
-    the groups' entries there and ``face_slots`` their present slots, one
+    the groups' patterns there and ``face_slots`` their present slots, one
     row per group.  The groups' bordered face systems ``[S C^T; C 0]``
     (``C``, the face averages, depends on the count alone) are built as one
     stack, and each is factored on its own; their inverses come as one
     stack from the factorizations (``Factorization.leading_stack``, with
-    all rows and columns).  Returns the stacks of the fields of ``_Group``
+    all rows and columns).  Returns the stacks of ``_Batch``'s operators
     from ``ext`` to ``coarse_elem``, in order, each contiguous: a batch's
     operators are slices of them.
     """
@@ -352,7 +310,7 @@ class _PairSum:
 class LevelBddc:
     """All BDDC components of one decomposition level.
 
-    Besides the groups, a level keeps what the divergence of a harmonic
+    Besides its batches, a level keeps what the divergence of a harmonic
     extension needs.  Each subdomain's net face flux comes from the
     sub-grid (``net_flux``: its divergence of the face averages,
     ``face_mean`` times the face values).  The extension's divergence on a
@@ -362,8 +320,8 @@ class LevelBddc:
     ``sub_areas``.
 
     Each subdomain holds a copy of each of its faces and face dofs.  The
-    level lays the copies out once, group after group, one row per
-    member: ``copy_faces`` holds each face copy's face, ``copy_pos`` each
+    level lays the copies out once, batch entry after batch entry, one row
+    per member: ``copy_faces`` holds each face copy's face, ``copy_pos`` each
     face-dof copy's position in the face vector and ``copy_w`` its face
     weight (``hierarchy.compute_weights``), ``w_lo`` where the member is a
     face's lower subdomain and ``1 - w_lo`` where it is the higher one.
@@ -372,34 +330,32 @@ class LevelBddc:
     row per subdomain.  ``face_pairs`` holds the positions of each face's
     lower (row 0) and higher copy, and ``dof_pairs`` those of each face
     dof, ``dof_pairs[s, f ratio + k] = face_pairs[s, f] ratio + k``, so a
-    sum over subdomains is one addition per entry (``face_sum``,
-    ``dof_sum``).
+    sum over subdomains is one addition per face or face dof
+    (``face_sum``, ``dof_sum``).
 
     The workspace holds one buffer per kind of data in this layout, and
-    each batch (``batches``, ``_Batch``) keeps ``(groups, members, ...)``
+    each batch (``batches``, ``_Batch``) keeps ``(entries, members, ...)``
     views of its rows: ``dof_in`` and ``dof_out`` of face-dof copies,
     ``face_in`` of face copies, ``rows`` of interior data and ``sol`` of
     interior solutions and extensions (flux columns ``sol_u``, pressure
-    columns ``sol_p``).  The entries of its ``dof_out`` and ``rows`` views
-    are its groups' views (``_Group``), which the group-by-group solves
-    use.  ``groups`` lists the batches' groups in order.  Every pass
+    columns ``sol_p``), and ``span``, its rows of ``order``.  Every pass
     (``extend``, ``extend_pressure``, ``schur_product``,
     ``interior_correction``, ``prolong_average`` and the preconditioner's
     level passes) makes one level-wide gather into an input buffer, one
     product per batch from its input view into its output view, and one
     level-wide scatter or pair sum into a new array.  Only
-    ``interior_correction`` with divergence data runs group by group,
-    over the members whose data is nonzero.  Buffers whose uses
-    never overlap share memory: ``rows`` and the pair sums' gathers lie in
-    ``dof_in``'s memory, and ``dof_out`` and ``face_in``, side by side, in
-    ``sol``'s.
+    ``interior_correction`` with divergence data runs entry by entry,
+    over the members whose data is nonzero, and so does the pre-correction
+    above ``DENSE_LIMIT``.  Buffers whose uses never overlap share memory:
+    ``rows`` and the pair sums' gathers lie in ``dof_in``'s memory, and
+    ``dof_out`` and ``face_in``, side by side, in ``sol``'s.
 
     A third allocation is the result block ``result`` of the
     preconditioner's level pass (``MultilevelPreconditioner._descend``):
     the level's averaged face values ``result_face``, then one row per
-    subdomain in group order, its interior flux and its cell pressures
+    subdomain in batch order, its interior flux and its cell pressures
     (``result_rows``, flux columns ``result_u``, pressure columns
-    ``result_p``; each batch and group keeps a view of its rows).  A
+    ``result_p``; each batch keeps a view of its rows).  A
     level's block waits in its workspace while the coarser levels run; the
     finer level reads it back with one gather each for its face copies'
     coarse flux and for the cell pressures, through the index maps that
@@ -410,8 +366,8 @@ class LevelBddc:
     (``_allot_result``), so a solve allots none on it.
     So a level serves one pass at a time, and a preconditioner applies one
     residual at a time; what a pass returns is never a view of the
-    workspace.  The level builds its workspace and its batches' and
-    groups' views when it is made, so a level made from another
+    workspace.  The level builds its workspace and its batches' views
+    when it is made, so a level made from another
     (``dataclasses.replace``) takes their views over; the index maps stay
     with the level that ``link`` built them on.
     """
@@ -431,8 +387,7 @@ class LevelBddc:
     dof_pairs: np.ndarray
 
     def __post_init__(self):
-        """The workspace, in two allocations, and each batch's and group's views of it."""
-        self.groups = [grp for batch in self.batches for grp in batch.groups]
+        """The workspace, in two allocations, and each batch's views of it."""
         self.face_dofs = self.decomp.face_dofs.ravel()
         ratio = self.decomp.face_dofs.shape[1]
         self.face_mean = np.full(ratio, 1.0 / ratio)
@@ -458,13 +413,10 @@ class LevelBddc:
             batch.rows = self.rows[batch.span].reshape(g, n, n_int)
             batch.sol = self.sol[batch.span].reshape(g, n, n_int + n_cells)
             batch.sol_p = batch.sol[:, :, n_int:]
-            for j, grp in enumerate(batch.groups):
-                grp.span = slice(sub + j * n, sub + (j + 1) * n)
-                grp.dof_out, grp.rows = batch.dof_out[j], batch.rows[j]
             sub, face, dof = sub + g * n, face + g * n * n_faces, dof + g * n * n_dofs
 
     def _allot_result(self) -> None:
-        """The result block and each batch's and group's view of its rows, allotted once."""
+        """The result block and each batch's view of its rows, allotted once."""
         if self.result is not None:
             return
         n_face, (n_sub, width), n_int = self.face_dofs.size, self.sol.shape, self.idx_int.shape[1]
@@ -473,8 +425,6 @@ class LevelBddc:
         self.result_u, self.result_p = self.result_rows[:, :n_int], self.result_rows[:, n_int:]
         for batch in self.batches:
             batch.result_rows = self.result_rows[batch.span].reshape(batch.sol.shape)
-            for grp, rows in zip(batch.groups, batch.result_rows):
-                grp.result_rows = rows
 
     def link(self, copy_faces: np.ndarray) -> None:
         """Index maps into ``result`` for the finer level whose face copies are ``copy_faces``.
@@ -543,6 +493,7 @@ class LevelBddc:
         hold ``+-h`` on each face dof, up to round-off: the sub-grid's
         ``B`` holds ``+-ratio h`` on each face.
         """
+        u_face = _checked_vector(u_face, self.face_dofs.size, "face values")
         face_mean = u_face.reshape(-1, self.face_mean.size) @ self.face_mean
         return self.decomp.sub_grid.divergence(face_mean)
 
@@ -558,7 +509,12 @@ class LevelBddc:
         less its residual, the energy is ``u_face @ product - net @ m``,
         ``net`` the net face flux (``net_flux``); without it, or when that
         is not positive, ``u_face`` against ``schur_product(u_face)``.
+        Each vector given must have its length (``BddcError`` otherwise).
         """
+        u_face = _checked_vector(u_face, self.face_dofs.size, "face values")
+        if product is not None:
+            product = _checked_vector(product, self.face_dofs.size, "face product")
+            m = _checked_vector(m, self.decomp.n_sub, "subdomain values")
         if not np.any(u_face):
             return 0.0
         net = self.net_flux(u_face)
@@ -581,7 +537,7 @@ def _groups(keys: np.ndarray, n_present: np.ndarray) -> list[np.ndarray]:
 
 
 def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float) -> LevelBddc:
-    """Group the subdomains of a level and build each group's operators once.
+    """Batch the subdomains of a level by shape and build each batch entry's operators once.
 
     Members of a group have bit-identical local matrices: the same row of
     the element table cell by cell (one cell pattern, assembled, factored
@@ -590,7 +546,8 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     ``pattern * 16 + present @ (1, 2, 4, 8)``; the groups with one count of
     present faces get their face operators together, as stacks
     (``_face_operators``), and each run of them with one member count is a
-    batch, whose operators are slices of these stacks (``_Batch``).
+    batch, one entry per group, whose operators are slices of these stacks
+    (``_Batch``).
     Copy data are templates per subdomain: a face copy is the higher one by
     its slot, its dof copies are consecutive, and its cell areas are those
     of any other subdomain.
@@ -612,23 +569,20 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     face_pairs = np.empty(2 * n_faces, dtype=np.intp)
     face_pairs[high * n_faces + copy_faces] = np.arange(copy_faces.size)
     face_pairs = face_pairs.reshape(2, n_faces)
-    idx_int, idx_cells = decomp.interior_by_sub[order], decomp.cells_by_sub[order]
-    # The groups' face operators, one count of present faces at a time (a
-    # run of groups), sliced into one batch per run of one member count.
-    batches, row = [], 0
+    # The face operators, one count of present faces at a time (a run of
+    # groups), sliced into one batch per run of one member count.
+    batches = []
     for count, same_count in groupby(members, key=lambda subs: n_present[subs[0]]):
         same_count = list(same_count)
         heads = [subs[0] for subs in same_count]
         face_slots = np.nonzero(present[heads])[1].reshape(len(heads), count)
-        stacks = _face_operators(ext, schur, pattern[heads], face_slots, ratio)
-        j = 0
-        for size, same_size in groupby(same_count, key=len):
-            groups = []
-            for subs in same_size:
-                rows, kkt, ops = slice(row, row + size), kkts[pattern[subs[0]]], [stack[j] for stack in stacks]
-                groups.append(_Group(subs, kkt, face_slots[j], *ops, idx_int[rows], idx_cells[rows]))
-                row, j = row + size, j + 1
-            batches.append(_Batch(groups, *(stack[j - len(groups) : j] for stack in (face_slots, *stacks))))
+        stacks = (face_slots, *_face_operators(ext, schur, pattern[heads], face_slots, ratio))
+        stop = 0
+        for size, same_size in groupby(map(len, same_count)):
+            run = slice(stop, stop + len(list(same_size)))
+            entry_kkts = [kkts[k] for k in pattern[heads[run]]]
+            batches.append(_Batch(entry_kkts, size, *(stack[run] for stack in stacks)))
+            stop = run.stop
     areas = system.areas[decomp.cells_by_sub[:1]]
     sub_area = areas.sum(axis=1)
     return LevelBddc(
@@ -641,8 +595,8 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         copy_pos=(copy_faces[:, None] * ratio + np.arange(ratio)).ravel(),
         copy_w=np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio),
         order=order,
-        idx_int=idx_int,
-        idx_cells=idx_cells,
+        idx_int=decomp.interior_by_sub[order],
+        idx_cells=decomp.cells_by_sub[order],
         face_pairs=face_pairs,
         dof_pairs=(face_pairs[:, :, None] * ratio + np.arange(ratio)).reshape(2, -1),
     )
@@ -652,21 +606,22 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     """Galerkin coarse system on the subdomain grid.
 
     Flux block entries come from the basis energies, one element matrix
-    per group (its members share them): the group's ``coarse_elem`` in its
-    present face slots, zero in the others, written one batch at a time.
+    per batch entry (its members share them): the entry's ``coarse_elem``
+    in its present face slots, zero in the others, written one batch at a
+    time.
     The divergence block is the exact +-(face length) pattern of the
     coarse grid, which reproduces the subdomain-integrated divergence of
     any basis combination.
     """
     decomp = level.decomp
-    elem_table = np.zeros((len(level.groups), 4, 4))
+    elem_table = np.zeros((sum(len(batch.kkts) for batch in level.batches), 4, 4))
     elem_class = np.empty(decomp.n_sub, dtype=np.intp)
     first = 0
     for batch in level.batches:
-        classes, slots = first + np.arange(len(batch.groups)), batch.face_slots
+        classes, slots = first + np.arange(len(batch.kkts)), batch.face_slots
         elem_table[classes[:, None, None], slots[:, :, None], slots[:, None, :]] = batch.coarse_elem
         elem_class[level.order[batch.span]] = np.repeat(classes, batch.n_members)
-        first += len(batch.groups)
+        first += len(batch.kkts)
     return assemble_system(decomp.sub_grid, elem_table, elem_class)
 
 
@@ -694,7 +649,7 @@ def _precorrect(level: LevelBddc, r: np.ndarray) -> np.ndarray:
     """Every subdomain's interior solve for the flux residual ``r``, into ``level.result_rows``.
 
     One gather, and one stacked solve and one face-residual product per
-    batch (above ``DENSE_LIMIT``, one SuperLU solve per group); returns
+    batch (above ``DENSE_LIMIT``, one SuperLU solve per entry); returns
     the face residual (``interior_correction``).
     """
     r.take(level.idx_int, out=level.rows, mode="clip")
@@ -702,8 +657,8 @@ def _precorrect(level: LevelBddc, r: np.ndarray) -> np.ndarray:
         if batch.corner is not None:
             np.matmul(batch.rows, batch.corner, out=batch.result_rows)
         else:
-            for grp in batch.groups:
-                grp.kkt.factorization.solve_leading(grp.rows, grp.n_int + grp.n_cells, out=grp.result_rows)
+            for kkt, rows, out in zip(batch.kkts, batch.rows, batch.result_rows):
+                kkt.factorization.solve_leading(rows, out.shape[1], out=out)
         np.matmul(batch.rows, batch.ext_flux_t, out=batch.dof_out)
     return level.dof_sum(level.dof_out)
 
@@ -716,9 +671,9 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     out, not both) as right-hand side, of the level's lengths (``BddcError``
     otherwise); the divergence of the correction is balanced against all
     local mean-zero pressures.  Given divergence data
-    alone, only the subdomains whose data is nonzero are solved, group by
-    group, and groups without one are skipped: the others' solution is
-    zero.
+    alone, only the subdomains whose data is nonzero are solved, batch
+    entry by batch entry, and entries without one are skipped: the others'
+    solution is zero.
 
     Returns ``(u, p, r_face)``, with ``r_face`` the face rows of
     ``-(A u + B^T p)`` in the level's face-vector order.  On a subdomain
@@ -748,16 +703,21 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     live_subs = np.ones(level.decomp.n_sub, dtype=bool)
     if r is None:
         live_subs = np.any(rhs_div.take(level.idx_cells), axis=1)
-    for grp in level.groups:
-        live = live_subs[grp.span]
-        if not live.any():
-            continue
-        idx_int, idx_cells = grp.idx_int[live], grp.idx_cells[live]
-        rows = np.zeros(idx_int.shape) if r is None else r[idx_int]
-        rows = np.hstack([rows, rhs_div[idx_cells]])
-        out = grp.kkt.factorization.solve_leading(rows, grp.n_int + grp.n_cells)
-        u[idx_int], p[idx_cells] = out[:, : grp.n_int], out[:, grp.n_int :]
-        grp.dof_out[live] = rows @ grp.ext.T
+    n_int, n_cells = level.idx_int.shape[1], level.idx_cells.shape[1]
+    for batch in level.batches:
+        g, n, span = len(batch.kkts), batch.n_members, batch.span
+        index_rows = level.idx_int[span].reshape(g, n, n_int), level.idx_cells[span].reshape(g, n, n_cells)
+        for kkt, ext, dof_out, live, idx_int, idx_cells in zip(
+            batch.kkts, batch.ext, batch.dof_out, live_subs[span].reshape(g, n), *index_rows
+        ):
+            if not live.any():
+                continue
+            idx_int, idx_cells = idx_int[live], idx_cells[live]
+            rows = np.zeros(idx_int.shape) if r is None else r[idx_int]
+            rows = np.hstack([rows, rhs_div[idx_cells]])
+            out = kkt.factorization.solve_leading(rows, rows.shape[1])
+            u[idx_int], p[idx_cells] = out[:, :n_int], out[:, n_int:]
+            dof_out[live] = rows @ ext.T
     return u, p, level.dof_sum(level.dof_out)
 
 
@@ -877,7 +837,7 @@ class MultilevelPreconditioner:
         gathered from its result block.
         """
         level = self.levels[idx]
-        # Per group, from the weighted face residuals: dual face values with
+        # Per batch, from the weighted face residuals: dual face values with
         # vanishing face averages, then the restriction coefficients.
         level._gather_faces(r_face)
         level.dof_in *= level.copy_w

@@ -1,8 +1,9 @@
 """Shared fixtures: experiment results are cached per session and reused
 across acceptance criteria and the driver tests, and the session's peak
-RSS is printed in the terminal summary.  ``copy_rows`` gives the tests a
-group's rows of its level's copy layout, and ``edge_sides_weights`` the
-face weights by the grid's edge sides."""
+RSS is printed in the terminal summary.  ``level_groups`` gives the tests
+a level's batch entries one at a time, ``copy_rows`` an entry's rows of
+its level's copy layout, and ``edge_sides_weights`` the face weights by
+the grid's edge sides."""
 
 from __future__ import annotations
 
@@ -76,20 +77,46 @@ class SolveCache:
         return self._results[spec]
 
 
+# The per-entry stacks of a batch (bddc._Batch), one row per entry.
+BATCH_STACKS = ("face_slots", "ext", "schur", "dual", "psi", "coarse_elem")
+
+
+def level_groups(level) -> list[SimpleNamespace]:
+    """One namespace per batch entry of ``level``, in the level's order.
+
+    An entry's members ``subs`` are its rows ``span`` of ``level.order``;
+    ``kkt`` is its interior KKT and ``face_slots``, ``ext``, ``schur``,
+    ``dual``, ``psi`` and ``coarse_elem`` its entries of the batch's
+    stacks; ``idx_int`` and ``idx_cells`` are the members' rows of the
+    level's index rows.  Everything is read from public batch and level
+    fields, so the tests can check one group at a time against a
+    reference.
+    """
+    n_int, n_cells = level.idx_int.shape[1], level.idx_cells.shape[1]
+    entries = []
+    for batch in level.batches:
+        n_face_dofs, n_faces = batch.psi.shape[1:]
+        for j, kkt in enumerate(batch.kkts):
+            start = batch.span.start + j * batch.n_members
+            span = slice(start, start + batch.n_members)
+            ops = {name: getattr(batch, name)[j] for name in BATCH_STACKS}
+            rows = dict(subs=level.order[span], idx_int=level.idx_int[span], idx_cells=level.idx_cells[span])
+            sizes = dict(n_faces=n_faces, n_face_dofs=n_face_dofs, n_int=n_int, n_cells=n_cells)
+            entries.append(SimpleNamespace(span=span, kkt=kkt, **ops, **rows, **sizes))
+    return entries
+
+
 def copy_rows(level, grp) -> SimpleNamespace:
-    """``grp``'s rows of ``level``'s copy layout, one row per member.
+    """The rows of batch entry ``grp`` (``level_groups``) of ``level``'s copy layout, one per member.
 
     ``face_ids`` holds the faces of its face copies, and ``face_pos``,
     ``w`` and ``idx_face`` its face-dof copies' positions in the face
     vector, weights and level dofs: the rows of ``copy_faces``,
-    ``copy_pos`` and ``copy_w`` that follow the groups before it.
+    ``copy_pos`` and ``copy_w`` that follow the present faces of the
+    subdomains before its span of ``level.order``.
     """
     ratio = level.decomp.face_dofs.shape[1]
-    start = 0
-    for other in level.groups:
-        if other is grp:
-            break
-        start += len(other.subs) * other.n_faces
+    start = np.count_nonzero(level.decomp.faces_by_sub[level.order[: grp.span.start]] >= 0)
     n, stop = len(grp.subs), start + len(grp.subs) * grp.n_faces
     span = slice(start * ratio, stop * ratio)
     face_pos = level.copy_pos[span].reshape(n, -1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nested_bddc as nb
-from conftest import copy_rows
+from conftest import copy_rows, level_groups
 from nested_bddc.bddc import _face_average
 from nested_bddc.mesh_fem import divergence_defect
 from nested_bddc.nested_driver import ExperimentSpec, step1_coarse_rhs
@@ -161,12 +161,12 @@ def test_criterion_7_averaging_identities(runs, rng):
             # per subdomain, in subdomain order
             ratio = decomp.face_dofs.shape[1]
             n_face = np.empty(decomp.n_sub, dtype=int)
-            for grp in level.groups:
+            for grp in level_groups(level):
                 n_face[grp.subs] = grp.n_face_dofs
             offsets = np.cumsum(n_face) - n_face
             draws = rng.standard_normal(n_face.sum())
             copies = []
-            for grp in level.groups:
+            for grp in level_groups(level):
                 rows = draws[offsets[grp.subs, None] + np.arange(grp.n_face_dofs)]
                 faces = rows.reshape(len(grp.subs), grp.n_faces, ratio)
                 faces -= faces.mean(axis=2, keepdims=True)
@@ -184,10 +184,10 @@ def test_criterion_7_averaging_identities(runs, rng):
             if decomp.n_faces:
                 alpha = rng.standard_normal(decomp.n_faces)
                 alpha /= np.linalg.norm(alpha)
-                layout = [copy_rows(level, grp) for grp in level.groups]
-                copies = [alpha[c.face_ids] @ grp.psi.T for grp, c in zip(level.groups, layout)]
+                layout = [copy_rows(level, grp) for grp in level_groups(level)]
+                copies = [alpha[c.face_ids] @ grp.psi.T for grp, c in zip(level_groups(level), layout)]
                 averaged = _face_average(level, np.concatenate(copies, axis=None))
-                for grp, c, rows in zip(level.groups, layout, copies):
+                for grp, c, rows in zip(level_groups(level), layout, copies):
                     for sub, idx, row in zip(grp.subs, c.idx_face, rows):
                         own = np.zeros(level.system.n_flux)
                         own[idx] = row
@@ -216,7 +216,7 @@ def test_criterion_8_property_suite(runs, rng):
             _face_average(level, copies), v[faces], rtol=0, atol=1e-13 * np.abs(v).max()
         )
         # every basis column realizes exactly one unit coarse dof
-        for grp in level.groups:
+        for grp in level_groups(level):
             avgs = grp.psi.reshape(grp.n_faces, -1, grp.n_faces).mean(axis=1)
             assert np.allclose(avgs, np.eye(grp.n_faces), atol=1e-11)
 

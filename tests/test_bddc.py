@@ -2,6 +2,7 @@
 
 import dataclasses
 import threading
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from nested_bddc.mesh_fem import (
     divergence_defect,
     element_triplets,
 )
-from conftest import copy_rows, edge_sides_weights
+from conftest import BATCH_STACKS, copy_rows, edge_sides_weights, level_groups
 from nested_bddc import bddc, nested_driver, saddle_core
 from nested_bddc.krylov import pcg
 from nested_bddc.nested_driver import (
@@ -67,8 +68,9 @@ def two_level_9x9():
 
 def delta_correction(level, r_b):
     """Dual face corrections of the weighted residual, member rows per group."""
-    rows = [copy_rows(level, grp) for grp in level.groups]
-    return [(c.w * r_b[c.idx_face]) @ grp.dual for grp, c in zip(level.groups, rows)]
+    groups = level_groups(level)
+    rows = [copy_rows(level, grp) for grp in groups]
+    return [(c.w * r_b[c.idx_face]) @ grp.dual for grp, c in zip(groups, rows)]
 
 
 def face_means(grp, rows):
@@ -78,7 +80,7 @@ def face_means(grp, rows):
 
 def delta_member(level, sub):
     """Group holding subdomain ``sub`` and the member row of it there."""
-    for grp in level.groups:
+    for grp in level_groups(level):
         rows = np.flatnonzero(grp.subs == sub)
         if len(rows):
             return grp, rows[0]
@@ -183,7 +185,7 @@ def balanced_residual(level, rng):
 def test_coarse_basis_realizes_unit_coarse_dofs(two_level_9x9):
     _, _, precond = two_level_9x9
     level = precond.levels[0]
-    for grp in level.groups:
+    for grp in level_groups(level):
         assert np.allclose(face_means(grp, grp.psi.T), np.eye(grp.n_faces), atol=1e-12)
 
 
@@ -250,7 +252,7 @@ def test_coarse_system_is_galerkin_product(two_level_9x9):
     n_sub = level.decomp.n_sub
     a_c = np.zeros((n_faces, n_faces))
     b_c = np.zeros((n_sub, n_faces))
-    for grp in level.groups:
+    for grp in level_groups(level):
         psi = basis_all_dofs(grp)
         a_loc, b_loc, con, gauge = member_problem(level, grp, 0)
         # basis pressures: a fresh solve of the explicit constrained KKT on
@@ -358,9 +360,20 @@ def test_apply_rejects_residual_of_wrong_shape(shape, start_level, runs):
 STEP3_DATA = ("u0_face", "f", "u_src", "p_star", "p_ext0", "r_face")
 
 
-@pytest.mark.parametrize("shape", ["short", "long", "2-d", "one"])
+@pytest.mark.parametrize("shape", ["short", "long", "2-d", "one", "zero-short"])
 @pytest.mark.parametrize(
-    "data", ["r", "rhs_div", "u0_face", "step1_f", *(f"step3_{name}" for name in STEP3_DATA)]
+    "data",
+    [
+        "r",
+        "rhs_div",
+        "u0_face",
+        "step1_f",
+        *(f"step3_{name}" for name in STEP3_DATA),
+        "net_flux",
+        "face_divergence_defect",
+        "defect_product",
+        "defect_m",
+    ],
 )
 def test_level_entry_points_reject_data_of_wrong_shape(data, shape, runs):
     # Each group gathers only the rows it indexes, so data longer than the
@@ -368,15 +381,24 @@ def test_level_entry_points_reject_data_of_wrong_shape(data, shape, runs):
     # broadcast.  Step 1 restricts f by its subdomains' cells, which would
     # drop the entries past the level's cells.  Steps 1 and 3 name the
     # argument in the error; step 3 takes step 2's inputs and outputs,
-    # checked one by one.
+    # checked one by one.  The level's condensed products take face
+    # values: a zero vector of any length has no defect to skip, and a
+    # wrong length must not reach the sub-grid, whose error names its own.
+    # The defect checks the step-3 product and subdomain values it is given.
     precond = runs.solver(FACE_RESIDUAL_SPECS["ratio3-L3-dense"]).precond
     level = precond.levels[1]
     n_face, n_flux, n_cells = level.decomp.face_dofs.size, level.system.n_flux, level.system.n_pressure
-    n = {"r": n_flux, "rhs_div": n_cells, "u0_face": n_face, "step1_f": n_cells}.get(data)
+    n = {"r": n_flux, "rhs_div": n_cells, "step1_f": n_cells, "defect_m": level.decomp.n_sub}.get(data, n_face)
     if data.startswith("step3_"):
         args = dict(zip(STEP3_DATA, (n_face, n_cells, n_flux, n_cells, n_cells, n_face)))
         n = args[data.removeprefix("step3_")]
-    bad = {"short": np.ones(n - 1), "long": np.ones(n + 1), "2-d": np.ones((n, 1)), "one": np.ones(1)}[shape]
+    bad = {
+        "short": np.ones(n - 1),
+        "long": np.ones(n + 1),
+        "2-d": np.ones((n, 1)),
+        "one": np.ones(1),
+        "zero-short": np.zeros(n - 1),
+    }[shape]
     named = data.split("_", 1)[1] + " " if data.startswith(("step1_", "step3_")) else ""
     with pytest.raises(BddcError, match=rf"^{named}.*expected \({n},\)"):
         if data == "r":
@@ -387,6 +409,12 @@ def test_level_entry_points_reject_data_of_wrong_shape(data, shape, runs):
             step2_subdomain_solve(level, bad, np.zeros(n_cells))
         elif data == "step1_f":
             nested_driver.step1_coarse_rhs(level.decomp, bad)
+        elif data in ("net_flux", "face_divergence_defect"):
+            getattr(level, data)(bad)
+        elif data.startswith("defect_"):
+            args = {"product": np.ones(n_face), "m": np.ones(level.decomp.n_sub)}
+            args[data.removeprefix("defect_")] = bad
+            level.face_divergence_defect(np.ones(n_face), **args)
         else:
             rng = np.random.default_rng(5)
             u0_face, f = rng.standard_normal(n_face), np.zeros(n_cells)
@@ -442,7 +470,7 @@ def test_delta_correction_face_averages_vanish(two_level_9x9, rng):
     level = precond.levels[0]
     r_b = balanced_residual(level, rng)
     w = delta_correction(level, r_b)
-    for grp, rows in zip(level.groups, w):
+    for grp, rows in zip(level_groups(level), w):
         assert np.abs(face_means(grp, rows)).max() < 1e-12
 
 
@@ -465,7 +493,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
 
     # random dual-space member: zero face averages on every side copy
     copies = []
-    for grp in level.groups:
+    for grp in level_groups(level):
         v = rng.standard_normal((len(grp.subs), grp.n_faces, grp.n_face_dofs // grp.n_faces))
         v -= v.mean(axis=2, keepdims=True)
         copies.append(v.reshape(len(grp.subs), -1))
@@ -476,7 +504,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
 
     # random primal member: averaging preserves subdomain divergence totals
     alpha = rng.standard_normal(level.decomp.n_faces)
-    copies = [alpha[copy_rows(level, grp).face_ids] @ grp.psi.T for grp in level.groups]
+    copies = [alpha[copy_rows(level, grp).face_ids] @ grp.psi.T for grp in level_groups(level)]
     averaged = _face_average(level, np.concatenate(copies, axis=None))
     coarse_b = assemble_coarse_problem(precond.levels[-1]).B.toarray()
     for sub, cells in enumerate(cells_by_sub):
@@ -640,14 +668,14 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
     for level in precond.levels:
         # one explicit factorization per distinct interior KKT, for all the
         # groups that share it
-        kkts = {id(grp.kkt): grp.kkt for grp in level.groups}
+        kkts = {id(grp.kkt): grp.kkt for grp in level_groups(level)}
         assert all(kkt.dense == dense for kkt in kkts.values())
         refs = {key: Factorization(kkt.matrix()) for key, kkt in kkts.items()}
         r = rng.standard_normal(level.system.n_flux)
         div = rng.standard_normal(level.system.n_pressure)
         for rhs_div in (None, div):
             u, p, _ = interior_correction(level, r, rhs_div)
-            for grp in level.groups:
+            for grp in level_groups(level):
                 m = grp.n_int + grp.n_cells
                 rhs = np.zeros((grp.kkt.size, len(grp.subs)))
                 rhs[: grp.n_int] = r[grp.idx_int].T
@@ -658,7 +686,7 @@ def test_group_solves_match_explicit_factorization(spec, dense, rng):
                 assert rel_err(got, ref) <= 1e-12
         # each group's face operators against the inverse of its first
         # member's explicit constrained KKT (interior dofs, then face dofs)
-        for grp in level.groups:
+        for grp in level_groups(level):
             n_int, n_f = grp.n_int, grp.n_face_dofs
             int_pos, face_pos = np.arange(n_int), n_int + np.arange(n_f)
             check_face_operators(grp, *member_problem(level, grp, 0), int_pos, face_pos, 1e-12)
@@ -687,11 +715,11 @@ def test_one_condensation_call_per_cell_pattern(case, runs, monkeypatch):
     for system, decomp in levels:
         calls.clear()
         level = build_level_bddc(system, decomp, 1.0)
-        n_kkts = len({id(grp.kkt) for grp in level.groups})
+        n_kkts = len({id(grp.kkt) for grp in level_groups(level)})
         assert len(calls) == n_kkts
         if case == "ratio16-constant":
             # one call, with the 4 x 16 face dofs as right-hand sides
-            assert (len(level.groups), n_kkts, calls[0][0]) == (9, 1, 64)
+            assert (len(level_groups(level)), n_kkts, calls[0][0]) == (9, 1, 64)
 
 
 @pytest.mark.parametrize(
@@ -715,8 +743,8 @@ def test_cells_match_coo_reference(nx, ratio, dense):
     slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
     n_loc, h = n_int + 4 * ratio, system.grid.h
     level = build_level_bddc(system, decomp, 1.0)
-    assert sorted(sub for grp in level.groups for sub in grp.subs) == list(range(decomp.n_sub))
-    for got in level.groups:
+    assert sorted(sub for grp in level_groups(level) for sub in grp.subs) == list(range(decomp.n_sub))
+    for got in level_groups(level):
         (sub,) = got.subs
         cells = decomp.cells_by_sub[sub]
         blocks, gauge = system.elem_table[system.elem_class[cells]], system.areas[cells]
@@ -755,13 +783,13 @@ def test_face_operators_match_per_group_formula(spec, runs):
     # of its own bordered face system inverted on its own.
     precond = runs.solver(spec).precond
     sets = [
-        np.unique([grp.face_slots.tobytes() for grp in level.groups], return_counts=True)[1]
+        np.unique([grp.face_slots.tobytes() for grp in level_groups(level)], return_counts=True)[1]
         for level in precond.levels
     ]
     assert max(counts.max() for counts in sets) >= 2
     for level in precond.levels:
         ratio = level.decomp.face_dofs.shape[1]
-        for grp in level.groups:
+        for grp in level_groups(level):
             n_f, n_faces = grp.n_face_dofs, grp.n_faces
             size = n_f + n_faces
             face_kkt = np.zeros((size, size))
@@ -773,14 +801,17 @@ def test_face_operators_match_per_group_formula(spec, runs):
             assert np.array_equal(grp.dual, inv[:n_f, :n_f])
             assert np.array_equal(grp.psi, psi)
             assert np.array_equal(grp.coarse_elem, psi.T @ grp.schur @ psi)
-        # each operator is stored once: a group's is its entry of its
-        # batch's stack, which is contiguous
-        for batch in level.batches:
-            for j, grp in enumerate(batch.groups):
-                for name in ("ext", "schur", "dual", "psi"):
-                    stack, op = getattr(batch, name), getattr(grp, name)
-                    assert stack.flags.c_contiguous and op.shape == stack.shape[1:]
-                    assert op.base is not None and byte_offset(op, stack) == j * op.nbytes
+        # each operator is stored once: the batches with one count of
+        # present faces hold contiguous slices of one stack, one batch
+        # after another, and an entry's operator is its row of them
+        for _, same_count in groupby(level.batches, key=lambda batch: batch.face_slots.shape[1]):
+            same_count = list(same_count)
+            for name in ("ext", "schur", "dual", "psi", "coarse_elem"):
+                stacks, offset = [getattr(batch, name) for batch in same_count], 0
+                for stack in stacks:
+                    assert stack.flags.c_contiguous and stack.base is not None
+                    assert byte_offset(stack, stacks[0]) == offset
+                    offset += stack.nbytes
 
 
 # Step 3 runs on every start level of each spec; ratio 16 takes the sparse path.
@@ -903,7 +934,7 @@ def test_pair_sums_equal_bincount(case, runs, rng):
             spec = ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=30.0, k3=0.05)
         precond = runs.solver(spec).precond
     for idx, level in enumerate(precond.levels):
-        groups, n_face, n_faces = level.groups, level.decomp.face_dofs.size, level.decomp.n_faces
+        groups, n_face, n_faces = level_groups(level), level.decomp.face_dofs.size, level.decomp.n_faces
         assert np.array_equal(np.sort(level.dof_pairs.ravel()), np.arange(2 * n_face))
         assert np.array_equal(np.sort(level.face_pairs.ravel()), np.arange(2 * n_faces))
         layout = [copy_rows(level, grp) for grp in groups]
@@ -944,7 +975,6 @@ WORKSPACE_SPECS = {
     "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
 }
 WORKSPACE = ("dof_in", "dof_out", "face_in", "rows", "sol", "result_rows")
-GROUP_WORKSPACE = ("dof_out", "rows", "result_rows")
 
 
 def byte_offset(view, buf) -> int:
@@ -953,8 +983,7 @@ def byte_offset(view, buf) -> int:
 
 @pytest.mark.parametrize("case", [*WORKSPACE_SPECS, "one-subdomain"])
 def test_group_views_tile_the_level_workspace(case, runs):
-    # Each group's (or, for the buffers that only batch products use, each
-    # batch's) views of a workspace buffer follow one another in group
+    # Each batch's views of a workspace buffer follow one another in batch
     # order with no gap or overlap and cover the buffer: a product written
     # into an output view lands in its rows of the level's copy layout and
     # nowhere else.  The gathers run with mode="clip", which
@@ -967,7 +996,7 @@ def test_group_views_tile_the_level_workspace(case, runs):
         precond = runs.solver(WORKSPACE_SPECS[case]).precond
     assert not hasattr(precond.levels[0], "result_at_copies")
     for idx, level in enumerate(precond.levels):
-        groups, system, decomp = level.groups, level.system, level.decomp
+        system, decomp = level.system, level.decomp
         # The recursion's levels get their result block at build; the first
         # level gets one from its first pre-correction of a residual.
         if level.result is None:
@@ -977,10 +1006,9 @@ def test_group_views_tile_the_level_workspace(case, runs):
         assert level.face_in.size == level.copy_faces.size
         assert level.rows.shape == level.idx_int.shape and level.sol.shape[0] == decomp.n_sub
         for name in WORKSPACE:
-            owners = groups if name in GROUP_WORKSPACE else level.batches
             buf, offset = getattr(level, name), 0
-            for owner in owners:
-                view = getattr(owner, name)
+            for batch in level.batches:
+                view = getattr(batch, name)
                 assert view.flags.c_contiguous and view.base is not None
                 assert view.size == 0 or byte_offset(view, buf) == offset
                 offset += view.nbytes
@@ -1094,7 +1122,7 @@ def test_step3_operator_forms_net_flux_in_the_schur_pass(runs, rng, monkeypatch)
     solver.solve()
     assert len(operators) == len(solver.precond.levels)
     for level, (operator, n) in zip(reversed(solver.precond.levels), operators):
-        assert {grp.n_faces for grp in level.groups} == {2, 3, 4}
+        assert {grp.n_faces for grp in level_groups(level)} == {2, 3, 4}
         n_face, n_sub = level.face_dofs.size, level.decomp.n_sub
         assert n == n_face + n_sub + 2
         x = rng.standard_normal(n)
@@ -1233,7 +1261,7 @@ def test_interior_groups_share_divergence_block(case, runs):
         k = np.kron([[1.0, 10.0], [100.0, 1000.0]], np.ones((16, 16))).ravel()
         precond = make_setup(32, 2, 16, k=k)[2]
     kkts_by_level = [
-        list({id(grp.kkt): grp.kkt for grp in level.groups}.values()) for level in precond.levels
+        list({id(grp.kkt): grp.kkt for grp in level_groups(level)}.values()) for level in precond.levels
     ]
     assert max(len(kkts) for kkts in kkts_by_level) > 1
     for level, kkts in zip(precond.levels, kkts_by_level):
@@ -1345,9 +1373,9 @@ def test_coarse_tables_match_a_per_group_fill(case, runs, monkeypatch):
         precond = runs.solver(DENSE_SETUPS[case][0]).precond
     monkeypatch.setattr(bddc, "assemble_system", lambda grid, table, cls: (table, cls))
     for level in precond.levels:
-        table = np.zeros((len(level.groups), 4, 4))
+        table = np.zeros((len(level_groups(level)), 4, 4))
         classes = np.empty(level.decomp.n_sub, dtype=np.intp)
-        for k, grp in enumerate(level.groups):
+        for k, grp in enumerate(level_groups(level)):
             table[k][np.ix_(grp.face_slots, grp.face_slots)] = grp.coarse_elem
             classes[grp.subs] = k
         got_table, got_classes = assemble_coarse_problem(level)
@@ -1362,7 +1390,7 @@ def test_face_operators_above_dense_limit_match_dense(two_level_9x9, monkeypatch
     system, decomps, precond = two_level_9x9
     monkeypatch.setattr(saddle_core, "DENSE_LIMIT", 5)  # below every face system
     level = build_level_bddc(system, decomps[0], 1.0)
-    assert not any(grp.kkt.factorization.dense for grp in level.groups)
+    assert not any(grp.kkt.factorization.dense for grp in level_groups(level))
     for batch, ref in zip(level.batches, precond.levels[0].batches, strict=True):
         for name in ("ext", "schur", "dual", "psi", "coarse_elem"):
             got, want = getattr(batch, name), getattr(ref, name)
@@ -1509,7 +1537,7 @@ def test_copy_layout_matches_lexsort_and_scatter_reference(spec, runs):
         present = decomp.faces_by_sub >= 0
         keys = np.hstack([present, system.elem_class[decomp.cells_by_sub]])
         members = by_shape(lexsort_groups(keys), present)
-        assert [grp.subs.tolist() for grp in level.groups] == [m.tolist() for m in members]
+        assert [grp.subs.tolist() for grp in level_groups(level)] == [m.tolist() for m in members]
         order = np.concatenate(members)
         live = present[order]
         copy_faces = decomp.faces_by_sub[order][live]
@@ -1553,21 +1581,21 @@ def test_groups_match_per_subdomain_reference(case, runs):
         # grouping by each member's own assembled blocks: same members, in
         # the level's order of shapes
         present = level.decomp.faces_by_sub >= 0
-        assert [list(g.subs) for g in level.groups] == by_shape(
+        assert [list(g.subs) for g in level_groups(level)] == by_shape(
             _group_by(ref["delta_key"] for ref in refs), present
         )
         # subdomains share an interior KKT object exactly when their own
         # interior blocks are equal: one factorization per interior key,
         # listed by first member
         by_kkt: dict = {}
-        for grp in level.groups:
+        for grp in level_groups(level):
             by_kkt.setdefault(id(grp.kkt), []).extend(grp.subs)
         assert sorted(sorted(subs) for subs in by_kkt.values()) == _group_by(
             ref["interior_key"] for ref in refs
         )
         # every member's own interior blocks equal its group's, bit for bit,
         # and every member's index rows and weights match its own
-        for grp in level.groups:
+        for grp in level_groups(level):
             blocks, copies = _bytes_key(grp.kkt.a_block, grp.kkt.b_block), copy_rows(level, grp)
             for row, s in enumerate(grp.subs):
                 ref = refs[s]
@@ -1591,40 +1619,53 @@ BATCH_SPECS = {
     "deep-r3": ExperimentSpec(levels=5, ratio=3),
     "jump-right-L5": ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=37.0, k3=0.05),
     "ratio16-sparse": ExperimentSpec(levels=2, ratio=16, base=2),
+    # SuperLU's path with three cell patterns among one batch's four
+    # entries, so each entry must be solved with its own KKT
+    "ratio16-jump": ExperimentSpec(levels=2, ratio=16, base=2, coeff="jump-right", k1=37.0, k3=0.05),
 }
 
 
-def batch_shape(batch):
-    return {(grp.n_faces, len(grp.subs)) for grp in batch.groups}
+def batch_shape(level, batch):
+    # the members' counts of present faces and the entries' member count
+    present = level.decomp.faces_by_sub[level.order[batch.span]] >= 0
+    return {(int(n), batch.n_members) for n in np.count_nonzero(present, axis=1)}
 
 
 @pytest.mark.parametrize(
     "case, counts",
     # constant k: interior, edge and corner groups; jump-right: two cell
     # patterns of different member counts among the interior and the edge
-    # groups above the coarsest level; ratio16-sparse: four one-member
-    # corner groups
-    [("deep-r3", [3, 3, 3, 3]), ("jump-right-L5", [5, 5, 5, 3]), ("ratio16-sparse", [1])],
+    # groups above the coarsest level; ratio16-sparse and ratio16-jump:
+    # four one-member corner groups
+    [("deep-r3", [3, 3, 3, 3]), ("jump-right-L5", [5, 5, 5, 3]), ("ratio16-sparse", [1]), ("ratio16-jump", [1])],
 )
 def test_batches_tile_groups_by_shape(case, counts, runs):
-    # The batches hold the level's groups in order, each group once; the
-    # groups of a batch share their count of present faces and their
-    # member count, and two adjacent batches differ in one of them.
+    # The batches hold the level's subdomain rows in order, each row once,
+    # in entries of their member count; the members of a batch share their
+    # count of present faces, the members of an entry their present
+    # slots, and two adjacent batches differ in the count or the member
+    # count.
     precond = runs.solver(BATCH_SPECS[case]).precond
     assert [len(level.batches) for level in precond.levels] == counts
     for level in precond.levels:
-        tiled = [grp for batch in level.batches for grp in batch.groups]
-        assert len(tiled) == len(level.groups) and all(a is b for a, b in zip(tiled, level.groups))
-        present = level.decomp.faces_by_sub >= 0
-        subs = [grp.subs.tolist() for grp in level.groups]
-        assert subs == by_shape(subs, present)
+        stop = 0
         for batch in level.batches:
-            assert len(batch_shape(batch)) == 1
-            assert batch.ext.shape[0] == batch.psi.shape[0] == len(batch.groups)
+            assert batch.span.start == stop and batch.span.step is None
+            stop = batch.span.stop
+            assert stop - batch.span.start == len(batch.kkts) * batch.n_members
+        assert stop == level.decomp.n_sub
+        present = level.decomp.faces_by_sub >= 0
+        subs = [grp.subs.tolist() for grp in level_groups(level)]
+        assert subs == by_shape(subs, present)
+        for grp in level_groups(level):
+            assert np.array_equal(np.nonzero(present[grp.subs])[1], np.tile(grp.face_slots, len(grp.subs)))
+        for batch in level.batches:
+            assert len(batch_shape(level, batch)) == 1
+            assert {len(getattr(batch, name)) for name in BATCH_STACKS} == {len(batch.kkts)}
             # stacked interior solves in the dense size class, SuperLU above
-            assert (batch.corner is None) == (case == "ratio16-sparse")
+            assert (batch.corner is None) == case.startswith("ratio16")
         for one, other in zip(level.batches, level.batches[1:]):
-            assert batch_shape(one) != batch_shape(other)
+            assert batch_shape(level, one) != batch_shape(level, other)
 
 
 @pytest.mark.parametrize("case", list(BATCH_SPECS))
@@ -1675,7 +1716,7 @@ def group_interior_solves(level, r, rhs_div):
     """
     system, n_face = level.system, level.decomp.face_dofs.size
     u, p, face_pos, copies = np.zeros(system.n_flux), np.zeros(system.n_pressure), [], []
-    for grp in level.groups:
+    for grp in level_groups(level):
         live = np.ones(len(grp.subs), dtype=bool)
         if r is None:
             live = np.any(rhs_div[grp.idx_cells], axis=1)
@@ -1694,7 +1735,7 @@ def group_extension(level, u_face):
     """``level.extend(u_face)`` by a loop over the level's groups."""
     u, p = np.zeros(level.system.n_flux), np.empty(level.system.n_pressure)
     u[level.face_dofs] = u_face
-    for grp in level.groups:
+    for grp in level_groups(level):
         rows = np.matmul(u_face[copy_rows(level, grp).face_pos], grp.ext)
         u[grp.idx_int], p[grp.idx_cells] = rows[:, : grp.n_int], rows[:, grp.n_int :]
     return u, p
@@ -1708,9 +1749,10 @@ def group_apply(precond, idx, r_face):
     """
     level = precond.levels[idx]
     n_face, n_faces = level.decomp.face_dofs.size, level.decomp.n_faces
-    layout = [copy_rows(level, grp) for grp in level.groups]
+    groups = level_groups(level)
+    layout = [copy_rows(level, grp) for grp in groups]
     weighted = [c.w * r_face[c.face_pos] for c in layout]
-    restricted = [np.matmul(rows, grp.psi) for grp, rows in zip(level.groups, weighted)]
+    restricted = [np.matmul(rows, grp.psi) for grp, rows in zip(groups, weighted)]
     r_next = bincount_sum(n_faces, [c.face_ids for c in layout], restricted)
     if idx == len(precond.levels) - 1:
         u_next, p_next, _ = precond.top_kkt.solve(rhs_flux=r_next)
@@ -1718,7 +1760,7 @@ def group_apply(precond, idx, r_face):
         u_next, p_next = precond.apply(r_next, idx + 2)
     values = [
         c.w * (np.matmul(rows, grp.dual) + np.matmul(u_next[c.face_ids], grp.psi.T))
-        for grp, c, rows in zip(level.groups, layout, weighted)
+        for grp, c, rows in zip(groups, layout, weighted)
     ]
     return bincount_sum(n_face, [c.face_pos for c in layout], values), p_next
 
@@ -1731,21 +1773,22 @@ def test_batched_passes_equal_per_group_loop(case, runs, rng):
     for idx, level in enumerate(precond.levels):
         system, decomp = level.system, level.decomp
         n_face, n_flux = decomp.face_dofs.size, system.n_flux
-        layout = [copy_rows(level, grp) for grp in level.groups]
+        groups = level_groups(level)
+        layout = [copy_rows(level, grp) for grp in groups]
         u_face = rng.standard_normal(n_face)
         got, want = {}, {}
         got["extend"], want["extend"] = level.extend(u_face), group_extension(level, u_face)
         got["extend_pressure"] = (level.extend_pressure(u_face),)
         p = np.empty(system.n_pressure)
-        for grp, c in zip(level.groups, layout):
+        for grp, c in zip(groups, layout):
             p[grp.idx_cells] = np.matmul(u_face[c.face_pos], grp.ext[:, grp.n_int :])
         want["extend_pressure"] = (p,)
         got["schur_product"] = (level.schur_product(u_face),)
-        schur = [np.matmul(u_face[c.face_pos], grp.schur) for grp, c in zip(level.groups, layout)]
+        schur = [np.matmul(u_face[c.face_pos], grp.schur) for grp, c in zip(groups, layout)]
         want["schur_product"] = (bincount_sum(n_face, [c.face_pos for c in layout], schur),)
         u_coarse = rng.standard_normal(decomp.n_faces)
         got["prolong_average"] = (prolong_average(level, u_coarse),)
-        basis = [c.w * np.matmul(u_coarse[c.face_ids], grp.psi.T) for grp, c in zip(level.groups, layout)]
+        basis = [c.w * np.matmul(u_coarse[c.face_ids], grp.psi.T) for grp, c in zip(groups, layout)]
         want["prolong_average"] = (bincount_sum(n_face, [c.face_pos for c in layout], basis),)
         # divergence data on the cells of a few subdomains: the others are
         # not solved, and groups without such a member are skipped

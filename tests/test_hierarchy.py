@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import copy_rows, edge_sides_weights
+from conftest import copy_rows, edge_sides_weights, level_groups
 from nested_bddc.bddc import MultilevelPreconditioner, _face_average, build_level_bddc
 from nested_bddc.hierarchy import HierarchyError, WeightsError, build_hierarchy, compute_weights
 from nested_bddc.mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP, CoefficientField, assemble_rt0, build_mesh
@@ -29,7 +29,7 @@ def applied_face_weights(level):
     hi = lo.copy()
     lower_sub = level.decomp.sub_grid.edge_sides[:, 0]
     ratio = level.decomp.face_dofs.shape[1]
-    for grp in level.groups:
+    for grp in level_groups(level):
         # a group's face dofs run face by face, ratio columns each
         copies = copy_rows(level, grp)
         w = copies.w.reshape(len(grp.subs), grp.n_faces, ratio)
