@@ -100,9 +100,9 @@ decompositions from the fine grid, and each level's system is the coarse
 problem of the level below.  The coarse problem has the same quad-grid
 mixed structure (one flux dof per face, one pressure per subdomain,
 divergence entries +-H), which is what makes the recursion possible.
-Its element class table has one row per batch entry of the level
-below, the entry's basis energies, and each subdomain's entry as its
-class.
+Its element class table is filled with one row per batch entry of the
+level below, the entry's basis energies, and each subdomain's entry as
+its class, and the ``Rt0System`` constructor keeps it in canonical form.
 
 Subdomain work within one level is independent (levels are inherently
 sequential); all scatter reductions run in a fixed order, so results are
@@ -127,7 +127,6 @@ from .mesh_fem import (
     SLOT_LEFT,
     Rt0System,
     _unique_rows,
-    assemble_system,
     element_triplets,
     gauged_defect,
 )
@@ -565,7 +564,7 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     live = present[order]
     copy_faces = decomp.faces_by_sub[order][live]
     high = np.tile([slot in (SLOT_LEFT, SLOT_BOTTOM) for slot in range(4)], (len(order), 1))[live]
-    w_lo = compute_weights(decomp, system.elem_table, system.elem_class, gamma)[copy_faces]
+    w_lo = compute_weights(decomp, system, gamma)[copy_faces]
     face_pairs = np.empty(2 * n_faces, dtype=np.intp)
     face_pairs[high * n_faces + copy_faces] = np.arange(copy_faces.size)
     face_pairs = face_pairs.reshape(2, n_faces)
@@ -608,10 +607,11 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
     Flux block entries come from the basis energies, one element matrix
     per batch entry (its members share them): the entry's ``coarse_elem``
     in its present face slots, zero in the others, written one batch at a
-    time.
-    The divergence block is the exact +-(face length) pattern of the
-    coarse grid, which reproduces the subdomain-integrated divergence of
-    any basis combination.
+    time, and each subdomain's entry as its class; the ``Rt0System``
+    constructor puts the table in canonical form, which merges entries of
+    equal energies.  The divergence block is the exact +-(face length)
+    pattern of the coarse grid, which reproduces the subdomain-integrated
+    divergence of any basis combination.
     """
     decomp = level.decomp
     elem_table = np.zeros((sum(len(batch.kkts) for batch in level.batches), 4, 4))
@@ -622,7 +622,7 @@ def assemble_coarse_problem(level: LevelBddc) -> Rt0System:
         elem_table[classes[:, None, None], slots[:, :, None], slots[:, None, :]] = batch.coarse_elem
         elem_class[level.order[batch.span]] = np.repeat(classes, batch.n_members)
         first += len(batch.kkts)
-    return assemble_system(decomp.sub_grid, elem_table, elem_class)
+    return Rt0System(decomp.sub_grid, elem_table, elem_class)
 
 
 def _checked_vector(data, n: int, what: str) -> np.ndarray:

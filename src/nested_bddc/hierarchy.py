@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import NestedBddcError
-from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP, QuadMesh
+from .mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP, QuadMesh, Rt0System
 
 __all__ = [
     "HierarchyError",
@@ -160,9 +160,7 @@ def build_hierarchy(mesh: QuadMesh, levels: int, ratio: int) -> list[LevelDecomp
     return decomps
 
 
-def compute_weights(
-    decomp: LevelDecomposition, elem_table: np.ndarray, elem_class: np.ndarray, gamma: float
-) -> np.ndarray:
+def compute_weights(decomp: LevelDecomposition, system: Rt0System, gamma: float) -> np.ndarray:
     """Weight ``w_lo`` of the lower subdomain copy, one value per face.
 
     The higher copy weighs ``1 - w_lo``, so the two copies of every face
@@ -172,10 +170,10 @@ def compute_weights(
     sums side ``i``'s element mass diagonals at the face's dofs (the lower
     cells' right/top slots, the higher cells' left/bottom slots), added in
     order along the face; each side of a family's faces is one strided slice
-    of the grid's cell lines (no ``edge_sides``).  The level's element
-    matrices come as its class table (``Rt0System``): ``elem_table`` holds
-    each distinct matrix, ``elem_class`` the row of each cell of the level
-    grid, and the diagonals are read from the table through the classes.
+    of the grid's cell lines (no ``edge_sides``).  ``system`` is the
+    level's, on ``decomp.grid`` (``WeightsError`` otherwise), and the
+    diagonals are read from its class table (checked by the ``Rt0System``
+    constructor) through the cells' classes.
     They exist on every level and for every positive coefficient, and a
     weight constant along a face keeps the face average that the nested
     method passes between levels.  For a coefficient constant on each side of
@@ -183,24 +181,15 @@ def compute_weights(
     """
     if gamma not in (0, 1):
         raise WeightsError(f"gamma must be 0 or 1, got {gamma!r}")
-    elem_table = np.asarray(elem_table, dtype=float)
-    elem_class = np.asarray(elem_class)
     grid = decomp.grid
-    if (
-        elem_table.ndim != 3
-        or elem_table.shape[1:] != (4, 4)
-        or elem_class.dtype.kind not in "iu"
-        or elem_class.shape != (grid.n_cells,)
-        or elem_class.min() < 0
-        or elem_class.max() >= len(elem_table)
-    ):
-        raise WeightsError("element matrices do not match the level grid")
+    if system.grid != grid:
+        raise WeightsError(f"system is on grid {system.grid}, the level on {grid}")
 
     if gamma == 0:
         return np.full(decomp.n_faces, 0.5)
     ratio = decomp.face_dofs.shape[1]
-    diag = np.diagonal(elem_table, axis1=1, axis2=2)
-    cls = elem_class.reshape(grid.ny, grid.nx)
+    diag = np.diagonal(system.elem_table, axis1=1, axis2=2)
+    cls = system.elem_class.reshape(grid.ny, grid.nx)
     # Per family (vertical faces first) and side: the faces on sub-grid line L
     # have their lower cells on grid line L ratio - 1, their higher on L ratio.
     d = [

@@ -99,6 +99,8 @@ def pcg(
     accepted if it meets ``tol``.  At iteration 1 this accepts a
     right-hand side that one application already solves: a pure pressure
     gradient, which the preconditioner maps to the matching pressure.
+    A ``<r, Mr>`` that is not finite (a preconditioner output with NaN or
+    infinite entries) raises ``PcgBreakdownError``.
 
     Parameters
     ----------
@@ -149,11 +151,15 @@ def pcg(
 
     r = rhs.copy()
     z = np.asarray(preconditioner(r), dtype=float)
-    rz = float(r @ z)
+    # Infinities of both signs give a NaN <r, Mr>, which the loop rejects.
+    with np.errstate(invalid="ignore"):
+        rz = float(r @ z)
     rz0 = rz
     d = z.copy()
 
     for it in range(1, maxit + 1):
+        if not np.isfinite(rz):
+            raise PcgBreakdownError(f"<r, Mr> = {rz} is not finite: preconditioner output not finite")
         # The M-norm of the residual this iteration starts from.
         report.precond_residuals.append(float(np.sqrt(max(rz, 0.0) / rz0)) if rz0 > 0 else 0.0)
         if rz > 0.0:
@@ -203,7 +209,8 @@ def pcg(
             break
 
         z = np.asarray(preconditioner(r), dtype=float)
-        rz_next = float(r @ z)
+        with np.errstate(invalid="ignore"):
+            rz_next = float(r @ z)
         if rz_next <= 0.0:
             # handled at the top of the next pass (stagnation or breakdown)
             rz = rz_next

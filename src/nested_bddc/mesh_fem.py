@@ -10,7 +10,9 @@ constant, fixed later by a mean-zero gauge.
 
 The same machinery is reused for coarsened problems: a coarse system has one
 flux dof per interface between blocks of cells and one pressure dof per
-block, so it is again an ``Rt0System`` on a smaller ``QuadMesh``.
+block, so it is again an ``Rt0System`` on a smaller ``QuadMesh``.  Every
+system, fine or coarse, is made by the ``Rt0System`` constructor, which
+checks its element class table and keeps it in canonical form.
 
 ``QuadMesh.cell_dof_slots`` is the one table of slot geometry: ``A`` is
 the sum of the cells' element matrices over it on every level, as the
@@ -45,7 +47,6 @@ __all__ = [
     "Rt0System",
     "build_mesh",
     "element_triplets",
-    "assemble_system",
     "assemble_rt0",
     "assemble_rhs",
     "check_compatibility",
@@ -224,10 +225,14 @@ class CoefficientField:
 class Rt0System:
     """Mixed system on a grid: flux mass matrix A, divergence matrix B, rhs g.
 
-    The per-cell contributions (slot-ordered 4x4 blocks) are stored as a
-    class table: ``elem_table`` holds each bit-distinct element matrix
-    once, sorted by the bit patterns of its entries (``_unique_rows``),
-    and ``elem_class`` each cell's row of it.  On the uniform grid a level
+    Cell ``c`` contributes the element matrix (a slot-ordered 4x4 block)
+    ``elem_table[elem_class[c]]``; ``g``, one value per cell, is the
+    divergence data, zero if not given.  Construction checks them
+    (``MeshError``) and keeps the class table in canonical form: rows that
+    no cell uses are dropped and bit-identical rows merged, the rest
+    sorted by the bit patterns of their entries (``_unique_rows``), so
+    equal cells share one class and a table with duplicate or unused rows
+    builds the system of its canonical form.  On the uniform grid a level
     has a handful of distinct blocks (one for a constant coefficient), so
     cells of one class are known to be equal without comparing them.  The
     blocks re-assemble subdomain Neumann matrices locally; on a coarse
@@ -237,15 +242,34 @@ class Rt0System:
     ``A`` and ``B`` are CSR, built on first access and kept: ``A`` the
     sum of the cells' blocks over the grid's slot table (``_flux_mass``),
     ``B`` the grid's ``+-h`` per slot.  The solver itself reads only the
-    top level's.  A system made by ``dataclasses.replace`` builds its own
-    from its fields.
+    top level's.  A system made by ``dataclasses.replace`` is checked
+    again and builds its own from its fields.
     The cell ``areas``, the pressure gauge, come from the grid.
     """
 
     grid: QuadMesh
     elem_table: np.ndarray
     elem_class: np.ndarray
-    g: np.ndarray
+    g: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = self.grid.n_cells
+        table = np.asarray(self.elem_table, dtype=float)
+        cls = np.asarray(self.elem_class)
+        if cls.dtype.kind not in "iu":
+            raise MeshError(f"element classes must be integers, got {cls.dtype}")
+        if cls.shape != (n,):
+            raise MeshError(f"element classes have shape {cls.shape}, grid has {n} cells")
+        if table.ndim != 3 or table.shape[1:] != (4, 4) or not np.all(np.isfinite(table)):
+            raise MeshError(f"element table must be finite of shape (n, 4, 4), got shape {table.shape}")
+        if cls.min() < 0 or cls.max() >= len(table):
+            raise MeshError(f"element classes must lie in 0..{len(table) - 1}")
+        used = np.flatnonzero(np.bincount(cls.astype(np.intp, copy=False), minlength=len(table)))
+        first, label = _unique_rows(table[used].reshape(len(used), -1))
+        remap = np.empty(len(table), dtype=np.intp)
+        remap[used] = label
+        self.elem_table, self.elem_class = table[used[first]], remap[cls]
+        self.g = np.zeros(n) if self.g is None else _checked_grid_vector(self.g, n, "divergence data")
 
     # The sizes are read on every level pass: kept after the first read.
     @cached_property
@@ -326,50 +350,6 @@ def _unique_rows(a: np.ndarray):
     return order[new], label
 
 
-def _class_table(grid: QuadMesh, elem_table, elem_class):
-    """The canonical class table of ``grid``'s cells: (table, class of each cell).
-
-    Rows that no cell uses are dropped and bit-identical rows merged, the
-    rest kept in ``_unique_rows`` order, so equal cells share one class.
-    """
-    table = np.asarray(elem_table, dtype=float)
-    cls = np.asarray(elem_class)
-    if cls.dtype.kind not in "iu":
-        raise MeshError(f"element classes must be integers, got {cls.dtype}")
-    if cls.shape != (grid.n_cells,):
-        raise MeshError(f"element classes have shape {cls.shape}, grid has {grid.n_cells} cells")
-    if table.ndim != 3 or table.shape[1:] != (4, 4):
-        raise MeshError(f"element table must have shape (n, 4, 4), got {table.shape}")
-    if cls.min() < 0 or cls.max() >= len(table):
-        raise MeshError(f"element classes must lie in 0..{len(table) - 1}")
-    used = np.flatnonzero(np.bincount(cls.astype(np.intp, copy=False), minlength=len(table)))
-    first, label = _unique_rows(table[used].reshape(len(used), -1))
-    remap = np.empty(len(table), dtype=np.intp)
-    remap[used] = label
-    return table[used[first]], remap[cls]
-
-
-def assemble_system(
-    grid: QuadMesh,
-    elem_table: np.ndarray,
-    elem_class: np.ndarray,
-    g: np.ndarray | None = None,
-) -> Rt0System:
-    """The mixed system on ``grid`` of its cells' element matrices.
-
-    Cell ``c`` contributes ``elem_table[elem_class[c]]``.  The system keeps
-    the table in canonical form (``_class_table``), so a table with
-    duplicate or unused rows assembles as its canonical form does.  ``g``,
-    one value per cell, is the divergence data (zero if not given).  ``A``
-    and ``B`` are built on first access (``Rt0System``).
-    """
-    table, cls = _class_table(grid, elem_table, elem_class)
-    g = np.zeros(grid.n_cells) if g is None else np.asarray(g, dtype=float)
-    if g.shape != (grid.n_cells,):
-        raise MeshError(f"divergence data has shape {g.shape}, grid has {grid.n_cells} cells")
-    return Rt0System(grid, table, cls, g)
-
-
 def _divergence_matrix(grid: QuadMesh) -> sp.csr_matrix:
     """B as CSR: a cell row holds its present slots in slot order, which is ascending."""
     nx, ny = grid.nx, grid.ny
@@ -424,7 +404,7 @@ def assemble_rt0(
     scale, elem_class = np.unique(mesh.cell_area / k, return_inverse=True)
     elem_table = REFERENCE_MASS[None, :, :] * scale[:, None, None]
     g = assemble_rhs(mesh, source) if source is not None else None
-    return assemble_system(mesh, elem_table, elem_class, g)
+    return Rt0System(mesh, elem_table, elem_class, g)
 
 
 def assemble_rhs(mesh: QuadMesh, source) -> np.ndarray:
@@ -456,13 +436,15 @@ def divergence_defect(system: Rt0System, u: np.ndarray, g=0.0, energy=None) -> f
     """Defect of u against the divergence data g on the zero-mean pressure space.
 
     Returns ||B u - g|| with the component along the pressure-gauge
-    direction removed, normalised by the energy norm of u.  Zero flux gives
-    zero against zero data and ``inf`` against any other.  The divergence
-    is ``system.grid.divergence(u)``; the energy ``u @ A u`` is ``energy``
-    when given (a caller that knows it from other terms), else formed with
-    A.
+    direction removed, normalised by the energy norm of u; ``g`` is a
+    scalar or one value per cell.  Zero flux gives zero against zero data
+    and ``inf`` against any other.  The divergence is
+    ``system.grid.divergence(u)``; the energy ``u @ A u`` is ``energy``
+    when given (a caller that knows it from other terms), else formed with A.
     """
     u = _checked_grid_vector(u, system.n_flux, "flux")
+    if np.ndim(g):
+        g = _checked_grid_vector(g, system.n_pressure, "divergence data")
     if not np.any(u):
         return np.inf if np.any(g) else 0.0
     if energy is None:

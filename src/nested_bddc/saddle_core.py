@@ -90,7 +90,8 @@ class Factorization:
                 raise SingularMatrixError(str(exc)) from exc
             udiag = np.abs(self._splu.U.diagonal())
         umax = udiag.max()
-        if umax == 0.0 or udiag.min() < PIVOT_RTOL * umax:
+        # written so that NaN pivots, whose comparisons are false, fail it
+        if not (umax > 0.0 and udiag.min() >= PIVOT_RTOL * umax):
             raise SingularMatrixError(
                 f"matrix is numerically singular (pivot ratio below {PIVOT_RTOL:g})"
             )

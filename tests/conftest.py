@@ -129,7 +129,7 @@ def copy_rows(level, grp) -> SimpleNamespace:
 
 
 def edge_sides_weights(decomp, elem_table, elem_class) -> np.ndarray:
-    """``compute_weights(decomp, elem_table, elem_class, 1)`` by the grid's ``edge_sides``.
+    """``compute_weights`` at ``gamma=1`` by the grid's ``edge_sides``, from the level's class table.
 
     Each face dof's lower and higher cell come from ``edge_sides``, their
     diagonals at the face's slots are gathered into an ``(n_faces, ratio,

@@ -29,7 +29,6 @@ from nested_bddc.mesh_fem import (
     Rt0System,
     _unique_rows,
     assemble_rt0,
-    assemble_system,
     build_mesh,
     divergence_defect,
     element_triplets,
@@ -89,15 +88,6 @@ def delta_member(level, sub):
 
 def dense_block(b):
     return b.toarray() if sp.issparse(b) else b
-
-
-def per_cell_table(system):
-    """``system`` with a class table of one row per cell (``elem_class`` the identity)."""
-    return dataclasses.replace(
-        system,
-        elem_table=system.elem_table[system.elem_class],
-        elem_class=np.arange(system.grid.n_cells),
-    )
 
 
 def coo_blocks(slot_map, blocks, h, n_flux):
@@ -631,7 +621,7 @@ def test_jump_coefficients_shrink_weights():
     vals = np.where(np.arange(nx * nx) // nx < 3, k, 1.0)
     system, decomps, precond = make_setup(nx, 2, 3, k=vals)
     level = precond.levels[0]
-    w_lo = compute_weights(level.decomp, system.elem_table, system.elem_class, 1.0)
+    w_lo = compute_weights(level.decomp, system, 1.0)
     values = np.unique(np.round(w_lo, 12))
     assert set(values) <= {np.round(1 / (1 + k), 12), 0.5, np.round(k / (1 + k), 12)}
 
@@ -735,11 +725,16 @@ def test_cells_match_coo_reference(nx, ratio, dense):
     # coarse level, and gives every cell a table row of its own and every
     # subdomain a pattern of its own, so each group has one member and the
     # level build's groups hold every pattern's condensation on its faces.
+    # The scaled blocks go into one construction: the constructor merges
+    # equal rows, so the unscaled per-cell table would be one row again.
     system, decomps, _ = make_setup(nx, 2, ratio)
     decomp = decomps[0]
-    system = per_cell_table(system)
-    scale = 1.0 + 0.1 * np.random.default_rng(ratio).random(system.elem_table.shape)
-    system = dataclasses.replace(system, elem_table=system.elem_table * scale)
+    n_cells = system.grid.n_cells
+    scale = 1.0 + 0.1 * np.random.default_rng(ratio).random((n_cells, 4, 4))
+    blocks = system.elem_table[system.elem_class] * scale
+    system = Rt0System(system.grid, blocks, np.arange(n_cells), system.g)
+    assert len(system.elem_table) == n_cells
+    assert np.array_equal(system.elem_table[system.elem_class], blocks)
     slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
     n_loc, h = n_int + 4 * ratio, system.grid.h
     level = build_level_bddc(system, decomp, 1.0)
@@ -1284,18 +1279,20 @@ def test_singular_local_kkt_rejected_at_build(nx, ratio, sub):
     # build must reject them before any solve
     system, decomps, _ = make_setup(nx, 2, ratio)
     decomp = decomps[0]
-    system = per_cell_table(system)
-    system.elem_table[decomp.cells_by_sub[sub]] = 0.0
+    blocks = system.elem_table[system.elem_class]
+    blocks[decomp.cells_by_sub[sub]] = 0.0
+    system = Rt0System(system.grid, blocks, np.arange(system.grid.n_cells), system.g)
     with pytest.raises(SingularMatrixError):
         build_level_bddc(system, decomp, 1.0)
 
 
 def test_redundant_class_table_loses_reuse_only(monkeypatch):
     # A class table with every row twice, the cells split at random between
-    # the copies, and an unused row.  Assembled, it is the canonical table
-    # (its A and B: test_redundant_table_assembles_as_canonical_form); kept
-    # as it is, cells of equal blocks fall into different classes, so the
-    # preconditioner only factors more, and applies the same.
+    # the copies, and an unused row.  Built by the constructor, directly or
+    # through dataclasses.replace, it is the canonical table (its A and B:
+    # test_redundant_table_assembles_as_canonical_form), so cells of equal
+    # blocks share one class: the preconditioner factors as often and
+    # applies the same, bit for bit.
     mesh = build_mesh(27, 27)
     k = np.where(np.arange(mesh.n_cells) % 27 < 10, 30.0, 1.0)
     system = assemble_rt0(mesh, CoefficientField(k), source="corner")
@@ -1303,10 +1300,11 @@ def test_redundant_class_table_loses_reuse_only(monkeypatch):
     n = len(system.elem_table)
     table = np.concatenate([system.elem_table, system.elem_table, rng.standard_normal((1, 4, 4))])
     cls = system.elem_class + n * rng.integers(0, 2, mesh.n_cells)
-    assembled = assemble_system(mesh, table, cls, system.g)
-    assert np.array_equal(assembled.elem_table, system.elem_table)
-    assert np.array_equal(assembled.elem_class, system.elem_class)
+    assembled = Rt0System(mesh, table, cls, system.g)
     redundant = dataclasses.replace(system, elem_table=table, elem_class=cls)
+    for built in (assembled, redundant):
+        assert np.array_equal(built.elem_table, system.elem_table)
+        assert np.array_equal(built.elem_class, system.elem_class)
 
     factor = Factorization.__init__
     made = []
@@ -1321,15 +1319,15 @@ def test_redundant_class_table_loses_reuse_only(monkeypatch):
         made.clear()
         preconds.append(MultilevelPreconditioner.build(case, 3, 3, 1.0))
         counts.append(len(made))
-    assert counts[0] == counts[1] < counts[2]
+    assert counts[0] == counts[1] == counts[2]
     r = rng.standard_normal(system.n_flux)
     u, p = preconds[0].apply(r)
     for precond in preconds[1:]:
         level, ref = precond.levels[0], preconds[0].levels[0]
         assert np.array_equal(level.copy_w[level.dof_pairs], ref.copy_w[ref.dof_pairs])
         u_other, p_other = precond.apply(r)
-        assert np.abs(u_other - u).max() <= 1e-13 * np.abs(u).max()
-        assert np.abs(p_other - p).max() <= 1e-13 * np.abs(p).max()
+        assert u_other.tobytes() == u.tobytes()
+        assert p_other.tobytes() == p.tobytes()
 
 
 # Set-up specs whose every factorization is dense, with their counts: one
@@ -1365,13 +1363,13 @@ def test_set_up_inverts_each_dense_system_once(case, monkeypatch):
 @pytest.mark.parametrize("case", [*DENSE_SETUPS, "one-subdomain"])
 def test_coarse_tables_match_a_per_group_fill(case, runs, monkeypatch):
     # assemble_coarse_problem fills the coarse element table and classes one
-    # batch at a time; before assembly canonicalises them, they are the
-    # per-group fill's, bit for bit, on every level.
+    # batch at a time; before the Rt0System constructor canonicalises them,
+    # they are the per-group fill's, bit for bit, on every level.
     if case == "one-subdomain":
         precond = make_setup(3, 2, 3)[2]
     else:
         precond = runs.solver(DENSE_SETUPS[case][0]).precond
-    monkeypatch.setattr(bddc, "assemble_system", lambda grid, table, cls: (table, cls))
+    monkeypatch.setattr(bddc, "Rt0System", lambda grid, table, cls: (table, cls))
     for level in precond.levels:
         table = np.zeros((len(level_groups(level)), 4, 4))
         classes = np.empty(level.decomp.n_sub, dtype=np.intp)
@@ -1573,7 +1571,7 @@ def test_groups_match_per_subdomain_reference(case, runs):
         }[case]
         precond = runs.solver(spec).precond
     for level in precond.levels:
-        w_lo = compute_weights(level.decomp, level.system.elem_table, level.system.elem_class, 1.0)
+        w_lo = compute_weights(level.decomp, level.system, 1.0)
         refs = [
             reference_subdomain(level.system, level.decomp, w_lo, s)
             for s in range(level.decomp.n_sub)

@@ -8,14 +8,24 @@ from hypothesis import strategies as st
 from conftest import copy_rows, edge_sides_weights, level_groups
 from nested_bddc.bddc import MultilevelPreconditioner, _face_average, build_level_bddc
 from nested_bddc.hierarchy import HierarchyError, WeightsError, build_hierarchy, compute_weights
-from nested_bddc.mesh_fem import SLOT_BOTTOM, SLOT_LEFT, SLOT_RIGHT, SLOT_TOP, CoefficientField, assemble_rt0, build_mesh
+from nested_bddc.mesh_fem import (
+    REFERENCE_MASS,
+    SLOT_BOTTOM,
+    SLOT_LEFT,
+    SLOT_RIGHT,
+    SLOT_TOP,
+    CoefficientField,
+    MeshError,
+    Rt0System,
+    assemble_rt0,
+    build_mesh,
+)
 from nested_bddc.nested_driver import ExperimentSpec, NestedSolver, preset_specs
 
 
-def elem_data_of(mesh, values):
-    """The element class table of a coefficient field: (table, class of each cell)."""
-    system = assemble_rt0(mesh, CoefficientField(values))
-    return system.elem_table, system.elem_class
+def system_of(mesh, values):
+    """The system of a coefficient field, whose class table the weights read."""
+    return assemble_rt0(mesh, CoefficientField(values))
 
 
 def applied_face_weights(level):
@@ -55,17 +65,26 @@ def test_config_validation():
     # gamma is validated where the weights are computed
     d = build_hierarchy(mesh, 2, 3)[0]
     with pytest.raises(WeightsError):
-        compute_weights(d, *elem_data_of(mesh, np.ones(mesh.n_cells)), 0.5)
-    # weights come from the element masses, not from a per-cell coefficient
+        compute_weights(d, system_of(mesh, np.ones(mesh.n_cells)), 0.5)
+    # weights come from the element masses of the level's own grid, not
+    # from the system of another one (here of the level's subdomain grid)
     with pytest.raises(WeightsError):
-        compute_weights(d, np.ones(mesh.n_cells), np.zeros(mesh.n_cells, dtype=int), 1.0)
+        compute_weights(d, Rt0System(d.sub_grid, REFERENCE_MASS[None], np.zeros(d.n_sub, dtype=int)), 1.0)
 
 
-@pytest.mark.parametrize("case", ["float-classes", "short-classes", "class-outside-table", "flat-table"])
+@pytest.mark.parametrize("case", ["float-classes", "short-classes", "class-outside-table", "flat-table", "other-grid"])
 def test_weights_reject_element_data_off_the_grid(case):
+    # The weights read a system, whose constructor rejects element data
+    # that do not fit its grid, and reject a system of another grid: here
+    # one with as many cells, whose classes the level grid would misread.
     mesh = build_mesh(9, 9)
     d = build_hierarchy(mesh, 2, 3)[0]
-    table, cls = elem_data_of(mesh, np.ones(mesh.n_cells))
+    system = system_of(mesh, np.ones(mesh.n_cells))
+    table, cls = system.elem_table, system.elem_class
+    if case == "other-grid":
+        with pytest.raises(WeightsError):
+            compute_weights(d, Rt0System(build_mesh(27, 3), table, cls), 1.0)
+        return
     if case == "float-classes":
         cls = cls.astype(float)
     elif case == "short-classes":
@@ -74,8 +93,8 @@ def test_weights_reject_element_data_off_the_grid(case):
         cls = cls + len(table)
     else:
         table = table.reshape(len(table), 16)
-    with pytest.raises(WeightsError):
-        compute_weights(d, table, cls, 1.0)
+    with pytest.raises(MeshError):
+        Rt0System(mesh, table, cls)
 
 
 def test_two_level_counts_9x9():
@@ -192,7 +211,7 @@ def test_weights_unit_coefficient_all_half():
     d = build_hierarchy(mesh, 2, 3)[0]
     system = assemble_rt0(mesh, CoefficientField.constant(mesh, 1.0))
     for gamma in (0.0, 1.0):
-        assert np.all(compute_weights(d, system.elem_table, system.elem_class, gamma) == 0.5)
+        assert np.all(compute_weights(d, system, gamma) == 0.5)
         # applied weights: 1/2 on both copies of a face dof
         level = build_level_bddc(system, d, gamma)
         assert np.all(level.copy_w == 0.5)
@@ -203,12 +222,12 @@ def test_weights_jump_formula():
     mesh = build_mesh(6, 3)
     d = build_hierarchy(mesh, 2, 3)[0]
     values = np.where(np.arange(mesh.n_cells) % 6 < 3, 100.0, 1.0)
-    elem_data = elem_data_of(mesh, values)
-    w_lo = compute_weights(d, *elem_data, 1.0)
+    system = system_of(mesh, values)
+    w_lo = compute_weights(d, system, 1.0)
     assert np.allclose(w_lo, (1 / 100) / (1 / 100 + 1.0))
     assert np.allclose(w_lo, 1.0 / 101.0)
     # gamma = 0 ignores the jump
-    assert np.all(compute_weights(d, *elem_data, 0.0) == 0.5)
+    assert np.all(compute_weights(d, system, 0.0) == 0.5)
 
 
 def test_weights_partition_of_unity_exact(rng):
@@ -275,8 +294,9 @@ def test_weights_match_edge_sides_formula_bit_for_bit():
     # add its diagonals in order along the face: bit for bit the sums over
     # the (n_faces, ratio, 2) gather of the grid's edge sides.
     for d, table, cls in random_weight_cases():
-        assert compute_weights(d, table, cls, 1.0).tobytes() == edge_sides_weights(d, table, cls).tobytes()
-        assert compute_weights(d, table, cls, 0.0).tobytes() == np.full(d.n_faces, 0.5).tobytes()
+        system = Rt0System(d.grid, table, cls)
+        assert compute_weights(d, system, 1.0).tobytes() == edge_sides_weights(d, table, cls).tobytes()
+        assert compute_weights(d, system, 0.0).tobytes() == np.full(d.n_faces, 0.5).tobytes()
 
 
 def test_weight_cases_see_summation_order():
@@ -337,7 +357,7 @@ def test_weights_match_rho_scaling_on_aligned_fields(runs, spec):
     levels = solver.precond.levels
     refs = rho_scaling_reference([level.decomp for level in levels], coeff.values)
     for level, ref in zip(levels, refs):
-        w_lo = compute_weights(level.decomp, level.system.elem_table, level.system.elem_class, 1.0)
+        w_lo = compute_weights(level.decomp, level.system, 1.0)
         assert np.abs(w_lo[:, None] - ref).max() <= 1e-15
         lo, hi = applied_face_weights(level)
         assert np.abs(lo - ref).max() <= 1e-15
@@ -351,7 +371,7 @@ def test_weights_face_diagonal_loop_reference():
     system = assemble_rt0(mesh, CoefficientField(values))
     level = MultilevelPreconditioner.build(system, 3, 3, 1.0).levels[1]
     grid, table, cls = level.decomp.grid, level.system.elem_table, level.system.elem_class
-    w_face = compute_weights(level.decomp, table, cls, 1.0)
+    w_face = compute_weights(level.decomp, level.system, 1.0)
     lo, hi = applied_face_weights(level)
     for f, dofs in enumerate(level.decomp.face_dofs):
         diag = [0.0, 0.0]
@@ -384,4 +404,4 @@ def test_weights_properties_on_random_fields(ratio, sx, sy, sigma, seed):
         assert np.all((lo > 0.0) & (lo < 1.0))
         assert np.all(lo == lo[:, :1])  # one value per face
     with pytest.raises(WeightsError):
-        compute_weights(levels[0].decomp, system.elem_table, system.elem_class, 0.5)
+        compute_weights(levels[0].decomp, system, 0.5)

@@ -93,6 +93,22 @@ def test_indefinite_preconditioner_detected():
         pcg(matvec(a), matvec(m), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("call", [0, 1], ids=["first-apply", "second-apply"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_preconditioner_output_detected(value, call):
+    # A non-finite <r, Mr> is a breakdown, whether it comes from the start
+    # residual or from a later one.
+    calls = []
+
+    def precond(v):
+        calls.append(1)
+        return np.full_like(v, value) if len(calls) > call else v.copy()
+
+    with pytest.raises(PcgBreakdownError):
+        pcg(matvec(np.diag([1.0, 2.0, 3.0, 4.0])), precond, np.ones(4))
+    assert len(calls) == call + 1
+
+
 def test_defect_monitor_recorded_and_enforced(rng):
     a = np.diag([1.0, 2.0, 3.0])
     b = np.ones(3)

@@ -12,9 +12,9 @@ from nested_bddc.mesh_fem import (
     CoefficientError,
     CoefficientField,
     MeshError,
+    Rt0System,
     assemble_rhs,
     assemble_rt0,
-    assemble_system,
     build_mesh,
     check_compatibility,
     divergence_defect,
@@ -172,7 +172,7 @@ def test_stencil_csr_matches_coo_reference(nx, ny, values):
         k = np.exp(rng.standard_normal(mesh.n_cells))
         rt0 = assemble_rt0(mesh, CoefficientField(k))
         elem_table, elem_class = rt0.elem_table, rt0.elem_class
-    system = assemble_system(mesh, elem_table, elem_class)
+    system = Rt0System(mesh, elem_table, elem_class)
     ref_a, ref_b = coo_reference(mesh, elem_table[elem_class])
     if values == "rt0":
         assert not np.any(system.A.data == 0.0)
@@ -198,7 +198,7 @@ def test_one_cell_with_xy_coupling_keeps_every_coupling():
     table = np.stack([REFERENCE_MASS, dense + dense.T])
     cls = np.zeros(mesh.n_cells, dtype=np.intp)
     cls[mesh.cell_id(2, 3)] = 1
-    system = assemble_system(mesh, table, cls)
+    system = Rt0System(mesh, table, cls)
     assert np.array_equal(system.elem_table[1], table[1])
     ref_a, ref_b = coo_reference(mesh, table[cls])
     assert_same_csr(system.A, ref_a)
@@ -332,12 +332,13 @@ def redundant_table(mesh, rng):
 
 
 def test_redundant_table_assembles_as_canonical_form():
-    # Duplicate rows and unused ones may cost reuse only: the assembled
-    # matrices are those of the canonical table and of one block per cell.
+    # Construction merges duplicate rows and drops unused ones: the system
+    # is the canonical table's, and its matrices are those of one block per
+    # cell.
     mesh = build_mesh(7, 5)
     rng = np.random.default_rng(5)
     table, cls = redundant_table(mesh, rng)
-    system = assemble_system(mesh, table, cls)
+    system = Rt0System(mesh, table, cls)
     # canonical: the three distinct rows in ascending bit order, all in use
     assert system.elem_table.shape == (3, 4, 4)
     assert np.array_equal(np.unique(system.elem_class), np.arange(3))
@@ -345,7 +346,7 @@ def test_redundant_table_assembles_as_canonical_form():
     assert list(np.lexsort(bits.T)) == [0, 1, 2]
     # every cell keeps its block, bit for bit
     assert np.array_equal(system.elem_table[system.elem_class], table[cls])
-    canonical = assemble_system(mesh, system.elem_table, system.elem_class)
+    canonical = Rt0System(mesh, system.elem_table, system.elem_class)
     ref_a, ref_b = coo_reference(mesh, table[cls])
     for got in (system, canonical):
         assert_same_csr(got.A, ref_a)
@@ -354,8 +355,22 @@ def test_redundant_table_assembles_as_canonical_form():
     assert np.array_equal(canonical.elem_class, system.elem_class)
 
 
-@pytest.mark.parametrize("case", ["float-classes", "short-classes", "class-outside-table", "flat-table"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "float-classes",
+        "short-classes",
+        "class-outside-table",
+        "negative-class",
+        "flat-table",
+        "3x3-table",
+        "nan-table",
+        "inf-table",
+    ],
+)
 def test_assemble_system_rejects_bad_class_table(case):
+    # The constructor checks what it is given: no bad table reaches the
+    # solver, where it would fail with a bare IndexError or solve to NaN.
     mesh = build_mesh(4, 3)
     table, cls = np.tile(REFERENCE_MASS, (2, 1, 1)), np.arange(mesh.n_cells) % 2
     if case == "float-classes":
@@ -364,17 +379,23 @@ def test_assemble_system_rejects_bad_class_table(case):
         cls = cls[:-1]
     elif case == "class-outside-table":
         cls[5] = 2
-    else:
+    elif case == "negative-class":
+        cls[5] = -1
+    elif case == "flat-table":
         table = table.reshape(2, 16)
+    elif case == "3x3-table":
+        table = np.ones((2, 3, 3))
+    else:
+        table[1, 2, 3] = np.nan if case == "nan-table" else np.inf
     with pytest.raises(MeshError):
-        assemble_system(mesh, table, cls)
+        Rt0System(mesh, table, cls)
 
 
 @pytest.mark.parametrize("shape", [(5,), (9, 2)])
 def test_assemble_system_rejects_misshapen_divergence_data(shape):
     mesh = build_mesh(3, 3)
     with pytest.raises(MeshError):
-        assemble_system(mesh, REFERENCE_MASS[None], np.zeros(mesh.n_cells, dtype=int), np.zeros(shape))
+        Rt0System(mesh, REFERENCE_MASS[None], np.zeros(mesh.n_cells, dtype=int), np.zeros(shape))
 
 
 def test_assembly_deterministic():
@@ -434,10 +455,12 @@ def test_divergence_defect_zero_and_oracle(rng):
         expected = np.linalg.norm(d) / np.sqrt(energy)
         assert np.isclose(divergence_defect(system, u, data), expected, rtol=1e-12)
 
-    with pytest.raises(ValueError) as info:
-        divergence_defect(system, np.zeros(3))
-    # The grid's vector check raises the mesh module's own error.
-    assert info.type is MeshError
+    # The grid's vector check raises the mesh module's own error, for the
+    # flux and for divergence data given as an array.
+    for u, data in ((np.zeros(3), 0.0), (u, np.zeros(system.n_pressure + 1)), (zero, np.ones((9, 1)))):
+        with pytest.raises(ValueError) as info:
+            divergence_defect(system, u, data)
+        assert info.type is MeshError
 
 
 def test_divergence_defect_of_exact_solution():

@@ -331,20 +331,37 @@ def test_solve_builds_no_level_matrices(spec):
         assert not [name for name, value in vars(level).items() if sp.issparse(value)]
 
 
-def test_directly_constructed_system_solves():
-    # A system made by its constructor, not by assemble_system, takes its
-    # cell areas from the grid: it builds a preconditioner and solves, bit
-    # for bit as the assembled system does.
-    spec = ExperimentSpec(levels=3, ratio=3)
-    solver, ref = NestedSolver(spec), NestedSolver(spec).solve()
-    fine = solver.fine
-    solver.fine = Rt0System(fine.grid, fine.elem_table, fine.elem_class, fine.g)
-    solver.precond = MultilevelPreconditioner.build(solver.fine, spec.levels, spec.ratio, spec.gamma)
-    result = solver.solve()
-    assert result.flux.tobytes() == ref.flux.tobytes()
-    assert result.pressure.tobytes() == ref.pressure.tobytes()
-    assert [row.csv() for row in result.rows] == [row.csv() for row in ref.rows]
-    assert divergence_defect(solver.fine, result.flux, fine.g) <= 1e-9
+def test_directly_constructed_system_solves(monkeypatch):
+    # A system made by its constructor takes its cell areas from the grid
+    # and keeps its class table in canonical form.  Given the assembled
+    # table, one row per cell, or every row twice with the cells split at
+    # random between the copies, it builds a preconditioner of as many
+    # factorizations and solves bit for bit as the assembled system does.
+    spec = ExperimentSpec(levels=3, ratio=3, coeff="jump-right", k1=37.0, k3=0.05)
+    factor, made = Factorization.__init__, []
+    monkeypatch.setattr(Factorization, "__init__", lambda self, matrix: made.append(1) or factor(self, matrix))
+    solver = NestedSolver(spec)
+    ref = solver.solve()
+    fine, n_made = solver.fine, len(made)
+    n_cells, n_rows = fine.grid.n_cells, len(fine.elem_table)
+    assert n_rows == 3
+    split = np.random.default_rng(2).integers(0, 2, n_cells)
+    tables = [
+        (fine.elem_table, fine.elem_class),
+        (fine.elem_table[fine.elem_class], np.arange(n_cells)),
+        (np.concatenate([fine.elem_table, fine.elem_table]), fine.elem_class + n_rows * split),
+    ]
+    for table, cls in tables:
+        made.clear()
+        solver.fine = Rt0System(fine.grid, table, cls, fine.g)
+        assert solver.fine.elem_table.tobytes() == fine.elem_table.tobytes()
+        solver.precond = MultilevelPreconditioner.build(solver.fine, spec.levels, spec.ratio, spec.gamma)
+        result = solver.solve()
+        assert len(made) == n_made
+        assert result.flux.tobytes() == ref.flux.tobytes()
+        assert result.pressure.tobytes() == ref.pressure.tobytes()
+        assert [row.csv() for row in result.rows] == [row.csv() for row in ref.rows]
+        assert divergence_defect(solver.fine, result.flux, fine.g) <= 1e-9
 
 
 @settings(max_examples=20, deadline=None)

@@ -86,8 +86,10 @@ def test_dense_inverse_matches_scipy_lu(n):
     [
         np.array([[1.0, 2.0], [2.0, 4.0]]),  # an exactly zero pivot
         np.diag([1.0, 0.1 * PIVOT_RTOL, 1.0]),  # a pivot ratio below PIVOT_RTOL
+        np.full((3, 3), np.nan),  # NaN pivots compare false with any bound
+        np.diag([1.0, np.nan, 1.0]),
     ],
-    ids=["exactly-singular", "pivot-ratio"],
+    ids=["exactly-singular", "pivot-ratio", "nan-matrix", "nan-pivot"],
 )
 def test_dense_singular_rejected_without_warnings(matrix):
     with warnings.catch_warnings():
