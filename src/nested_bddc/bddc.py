@@ -189,7 +189,8 @@ class _Batch:
 def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.ndarray):
     """The local problem of each cell pattern, condensed onto its four faces.
 
-    ``cells`` holds one row per pattern, the cells of a subdomain on it.
+    ``cells`` holds one row per pattern, the cells of a subdomain on it
+    (``LevelDecomposition.subdomain_rows``).
     Returns the patterns' interior KKTs ``K_I`` on the template
     ``local_slots``, factored, so a singular local problem is rejected
     before any apply, and two stacks, one entry per pattern.  With
@@ -208,8 +209,8 @@ def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.
     dense arrays.  ``B`` carries no coefficient, so all patterns share one
     ``B^T``.
     """
-    slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
-    (n_pat, n_cells), n_loc = cells.shape, n_int + 4 * decomp.face_dofs.shape[1]
+    slots, n_loc = decomp.local_slots, int(decomp.local_slots.max()) + 1
+    (n_pat, n_cells), n_int = cells.shape, n_loc - 4 * decomp.face_dofs.shape[1]
     # The patterns' element matrices along the last axis: one column of values each.
     blocks = np.moveaxis(system.elem_table[system.elem_class[cells]], 0, -1)
     (m_val, m_row, m_col), (d_val, d_row, d_col) = element_triplets(slots, blocks, system.grid.h)
@@ -326,11 +327,12 @@ class LevelBddc:
     face's lower subdomain and ``1 - w_lo`` where it is the higher one.
     ``order`` holds the members' subdomains and ``idx_int`` and
     ``idx_cells`` their interior dofs and cells in the same order, one
-    row per subdomain.  ``face_pairs`` holds the positions of each face's
-    lower (row 0) and higher copy, and ``dof_pairs`` those of each face
-    dof, ``dof_pairs[s, f ratio + k] = face_pairs[s, f] ratio + k``, so a
-    sum over subdomains is one addition per face or face dof
-    (``face_sum``, ``dof_sum``).
+    row per subdomain (``LevelDecomposition.subdomain_rows``): the only
+    copy of these rows that set-up keeps.  ``face_pairs`` holds the
+    positions of each face's lower (row 0) and higher copy, and
+    ``dof_pairs`` those of each face dof, ``dof_pairs[s, f ratio + k] =
+    face_pairs[s, f] ratio + k``, so a sum over subdomains is one
+    addition per face or face dof (``face_sum``, ``dof_sum``).
 
     The workspace holds one buffer per kind of data in this layout, and
     each batch (``batches``, ``_Batch``) keeps ``(entries, members, ...)``
@@ -549,10 +551,13 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     (``_Batch``).
     Copy data are templates per subdomain: a face copy is the higher one by
     its slot, its dof copies are consecutive, and its cell areas are those
-    of any other subdomain.
+    of any other subdomain.  The cell patterns come from the class table
+    laid out one row per subdomain (``LevelDecomposition.by_sub``), and the
+    subdomains' cell and interior-dof rows are built once, for the pattern
+    heads and in batch order (``subdomain_rows``).
     """
-    first, pattern = _unique_rows(system.elem_class[decomp.cells_by_sub])
-    kkts, ext, schur = _condense_patterns(system, decomp, decomp.cells_by_sub[first])
+    first, pattern = _unique_rows(decomp.by_sub(system.elem_class))
+    kkts, ext, schur = _condense_patterns(system, decomp, decomp.subdomain_rows(first)[0])
     present = decomp.faces_by_sub >= 0
     n_present = np.count_nonzero(present, axis=1)
     members = _groups(pattern * 16 + present @ (1, 2, 4, 8), n_present)
@@ -582,7 +587,8 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
             entry_kkts = [kkts[k] for k in pattern[heads[run]]]
             batches.append(_Batch(entry_kkts, size, *(stack[run] for stack in stacks)))
             stop = run.stop
-    areas = system.areas[decomp.cells_by_sub[:1]]
+    idx_cells, idx_int = decomp.subdomain_rows(order)
+    areas = system.areas[idx_cells[:1]]
     sub_area = areas.sum(axis=1)
     return LevelBddc(
         system=system,
@@ -594,8 +600,8 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
         copy_pos=(copy_faces[:, None] * ratio + np.arange(ratio)).ravel(),
         copy_w=np.repeat(np.where(high, 1.0 - w_lo, w_lo), ratio),
         order=order,
-        idx_int=decomp.interior_by_sub[order],
-        idx_cells=decomp.cells_by_sub[order],
+        idx_int=idx_int,
+        idx_cells=idx_cells,
         face_pairs=face_pairs,
         dof_pairs=(face_pairs[:, :, None] * ratio + np.arange(ratio)).reshape(2, -1),
     )

@@ -51,7 +51,6 @@ EXIT_VERIFY_FAILED = 4
 # it is an instance of.
 _EXIT_CODES = (
     (PcgError, EXIT_NO_CONVERGENCE),
-    (PcgNonConvergence, EXIT_NO_CONVERGENCE),
     (NestedBddcError, EXIT_INVALID),
 )
 

@@ -11,11 +11,14 @@ subdomain, which is the global +x/+y edge orientation, so all dof signs are
 +1.
 
 On the uniform grid every per-subdomain index set is one template shifted
-by the subdomain's corner, so a level is a handful of integer arrays with
-one row per subdomain or face, built by broadcasting and reshapes, and
-one local numbering (``local_slots``) serves every subdomain.  The
-interface weights are one value per face, the weight of its lower copy;
-the higher copy takes the rest.
+by the subdomain's corner.  A level keeps its face dofs (one row per
+face), each subdomain's faces by slot and one local numbering
+(``local_slots``) that serves every subdomain.  A subdomain's cells and
+interior flux dofs are not kept here: ``LevelDecomposition.subdomain_rows``
+builds them from the template for any list of subdomains, and
+``bddc.build_level_bddc`` keeps them once, in the level's batch order.
+The interface weights are one value per face, the weight of its lower
+copy; the higher copy takes the rest.
 """
 
 from __future__ import annotations
@@ -54,20 +57,20 @@ class LevelDecomposition:
 
     Faces are the flux dofs of ``sub_grid``: face ``f`` separates the
     subdomains ``sub_grid.edge_sides[f]`` (lower, higher) and holds the level
-    dofs ``face_dofs[f]``.
+    dofs ``face_dofs[f]``.  Subdomain ``j sx + i`` has its lower-left cell
+    at ``(i ratio, j ratio)``; its cells and interior flux dofs are not
+    stored, ``subdomain_rows`` builds them for the subdomains asked for.
 
     ``local_slots`` is the local numbering of every subdomain: per cell
-    (``cells_by_sub`` order) and slot, the position of the slot's dof in
-    the subdomain's ``interior_by_sub`` row followed by the ``face_dofs``
-    rows of its four faces by slot (``ratio`` entries each, -1 for an
-    absent face).
+    (``subdomain_rows`` cell order) and slot, the position of the slot's
+    dof in the subdomain's interior row followed by the ``face_dofs`` rows
+    of its four faces by slot (``ratio`` entries each, -1 for an absent
+    face).
     """
 
     grid: QuadMesh
     sub_grid: QuadMesh
     face_dofs: np.ndarray  # (n_faces, ratio)
-    cells_by_sub: np.ndarray  # (n_sub, ratio**2), ascending per row
-    interior_by_sub: np.ndarray  # (n_sub, 2 ratio (ratio - 1)), ascending per row
     faces_by_sub: np.ndarray  # (n_sub, 4) face ids by slot, -1 absent
     local_slots: np.ndarray  # (ratio**2, 4) local dof positions, one template
 
@@ -79,6 +82,32 @@ class LevelDecomposition:
     def n_faces(self) -> int:
         return len(self.face_dofs)
 
+    def subdomain_rows(self, subs) -> tuple[np.ndarray, np.ndarray]:
+        """Cells and interior flux dofs of the subdomains ``subs``, one row per subdomain.
+
+        Each row is the template shifted by the subdomain's corner, in
+        ascending order: ``ratio**2`` cells, and ``2 ratio (ratio - 1)``
+        interior dofs, the vertical edges before the horizontal ones.
+        """
+        ratio, grid, n = self.face_dofs.shape[1], self.grid, len(subs)
+        y0, x0 = np.divmod(np.asarray(subs, dtype=np.intp), self.sub_grid.nx)
+        y0, x0 = y0 * ratio, x0 * ratio
+        t, t_in = np.arange(ratio), np.arange(1, ratio)[:, None]
+        # Every index is affine in the cell coordinates, so a row is the
+        # template at the origin plus the corner's offset.  There are as
+        # many vertical as horizontal interior edges: one stack takes both.
+        cells = grid.cell_id(x0, y0)[:, None] + grid.cell_id(t, t[:, None]).ravel()
+        edges = ((grid.vertical_edge, t_in, t), (grid.horizontal_edge, t, t_in))
+        corner = np.stack([f(x0, y0) - f(0, 0) for f, _, _ in edges], axis=1)
+        interior = corner[:, :, None] + np.stack([f(i, j).ravel() for f, i, j in edges])
+        return cells, interior.reshape(n, -1)
+
+    def by_sub(self, cell_values: np.ndarray) -> np.ndarray:
+        """Per-cell values of ``grid``, one row per subdomain in ``subdomain_rows`` cell order."""
+        ratio, sub_grid = self.face_dofs.shape[1], self.sub_grid
+        blocks = cell_values.reshape(sub_grid.ny, ratio, sub_grid.nx, ratio).swapaxes(1, 2)
+        return blocks.reshape(self.n_sub, ratio * ratio)
+
 
 def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
     """Group the cells of ``grid`` into ratio x ratio subdomains."""
@@ -88,21 +117,7 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
         )
     sx, sy = grid.nx // ratio, grid.ny // ratio
     sub_grid = QuadMesh(sx, sy, grid.h * ratio)
-
-    # Subdomain j sx + i has its lower-left cell at (x0, y0) = (i r, j r);
-    # its cells and interior edges are one template shifted by that corner.
     t = np.arange(ratio)
-    t_in = np.arange(1, ratio)[:, None]
-    x0 = np.arange(sx)[None, :, None, None] * ratio
-    y0 = np.arange(sy)[:, None, None, None] * ratio
-    cells_by_sub = grid.cell_id(x0 + t, y0 + t[:, None]).reshape(sub_grid.n_cells, -1)
-    interior_by_sub = np.concatenate(
-        [
-            grid.vertical_edge(x0 + t_in, y0 + t).reshape(sub_grid.n_cells, -1),
-            grid.horizontal_edge(x0 + t, y0 + t_in).reshape(sub_grid.n_cells, -1),
-        ],
-        axis=1,
-    )
 
     # Faces enumerate exactly like the edges of the coarsened grid.
     line, row = np.divmod(np.arange(sub_grid.n_vertical), sy)
@@ -111,9 +126,9 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
     h_faces = grid.horizontal_edge(col[:, None] * ratio + t, (line[:, None] + 1) * ratio)
     face_dofs = np.concatenate([v_faces, h_faces])
 
-    # A ratio x ratio grid numbers its edges like interior_by_sub; its
-    # boundary slots run along each face like face_dofs: by cell row on the
-    # left and right, by cell column on the bottom and top.
+    # A ratio x ratio grid numbers its edges like a subdomain's interior
+    # row; its boundary slots run along each face like face_dofs: by cell
+    # row on the left and right, by cell column on the bottom and top.
     block = QuadMesh(ratio, ratio, grid.h)
     j, i = np.divmod(np.arange(ratio * ratio), ratio)
     on_face = block.n_flux + np.arange(4) * ratio + np.stack([j, j, i, i], axis=1)
@@ -123,8 +138,6 @@ def build_level_decomposition(grid: QuadMesh, ratio: int) -> LevelDecomposition:
         grid=grid,
         sub_grid=sub_grid,
         face_dofs=face_dofs,
-        cells_by_sub=cells_by_sub,
-        interior_by_sub=interior_by_sub,
         faces_by_sub=sub_grid.cell_dof_slots,
         local_slots=local_slots,
     )

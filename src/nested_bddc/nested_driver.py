@@ -40,7 +40,7 @@ from .bddc import (
 )
 from .errors import NestedBddcError
 from .hierarchy import LevelDecomposition, check_shape
-from .krylov import DEFECT_TOL, InvariantViolation, PcgReport, pcg
+from .krylov import DEFECT_TOL, InvariantViolation, PcgError, PcgReport, pcg
 from .mesh_fem import (
     CoefficientField,
     Rt0System,
@@ -107,7 +107,7 @@ class DriverError(NestedBddcError):
     pass
 
 
-class PcgNonConvergence(DriverError):
+class PcgNonConvergence(DriverError, PcgError):
     def __init__(self, report: PcgReport, level: int, message: str):
         super().__init__(f"level {level}: {message}")
         self.report = report
@@ -201,7 +201,7 @@ def step1_coarse_rhs(decomp: LevelDecomposition, f: np.ndarray) -> np.ndarray:
 
     ``f`` of another shape than the level's cells raises ``BddcError``.
     """
-    return _checked_vector(f, decomp.grid.n_cells, "f")[decomp.cells_by_sub].sum(axis=1)
+    return decomp.by_sub(_checked_vector(f, decomp.grid.n_cells, "f")).sum(axis=1)
 
 
 def step2_subdomain_solve(level: LevelBddc, u0_face: np.ndarray, f: np.ndarray):
@@ -311,7 +311,6 @@ def step3_correction(
     """
     idx = _checked_level(level_number, len(precond.levels), "level")
     level = precond.levels[idx]
-    cells = level.decomp.cells_by_sub
     n_face, n_sub = level.decomp.face_dofs.size, level.decomp.n_sub
     n_flux, n_cells = level.system.n_flux, level.system.n_pressure
     u0_face = _checked_vector(u0_face, n_face, "u0_face")
@@ -327,7 +326,8 @@ def step3_correction(
     bt_p, int_norm = grad[level.face_dofs], np.linalg.norm(grad[level.idx_int])
     # (B^T m)_F on a face's dofs: -h m on its lower subdomain, +h m on its
     # higher one, as B's face columns hold them.
-    lo, hi = np.ascontiguousarray(level.decomp.sub_grid.edge_sides.T)
+    sub_grid = level.decomp.sub_grid
+    lo, hi = np.ascontiguousarray(sub_grid.edge_sides.T)
     h, ratio = level.system.grid.h, level.decomp.face_dofs.shape[1]
 
     def operator(x):
@@ -385,20 +385,35 @@ def step3_correction(
             f"exceeded {DEFECT_TOL:.1e}"
         )
     p = s * p_star + (p_ext - p_ext0)
-    p[cells] += m[:, None]
+    blocks = p.reshape(sub_grid.ny, ratio, sub_grid.nx, ratio)  # m is constant on each subdomain's block
+    blocks += m.reshape(sub_grid.ny, 1, sub_grid.nx, 1)
     return u, p, report
 
 
 class NestedSolver:
-    """Builds the hierarchy once; solves the corner-source Darcy problem."""
+    """Builds the hierarchy once; solves the corner-source Darcy problem.
+
+    The hierarchy is built for the coefficient ``k / k_ref``, with
+    ``k_ref`` the power of two nearest the geometric mean of the field's
+    smallest and largest value, so that the pivot checks of its
+    factorizations see a system of unit scale whatever the scale of ``k``.
+    That multiplies the fine element table by ``k_ref``, which leaves the
+    flux and multiplies the pressure by ``k_ref``, exactly while the
+    entries stay normal numbers; ``solve`` divides it out.  ``fine`` is the
+    true system.  A field with ``k_ref = 1`` is built on ``fine`` itself.
+    """
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         mesh, coeff = spec.build_problem()
         self.fine = assemble_rt0(mesh, coeff, source="corner")
-        self.precond = MultilevelPreconditioner.build(
-            self.fine, spec.levels, spec.ratio, spec.gamma
-        )
+        k = coeff.values
+        # A sum of logs: the product of the extremes may overflow.
+        self.k_ref = 2.0 ** round((np.log2(k.min()) + np.log2(k.max())) / 2)
+        system = self.fine
+        if self.k_ref != 1.0:
+            system = replace(system, elem_table=system.elem_table * self.k_ref)
+        self.precond = MultilevelPreconditioner.build(system, spec.levels, spec.ratio, spec.gamma)
 
     def solve(self) -> NestedResult:
         spec = self.spec
@@ -441,7 +456,7 @@ class NestedSolver:
             reports.append(report)
 
         areas = self.fine.areas
-        p_level = p_level - areas @ p_level / areas.sum()
+        p_level = (p_level - areas @ p_level / areas.sum()) / self.k_ref
         rows.reverse()
         reports.reverse()
         return NestedResult(flux=u_level, pressure=p_level, rows=rows, reports=reports)

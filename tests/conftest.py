@@ -2,8 +2,9 @@
 across acceptance criteria and the driver tests, and the session's peak
 RSS is printed in the terminal summary.  ``level_groups`` gives the tests
 a level's batch entries one at a time, ``copy_rows`` an entry's rows of
-its level's copy layout, and ``edge_sides_weights`` the face weights by
-the grid's edge sides."""
+its level's copy layout, ``natural_rows`` every subdomain's cells and
+interior dofs in subdomain order, and ``edge_sides_weights`` the face
+weights by the grid's edge sides."""
 
 from __future__ import annotations
 
@@ -104,6 +105,11 @@ def level_groups(level) -> list[SimpleNamespace]:
             sizes = dict(n_faces=n_faces, n_face_dofs=n_face_dofs, n_int=n_int, n_cells=n_cells)
             entries.append(SimpleNamespace(span=span, kkt=kkt, **ops, **rows, **sizes))
     return entries
+
+
+def natural_rows(decomp) -> tuple[np.ndarray, np.ndarray]:
+    """Every subdomain's cells and interior flux dofs, in subdomain order (``subdomain_rows``)."""
+    return decomp.subdomain_rows(np.arange(decomp.n_sub))
 
 
 def copy_rows(level, grp) -> SimpleNamespace:

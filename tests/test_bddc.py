@@ -33,7 +33,7 @@ from nested_bddc.mesh_fem import (
     divergence_defect,
     element_triplets,
 )
-from conftest import BATCH_STACKS, copy_rows, edge_sides_weights, level_groups
+from conftest import BATCH_STACKS, copy_rows, edge_sides_weights, level_groups, natural_rows
 from nested_bddc import bddc, nested_driver, saddle_core
 from nested_bddc.krylov import pcg
 from nested_bddc.nested_driver import (
@@ -106,7 +106,7 @@ def member_problem(level, grp, row):
     """
     system, copies = level.system, copy_rows(level, grp)
     local = np.concatenate([grp.idx_int[row], copies.idx_face[row]])
-    cells = level.decomp.cells_by_sub[grp.subs[row]]
+    (cells,), _ = level.decomp.subdomain_rows([grp.subs[row]])
     # global dof id -> position in ``local``; -1 (the last entry) elsewhere
     position = np.full(system.n_flux + 1, -1)
     position[local] = np.arange(len(local))
@@ -282,7 +282,7 @@ def test_interior_correction_matches_dense_oracle(two_level_9x9, rng):
     u, p, _ = interior_correction(level, r)
     a_dense = system.A.toarray()
     b_dense = system.B.toarray()
-    for ii, cc in zip(level.decomp.interior_by_sub, level.decomp.cells_by_sub):
+    for cc, ii in zip(*natural_rows(level.decomp)):
         ni, nc = len(ii), len(cc)
         areas = system.areas[cc]
         kkt = np.zeros((ni + nc + 1, ni + nc + 1))
@@ -331,7 +331,7 @@ def test_interior_correction_face_residual_matches_assembled(case, mode, runs, r
         div = None
         if mode != "r":
             div = rng.standard_normal(system.n_pressure)
-            div[level.decomp.cells_by_sub[::2]] = 0.0
+            div[natural_rows(level.decomp)[0][::2]] = 0.0
         u, p, r_face = interior_correction(level, r, div)
         ref = -(system.A @ u + system.B.T @ p)[faces]
         assert rel_err(r_face, ref) <= 1e-12
@@ -477,7 +477,7 @@ def test_averaged_delta_is_balanced(two_level_9x9, rng):
     # subdomain constants; basis combinations keep their coarse divergence
     system, _, precond = two_level_9x9
     level = precond.levels[0]
-    cells_by_sub = level.decomp.cells_by_sub
+    cells_by_sub = natural_rows(level.decomp)[0]
     # B's face columns, in the order of the averaged face vector
     b_dense = system.B.toarray()[:, level.decomp.face_dofs.ravel()]
 
@@ -735,13 +735,13 @@ def test_cells_match_coo_reference(nx, ratio, dense):
     system = Rt0System(system.grid, blocks, np.arange(n_cells), system.g)
     assert len(system.elem_table) == n_cells
     assert np.array_equal(system.elem_table[system.elem_class], blocks)
-    slots, n_int = decomp.local_slots, decomp.interior_by_sub.shape[1]
+    slots, n_int = decomp.local_slots, 2 * ratio * (ratio - 1)
     n_loc, h = n_int + 4 * ratio, system.grid.h
     level = build_level_bddc(system, decomp, 1.0)
     assert sorted(sub for grp in level_groups(level) for sub in grp.subs) == list(range(decomp.n_sub))
     for got in level_groups(level):
         (sub,) = got.subs
-        cells = decomp.cells_by_sub[sub]
+        (cells,), _ = decomp.subdomain_rows([sub])
         blocks, gauge = system.elem_table[system.elem_class[cells]], system.areas[cells]
         kkt = KktSystem(*coo_blocks(np.where(slots < n_int, slots, -1), blocks, h, n_int), gauge)
         assert got.kkt.dense == kkt.dense == dense
@@ -900,7 +900,7 @@ def test_face_divergence_defect_matches_extended_flux(case, runs, rng):
             # and the direct product when that energy is not positive
             m = rng.standard_normal(level.decomp.n_sub)
             m_cells = np.empty(level.system.n_pressure)
-            m_cells[level.decomp.cells_by_sub] = m[:, None]
+            m_cells[natural_rows(level.decomp)[0]] = m[:, None]
             product = level.schur_product(u_face) + (level.system.B.T @ m_cells)[level.face_dofs]
             assert abs(level.face_divergence_defect(u_face, product, m) - ref) <= 1e-12 * ref
             no_energy = level.face_divergence_defect(u_face, np.zeros_like(u_face), 0 * m)
@@ -1034,6 +1034,25 @@ def test_group_views_tile_the_level_workspace(case, runs):
             assert index.size == 0 or (index.min() >= 0 and index.max() < n)
 
 
+@pytest.mark.parametrize("case", ["deep-r3", "jump-r3"])
+def test_level_keeps_the_only_copy_of_the_subdomain_rows(case, runs):
+    # Each subdomain's cells and interior dofs are kept once, by its level
+    # in batch order.  The decomposition holds its faces and templates: of
+    # its arrays only faces_by_sub has a row per subdomain (local_slots
+    # has one per cell of a subdomain, as many on a 3 x 3 sub grid).
+    for level in runs.solver(WORKSPACE_SPECS[case]).precond.levels:
+        decomp, ratio = level.decomp, level.decomp.face_dofs.shape[1]
+        shapes = {name: value.shape for name, value in vars(decomp).items() if isinstance(value, np.ndarray)}
+        assert shapes == {
+            "face_dofs": (decomp.n_faces, ratio),
+            "faces_by_sub": (decomp.n_sub, 4),
+            "local_slots": (ratio * ratio, 4),
+        }
+        cells, interior = natural_rows(decomp)
+        assert np.array_equal(level.idx_cells, cells[level.order])
+        assert np.array_equal(level.idx_int, interior[level.order])
+
+
 def level_passes(precond, idx, rng):
     """Every level pass on level ``idx + 1`` with fresh random data: name -> outputs."""
     level = precond.levels[idx]
@@ -1092,7 +1111,7 @@ def test_apply_equals_its_composition_from_every_level(case, runs, rng):
         u_face, p_coarse = precond._apply(idx, r[level.face_dofs] + r_face)
         u, p_ext = level.extend(u_face)
         u += u_int
-        p[level.decomp.cells_by_sub] += p_coarse[:, None]
+        p[natural_rows(level.decomp)[0]] += p_coarse[:, None]
         p += p_ext
         got = precond.apply(r, idx + 1)
         assert got[0].tobytes() == u.tobytes() and got[1].tobytes() == p.tobytes(), idx
@@ -1123,7 +1142,7 @@ def test_step3_operator_forms_net_flux_in_the_schur_pass(runs, rng, monkeypatch)
         x = rng.standard_normal(n)
         u, m = x[:n_face], x[n_face : n_face + n_sub]
         out = operator(x)
-        cells, b = level.decomp.cells_by_sub, level.system.B
+        cells, b = natural_rows(level.decomp)[0], level.system.B
         m_cells = np.empty(level.system.n_pressure)
         m_cells[cells] = m[:, None]
         assert out[:n_face].tobytes() == (level.schur_product(u) + (b.T @ m_cells)[level.face_dofs]).tobytes()
@@ -1265,7 +1284,7 @@ def test_interior_groups_share_divergence_block(case, runs):
             assert np.array_equal(dense_block(kkt.b_block), b_int)
         # the assembled B on every subdomain's cells and interior dofs
         decomp, b = level.decomp, level.system.B
-        for cells, interior in zip(decomp.cells_by_sub, decomp.interior_by_sub):
+        for cells, interior in zip(*natural_rows(decomp)):
             assert np.array_equal(b[cells][:, interior].toarray(), b_int)
 
 
@@ -1280,7 +1299,7 @@ def test_singular_local_kkt_rejected_at_build(nx, ratio, sub):
     system, decomps, _ = make_setup(nx, 2, ratio)
     decomp = decomps[0]
     blocks = system.elem_table[system.elem_class]
-    blocks[decomp.cells_by_sub[sub]] = 0.0
+    blocks[decomp.subdomain_rows([sub])[0]] = 0.0
     system = Rt0System(system.grid, blocks, np.arange(system.grid.n_cells), system.g)
     with pytest.raises(SingularMatrixError):
         build_level_bddc(system, decomp, 1.0)
@@ -1417,8 +1436,7 @@ def reference_subdomain(system, decomp, w_lo, s):
     system, CSR above.
     """
     grid = system.grid
-    interior = decomp.interior_by_sub[s]
-    cells = decomp.cells_by_sub[s]
+    (cells,), (interior,) = decomp.subdomain_rows([s])
     own = decomp.faces_by_sub[s]
     face_slots = tuple(int(k) for k in np.flatnonzero(own >= 0))
     face_ids = own[own >= 0]
@@ -1533,7 +1551,7 @@ def test_copy_layout_matches_lexsort_and_scatter_reference(spec, runs):
         system, decomp = level.system, level.decomp
         ratio = decomp.face_dofs.shape[1]
         present = decomp.faces_by_sub >= 0
-        keys = np.hstack([present, system.elem_class[decomp.cells_by_sub]])
+        keys = np.hstack([present, system.elem_class[natural_rows(decomp)[0]]])
         members = by_shape(lexsort_groups(keys), present)
         assert [grp.subs.tolist() for grp in level_groups(level)] == [m.tolist() for m in members]
         order = np.concatenate(members)
@@ -1599,7 +1617,7 @@ def test_groups_match_per_subdomain_reference(case, runs):
                 ref = refs[s]
                 local = ref["local"]
                 assert _bytes_key(*ref["interior_blocks"]) == blocks
-                assert np.array_equal(grp.idx_cells[row], level.decomp.cells_by_sub[s])
+                assert np.array_equal(grp.idx_cells[row], level.decomp.subdomain_rows([s])[0][0])
                 assert np.array_equal(grp.idx_int[row], local[ref["int_pos"]])
                 assert np.array_equal(copies.idx_face[row], local[ref["face_pos"]])
                 assert np.array_equal(copies.face_ids[row], ref["face_ids"])
@@ -1791,7 +1809,7 @@ def test_batched_passes_equal_per_group_loop(case, runs, rng):
         # divergence data on the cells of a few subdomains: the others are
         # not solved, and groups without such a member are skipped
         r, div = rng.standard_normal(n_flux), np.zeros(system.n_pressure)
-        few = decomp.cells_by_sub[rng.choice(decomp.n_sub, size=min(3, decomp.n_sub), replace=False)]
+        few = decomp.subdomain_rows(rng.choice(decomp.n_sub, size=min(3, decomp.n_sub), replace=False))[0]
         div[few] = rng.standard_normal(few.shape)
         modes = {"r": (r, None), "rhs_div": (None, div), "both": (r, rng.standard_normal(system.n_pressure))}
         for mode, data in modes.items():
@@ -1803,7 +1821,7 @@ def test_batched_passes_equal_per_group_loop(case, runs, rng):
         u_face, p_coarse = group_apply(precond, idx, r[level.face_dofs] + r_face)
         u_ext, p_ext = group_extension(level, u_face)
         sub_of_cell = np.empty(system.n_pressure, dtype=np.intp)
-        sub_of_cell[decomp.cells_by_sub] = np.arange(decomp.n_sub)[:, None]
+        sub_of_cell[natural_rows(decomp)[0]] = np.arange(decomp.n_sub)[:, None]
         got["apply"] = precond.apply(r, idx + 1)
         want["apply"] = (u_ic + u_ext, (p_ic + p_coarse[sub_of_cell]) + p_ext)
         for name, outputs in want.items():

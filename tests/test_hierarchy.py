@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import copy_rows, edge_sides_weights, level_groups
+from conftest import copy_rows, edge_sides_weights, level_groups, natural_rows
 from nested_bddc.bddc import MultilevelPreconditioner, _face_average, build_level_bddc
 from nested_bddc.hierarchy import HierarchyError, WeightsError, build_hierarchy, compute_weights
 from nested_bddc.mesh_fem import (
@@ -109,9 +109,9 @@ def test_two_level_counts_9x9():
     s, r = 3, 3
     assert d.n_faces == 2 * (s - 1) * s
     assert d.face_dofs.size == 2 * (s - 1) * s * r
-    for sub in range(d.n_sub):
-        assert len(d.interior_by_sub[sub]) == 2 * r * (r - 1)
-        assert len(d.cells_by_sub[sub]) == r * r
+    cells, interior = natural_rows(d)
+    assert cells.shape == (d.n_sub, r * r)
+    assert interior.shape == (d.n_sub, 2 * r * (r - 1))
 
 
 def test_three_level_counts_27x27():
@@ -129,7 +129,7 @@ def test_degenerate_single_subdomain():
     assert d.n_sub == 1
     assert d.n_faces == 0
     assert d.face_dofs.size == 0
-    assert d.interior_by_sub.size == mesh.n_flux
+    assert natural_rows(d)[1].size == mesh.n_flux
 
 
 def member_dofs(decomp):
@@ -139,7 +139,26 @@ def member_dofs(decomp):
     or -1 where the face is absent; one row per subdomain.
     """
     faces = np.vstack([decomp.face_dofs, np.full(decomp.face_dofs.shape[1], -1)])
-    return np.hstack([decomp.interior_by_sub, faces[decomp.faces_by_sub].reshape(decomp.n_sub, -1)])
+    return np.hstack([natural_rows(decomp)[1], faces[decomp.faces_by_sub].reshape(decomp.n_sub, -1)])
+
+
+@pytest.mark.parametrize("nx, ny, ratio", [(9, 9, 3), (12, 8, 4), (6, 4, 2), (16, 16, 16)])
+def test_subdomain_rows_match_cell_coordinates_and_edge_sides(nx, ny, ratio):
+    # A subdomain's cells are those whose column and row fall in its block,
+    # its interior dofs the edges with both sides among them, vertical
+    # edges first; any list of subdomains, in any order, gets its rows.
+    d = build_hierarchy(build_mesh(nx, ny), 2, ratio)[0]
+    j, i = np.divmod(np.arange(d.grid.n_cells), nx)
+    sub_of_cell = (j // ratio) * d.sub_grid.nx + i // ratio
+    sides = sub_of_cell[d.grid.edge_sides]
+    inside = sides[:, 0] == sides[:, 1]
+    subs = np.random.default_rng(nx).permutation(d.n_sub)[: max(1, d.n_sub - 1)]
+    cells, interior = d.subdomain_rows(subs)
+    for s, c, e in zip(subs, cells, interior):
+        assert np.array_equal(c, np.flatnonzero(sub_of_cell == s))
+        assert np.array_equal(e, np.flatnonzero(inside & (sides[:, 0] == s)))
+    values = np.random.default_rng(0).random(d.grid.n_cells)
+    assert np.array_equal(d.by_sub(values), values[natural_rows(d)[0]])
 
 
 @pytest.mark.parametrize(
@@ -150,11 +169,12 @@ def test_local_slots_template_matches_every_subdomain(nx, ny, levels, ratio):
     for d in build_hierarchy(build_mesh(nx, ny), levels, ratio):
         assert d.local_slots.shape == (ratio * ratio, 4)
         dofs = member_dofs(d)
-        expected = d.grid.cell_dof_slots[d.cells_by_sub]
+        cells, interior = natural_rows(d)
+        expected = d.grid.cell_dof_slots[cells]
         assert np.array_equal(dofs[:, d.local_slots], expected)
         # the check tells faces apart: the template with the left and right
         # face offsets swapped fails it
-        n_int = d.interior_by_sub.shape[1]
+        n_int = interior.shape[1]
         order = np.arange(n_int + 4 * ratio)
         order[n_int : n_int + 2 * ratio] = np.roll(order[n_int : n_int + 2 * ratio], ratio)
         assert not np.array_equal(dofs[:, order[d.local_slots]], expected)
@@ -169,7 +189,7 @@ def test_every_interface_dof_on_one_face_two_subs():
     mesh = build_mesh(12, 12)
     d = build_hierarchy(mesh, 2, 4)[0]
     interface = np.sort(d.face_dofs.ravel())
-    interior = np.sort(d.interior_by_sub.ravel())
+    interior = np.sort(natural_rows(d)[1].ravel())
     seen = np.zeros(mesh.n_flux, dtype=int)
     for (sub_lo, sub_hi), dofs in zip(d.sub_grid.edge_sides, d.face_dofs):
         assert sub_lo < sub_hi
@@ -236,7 +256,7 @@ def test_weights_partition_of_unity_exact(rng):
     # random per-subdomain coefficients, constant inside each subdomain
     sub_vals = rng.uniform(0.01, 100.0, d.n_sub)
     values = np.empty(mesh.n_cells)
-    for s, cells in enumerate(d.cells_by_sub):
+    for s, cells in enumerate(natural_rows(d)[0]):
         values[cells] = sub_vals[s]
     level = build_level_bddc(assemble_rt0(mesh, CoefficientField(values)), d, 1.0)
     assert np.all(unit_average(level) == 1.0)
@@ -337,7 +357,7 @@ def rho_scaling_reference(decomps, k):
         assert np.all(np.isfinite(kk))
         a, b = 1.0 / kk[..., 0], 1.0 / kk[..., 1]
         refs.append(a / (a + b))
-        children = k[d.cells_by_sub]
+        children = k[natural_rows(d)[0]]
         k = np.where(np.all(children == children[:, :1], axis=1), children[:, 0], np.nan)
     return refs
 

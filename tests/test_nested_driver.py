@@ -10,10 +10,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import natural_rows
 import nested_bddc as nb
 from nested_bddc import nested_driver
 from nested_bddc.bddc import MultilevelPreconditioner
 from nested_bddc.hierarchy import HierarchyError
+from nested_bddc.krylov import PcgError
 from nested_bddc.mesh_fem import CoefficientField, MeshError, Rt0System, build_mesh, divergence_defect
 from nested_bddc.nested_driver import (
     CSV_HEADER,
@@ -27,7 +29,7 @@ from nested_bddc.nested_driver import (
     step2_subdomain_solve,
     step3_correction,
 )
-from nested_bddc.saddle_core import Factorization, IncompatibleRhsError, SingularMatrixError
+from nested_bddc.saddle_core import Factorization, IncompatibleRhsError
 
 
 # Exact CSV text (header plus one row per downsweep level) of the presets.
@@ -112,7 +114,7 @@ def test_step1_preserves_compatibility(runs, rng):
         assert abs(coarse.sum()) < 1e-12 * np.linalg.norm(f)
         assert coarse.sum() == pytest.approx(f.sum(), abs=1e-12)
         # reference: one plain sum per subdomain
-        assert np.array_equal(coarse, [f[cells].sum() for cells in d.cells_by_sub])
+        assert np.array_equal(coarse, [f[cells].sum() for cells in natural_rows(d)[0]])
         f = coarse
 
 
@@ -129,7 +131,7 @@ def test_step2_matches_divergence_data(runs, rng):
     # b(u*, q) = <f, q> for all mean-zero pressures (constants cancel when
     # the face values already match the subdomain totals, which random ones
     # do not; test against the interior pressures instead)
-    for cells in level.decomp.cells_by_sub:
+    for cells in natural_rows(level.decomp)[0]:
         d = (system.B @ u_star - f)[cells]
         assert np.ptp(d / system.areas[cells]) < 1e-10
 
@@ -241,7 +243,7 @@ def test_step2_pressure_has_zero_mean_per_subdomain(case, source, runs, rng):
     for level in solver.precond.levels:
         u0_face = rng.standard_normal(level.decomp.face_dofs.size)
         p_star = step2_subdomain_solve(level, u0_face, f)[1]
-        cells = level.decomp.cells_by_sub
+        cells = natural_rows(level.decomp)[0]
         areas = level.system.areas[cells]
         means = (areas * p_star[cells]).sum(axis=1) / areas.sum(axis=1)
         assert np.abs(means).max() <= 1e-13 * np.abs(p_star).max()
@@ -274,7 +276,7 @@ def test_step3_start_residual_matches_full_length(case, source, runs, rng, monke
             step3_correction(solver.precond, number, u0_face, f, *start)
         u_star = level.extend(u0_face)[0] + start[0]
         q0 = start[1].copy()
-        for cells in level.decomp.cells_by_sub:
+        for cells in natural_rows(level.decomp)[0]:
             areas = system.areas[cells]
             q0[cells] -= areas @ q0[cells] / areas.sum()
         ref = -(system.A @ u_star + system.B.T @ q0)[faces]
@@ -445,7 +447,7 @@ def test_global_conservation_per_subdomain(runs):
     result = runs.result(spec)
     system = solver.fine
     for d in [solver.precond.levels[0].decomp]:
-        for cells in d.cells_by_sub:
+        for cells in natural_rows(d)[0]:
             enclosed = (system.B @ result.flux)[cells].sum()
             assert enclosed == pytest.approx(system.g[cells].sum(), abs=1e-10)
 
@@ -463,16 +465,12 @@ def test_coefficient_scaling_invariants(runs):
     assert np.allclose(scaled.pressure, base.pressure / 8.0, atol=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=SingularMatrixError,
-    reason="pivot ratio check: the top KKT fails for small k, the face systems for large k",
-)
-@pytest.mark.parametrize("k", [1e-12, 1e12], ids=["1e-12", "1e12"])
+@pytest.mark.parametrize("k", [1e-300, 1e-12, 1e12, 1e300], ids=["1e-300", "1e-12", "1e12", "1e300"])
 def test_constant_coefficient_scale(runs, k):
     # A constant coefficient k leaves the k = 1 flux and divides the
-    # pressure by k, at any scale.  Both ends raise today: the flux block
-    # scales like h^2 / k and the pressure Schur complement like k.
+    # pressure by k, at any scale.  Unscaled, the flux block scales like
+    # h^2 / k and the pressure Schur complement like k, and the pivot
+    # checks reject both ends; the solver builds its hierarchy for k / k_ref.
     base = runs.result(ExperimentSpec(levels=2, ratio=3))
     scaled = NestedSolver(ExperimentSpec(levels=2, ratio=3, k1=k)).solve()
     assert np.allclose(scaled.flux, base.flux, atol=1e-9 * np.abs(base.flux).max())
@@ -565,6 +563,13 @@ def test_pcg_nonconvergence_raises():
     assert exc.value.level == 1
     assert exc.value.report.iterations == 3
     assert len(list(exc.value.report.history_rows())) == 3
+
+
+def test_pcg_nonconvergence_is_a_pcg_error():
+    # One except clause catches every PCG failure, the driver's included.
+    with pytest.raises(PcgError) as exc:
+        NestedSolver(ExperimentSpec(levels=2, ratio=3, tol=1e-30, maxit=3)).solve()
+    assert isinstance(exc.value, PcgNonConvergence) and isinstance(exc.value, nested_driver.DriverError)
 
 
 def test_pcg_stagnation_keeps_one_history_row_per_iteration():
