@@ -33,7 +33,8 @@ pre-correction go into the level's result block, their face residual
 joins the residual's face rows, and the extension of the returned face
 values and the coarse pressure add to the block, which the finer level
 then gathers from.  So no level vector is formed inside an iteration; the
-public ``apply`` is that pass followed by the level's scatters.  Step 3
+public ``apply`` is that pass followed by the level's one scatter of rows
+and face values into flux and pressure (``LevelBddc._scatter``).  Step 3
 of the nested solve hands its start level's ``_apply`` pre-corrected
 residuals directly (see ``nested_driver.step3_correction``) and iterates
 on face fluxes and per-subdomain values with the level's condensed
@@ -57,8 +58,9 @@ Subdomains are grouped by cell pattern and present faces, and the
 groups run by shape: count of present faces descending, then member
 count, then first member.  The groups with one count of present faces
 slice their faces from their patterns and build their bordered face
-systems and face operators as one stack each; each system is inverted on
-its own (``_face_operators``).  A run of groups with one member count is
+systems and face operators as one stack each; each system, an array
+whatever its size, is inverted on its own by LAPACK (``_face_operators``).
+A run of groups with one member count is
 a batch (``_Batch``), each group one entry of it, and the batches are
 the level's only unit of work: an entry's operators are its rows of the
 batch's stacks, which are slices of the count's, so every operator is
@@ -232,7 +234,8 @@ def _condense_patterns(system: Rt0System, decomp: LevelDecomposition, cells: np.
             for v in m_val
         ]
         kkt_blocks = [(m[:n_int], m[n_int:]) for m in a_b]
-    kkts = [KktSystem(*blk, gauge=system.areas[c]) for blk, c in zip(kkt_blocks, cells)]
+    gauge = np.full(n_cells, system.grid.cell_area)
+    kkts = [KktSystem(*blk, gauge=gauge) for blk in kkt_blocks]
     a_f, b_ft = a[:, n_int - first :], bt[n_int - first :]
     coupling = np.concatenate([a_f[:, :, :n_int], np.broadcast_to(b_ft, (n_pat, *b_ft.shape))], axis=2)
     ext = -np.stack([kkt.factorization.solve_leading(m, n_int + n_cells) for kkt, m in zip(kkts, coupling)])
@@ -247,9 +250,10 @@ def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio:
     the groups' patterns there and ``face_slots`` their present slots, one
     row per group.  The groups' bordered face systems ``[S C^T; C 0]``
     (``C``, the face averages, depends on the count alone) are built as one
-    stack, and each is factored on its own; their inverses come as one
-    stack from the factorizations (``Factorization.leading_stack``, with
-    all rows and columns).  Returns the stacks of ``_Batch``'s operators
+    stack of arrays, and each is factored on its own, so densely at any
+    size; their inverses come as one stack from the factorizations
+    (``Factorization.leading_stack``, with all rows and columns).  Returns
+    the stacks of ``_Batch``'s operators
     from ``ext`` to ``coarse_elem``, in order, each contiguous: a batch's
     operators are slices of them.
     """
@@ -257,18 +261,15 @@ def _face_operators(ext, schur, pats: np.ndarray, face_slots: np.ndarray, ratio:
     rows = (face_slots[:, :, None] * ratio + np.arange(ratio)).reshape(n_groups, n_f)
     size = n_f + n_faces  # 0 on a level of one subdomain, which has no faces
     s_f = schur[pats[:, None, None], rows[:, :, None], rows[:, None, :]]
-    # The bordered face systems; the face averages C are their last rows.
+    # The bordered face systems; the face averages C, 1 / ratio on each
+    # face's dofs, are their last rows.
     face_kkt = np.zeros((n_groups, size, size))
     face_kkt[:, :n_f, :n_f] = s_f
-    face_kkt[:, n_f:, :n_f] = np.repeat(np.eye(n_faces), ratio, axis=1) / ratio
+    face_kkt[:, n_f + np.arange(n_f) // ratio, np.arange(n_f)] = 1.0 / ratio
     face_kkt[:, :n_f, n_f:] = face_kkt[0, n_f:, :n_f].T
     inv = face_kkt
     if size:
-        facts = [Factorization(m) for m in face_kkt]
-        inv_t = Factorization.leading_stack(facts, size, size)
-        if inv_t is None:  # above DENSE_LIMIT (ratio 150 on), SuperLU's
-            inv_t = np.stack([f.solve(np.eye(size)).T for f in facts])
-        inv = inv_t.transpose(0, 2, 1)
+        inv = Factorization.leading_stack([Factorization(m) for m in face_kkt], size, size).transpose(0, 2, 1)
     psi = np.ascontiguousarray(inv[:, :n_f, n_f:])
     coarse = np.matmul(np.matmul(psi.transpose(0, 2, 1), s_f), psi)
     return ext[pats[:, None], rows], s_f, np.ascontiguousarray(inv[:, :n_f, :n_f]), psi, coarse
@@ -338,13 +339,17 @@ class LevelBddc:
     each batch (``batches``, ``_Batch``) keeps ``(entries, members, ...)``
     views of its rows: ``dof_in`` and ``dof_out`` of face-dof copies,
     ``face_in`` of face copies, ``rows`` of interior data and ``sol`` of
-    interior solutions and extensions (flux columns ``sol_u``, pressure
-    columns ``sol_p``), and ``span``, its rows of ``order``.  Every pass
+    interior solutions and extensions (pressure columns ``sol_p``), and
+    ``span``, its rows of ``order``.  Every pass
     (``extend``, ``extend_pressure``, ``schur_product``,
     ``interior_correction``, ``prolong_average`` and the preconditioner's
     level passes) makes one level-wide gather into an input buffer, one
     product per batch from its input view into its output view, and one
-    level-wide scatter or pair sum into a new array.  Only
+    level-wide scatter or pair sum into a new array.  The one scatter of
+    rows in ``sol``'s layout, plus face values, into the level's flux and
+    pressure is ``_scatter``: ``extend``, the preconditioner's ``apply``
+    and the pre-correction of ``interior_correction`` end with it, while
+    ``extend_pressure`` scatters the pressure columns alone.  Only
     ``interior_correction`` with divergence data runs entry by entry,
     over the members whose data is nonzero, and so does the pre-correction
     above ``DENSE_LIMIT``.  Buffers whose uses never overlap share memory:
@@ -355,8 +360,8 @@ class LevelBddc:
     preconditioner's level pass (``MultilevelPreconditioner._descend``):
     the level's averaged face values ``result_face``, then one row per
     subdomain in batch order, its interior flux and its cell pressures
-    (``result_rows``, flux columns ``result_u``, pressure columns
-    ``result_p``; each batch keeps a view of its rows).  A
+    (``result_rows``, pressure columns ``result_p``; each batch keeps a
+    view of its rows).  A
     level's block waits in its workspace while the coarser levels run; the
     finer level reads it back with one gather each for its face copies'
     coarse flux and for the cell pressures, through the index maps that
@@ -399,7 +404,7 @@ class LevelBddc:
         outputs = np.empty(max(n_sol, n_copy + n_face_copy))
         self.sol = outputs[:n_sol].reshape(n_sub, n_int + n_cells)
         self.dof_out, self.face_in = outputs[:n_copy], outputs[n_copy : n_copy + n_face_copy]
-        self.sol_u, self.sol_p = self.sol[:, :n_int], self.sol[:, n_int:]
+        self.sol_p = self.sol[:, n_int:]
         self.result = None
         self.dof_sum = _PairSum(self.dof_pairs, self.dof_in.reshape(self.dof_pairs.shape))
         face_buf = self.dof_in[: self.face_pairs.size].reshape(self.face_pairs.shape)
@@ -423,7 +428,7 @@ class LevelBddc:
         n_face, (n_sub, width), n_int = self.face_dofs.size, self.sol.shape, self.idx_int.shape[1]
         self.result = np.empty(n_face + self.sol.size)
         self.result_face, self.result_rows = self.result[:n_face], self.result[n_face:].reshape(n_sub, width)
-        self.result_u, self.result_p = self.result_rows[:, :n_int], self.result_rows[:, n_int:]
+        self.result_p = self.result_rows[:, n_int:]
         for batch in self.batches:
             batch.result_rows = self.result_rows[batch.span].reshape(batch.sol.shape)
 
@@ -457,6 +462,20 @@ class LevelBddc:
         for batch in self.batches:
             np.matmul(batch.dof_in, batch.ext, out=batch.sol)
 
+    def _scatter(self, rows: np.ndarray, u_face=0.0):
+        """Level flux and pressure from ``rows`` in batch order and face values ``u_face``.
+
+        ``rows`` has the layout of ``sol``: one row per subdomain, its
+        interior flux, then its cell pressures.
+        """
+        n_int = self.idx_int.shape[1]
+        u = np.empty(self.system.n_flux)
+        u[self.face_dofs] = u_face
+        u[self.idx_int] = rows[:, :n_int]
+        p = np.empty(self.system.n_pressure)
+        p[self.idx_cells] = rows[:, n_int:]
+        return u, p
+
     def extend(self, u_face: np.ndarray):
         """Harmonic extension of face values ``u_face``: level flux and pressure.
 
@@ -464,12 +483,7 @@ class LevelBddc:
         extension inside; the pressure is each extension's gauged pressure.
         """
         self._extend_rows(u_face)
-        u = np.zeros(self.system.n_flux)
-        u[self.face_dofs] = u_face
-        u[self.idx_int] = self.sol_u
-        p = np.empty(self.system.n_pressure)
-        p[self.idx_cells] = self.sol_p
-        return u, p
+        return self._scatter(self.sol, u_face)
 
     def extend_pressure(self, u_face: np.ndarray) -> np.ndarray:
         """The pressure of ``extend(u_face)`` alone, from the extension's pressure columns."""
@@ -550,8 +564,8 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
     batch, one entry per group, whose operators are slices of these stacks
     (``_Batch``).
     Copy data are templates per subdomain: a face copy is the higher one by
-    its slot, its dof copies are consecutive, and its cell areas are those
-    of any other subdomain.  The cell patterns come from the class table
+    its slot, its dof copies are consecutive, and its cells have the grid's
+    one cell area.  The cell patterns come from the class table
     laid out one row per subdomain (``LevelDecomposition.by_sub``), and the
     subdomains' cell and interior-dof rows are built once, for the pattern
     heads and in batch order (``subdomain_rows``).
@@ -588,7 +602,7 @@ def build_level_bddc(system: Rt0System, decomp: LevelDecomposition, gamma: float
             batches.append(_Batch(entry_kkts, size, *(stack[run] for stack in stacks)))
             stop = run.stop
     idx_cells, idx_int = decomp.subdomain_rows(order)
-    areas = system.areas[idx_cells[:1]]
+    areas = np.full((1, idx_cells.shape[1]), system.grid.cell_area)
     sub_area = areas.sum(axis=1)
     return LevelBddc(
         system=system,
@@ -687,7 +701,8 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
     are the data rows the solve takes times the extension rows ``ext``,
     summed over each face dof's two copies.  Given ``r`` alone, this is
     the pre-correction of the preconditioner's level pass
-    (``_precorrect``), scattered to the level's dofs and cells.
+    (``_precorrect``), scattered to the level's dofs and cells
+    (``LevelBddc._scatter``).
     """
     if r is None and rhs_div is None:
         raise BddcError("interior_correction needs a flux residual r or divergence data rhs_div")
@@ -695,15 +710,11 @@ def interior_correction(level: LevelBddc, r=None, rhs_div=None):
         r = _checked_vector(r, level.system.n_flux, "flux residual")
     if rhs_div is not None:
         rhs_div = _checked_vector(rhs_div, level.system.n_pressure, "divergence data")
-    u = np.zeros(level.system.n_flux)
     if rhs_div is None:
         level._allot_result()
         r_face = _precorrect(level, r)
-        u[level.idx_int] = level.result_u
-        p = np.empty(level.system.n_pressure)
-        p[level.idx_cells] = level.result_p
-        return u, p, r_face
-    p = np.zeros(level.system.n_pressure)
+        return (*level._scatter(level.result_rows), r_face)
+    u, p = np.zeros(level.system.n_flux), np.zeros(level.system.n_pressure)
     level.dof_out.fill(0.0)
     # The subdomains to solve, by one gather of the level's cells.
     live_subs = np.ones(level.decomp.n_sub, dtype=bool)
@@ -769,7 +780,7 @@ class MultilevelPreconditioner:
     whole map, ``_descend``, whose output stays in that level's result
     block (``LevelBddc.result``) for the finer level to gather, so the
     recursion forms no level vector.  ``apply`` is ``_descend`` followed
-    by the start level's scatters.
+    by the start level's scatter (``LevelBddc._scatter``).
 
     Each level computes in its own workspace (``LevelBddc``), so a
     preconditioner applies one residual at a time: calls from two threads
@@ -804,12 +815,7 @@ class MultilevelPreconditioner:
         r = _checked_vector(r, level.system.n_flux, f"residual on level {start_level}")
         level._allot_result()
         self._descend(idx, r)
-        u = np.empty(level.system.n_flux)
-        u[level.face_dofs] = level.result_face
-        u[level.idx_int] = level.result_u
-        p = np.empty(level.system.n_pressure)
-        p[level.idx_cells] = level.result_p
-        return u, p
+        return level._scatter(level.result_rows, level.result_face)
 
     def _descend(self, idx: int, r: np.ndarray) -> None:
         """``apply(r, idx + 1)`` into the result block of level ``idx + 1``.

@@ -244,7 +244,9 @@ class Rt0System:
     ``B`` the grid's ``+-h`` per slot.  The solver itself reads only the
     top level's.  A system made by ``dataclasses.replace`` is checked
     again and builds its own from its fields.
-    The cell ``areas``, the pressure gauge, come from the grid.
+    The cells of a grid share one area, ``grid.cell_area``: ``areas``, the
+    pressure gauge, is a new per-cell array of it on each read, which no
+    system keeps.
     """
 
     grid: QuadMesh
@@ -284,7 +286,7 @@ class Rt0System:
     def n_dofs(self) -> int:
         return self.n_flux + self.n_pressure
 
-    @cached_property
+    @property
     def areas(self) -> np.ndarray:
         return np.full(self.grid.n_cells, self.grid.cell_area)
 

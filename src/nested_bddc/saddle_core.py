@@ -13,11 +13,12 @@ and subdomain interior solves.  This module alone decides by size class how
 such a system is stored, assembled and solved.  ``KktSystem`` takes its
 blocks in any format and keeps them as dense arrays up to ``DENSE_LIMIT``
 rows of the whole system, as CSR above, and factors the system once, at
-construction.  ``Factorization`` applies the same rule to any square matrix
-(the BDDC face systems included): up to ``DENSE_LIMIT`` rows it forms the
-explicit inverse once, from LAPACK's partial-pivoting LU (``dgetrf``, then
-``dgetri`` on that LU, called directly) and after the pivot check, and
-every solve is a matrix product; above, SuperLU solves.
+construction.  ``Factorization`` follows its matrix's format, whatever
+the size: of an array (a dense KKT, or a BDDC face system, which is always
+one) it forms the explicit inverse once, from LAPACK's partial-pivoting LU
+(``dgetrf``, then ``dgetri`` on that LU, called directly) and after the
+pivot check, and every solve is a matrix product; a sparse matrix SuperLU
+solves.
 ``solve_leading`` serves callers whose data sits in the leading rows and
 who read back only leading unknowns (the BDDC subdomain groups): one
 product with a corner of the inverse, or one zero-padded SuperLU solve.
@@ -66,9 +67,10 @@ class IncompatibleRhsError(SaddleError):
 class Factorization:
     """Direct solver of a (usually symmetric indefinite) matrix.
 
-    Dense explicit inverse for small systems, SuperLU beyond ``DENSE_LIMIT``
-    rows (``dense`` tells which).  Immutable after construction; concurrent
-    solves against one factorization are safe.
+    Dense explicit inverse of an array, SuperLU for a sparse matrix, of any
+    size (``dense`` tells which): the caller's format is the choice, as
+    ``KktSystem`` makes it by ``DENSE_LIMIT``.  Immutable after
+    construction; concurrent solves against one factorization are safe.
     """
 
     def __init__(self, matrix):
@@ -78,14 +80,14 @@ class Factorization:
         if matrix.shape != (n, n):
             raise SaddleError("matrix must be square")
         self.n = n
-        self.dense = n <= DENSE_LIMIT
+        self.dense = not sp.issparse(matrix)
         if self.dense:
             # an exactly zero pivot (dgetrf's info > 0) fails the check below
-            lu, piv, _ = dgetrf(matrix.toarray() if sp.issparse(matrix) else matrix)
+            lu, piv, _ = dgetrf(matrix)
             udiag = np.abs(np.diag(lu))
         else:
             try:
-                self._splu = spla.splu(sp.csc_matrix(matrix))
+                self._splu = spla.splu(matrix.tocsc())
             except RuntimeError as exc:  # exactly singular
                 raise SingularMatrixError(str(exc)) from exc
             udiag = np.abs(self._splu.U.diagonal())
@@ -134,8 +136,7 @@ class Factorization:
         stack)``, with one stack of ``k``-column data rows per
         factorization, is each one's ``solve_leading``, bit for bit.  A
         view of the one inverse when all factorizations are the same one.
-        ``None`` when one is above ``DENSE_LIMIT``, whose solves are
-        SuperLU's.
+        ``None`` when one is sparse, whose solves are SuperLU's.
         """
         if not all(f.dense for f in factorizations):
             return None

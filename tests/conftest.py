@@ -3,8 +3,9 @@ across acceptance criteria and the driver tests, and the session's peak
 RSS is printed in the terminal summary.  ``level_groups`` gives the tests
 a level's batch entries one at a time, ``copy_rows`` an entry's rows of
 its level's copy layout, ``natural_rows`` every subdomain's cells and
-interior dofs in subdomain order, and ``edge_sides_weights`` the face
-weights by the grid's edge sides."""
+interior dofs in subdomain order, ``edge_sides_weights`` the face
+weights by the grid's edge sides, and ``a_norm_rel_error`` a flux's error
+in the energy norm of a system's ``A``."""
 
 from __future__ import annotations
 
@@ -148,6 +149,12 @@ def edge_sides_weights(decomp, elem_table, elem_class) -> np.ndarray:
     diag = np.diagonal(elem_table, axis1=1, axis2=2)
     d = diag[elem_class[grid.edge_sides[face_dofs]], slots].sum(axis=1)
     return d[:, 0] / (d[:, 0] + d[:, 1])
+
+
+def a_norm_rel_error(system, u, u_ref):
+    """``||u - u_ref||_A / ||u_ref||_A`` with the system's assembled ``A``."""
+    d = u - u_ref
+    return np.sqrt(d @ (system.A @ d)) / np.sqrt(u_ref @ (system.A @ u_ref))
 
 
 @pytest.fixture(scope="session")

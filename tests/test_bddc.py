@@ -1400,13 +1400,21 @@ def test_coarse_tables_match_a_per_group_fill(case, runs, monkeypatch):
         assert got_classes.tobytes() == classes.tobytes()
 
 
-def test_face_operators_above_dense_limit_match_dense(two_level_9x9, monkeypatch):
-    # Above DENSE_LIMIT (the bordered face systems from ratio 150 on) SuperLU
-    # factors the face systems and their inverses come from solves on the
-    # identity: the operators are the dense ones up to round-off.
+def test_face_systems_are_dense_whatever_the_dense_limit(two_level_9x9, monkeypatch):
+    # A factorization follows its matrix's format: the bordered face
+    # systems are built as arrays, so they are inverted by LAPACK whatever
+    # DENSE_LIMIT says, while the interior KKTs, which KktSystem stores as
+    # CSR above it, are SuperLU's.  The operators are the ones built below
+    # the limit up to round-off.
     system, decomps, precond = two_level_9x9
-    monkeypatch.setattr(saddle_core, "DENSE_LIMIT", 5)  # below every face system
+    monkeypatch.setattr(saddle_core, "DENSE_LIMIT", 5)  # below every local system
+    factor, made = Factorization.__init__, []
+    monkeypatch.setattr(Factorization, "__init__", lambda self, matrix: made.append(self) or factor(self, matrix))
     level = build_level_bddc(system, decomps[0], 1.0)
+    interior = {id(grp.kkt.factorization) for grp in level_groups(level)}
+    faces = [fact for fact in made if id(fact) not in interior]
+    assert len(faces) == len(level_groups(level)) and len(made) == len(faces) + len(interior)
+    assert all(fact.dense for fact in faces)
     assert not any(grp.kkt.factorization.dense for grp in level_groups(level))
     for batch, ref in zip(level.batches, precond.levels[0].batches, strict=True):
         for name in ("ext", "schur", "dual", "psi", "coarse_elem"):

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import natural_rows
+from conftest import a_norm_rel_error, natural_rows
 import nested_bddc as nb
 from nested_bddc import nested_driver
 from nested_bddc.bddc import MultilevelPreconditioner
@@ -81,11 +81,6 @@ L,level,M,nsub,n,n_gamma,iter,cond
 4,3,2,9,225,36,3,1.13
 """,
 }
-
-
-def a_norm_rel_error(system, u, u_ref):
-    d = u - u_ref
-    return np.sqrt(d @ (system.A @ d)) / np.sqrt(u_ref @ (system.A @ u_ref))
 
 
 def test_step1_zero_source(runs):
@@ -331,6 +326,26 @@ def test_solve_builds_no_level_matrices(spec):
     for level in solver.precond.levels:
         assert "A" not in vars(level.system) and "B" not in vars(level.system)
         assert not [name for name, value in vars(level).items() if sp.issparse(value)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ExperimentSpec(levels=5, ratio=3), ExperimentSpec(levels=5, ratio=3, coeff="jump-right", k1=37.0, k3=0.05)],
+    ids=["deep-r3", "jump-right-L5"],
+)
+def test_no_system_keeps_a_cell_area_array(spec, monkeypatch):
+    # The cells of a grid have one area, the grid's cell_area: no system
+    # that set-up makes (the fine one, the coarse problem of each level,
+    # the last of them the top's) keeps a per-cell array of it, neither
+    # after set-up nor after a solve, which gauges the fine pressure.
+    post_init, made = Rt0System.__post_init__, []
+    monkeypatch.setattr(Rt0System, "__post_init__", lambda self: made.append(self) or post_init(self))
+    solver = NestedSolver(spec)
+    assert len(made) == spec.levels
+    assert made[0] is solver.fine and all(any(s is level.system for s in made) for level in solver.precond.levels)
+    assert not [system for system in made if "areas" in vars(system)]
+    solver.solve()
+    assert not [system for system in made if "areas" in vars(system)]
 
 
 def test_directly_constructed_system_solves(monkeypatch):

@@ -81,6 +81,23 @@ def test_dense_inverse_matches_scipy_lu(n):
         assert np.array_equal(fact.solve(np.eye(n)), ref)
 
 
+def test_factorization_follows_the_matrix_format():
+    # The matrix's format alone picks the inverse: LAPACK's for an array of
+    # any size, SuperLU for a sparse matrix of any size.  DENSE_LIMIT is
+    # KktSystem's rule for the format of its blocks, not Factorization's.
+    rng = np.random.default_rng(3)
+    n = DENSE_LIMIT + 100
+    large = rng.standard_normal((n, n)) + n * np.eye(n)
+    small = rng.standard_normal((10, 10)) + 10 * np.eye(10)
+    for matrix, dense in ((large, True), (sp.csr_matrix(small), False)):
+        fact = Factorization(matrix)
+        assert fact.dense == dense
+        array = matrix.toarray() if sp.issparse(matrix) else matrix
+        rhs = rng.standard_normal(len(array))
+        want = np.linalg.solve(array, rhs)
+        assert np.linalg.norm(fact.solve(rhs) - want) <= 1e-10 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
